@@ -46,13 +46,23 @@
 //!   job runs this under the portable AES backend so the gate covers
 //!   the slowest crypto path too).
 //!
+//! - **frame sweep** — the production default measured, not a pin:
+//!   two-party sessions over TCP loopback on MatMult (small and paper
+//!   scale) at 512 / 2 048 / 8 192 tables per frame, the whole circuit
+//!   in one frame, and the un-overridden default, reporting session
+//!   wall, frames, and how long the evaluator's OT phase waited for the
+//!   garbler. On ≥ 2 cores the default is gated within 10 % of the
+//!   sweep's best and ≥ 1.25× the whole-circuit row (the two parties
+//!   must run at the same time).
+//!
 //! Run with: `cargo run --release -p haac-bench --bin bench_pipeline`
 //!
 //! Environment:
 //! - `HAAC_AES_BACKEND=portable|aesni|neon` pins the AES backend (the
 //!   CI smoke job forces `portable`).
 //! - `HAAC_PIPELINE_REPS` — measurement repetitions (default 3, best
-//!   kept).
+//!   kept; the frame sweep runs 40× as many rounds at small scale and
+//!   4× at paper scale).
 //! - `HAAC_LINK_GBPS` — modeled link bandwidth (default 1.0).
 //! - `HAAC_LINK_LATENCY_US` — modeled per-flush latency (default 40).
 //! - `HAAC_ENGINES` — pooled-garbling engine count (default
@@ -293,6 +303,97 @@ fn ot_bench(reps: usize) -> OtBench {
     }
 }
 
+/// One framing of the sweep: the best of the interleaved rounds.
+#[derive(Debug, Serialize)]
+struct FrameSweepRow {
+    /// `SessionConfig::chunk_override`; `null` is the default.
+    chunk_override: Option<usize>,
+    /// Tables per frame the session announced.
+    chunk_tables: usize,
+    /// `Tables` frames the garbler sent.
+    table_chunks: u64,
+    /// Garbler-side session wall (header → shared outputs), best round.
+    session_wall_ns: u64,
+    /// The evaluator's wait for the garbler inside its OT phase in that
+    /// round: its labels ride the first frame's flush, so this is the
+    /// time before the evaluator could start.
+    evaluator_ot_io_stall_ns: u64,
+}
+
+/// Session wall against tables per frame for one circuit, over TCP
+/// loopback with the plain two-party drivers.
+#[derive(Debug, Serialize)]
+struct FrameSweep {
+    workload: &'static str,
+    scale: &'static str,
+    and_gates: usize,
+    rows: Vec<FrameSweepRow>,
+    /// Best row's wall / the default row's wall — gated ≥ 0.90.
+    default_vs_best: f64,
+    /// Whole-circuit row's wall / the default row's wall — gated ≥ 1.25.
+    default_vs_whole_circuit: f64,
+    /// Whether the two gates applied (≥ 2 cores: with one, the parties
+    /// cannot run at the same time whatever the framing).
+    gated: bool,
+}
+
+fn frame_sweep(scale: Scale, rounds: usize, available_cores: usize) -> FrameSweep {
+    let kind = WorkloadKind::MatMult;
+    let w = build(kind, scale);
+    let ands = w.circuit.num_and_gates();
+    let default = SessionConfig::for_circuit(&w.circuit);
+    // The last two rows are the ones the gates compare: the whole
+    // circuit in one frame, and the un-overridden default.
+    let mut configs: Vec<SessionConfig> =
+        [512, 2048, 8192, ands].iter().map(|&t| default.clone().with_chunk_tables(t)).collect();
+    configs.push(default);
+    let mut rows: Vec<FrameSweepRow> = configs
+        .iter()
+        .map(|config| FrameSweepRow {
+            chunk_override: config.chunk_override,
+            chunk_tables: config.chunk_tables(),
+            table_chunks: 0,
+            session_wall_ns: u64::MAX,
+            evaluator_ot_io_stall_ns: 0,
+        })
+        .collect();
+    // Rounds visit every framing in turn, so a slow minute of the host
+    // falls on all rows alike; many rounds, because two sessions of one
+    // framing differ by 10 % on a busy two-core host and the gate below
+    // is 10 %.
+    for round in 0..rounds as u64 {
+        for (config, row) in configs.iter().zip(&mut rows) {
+            let (g, e) = run_tcp_session(
+                &w.circuit,
+                &w.garbler_bits,
+                &w.evaluator_bits,
+                0xF2A + round,
+                config,
+            )
+            .expect("frame sweep session");
+            assert_eq!(g.outputs, w.expected, "{}: frame sweep outputs diverge", kind.name());
+            let wall = g.elapsed.as_nanos() as u64;
+            if wall < row.session_wall_ns {
+                row.table_chunks = g.table_chunks;
+                row.session_wall_ns = wall;
+                row.evaluator_ot_io_stall_ns = e.ot_io_stall_ns;
+            }
+        }
+    }
+    let [.., whole_circuit, default_row] = &rows[..] else { unreachable!("five rows") };
+    let default_wall = default_row.session_wall_ns as f64;
+    let best_wall = rows.iter().map(|r| r.session_wall_ns).min().expect("rows") as f64;
+    FrameSweep {
+        workload: kind.name(),
+        scale: if scale == Scale::Paper { "paper" } else { "small" },
+        and_gates: ands,
+        default_vs_best: best_wall / default_wall,
+        default_vs_whole_circuit: whole_circuit.session_wall_ns as f64 / default_wall,
+        gated: available_cores >= 2,
+        rows,
+    }
+}
+
 #[derive(Debug, Serialize)]
 struct LinkModel {
     bandwidth_gbps: f64,
@@ -314,6 +415,8 @@ struct Report {
     /// Base-OT vs IKNP-extension input phase (base-OT count gated
     /// ≤ 256; ≥ 10× labels/s gated on native AES backends).
     ot: OtBench,
+    /// Session wall against tables per frame, default included.
+    frame_sweep: Vec<FrameSweep>,
     workloads: Vec<WorkloadBench>,
 }
 
@@ -647,6 +750,27 @@ fn main() {
         if ot.gated { "armed" } else { "skipped" }
     );
 
+    event!("bench_pipeline", "frame sweep: MatMult small + paper over TCP loopback...");
+    let frame_sweep = vec![
+        frame_sweep(Scale::Small, 40 * reps.max(1), available_cores),
+        frame_sweep(Scale::Paper, 4 * reps.max(1), available_cores),
+    ];
+    for sweep in &frame_sweep {
+        for row in &sweep.rows {
+            event!(
+                "bench_pipeline",
+                "  {} {}: {:>7} tables/frame ({}) -> {:>4} frames, wall {:.2} ms, OT wait {:.2} ms",
+                sweep.workload,
+                sweep.scale,
+                row.chunk_tables,
+                if row.chunk_override.is_some() { "pinned" } else { "default" },
+                row.table_chunks,
+                row.session_wall_ns as f64 / 1e6,
+                row.evaluator_ot_io_stall_ns as f64 / 1e6
+            );
+        }
+    }
+
     let mut workloads = Vec::new();
     for kind in WorkloadKind::ALL {
         event!(
@@ -685,6 +809,7 @@ fn main() {
         pooled,
         telemetry_overhead,
         ot,
+        frame_sweep,
         workloads,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
@@ -741,6 +866,24 @@ fn main() {
         "telemetry overhead regression: enabled sessions reach only {:.3}x the disabled rate",
         report.telemetry_overhead.ratio
     );
+    // The default frame must be a good one, and must let the parties
+    // overlap — where there is a second core for them to overlap on.
+    for sweep in report.frame_sweep.iter().filter(|s| s.gated) {
+        assert!(
+            sweep.default_vs_best >= 0.90,
+            "{} {}: the default frame is {:.2}x the sweep's best framing",
+            sweep.workload,
+            sweep.scale,
+            sweep.default_vs_best
+        );
+        assert!(
+            sweep.default_vs_whole_circuit >= 1.25,
+            "{} {}: the default frame is only {:.2}x the whole-circuit frame",
+            sweep.workload,
+            sweep.scale,
+            sweep.default_vs_whole_circuit
+        );
+    }
     for row in &report.workloads {
         for r in &row.reordered {
             assert!(

@@ -14,8 +14,10 @@
 //!   Baseline so the phases stay comparable release-to-release;
 //! - **pre-garbled** — the warm-serial mix again, but every session is
 //!   served from the server's pre-garbled instance bank (stored tables
-//!   streamed, zero online garbling cipher work); gated strictly faster
-//!   than warm serial at p50 and p99, with the bank's hit counters
+//!   streamed, zero online garbling cipher work); gated on what a bank
+//!   hit buys now that the parties overlap — garbler *CPU* (≤ 1/10 of
+//!   warm serial's garbling compute, zero AES blocks), not wall (p50
+//!   held within 1.10× of warm serial) — with the bank's hit counters
 //!   reconciled against the client-observed completions;
 //! - **concurrent** — all N sessions at once on the shared pool
 //!   (`aggregate_and_gates_per_sec` = total AND tables / wall), with a
@@ -154,8 +156,14 @@ struct PreGarbledReport {
     /// "served from storage, not compute" delta.
     garbler_compute_ns: u64,
     warm_serial_garbler_compute_ns: u64,
-    /// `warm_serial.p50_session_secs / served.p50_session_secs`.
-    p50_speedup_vs_warm_serial: f64,
+    /// `garbler_compute_ns / warm_serial_garbler_compute_ns` — gated
+    /// ≤ 0.10: what a bank hit buys is garbler CPU.
+    garbler_compute_vs_warm_serial: f64,
+    /// `served.p50_session_secs / warm_serial.p50_session_secs` — gated
+    /// ≤ 1.10, not < 1: an online garbler streams in frames the
+    /// evaluator consumes as they arrive, so taking the garbling off
+    /// the request path no longer shortens the wall.
+    p50_vs_warm_serial: f64,
 }
 
 /// Admission control under deliberate overload: the server sheds with
@@ -446,21 +454,24 @@ fn main() {
         warm_garbler_aes_blocks > 0,
         "the warm baseline must have paid its cipher bill in-line"
     );
+    let garbler_compute_vs_warm_serial =
+        banked_garbler_compute_ns as f64 / warm_garbler_compute_ns as f64;
     assert!(
-        served.p50_session_secs < warm_serial.p50_session_secs,
-        "pre-garbled p50 ({:.6}s) must beat warm-compute p50 ({:.6}s)",
+        garbler_compute_vs_warm_serial <= 0.10,
+        "a bank hit must cost at most a tenth of online garbling's compute: {banked_garbler_compute_ns} ns \
+         banked vs {warm_garbler_compute_ns} ns warm",
+    );
+    let p50_vs_warm_serial = served.p50_session_secs / warm_serial.p50_session_secs;
+    assert!(
+        p50_vs_warm_serial <= 1.10,
+        "pre-garbled p50 ({:.6}s) must stay within 1.10x of warm-compute p50 ({:.6}s)",
         served.p50_session_secs,
         warm_serial.p50_session_secs,
     );
-    assert!(
-        served.p99_session_secs < warm_serial.p99_session_secs,
-        "pre-garbled p99 ({:.6}s) must beat warm-compute p99 ({:.6}s)",
-        served.p99_session_secs,
-        warm_serial.p99_session_secs,
-    );
     let pre_garbled = PreGarbledReport {
         prefilled,
-        p50_speedup_vs_warm_serial: warm_serial.p50_session_secs / served.p50_session_secs,
+        garbler_compute_vs_warm_serial,
+        p50_vs_warm_serial,
         served,
         bank_hits,
         bank_misses,

@@ -1,8 +1,18 @@
 //! End-to-end two-party sessions: handshake, input delivery, base OT,
-//! window-chunked table streaming, and output sharing.
+//! framed table streaming, and output sharing.
 //!
-//! Two co-design ideas from the paper meet in this module:
+//! Three co-design ideas from the paper meet in this module:
 //!
+//! - **Tables are a stream.** HAAC's table queue keeps the gate engines
+//!   fed independently of wire residency, and so does the session: the
+//!   table stream crosses the channel in transport-sized `Tables`
+//!   frames ([`SessionConfig::chunk_tables`], 64 KiB by default), one
+//!   flush each, so the evaluator is evaluating frame N while the
+//!   garbler garbles frame N+1 — on every driver, including the
+//!   resumable and banked ones a server runs. The frame is the unit on
+//!   the channel; the sliding wire window ([`SessionConfig::window`])
+//!   is circuit-wire *residency* and only bounds the frame where it is
+//!   smaller.
 //! - **Slot-renamed execution.** A session configured with a cached
 //!   [`StreamingPlan`] (the default — [`SessionConfig::for_circuit`]
 //!   lowers once, the server's circuit cache lowers once *per
@@ -10,14 +20,17 @@
 //!   stream: labels live in a flat slab indexed by window slot, with
 //!   zero per-gate hashing or retire bookkeeping and the peak residency
 //!   known statically from the plan.
-//! - **Decoupled access/execute.** The garbler splits into a compute
-//!   stage and an I/O stage joined by a bounded ring of
-//!   [`PIPELINE_DEPTH`] rotating chunk buffers:
-//!   garbling chunk N+1 overlaps the send/flush of chunk N, and
-//!   symmetrically the evaluator receives chunk N+1 while evaluating
-//!   chunk N. [`SessionReport`] meters both stages (`compute_ns`,
-//!   `io_ns`) and the achieved [`overlap_ratio`](SessionReport) so the
-//!   benefit is measurable per session.
+//! - **Decoupled access/execute.** Inside one party, the plain garbler
+//!   ([`run_garbler`]) splits into a compute stage and an I/O stage
+//!   joined by a bounded ring of [`PIPELINE_DEPTH`] rotating chunk
+//!   buffers: garbling chunk N+1 overlaps the send/flush of chunk N,
+//!   and symmetrically the evaluator receives chunk N+1 while
+//!   evaluating chunk N. [`SessionReport`] meters both stages
+//!   (`compute_ns`, `io_ns`) and the achieved
+//!   [`overlap_ratio`](SessionReport) so the benefit is measurable per
+//!   session. The resumable drivers do not have this ring yet (ROADMAP
+//!   item 1): their two *parties* overlap through the frame stream,
+//!   their own compute and I/O still alternate.
 //!
 //! The pipelined, slab-backed path is byte-identical on the wire to the
 //! serial HashMap path — same frames, same flush boundaries, same
@@ -40,15 +53,41 @@ use rand::Rng;
 use crate::channel::{Channel, ChannelStats};
 use crate::error::{RuntimeError, SessionPhase};
 use crate::wire::{
-    encode_frame, encode_tables_frame, read_message, write_message, write_tables, Message, OtMode,
-    SessionHeader,
+    encode_frame, encode_tables_frame, read_message, tables_frame_len, write_message, write_tables,
+    Message, OtMode, SessionHeader,
 };
 
 /// Default cumulative-ack cadence for resumable sessions: the evaluator
-/// acknowledges the stream cursor after every this-many table chunks,
+/// acknowledges the stream cursor after every this-many table frames,
 /// and the garbler's replay buffer is bounded at twice this many
-/// frames. Non-resumable sessions announce an interval of 0 (no acks).
+/// frames — 2 MiB at the default frame size. Non-resumable sessions
+/// announce an interval of 0 (no acks).
 pub const DEFAULT_ACK_INTERVAL: u32 = 16;
+
+/// Tables in a default `Tables` frame: 2 048 × 32 B = 64 KiB, the size
+/// of a transport write, chosen by measurement and deliberately *not*
+/// derived from the sliding wire window (which is wire residency: for
+/// eight of the nine served circuits half the window exceeds the whole
+/// circuit, so a window-sized frame made the evaluator wait for the
+/// entire garbling — 17 MB at paper scale — before its first table).
+///
+/// The sweep behind the value (served sessions over loopback TCP, 2
+/// cores, `benchmark/`'s workloads; tables per frame → `long_stream`
+/// median session / `medium_online` sessions per second):
+///
+/// | 512 | 2 048 | 8 192 | whole circuit |
+/// |---|---|---|---|
+/// | 210 ms / 170 | 183–227 ms / 132–161 | 160–211 ms / 105–134 | 329–386 ms / 83–106 |
+///
+/// Long streams are indifferent above ~2 k tables; millisecond sessions
+/// lose garbler/evaluator overlap above it and pay per-frame cost
+/// (17 B, one flush) below it. A geometric ramp 256 → 16 384 measured
+/// no better than the constant on either workload.
+const FRAME_TABLES: usize = 2048;
+
+/// Ceiling of an explicit [`SessionConfig::chunk_override`]: 2^20 tables
+/// = 32 MiB frames, under the wire format's 64 MiB payload cap.
+const MAX_CHUNK_TABLES: usize = 1 << 20;
 
 /// Per-phase progress deadlines a session enforces on its channel.
 ///
@@ -121,16 +160,20 @@ pub struct SessionConfig {
     /// The gate-hash construction (both parties must agree; the header
     /// carries the garbler's choice and the evaluator validates it).
     pub scheme: HashScheme,
-    /// The sliding-wire-window geometry streaming is planned around.
+    /// The sliding-wire-window geometry the plan's label slab is sized
+    /// by: wire *residency*. It bounds the table frame only where half
+    /// of it is smaller than the default frame (see
+    /// [`chunk_tables`](SessionConfig::chunk_tables)).
     pub window: WindowModel,
     /// The circuit lowered once for slot-slab execution. `Some` (the
     /// default from [`for_circuit`](SessionConfig::for_circuit)) drives
     /// both roles off the renamed stream; `None` falls back to the
     /// liveness-retired HashMap store on the raw circuit.
     pub plan: Option<Arc<StreamingPlan>>,
-    /// Overrides the window-derived tables-per-chunk (tests and
-    /// benchmarks sweep this; `None` uses the window's slide
-    /// granularity).
+    /// Overrides the tables per `Tables` frame (tests and benchmarks
+    /// sweep this; `None` — what a server runs — is the 64 KiB default
+    /// of [`chunk_tables`](SessionConfig::chunk_tables)). The only
+    /// override there is.
     pub chunk_override: Option<usize>,
     /// Whether to overlap compute with channel I/O (decoupled stages
     /// over a bounded ring of chunk buffers). `false` runs the legacy
@@ -168,10 +211,12 @@ pub struct SessionConfig {
     pub ot_mode: OtMode,
     /// Cumulative-ack cadence a **resumable** garbler announces in its
     /// header (clamped to at least 1 there): the evaluator acks the
-    /// stream cursor every `ack_interval` chunks, and the garbler keeps
-    /// at most `2 × ack_interval` unacked frames of replay bytes before
-    /// backpressuring on the next ack. The non-resumable drivers ignore
-    /// this and announce 0 (no acks, no replay buffer).
+    /// stream cursor every `ack_interval` frames, and the garbler keeps
+    /// at most `2 × ack_interval` unacked frames of replay bytes — a
+    /// byte bound, since frames are bounded: see
+    /// [`run_garbler_resumable`] — before backpressuring on the next
+    /// ack. The non-resumable drivers ignore this and announce 0 (no
+    /// acks, no replay buffer).
     pub ack_interval: u32,
 }
 
@@ -302,14 +347,25 @@ impl SessionConfig {
         (PIPELINE_DEPTH, true)
     }
 
-    /// Tables per streamed chunk: the window's slide granularity (half
-    /// the window), the rate at which HAAC retires SWW residency — capped
-    /// so a chunk frame (32 B/table) always fits the wire format's
-    /// per-frame payload limit. An explicit
-    /// [`chunk_override`](SessionConfig::chunk_override) wins.
+    /// Tables per streamed `Tables` frame — the unit on the channel, one
+    /// flush each. The default is a transport-sized constant, 2 048
+    /// tables = 64 KiB, so that the evaluator starts on the first frame
+    /// while the garbler is still producing the rest; it is reduced to
+    /// half the sliding wire window only where that is smaller (a
+    /// 512-wire window streams 256-table frames). An explicit
+    /// [`chunk_override`](SessionConfig::chunk_override) wins, capped so
+    /// a frame (32 B/table) always fits the wire format's per-frame
+    /// payload limit.
+    ///
+    /// Every driver — plain, resumable, banked — frames by this one
+    /// function and announces it in the header, and frames carry their
+    /// own table counts, so peers built with different defaults stay
+    /// wire-compatible.
     pub fn chunk_tables(&self) -> usize {
-        const MAX_CHUNK_TABLES: usize = 1 << 20; // 32 MiB of tables per frame
-        self.chunk_override.unwrap_or(self.window.half() as usize).clamp(1, MAX_CHUNK_TABLES)
+        match self.chunk_override {
+            Some(tables) => tables.clamp(1, MAX_CHUNK_TABLES),
+            None => (self.window.half() as usize).clamp(1, FRAME_TABLES),
+        }
     }
 }
 
@@ -453,9 +509,14 @@ pub struct SessionReport {
     /// Stall attribution, I/O-bound side: nanoseconds the compute
     /// stage sat idle waiting for the I/O stage — the garbler waiting
     /// for a drained ring buffer, the evaluator waiting for the next
-    /// received chunk. Pipelined sessions only (0 when serial). A
-    /// large value means the session was **I/O-starved**: the link (or
-    /// the peer behind it) was the bottleneck.
+    /// received chunk. The resumable drivers — what a server runs —
+    /// have no ring but wait on the same peer: the garbler charges the
+    /// time blocked on the `ChunkAck` that frees its replay window, the
+    /// evaluator the time blocked receiving the next `Tables` frame, so
+    /// comparing the two sides' values says *which party bounds the
+    /// stream*. 0 only for the plain serial loops. A large value means
+    /// the session was **I/O-starved**: the link (or the peer behind
+    /// it) was the bottleneck.
     ///
     /// Together with `compute_ns` these decompose the streaming wall
     /// clock: on the driving thread, `compute_ns + io_stall_ns` plus
@@ -703,7 +764,7 @@ pub fn run_garbler<C: Channel + Send + ?Sized, R: Rng + ?Sized>(
         tel.ot_rate.add(ot.transfers);
     }
 
-    // Stream tables in window-sized chunks, one flush per chunk. Two
+    // Stream tables in `chunk_tables`-sized frames, one flush each. Two
     // rotating buffers serve the whole stream — `next_tables_into`
     // refills and `write_tables` frames from borrowed slices, so the
     // steady state performs zero per-chunk allocations whether the I/O
@@ -884,10 +945,6 @@ pub const MAX_PIPELINE_DEPTH: usize = 8;
 /// count + one flush) is already noise against the table payload.
 const MAX_CHUNK_GROWTH: usize = 4;
 
-/// Absolute chunk ceiling shared with [`SessionConfig::chunk_tables`]:
-/// 2^20 tables = 32 MiB frames, under the wire's 64 MiB payload cap.
-const MAX_CHUNK_TABLES: usize = 1 << 20;
-
 /// The joint first-ring autotune decision: from the measured per-chunk
 /// `io_avg`/`compute_avg` imbalance, pick the ring depth **and** the
 /// chunk size the rest of the stream runs with.
@@ -895,11 +952,12 @@ const MAX_CHUNK_TABLES: usize = 1 << 20;
 /// Transfers dominating means every handoff stalls on the wire, so two
 /// levers open: a deeper ring absorbs jitter (more chunks in flight),
 /// and larger chunks amortize per-frame overhead (fewer flushes for the
-/// same bytes). The chunk lever stays untouched when the caller pinned
-/// an explicit chunk size — tests and protocols that assert exact
-/// framing opt out by pinning. Growing the chunk mid-stream is
-/// wire-compatible: the header's `chunk_tables` is a capacity hint, and
-/// frames carry their own table counts.
+/// same bytes). The chunk lever only grows a small-window frame *up to*
+/// the default frame size, never past it — past it the parties lose
+/// overlap and nothing is left to amortize — and stays untouched when
+/// the caller pinned an explicit chunk size. Growing the chunk
+/// mid-stream is wire-compatible: the header's `chunk_tables` is a
+/// capacity hint, and frames carry their own table counts.
 fn autotune_stream_shape(
     io_avg: u64,
     compute_avg: u64,
@@ -915,7 +973,7 @@ fn autotune_stream_shape(
     let tuned_chunk = if chunk_pinned {
         chunk_tables
     } else {
-        chunk_tables.saturating_mul(ratio.min(MAX_CHUNK_GROWTH)).min(MAX_CHUNK_TABLES)
+        chunk_tables.saturating_mul(ratio.min(MAX_CHUNK_GROWTH)).min(FRAME_TABLES)
     };
     (tuned_depth, tuned_chunk)
 }
@@ -1181,9 +1239,9 @@ pub fn run_evaluator_with<C: Channel + Send + ?Sized, R: Rng + ?Sized>(
     arm_phase(channel, SessionPhase::Stream, &config.deadlines)?;
     let (output_decode, stats) = if config.pipeline {
         let (depth, _) = config.resolved_pipeline_depth();
-        recv_tables_pipelined(&mut evaluator, channel, depth, header.ack_interval, live)
+        recv_tables_pipelined(&mut evaluator, channel, depth, &header, live)
     } else {
-        recv_tables_serial(&mut evaluator, channel, header.ack_interval, live)
+        recv_tables_serial(&mut evaluator, channel, &header, live)
     }
     .map_err(|e| e.in_phase(SessionPhase::Stream))?;
     if !evaluator.is_done() {
@@ -1272,6 +1330,24 @@ fn check_seq(seq: u64, expected: u64) -> Result<(), RuntimeError> {
     Ok(())
 }
 
+/// A `Tables` frame may carry at most the tables the circuit still
+/// expects. The executors stop at the last gate and would drop surplus
+/// tables silently, so without this check a malformed stream would
+/// complete as if it were well-formed.
+fn check_frame_fits(
+    frame_tables: usize,
+    received: u64,
+    num_tables: u64,
+) -> Result<(), RuntimeError> {
+    let remaining = num_tables.saturating_sub(received);
+    if frame_tables as u64 > remaining {
+        return Err(RuntimeError::protocol(format!(
+            "Tables frame carries {frame_tables} tables, only {remaining} of {num_tables} remain"
+        )));
+    }
+    Ok(())
+}
+
 /// Sends the cumulative ack the garbler's replay buffer trims on, if
 /// the announced cadence says this cursor is an ack point. Flushes —
 /// an unflushed ack would let the garbler's bounded buffer deadlock.
@@ -1292,7 +1368,7 @@ fn maybe_ack<C: Channel + ?Sized>(
 fn recv_tables_serial<C: Channel + ?Sized>(
     evaluator: &mut StreamingEvaluator<'_>,
     channel: &mut C,
-    ack_interval: u32,
+    header: &SessionHeader,
     live: Option<&SessionTelemetry>,
 ) -> Result<(Vec<bool>, StreamStats), RuntimeError> {
     let start = Instant::now();
@@ -1305,6 +1381,7 @@ fn recv_tables_serial<C: Channel + ?Sized>(
         match message {
             Message::Tables { seq, tables: chunk } => {
                 check_seq(seq, stats.chunks)?;
+                check_frame_fits(chunk.len(), stats.tables, header.num_tables)?;
                 stats.chunks += 1;
                 stats.tables += chunk.len() as u64;
                 let t = Instant::now();
@@ -1318,7 +1395,7 @@ fn recv_tables_serial<C: Channel + ?Sized>(
                     tel.tables.add(chunk.len() as u64);
                     tel.table_rate.add(chunk.len() as u64);
                 }
-                maybe_ack(channel, ack_interval, stats.chunks)?;
+                maybe_ack(channel, header.ack_interval, stats.chunks)?;
             }
             Message::OutputDecode(decode) => break decode,
             other => {
@@ -1347,7 +1424,7 @@ fn recv_tables_pipelined<C: Channel + Send + ?Sized>(
     evaluator: &mut StreamingEvaluator<'_>,
     channel: &mut C,
     depth: usize,
-    ack_interval: u32,
+    header: &SessionHeader,
     live: Option<&SessionTelemetry>,
 ) -> Result<(Vec<bool>, StreamStats), RuntimeError> {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1369,6 +1446,7 @@ fn recv_tables_pipelined<C: Channel + Send + ?Sized>(
             // Acks are written from this stage: it owns the channel, and
             // the ack cadence tracks receive order, not evaluation order.
             let mut expected_seq = 0u64;
+            let mut received_tables = 0u64;
             loop {
                 let t = Instant::now();
                 let message = read_message(channel);
@@ -1376,10 +1454,14 @@ fn recv_tables_pipelined<C: Channel + Send + ?Sized>(
                 let io_ns = span.elapsed().as_nanos() as u64;
                 match message {
                     Ok(Message::Tables { seq, tables: chunk }) => {
-                        if let Err(e) = check_seq(seq, expected_seq) {
+                        let checked = check_seq(seq, expected_seq).and_then(|()| {
+                            check_frame_fits(chunk.len(), received_tables, header.num_tables)
+                        });
+                        if let Err(e) = checked {
                             return (io_ns, Err(e));
                         }
                         expected_seq += 1;
+                        received_tables += chunk.len() as u64;
                         if let Some(tel) = live {
                             tel.chunk_io_ns.record(read_ns);
                         }
@@ -1389,7 +1471,7 @@ fn recv_tables_pipelined<C: Channel + Send + ?Sized>(
                             return (io_ns, Err(RuntimeError::protocol(reason)));
                         }
                         starved.fetch_add(waited.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        if let Err(e) = maybe_ack(channel, ack_interval, expected_seq) {
+                        if let Err(e) = maybe_ack(channel, header.ack_interval, expected_seq) {
                             return (io_ns, Err(e));
                         }
                     }
@@ -1896,21 +1978,33 @@ fn run_session_pair<C: Channel + Send>(
 /// replay** out of this buffer: the exact bytes are re-sent and labels
 /// are never re-derived, so the one-time-label invariant holds by
 /// construction.
+///
+/// The driver admits at most `2 × ack_interval` unacknowledged table
+/// frames and a frame is at most [`tables_frame_len`] of the session's
+/// `chunk_tables()`, so the buffer is bounded in **bytes**:
+/// 2 × 16 × (17 + 32 × 2 048) B ≈ 2 MiB at the defaults, plus the
+/// decode frame (see [`run_garbler_resumable`], which asserts it).
 struct ReplayBuffer {
     frames: VecDeque<(u64, Vec<u8>)>,
     /// Sequence number the next pushed frame gets.
     next_seq: u64,
     /// Cumulative ack cursor: every frame below it has been released.
     acked: u64,
+    /// Wire bytes retained right now (the sum over `frames`).
+    bytes: usize,
+    /// High-water mark of `bytes`.
+    peak_bytes: usize,
 }
 
 impl ReplayBuffer {
     fn new() -> ReplayBuffer {
-        ReplayBuffer { frames: VecDeque::new(), next_seq: 0, acked: 0 }
+        ReplayBuffer { frames: VecDeque::new(), next_seq: 0, acked: 0, bytes: 0, peak_bytes: 0 }
     }
 
     /// Stores a frame's wire bytes under the next sequence number.
     fn push(&mut self, bytes: Vec<u8>) {
+        self.bytes += bytes.len();
+        self.peak_bytes = self.peak_bytes.max(self.bytes);
         self.frames.push_back((self.next_seq, bytes));
         self.next_seq += 1;
     }
@@ -1928,7 +2022,8 @@ impl ReplayBuffer {
         if upto > self.acked {
             self.acked = upto;
             while self.frames.front().is_some_and(|(seq, _)| *seq < upto) {
-                self.frames.pop_front();
+                let (_, released) = self.frames.pop_front().expect("front was just checked");
+                self.bytes -= released.len();
             }
         }
         Ok(())
@@ -2077,14 +2172,20 @@ where
 
 /// Runs the garbler side of a **resumable** streaming session.
 ///
-/// Every stream frame's wire bytes (table chunks and the output-decode
+/// Every stream frame's wire bytes (table frames and the output-decode
 /// tail, in one sequence space) are retained in a bounded replay buffer
 /// until the evaluator's periodic cumulative `ChunkAck` releases them;
-/// the buffer is capped at two ack windows (`2 × ack_interval` frames)
-/// and a garbler that outruns the acks blocks on the next one —
-/// backpressure, not growth. A transport failure past the retry-safety
-/// boundary ([`RuntimeError::resume_safe`]) consults the `resume`
-/// callback instead of tearing down: the callback receives the failure
+/// the buffer is capped at two ack windows — `2 × ack_interval` frames
+/// of at most `17 + 32 × chunk_tables()` bytes each, 2 MiB at the
+/// defaults (16, 2 048), plus the decode frame; the driver asserts it —
+/// and a garbler that outruns the acks blocks on the next one:
+/// backpressure, not growth. The time it spends blocked there is
+/// reported as [`SessionReport::io_stall_ns`]: a large value names the
+/// *evaluator* as the party that bounds the stream.
+///
+/// A transport failure past the retry-safety boundary
+/// ([`RuntimeError::resume_safe`]) consults the `resume` callback
+/// instead of tearing down: the callback receives the failure
 /// and the number of frames produced so far, and returns a reconnected
 /// channel plus the evaluator's requested cursor (learned from the
 /// peer's `Resume` frame, which the callback — not this driver — is
@@ -2093,10 +2194,13 @@ where
 /// ever re-garbled, so the one-time-label invariant holds by
 /// construction.
 ///
-/// Streaming is serial (no compute/I-O overlap): the replay-buffer
-/// invariant — bytes are buffered before they are sent — stays
-/// trivially true without threading frames through the pipeline ring,
-/// at the cost of the overlap the pipelined driver buys.
+/// The two parties overlap through the frame stream — the evaluator
+/// works on frame N while this side garbles frame N+1. Within this
+/// party, garbling and send/flush still alternate (no compute/I-O
+/// ring): the replay-buffer invariant — bytes are buffered before they
+/// are sent — stays trivially true without threading frames through
+/// the pipeline ring. Moving the buffer behind the ring is ROADMAP
+/// item 1 and stays open.
 ///
 /// # Errors
 ///
@@ -2133,7 +2237,18 @@ where
         Some(plan) => StreamingGarbler::with_plan(&plan.program, rng, config.scheme),
         None => StreamingGarbler::new(circuit, rng, config.scheme),
     };
-    stream_garbler_resumable(circuit, garbler_bits, garbler, rng, config, channel, resume, start)
+    let mut replay = ReplayBuffer::new();
+    stream_garbler_resumable(
+        circuit,
+        garbler_bits,
+        garbler,
+        rng,
+        config,
+        channel,
+        resume,
+        start,
+        &mut replay,
+    )
 }
 
 /// Runs the garbler side of a resumable session from a **banked
@@ -2193,7 +2308,18 @@ where
     let start = Instant::now();
     write_resumable_header(circuit, config, &mut channel)?;
     let garbler = BankedGarbler::new(instance);
-    stream_garbler_resumable(circuit, garbler_bits, garbler, rng, config, channel, resume, start)
+    let mut replay = ReplayBuffer::new();
+    stream_garbler_resumable(
+        circuit,
+        garbler_bits,
+        garbler,
+        rng,
+        config,
+        channel,
+        resume,
+        start,
+        &mut replay,
+    )
 }
 
 /// The resumable session header: identical for online and banked
@@ -2280,7 +2406,9 @@ impl GarblerSource for BankedGarbler {
 /// The post-header body of a resumable garbler session, generic over
 /// where tables come from (online garbling or bank replay): input-label
 /// delivery, OT, the ack-bounded streaming loop with byte replay on
-/// failure, the decode tail, and the shared outputs.
+/// failure, the decode tail, and the shared outputs. `buffer` is the
+/// caller's (empty) replay buffer, handed in so a test can read its
+/// high-water mark afterwards.
 #[allow(clippy::too_many_arguments)]
 fn stream_garbler_resumable<G, C, R, F>(
     circuit: &Circuit,
@@ -2291,6 +2419,7 @@ fn stream_garbler_resumable<G, C, R, F>(
     mut channel: C,
     mut resume: F,
     start: Instant,
+    buffer: &mut ReplayBuffer,
 ) -> Result<SessionReport, RuntimeError>
 where
     G: GarblerSource,
@@ -2301,6 +2430,8 @@ where
     let chunk_tables = config.chunk_tables();
     let ack_interval = config.ack_interval.max(1);
     let buffer_cap = u64::from(ack_interval) * 2;
+    // Frames are bounded, so the frame cap is a byte cap.
+    let buffer_byte_cap = buffer_cap as usize * tables_frame_len(chunk_tables);
     write_message(
         &mut channel,
         &Message::GarblerInputs(garbler.garbler_input_labels(garbler_bits)),
@@ -2335,14 +2466,18 @@ where
     arm_phase(&mut channel, SessionPhase::Stream, &config.deadlines)?;
     let stream_start = Instant::now();
     let mut stats = StreamStats::default();
-    let mut buffer = ReplayBuffer::new();
     let mut counters = ResumeCounters::default();
     let mut carried = ChannelStats::default();
     let mut chunk: Vec<[Block; 2]> = Vec::with_capacity(chunk_tables.min(CHUNK_BUFFER_CAP));
     loop {
         // Bounded replay buffer: block for acks before garbling on.
+        // Waiting here is waiting for the evaluator to catch up — the
+        // garbler's I/O-starved stall.
         while buffer.unacked() >= buffer_cap {
-            match read_message(&mut channel) {
+            let waited = Instant::now();
+            let message = read_message(&mut channel);
+            stats.io_stall_ns += waited.elapsed().as_nanos() as u64;
+            match message {
                 Ok(Message::ChunkAck { upto_seq }) => {
                     buffer.ack(upto_seq).map_err(|e| e.in_phase(SessionPhase::Stream))?;
                 }
@@ -2358,7 +2493,7 @@ where
                         channel,
                         e,
                         SessionPhase::Stream,
-                        &mut buffer,
+                        buffer,
                         &config.deadlines,
                         &mut carried,
                         &mut counters,
@@ -2390,7 +2525,7 @@ where
             channel,
             frame,
             SessionPhase::Stream,
-            &mut buffer,
+            buffer,
             &config.deadlines,
             &mut carried,
             &mut counters,
@@ -2398,6 +2533,11 @@ where
         )?;
         let io_ns = t.elapsed().as_nanos() as u64;
         stats.io_ns += io_ns;
+        assert!(
+            buffer.bytes <= buffer_byte_cap,
+            "replay buffer retains {} bytes, over the {buffer_byte_cap} bytes of two ack windows",
+            buffer.bytes
+        );
         if let Some(tel) = live {
             tel.chunk_io_ns.record(io_ns);
             tel.tables.add(chunk.len() as u64);
@@ -2417,7 +2557,7 @@ where
         channel,
         decode_frame,
         SessionPhase::Output,
-        &mut buffer,
+        buffer,
         &config.deadlines,
         &mut carried,
         &mut counters,
@@ -2444,7 +2584,7 @@ where
                     channel,
                     e,
                     SessionPhase::Output,
-                    &mut buffer,
+                    buffer,
                     &config.deadlines,
                     &mut carried,
                     &mut counters,
@@ -2679,9 +2819,15 @@ where
         let t = Instant::now();
         match read_message(&mut channel) {
             Ok(Message::Tables { seq, tables: chunk }) => {
+                // Evaluation sat idle for the whole receive: waiting
+                // for the garbler to produce the frame, then for its
+                // bytes — the evaluator's I/O-starved stall.
                 let io_ns = t.elapsed().as_nanos() as u64;
                 stats.io_ns += io_ns;
-                check_seq(seq, stats.chunks).map_err(|e| e.in_phase(SessionPhase::Stream))?;
+                stats.io_stall_ns += io_ns;
+                check_seq(seq, stats.chunks)
+                    .and_then(|()| check_frame_fits(chunk.len(), stats.tables, header.num_tables))
+                    .map_err(|e| e.in_phase(SessionPhase::Stream))?;
                 stats.chunks += 1;
                 stats.tables += chunk.len() as u64;
                 let t = Instant::now();
@@ -2816,6 +2962,16 @@ mod tests {
         let y = b.input_evaluator(width);
         let (s, _) = b.add_words(&x, &y);
         b.finish(s).unwrap()
+    }
+
+    /// A `width`-bit multiplier: ~2·width² AND gates, enough to span
+    /// several default-sized frames (92 bits: 16 836 ANDs, 9 frames).
+    fn multiplier(width: u32) -> Circuit {
+        let mut b = Builder::new();
+        let x = b.input_garbler(width);
+        let y = b.input_evaluator(width);
+        let product = b.mul_words(&x, &y);
+        b.finish(product).unwrap()
     }
 
     #[test]
@@ -3082,34 +3238,33 @@ mod tests {
         });
     }
 
+    /// A channel whose reads lag: every `recv_exact` sleeps first,
+    /// modeling an evaluator that falls behind the table stream.
+    struct SlowChannel {
+        inner: crate::channel::MemChannel,
+        delay: std::time::Duration,
+    }
+
+    impl Channel for SlowChannel {
+        fn send(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            self.inner.send(bytes)
+        }
+        fn recv_exact(&mut self, buf: &mut [u8]) -> std::io::Result<()> {
+            std::thread::sleep(self.delay);
+            self.inner.recv_exact(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+        fn stats(&self) -> crate::ChannelStats {
+            self.inner.stats()
+        }
+    }
+
     #[test]
     fn slow_evaluator_backpressures_the_garbler_without_unbounded_buffering() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
-        use std::io;
-
-        /// A channel whose reads lag: every `recv_exact` sleeps first,
-        /// modeling an evaluator that falls behind the table stream.
-        struct SlowChannel {
-            inner: crate::channel::MemChannel,
-            delay: std::time::Duration,
-        }
-
-        impl Channel for SlowChannel {
-            fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
-                self.inner.send(bytes)
-            }
-            fn recv_exact(&mut self, buf: &mut [u8]) -> io::Result<()> {
-                std::thread::sleep(self.delay);
-                self.inner.recv_exact(buf)
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                self.inner.flush()
-            }
-            fn stats(&self) -> crate::ChannelStats {
-                self.inner.stats()
-            }
-        }
 
         let c = adder(32);
         // A 2-wire window streams one table per chunk (one flush each),
@@ -3141,6 +3296,63 @@ mod tests {
             assert_eq!(g.table_chunks, c.num_and_gates() as u64);
             assert!(g.table_chunks > 8, "want a many-chunk stream, got {}", g.table_chunks);
         });
+    }
+
+    /// The resumable twin: over an *unbounded* transport nothing but the
+    /// ack window holds the garbler back, so what it retains for replay
+    /// is bounded by that window — in bytes, because frames are bounded.
+    #[test]
+    fn slow_evaluator_bounds_the_resumable_garblers_replay_bytes() {
+        use rand::rngs::StdRng;
+
+        let c = adder(32);
+        let config = SessionConfig::for_circuit(&c).with_chunk_tables(1).with_ack_interval(2);
+        let plan = config.plan.clone().expect("for_circuit lowers a plan");
+        let (mut gc, ec) = crate::channel::MemChannel::pair();
+        let ec = SlowChannel { inner: ec, delay: std::time::Duration::from_millis(1) };
+        let mut replay = ReplayBuffer::new();
+        let (g, e) = std::thread::scope(|scope| {
+            let garbler = scope.spawn(|| {
+                let mut rng = StdRng::seed_from_u64(21);
+                let start = Instant::now();
+                write_resumable_header(&c, &config, &mut gc)?;
+                let garbler = StreamingGarbler::with_plan(&plan.program, &mut rng, config.scheme);
+                stream_garbler_resumable(
+                    &c,
+                    &to_bits(7, 32),
+                    garbler,
+                    &mut rng,
+                    &config,
+                    gc,
+                    |_: &RuntimeError, _| None,
+                    start,
+                    &mut replay,
+                )
+            });
+            let evaluator = scope.spawn(|| {
+                let mut rng = StdRng::seed_from_u64(22);
+                run_evaluator_resumable(&c, &to_bits(8, 32), &mut rng, &config, ec, 9, |_, _| None)
+            });
+            (garbler.join().unwrap().unwrap(), evaluator.join().unwrap().unwrap())
+        });
+        assert_eq!(from_bits(&g.outputs), 15);
+        assert_eq!(g.outputs, e.outputs);
+        assert_eq!(g.table_chunks, c.num_and_gates() as u64);
+        assert!(g.table_chunks > 8, "want a many-frame stream, got {}", g.table_chunks);
+        // Two ack windows of full frames, plus the decode tail.
+        let decode_frame =
+            encode_frame(&Message::OutputDecode(vec![false; c.outputs().len()])).unwrap().len();
+        let bound =
+            2 * config.ack_interval as usize * (17 + 32 * config.chunk_tables()) + decode_frame;
+        assert!(
+            replay.peak_bytes <= bound,
+            "replay buffer peaked at {} bytes, bound {bound}",
+            replay.peak_bytes
+        );
+        // The bound was the thing holding the garbler back: it filled
+        // both windows and then waited on the lagging evaluator's acks.
+        assert!(replay.peak_bytes >= bound - decode_frame, "peak {}", replay.peak_bytes);
+        assert!(g.io_stall_ns > 0, "time blocked on acks is the garbler's I/O stall");
     }
 
     #[test]
@@ -3508,47 +3720,61 @@ mod tests {
         // Transfers dominate 4×: ring grows toward the ratio, chunk
         // grows by the ratio.
         assert_eq!(autotune_stream_shape(40, 10, 3, 64, false), (5, 256));
-        // Both levers are capped.
+        // Both levers are capped: the ring at its ceiling, the chunk at
+        // the default frame (a small-window frame grows up to it, a
+        // default one has nowhere to go).
         assert_eq!(
-            autotune_stream_shape(1000, 1, 3, 1 << 19, false),
-            (MAX_PIPELINE_DEPTH, MAX_CHUNK_TABLES)
+            autotune_stream_shape(1000, 1, 3, 1024, false),
+            (MAX_PIPELINE_DEPTH, FRAME_TABLES)
         );
+        assert_eq!(autotune_stream_shape(40, 10, 3, FRAME_TABLES, false), (5, FRAME_TABLES));
         // A pinned chunk size only ever moves the ring.
         assert_eq!(autotune_stream_shape(40, 10, 3, 64, true), (5, 64));
         // Depth never shrinks below what the session started with.
         assert_eq!(autotune_stream_shape(11, 10, 4, 64, false).0, 4);
     }
 
-    #[test]
-    fn cut_sweep_resumes_to_the_uncut_outputs_without_regarbling() {
-        // Cut the evaluator's connection at every early channel
-        // operation. Each cut must end in exactly one of two sanctioned
-        // ways: a pre-stream failure the retry layer owns (retry-safe),
-        // or a resumed session whose outputs equal the uncut run's —
-        // with the replayed bytes coming out of the garbler's buffer
-        // (replayed_frames > 0), never from a second garbling.
-        let c = adder(32);
-        let config = SessionConfig::for_circuit(&c).with_chunk_tables(2).with_ack_interval(2);
-        let gb = to_bits(123_456, 32);
-        let eb = to_bits(654_321, 32);
+    /// Cuts the evaluator's connection at every channel operation in
+    /// `ops`, stopping early at the first cut that lies past the
+    /// session's last operation (it never fires: the run completes
+    /// without a resume). Each cut must end in one of two sanctioned ways:
+    /// a pre-stream failure the retry layer owns (retry-safe), or a
+    /// resumed session whose outputs equal the uncut run's — with the
+    /// replayed bytes coming out of the garbler's buffer
+    /// (replayed_frames > 0), never from a second garbling. Returns how
+    /// many cuts resumed and how many ended retry-safe.
+    fn cut_sweep(
+        c: &Circuit,
+        config: &SessionConfig,
+        gb: &[bool],
+        eb: &[bool],
+        ops: std::ops::Range<u64>,
+    ) -> (u64, u64) {
         let (baseline, _) =
-            run_resumable_pair(&c, 7, &config, &gb, &eb, None, &|ch| Box::new(ch)).unwrap();
-
+            run_resumable_pair(c, 7, config, gb, eb, None, &|ch| Box::new(ch)).unwrap();
         let (mut resumed, mut retry_safe) = (0u64, 0u64);
-        for op in 1..60 {
-            match run_resumable_pair(&c, 7, &config, &gb, &eb, Some(op), &|ch| Box::new(ch)) {
+        let mut replayed_nothing = None;
+        let mut swept_to_the_end = false;
+        for op in ops {
+            match run_resumable_pair(c, 7, config, gb, eb, Some(op), &|ch| Box::new(ch)) {
                 Ok((g, e)) => {
                     assert_eq!(g.outputs, baseline.outputs, "cut at op {op}");
                     assert_eq!(e.outputs, baseline.outputs, "cut at op {op}");
                     assert_eq!(e.tables, baseline.tables, "cut at op {op}");
-                    if e.resumes > 0 {
-                        resumed += 1;
-                        assert!(g.resumes > 0, "cut at op {op}: evaluator resumed alone");
-                        assert!(
-                            g.replayed_frames > 0,
-                            "cut at op {op}: a resume must replay buffered bytes"
-                        );
+                    if e.resumes == 0 {
+                        swept_to_the_end = true;
+                        break;
                     }
+                    resumed += 1;
+                    assert!(g.resumes > 0, "cut at op {op}: evaluator resumed alone");
+                    assert!(
+                        replayed_nothing.is_none(),
+                        "cut at op {replayed_nothing:?}: a resume must replay buffered bytes"
+                    );
+                    // Only the session's very last operation — the
+                    // flush that shares the outputs — leaves nothing to
+                    // replay, so only the sweep's last resume may.
+                    replayed_nothing = (g.replayed_frames == 0).then_some(op);
                 }
                 Err(err) => {
                     // A pre-stream cut is the retry layer's problem. The
@@ -3567,8 +3793,39 @@ mod tests {
                 }
             }
         }
+        assert!(
+            replayed_nothing.is_none() || swept_to_the_end,
+            "cut at op {replayed_nothing:?}: a resume must replay buffered bytes"
+        );
+        (resumed, retry_safe)
+    }
+
+    #[test]
+    fn cut_sweep_resumes_to_the_uncut_outputs_without_regarbling() {
+        let c = adder(32);
+        let config = SessionConfig::for_circuit(&c).with_chunk_tables(2).with_ack_interval(2);
+        let (resumed, retry_safe) =
+            cut_sweep(&c, &config, &to_bits(123_456, 32), &to_bits(654_321, 32), 1..60);
         assert!(resumed > 0, "the sweep never exercised a resume");
         assert!(retry_safe > 0, "the sweep never hit the retry-safe region");
+    }
+
+    /// The same sweep on the framing a server actually uses: the frame
+    /// is the default (not overridden) and only the ack cadence is
+    /// lowered, so the 9-frame stream spans four ack windows and a
+    /// resume has to replay across frames that several acks already
+    /// trimmed around.
+    #[test]
+    fn cut_sweep_at_the_default_frame_replays_across_several_ack_windows() {
+        let c = multiplier(92);
+        let config = SessionConfig::for_circuit(&c).with_ack_interval(2);
+        assert_eq!(config.chunk_override, None);
+        let frames = (c.num_and_gates() as u64).div_ceil(config.chunk_tables() as u64);
+        assert!(frames >= 4 * u64::from(config.ack_interval), "{frames} frames");
+        let bits = vec![true; 92];
+        let (resumed, _) = cut_sweep(&c, &config, &bits, &bits, 1..u64::MAX);
+        // A cut inside any frame of the stream resumes.
+        assert!(resumed >= frames, "only {resumed} resumed cuts over {frames} frames");
     }
 
     #[test]
@@ -3688,6 +3945,160 @@ mod tests {
                 "{err}"
             );
         });
+    }
+
+    /// Records every byte the wrapped end receives.
+    struct RecvTee {
+        inner: crate::channel::MemChannel,
+        received: Vec<u8>,
+    }
+
+    impl Channel for RecvTee {
+        fn send(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            self.inner.send(bytes)
+        }
+        fn recv_exact(&mut self, buf: &mut [u8]) -> std::io::Result<()> {
+            self.inner.recv_exact(buf)?;
+            self.received.extend_from_slice(buf);
+            Ok(())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+        fn stats(&self) -> ChannelStats {
+            self.inner.stats()
+        }
+    }
+
+    /// A scripted peer: reads come from a recorded transcript (EOF past
+    /// its end, never a block), writes vanish.
+    struct ScriptChannel {
+        script: Vec<u8>,
+        pos: usize,
+    }
+
+    impl Channel for ScriptChannel {
+        fn send(&mut self, _bytes: &[u8]) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn recv_exact(&mut self, buf: &mut [u8]) -> std::io::Result<()> {
+            let end = self.pos + buf.len();
+            let Some(bytes) = self.script.get(self.pos..end) else {
+                return Err(std::io::ErrorKind::UnexpectedEof.into());
+            };
+            buf.copy_from_slice(bytes);
+            self.pos = end;
+            Ok(())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn stats(&self) -> ChannelStats {
+            ChannelStats::default()
+        }
+    }
+
+    #[test]
+    fn surplus_tables_in_a_frame_are_a_typed_stream_error_in_every_receive_loop() {
+        use rand::rngs::StdRng;
+
+        // An honest garbler's transcript, recorded at the evaluator...
+        let c = adder(32);
+        let config = SessionConfig::for_circuit(&c).with_chunk_tables(8).with_ack_interval(2);
+        let (gb, eb) = (to_bits(40_000, 32), to_bits(2_000, 32));
+        let evaluator_rng = || StdRng::seed_from_u64(5 ^ 0x9E37_79B9_7F4A_7C15);
+        let (g_end, e_end) = crate::channel::MemChannel::pair();
+        let mut tee = RecvTee { inner: e_end, received: Vec::new() };
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut rng = StdRng::seed_from_u64(5);
+                let no_resume = |_: &RuntimeError, _| None::<(crate::channel::MemChannel, u64)>;
+                run_garbler_resumable(&c, &gb, &mut rng, &config, g_end, no_resume).unwrap();
+            });
+            run_evaluator_with(&c, &eb, &mut evaluator_rng(), &config, &mut tee).unwrap();
+        });
+
+        // ...re-framed with one table too many in its last `Tables`
+        // frame: sequence numbers, OT replies and the decode stay valid,
+        // only the table count overruns what the header announced.
+        let mut honest = ScriptChannel { script: tee.received, pos: 0 };
+        let mut messages = Vec::new();
+        while let Ok(message) = read_message(&mut honest) {
+            messages.push(message);
+        }
+        let last_tables = messages
+            .iter_mut()
+            .rev()
+            .find_map(|m| if let Message::Tables { tables, .. } = m { Some(tables) } else { None })
+            .expect("the transcript streams tables");
+        last_tables.push([Block::default(); 2]);
+        let script: Vec<u8> = messages.iter().flat_map(|m| encode_frame(m).unwrap()).collect();
+
+        // Same evaluator seed ⇒ same OT messages ⇒ the recorded replies
+        // still fit; every receive loop must refuse the inflated frame
+        // instead of dropping the surplus and completing.
+        let replay = || ScriptChannel { script: script.clone(), pos: 0 };
+        let serial = config.clone().with_pipeline(false);
+        let outcomes = [
+            run_evaluator_with(&c, &eb, &mut evaluator_rng(), &serial, &mut replay()),
+            run_evaluator_with(&c, &eb, &mut evaluator_rng(), &config, &mut replay()),
+            run_evaluator_resumable(&c, &eb, &mut evaluator_rng(), &config, replay(), 9, |_, _| {
+                None
+            }),
+        ];
+        for (outcome, driver) in outcomes.into_iter().zip(["serial", "pipelined", "resumable"]) {
+            let err = outcome.expect_err(driver);
+            assert_eq!(err.phase(), Some(SessionPhase::Stream), "{driver}: {err}");
+            assert!(
+                matches!(&err, RuntimeError::Phased { source, .. }
+                    if matches!(&**source, RuntimeError::Protocol(m) if m.contains("remain"))),
+                "{driver}: {err}"
+            );
+        }
+    }
+
+    /// Which party bounds a stream, from the two reports alone. Online,
+    /// the garbler does the heavier work and the evaluator waits for
+    /// every frame; the 9-frame stream never fills the default two ack
+    /// windows (32 frames), so the garbler never waits at all.
+    #[test]
+    fn online_sessions_attribute_stalls_to_the_evaluators_wait_for_frames() {
+        let c = multiplier(92);
+        let config = SessionConfig::for_circuit(&c);
+        let bits = vec![true; 92];
+        let (g, e) =
+            run_resumable_pair(&c, 3, &config, &bits, &bits, None, &|ch| Box::new(ch)).unwrap();
+        assert_eq!(g.outputs, c.eval(&bits, &bits).unwrap());
+        assert_eq!(g.table_chunks, 9);
+        assert!(e.io_stall_ns > 0, "the evaluator waited for frames");
+        assert_eq!(g.io_stall_ns, 0, "the garbler never had to wait for an ack");
+        // The stall is the receive time: with evaluation it tiles the
+        // evaluator's streaming wall.
+        assert_eq!(e.io_stall_ns, e.io_ns);
+        assert!(e.compute_ns + e.io_stall_ns <= e.stream_ns);
+    }
+
+    /// Served from the bank the garbler only copies stored tables, so
+    /// the evaluator bounds the stream: once two ack windows (4 frames
+    /// at this cadence) are in flight the garbler blocks on acks, and
+    /// that wait outweighs everything it computes.
+    #[test]
+    fn banked_sessions_attribute_stalls_to_the_garblers_wait_for_acks() {
+        let c = multiplier(92);
+        let config = SessionConfig::for_circuit(&c).with_ack_interval(2);
+        let bits = vec![true; 92];
+        let (g, e) =
+            run_resumable_pair_with(true, &c, 3, &config, &bits, &bits, None, &|ch| Box::new(ch))
+                .unwrap();
+        assert_eq!(g.outputs, c.eval(&bits, &bits).unwrap());
+        assert!(g.table_chunks > 2 * u64::from(config.ack_interval));
+        assert!(
+            g.io_stall_ns > g.compute_ns,
+            "garbler stalled {} ns on acks vs {} ns of table copies",
+            g.io_stall_ns,
+            g.compute_ns
+        );
+        assert!(e.compute_ns > g.compute_ns, "evaluation is the work that bounds the stream");
     }
 
     #[test]

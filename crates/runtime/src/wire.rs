@@ -42,7 +42,9 @@ pub struct SessionHeader {
     /// Sliding-wire-window capacity (in wire labels) the garbler planned
     /// streaming around.
     pub window_wires: u32,
-    /// Tables per streamed chunk (the window's slide granularity).
+    /// Tables per streamed `Tables` frame — the garbler's
+    /// `SessionConfig::chunk_tables`, a capacity hint: every frame
+    /// carries its own count.
     pub chunk_tables: u32,
     /// The instruction schedule the garbler lowered with. The evaluator
     /// must have lowered identically — reordered transcripts are only a
@@ -54,7 +56,7 @@ pub struct SessionHeader {
     /// before any OT round runs.
     pub ot_mode: OtMode,
     /// Cumulative-ack cadence: the evaluator sends a [`Message::ChunkAck`]
-    /// after every `ack_interval` table chunks. The garbler's replay
+    /// after every `ack_interval` table frames. The garbler's replay
     /// buffer (and therefore its backpressure point) is sized from this.
     pub ack_interval: u32,
 }
@@ -379,6 +381,12 @@ pub fn encode_frame(message: &Message) -> Result<Vec<u8>, RuntimeError> {
     Ok(frame)
 }
 
+/// Wire bytes of a `Tables` frame carrying `tables` tables: tag and
+/// length (5 B), stream cursor (8 B), count (4 B), then 32 B per table.
+pub fn tables_frame_len(tables: usize) -> usize {
+    5 + 8 + 4 + 32 * tables
+}
+
 /// Serializes one `Tables` frame from a borrowed slice into its exact
 /// wire bytes — byte-identical to [`write_tables`], allocation-owned so
 /// the caller can both send and stash the same buffer.
@@ -387,7 +395,7 @@ pub fn encode_frame(message: &Message) -> Result<Vec<u8>, RuntimeError> {
 ///
 /// Rejects oversized chunks.
 pub fn encode_tables_frame(seq: u64, tables: &[[Block; 2]]) -> Result<Vec<u8>, RuntimeError> {
-    let payload_len = 8 + 4 + 32 * tables.len();
+    let payload_len = tables_frame_len(tables.len()) - 5;
     if payload_len > MAX_PAYLOAD {
         return Err(RuntimeError::protocol(format!(
             "Tables frame of {payload_len} bytes exceeds the {MAX_PAYLOAD} byte limit"
@@ -418,7 +426,7 @@ pub fn write_tables<C: Channel + ?Sized>(
     seq: u64,
     tables: &[[Block; 2]],
 ) -> Result<(), RuntimeError> {
-    let payload_len = 8 + 4 + 32 * tables.len();
+    let payload_len = tables_frame_len(tables.len()) - 5;
     if payload_len > MAX_PAYLOAD {
         return Err(RuntimeError::protocol(format!(
             "Tables frame of {payload_len} bytes exceeds the {MAX_PAYLOAD} byte limit"

@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use haac_runtime::{ReorderKind, SessionConfig, StreamingPlan};
 use haac_workloads::{build, Scale, Workload, WorkloadKind};
@@ -41,10 +41,17 @@ impl CachedWorkload {
     }
 }
 
+type Key = (WorkloadKind, Scale, ReorderKind);
+
+/// One key's slot: inserted empty under the map lock, filled exactly
+/// once outside it. Concurrent cold lookups of the key share the slot,
+/// so one of them builds and the rest wait for that build.
+type Slot = Arc<OnceLock<Arc<CachedWorkload>>>;
+
 /// Concurrent build-once cache over `(workload, scale, reorder)`.
 #[derive(Debug, Default)]
 pub struct CircuitCache {
-    entries: Mutex<HashMap<(WorkloadKind, Scale, ReorderKind), Arc<CachedWorkload>>>,
+    entries: Mutex<HashMap<Key, Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
     hit_ns: AtomicU64,
@@ -57,18 +64,22 @@ impl CircuitCache {
         CircuitCache::default()
     }
 
-    /// The entry map, recovering from lock poisoning: entries are
-    /// inserted fully built (an `Arc` swap is the only mutation under
-    /// the lock), so a session that panicked while holding the guard
-    /// cannot have left a torn entry behind — serving must keep going.
-    fn entries(
-        &self,
-    ) -> MutexGuard<'_, HashMap<(WorkloadKind, Scale, ReorderKind), Arc<CachedWorkload>>> {
+    /// The slot map, recovering from lock poisoning: the only mutation
+    /// under the lock is inserting an empty slot, so a session that
+    /// panicked while holding the guard cannot have left a torn entry
+    /// behind — serving must keep going.
+    fn entries(&self) -> MutexGuard<'_, HashMap<Key, Slot>> {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Fetches (or builds, outside the lock) the prepared workload,
-    /// lowered with the requested schedule.
+    /// Fetches the prepared workload, lowered with the requested
+    /// schedule, building it if this is the key's first lookup.
+    ///
+    /// Single-flight per key: the build runs outside the map lock, so a
+    /// slow synthesis does not serialize unrelated sessions, and
+    /// concurrent cold lookups of the *same* key wait for the one build
+    /// instead of each paying for their own (a build that panics leaves
+    /// the slot empty and the next lookup retries).
     pub fn get(
         &self,
         kind: WorkloadKind,
@@ -76,22 +87,18 @@ impl CircuitCache {
         reorder: ReorderKind,
     ) -> Arc<CachedWorkload> {
         let start = std::time::Instant::now();
-        if let Some(entry) = self.entries().get(&(kind, scale, reorder)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.hit_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            return Arc::clone(entry);
-        }
-        // Build without holding the lock so a slow synthesis does not
-        // serialize unrelated sessions. A racing builder is possible and
-        // harmless: first insert wins, the duplicate is dropped.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let workload = build(kind, scale);
-        let config = SessionConfig::for_circuit_with(&workload.circuit, reorder);
-        let built = Arc::new(CachedWorkload { workload, config });
-        let mut entries = self.entries();
-        let entry = Arc::clone(entries.entry((kind, scale, reorder)).or_insert(built));
-        drop(entries);
-        self.miss_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let slot = Arc::clone(self.entries().entry((kind, scale, reorder)).or_default());
+        let mut built = false;
+        let entry = Arc::clone(slot.get_or_init(|| {
+            built = true;
+            let workload = build(kind, scale);
+            let config = SessionConfig::for_circuit_with(&workload.circuit, reorder);
+            Arc::new(CachedWorkload { workload, config })
+        }));
+        let (count, ns) =
+            if built { (&self.misses, &self.miss_ns) } else { (&self.hits, &self.hit_ns) };
+        count.fetch_add(1, Ordering::Relaxed);
+        ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         entry
     }
 
@@ -99,15 +106,17 @@ impl CircuitCache {
     /// cold/warm probe: answering never builds, so load-shed decisions
     /// cost a lock acquire, not a synthesis.
     pub fn contains(&self, kind: WorkloadKind, scale: Scale, reorder: ReorderKind) -> bool {
-        self.entries().contains_key(&(kind, scale, reorder))
+        self.entries().get(&(kind, scale, reorder)).is_some_and(|slot| slot.get().is_some())
     }
 
-    /// Lookups served from the cache so far.
+    /// Lookups that did not build: served from a finished entry, or
+    /// from another lookup's build they waited for.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that had to synthesize (including racing duplicates).
+    /// Builds: lookups that synthesized and lowered a circuit. One per
+    /// key, however many cold lookups raced for it.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -115,7 +124,8 @@ impl CircuitCache {
     /// Total nanoseconds spent in lookups served from the cache — the
     /// warm half of the hit/miss latency split. Dividing by [`hits`]
     /// gives the mean warm lookup, which should stay near lock-acquire
-    /// cost.
+    /// cost (a lookup that waited for a racing build is a hit whose
+    /// time includes the wait).
     ///
     /// [`hits`]: CircuitCache::hits
     pub fn hit_ns(&self) -> u64 {
@@ -135,12 +145,13 @@ impl CircuitCache {
     /// capacity is never spent speculating about traffic that may never
     /// come.
     pub fn resident_keys(&self) -> Vec<(WorkloadKind, Scale, ReorderKind)> {
-        self.entries().keys().copied().collect()
+        let entries = self.entries();
+        entries.iter().filter(|(_, slot)| slot.get().is_some()).map(|(key, _)| *key).collect()
     }
 
     /// Number of distinct prepared workloads resident.
     pub fn len(&self) -> usize {
-        self.entries().len()
+        self.entries().values().filter(|slot| slot.get().is_some()).count()
     }
 
     /// Whether nothing has been cached yet.
@@ -165,6 +176,34 @@ mod tests {
         // Latency split: the miss paid for synthesis, the hit did not.
         assert!(cache.miss_ns() > 0);
         assert!(cache.hit_ns() < cache.miss_ns(), "a warm lookup must be cheaper than a build");
+    }
+
+    #[test]
+    fn racing_cold_gets_of_one_key_build_exactly_once() {
+        const THREADS: usize = 16;
+        let cache = CircuitCache::new();
+        // The barrier releases every thread into the cold lookup at
+        // once; whichever wins the slot builds, the rest must wait for
+        // that build rather than start their own.
+        let barrier = std::sync::Barrier::new(THREADS);
+        let entries: Vec<Arc<CachedWorkload>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        cache.get(WorkloadKind::Hamming, Scale::Small, ReorderKind::Baseline)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("lookup thread")).collect()
+        });
+        assert_eq!(cache.misses(), 1, "one key, one build");
+        assert_eq!(cache.hits(), THREADS as u64 - 1);
+        assert_eq!(cache.len(), 1);
+        assert!(
+            entries.iter().all(|e| Arc::ptr_eq(e, &entries[0])),
+            "every lookup shares the build"
+        );
     }
 
     #[test]

@@ -32,14 +32,11 @@ fn concurrent_mem_sessions_share_the_pool_and_cache() {
     }
     assert!(server.registry().wait_drained(Duration::from_secs(30)));
     // 3 distinct workloads resident; every lookup either hit or built.
-    // Builds run outside the cache lock, so two concurrent first
-    // requests for the same workload may both count as misses (the
-    // documented, harmless race) — misses is a lower-bounded count,
-    // not an exact one.
+    // The cache is single-flight per key, so concurrent first requests
+    // for one workload share a build: misses counts builds, exactly.
     assert_eq!(server.cache().len(), 3);
-    assert!(server.cache().misses() >= 3, "three distinct workloads must build");
-    assert!(server.cache().hits() >= 1, "repeat workloads must hit");
-    assert_eq!(server.cache().hits() + server.cache().misses(), 8);
+    assert_eq!(server.cache().misses(), 3, "three distinct workloads, three builds");
+    assert_eq!(server.cache().hits(), 5, "every other lookup is served from a build");
     let report = server.shutdown();
     assert_eq!(report.total_sessions, 8);
     assert_eq!(report.completed, 8);
@@ -328,6 +325,36 @@ fn stall_attribution_reconciles_with_the_streaming_wall_clock() {
     // Serial streaming: no ring, so no reported depth (the pipelined
     // attribution invariants live in the runtime tests).
     assert_eq!(report.pipeline_depth, 0);
+    server.shutdown();
+}
+
+#[test]
+fn served_sessions_stream_in_frames_and_report_which_party_waited() {
+    // The path a production client takes (retrying, resumable) against
+    // an online-garbling server: MatMult's 27 k tables cross the wire
+    // in 64 KiB frames, the evaluator's report charges its waits for
+    // them, and the garbler — never two ack windows (32 frames) ahead
+    // on a 14-frame stream — reports none.
+    let server = Server::new(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let (workload, config) = client::prepare(WorkloadKind::MatMult, Scale::Small);
+    let (result, _) = client::run_session_retrying(
+        || Ok(server.connect()),
+        &request("MatMult", 78),
+        &workload,
+        &config,
+        &client::RetryPolicy::default(),
+        None,
+    );
+    let evaluator = result.expect("session succeeds");
+    assert!(server.registry().wait_drained(Duration::from_secs(30)));
+    let outcomes = server.registry().outcomes();
+    let garbler = outcomes[0].result.as_ref().expect("garbler report");
+    let frames = (workload.circuit.num_and_gates() as u64).div_ceil(2048);
+    assert!(frames > 1);
+    assert_eq!(garbler.table_chunks, frames);
+    assert_eq!(evaluator.table_chunks, frames);
+    assert!(evaluator.io_stall_ns > 0, "the evaluator waited for the garbler's frames");
+    assert_eq!(garbler.io_stall_ns, 0, "the garbler never waited for an ack");
     server.shutdown();
 }
 

@@ -4,7 +4,7 @@
 //! This is the canonical two-party-computation demo (Yao 1986). The
 //! example runs the real streaming protocol — garbler and evaluator on
 //! separate threads joined by in-process channels, base OT for Bob's
-//! input labels, tables streamed in window-sized chunks — and then shows
+//! input labels, tables streamed in 64 KiB frames — and then shows
 //! what the HAAC accelerator would do with the same circuit.
 //!
 //! Run with: `cargo run --release --example millionaires`

@@ -34,7 +34,7 @@ fn main() {
     println!("plaintext result: {} in {t_plain:?}", bits_to_u32s(&plain)[0]);
 
     // Two-party GC, streamed: garbler and evaluator threads joined by
-    // in-process channels, tables shipped in window-sized chunks.
+    // in-process channels, tables shipped in 64 KiB frames.
     let t0 = Instant::now();
     let config = SessionConfig::for_circuit(&w.circuit);
     let (run, evaluator) =

@@ -2,7 +2,7 @@
 //!
 //! Both parties hold the same public circuit (a 32-bit millionaires'
 //! comparator), contribute private inputs, and learn only the output.
-//! The garbler streams tables in window-sized chunks over a real socket;
+//! The garbler streams tables in 64 KiB frames over a real socket;
 //! the evaluator consumes them with O(window) live-wire memory.
 //!
 //! Run self-contained (both roles, loopback TCP):

@@ -1,32 +1,17 @@
 //! `bench_pipeline`: machine-readable snapshot of the slot-slab label
-//! store and the pipelined compute/communication overlap.
+//! store and the streamed two-party session.
 //!
-//! Three measurements back this PR's perf story, written to
-//! `BENCH_pipeline.json` at the repo root:
+//! Written to `BENCH_pipeline.json` at the repo root:
 //!
 //! - **label-store microbench** — a XOR-only ring circuit (zero AES
 //!   work, so the label store *is* the workload) garbled through the
 //!   liveness-retired HashMap store and through the slot slab;
 //!   reported as ns/gate with the slab speedup (regression-gated at
 //!   2×).
-//! - **serial vs pipelined gates/s** — every VIP workload's garbling
-//!   cost is *measured* (a real serial streamed session), then the
-//!   serial loop and the double-buffered pipeline are scheduled
-//!   against a declared link model (bandwidth + per-flush latency) —
-//!   the paper's own methodology for projecting overlap, and immune to
-//!   the scheduler noise that makes wall-clock A/B runs of
-//!   microsecond-scale stages unreproducible (especially on the
-//!   single-CPU hosts CI provides, where two of our own threads can
-//!   never truly run at once). The pipelined schedule dominates the
-//!   serial one by construction; the regression gate checks the
-//!   margin is there for every workload.
-//! - **TCP loopback overlap** — real pipelined sessions over a real
-//!   socket, reporting the best measured `overlap_ratio` across
-//!   session sides; regression-gated > 0. This is the live
-//!   counterpart of the projection: the decoupled stages demonstrably
-//!   overlap receive/flush waits with gate compute.
+//! - **per-workload sessions** — every VIP workload's garbling cost and
+//!   whole-session gates/s, measured on real in-process sessions.
 //!
-//! Two further sections back the pooled/reordered unification:
+//! Further sections back the pooled/reordered unification:
 //!
 //! - **pooled-vs-single slab garbling** — a wide, AND-heavy,
 //!   high-ILP circuit garbled through the single-engine streaming slab
@@ -34,12 +19,12 @@
 //!   regression-gated (pooled ≥ single) on hosts with ≥ 4 cores and
 //!   a multi-engine pool, skip-gated elsewhere (two of our threads
 //!   cannot genuinely run at once on a 1-core runner).
-//! - **reordered-vs-baseline sessions** — real serial sessions under
+//! - **reordered-vs-baseline sessions** — real sessions under
 //!   the negotiated `Full`/`Segment` plans vs the `Baseline` plan,
 //!   gates/s per workload; regression-floored (reordered ≥ 0.5× the
 //!   baseline rate — the schedules trade locality for ILP, and on a
 //!   CPU the floor catches pathological collapses, not missed wins).
-//! - **telemetry overhead smoke** — the same serial session with a
+//! - **telemetry overhead smoke** — the same session with a
 //!   live [`SessionTelemetry`] attached and the global switch on vs
 //!   the kill switch off; the attached run must hold ≥ 0.95× the
 //!   disabled rate (the instruments are lock-free atomics, and the CI
@@ -63,8 +48,6 @@
 //! - `HAAC_PIPELINE_REPS` — measurement repetitions (default 3, best
 //!   kept; the frame sweep runs 40× as many rounds at small scale and
 //!   4× at paper scale).
-//! - `HAAC_LINK_GBPS` — modeled link bandwidth (default 1.0).
-//! - `HAAC_LINK_LATENCY_US` — modeled per-flush latency (default 40).
 //! - `HAAC_ENGINES` — pooled-garbling engine count (default
 //!   `min(4, cores)`; the CI matrix sweeps {1, 4}).
 //! - `HAAC_REORDER=baseline|full|segment|all` — which reordered
@@ -80,7 +63,7 @@ use haac_core::lower_for_streaming;
 use haac_gc::{garble_plan_in, EnginePool, HashScheme, StreamingGarbler};
 use haac_runtime::{
     run_local_session, run_tcp_session, OtMode, ReorderKind, SessionConfig, SessionReport,
-    SessionTelemetry, PIPELINE_DEPTH,
+    SessionTelemetry,
 };
 use haac_telemetry::event;
 use haac_workloads::{build, Scale, WorkloadKind};
@@ -101,7 +84,7 @@ struct LabelStoreBench {
     speedup: f64,
 }
 
-/// Serial vs pipelined end-to-end numbers for one workload.
+/// Measured session numbers for one workload.
 #[derive(Debug, Serialize)]
 struct WorkloadBench {
     workload: &'static str,
@@ -109,36 +92,13 @@ struct WorkloadBench {
     chunk_tables: usize,
     table_chunks: u64,
     /// Measured garbling compute of the whole table stream (best of N
-    /// real serial sessions).
+    /// real in-process sessions).
     measured_compute_ns: u64,
-    /// Measured whole-session gates/s of the real serial in-process
-    /// session the compute was taken from, for context.
-    measured_serial_session_gates_per_sec: f64,
-    /// Serial-loop gates/s under the link model: compute and transfer
-    /// strictly alternate.
-    serial_gates_per_sec: f64,
-    /// Pipelined gates/s under the same link model: transfer of chunk
-    /// N overlaps garbling of chunk N+1 (bounded by the buffer ring).
-    pipelined_gates_per_sec: f64,
-    /// `pipelined / serial` (≥ 1 is the acceptance bar).
-    speedup: f64,
-    /// Best `overlap_ratio` any pipelined TCP-loopback session side
-    /// reported for this workload (> 0 is the acceptance bar) —
-    /// `max(tcp_garbler_overlap_ratio, tcp_evaluator_overlap_ratio)`.
-    tcp_overlap_ratio: f64,
-    /// Best garbler-side overlap (strict: garbling concurrent with
-    /// socket send/flush work). Often 0 on a single-CPU host, where
-    /// two of our threads cannot genuinely run at once.
-    tcp_garbler_overlap_ratio: f64,
-    /// Best evaluator-side overlap: coverage of the receive stage's
-    /// span (network waits + prefetch stalls) by evaluation — an upper
-    /// bound on CPU-level overlap; see `SessionReport::overlap_ratio`.
-    tcp_evaluator_overlap_ratio: f64,
-    /// Garbler gates/s of the best pipelined TCP-loopback rep, for
-    /// context.
-    tcp_pipelined_gates_per_sec: f64,
-    /// Serial-session gates/s under each negotiated reorder, with its
-    /// ratio to the baseline rate (empty when `HAAC_REORDER=baseline`).
+    /// Measured whole-session gates/s of the in-process session the
+    /// compute was taken from, for context.
+    measured_session_gates_per_sec: f64,
+    /// Session gates/s under each negotiated reorder, with its ratio
+    /// to the baseline rate (empty when `HAAC_REORDER=baseline`).
     reordered: Vec<ReorderRow>,
 }
 
@@ -146,8 +106,8 @@ struct WorkloadBench {
 #[derive(Debug, Serialize)]
 struct ReorderRow {
     reorder: &'static str,
-    /// Whole-session gates/s of the best real serial session under
-    /// this schedule.
+    /// Whole-session gates/s of the best real session under this
+    /// schedule.
     session_gates_per_sec: f64,
     /// `session_gates_per_sec / baseline session_gates_per_sec` —
     /// regression-floored at 0.5.
@@ -173,7 +133,7 @@ struct PooledBench {
     gated: bool,
 }
 
-/// Cost of observing a session: the same serial session with a live
+/// Cost of observing a session: the same session with a live
 /// [`SessionTelemetry`] attached and the global switch on, vs the kill
 /// switch off (the config stays attached in both runs, so the gate
 /// prices the instruments themselves, not the `Option` check).
@@ -198,7 +158,6 @@ fn telemetry_overhead_bench(reps: usize) -> TelemetryOverheadBench {
     // measurement is an upper bound on real-stream overhead.
     let config = SessionConfig::for_circuit(&w.circuit)
         .with_chunk_tables((ands / 64).max(1))
-        .with_pipeline(false)
         .with_telemetry(Arc::clone(&telemetry));
     let measure = |enabled: bool, seed: u64| -> f64 {
         haac_telemetry::set_enabled(enabled);
@@ -233,8 +192,7 @@ fn telemetry_overhead_bench(reps: usize) -> TelemetryOverheadBench {
 /// IKNP-style extension (a constant κ = 128 base OTs bootstrapping the
 /// rest through the AES engine). `ots_per_sec` counts choice labels
 /// delivered per second of OT-phase wall time, from the garbler's
-/// report of a serial in-process session (no pipeline threads near the
-/// measurement). The garbler's phase spans exactly the protocol
+/// report of an in-process session. The garbler's phase spans exactly the protocol
 /// rounds; the evaluator's would also count the wait for the masked
 /// labels, which ride the first table flush by design.
 #[derive(Debug, Serialize)]
@@ -272,7 +230,7 @@ fn ot_bench(reps: usize) -> OtBench {
     let mut expected: Option<Vec<bool>> = None;
 
     let mut measure = |mode: OtMode| -> (f64, SessionReport) {
-        let config = SessionConfig::for_circuit(&circuit).with_pipeline(false).with_ot_mode(mode);
+        let config = SessionConfig::for_circuit(&circuit).with_ot_mode(mode);
         let mut best_rate = 0.0f64;
         let mut last = None;
         for rep in 0..reps.max(3) as u64 {
@@ -395,19 +353,11 @@ fn frame_sweep(scale: Scale, rounds: usize, available_cores: usize) -> FrameSwee
 }
 
 #[derive(Debug, Serialize)]
-struct LinkModel {
-    bandwidth_gbps: f64,
-    flush_latency_us: u64,
-}
-
-#[derive(Debug, Serialize)]
 struct Report {
     scale: &'static str,
     /// The AES backend the run dispatched to.
     aes_backend: &'static str,
     available_cores: usize,
-    /// The declared link the serial/pipelined schedules are built on.
-    link_model: LinkModel,
     label_store: LabelStoreBench,
     pooled: PooledBench,
     /// Attached-vs-disabled telemetry cost (gated ≥ 0.95).
@@ -421,10 +371,6 @@ struct Report {
 }
 
 fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
@@ -539,47 +485,15 @@ fn pooled_bench(engines: usize, available_cores: usize) -> PooledBench {
     }
 }
 
-/// Walls of the serial loop and the depth-bounded pipeline for a
-/// uniform stream of `chunks` chunks costing `compute_ns` to garble and
-/// `io_ns` to transfer each. The pipeline schedule is the session
-/// driver's: compute may run `PIPELINE_DEPTH` chunks ahead of the
-/// transfer; transfers are in-order and back-to-back at best.
-fn schedule_walls(chunks: u64, compute_ns: u64, io_ns: u64) -> (u64, u64) {
-    let serial = chunks * (compute_ns + io_ns);
-    let mut compute_end = 0u64;
-    let mut io_ends = vec![0u64; chunks as usize];
-    for k in 0..chunks as usize {
-        let mut start = compute_end;
-        if k >= PIPELINE_DEPTH {
-            // All buffers in flight: wait for the oldest transfer.
-            start = start.max(io_ends[k - PIPELINE_DEPTH]);
-        }
-        compute_end = start + compute_ns;
-        let io_start = compute_end.max(if k > 0 { io_ends[k - 1] } else { 0 });
-        io_ends[k] = io_start + io_ns;
-    }
-    (serial, *io_ends.last().unwrap_or(&0))
-}
-
-fn workload_bench(
-    kind: WorkloadKind,
-    reps: usize,
-    link: &LinkModel,
-    reorders: &[ReorderKind],
-) -> WorkloadBench {
+fn workload_bench(kind: WorkloadKind, reps: usize, reorders: &[ReorderKind]) -> WorkloadBench {
     let w = build(kind, Scale::Small);
-    // A many-chunk stream (~16 chunks) so overlap has room to show.
+    // A many-chunk stream (~16 chunks).
     let ands = w.circuit.num_and_gates();
     let chunk = (ands / 16).clamp(32.min(ands.max(1)), ands.max(1));
-    // Lower once; every config below shares the plan (the amortization
-    // this bench exists to showcase).
-    let base_config = SessionConfig::for_circuit(&w.circuit);
-    let serial_config = base_config.clone().with_chunk_tables(chunk).with_pipeline(false);
+    let session_config = SessionConfig::for_circuit(&w.circuit).with_chunk_tables(chunk);
 
-    // Measure the real garbling compute with serial in-process
-    // sessions (no pipeline threads anywhere near the measurement).
-    // Two selections over the same reps: minimum compute_ns feeds the
-    // link-model schedule, best whole-session rate is the baseline the
+    // Two selections over the same reps: minimum compute_ns is the
+    // garbling cost, best whole-session rate is the baseline the
     // reordered rows are compared against (they also take best-of-N,
     // so the comparison is symmetric).
     let mut best: Option<SessionReport> = None;
@@ -590,66 +504,23 @@ fn workload_bench(
             &w.garbler_bits,
             &w.evaluator_bits,
             0x5EED + rep,
-            &serial_config,
+            &session_config,
         )
-        .expect("serial session");
-        assert_eq!(g.outputs, w.expected, "{}: serial outputs diverge", kind.name());
+        .expect("in-process session");
+        assert_eq!(g.outputs, w.expected, "{}: session outputs diverge", kind.name());
         baseline_rate = baseline_rate.max(g.and_gates_per_sec());
         if best.as_ref().is_none_or(|b| g.compute_ns < b.compute_ns) {
             best = Some(g);
         }
     }
     let measured = best.expect("at least one rep");
-    let chunks = measured.table_chunks.max(1);
-
-    // Schedule both loops against the declared link.
-    let chunk_bytes = 32 * chunk as u64 + 9; // table payload + frame header
-    let io_ns =
-        (chunk_bytes as f64 * 8.0 / link.bandwidth_gbps) as u64 + link.flush_latency_us * 1_000;
-    let compute_ns = measured.compute_ns / chunks;
-    let (serial_wall, pipelined_wall) = schedule_walls(chunks, compute_ns, io_ns);
-    let rate = |wall: u64| {
-        if wall == 0 {
-            0.0
-        } else {
-            measured.tables as f64 / (wall as f64 / 1e9)
-        }
-    };
-
-    // Pipelined sessions over real TCP loopback: hunt the best
-    // measured overlap across session sides (a many-chunk stream; the
-    // retry loop sheds single-CPU scheduler luck).
-    let tcp_config = base_config.with_chunk_tables((ands / 64).max(1));
-    let mut tcp_g_overlap = 0.0f64;
-    let mut tcp_e_overlap = 0.0f64;
-    let mut tcp_rate = 0.0f64;
-    for rep in 0..8u64 {
-        let (g, e) = run_tcp_session(
-            &w.circuit,
-            &w.garbler_bits,
-            &w.evaluator_bits,
-            0x7C9 + rep,
-            &tcp_config,
-        )
-        .expect("tcp session");
-        assert_eq!(g.outputs, w.expected, "{}: tcp outputs diverge", kind.name());
-        tcp_g_overlap = tcp_g_overlap.max(g.overlap_ratio);
-        tcp_e_overlap = tcp_e_overlap.max(e.overlap_ratio);
-        tcp_rate = tcp_rate.max(g.and_gates_per_sec());
-        if tcp_g_overlap.max(tcp_e_overlap) > 0.0 && rep + 1 >= 3 {
-            break;
-        }
-    }
-    let tcp_overlap = tcp_g_overlap.max(tcp_e_overlap);
 
     // Negotiated-schedule sessions: same circuit, same chunking, the
     // plan lowered with Full/Segment — what a client asking for the
     // ILP-friendly orders actually gets.
     let mut reordered = Vec::new();
     for &reorder in reorders {
-        let config = SessionConfig::for_circuit_with(&w.circuit, reorder)
-            .with_chunk_tables(chunk)
-            .with_pipeline(false);
+        let config = SessionConfig::for_circuit_with(&w.circuit, reorder).with_chunk_tables(chunk);
         let mut best_rate = 0.0f64;
         for rep in 0..reps as u64 {
             let (g, _) = run_local_session(
@@ -674,16 +545,9 @@ fn workload_bench(
         workload: kind.name(),
         and_gates: measured.tables,
         chunk_tables: chunk,
-        table_chunks: chunks,
+        table_chunks: measured.table_chunks,
         measured_compute_ns: measured.compute_ns,
-        measured_serial_session_gates_per_sec: measured.and_gates_per_sec(),
-        serial_gates_per_sec: rate(serial_wall),
-        pipelined_gates_per_sec: rate(pipelined_wall),
-        speedup: serial_wall as f64 / pipelined_wall.max(1) as f64,
-        tcp_overlap_ratio: tcp_overlap,
-        tcp_garbler_overlap_ratio: tcp_g_overlap,
-        tcp_evaluator_overlap_ratio: tcp_e_overlap,
-        tcp_pipelined_gates_per_sec: tcp_rate,
+        measured_session_gates_per_sec: measured.and_gates_per_sec(),
         reordered,
     }
 }
@@ -694,10 +558,6 @@ fn main() {
     }
     let reps = env_u64("HAAC_PIPELINE_REPS", 3) as usize;
     let available_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let link = LinkModel {
-        bandwidth_gbps: env_f64("HAAC_LINK_GBPS", 1.0),
-        flush_latency_us: env_u64("HAAC_LINK_LATENCY_US", 40),
-    };
     let engines = env_u64("HAAC_ENGINES", available_cores.min(4) as u64).max(1) as usize;
     let reorders: Vec<ReorderKind> = match std::env::var("HAAC_REORDER").as_deref() {
         Ok("baseline") => vec![],
@@ -773,21 +633,9 @@ fn main() {
 
     let mut workloads = Vec::new();
     for kind in WorkloadKind::ALL {
-        event!(
-            "bench_pipeline",
-            "{} measured compute + {}Gb/s schedule + tcp overlap + reorders...",
-            kind.name(),
-            link.bandwidth_gbps
-        );
-        let row = workload_bench(kind, reps, &link, &reorders);
-        event!(
-            "bench_pipeline",
-            "  serial {:.0} -> pipelined {:.0} gates/s (x{:.2}), tcp overlap {:.2}",
-            row.serial_gates_per_sec,
-            row.pipelined_gates_per_sec,
-            row.speedup,
-            row.tcp_overlap_ratio
-        );
+        event!("bench_pipeline", "{} measured sessions + reorders...", kind.name());
+        let row = workload_bench(kind, reps, &reorders);
+        event!("bench_pipeline", "  {:.0} gates/s", row.measured_session_gates_per_sec);
         for r in &row.reordered {
             event!(
                 "bench_pipeline",
@@ -804,7 +652,6 @@ fn main() {
         scale: "small",
         aes_backend: haac_gc::active_backend().name(),
         available_cores,
-        link_model: link,
         label_store,
         pooled,
         telemetry_overhead,
@@ -894,31 +741,6 @@ fn main() {
                 r.vs_baseline
             );
         }
-    }
-    for row in &report.workloads {
-        assert!(
-            row.tcp_overlap_ratio > 0.0,
-            "{}: no pipelined TCP-loopback session side reported overlap",
-            row.workload
-        );
-        // The garbler-side metric is the strict one (garbling
-        // genuinely concurrent with socket writes); it needs a second
-        // hardware thread to be nonzero, so it only gates where real
-        // overlap is physically measurable.
-        if report.available_cores > 1 {
-            assert!(
-                row.tcp_garbler_overlap_ratio > 0.0,
-                "{}: multi-core host but the garbler's writes never overlapped garbling",
-                row.workload
-            );
-        }
-        assert!(
-            row.pipelined_gates_per_sec >= row.serial_gates_per_sec,
-            "{}: pipelined schedule ({:.0} gates/s) behind serial ({:.0} gates/s)",
-            row.workload,
-            row.pipelined_gates_per_sec,
-            row.serial_gates_per_sec
-        );
     }
     event!("bench_pipeline", "all regression gates passed");
 }

@@ -85,10 +85,8 @@ struct SessionRow {
     compute_ns: u64,
     io_ns: u64,
     ot_ns: u64,
-    /// Evaluator-side stall attribution: receive stage blocked on a
-    /// full prefetch queue (ran ahead of evaluation)...
-    compute_stall_ns: u64,
-    /// ...vs evaluation blocked waiting for the next received chunk.
+    /// Evaluator-side stall attribution: evaluation blocked waiting
+    /// for the next `Tables` frame.
     io_stall_ns: u64,
 }
 
@@ -108,7 +106,6 @@ impl SessionRow {
             compute_ns: report.compute_ns,
             io_ns: report.io_ns,
             ot_ns: report.ot_ns,
-            compute_stall_ns: report.compute_stall_ns,
             io_stall_ns: report.io_stall_ns,
         }
     }
@@ -122,9 +119,7 @@ struct StageBreakdown {
     compute_ns: u64,
     io_ns: u64,
     ot_ns: u64,
-    /// I/O stage idle waiting for garbling (compute-starved).
-    compute_stall_ns: u64,
-    /// Garbling idle waiting for the wire (I/O-starved).
+    /// Garbling idle waiting for the evaluator's acks (I/O-starved).
     io_stall_ns: u64,
     /// Largest OoRW queue high-water across sessions.
     oor_queue_peak_max: usize,
@@ -571,7 +566,6 @@ fn main() {
                 acc.compute_ns += report.compute_ns;
                 acc.io_ns += report.io_ns;
                 acc.ot_ns += report.ot_ns;
-                acc.compute_stall_ns += report.compute_stall_ns;
                 acc.io_stall_ns += report.io_stall_ns;
                 acc.oor_queue_peak_max = acc.oor_queue_peak_max.max(report.oor_queue_peak);
             }

@@ -31,6 +31,12 @@ use std::fmt;
 
 use crate::block::Block;
 
+/// Whether the base OT compiled into this build is the 127-bit
+/// [`base`] group of the `insecure-ot` feature — the only base OT there
+/// is, so `true` whenever two-party sessions can run at all. A serving
+/// layer reads this to keep such sessions off public interfaces.
+pub const BASE_OT_IS_INSECURE: bool = cfg!(feature = "insecure-ot");
+
 /// A protocol violation observed inside an OT state machine: the peer
 /// sent something structurally invalid. These are trust-boundary errors —
 /// the session layer maps them to its typed protocol error, never a

@@ -86,6 +86,30 @@ pub trait Channel {
     }
 }
 
+/// A borrowed channel is a channel, so a driver that owns its channel
+/// (it may swap in a fresh one on resume) can also run on a caller's.
+impl<T: Channel + ?Sized> Channel for &mut T {
+    fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
+        (**self).send(bytes)
+    }
+
+    fn recv_exact(&mut self, buf: &mut [u8]) -> io::Result<()> {
+        (**self).recv_exact(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        (**self).flush()
+    }
+
+    fn stats(&self) -> ChannelStats {
+        (**self).stats()
+    }
+
+    fn set_io_deadline(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+        (**self).set_io_deadline(timeout)
+    }
+}
+
 impl<T: Channel + ?Sized> Channel for Box<T> {
     fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
         (**self).send(bytes)

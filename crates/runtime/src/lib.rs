@@ -5,16 +5,16 @@
 //! order, the evaluator consumes each exactly once, and neither ever
 //! revisits one. This crate turns that observation into a runtime: a
 //! real two-party protocol (garbler ↔ evaluator) over pluggable byte
-//! [`Channel`]s, streaming tables in chunks sized by the compiler's
-//! sliding-wire-window model and holding O(window) live wires instead of
-//! O(circuit).
+//! [`Channel`]s, streaming tables in transport-sized frames and holding
+//! O(window) live wires — the compiler's sliding-wire-window model —
+//! instead of O(circuit).
 //!
 //! | Layer | Contents |
 //! |-------|----------|
 //! | [`channel`] | [`Channel`] trait, [`MemChannel`] (in-process), [`TcpChannel`] (real sockets), traffic accounting, per-operation I/O deadlines |
 //! | [`fault`] | [`FaultChannel`]: deterministic, seeded fault injection (delays, corruption, partial writes, disconnects, read stalls) for chaos testing |
 //! | [`wire`] | Framed protocol messages: header, input labels, base-OT flow, table chunks, outputs |
-//! | [`session`] | [`run_garbler`] / [`run_evaluator`] drivers, [`SessionConfig`], [`SessionReport`] (bytes, chunks, peak live wires, AES work, gates/s) |
+//! | [`session`] | One garbler loop and one evaluator loop behind the [`run_garbler`] / [`run_evaluator`] drivers and their resumable and banked variants, [`SessionConfig`], [`SessionReport`] (bytes, frames, peak live wires, AES work, gates/s) |
 //!
 //! The cryptography lives in `haac-gc` ([`StreamingGarbler`] /
 //! [`StreamingEvaluator`] and the Chou–Orlandi-style base OT); this crate
@@ -89,7 +89,6 @@ pub use session::{
     run_evaluator, run_evaluator_resumable, run_evaluator_with, run_garbler, run_garbler_banked,
     run_garbler_resumable, run_local_session, run_tcp_session, GarblerSource, SessionConfig,
     SessionDeadlines, SessionReport, SessionRole, SessionTelemetry, DEFAULT_ACK_INTERVAL,
-    MAX_PIPELINE_DEPTH, PIPELINE_DEPTH,
 };
 pub use wire::OtMode;
 

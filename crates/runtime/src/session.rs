@@ -1,43 +1,36 @@
 //! End-to-end two-party sessions: handshake, input delivery, base OT,
 //! framed table streaming, and output sharing.
 //!
-//! Three co-design ideas from the paper meet in this module:
+//! Two co-design ideas from the paper meet in this module:
 //!
-//! - **Tables are a stream.** HAAC's table queue keeps the gate engines
-//!   fed independently of wire residency, and so does the session: the
-//!   table stream crosses the channel in transport-sized `Tables`
-//!   frames ([`SessionConfig::chunk_tables`], 64 KiB by default), one
-//!   flush each, so the evaluator is evaluating frame N while the
-//!   garbler garbles frame N+1 — on every driver, including the
-//!   resumable and banked ones a server runs. The frame is the unit on
-//!   the channel; the sliding wire window ([`SessionConfig::window`])
-//!   is circuit-wire *residency* and only bounds the frame where it is
-//!   smaller.
-//! - **Slot-renamed execution.** A session configured with a cached
-//!   [`StreamingPlan`] (the default — [`SessionConfig::for_circuit`]
-//!   lowers once, the server's circuit cache lowers once *per
-//!   workload*) drives the gc executors off the renamed instruction
-//!   stream: labels live in a flat slab indexed by window slot, with
-//!   zero per-gate hashing or retire bookkeeping and the peak residency
-//!   known statically from the plan.
-//! - **Decoupled access/execute.** Inside one party, the plain garbler
-//!   ([`run_garbler`]) splits into a compute stage and an I/O stage
-//!   joined by a bounded ring of [`PIPELINE_DEPTH`] rotating chunk
-//!   buffers: garbling chunk N+1 overlaps the send/flush of chunk N,
-//!   and symmetrically the evaluator receives chunk N+1 while
-//!   evaluating chunk N. [`SessionReport`] meters both stages
-//!   (`compute_ns`, `io_ns`) and the achieved
-//!   [`overlap_ratio`](SessionReport) so the benefit is measurable per
-//!   session. The resumable drivers do not have this ring yet (ROADMAP
-//!   item 1): their two *parties* overlap through the frame stream,
-//!   their own compute and I/O still alternate.
+//! - **Tables are a stream, and the queue under it stays plain.** HAAC
+//!   decouples its gate engines from memory with simple queues; here
+//!   the queue is the transport's own send buffer. The table stream
+//!   crosses the channel in transport-sized `Tables` frames
+//!   ([`SessionConfig::chunk_tables`], 64 KiB by default), one flush
+//!   each, so the evaluator is evaluating frame N while the garbler
+//!   garbles frame N+1. Within one party compute and I/O alternate:
+//!   there is no second, in-process queue behind the transport's. The
+//!   frame is the unit on the channel; the sliding wire window
+//!   ([`SessionConfig::window`]) is circuit-wire *residency* and only
+//!   bounds the frame where it is smaller.
+//! - **Slot-renamed execution.** A session runs off a cached
+//!   [`StreamingPlan`] ([`SessionConfig::for_circuit`] lowers once, the
+//!   server's circuit cache lowers once *per workload*): labels live in
+//!   a flat slab indexed by window slot, with zero per-gate hashing or
+//!   retire bookkeeping and the peak residency known statically from
+//!   the plan.
 //!
-//! The pipelined, slab-backed path is byte-identical on the wire to the
-//! serial HashMap path — same frames, same flush boundaries, same
-//! tables — which the equivalence suite checks across every workload.
+//! There is one garbler loop and one evaluator loop. Every public
+//! driver is a wrapper that picks where tables come from (a
+//! [`GarblerSource`]: garbled online or replayed from a bank), the ack
+//! cadence the header announces, and what a transport failure does: a
+//! resumable session keeps the unacknowledged frames' bytes and asks a
+//! callback for a fresh channel; a plain session announces
+//! `ack_interval: 0`, keeps nothing, and its callback declines.
 
 use std::collections::VecDeque;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use haac_circuit::Circuit;
@@ -53,15 +46,15 @@ use rand::Rng;
 use crate::channel::{Channel, ChannelStats};
 use crate::error::{RuntimeError, SessionPhase};
 use crate::wire::{
-    encode_frame, encode_tables_frame, read_message, tables_frame_len, write_message, write_tables,
-    Message, OtMode, SessionHeader,
+    encode_frame, encode_tables_frame, read_message, tables_frame_len, write_message, Message,
+    OtMode, SessionHeader,
 };
 
 /// Default cumulative-ack cadence for resumable sessions: the evaluator
 /// acknowledges the stream cursor after every this-many table frames,
 /// and the garbler's replay buffer is bounded at twice this many
-/// frames — 2 MiB at the default frame size. Non-resumable sessions
-/// announce an interval of 0 (no acks).
+/// frames — 2 MiB at the default frame size. Plain sessions announce
+/// an interval of 0 (no acks, nothing retained).
 pub const DEFAULT_ACK_INTERVAL: u32 = 16;
 
 /// Tables in a default `Tables` frame: 2 048 × 32 B = 64 KiB, the size
@@ -101,9 +94,8 @@ const MAX_CHUNK_TABLES: usize = 1 << 20;
 ///
 /// A tripped deadline surfaces as the typed
 /// [`RuntimeError::Deadline`]`{phase}` and the session tears down
-/// cleanly: half-finished slab and pipeline-ring state unwinds with the
-/// driver's early return, scoped stage threads join, and the channel is
-/// dropped.
+/// cleanly: half-finished slab state unwinds with the driver's early
+/// return and the channel is dropped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionDeadlines {
     /// Budget for each handshake operation (header, input labels; on
@@ -165,36 +157,15 @@ pub struct SessionConfig {
     /// of it is smaller than the default frame (see
     /// [`chunk_tables`](SessionConfig::chunk_tables)).
     pub window: WindowModel,
-    /// The circuit lowered once for slot-slab execution. `Some` (the
-    /// default from [`for_circuit`](SessionConfig::for_circuit)) drives
-    /// both roles off the renamed stream; `None` falls back to the
-    /// liveness-retired HashMap store on the raw circuit.
-    pub plan: Option<Arc<StreamingPlan>>,
+    /// The circuit lowered once for slot-slab execution: both roles
+    /// run off its renamed instruction stream. Shared, so a cache can
+    /// hand the same plan to every session of a workload.
+    pub plan: Arc<StreamingPlan>,
     /// Overrides the tables per `Tables` frame (tests and benchmarks
     /// sweep this; `None` — what a server runs — is the 64 KiB default
     /// of [`chunk_tables`](SessionConfig::chunk_tables)). The only
     /// override there is.
     pub chunk_override: Option<usize>,
-    /// Whether to overlap compute with channel I/O (decoupled stages
-    /// over a bounded ring of chunk buffers). `false` runs the legacy
-    /// strictly alternating loop; the wire bytes are identical either
-    /// way.
-    pub pipeline: bool,
-    /// Buffers in the pipelined compute/I/O ring. `None` (the default)
-    /// starts at [`PIPELINE_DEPTH`] and **autotunes** from the first
-    /// ring's measured compute/I/O imbalance (widening toward
-    /// [`MAX_PIPELINE_DEPTH`] when the I/O stage dominates), unless the
-    /// `HAAC_PIPELINE_DEPTH` environment variable pins a depth.
-    /// `Some(n)` pins it explicitly. The chosen depth is reported in
-    /// [`SessionReport::pipeline_depth`].
-    ///
-    /// Caveat: the I/O measurement cannot distinguish a slow link from
-    /// a slow *peer* — channel backpressure from a compute-bound
-    /// evaluator also inflates `io_ns`, in which case the widened ring
-    /// buys nothing (memory stays bounded at the chosen depth either
-    /// way). Pin the depth when the peer is known to be the
-    /// bottleneck.
-    pub pipeline_depth: Option<usize>,
     /// Live instrument handles per-chunk stage spans stream into
     /// *while the session runs* (a serving layer wires these into its
     /// metrics registry; see [`SessionTelemetry`]). `None` — the
@@ -210,34 +181,17 @@ pub struct SessionConfig {
     /// evaluator refuses a mismatch, exactly like `reorder`.
     pub ot_mode: OtMode,
     /// Cumulative-ack cadence a **resumable** garbler announces in its
-    /// header (clamped to at least 1 there): the evaluator acks the
-    /// stream cursor every `ack_interval` frames, and the garbler keeps
-    /// at most `2 × ack_interval` unacked frames of replay bytes — a
-    /// byte bound, since frames are bounded: see
-    /// [`run_garbler_resumable`] — before backpressuring on the next
-    /// ack. The non-resumable drivers ignore this and announce 0 (no
-    /// acks, no replay buffer).
+    /// header: the evaluator acks the stream cursor every
+    /// `ack_interval` frames, and the garbler keeps at most
+    /// `2 × ack_interval` unacked frames of replay bytes — a byte
+    /// bound, since frames are bounded: see [`run_garbler_resumable`] —
+    /// before backpressuring on the next ack. 0 announces a session
+    /// that cannot resume (no acks, nothing retained); [`run_garbler`]
+    /// always announces 0, whatever is set here.
     pub ack_interval: u32,
 }
 
 impl SessionConfig {
-    /// A config with an explicit window and no streaming plan (the raw
-    /// circuit, HashMap-store path).
-    pub fn new(scheme: HashScheme, window: WindowModel) -> SessionConfig {
-        SessionConfig {
-            scheme,
-            window,
-            plan: None,
-            chunk_override: None,
-            pipeline: true,
-            pipeline_depth: None,
-            telemetry: None,
-            deadlines: SessionDeadlines::none(),
-            ot_mode: OtMode::Base,
-            ack_interval: DEFAULT_ACK_INTERVAL,
-        }
-    }
-
     /// Lowers the circuit once (baseline reorder → rename →
     /// window-size) and sizes the session around the resulting plan:
     /// the slab window under which every read is in-window. Cache the
@@ -264,10 +218,8 @@ impl SessionConfig {
         SessionConfig {
             scheme,
             window: plan.window,
-            plan: Some(plan),
+            plan,
             chunk_override: None,
-            pipeline: true,
-            pipeline_depth: None,
             telemetry: None,
             deadlines: SessionDeadlines::none(),
             ot_mode: OtMode::Base,
@@ -275,30 +227,15 @@ impl SessionConfig {
         }
     }
 
-    /// The schedule this session lowers with: the plan's tag, or
-    /// baseline for the planless HashMap path (whose gate order *is*
-    /// the baseline).
+    /// The schedule this session was lowered with: the plan's tag.
     pub fn reorder(&self) -> ReorderKind {
-        self.plan.as_ref().map_or(ReorderKind::Baseline, |p| p.reorder)
+        self.plan.reorder
     }
 
     /// Returns the config with the given tables-per-chunk override.
     pub fn with_chunk_tables(mut self, chunk_tables: usize) -> SessionConfig {
         assert!(chunk_tables > 0, "chunk size must be positive");
         self.chunk_override = Some(chunk_tables);
-        self
-    }
-
-    /// Returns the config with compute/I/O overlap switched on or off.
-    pub fn with_pipeline(mut self, pipeline: bool) -> SessionConfig {
-        self.pipeline = pipeline;
-        self
-    }
-
-    /// Returns the config with a pinned pipeline ring depth (clamped to
-    /// `1..=`[`MAX_PIPELINE_DEPTH`]), disabling the autotune.
-    pub fn with_pipeline_depth(mut self, depth: usize) -> SessionConfig {
-        self.pipeline_depth = Some(depth.clamp(1, MAX_PIPELINE_DEPTH));
         self
     }
 
@@ -325,26 +262,10 @@ impl SessionConfig {
     }
 
     /// Returns the config with the given cumulative-ack cadence for
-    /// resumable sessions (clamped to at least 1 when used).
+    /// resumable sessions (clamped to at least 1).
     pub fn with_ack_interval(mut self, ack_interval: u32) -> SessionConfig {
         self.ack_interval = ack_interval.max(1);
         self
-    }
-
-    /// The ring depth a pipelined session starts with and whether it
-    /// may autotune wider: an explicit config depth wins, then the
-    /// `HAAC_PIPELINE_DEPTH` environment variable, then the
-    /// [`PIPELINE_DEPTH`] default with autotuning enabled.
-    fn resolved_pipeline_depth(&self) -> (usize, bool) {
-        if let Some(depth) = self.pipeline_depth {
-            return (depth.clamp(1, MAX_PIPELINE_DEPTH), false);
-        }
-        if let Some(depth) =
-            std::env::var("HAAC_PIPELINE_DEPTH").ok().and_then(|v| v.parse::<usize>().ok())
-        {
-            return (depth.clamp(1, MAX_PIPELINE_DEPTH), false);
-        }
-        (PIPELINE_DEPTH, true)
     }
 
     /// Tables per streamed `Tables` frame — the unit on the channel, one
@@ -357,10 +278,9 @@ impl SessionConfig {
     /// a frame (32 B/table) always fits the wire format's per-frame
     /// payload limit.
     ///
-    /// Every driver — plain, resumable, banked — frames by this one
-    /// function and announces it in the header, and frames carry their
-    /// own table counts, so peers built with different defaults stay
-    /// wire-compatible.
+    /// The one garbler loop frames by this function and announces it in
+    /// the header, and frames carry their own table counts, so peers
+    /// built with different defaults stay wire-compatible.
     pub fn chunk_tables(&self) -> usize {
         match self.chunk_override {
             Some(tables) => tables.clamp(1, MAX_CHUNK_TABLES),
@@ -422,6 +342,14 @@ impl SessionTelemetry {
             ot_rate: Arc::new(SlidingRate::new()),
         }
     }
+
+    /// Records one party's finished OT phase.
+    fn record_ot(&self, ot_ns: u64, ot: &OtOutcome) {
+        self.ot_ns.record(ot_ns);
+        self.base_ots.add(ot.base_ots);
+        self.ext_ots.add(ot.ext_ots);
+        self.ot_rate.add(ot.transfers);
+    }
 }
 
 impl Default for SessionTelemetry {
@@ -448,8 +376,7 @@ pub struct SessionReport {
     /// Total AND tables streamed.
     pub tables: u64,
     /// High-water mark of simultaneously stored wire labels on this side
-    /// (measured on the HashMap path, static from the plan on the slab
-    /// path — the two agree for the default lowering).
+    /// (static from the plan).
     pub peak_live_wires: usize,
     /// Whether `peak_live_wires` fit within the announced window.
     pub within_window: bool,
@@ -461,30 +388,20 @@ pub struct SessionReport {
     pub crypto: CryptoCounters,
     /// Nanoseconds the streaming phase spent garbling/evaluating gates.
     pub compute_ns: u64,
-    /// Nanoseconds of the streaming phase's I/O stage: channel
-    /// send/flush time on the garbler; on the evaluator, time in
-    /// blocking receives (serial loop) or the receive stage's full span
-    /// (pipelined — network waits and prefetch stalls included).
+    /// Nanoseconds of the streaming phase's channel work: send/flush
+    /// time on the garbler; on the evaluator, time in blocking
+    /// receives.
     pub io_ns: u64,
     /// Wall-clock nanoseconds of the whole table-streaming phase
     /// (compute and I/O together; handshake and OT excluded) — the
     /// denominator for streaming-phase throughput.
     pub stream_ns: u64,
-    /// How much of the smaller streaming stage was hidden behind the
-    /// larger one: `(compute_ns + io_ns - stream_wall) /
-    /// min(compute_ns, io_ns)`, clamped to `[0, 1]`. Zero for serial
-    /// sessions; approaches 1 when the stages overlap perfectly.
-    ///
-    /// Interpret per role: the garbler's is strict (its `io_ns` counts
-    /// only send/flush work, so overlap means garbling genuinely ran
-    /// under the writes). The pipelined evaluator's is coverage of the
-    /// receive *stage's span* by evaluation — the span includes
-    /// network waits and prefetch-full stalls, so it is an upper bound
-    /// on CPU-level overlap, not a measure of it.
+    /// How much of this party's smaller streaming stage was hidden
+    /// behind its larger one: `(compute_ns + io_ns - stream_wall) /
+    /// min(compute_ns, io_ns)`, clamped to `[0, 1]`. Compute and I/O
+    /// alternate within a party, so this reads 0; the overlap a session
+    /// has is *between* the parties, through the frame stream.
     pub overlap_ratio: f64,
-    /// Chunk buffers the pipelined ring settled on (after any
-    /// autotune); 0 for serial sessions.
-    pub pipeline_depth: usize,
     /// Nanoseconds of the OT phase (setup, transfer, and the wait for
     /// the peer's OT round trips), whichever mode ran.
     pub ot_ns: u64,
@@ -499,36 +416,24 @@ pub struct SessionReport {
     /// OT-phase messages — the input phase's I/O-stall attribution (the
     /// rest of `ot_ns` is local crypto and sends).
     pub ot_io_stall_ns: u64,
-    /// Stall attribution, compute-bound side: nanoseconds the
-    /// streaming phase's I/O stage sat idle waiting for the compute
-    /// stage to hand it the next chunk. Pipelined sessions only (0
-    /// when serial — an inline stage never waits for itself). A large
-    /// value means the session was **compute-starved**: more engines
-    /// or a better schedule would help, a faster link would not.
-    pub compute_stall_ns: u64,
-    /// Stall attribution, I/O-bound side: nanoseconds the compute
-    /// stage sat idle waiting for the I/O stage — the garbler waiting
-    /// for a drained ring buffer, the evaluator waiting for the next
-    /// received chunk. The resumable drivers — what a server runs —
-    /// have no ring but wait on the same peer: the garbler charges the
-    /// time blocked on the `ChunkAck` that frees its replay window, the
-    /// evaluator the time blocked receiving the next `Tables` frame, so
-    /// comparing the two sides' values says *which party bounds the
-    /// stream*. 0 only for the plain serial loops. A large value means
-    /// the session was **I/O-starved**: the link (or the peer behind
-    /// it) was the bottleneck.
+    /// Stall attribution: nanoseconds this party's compute sat idle
+    /// waiting on the peer. The garbler charges the time blocked on the
+    /// `ChunkAck` that frees its replay window (0 in a plain session,
+    /// which awaits no acks), the evaluator the time blocked receiving
+    /// the next `Tables` frame, so comparing the two sides' values says
+    /// *which party bounds the stream*. A large value means the session
+    /// was **I/O-starved**: the link (or the peer behind it) was the
+    /// bottleneck.
     ///
-    /// Together with `compute_ns` these decompose the streaming wall
-    /// clock: on the driving thread, `compute_ns + io_stall_ns` plus
-    /// loop overhead tiles `stream_ns` — the per-stage breakdown the
-    /// single `overlap_ratio` scalar cannot express.
+    /// With `compute_ns` (and, on the garbler, `io_ns`) this decomposes
+    /// the streaming wall clock: the segments plus loop overhead tile
+    /// `stream_ns`.
     pub io_stall_ns: u64,
     /// High-water mark of the OoRW queue during streaming (0 unless
     /// the plan was built against a forced small window).
     pub oor_queue_peak: usize,
     /// Times this session survived a mid-stream connection loss by
-    /// resuming onto a fresh channel (0 for non-resumable drivers and
-    /// uncut sessions).
+    /// resuming onto a fresh channel (0 for plain and uncut sessions).
     pub resumes: u64,
     /// Stream frames re-sent from the garbler's replay buffer across
     /// all resumes — every one of them was a byte replay, never a
@@ -571,14 +476,9 @@ struct StreamStats {
     compute_ns: u64,
     io_ns: u64,
     wall_ns: u64,
-    /// I/O stage idle waiting for compute (see
-    /// [`SessionReport::compute_stall_ns`]).
-    compute_stall_ns: u64,
-    /// Compute stage idle waiting for the I/O stage (see
+    /// Compute idle waiting on the peer (see
     /// [`SessionReport::io_stall_ns`]).
     io_stall_ns: u64,
-    /// Ring depth the streaming phase ran (ended) with; 0 when serial.
-    depth: usize,
 }
 
 impl StreamStats {
@@ -666,655 +566,14 @@ fn check_plan(plan: &StreamingPlan, circuit: &Circuit) -> Result<(), RuntimeErro
     Ok(())
 }
 
-/// Runs the garbler (Alice) side of a streaming session.
-///
-/// Blocks until the evaluator has shared the outputs back.
-///
-/// # Errors
-///
-/// Fails on transport errors, protocol violations, input width
-/// mismatch, or a plan that does not describe `circuit`.
-pub fn run_garbler<C: Channel + Send + ?Sized, R: Rng + ?Sized>(
-    circuit: &Circuit,
-    garbler_bits: &[bool],
-    rng: &mut R,
-    config: &SessionConfig,
-    channel: &mut C,
-) -> Result<SessionReport, RuntimeError> {
-    if garbler_bits.len() != circuit.garbler_inputs() as usize {
+/// Refuses a party's input bits when their count is not the circuit's.
+fn check_width(role: &str, bits: usize, expected: u32) -> Result<(), RuntimeError> {
+    if bits != expected as usize {
         return Err(RuntimeError::protocol(format!(
-            "garbler input width {} does not match circuit ({})",
-            garbler_bits.len(),
-            circuit.garbler_inputs()
+            "{role} input width {bits} does not match circuit ({expected})"
         )));
     }
-    if let Some(plan) = &config.plan {
-        check_plan(plan, circuit)?;
-    }
-    let start = Instant::now();
-    let chunk_tables = config.chunk_tables();
-
-    arm_phase(channel, SessionPhase::Handshake, &config.deadlines)?;
-    write_message(
-        channel,
-        &Message::Header(SessionHeader {
-            garbler_inputs: circuit.garbler_inputs(),
-            evaluator_inputs: circuit.evaluator_inputs(),
-            num_gates: circuit.num_gates() as u64,
-            num_tables: circuit.num_and_gates() as u64,
-            scheme: config.scheme,
-            window_wires: config.window.sww_wires(),
-            chunk_tables: chunk_tables as u32,
-            reorder: config.reorder(),
-            ot_mode: config.ot_mode,
-            // No acks, no replay buffer: this driver cannot resume, so
-            // asking the evaluator to ack would only add traffic.
-            ack_interval: 0,
-        }),
-    )
-    .map_err(|e| e.in_phase(SessionPhase::Handshake))?;
-
-    let plan = config.plan.clone();
-    let mut garbler = match &plan {
-        Some(plan) => StreamingGarbler::with_plan(&plan.program, rng, config.scheme),
-        None => StreamingGarbler::new(circuit, rng, config.scheme),
-    };
-    write_message(channel, &Message::GarblerInputs(garbler.garbler_input_labels(garbler_bits)))
-        .map_err(|e| e.in_phase(SessionPhase::Handshake))?;
-
-    // Input-label delivery for the evaluator: per-input base OTs, or ~κ
-    // base OTs bootstrapping an IKNP-style extension. The label pairs
-    // must be collected *before* any garbling starts — streaming
-    // consumes the input state they come from.
-    let evaluator_pairs: Vec<(Block, Block)> = (0..circuit.evaluator_inputs())
-        .map(|i| garbler.input_label_pair(circuit.garbler_inputs() + i))
-        .collect();
-    let live = config.telemetry.as_deref().filter(|_| haac_telemetry::enabled());
-    arm_phase(channel, SessionPhase::Ot, &config.deadlines)?;
-    let t = Instant::now();
-    let mut prefill = PrefillStats::default();
-    let ot = match config.ot_mode {
-        OtMode::Base => {
-            ot_send(&evaluator_pairs, rng, channel).map_err(|e| e.in_phase(SessionPhase::Ot))?
-        }
-        OtMode::Extended => {
-            // The extension opens with a *receive* (the evaluator's
-            // OtSetup), so the queued header and garbler inputs must
-            // actually reach the peer before this side blocks.
-            channel.flush().map_err(|e| RuntimeError::from(e).in_phase(SessionPhase::Ot))?;
-            let depth = if config.pipeline { config.resolved_pipeline_depth().0 } else { 0 };
-            let (outcome, pre) = ot_send_extended_overlapped(
-                &mut garbler,
-                &evaluator_pairs,
-                rng,
-                channel,
-                chunk_tables,
-                depth,
-            )
-            .map_err(|e| e.in_phase(SessionPhase::Ot))?;
-            prefill = pre;
-            outcome
-        }
-    };
-    let ot_ns = t.elapsed().as_nanos() as u64;
-    if let Some(tel) = live {
-        tel.ot_ns.record(ot_ns);
-        tel.base_ots.add(ot.base_ots);
-        tel.ext_ots.add(ot.ext_ots);
-        tel.ot_rate.add(ot.transfers);
-    }
-
-    // Stream tables in `chunk_tables`-sized frames, one flush each. Two
-    // rotating buffers serve the whole stream — `next_tables_into`
-    // refills and `write_tables` frames from borrowed slices, so the
-    // steady state performs zero per-chunk allocations whether the I/O
-    // stage is overlapped or inline.
-    arm_phase(channel, SessionPhase::Stream, &config.deadlines)?;
-    let stream_start = Instant::now();
-    // Chunks garbled under the OT wall (extended mode's overlap) ship
-    // first; the first flush here also carries the still-queued masked
-    // OT labels, mirroring the base path's unflushed ciphertexts.
-    let mut pre_stats = StreamStats { compute_ns: prefill.compute_ns, ..StreamStats::default() };
-    for chunk in &prefill.chunks {
-        let seq = pre_stats.chunks;
-        pre_stats.chunks += 1;
-        pre_stats.tables += chunk.len() as u64;
-        if let Some(tel) = live {
-            tel.oor_occupancy.record(garbler.oor_queue_len() as u64);
-        }
-        let t = Instant::now();
-        (|| -> Result<(), RuntimeError> {
-            write_tables(channel, seq, chunk)?;
-            Ok(channel.flush()?)
-        })()
-        .map_err(|e| e.in_phase(SessionPhase::Stream))?;
-        let io_ns = t.elapsed().as_nanos() as u64;
-        pre_stats.io_ns += io_ns;
-        if let Some(tel) = live {
-            tel.chunk_io_ns.record(io_ns);
-            tel.tables.add(chunk.len() as u64);
-            tel.table_rate.add(chunk.len() as u64);
-        }
-    }
-    let mut stats = if config.pipeline {
-        let (depth, autotune) = config.resolved_pipeline_depth();
-        let shape = StreamShape {
-            chunk_tables,
-            chunk_pinned: config.chunk_override.is_some(),
-            depth,
-            autotune,
-        };
-        stream_tables_pipelined(&mut garbler, channel, shape, pre_stats.chunks, live)
-    } else {
-        stream_tables_serial(&mut garbler, channel, chunk_tables, pre_stats.chunks, live)
-    }
-    .map_err(|e| e.in_phase(SessionPhase::Stream))?;
-    stats.chunks += pre_stats.chunks;
-    stats.tables += pre_stats.tables;
-    stats.compute_ns += pre_stats.compute_ns;
-    stats.io_ns += pre_stats.io_ns;
-    stats.wall_ns = stream_start.elapsed().as_nanos() as u64;
-
-    let finish = garbler.finish();
-    // The chunk budget stays armed: the output tail is the same
-    // per-operation progress requirement as the stream it follows.
-    (|| -> Result<(), RuntimeError> {
-        write_message(channel, &Message::OutputDecode(finish.output_decode))?;
-        Ok(channel.flush()?)
-    })()
-    .map_err(|e| e.in_phase(SessionPhase::Output))?;
-
-    let Message::Outputs(outputs) =
-        expect_message(channel, "Outputs").map_err(|e| e.in_phase(SessionPhase::Output))?
-    else {
-        unreachable!()
-    };
-    if outputs.len() != circuit.outputs().len() {
-        return Err(RuntimeError::protocol(format!(
-            "evaluator shared {} outputs, circuit has {}",
-            outputs.len(),
-            circuit.outputs().len()
-        )));
-    }
-
-    let channel_stats = channel.stats();
-    Ok(SessionReport {
-        role: SessionRole::Garbler,
-        outputs,
-        bytes_sent: channel_stats.bytes_sent,
-        bytes_received: channel_stats.bytes_received,
-        flushes: channel_stats.flushes,
-        table_chunks: stats.chunks,
-        tables: stats.tables,
-        peak_live_wires: finish.peak_live_wires,
-        within_window: finish.peak_live_wires <= config.window.sww_wires() as usize,
-        ot_transfers: ot.transfers,
-        crypto: finish.crypto,
-        compute_ns: stats.compute_ns,
-        io_ns: stats.io_ns,
-        stream_ns: stats.wall_ns,
-        overlap_ratio: stats.overlap_ratio(),
-        pipeline_depth: stats.depth,
-        ot_ns,
-        base_ots: ot.base_ots,
-        ext_ots: ot.ext_ots,
-        ot_io_stall_ns: ot.io_stall_ns,
-        compute_stall_ns: stats.compute_stall_ns,
-        io_stall_ns: stats.io_stall_ns,
-        oor_queue_peak: finish.oor_queue_peak,
-        resumes: 0,
-        replayed_frames: 0,
-        elapsed: start.elapsed(),
-    })
-}
-
-/// The legacy strictly alternating loop: garble a chunk, ship it, wait,
-/// repeat. Byte-identical output to the pipelined path. Stall
-/// attribution stays zero — an inline stage never waits for itself.
-fn stream_tables_serial<C: Channel + ?Sized>(
-    garbler: &mut StreamingGarbler<'_>,
-    channel: &mut C,
-    chunk_tables: usize,
-    start_seq: u64,
-    live: Option<&SessionTelemetry>,
-) -> Result<StreamStats, RuntimeError> {
-    let start = Instant::now();
-    let mut stats = StreamStats::default();
-    let mut next_seq = start_seq;
-    let mut chunk: Vec<[Block; 2]> = Vec::with_capacity(chunk_tables.min(CHUNK_BUFFER_CAP));
-    loop {
-        let t = Instant::now();
-        let more = garbler.next_tables_into(chunk_tables, &mut chunk);
-        let compute_ns = t.elapsed().as_nanos() as u64;
-        stats.compute_ns += compute_ns;
-        if !more {
-            break;
-        }
-        if chunk.is_empty() {
-            continue;
-        }
-        stats.tables += chunk.len() as u64;
-        stats.chunks += 1;
-        if let Some(tel) = live {
-            tel.chunk_compute_ns.record(compute_ns);
-            tel.oor_occupancy.record(garbler.oor_queue_len() as u64);
-        }
-        let t = Instant::now();
-        write_tables(channel, next_seq, &chunk)?;
-        next_seq += 1;
-        channel.flush()?;
-        let io_ns = t.elapsed().as_nanos() as u64;
-        stats.io_ns += io_ns;
-        if let Some(tel) = live {
-            tel.chunk_io_ns.record(io_ns);
-            tel.tables.add(chunk.len() as u64);
-            tel.table_rate.add(chunk.len() as u64);
-        }
-    }
-    stats.wall_ns = start.elapsed().as_nanos() as u64;
-    Ok(stats)
-}
-
-/// Chunk buffers a pipelined session's compute/I-O ring *starts* with.
-/// Two is the textbook double buffer but turns every handoff into a
-/// blocking rendezvous (the compute stage waits out a scheduler round
-/// trip per chunk); a third buffer lets the compute stage keep garbling
-/// while the I/O thread is being woken. The overlap pays off whenever
-/// the I/O stage genuinely waits (network serialization, a lagging
-/// peer, a second hardware thread to run on); on a single-CPU host
-/// against a pure loopback it degrades to roughly serial cost.
-///
-/// When the I/O stage measurably dominates, the garbler **autotunes**
-/// the ring wider (up to [`MAX_PIPELINE_DEPTH`]) from the first ring's
-/// `compute_ns`/`io_ns` imbalance — see
-/// [`SessionConfig::pipeline_depth`]. Memory stays bounded at the
-/// chosen depth.
-///
-/// Public so benchmarks that model the pipeline schedule stay in sync
-/// with the driver.
-pub const PIPELINE_DEPTH: usize = 3;
-
-/// Ceiling of the pipeline-depth autotune (and of explicit depth
-/// overrides): a deeper ring only buys anything while transfer beats
-/// compute by the same factor, and every buffer is a whole chunk of
-/// memory.
-pub const MAX_PIPELINE_DEPTH: usize = 8;
-
-/// Ceiling of the chunk-size autotune's growth factor: past a few
-/// multiples the per-frame overhead being amortized (tag + length +
-/// count + one flush) is already noise against the table payload.
-const MAX_CHUNK_GROWTH: usize = 4;
-
-/// The joint first-ring autotune decision: from the measured per-chunk
-/// `io_avg`/`compute_avg` imbalance, pick the ring depth **and** the
-/// chunk size the rest of the stream runs with.
-///
-/// Transfers dominating means every handoff stalls on the wire, so two
-/// levers open: a deeper ring absorbs jitter (more chunks in flight),
-/// and larger chunks amortize per-frame overhead (fewer flushes for the
-/// same bytes). The chunk lever only grows a small-window frame *up to*
-/// the default frame size, never past it — past it the parties lose
-/// overlap and nothing is left to amortize — and stays untouched when
-/// the caller pinned an explicit chunk size. Growing the chunk
-/// mid-stream is wire-compatible: the header's `chunk_tables` is a
-/// capacity hint, and frames carry their own table counts.
-fn autotune_stream_shape(
-    io_avg: u64,
-    compute_avg: u64,
-    depth: usize,
-    chunk_tables: usize,
-    chunk_pinned: bool,
-) -> (usize, usize) {
-    if io_avg <= compute_avg {
-        return (depth, chunk_tables);
-    }
-    let ratio = (io_avg / compute_avg) as usize;
-    let tuned_depth = (ratio + 1).clamp(depth, MAX_PIPELINE_DEPTH);
-    let tuned_chunk = if chunk_pinned {
-        chunk_tables
-    } else {
-        chunk_tables.saturating_mul(ratio.min(MAX_CHUNK_GROWTH)).min(FRAME_TABLES)
-    };
-    (tuned_depth, tuned_chunk)
-}
-
-/// The stream shape [`stream_tables_pipelined`] starts from: the chunk
-/// size (and whether the caller pinned it against autotuning), the
-/// initial ring depth, and whether the first-ring autotune may widen
-/// either.
-#[derive(Debug, Clone, Copy)]
-struct StreamShape {
-    chunk_tables: usize,
-    chunk_pinned: bool,
-    depth: usize,
-    autotune: bool,
-}
-
-/// The decoupled access/execute pipeline: the calling thread garbles
-/// while a scoped I/O stage sends and flushes, joined by a bounded
-/// ring of rotating chunk buffers (chunk N+1 is garbled while chunk N
-/// is on the wire). Bounded by construction: at most `depth` chunks
-/// exist at once, so a slow evaluator still backpressures the garbler
-/// through the channel, exactly as in the serial loop.
-///
-/// With `autotune` set, one ring of chunks is measured and the ring is
-/// widened once — to roughly the measured io/compute ratio, capped at
-/// [`MAX_PIPELINE_DEPTH`] — when the I/O stage dominates: extra depth
-/// only helps while transfers are the bottleneck, and the first-ring
-/// measurement is exactly the imbalance the widened ring must absorb.
-fn stream_tables_pipelined<C: Channel + Send + ?Sized>(
-    garbler: &mut StreamingGarbler<'_>,
-    channel: &mut C,
-    shape: StreamShape,
-    start_seq: u64,
-    live: Option<&SessionTelemetry>,
-) -> Result<StreamStats, RuntimeError> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let StreamShape { mut chunk_tables, chunk_pinned, depth, autotune } = shape;
-    let start = Instant::now();
-    let capacity = chunk_tables.min(CHUNK_BUFFER_CAP);
-    // Full buffers travel compute → I/O; drained buffers travel back
-    // for refilling. The full queue holds every buffer without
-    // blocking, so the compute stage only stalls when the I/O stage is
-    // a full ring behind (genuine backpressure, not handoff latency).
-    // Capacity is the ceiling, not the depth: only `depth` buffers
-    // circulate until the autotune injects more.
-    let (full_tx, full_rx) = mpsc::sync_channel::<Vec<[Block; 2]>>(MAX_PIPELINE_DEPTH);
-    let (empty_tx, empty_rx) = mpsc::channel::<Vec<[Block; 2]>>();
-    let mut depth = depth.clamp(1, MAX_PIPELINE_DEPTH);
-    for _ in 0..depth {
-        empty_tx.send(Vec::with_capacity(capacity)).expect("receiver held by this thread");
-    }
-
-    // Live I/O-stage accounting the compute stage reads at the
-    // autotune point (and that survives the stage's early death).
-    let shipped_ns = AtomicU64::new(0);
-    let shipped_chunks = AtomicU64::new(0);
-    // Compute-starved stall: ns the I/O stage spent blocked on
-    // `full_rx.recv` for a chunk that did arrive. The final recv — the
-    // one that observes end-of-stream — is excluded: that wait is the
-    // stream running out, not a chunk being late.
-    let starved_ns = AtomicU64::new(0);
-
-    let mut stats = StreamStats::default();
-    let failure = std::thread::scope(|scope| {
-        let io_stats = (&shipped_ns, &shipped_chunks, &starved_ns);
-        let io = scope.spawn(move || {
-            let mut failure = None;
-            let mut next_seq = start_seq;
-            loop {
-                let waited = Instant::now();
-                let Ok(chunk) = full_rx.recv() else { break };
-                io_stats.2.fetch_add(waited.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                let t = Instant::now();
-                let shipped = write_tables(channel, next_seq, &chunk)
-                    .and_then(|()| channel.flush().map_err(RuntimeError::from));
-                next_seq += 1;
-                let chunk_io_ns = t.elapsed().as_nanos() as u64;
-                io_stats.0.fetch_add(chunk_io_ns, Ordering::Relaxed);
-                if let Err(e) = shipped {
-                    failure = Some(e);
-                    break; // dropping the queues unblocks the compute stage
-                }
-                io_stats.1.fetch_add(1, Ordering::Relaxed);
-                if let Some(tel) = live {
-                    tel.chunk_io_ns.record(chunk_io_ns);
-                    tel.tables.add(chunk.len() as u64);
-                    tel.table_rate.add(chunk.len() as u64);
-                }
-                let _ = empty_tx.send(chunk);
-            }
-            failure
-        });
-        // Compute stage, on the calling thread. A `None` buffer means
-        // the I/O stage died; its error surfaces after the join.
-        // `extra` is the widening budget the autotune granted: fresh
-        // buffers enter the ring here instead of blocking on a drained
-        // one (they return through `empty_rx` like any other).
-        let mut tuned = !autotune;
-        let mut extra = 0usize;
-        let mut stash: Option<Vec<[Block; 2]>> = None;
-        while let Some(mut chunk) = stash
-            .take()
-            .or_else(|| {
-                (extra > 0).then(|| {
-                    extra -= 1;
-                    Vec::with_capacity(capacity)
-                })
-            })
-            .or_else(|| {
-                // Waiting for a drained buffer is the I/O stage being
-                // behind: the whole ring is on the wire.
-                let waited = Instant::now();
-                let got = empty_rx.recv().ok();
-                stats.io_stall_ns += waited.elapsed().as_nanos() as u64;
-                got
-            })
-        {
-            let t = Instant::now();
-            let more = garbler.next_tables_into(chunk_tables, &mut chunk);
-            let chunk_compute_ns = t.elapsed().as_nanos() as u64;
-            stats.compute_ns += chunk_compute_ns;
-            if !more {
-                break;
-            }
-            if chunk.is_empty() {
-                stash = Some(chunk); // table-free tail: nothing to ship
-                continue;
-            }
-            stats.tables += chunk.len() as u64;
-            stats.chunks += 1;
-            if let Some(tel) = live {
-                tel.chunk_compute_ns.record(chunk_compute_ns);
-                tel.oor_occupancy.record(garbler.oor_queue_len() as u64);
-            }
-            let waited = Instant::now();
-            if full_tx.send(chunk).is_err() {
-                break;
-            }
-            stats.io_stall_ns += waited.elapsed().as_nanos() as u64;
-            if !tuned && stats.chunks >= depth as u64 {
-                // First ring complete: if transfers dominate, widen the
-                // ring once and (unless pinned) grow the chunk size —
-                // both from the same imbalance measurement.
-                let chunks_done = shipped_chunks.load(Ordering::Relaxed);
-                if let Some(io_avg) = shipped_ns.load(Ordering::Relaxed).checked_div(chunks_done) {
-                    tuned = true;
-                    let compute_avg = (stats.compute_ns / stats.chunks).max(1);
-                    let (target_depth, target_chunk) = autotune_stream_shape(
-                        io_avg,
-                        compute_avg,
-                        depth,
-                        chunk_tables,
-                        chunk_pinned,
-                    );
-                    extra = target_depth - depth;
-                    depth = target_depth;
-                    chunk_tables = target_chunk;
-                }
-            }
-        }
-        drop(full_tx); // end of stream: the I/O stage drains and exits
-        io.join().expect("table I/O stage panicked")
-    });
-    stats.io_ns = shipped_ns.load(Ordering::Relaxed);
-    stats.compute_stall_ns = starved_ns.load(Ordering::Relaxed);
-    stats.depth = depth;
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    stats.wall_ns = start.elapsed().as_nanos() as u64;
-    Ok(stats)
-}
-
-/// Runs the evaluator (Bob) side of a streaming session with explicit
-/// options: `config.plan`/`config.pipeline` select the label store and
-/// the receive/evaluate overlap (`config.scheme` and `config.window`
-/// are the garbler's choices and arrive via the header).
-///
-/// # Errors
-///
-/// Fails on transport errors, protocol violations, input width
-/// mismatch, or a plan that does not describe `circuit`.
-pub fn run_evaluator_with<C: Channel + Send + ?Sized, R: Rng + ?Sized>(
-    circuit: &Circuit,
-    evaluator_bits: &[bool],
-    rng: &mut R,
-    config: &SessionConfig,
-    channel: &mut C,
-) -> Result<SessionReport, RuntimeError> {
-    if evaluator_bits.len() != circuit.evaluator_inputs() as usize {
-        return Err(RuntimeError::protocol(format!(
-            "evaluator input width {} does not match circuit ({})",
-            evaluator_bits.len(),
-            circuit.evaluator_inputs()
-        )));
-    }
-    if let Some(plan) = &config.plan {
-        check_plan(plan, circuit)?;
-    }
-    let start = Instant::now();
-
-    arm_phase(channel, SessionPhase::Handshake, &config.deadlines)?;
-    let Message::Header(header) =
-        expect_message(channel, "Header").map_err(|e| e.in_phase(SessionPhase::Handshake))?
-    else {
-        unreachable!()
-    };
-    validate_header(circuit, &header)?;
-    if header.reorder != config.reorder() {
-        // Running anyway would not fail fast — it would desynchronize
-        // the table stream and surface as garbage labels much later.
-        return Err(RuntimeError::protocol(format!(
-            "reorder mismatch: the garbler lowered with {}, this side with {}",
-            header.reorder.label(),
-            config.reorder().label()
-        )));
-    }
-    if header.ot_mode != config.ot_mode {
-        // Same fail-fast rule as the schedule: the two modes speak
-        // different message sequences, so running on would deadlock or
-        // desynchronize inside the OT phase instead of failing here.
-        return Err(RuntimeError::protocol(format!(
-            "OT mode mismatch: the garbler negotiated {}, this side {}",
-            header.ot_mode.label(),
-            config.ot_mode.label()
-        )));
-    }
-
-    let Message::GarblerInputs(garbler_labels) = expect_message(channel, "GarblerInputs")
-        .map_err(|e| e.in_phase(SessionPhase::Handshake))?
-    else {
-        unreachable!()
-    };
-    if garbler_labels.len() != circuit.garbler_inputs() as usize {
-        return Err(RuntimeError::protocol("garbler label count mismatch"));
-    }
-
-    let live = config.telemetry.as_deref().filter(|_| haac_telemetry::enabled());
-    arm_phase(channel, SessionPhase::Ot, &config.deadlines)?;
-    let t = Instant::now();
-    let (own_labels, ot) = match header.ot_mode {
-        OtMode::Base => ot_receive(evaluator_bits, rng, channel),
-        OtMode::Extended => ot_receive_extended(evaluator_bits, rng, channel),
-    }
-    .map_err(|e| e.in_phase(SessionPhase::Ot))?;
-    let ot_ns = t.elapsed().as_nanos() as u64;
-    if let Some(tel) = live {
-        tel.ot_ns.record(ot_ns);
-        tel.base_ots.add(ot.base_ots);
-        tel.ext_ots.add(ot.ext_ots);
-        tel.ot_rate.add(ot.transfers);
-    }
-
-    let mut input_labels = garbler_labels;
-    input_labels.extend(own_labels);
-    let plan = config.plan.clone();
-    let mut evaluator = match &plan {
-        Some(plan) => StreamingEvaluator::with_plan(&plan.program, input_labels, header.scheme),
-        None => StreamingEvaluator::new(circuit, input_labels, header.scheme),
-    };
-
-    arm_phase(channel, SessionPhase::Stream, &config.deadlines)?;
-    let (output_decode, stats) = if config.pipeline {
-        let (depth, _) = config.resolved_pipeline_depth();
-        recv_tables_pipelined(&mut evaluator, channel, depth, &header, live)
-    } else {
-        recv_tables_serial(&mut evaluator, channel, &header, live)
-    }
-    .map_err(|e| e.in_phase(SessionPhase::Stream))?;
-    if !evaluator.is_done() {
-        return Err(RuntimeError::protocol(format!(
-            "table stream ended early: consumed {} of {} tables",
-            evaluator.tables_consumed(),
-            header.num_tables
-        ))
-        .in_phase(SessionPhase::Stream));
-    }
-
-    let tables = evaluator.tables_consumed();
-    let finish = evaluator.finish(&output_decode);
-    (|| -> Result<(), RuntimeError> {
-        write_message(channel, &Message::Outputs(finish.outputs.clone()))?;
-        Ok(channel.flush()?)
-    })()
-    .map_err(|e| e.in_phase(SessionPhase::Output))?;
-
-    let channel_stats = channel.stats();
-    Ok(SessionReport {
-        role: SessionRole::Evaluator,
-        outputs: finish.outputs,
-        bytes_sent: channel_stats.bytes_sent,
-        bytes_received: channel_stats.bytes_received,
-        flushes: channel_stats.flushes,
-        table_chunks: stats.chunks,
-        tables,
-        peak_live_wires: finish.peak_live_wires,
-        within_window: finish.peak_live_wires <= header.window_wires as usize,
-        ot_transfers: circuit.evaluator_inputs() as u64,
-        crypto: finish.crypto,
-        compute_ns: stats.compute_ns,
-        io_ns: stats.io_ns,
-        stream_ns: stats.wall_ns,
-        overlap_ratio: stats.overlap_ratio(),
-        pipeline_depth: stats.depth,
-        ot_ns,
-        base_ots: ot.base_ots,
-        ext_ots: ot.ext_ots,
-        ot_io_stall_ns: ot.io_stall_ns,
-        compute_stall_ns: stats.compute_stall_ns,
-        io_stall_ns: stats.io_stall_ns,
-        oor_queue_peak: finish.oor_queue_peak,
-        resumes: 0,
-        replayed_frames: 0,
-        elapsed: start.elapsed(),
-    })
-}
-
-/// Runs the evaluator (Bob) side of a streaming session with default
-/// options: the circuit is lowered on the spot with the **baseline**
-/// schedule (callers running many sessions — or negotiating a
-/// reordered schedule — should cache a plan and use
-/// [`run_evaluator_with`]/[`SessionConfig::from_plan`] instead; a
-/// garbler announcing a non-baseline reorder is refused with a typed
-/// mismatch error).
-///
-/// The evaluator learns the session parameters from the garbler's header
-/// and validates them against its own copy of the circuit.
-///
-/// # Errors
-///
-/// Fails on transport errors, protocol violations, or input width
-/// mismatch.
-pub fn run_evaluator<C: Channel + Send + ?Sized, R: Rng + ?Sized>(
-    circuit: &Circuit,
-    evaluator_bits: &[bool],
-    rng: &mut R,
-    channel: &mut C,
-) -> Result<SessionReport, RuntimeError> {
-    let config = SessionConfig::for_circuit(circuit);
-    run_evaluator_with(circuit, evaluator_bits, rng, &config, channel)
+    Ok(())
 }
 
 /// A received chunk's sequence number must continue the stream exactly
@@ -1363,159 +622,6 @@ fn maybe_ack<C: Channel + ?Sized>(
     Ok(())
 }
 
-/// Serial receive loop: block for a frame, evaluate it, repeat. Stall
-/// attribution stays zero — an inline stage never waits for itself.
-fn recv_tables_serial<C: Channel + ?Sized>(
-    evaluator: &mut StreamingEvaluator<'_>,
-    channel: &mut C,
-    header: &SessionHeader,
-    live: Option<&SessionTelemetry>,
-) -> Result<(Vec<bool>, StreamStats), RuntimeError> {
-    let start = Instant::now();
-    let mut stats = StreamStats::default();
-    let decode = loop {
-        let t = Instant::now();
-        let message = read_message(channel)?;
-        let io_ns = t.elapsed().as_nanos() as u64;
-        stats.io_ns += io_ns;
-        match message {
-            Message::Tables { seq, tables: chunk } => {
-                check_seq(seq, stats.chunks)?;
-                check_frame_fits(chunk.len(), stats.tables, header.num_tables)?;
-                stats.chunks += 1;
-                stats.tables += chunk.len() as u64;
-                let t = Instant::now();
-                evaluator.feed(&chunk);
-                let compute_ns = t.elapsed().as_nanos() as u64;
-                stats.compute_ns += compute_ns;
-                if let Some(tel) = live {
-                    tel.chunk_io_ns.record(io_ns);
-                    tel.chunk_compute_ns.record(compute_ns);
-                    tel.oor_occupancy.record(evaluator.oor_queue_len() as u64);
-                    tel.tables.add(chunk.len() as u64);
-                    tel.table_rate.add(chunk.len() as u64);
-                }
-                maybe_ack(channel, header.ack_interval, stats.chunks)?;
-            }
-            Message::OutputDecode(decode) => break decode,
-            other => {
-                return Err(RuntimeError::protocol(format!(
-                    "expected Tables or OutputDecode, received {}",
-                    other.name()
-                )))
-            }
-        }
-    };
-    stats.wall_ns = start.elapsed().as_nanos() as u64;
-    Ok((decode, stats))
-}
-
-/// Pipelined receive: a scoped I/O stage blocks on the channel and
-/// hands table chunks to the calling thread, so the receive of chunk
-/// N+1 overlaps the evaluation of chunk N.
-///
-/// The receive stage's `io_ns` is its full span — first receive attempt
-/// until the decode message lands. That span covers both genuine
-/// network waits and stalls with the prefetch queue full (the stage ran
-/// *ahead* of evaluation); either way, every nanosecond of it that
-/// coincides with evaluation is receive work the serial loop would have
-/// paid inline, which is exactly what `overlap_ratio` reports.
-fn recv_tables_pipelined<C: Channel + Send + ?Sized>(
-    evaluator: &mut StreamingEvaluator<'_>,
-    channel: &mut C,
-    depth: usize,
-    header: &SessionHeader,
-    live: Option<&SessionTelemetry>,
-) -> Result<(Vec<bool>, StreamStats), RuntimeError> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let start = Instant::now();
-    let mut stats =
-        StreamStats { depth: depth.clamp(1, MAX_PIPELINE_DEPTH), ..StreamStats::default() };
-    // Prefetch is bounded like the garbler's ring: at most `depth`
-    // chunks received-but-unevaluated at once.
-    let (chunk_tx, chunk_rx) = mpsc::sync_channel::<Vec<[Block; 2]>>(stats.depth);
-    // Compute-starved stall: ns the receive stage spent blocked on a
-    // full prefetch queue — it ran ahead of evaluation and had to wait
-    // for the evaluator to catch up.
-    let starved_ns = AtomicU64::new(0);
-    let (io_ns, outcome) = std::thread::scope(|scope| {
-        let starved = &starved_ns;
-        let io = scope.spawn(move || {
-            let span = Instant::now();
-            // Acks are written from this stage: it owns the channel, and
-            // the ack cadence tracks receive order, not evaluation order.
-            let mut expected_seq = 0u64;
-            let mut received_tables = 0u64;
-            loop {
-                let t = Instant::now();
-                let message = read_message(channel);
-                let read_ns = t.elapsed().as_nanos() as u64;
-                let io_ns = span.elapsed().as_nanos() as u64;
-                match message {
-                    Ok(Message::Tables { seq, tables: chunk }) => {
-                        let checked = check_seq(seq, expected_seq).and_then(|()| {
-                            check_frame_fits(chunk.len(), received_tables, header.num_tables)
-                        });
-                        if let Err(e) = checked {
-                            return (io_ns, Err(e));
-                        }
-                        expected_seq += 1;
-                        received_tables += chunk.len() as u64;
-                        if let Some(tel) = live {
-                            tel.chunk_io_ns.record(read_ns);
-                        }
-                        let waited = Instant::now();
-                        if chunk_tx.send(chunk).is_err() {
-                            let reason = "evaluation stage stopped mid-stream";
-                            return (io_ns, Err(RuntimeError::protocol(reason)));
-                        }
-                        starved.fetch_add(waited.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        if let Err(e) = maybe_ack(channel, header.ack_interval, expected_seq) {
-                            return (io_ns, Err(e));
-                        }
-                    }
-                    Ok(Message::OutputDecode(decode)) => return (io_ns, Ok(decode)),
-                    Ok(other) => {
-                        let reason =
-                            format!("expected Tables or OutputDecode, received {}", other.name());
-                        return (io_ns, Err(RuntimeError::protocol(reason)));
-                    }
-                    Err(e) => return (io_ns, Err(e)),
-                }
-            }
-        });
-        // Evaluation stage, on the calling thread. Drains everything
-        // the I/O stage queued even after it has exited. Waiting for
-        // the next received chunk is the I/O-starved stall; the final
-        // recv (observing the closed queue) is excluded — that wait is
-        // the stream ending, not a chunk being late.
-        loop {
-            let waited = Instant::now();
-            let Ok(chunk) = chunk_rx.recv() else { break };
-            stats.io_stall_ns += waited.elapsed().as_nanos() as u64;
-            stats.chunks += 1;
-            stats.tables += chunk.len() as u64;
-            let t = Instant::now();
-            evaluator.feed(&chunk);
-            let compute_ns = t.elapsed().as_nanos() as u64;
-            stats.compute_ns += compute_ns;
-            if let Some(tel) = live {
-                tel.chunk_compute_ns.record(compute_ns);
-                tel.oor_occupancy.record(evaluator.oor_queue_len() as u64);
-                tel.tables.add(chunk.len() as u64);
-                tel.table_rate.add(chunk.len() as u64);
-            }
-        }
-        io.join().expect("table receive stage panicked")
-    });
-    stats.io_ns = io_ns;
-    stats.compute_stall_ns = starved_ns.load(Ordering::Relaxed);
-    let decode = outcome?;
-    stats.wall_ns = start.elapsed().as_nanos() as u64;
-    Ok((decode, stats))
-}
-
 fn validate_header(circuit: &Circuit, header: &SessionHeader) -> Result<(), RuntimeError> {
     let mismatch = |what: &str, ours: u64, theirs: u64| {
         Err(RuntimeError::protocol(format!(
@@ -1560,58 +666,6 @@ struct OtOutcome {
     ext_ots: u64,
     /// Nanoseconds blocked waiting for the peer's OT messages.
     io_stall_ns: u64,
-}
-
-/// Chunks the garbler produced ahead of the streaming phase, while the
-/// OT extension's round trips were in flight, plus the compute time
-/// they cost (spent under the OT wall, reported under the stream's
-/// compute budget).
-#[derive(Debug, Default)]
-struct PrefillStats {
-    chunks: Vec<Vec<[Block; 2]>>,
-    compute_ns: u64,
-}
-
-/// Drives the extended-OT rounds while a scoped stage garbles the first
-/// `depth` ring chunks: the extension's network round trips hide the
-/// stream's warm-up compute, so the input phase overlaps the first
-/// chunks of garbling instead of serializing in front of them. The
-/// prefilled chunks ship (in order) when the streaming phase opens.
-/// `depth == 0` (serial sessions) skips the overlap entirely.
-fn ot_send_extended_overlapped<C: Channel + ?Sized, R: Rng + ?Sized>(
-    garbler: &mut StreamingGarbler<'_>,
-    pairs: &[(Block, Block)],
-    rng: &mut R,
-    channel: &mut C,
-    chunk_tables: usize,
-    depth: usize,
-) -> Result<(OtOutcome, PrefillStats), RuntimeError> {
-    if depth == 0 {
-        return Ok((ot_send_extended(pairs, rng, channel)?, PrefillStats::default()));
-    }
-    let mut prefill = PrefillStats::default();
-    let outcome = std::thread::scope(|scope| {
-        let stage = scope.spawn(|| {
-            let mut pre = PrefillStats::default();
-            while pre.chunks.len() < depth {
-                let mut chunk = Vec::with_capacity(chunk_tables.min(CHUNK_BUFFER_CAP));
-                let t = Instant::now();
-                let more = garbler.next_tables_into(chunk_tables, &mut chunk);
-                pre.compute_ns += t.elapsed().as_nanos() as u64;
-                if !more {
-                    break;
-                }
-                if !chunk.is_empty() {
-                    pre.chunks.push(chunk);
-                }
-            }
-            pre
-        });
-        let outcome = ot_send_extended(pairs, rng, channel);
-        prefill = stage.join().expect("prefill garbling stage panicked");
-        outcome
-    })?;
-    Ok((outcome, prefill))
 }
 
 /// Maps a typed OT-layer failure to the session's protocol error (it
@@ -1711,6 +765,9 @@ fn ot_send_extended<C: Channel + ?Sized, R: Rng + ?Sized>(
 
     // Base-OT bootstrap, reversed: the evaluator opens as base-OT
     // sender and this side receives one PRG seed per extension column.
+    // The phase opens with a receive, so the header and input labels
+    // still queued on this side must actually go out first.
+    channel.flush()?;
     let waited = Instant::now();
     let Message::OtSetup { point, nonce } = expect_message(channel, "OtSetup")? else {
         unreachable!()
@@ -1819,27 +876,10 @@ fn ot_receive<C: Channel + ?Sized, R: Rng + ?Sized>(
     ))
 }
 
+// Without a base OT neither mode can deliver a label: the extension
+// fails exactly as the per-input OTs do.
 #[cfg(not(feature = "insecure-ot"))]
-fn ot_send_extended<C: Channel + ?Sized, R: Rng + ?Sized>(
-    _pairs: &[(Block, Block)],
-    _rng: &mut R,
-    _channel: &mut C,
-) -> Result<OtOutcome, RuntimeError> {
-    Err(RuntimeError::protocol(
-        "two-party sessions need a base OT; enable the `insecure-ot` feature",
-    ))
-}
-
-#[cfg(not(feature = "insecure-ot"))]
-fn ot_receive_extended<C: Channel + ?Sized, R: Rng + ?Sized>(
-    _evaluator_bits: &[bool],
-    _rng: &mut R,
-    _channel: &mut C,
-) -> Result<(Vec<Block>, OtOutcome), RuntimeError> {
-    Err(RuntimeError::protocol(
-        "two-party sessions need a base OT; enable the `insecure-ot` feature",
-    ))
-}
+use {ot_receive as ot_receive_extended, ot_send as ot_send_extended};
 
 /// Runs a complete session in-process: garbler and evaluator threads
 /// joined by a [`MemChannel`](crate::MemChannel) pair.
@@ -1943,7 +983,7 @@ pub fn run_tcp_session(
 
 /// Drives both roles on scoped threads over an already-paired transport.
 /// The one `config` governs both sides (the evaluator shares the
-/// garbler's plan and pipeline mode — no second lowering).
+/// garbler's plan — no second lowering).
 fn run_session_pair<C: Channel + Send>(
     circuit: &Circuit,
     garbler_bits: &[bool],
@@ -2029,17 +1069,26 @@ impl ReplayBuffer {
         Ok(())
     }
 
+    /// Applies a `ChunkAck` read off the wire. An honest evaluator's
+    /// cursors strictly increase on every connection (a resume applies
+    /// its cursor through [`ack`](ReplayBuffer::ack) itself), so one
+    /// that does not advance is refused: tolerating it would let a peer
+    /// hold the session open forever, each stale ack re-arming the
+    /// per-operation chunk deadline.
+    fn peer_ack(&mut self, upto: u64) -> Result<(), RuntimeError> {
+        if upto <= self.acked {
+            return Err(RuntimeError::protocol(format!(
+                "ChunkAck {upto} does not advance the acknowledged cursor {}",
+                self.acked
+            )));
+        }
+        self.ack(upto)
+    }
+
     /// Frames produced but not yet acknowledged.
     fn unacked(&self) -> u64 {
         self.next_seq - self.acked
     }
-}
-
-/// Counters a resumable driver accumulates across reconnects.
-#[derive(Debug, Default, Clone, Copy)]
-struct ResumeCounters {
-    resumes: u64,
-    replayed_frames: u64,
 }
 
 /// Folds one connection's traffic counters into a running total, so a
@@ -2050,124 +1099,153 @@ fn absorb_stats(total: &mut ChannelStats, stats: &ChannelStats) {
     total.flushes += stats.flushes;
 }
 
-/// Recovers the garbler side of a resumable session after a transport
-/// failure: the dead channel is dropped first (its traffic folded into
-/// `carried`; the peer only observes the disconnect once the channel is
-/// gone), then the `resume` callback is asked for a fresh channel plus
-/// the evaluator's requested cursor, and every buffered frame at or
-/// past that cursor is replayed byte-for-byte. Failures during the
-/// replay re-consult the callback; the callback returning `None` makes
-/// the pending failure terminal, as does any non-resumable failure.
-#[allow(clippy::too_many_arguments)]
-fn garbler_recover<C, F>(
-    dead: C,
-    err: RuntimeError,
-    phase: SessionPhase,
-    buffer: &mut ReplayBuffer,
-    deadlines: &SessionDeadlines,
-    carried: &mut ChannelStats,
-    counters: &mut ResumeCounters,
-    resume: &mut F,
-) -> Result<C, RuntimeError>
-where
-    C: Channel,
-    F: FnMut(&RuntimeError, u64) -> Option<(C, u64)>,
-{
-    let mut err = err.in_phase(phase);
-    absorb_stats(carried, &dead.stats());
-    drop(dead);
-    loop {
-        if !err.resume_safe() {
-            return Err(err);
-        }
-        let Some((mut channel, next_seq)) = resume(&err, buffer.next_seq) else {
-            return Err(err);
-        };
-        match garbler_replay(&mut channel, next_seq, buffer, deadlines, counters) {
-            Ok(()) => return Ok(channel),
-            Err(replay_err) => {
-                absorb_stats(carried, &channel.stats());
-                drop(channel);
-                err = replay_err;
+/// What a garbler session keeps across the channels it runs over: the
+/// replay buffer, the traffic of connections already dropped, the
+/// resume tallies, and the callback that supplies the next channel.
+struct GarblerRecovery<'a, F> {
+    buffer: &'a mut ReplayBuffer,
+    /// Whether shipped frames stay buffered until acknowledged. A
+    /// session that announced no acks keeps nothing for a replay: each
+    /// frame is released as soon as it is on the wire.
+    retain: bool,
+    deadlines: &'a SessionDeadlines,
+    carried: ChannelStats,
+    resumes: u64,
+    replayed_frames: u64,
+    resume: F,
+}
+
+impl<F> GarblerRecovery<'_, F> {
+    /// Recovers from a transport failure: the dead channel is dropped
+    /// first (its traffic folded into `carried`; the peer only observes
+    /// the disconnect once the channel is gone), then the `resume`
+    /// callback is asked for a fresh channel plus the evaluator's
+    /// requested cursor, and every buffered frame at or past that
+    /// cursor is replayed byte-for-byte. Failures during the replay
+    /// re-consult the callback; the callback returning `None` makes the
+    /// pending failure terminal, as does any non-resumable failure.
+    fn recover<C>(
+        &mut self,
+        dead: C,
+        err: RuntimeError,
+        phase: SessionPhase,
+    ) -> Result<C, RuntimeError>
+    where
+        C: Channel,
+        F: FnMut(&RuntimeError, u64) -> Option<(C, u64)>,
+    {
+        let mut err = err.in_phase(phase);
+        absorb_stats(&mut self.carried, &dead.stats());
+        drop(dead);
+        loop {
+            if !err.resume_safe() {
+                return Err(err);
+            }
+            let Some((mut channel, next_seq)) = (self.resume)(&err, self.buffer.next_seq) else {
+                return Err(err);
+            };
+            match self.replay(&mut channel, next_seq) {
+                Ok(()) => return Ok(channel),
+                Err(replay_err) => {
+                    absorb_stats(&mut self.carried, &channel.stats());
+                    drop(channel);
+                    err = replay_err;
+                }
             }
         }
     }
+
+    /// Confirms the evaluator's cursor with a `ResumeAck` on a fresh
+    /// channel and replays every buffered frame at or past it. Frames
+    /// below the cursor are implicitly acknowledged — the evaluator
+    /// vouching for them is as good as an ack. The stream deadline is
+    /// re-armed on the new channel, so the per-chunk progress budget is
+    /// per connection, not cumulative across reconnects.
+    fn replay<C: Channel>(&mut self, channel: &mut C, next_seq: u64) -> Result<(), RuntimeError> {
+        let buffer = &mut *self.buffer;
+        if next_seq > buffer.next_seq {
+            return Err(RuntimeError::protocol(format!(
+                "resume cursor {next_seq} is past the {} frames produced",
+                buffer.next_seq
+            ))
+            .in_phase(SessionPhase::Stream));
+        }
+        if next_seq < buffer.acked {
+            return Err(RuntimeError::protocol(format!(
+                "resume cursor {next_seq} is below the acknowledged cursor {}: those bytes \
+                 were released and cannot be replayed",
+                buffer.acked
+            ))
+            .in_phase(SessionPhase::Stream));
+        }
+        arm_phase(channel, SessionPhase::Stream, self.deadlines)?;
+        (|| -> Result<(), RuntimeError> {
+            write_message(channel, &Message::ResumeAck { from_seq: next_seq })?;
+            buffer.ack(next_seq)?;
+            for (seq, bytes) in &buffer.frames {
+                debug_assert!(*seq >= next_seq);
+                channel.send(bytes)?;
+                self.replayed_frames += 1;
+            }
+            Ok(channel.flush()?)
+        })()
+        .map_err(|e| e.in_phase(SessionPhase::Stream))?;
+        self.resumes += 1;
+        Ok(())
+    }
+
+    /// Buffers a frame's bytes in the replay buffer, then sends and
+    /// flushes them — recovering through the resume callback on a
+    /// transport failure. After a successful recovery the frame has
+    /// already been replayed out of the buffer, so the send is not
+    /// repeated.
+    fn ship<C>(
+        &mut self,
+        mut channel: C,
+        frame: Vec<u8>,
+        phase: SessionPhase,
+    ) -> Result<C, RuntimeError>
+    where
+        C: Channel,
+        F: FnMut(&RuntimeError, u64) -> Option<(C, u64)>,
+    {
+        self.buffer.push(frame);
+        let sent = {
+            let (_, bytes) = self.buffer.frames.back().expect("frame was just pushed");
+            channel.send(bytes).and_then(|()| channel.flush())
+        };
+        let channel = match sent {
+            Ok(()) => channel,
+            Err(e) => self.recover(channel, e.into(), phase)?,
+        };
+        if !self.retain {
+            self.buffer.ack(self.buffer.next_seq)?;
+        }
+        Ok(channel)
+    }
 }
 
-/// Confirms the evaluator's cursor with a `ResumeAck` on a fresh
-/// channel and replays every buffered frame at or past it. Frames below
-/// the cursor are implicitly acknowledged — the evaluator vouching for
-/// them is as good as an ack. The stream deadline is re-armed on the
-/// new channel, so the per-chunk progress budget is per connection, not
-/// cumulative across reconnects.
-fn garbler_replay<C: Channel>(
+/// Runs the garbler (Alice) side of a streaming session on a borrowed
+/// channel, without resume: [`run_garbler_resumable`] announcing
+/// `ack_interval: 0` — nothing retained, no ack awaited — with a
+/// callback that declines, so a transport failure ends the session with
+/// the typed error of the phase it fell in.
+///
+/// Blocks until the evaluator has shared the outputs back.
+///
+/// # Errors
+///
+/// Fails on transport errors, protocol violations, input width
+/// mismatch, or a plan that does not describe `circuit`.
+pub fn run_garbler<C: Channel + ?Sized, R: Rng + ?Sized>(
+    circuit: &Circuit,
+    garbler_bits: &[bool],
+    rng: &mut R,
+    config: &SessionConfig,
     channel: &mut C,
-    next_seq: u64,
-    buffer: &mut ReplayBuffer,
-    deadlines: &SessionDeadlines,
-    counters: &mut ResumeCounters,
-) -> Result<(), RuntimeError> {
-    if next_seq > buffer.next_seq {
-        return Err(RuntimeError::protocol(format!(
-            "resume cursor {next_seq} is past the {} frames produced",
-            buffer.next_seq
-        ))
-        .in_phase(SessionPhase::Stream));
-    }
-    if next_seq < buffer.acked {
-        return Err(RuntimeError::protocol(format!(
-            "resume cursor {next_seq} is below the acknowledged cursor {}: those bytes were \
-             released and cannot be replayed",
-            buffer.acked
-        ))
-        .in_phase(SessionPhase::Stream));
-    }
-    arm_phase(channel, SessionPhase::Stream, deadlines)?;
-    (|| -> Result<(), RuntimeError> {
-        write_message(channel, &Message::ResumeAck { from_seq: next_seq })?;
-        buffer.ack(next_seq)?;
-        for (seq, bytes) in &buffer.frames {
-            debug_assert!(*seq >= next_seq);
-            channel.send(bytes)?;
-            counters.replayed_frames += 1;
-        }
-        Ok(channel.flush()?)
-    })()
-    .map_err(|e| e.in_phase(SessionPhase::Stream))?;
-    counters.resumes += 1;
-    Ok(())
-}
-
-/// Buffers a frame's bytes in the replay buffer, then sends and flushes
-/// them — recovering through the resume callback on a transport
-/// failure. After a successful recovery the frame has already been
-/// replayed out of the buffer, so the send is not repeated.
-#[allow(clippy::too_many_arguments)]
-fn ship_frame<C, F>(
-    mut channel: C,
-    frame: Vec<u8>,
-    phase: SessionPhase,
-    buffer: &mut ReplayBuffer,
-    deadlines: &SessionDeadlines,
-    carried: &mut ChannelStats,
-    counters: &mut ResumeCounters,
-    resume: &mut F,
-) -> Result<C, RuntimeError>
-where
-    C: Channel,
-    F: FnMut(&RuntimeError, u64) -> Option<(C, u64)>,
-{
-    buffer.push(frame);
-    let sent = {
-        let (_, bytes) = buffer.frames.back().expect("frame was just pushed");
-        channel.send(bytes).and_then(|()| channel.flush())
-    };
-    match sent {
-        Ok(()) => Ok(channel),
-        Err(e) => {
-            garbler_recover(channel, e.into(), phase, buffer, deadlines, carried, counters, resume)
-        }
-    }
+) -> Result<SessionReport, RuntimeError> {
+    let plain = SessionConfig { ack_interval: 0, ..config.clone() };
+    run_garbler_resumable(circuit, garbler_bits, rng, &plain, channel, |_: &RuntimeError, _| None)
 }
 
 /// Runs the garbler side of a **resumable** streaming session.
@@ -2196,11 +1274,9 @@ where
 ///
 /// The two parties overlap through the frame stream — the evaluator
 /// works on frame N while this side garbles frame N+1. Within this
-/// party, garbling and send/flush still alternate (no compute/I-O
-/// ring): the replay-buffer invariant — bytes are buffered before they
-/// are sent — stays trivially true without threading frames through
-/// the pipeline ring. Moving the buffer behind the ring is ROADMAP
-/// item 1 and stays open.
+/// party, garbling and send/flush alternate, which keeps the
+/// replay-buffer invariant — a frame's bytes are buffered before they
+/// are sent — trivially true.
 ///
 /// # Errors
 ///
@@ -2220,23 +1296,11 @@ where
     R: Rng + ?Sized,
     F: FnMut(&RuntimeError, u64) -> Option<(C, u64)>,
 {
-    if garbler_bits.len() != circuit.garbler_inputs() as usize {
-        return Err(RuntimeError::protocol(format!(
-            "garbler input width {} does not match circuit ({})",
-            garbler_bits.len(),
-            circuit.garbler_inputs()
-        )));
-    }
-    if let Some(plan) = &config.plan {
-        check_plan(plan, circuit)?;
-    }
+    check_width("garbler", garbler_bits.len(), circuit.garbler_inputs())?;
+    check_plan(&config.plan, circuit)?;
     let start = Instant::now();
     write_resumable_header(circuit, config, &mut channel)?;
-    let plan = config.plan.clone();
-    let garbler = match &plan {
-        Some(plan) => StreamingGarbler::with_plan(&plan.program, rng, config.scheme),
-        None => StreamingGarbler::new(circuit, rng, config.scheme),
-    };
+    let garbler = StreamingGarbler::with_plan(&config.plan.program, rng, config.scheme);
     let mut replay = ReplayBuffer::new();
     stream_garbler_resumable(
         circuit,
@@ -2283,13 +1347,7 @@ where
     R: Rng + ?Sized,
     F: FnMut(&RuntimeError, u64) -> Option<(C, u64)>,
 {
-    if garbler_bits.len() != circuit.garbler_inputs() as usize {
-        return Err(RuntimeError::protocol(format!(
-            "garbler input width {} does not match circuit ({})",
-            garbler_bits.len(),
-            circuit.garbler_inputs()
-        )));
-    }
+    check_width("garbler", garbler_bits.len(), circuit.garbler_inputs())?;
     if instance.input_zero_labels.len() != circuit.num_inputs() as usize
         || instance.tables.len() != circuit.num_and_gates()
         || instance.output_decode.len() != circuit.outputs().len()
@@ -2322,8 +1380,9 @@ where
     )
 }
 
-/// The resumable session header: identical for online and banked
-/// garblers — which is the point, the evaluator drives one protocol.
+/// The session header: identical for online and banked garblers —
+/// which is the point, the evaluator drives one protocol. The ack
+/// cadence it announces is what makes the session resumable (0: not).
 fn write_resumable_header<C: Channel>(
     circuit: &Circuit,
     config: &SessionConfig,
@@ -2342,13 +1401,13 @@ fn write_resumable_header<C: Channel>(
             chunk_tables: config.chunk_tables() as u32,
             reorder: config.reorder(),
             ot_mode: config.ot_mode,
-            ack_interval: config.ack_interval.max(1),
+            ack_interval: config.ack_interval,
         }),
     )
     .map_err(|e| e.in_phase(SessionPhase::Handshake))
 }
 
-/// What the resumable streaming loop needs from a garbler: input labels
+/// What the garbler loop needs from a source of tables: input labels
 /// until streaming starts, chunks in stream order, and a consuming
 /// finish. [`StreamingGarbler`] garbles chunks online;
 /// [`BankedGarbler`] replays them from storage — the loop cannot tell
@@ -2403,12 +1462,14 @@ impl GarblerSource for BankedGarbler {
     }
 }
 
-/// The post-header body of a resumable garbler session, generic over
-/// where tables come from (online garbling or bank replay): input-label
-/// delivery, OT, the ack-bounded streaming loop with byte replay on
-/// failure, the decode tail, and the shared outputs. `buffer` is the
-/// caller's (empty) replay buffer, handed in so a test can read its
-/// high-water mark afterwards.
+/// The post-header body of every garbler session — the one garbler
+/// loop — generic over where tables come from (online garbling or bank
+/// replay): input-label delivery, OT, the ack-bounded streaming loop
+/// with byte replay on failure, the decode tail, and the shared
+/// outputs. With `config.ack_interval == 0` it is a plain session:
+/// frames are released as soon as they are on the wire and no ack is
+/// awaited. `buffer` is the caller's (empty) replay buffer, handed in
+/// so a test can read its high-water mark afterwards.
 #[allow(clippy::too_many_arguments)]
 fn stream_garbler_resumable<G, C, R, F>(
     circuit: &Circuit,
@@ -2417,7 +1478,7 @@ fn stream_garbler_resumable<G, C, R, F>(
     rng: &mut R,
     config: &SessionConfig,
     mut channel: C,
-    mut resume: F,
+    resume: F,
     start: Instant,
     buffer: &mut ReplayBuffer,
 ) -> Result<SessionReport, RuntimeError>
@@ -2428,8 +1489,7 @@ where
     F: FnMut(&RuntimeError, u64) -> Option<(C, u64)>,
 {
     let chunk_tables = config.chunk_tables();
-    let ack_interval = config.ack_interval.max(1);
-    let buffer_cap = u64::from(ack_interval) * 2;
+    let buffer_cap = u64::from(config.ack_interval) * 2;
     // Frames are bounded, so the frame cap is a byte cap.
     let buffer_byte_cap = buffer_cap as usize * tables_frame_len(chunk_tables);
     write_message(
@@ -2445,41 +1505,39 @@ where
     arm_phase(&mut channel, SessionPhase::Ot, &config.deadlines)?;
     let t = Instant::now();
     let ot = match config.ot_mode {
-        OtMode::Base => ot_send(&evaluator_pairs, rng, &mut channel)
-            .map_err(|e| e.in_phase(SessionPhase::Ot))?,
-        OtMode::Extended => {
-            // The extension opens with a receive (the evaluator's
-            // OtSetup), so the queued header must actually go out.
-            channel.flush().map_err(|e| RuntimeError::from(e).in_phase(SessionPhase::Ot))?;
-            ot_send_extended(&evaluator_pairs, rng, &mut channel)
-                .map_err(|e| e.in_phase(SessionPhase::Ot))?
-        }
-    };
+        OtMode::Base => ot_send(&evaluator_pairs, rng, &mut channel),
+        OtMode::Extended => ot_send_extended(&evaluator_pairs, rng, &mut channel),
+    }
+    .map_err(|e| e.in_phase(SessionPhase::Ot))?;
     let ot_ns = t.elapsed().as_nanos() as u64;
     if let Some(tel) = live {
-        tel.ot_ns.record(ot_ns);
-        tel.base_ots.add(ot.base_ots);
-        tel.ext_ots.add(ot.ext_ots);
-        tel.ot_rate.add(ot.transfers);
+        tel.record_ot(ot_ns, &ot);
     }
 
     arm_phase(&mut channel, SessionPhase::Stream, &config.deadlines)?;
     let stream_start = Instant::now();
     let mut stats = StreamStats::default();
-    let mut counters = ResumeCounters::default();
-    let mut carried = ChannelStats::default();
+    let mut link = GarblerRecovery {
+        buffer,
+        retain: config.ack_interval > 0,
+        deadlines: &config.deadlines,
+        carried: ChannelStats::default(),
+        resumes: 0,
+        replayed_frames: 0,
+        resume,
+    };
     let mut chunk: Vec<[Block; 2]> = Vec::with_capacity(chunk_tables.min(CHUNK_BUFFER_CAP));
     loop {
         // Bounded replay buffer: block for acks before garbling on.
         // Waiting here is waiting for the evaluator to catch up — the
         // garbler's I/O-starved stall.
-        while buffer.unacked() >= buffer_cap {
+        while link.retain && link.buffer.unacked() >= buffer_cap {
             let waited = Instant::now();
             let message = read_message(&mut channel);
             stats.io_stall_ns += waited.elapsed().as_nanos() as u64;
             match message {
                 Ok(Message::ChunkAck { upto_seq }) => {
-                    buffer.ack(upto_seq).map_err(|e| e.in_phase(SessionPhase::Stream))?;
+                    link.buffer.peer_ack(upto_seq).map_err(|e| e.in_phase(SessionPhase::Stream))?;
                 }
                 Ok(other) => {
                     return Err(RuntimeError::protocol(format!(
@@ -2488,18 +1546,7 @@ where
                     ))
                     .in_phase(SessionPhase::Stream));
                 }
-                Err(e) => {
-                    channel = garbler_recover(
-                        channel,
-                        e,
-                        SessionPhase::Stream,
-                        buffer,
-                        &config.deadlines,
-                        &mut carried,
-                        &mut counters,
-                        &mut resume,
-                    )?;
-                }
+                Err(e) => channel = link.recover(channel, e, SessionPhase::Stream)?,
             }
         }
         let t = Instant::now();
@@ -2518,25 +1565,16 @@ where
             tel.chunk_compute_ns.record(compute_ns);
             tel.oor_occupancy.record(garbler.oor_queue_len() as u64);
         }
-        let frame = encode_tables_frame(buffer.next_seq, &chunk)
+        let frame = encode_tables_frame(link.buffer.next_seq, &chunk)
             .map_err(|e| e.in_phase(SessionPhase::Stream))?;
         let t = Instant::now();
-        channel = ship_frame(
-            channel,
-            frame,
-            SessionPhase::Stream,
-            buffer,
-            &config.deadlines,
-            &mut carried,
-            &mut counters,
-            &mut resume,
-        )?;
+        channel = link.ship(channel, frame, SessionPhase::Stream)?;
         let io_ns = t.elapsed().as_nanos() as u64;
         stats.io_ns += io_ns;
         assert!(
-            buffer.bytes <= buffer_byte_cap,
+            link.buffer.bytes <= buffer_byte_cap,
             "replay buffer retains {} bytes, over the {buffer_byte_cap} bytes of two ack windows",
-            buffer.bytes
+            link.buffer.bytes
         );
         if let Some(tel) = live {
             tel.chunk_io_ns.record(io_ns);
@@ -2553,23 +1591,14 @@ where
     let finish = garbler.finish();
     let decode_frame = encode_frame(&Message::OutputDecode(finish.output_decode))
         .map_err(|e| e.in_phase(SessionPhase::Output))?;
-    channel = ship_frame(
-        channel,
-        decode_frame,
-        SessionPhase::Output,
-        buffer,
-        &config.deadlines,
-        &mut carried,
-        &mut counters,
-        &mut resume,
-    )?;
+    channel = link.ship(channel, decode_frame, SessionPhase::Output)?;
 
     let outputs = loop {
         match read_message(&mut channel) {
             // Late acks from the stream's tail are still applied — they
             // release replay bytes held for a resume that never came.
             Ok(Message::ChunkAck { upto_seq }) => {
-                buffer.ack(upto_seq).map_err(|e| e.in_phase(SessionPhase::Output))?;
+                link.buffer.peer_ack(upto_seq).map_err(|e| e.in_phase(SessionPhase::Output))?;
             }
             Ok(Message::Outputs(outputs)) => break outputs,
             Ok(other) => {
@@ -2579,18 +1608,7 @@ where
                 ))
                 .in_phase(SessionPhase::Output));
             }
-            Err(e) => {
-                channel = garbler_recover(
-                    channel,
-                    e,
-                    SessionPhase::Output,
-                    buffer,
-                    &config.deadlines,
-                    &mut carried,
-                    &mut counters,
-                    &mut resume,
-                )?;
-            }
+            Err(e) => channel = link.recover(channel, e, SessionPhase::Output)?,
         }
     };
     if outputs.len() != circuit.outputs().len() {
@@ -2602,7 +1620,7 @@ where
     }
 
     let mut channel_stats = channel.stats();
-    absorb_stats(&mut channel_stats, &carried);
+    absorb_stats(&mut channel_stats, &link.carried);
     Ok(SessionReport {
         role: SessionRole::Garbler,
         outputs,
@@ -2619,83 +1637,142 @@ where
         io_ns: stats.io_ns,
         stream_ns: stats.wall_ns,
         overlap_ratio: stats.overlap_ratio(),
-        pipeline_depth: stats.depth,
         ot_ns,
         base_ots: ot.base_ots,
         ext_ots: ot.ext_ots,
         ot_io_stall_ns: ot.io_stall_ns,
-        compute_stall_ns: stats.compute_stall_ns,
         io_stall_ns: stats.io_stall_ns,
         oor_queue_peak: finish.oor_queue_peak,
-        resumes: counters.resumes,
-        replayed_frames: counters.replayed_frames,
+        resumes: link.resumes,
+        replayed_frames: link.replayed_frames,
         elapsed: start.elapsed(),
     })
 }
 
-/// Recovers the evaluator side of a resumable session: the dead channel
-/// is dropped first (its traffic folded into `carried`; the peer only
-/// observes the disconnect once the channel is gone), then the `resume`
-/// callback is asked for a fresh raw connection and the resume
-/// handshake runs on it — this side sends `Resume{ticket, next_seq}`
-/// and requires the garbler's `ResumeAck` to confirm exactly that
-/// cursor; anything else means the replay would not continue
-/// bit-identically and is fatal. Handshake failures re-consult the
-/// callback; `None` makes the pending failure terminal.
-#[allow(clippy::too_many_arguments)]
-fn evaluator_recover<C, F>(
-    dead: C,
-    err: RuntimeError,
-    phase: SessionPhase,
-    ticket: u128,
-    next_seq: u64,
-    deadlines: &SessionDeadlines,
-    carried: &mut ChannelStats,
-    resumes: &mut u64,
-    resume: &mut F,
-) -> Result<C, RuntimeError>
-where
-    C: Channel,
-    F: FnMut(&RuntimeError, u64) -> Option<C>,
-{
-    let mut err = err.in_phase(phase);
-    absorb_stats(carried, &dead.stats());
-    drop(dead);
-    loop {
-        if !err.resume_safe() {
-            return Err(err);
-        }
-        let Some(mut channel) = resume(&err, next_seq) else {
-            return Err(err);
-        };
-        let hello = (|| -> Result<(), RuntimeError> {
-            // The chunk budget restarts with the connection.
-            arm_phase(&mut channel, SessionPhase::Stream, deadlines)?;
-            write_message(&mut channel, &Message::Resume { ticket, next_seq })?;
-            channel.flush()?;
-            let Message::ResumeAck { from_seq } = expect_message(&mut channel, "ResumeAck")? else {
-                unreachable!()
+/// What an evaluator session keeps across the channels it runs over:
+/// the ticket it may resume under (a plain session holds none), the
+/// traffic of connections already dropped, the resume tally, and the
+/// callback that supplies the next raw connection.
+struct EvaluatorRecovery<'a, F> {
+    ticket: Option<u128>,
+    deadlines: &'a SessionDeadlines,
+    carried: ChannelStats,
+    resumes: u64,
+    resume: F,
+}
+
+impl<F> EvaluatorRecovery<'_, F> {
+    /// Recovers from a transport failure: the dead channel is dropped
+    /// first (its traffic folded into `carried`; the peer only observes
+    /// the disconnect once the channel is gone), then the `resume`
+    /// callback is asked for a fresh raw connection and the resume
+    /// handshake runs on it — this side sends `Resume{ticket, next_seq}`
+    /// and requires the garbler's `ResumeAck` to confirm exactly that
+    /// cursor; anything else means the replay would not continue
+    /// bit-identically and is fatal. Handshake failures re-consult the
+    /// callback; `None` makes the pending failure terminal. With no
+    /// ticket to resume under, the failure is terminal at once.
+    fn recover<C>(
+        &mut self,
+        dead: C,
+        err: RuntimeError,
+        phase: SessionPhase,
+        next_seq: u64,
+    ) -> Result<C, RuntimeError>
+    where
+        C: Channel,
+        F: FnMut(&RuntimeError, u64) -> Option<C>,
+    {
+        let mut err = err.in_phase(phase);
+        absorb_stats(&mut self.carried, &dead.stats());
+        drop(dead);
+        loop {
+            let Some(ticket) = self.ticket.filter(|_| err.resume_safe()) else {
+                return Err(err);
             };
-            if from_seq != next_seq {
-                return Err(RuntimeError::protocol(format!(
-                    "garbler resumed from cursor {from_seq}, this side asked for {next_seq}"
-                )));
-            }
-            Ok(())
-        })()
-        .map_err(|e| e.in_phase(SessionPhase::Stream));
-        match hello {
-            Ok(()) => {
-                *resumes += 1;
-                return Ok(channel);
-            }
-            Err(hello_err) => {
-                absorb_stats(carried, &channel.stats());
-                drop(channel);
-                err = hello_err;
+            let Some(mut channel) = (self.resume)(&err, next_seq) else {
+                return Err(err);
+            };
+            let hello = (|| -> Result<(), RuntimeError> {
+                // The chunk budget restarts with the connection.
+                arm_phase(&mut channel, SessionPhase::Stream, self.deadlines)?;
+                write_message(&mut channel, &Message::Resume { ticket, next_seq })?;
+                channel.flush()?;
+                let Message::ResumeAck { from_seq } = expect_message(&mut channel, "ResumeAck")?
+                else {
+                    unreachable!()
+                };
+                if from_seq != next_seq {
+                    return Err(RuntimeError::protocol(format!(
+                        "garbler resumed from cursor {from_seq}, this side asked for {next_seq}"
+                    )));
+                }
+                Ok(())
+            })()
+            .map_err(|e| e.in_phase(SessionPhase::Stream));
+            match hello {
+                Ok(()) => {
+                    self.resumes += 1;
+                    return Ok(channel);
+                }
+                Err(hello_err) => {
+                    absorb_stats(&mut self.carried, &channel.stats());
+                    drop(channel);
+                    err = hello_err;
+                }
             }
         }
     }
+}
+
+/// Runs the evaluator (Bob) side of a streaming session on a borrowed
+/// channel, without resume: the same loop as
+/// [`run_evaluator_resumable`] holding no ticket, so a transport failure
+/// ends the session with the typed error of the phase it fell in. The
+/// ack cadence is the garbler's call: whatever its header announces is
+/// honoured, 0 (no acks) included.
+///
+/// `config.plan` must be the plan the garbler lowered (`config.scheme`
+/// and `config.window` are the garbler's choices and arrive via the
+/// header).
+///
+/// # Errors
+///
+/// Fails on transport errors, protocol violations, input width
+/// mismatch, or a plan that does not describe `circuit`.
+pub fn run_evaluator_with<C: Channel + ?Sized, R: Rng + ?Sized>(
+    circuit: &Circuit,
+    evaluator_bits: &[bool],
+    rng: &mut R,
+    config: &SessionConfig,
+    channel: &mut C,
+) -> Result<SessionReport, RuntimeError> {
+    evaluator_session(circuit, evaluator_bits, rng, config, channel, None, |_, _| None)
+}
+
+/// Runs the evaluator (Bob) side of a streaming session with default
+/// options: the circuit is lowered on the spot with the **baseline**
+/// schedule (callers running many sessions — or negotiating a
+/// reordered schedule — should cache a plan and use
+/// [`run_evaluator_with`]/[`SessionConfig::from_plan`] instead; a
+/// garbler announcing a non-baseline reorder is refused with a typed
+/// mismatch error).
+///
+/// The evaluator learns the session parameters from the garbler's header
+/// and validates them against its own copy of the circuit.
+///
+/// # Errors
+///
+/// Fails on transport errors, protocol violations, or input width
+/// mismatch.
+pub fn run_evaluator<C: Channel + ?Sized, R: Rng + ?Sized>(
+    circuit: &Circuit,
+    evaluator_bits: &[bool],
+    rng: &mut R,
+    channel: &mut C,
+) -> Result<SessionReport, RuntimeError> {
+    let config = SessionConfig::for_circuit(circuit);
+    run_evaluator_with(circuit, evaluator_bits, rng, &config, channel)
 }
 
 /// Runs the evaluator side of a **resumable** streaming session.
@@ -2727,25 +1804,40 @@ pub fn run_evaluator_resumable<C, R, F>(
     evaluator_bits: &[bool],
     rng: &mut R,
     config: &SessionConfig,
-    mut channel: C,
+    channel: C,
     ticket: u128,
-    mut resume: F,
+    resume: F,
 ) -> Result<SessionReport, RuntimeError>
 where
     C: Channel,
     R: Rng + ?Sized,
     F: FnMut(&RuntimeError, u64) -> Option<C>,
 {
-    if evaluator_bits.len() != circuit.evaluator_inputs() as usize {
-        return Err(RuntimeError::protocol(format!(
-            "evaluator input width {} does not match circuit ({})",
-            evaluator_bits.len(),
-            circuit.evaluator_inputs()
-        )));
-    }
-    if let Some(plan) = &config.plan {
-        check_plan(plan, circuit)?;
-    }
+    evaluator_session(circuit, evaluator_bits, rng, config, channel, Some(ticket), resume)
+}
+
+/// Every evaluator session — the one evaluator loop: header checks,
+/// input labels by OT, the receive/evaluate/ack loop with reconnects
+/// through `resume`, and the shared outputs. `ticket` is what makes the
+/// session resumable: with one, a garbler that keeps no replay bytes is
+/// refused at the header and a transport failure past the stream
+/// boundary consults `resume`; without one, nothing does.
+fn evaluator_session<C, R, F>(
+    circuit: &Circuit,
+    evaluator_bits: &[bool],
+    rng: &mut R,
+    config: &SessionConfig,
+    mut channel: C,
+    ticket: Option<u128>,
+    resume: F,
+) -> Result<SessionReport, RuntimeError>
+where
+    C: Channel,
+    R: Rng + ?Sized,
+    F: FnMut(&RuntimeError, u64) -> Option<C>,
+{
+    check_width("evaluator", evaluator_bits.len(), circuit.evaluator_inputs())?;
+    check_plan(&config.plan, circuit)?;
     let start = Instant::now();
 
     arm_phase(&mut channel, SessionPhase::Handshake, &config.deadlines)?;
@@ -2756,6 +1848,8 @@ where
     };
     validate_header(circuit, &header)?;
     if header.reorder != config.reorder() {
+        // Running anyway would not fail fast — it would desynchronize
+        // the table stream and surface as garbage labels much later.
         return Err(RuntimeError::protocol(format!(
             "reorder mismatch: the garbler lowered with {}, this side with {}",
             header.reorder.label(),
@@ -2763,13 +1857,15 @@ where
         )));
     }
     if header.ot_mode != config.ot_mode {
+        // The two modes speak different message sequences: running on
+        // would deadlock inside the OT phase instead of failing here.
         return Err(RuntimeError::protocol(format!(
             "OT mode mismatch: the garbler negotiated {}, this side {}",
             header.ot_mode.label(),
             config.ot_mode.label()
         )));
     }
-    if header.ack_interval == 0 {
+    if ticket.is_some() && header.ack_interval == 0 {
         // Fail fast instead of discovering at the first cut that the
         // peer kept no replay bytes.
         return Err(RuntimeError::protocol(
@@ -2796,25 +1892,24 @@ where
     .map_err(|e| e.in_phase(SessionPhase::Ot))?;
     let ot_ns = t.elapsed().as_nanos() as u64;
     if let Some(tel) = live {
-        tel.ot_ns.record(ot_ns);
-        tel.base_ots.add(ot.base_ots);
-        tel.ext_ots.add(ot.ext_ots);
-        tel.ot_rate.add(ot.transfers);
+        tel.record_ot(ot_ns, &ot);
     }
 
     let mut input_labels = garbler_labels;
     input_labels.extend(own_labels);
-    let plan = config.plan.clone();
-    let mut evaluator = match &plan {
-        Some(plan) => StreamingEvaluator::with_plan(&plan.program, input_labels, header.scheme),
-        None => StreamingEvaluator::new(circuit, input_labels, header.scheme),
-    };
+    let mut evaluator =
+        StreamingEvaluator::with_plan(&config.plan.program, input_labels, header.scheme);
 
     arm_phase(&mut channel, SessionPhase::Stream, &config.deadlines)?;
     let stream_start = Instant::now();
     let mut stats = StreamStats::default();
-    let mut carried = ChannelStats::default();
-    let mut resumes = 0u64;
+    let mut link = EvaluatorRecovery {
+        ticket,
+        deadlines: &config.deadlines,
+        carried: ChannelStats::default(),
+        resumes: 0,
+        resume,
+    };
     let output_decode = loop {
         let t = Instant::now();
         match read_message(&mut channel) {
@@ -2844,17 +1939,7 @@ where
                 if let Err(e) = maybe_ack(&mut channel, header.ack_interval, stats.chunks) {
                     // A failed ack is recovered like a failed receive:
                     // the resume implicitly acknowledges the cursor.
-                    channel = evaluator_recover(
-                        channel,
-                        e,
-                        SessionPhase::Stream,
-                        ticket,
-                        stats.chunks,
-                        &config.deadlines,
-                        &mut carried,
-                        &mut resumes,
-                        &mut resume,
-                    )?;
+                    channel = link.recover(channel, e, SessionPhase::Stream, stats.chunks)?;
                 }
             }
             Ok(Message::OutputDecode(decode)) => break decode,
@@ -2865,19 +1950,7 @@ where
                 ))
                 .in_phase(SessionPhase::Stream));
             }
-            Err(e) => {
-                channel = evaluator_recover(
-                    channel,
-                    e,
-                    SessionPhase::Stream,
-                    ticket,
-                    stats.chunks,
-                    &config.deadlines,
-                    &mut carried,
-                    &mut resumes,
-                    &mut resume,
-                )?;
-            }
+            Err(e) => channel = link.recover(channel, e, SessionPhase::Stream, stats.chunks)?,
         }
     };
     stats.wall_ns = stream_start.elapsed().as_nanos() as u64;
@@ -2902,24 +1975,12 @@ where
         })();
         match sent {
             Ok(()) => break,
-            Err(e) => {
-                channel = evaluator_recover(
-                    channel,
-                    e,
-                    SessionPhase::Output,
-                    ticket,
-                    final_cursor,
-                    &config.deadlines,
-                    &mut carried,
-                    &mut resumes,
-                    &mut resume,
-                )?;
-            }
+            Err(e) => channel = link.recover(channel, e, SessionPhase::Output, final_cursor)?,
         }
     }
 
     let mut channel_stats = channel.stats();
-    absorb_stats(&mut channel_stats, &carried);
+    absorb_stats(&mut channel_stats, &link.carried);
     Ok(SessionReport {
         role: SessionRole::Evaluator,
         outputs: finish.outputs,
@@ -2936,15 +1997,13 @@ where
         io_ns: stats.io_ns,
         stream_ns: stats.wall_ns,
         overlap_ratio: stats.overlap_ratio(),
-        pipeline_depth: stats.depth,
         ot_ns,
         base_ots: ot.base_ots,
         ext_ots: ot.ext_ots,
         ot_io_stall_ns: ot.io_stall_ns,
-        compute_stall_ns: stats.compute_stall_ns,
         io_stall_ns: stats.io_stall_ns,
         oor_queue_peak: finish.oor_queue_peak,
-        resumes,
+        resumes: link.resumes,
         replayed_frames: 0,
         elapsed: start.elapsed(),
     })
@@ -2955,6 +2014,7 @@ mod tests {
     use super::*;
     use haac_circuit::{from_bits, to_bits, Builder};
     use rand::SeedableRng as _;
+    use std::sync::mpsc;
 
     fn adder(width: u32) -> Circuit {
         let mut b = Builder::new();
@@ -3096,24 +2156,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_reports_attribute_stalls() {
-        let c = adder(24);
-        let config = SessionConfig::for_circuit(&c).with_chunk_tables(2);
-        let (g, e) = run_local_session(&c, &to_bits(10, 24), &to_bits(20, 24), 6, &config).unwrap();
-        // Pipelined rings: stall attribution is measured, serial-only
-        // fields stay coherent with the stage totals.
-        assert!(g.pipeline_depth >= 1 && e.pipeline_depth >= 1);
-        assert!(g.ot_ns > 0 && e.ot_ns > 0);
-        // Serial sessions never attribute stalls.
-        let serial = config.clone().with_pipeline(false);
-        let (gs, es) =
-            run_local_session(&c, &to_bits(10, 24), &to_bits(20, 24), 6, &serial).unwrap();
-        assert_eq!((gs.compute_stall_ns, gs.io_stall_ns), (0, 0));
-        assert_eq!((es.compute_stall_ns, es.io_stall_ns), (0, 0));
-        assert_eq!(gs.oor_queue_peak, 0, "in-window plan never queues OoR reads");
-    }
-
-    #[test]
     fn streaming_matches_monolithic_protocol() {
         let c = adder(12);
         for seed in 0..4 {
@@ -3125,27 +2167,6 @@ mod tests {
             assert_eq!(g.outputs, legacy.outputs);
             assert_eq!(g.outputs, c.eval(&g_bits, &e_bits).unwrap());
         }
-    }
-
-    #[test]
-    fn serial_and_pipelined_sessions_put_identical_bytes_on_the_wire() {
-        let c = adder(24);
-        let base = SessionConfig::for_circuit(&c).with_chunk_tables(3);
-        let serial = base.clone().with_pipeline(false);
-        let (gs, es) =
-            run_local_session(&c, &to_bits(77, 24), &to_bits(88, 24), 5, &serial).unwrap();
-        let (gp, ep) = run_local_session(&c, &to_bits(77, 24), &to_bits(88, 24), 5, &base).unwrap();
-        assert_eq!(gs.outputs, gp.outputs);
-        assert_eq!(gs.bytes_sent, gp.bytes_sent);
-        assert_eq!(gs.bytes_received, gp.bytes_received);
-        assert_eq!(gs.flushes, gp.flushes);
-        assert_eq!(gs.table_chunks, gp.table_chunks);
-        assert_eq!(es.bytes_received, ep.bytes_received);
-        assert_eq!(es.table_chunks, ep.table_chunks);
-        // Serial sessions never report overlap.
-        assert_eq!(gs.overlap_ratio, 0.0);
-        assert_eq!(es.overlap_ratio, 0.0);
-        assert!(gp.overlap_ratio >= 0.0 && gp.overlap_ratio <= 1.0);
     }
 
     #[test]
@@ -3161,31 +2182,18 @@ mod tests {
     #[test]
     fn tiny_window_still_completes_with_many_chunks() {
         let c = adder(32);
-        let config = SessionConfig::new(HashScheme::Rekeyed, WindowModel::new(2));
-        // A 2-wire window derives single-table chunks; pin that so the
-        // mid-stream chunk autotune can't merge them — this test asserts
-        // exact framing.
+        // A plan forced onto a 2-wire slab: reads that fall outside it
+        // go through the OoRW queue, and half the window is one table.
+        let plan =
+            haac_core::lower::lower_with_window(&c, ReorderKind::Baseline, WindowModel::new(2));
+        let config = SessionConfig::from_plan(HashScheme::Rekeyed, Arc::new(plan));
+        assert_eq!(config.chunk_override, None);
         assert_eq!(config.chunk_tables(), 1);
-        let config = config.with_chunk_tables(1);
         let (g, e) = run_local_session(&c, &to_bits(7, 32), &to_bits(8, 32), 1, &config).unwrap();
         assert_eq!(from_bits(&g.outputs), 15);
         // chunk_tables = 1: one chunk (and one flush) per AND table.
         assert_eq!(g.table_chunks, c.num_and_gates() as u64);
-        assert!(!e.within_window, "a 2-wire window cannot hold an adder's live set");
-    }
-
-    #[test]
-    fn planless_config_still_streams_on_the_hashmap_store() {
-        use haac_gc::stream::Liveness;
-
-        let c = adder(16);
-        let peak = Liveness::analyze(&c).peak_live_wires(&c) as u32;
-        let window = WindowModel::new(peak.max(2).next_power_of_two());
-        let config = SessionConfig::new(HashScheme::Rekeyed, window);
-        assert!(config.plan.is_none());
-        let (g, e) = run_local_session(&c, &to_bits(9, 16), &to_bits(6, 16), 2, &config).unwrap();
-        assert_eq!(from_bits(&g.outputs), 15);
-        assert!(e.within_window);
+        assert!(e.oor_queue_peak > 0, "a 2-wire slab cannot hold an adder's live set");
     }
 
     #[test]
@@ -3267,15 +2275,11 @@ mod tests {
         use rand::SeedableRng;
 
         let c = adder(32);
-        // A 2-wire window streams one table per chunk (one flush each),
-        // and capacity 1 lets at most one unread flush exist per
-        // direction: the garbler *must* stall whenever the evaluator
-        // lags — by construction it cannot buffer the circuit (the
-        // pipelined I/O stage holds at most PIPELINE_DEPTH chunks
-        // beyond that). Chunk size pinned: this test asserts exact
-        // framing, which opts out of the mid-stream chunk autotune.
-        let config =
-            SessionConfig::new(HashScheme::Rekeyed, WindowModel::new(2)).with_chunk_tables(1);
+        // One table per chunk (one flush each), and capacity 1 lets at
+        // most one unread flush exist per direction: the garbler *must*
+        // stall whenever the evaluator lags — by construction it cannot
+        // buffer the circuit.
+        let config = SessionConfig::for_circuit(&c).with_chunk_tables(1);
         let (mut gc, ec) = crate::channel::MemChannel::pair_bounded(1);
         let mut ec = SlowChannel { inner: ec, delay: std::time::Duration::from_millis(1) };
         std::thread::scope(|scope| {
@@ -3307,7 +2311,7 @@ mod tests {
 
         let c = adder(32);
         let config = SessionConfig::for_circuit(&c).with_chunk_tables(1).with_ack_interval(2);
-        let plan = config.plan.clone().expect("for_circuit lowers a plan");
+        let plan = config.plan.clone();
         let (mut gc, ec) = crate::channel::MemChannel::pair();
         let ec = SlowChannel { inner: ec, delay: std::time::Duration::from_millis(1) };
         let mut replay = ReplayBuffer::new();
@@ -3356,32 +2360,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_depth_is_reported_pinnable_and_bounded() {
-        let c = adder(24);
-        // Pinned: both sides run (and report) exactly the pinned ring.
-        let pinned = SessionConfig::for_circuit(&c).with_chunk_tables(2).with_pipeline_depth(5);
-        let (g, e) = run_local_session(&c, &to_bits(3, 24), &to_bits(4, 24), 6, &pinned).unwrap();
-        assert_eq!(g.pipeline_depth, 5);
-        assert_eq!(e.pipeline_depth, 5);
-        // Serial sessions have no ring.
-        let serial = SessionConfig::for_circuit(&c).with_chunk_tables(2).with_pipeline(false);
-        let (gs, es) = run_local_session(&c, &to_bits(3, 24), &to_bits(4, 24), 6, &serial).unwrap();
-        assert_eq!(gs.pipeline_depth, 0);
-        assert_eq!(es.pipeline_depth, 0);
-        // Autotuned: starts at the default and may only widen, bounded
-        // by the ceiling; the wire bytes are identical regardless.
-        let auto = SessionConfig::for_circuit(&c).with_chunk_tables(2);
-        let (ga, _) = run_local_session(&c, &to_bits(3, 24), &to_bits(4, 24), 6, &auto).unwrap();
-        assert!(
-            (PIPELINE_DEPTH..=MAX_PIPELINE_DEPTH).contains(&ga.pipeline_depth),
-            "autotuned depth {} outside [{PIPELINE_DEPTH}, {MAX_PIPELINE_DEPTH}]",
-            ga.pipeline_depth
-        );
-        assert_eq!(g.bytes_sent, ga.bytes_sent);
-        assert_eq!(g.bytes_sent, gs.bytes_sent);
-    }
-
-    #[test]
     fn no_evaluator_inputs_skips_no_messages() {
         // Garbler-only inputs: OT runs with an empty batch.
         let mut b = Builder::new();
@@ -3416,26 +2394,9 @@ mod tests {
         // Base mode reports the legacy shape.
         assert_eq!(gb.base_ots, 16);
         assert_eq!(gb.ext_ots, 0);
-        // Both sides drained the full table stream despite the prefill.
+        // Both sides drained the full table stream.
         assert_eq!(ge.tables, c.num_and_gates() as u64);
         assert_eq!(ge.tables, ee.tables);
-    }
-
-    #[test]
-    fn extended_serial_and_pipelined_sessions_put_identical_bytes_on_the_wire() {
-        let c = adder(24);
-        let ext =
-            SessionConfig::for_circuit(&c).with_chunk_tables(3).with_ot_mode(OtMode::Extended);
-        let serial = ext.clone().with_pipeline(false);
-        let (gs, es) =
-            run_local_session(&c, &to_bits(77, 24), &to_bits(88, 24), 5, &serial).unwrap();
-        let (gp, ep) = run_local_session(&c, &to_bits(77, 24), &to_bits(88, 24), 5, &ext).unwrap();
-        assert_eq!(gs.outputs, gp.outputs);
-        assert_eq!(gs.bytes_sent, gp.bytes_sent);
-        assert_eq!(gs.bytes_received, gp.bytes_received);
-        assert_eq!(gs.table_chunks, gp.table_chunks);
-        assert_eq!(es.bytes_received, ep.bytes_received);
-        assert_eq!(es.table_chunks, ep.table_chunks);
     }
 
     #[test]
@@ -3552,7 +2513,7 @@ mod tests {
                     Some((channel, next_seq))
                 };
                 if banked {
-                    let plan = config.plan.as_ref().expect("banked session needs a cached plan");
+                    let plan = &config.plan;
                     let pool = haac_gc::EnginePool::new(2);
                     let instance =
                         haac_gc::garble_plan_in(&plan.program, &mut rng, config.scheme, &pool);
@@ -3598,49 +2559,144 @@ mod tests {
         })
     }
 
+    /// Which garbler entry point (with the evaluator entry point that
+    /// pairs with it) a recorded session drives.
+    #[derive(Debug, Clone, Copy)]
+    enum Driver {
+        Plain,
+        Resumable,
+        Banked,
+    }
+
+    /// Parses recorded wire bytes back into messages.
+    fn parse_messages(bytes: Vec<u8>) -> Vec<Message> {
+        let mut script = ScriptChannel { script: bytes, pos: 0 };
+        std::iter::from_fn(|| read_message(&mut script).ok()).collect()
+    }
+
+    /// One fault-free session through `driver` with every byte either
+    /// side received recorded: the garbler→evaluator messages, the
+    /// evaluator→garbler messages, and both reports. The same `seed`
+    /// makes the same rng draws in the same order on every driver (the
+    /// banked garbler pre-garbles from the session rng exactly where
+    /// the online one draws Δ and its labels).
+    fn recorded_session(
+        driver: Driver,
+        c: &Circuit,
+        gb: &[bool],
+        eb: &[bool],
+        config: &SessionConfig,
+        seed: u64,
+    ) -> (Vec<Message>, Vec<Message>, SessionReport, SessionReport) {
+        use rand::rngs::StdRng;
+
+        let (g_end, e_end) = crate::channel::MemChannel::pair();
+        let mut g_tee = RecvTee { inner: g_end, received: Vec::new() };
+        let mut e_tee = RecvTee { inner: e_end, received: Vec::new() };
+        let (g, e) = std::thread::scope(|scope| {
+            let garbler = scope.spawn(|| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let rng = &mut rng;
+                let no = |_: &RuntimeError, _| None;
+                match driver {
+                    Driver::Plain => run_garbler(c, gb, rng, config, &mut g_tee),
+                    Driver::Resumable => run_garbler_resumable(c, gb, rng, config, &mut g_tee, no),
+                    Driver::Banked => {
+                        let pool = haac_gc::EnginePool::new(2);
+                        let program = &config.plan.program;
+                        let instance = haac_gc::garble_plan_in(program, rng, config.scheme, &pool);
+                        run_garbler_banked(c, gb, instance, rng, config, &mut g_tee, no)
+                    }
+                }
+            });
+            let evaluator = scope.spawn(|| {
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
+                let rng = &mut rng;
+                match driver {
+                    Driver::Plain => run_evaluator_with(c, eb, rng, config, &mut e_tee),
+                    Driver::Resumable | Driver::Banked => {
+                        run_evaluator_resumable(c, eb, rng, config, &mut e_tee, 9, |_, _| None)
+                    }
+                }
+            });
+            let g = garbler.join().expect("garbler thread panicked");
+            let e = evaluator.join().expect("evaluator thread panicked");
+            (g.expect("garbler"), e.expect("evaluator"))
+        });
+        (parse_messages(e_tee.received), parse_messages(g_tee.received), g, e)
+    }
+
+    fn is_ack(message: &Message) -> bool {
+        matches!(message, Message::ChunkAck { .. })
+    }
+
+    /// The fold, proven on every workload: a plain session and a
+    /// resumable one put the same `GarblerInputs`, OT, `Tables` and
+    /// `OutputDecode` messages on the wire. Only the header's ack
+    /// cadence and the acks it asks for differ.
     #[test]
     fn resumable_drivers_match_the_plain_transcript_when_nothing_fails() {
-        let c = adder(32);
-        let config = SessionConfig::for_circuit(&c).with_chunk_tables(2).with_ack_interval(2);
-        let gb = to_bits(123_456, 32);
-        let eb = to_bits(654_321, 32);
-        let (g, e) = run_resumable_pair(&c, 7, &config, &gb, &eb, None, &|ch| Box::new(ch))
-            .expect("fault-free resumable session");
-        assert_eq!(from_bits(&g.outputs), 777_777);
-        assert_eq!(g.outputs, e.outputs);
-        assert_eq!((g.resumes, g.replayed_frames), (0, 0));
-        assert_eq!(e.resumes, 0);
-        // Same computation as the plain drivers.
-        let (pg, _) = run_local_session(&c, &gb, &eb, 7, &config).unwrap();
-        assert_eq!(pg.outputs, g.outputs);
-        assert_eq!(pg.tables, g.tables);
+        use haac_workloads::{build, Scale, WorkloadKind};
+
+        for kind in WorkloadKind::ALL {
+            let w = build(kind, Scale::Small);
+            let config = SessionConfig::for_circuit(&w.circuit).with_ack_interval(2);
+            let seed = 7 + kind as u64;
+            let (c, gb, eb) = (&w.circuit, &w.garbler_bits, &w.evaluator_bits);
+            let run = |driver| recorded_session(driver, c, gb, eb, &config, seed);
+            let (plain_sent, plain_replies, pg, pe) = run(Driver::Plain);
+            let (sent, replies, g, e) = run(Driver::Resumable);
+            for report in [&pg, &pe, &g, &e] {
+                assert_eq!(report.outputs, w.expected, "{}", kind.name());
+                assert_eq!((report.resumes, report.replayed_frames), (0, 0));
+            }
+
+            assert_eq!(plain_sent.len(), sent.len(), "{}", kind.name());
+            for (plain, resumable) in plain_sent.iter().zip(&sent) {
+                match (plain, resumable) {
+                    (Message::Header(plain), Message::Header(resumable)) => {
+                        assert_eq!(plain.ack_interval, 0, "a plain session asks for no acks");
+                        assert_eq!(SessionHeader { ack_interval: 2, ..*plain }, *resumable);
+                    }
+                    _ => assert!(plain == resumable, "{}: {}", kind.name(), plain.name()),
+                }
+            }
+
+            assert!(!plain_replies.iter().any(is_ack), "{}: unasked-for ack", kind.name());
+            let acks = replies.iter().filter(|m| is_ack(m)).count() as u64;
+            assert_eq!(acks, g.table_chunks / 2, "{}: one ack per two frames", kind.name());
+            let replies: Vec<Message> = replies.into_iter().filter(|m| !is_ack(m)).collect();
+            assert!(plain_replies == replies, "{}: evaluator messages differ", kind.name());
+        }
     }
 
     /// A bank-served session must be indistinguishable on the wire from
-    /// an online-garbled one: same seed → same Δ/labels/tables → same
-    /// frames, same flush boundaries, same outputs — with zero online
-    /// cipher work.
+    /// an online-garbled one: same seed → same Δ/labels/tables → the
+    /// same messages in both directions, header and acks included —
+    /// with zero online cipher work.
     #[test]
     fn banked_replay_is_transcript_identical_to_online_resumable() {
-        let c = adder(32);
-        let config = SessionConfig::for_circuit(&c).with_chunk_tables(2).with_ack_interval(2);
-        let gb = to_bits(123_456, 32);
-        let eb = to_bits(654_321, 32);
-        let (online_g, online_e) =
-            run_resumable_pair_with(false, &c, 7, &config, &gb, &eb, None, &|ch| Box::new(ch))
-                .expect("online resumable session");
-        let (banked_g, banked_e) =
-            run_resumable_pair_with(true, &c, 7, &config, &gb, &eb, None, &|ch| Box::new(ch))
-                .expect("banked resumable session");
-        assert_eq!(banked_g.outputs, online_g.outputs);
-        assert_eq!(banked_e.outputs, online_e.outputs);
-        assert_eq!(banked_g.tables, online_g.tables);
-        assert_eq!(banked_g.table_chunks, online_g.table_chunks);
-        assert_eq!(banked_g.bytes_sent, online_g.bytes_sent, "identical framing");
-        assert_eq!(banked_g.flushes, online_g.flushes, "identical flush boundaries");
-        assert_eq!(banked_e.bytes_received, online_e.bytes_received);
-        assert_eq!(banked_g.crypto, CryptoCounters::default(), "zero online cipher work");
-        assert_ne!(online_g.crypto, CryptoCounters::default(), "online garbling does compute");
+        use haac_workloads::{build, Scale, WorkloadKind};
+
+        for kind in WorkloadKind::ALL {
+            let w = build(kind, Scale::Small);
+            let config = SessionConfig::for_circuit(&w.circuit).with_ack_interval(2);
+            let seed = 7 + kind as u64;
+            let (c, gb, eb) = (&w.circuit, &w.garbler_bits, &w.evaluator_bits);
+            let run = |driver| recorded_session(driver, c, gb, eb, &config, seed);
+            let (online_sent, online_replies, online_g, online_e) = run(Driver::Resumable);
+            let (banked_sent, banked_replies, banked_g, banked_e) = run(Driver::Banked);
+            assert_eq!(banked_g.outputs, w.expected, "{}", kind.name());
+            assert_eq!(banked_e.outputs, w.expected, "{}", kind.name());
+            assert!(banked_sent == online_sent, "{}: garbler messages differ", kind.name());
+            assert!(banked_replies == online_replies, "{}: evaluator messages differ", kind.name());
+            assert_eq!(banked_g.table_chunks, online_g.table_chunks);
+            assert_eq!(banked_g.bytes_sent, online_g.bytes_sent, "identical framing");
+            assert_eq!(banked_g.flushes, online_g.flushes, "identical flush boundaries");
+            assert_eq!(banked_e.bytes_received, online_e.bytes_received);
+            assert_eq!(banked_g.crypto, CryptoCounters::default(), "zero online cipher work");
+            assert_ne!(online_g.crypto, CryptoCounters::default(), "online garbling does compute");
+        }
     }
 
     /// Satellite of the bank work: bank-served sessions must survive the
@@ -3699,7 +2755,7 @@ mod tests {
         let other = adder(16);
         let config = SessionConfig::for_circuit(&c);
         let other_config = SessionConfig::for_circuit(&other);
-        let plan = other_config.plan.as_ref().unwrap();
+        let plan = &other_config.plan;
         let pool = haac_gc::EnginePool::new(1);
         let mut rng = StdRng::seed_from_u64(3);
         let instance = haac_gc::garble_plan_in(&plan.program, &mut rng, config.scheme, &pool);
@@ -3712,26 +2768,52 @@ mod tests {
         assert!(err.to_string().contains("banked instance shape"), "{err}");
     }
 
-    #[test]
-    fn autotune_widens_ring_and_chunk_from_the_same_imbalance() {
-        // Compute-bound or balanced: nothing changes.
-        assert_eq!(autotune_stream_shape(10, 10, 3, 64, false), (3, 64));
-        assert_eq!(autotune_stream_shape(5, 10, 3, 64, false), (3, 64));
-        // Transfers dominate 4×: ring grows toward the ratio, chunk
-        // grows by the ratio.
-        assert_eq!(autotune_stream_shape(40, 10, 3, 64, false), (5, 256));
-        // Both levers are capped: the ring at its ceiling, the chunk at
-        // the default frame (a small-window frame grows up to it, a
-        // default one has nowhere to go).
-        assert_eq!(
-            autotune_stream_shape(1000, 1, 3, 1024, false),
-            (MAX_PIPELINE_DEPTH, FRAME_TABLES)
-        );
-        assert_eq!(autotune_stream_shape(40, 10, 3, FRAME_TABLES, false), (5, FRAME_TABLES));
-        // A pinned chunk size only ever moves the ring.
-        assert_eq!(autotune_stream_shape(40, 10, 3, 64, true), (5, 64));
-        // Depth never shrinks below what the session started with.
-        assert_eq!(autotune_stream_shape(11, 10, 4, 64, false).0, 4);
+    /// One plain session — `run_garbler` against `run_evaluator_with`,
+    /// whose resume callbacks are the drivers' own and decline — with
+    /// the evaluator's connection cut at channel operation `op`.
+    /// Returns both outcomes and the messages the evaluator had
+    /// received in full when it stopped.
+    fn run_plain_pair_cut(
+        c: &Circuit,
+        seed: u64,
+        config: &SessionConfig,
+        gb: &[bool],
+        eb: &[bool],
+        op: u64,
+    ) -> (Result<SessionReport, RuntimeError>, Result<SessionReport, RuntimeError>, Vec<Message>)
+    {
+        use crate::fault::{FaultChannel, FaultSpec};
+        use rand::rngs::StdRng;
+
+        let (mut g_end, e_end) = crate::channel::MemChannel::pair();
+        let tee = RecvTee { inner: e_end, received: Vec::new() };
+        let mut e_end = FaultChannel::new(tee, FaultSpec::cut_at_op(op), seed);
+        std::thread::scope(|scope| {
+            let garbler = scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(seed);
+                run_garbler(c, gb, &mut rng, config, &mut g_end)
+            });
+            let evaluator = scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
+                let outcome = run_evaluator_with(c, eb, &mut rng, config, &mut e_end);
+                // The connection dies with this thread, as a dropped
+                // client's would; only the recording leaves it.
+                (outcome, e_end.into_inner().received)
+            });
+            let g = garbler.join().expect("garbler thread panicked");
+            let (e, received) = evaluator.join().expect("evaluator thread panicked");
+            (g, e, parse_messages(received))
+        })
+    }
+
+    fn cut_sweep(
+        c: &Circuit,
+        config: &SessionConfig,
+        gb: &[bool],
+        eb: &[bool],
+        ops: std::ops::Range<u64>,
+    ) -> (u64, u64) {
+        cut_sweep_with(Driver::Resumable, c, config, gb, eb, ops)
     }
 
     /// Cuts the evaluator's connection at every channel operation in
@@ -3743,7 +2825,15 @@ mod tests {
     /// replayed bytes coming out of the garbler's buffer
     /// (replayed_frames > 0), never from a second garbling. Returns how
     /// many cuts resumed and how many ended retry-safe.
-    fn cut_sweep(
+    ///
+    /// Under [`Driver::Plain`] the callbacks are the drivers' own and
+    /// decline ([`run_plain_pair_cut`]), so nothing can resume: every
+    /// cut must end both parties in a typed error, the evaluator's retry-safe exactly
+    /// when the cut fell before the table stream opened (base OT: before
+    /// `OtCiphertexts` had arrived in full). The first count is then the
+    /// cuts that fell mid-stream and were terminal.
+    fn cut_sweep_with(
+        driver: Driver,
         c: &Circuit,
         config: &SessionConfig,
         gb: &[bool],
@@ -3756,6 +2846,38 @@ mod tests {
         let mut replayed_nothing = None;
         let mut swept_to_the_end = false;
         for op in ops {
+            if matches!(driver, Driver::Plain) {
+                let (g, e, received) = run_plain_pair_cut(c, 7, config, gb, eb, op);
+                let (g_err, e_err) = match (g, e) {
+                    (Ok(g), Ok(e)) => {
+                        assert_eq!(
+                            (&g.outputs, &e.outputs),
+                            (&baseline.outputs, &baseline.outputs)
+                        );
+                        swept_to_the_end = true;
+                        break;
+                    }
+                    (g, e) => (
+                        g.err().unwrap_or_else(|| panic!("cut at op {op}: garbler finished alone")),
+                        e.err()
+                            .unwrap_or_else(|| panic!("cut at op {op}: evaluator finished alone")),
+                    ),
+                };
+                let streaming = received.iter().any(|m| matches!(m, Message::OtCiphertexts(_)));
+                assert!(g_err.phase().is_some(), "cut at op {op}: untyped failure: {g_err}");
+                assert!(e_err.phase().is_some(), "cut at op {op}: untyped failure: {e_err}");
+                assert_eq!(e_err.retry_safe(), !streaming, "cut at op {op}: {e_err}");
+                if streaming {
+                    // The garbler had sent the last OT message, so it
+                    // was streaming too; before that the two sides may
+                    // disagree (see below).
+                    assert!(!g_err.retry_safe(), "cut at op {op}: {g_err}");
+                    resumed += 1;
+                } else {
+                    retry_safe += 1;
+                }
+                continue;
+            }
             match run_resumable_pair(c, 7, config, gb, eb, Some(op), &|ch| Box::new(ch)) {
                 Ok((g, e)) => {
                     assert_eq!(g.outputs, baseline.outputs, "cut at op {op}");
@@ -3808,6 +2930,28 @@ mod tests {
             cut_sweep(&c, &config, &to_bits(123_456, 32), &to_bits(654_321, 32), 1..60);
         assert!(resumed > 0, "the sweep never exercised a resume");
         assert!(retry_safe > 0, "the sweep never hit the retry-safe region");
+    }
+
+    /// The fold's other half: the plain entry points run the same loop
+    /// with callbacks that decline, so the same cuts must end every
+    /// session in a typed error — retry-safe before the stream, terminal
+    /// in it — and never hang on a peer that is gone.
+    #[test]
+    fn cut_sweep_through_the_plain_drivers_ends_every_cut_in_a_typed_error() {
+        let c = adder(32);
+        let config = SessionConfig::for_circuit(&c).with_chunk_tables(2).with_ack_interval(2);
+        let (mid_stream, retry_safe) = cut_sweep_with(
+            Driver::Plain,
+            &c,
+            &config,
+            &to_bits(123_456, 32),
+            &to_bits(654_321, 32),
+            1..u64::MAX,
+        );
+        assert!(retry_safe > 0, "the sweep never hit the retry-safe region");
+        // Three receives per frame: every frame of the stream was cut.
+        let frames = (c.num_and_gates() as u64).div_ceil(2);
+        assert!(mid_stream >= 3 * frames, "only {mid_stream} cuts over {frames} frames");
     }
 
     /// The same sweep on the framing a server actually uses: the frame
@@ -4035,18 +3179,17 @@ mod tests {
         let script: Vec<u8> = messages.iter().flat_map(|m| encode_frame(m).unwrap()).collect();
 
         // Same evaluator seed ⇒ same OT messages ⇒ the recorded replies
-        // still fit; every receive loop must refuse the inflated frame
-        // instead of dropping the surplus and completing.
+        // still fit; the receive loop must refuse the inflated frame
+        // instead of dropping the surplus and completing, through
+        // either entry point.
         let replay = || ScriptChannel { script: script.clone(), pos: 0 };
-        let serial = config.clone().with_pipeline(false);
         let outcomes = [
-            run_evaluator_with(&c, &eb, &mut evaluator_rng(), &serial, &mut replay()),
             run_evaluator_with(&c, &eb, &mut evaluator_rng(), &config, &mut replay()),
             run_evaluator_resumable(&c, &eb, &mut evaluator_rng(), &config, replay(), 9, |_, _| {
                 None
             }),
         ];
-        for (outcome, driver) in outcomes.into_iter().zip(["serial", "pipelined", "resumable"]) {
+        for (outcome, driver) in outcomes.into_iter().zip(["plain", "resumable"]) {
             let err = outcome.expect_err(driver);
             assert_eq!(err.phase(), Some(SessionPhase::Stream), "{driver}: {err}");
             assert!(
@@ -4099,6 +3242,70 @@ mod tests {
             g.compute_ns
         );
         assert!(e.compute_ns > g.compute_ns, "evaluation is the work that bounds the stream");
+    }
+
+    /// Everything an honest evaluator sends a resumable garbler (seed
+    /// 5) on a one-table-per-frame, ack-every-frame adder session.
+    fn honest_replies(c: &Circuit, config: &SessionConfig) -> Vec<Message> {
+        let (gb, eb) = (to_bits(40_000, 32), to_bits(2_000, 32));
+        let (_, replies, g, _) = recorded_session(Driver::Resumable, c, &gb, &eb, config, 5);
+        assert_eq!(replies.iter().filter(|m| is_ack(m)).count() as u64, g.table_chunks);
+        replies
+    }
+
+    /// The same garbler against a scripted evaluator that never shares
+    /// outputs: returns what the garbler makes of the script.
+    fn garbler_against_script(
+        c: &Circuit,
+        config: &SessionConfig,
+        script: &[Message],
+    ) -> RuntimeError {
+        use rand::rngs::StdRng;
+
+        let script = script.iter().flat_map(|m| encode_frame(m).unwrap()).collect();
+        let peer = ScriptChannel { script, pos: 0 };
+        let mut rng = StdRng::seed_from_u64(5);
+        let decline = |_: &RuntimeError, _| None;
+        run_garbler_resumable(c, &to_bits(40_000, 32), &mut rng, config, peer, decline)
+            .expect_err("the scripted peer never shares outputs")
+    }
+
+    fn assert_stale_ack(err: &RuntimeError, phase: SessionPhase) {
+        assert_eq!(err.phase(), Some(phase), "{err}");
+        assert!(
+            matches!(err, RuntimeError::Phased { source, .. }
+                if matches!(&**source, RuntimeError::Protocol(m) if m.contains("does not advance"))),
+            "{err}"
+        );
+    }
+
+    /// An evaluator that answers the OT honestly and then drips
+    /// `ChunkAck{0}` would re-arm the chunk deadline with every message
+    /// while the garbler waits for its replay window to open. The first
+    /// one is refused instead of being read past.
+    #[test]
+    fn a_stale_ack_dripped_into_a_full_replay_window_is_a_typed_stream_error() {
+        let c = adder(32);
+        let config = SessionConfig::for_circuit(&c).with_chunk_tables(1).with_ack_interval(1);
+        let mut script: Vec<Message> =
+            honest_replies(&c, &config).into_iter().take_while(|m| !is_ack(m)).collect();
+        script.extend(vec![Message::ChunkAck { upto_seq: 0 }; 3]);
+        assert_stale_ack(&garbler_against_script(&c, &config, &script), SessionPhase::Stream);
+    }
+
+    /// The output tail reads acks too: an evaluator that acknowledges
+    /// everything and then repeats its last valid cursor in place of the
+    /// outputs is refused at the first repeat.
+    #[test]
+    fn a_repeated_ack_in_the_output_tail_is_a_typed_output_error() {
+        let c = adder(32);
+        let config = SessionConfig::for_circuit(&c).with_chunk_tables(1).with_ack_interval(1);
+        let mut script = honest_replies(&c, &config);
+        assert!(matches!(script.pop(), Some(Message::Outputs(_))));
+        let last_ack = script.last().cloned().expect("the honest run acked");
+        assert!(is_ack(&last_ack));
+        script.extend(vec![last_ack; 3]);
+        assert_stale_ack(&garbler_against_script(&c, &config, &script), SessionPhase::Output);
     }
 
     #[test]

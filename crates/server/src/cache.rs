@@ -37,7 +37,7 @@ pub struct CachedWorkload {
 impl CachedWorkload {
     /// The lowered streaming plan shared by every session of this entry.
     pub fn plan(&self) -> &Arc<StreamingPlan> {
-        self.config.plan.as_ref().expect("cached configs always carry a plan")
+        &self.config.plan
     }
 }
 

@@ -341,11 +341,29 @@ impl Server {
     /// Binds a TCP listener and serves every accepted connection as a
     /// session. Returns the bound address (use port 0 for ephemeral).
     ///
+    /// While the only base OT is the 127-bit group of the `insecure-ot`
+    /// feature, sessions are served on loopback addresses only: that
+    /// group protects no evaluator input against a network adversary.
+    ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// Propagates bind failures; refuses a non-loopback address with
+    /// [`io::ErrorKind::InvalidInput`] while `insecure-ot` is the active
+    /// base OT.
     pub fn listen_tcp(&mut self, addr: impl ToSocketAddrs) -> io::Result<SocketAddr> {
-        let listener = TcpListener::bind(addr)?;
+        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
+        if haac_gc::ot::BASE_OT_IS_INSECURE {
+            if let Some(public) = addrs.iter().find(|a| !a.ip().is_loopback()) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "refusing to serve sessions on {public}: the 127-bit `insecure-ot` \
+                         group is the active base OT, so only loopback binds are allowed"
+                    ),
+                ));
+            }
+        }
+        let listener = TcpListener::bind(&addrs[..])?;
         let local = listener.local_addr()?;
         let pool = Arc::clone(&self.pool);
         let shared = Arc::clone(&self.shared);

@@ -48,6 +48,20 @@ fn concurrent_mem_sessions_share_the_pool_and_cache() {
 }
 
 #[test]
+fn session_listener_refuses_a_public_bind_while_the_base_ot_is_insecure() {
+    let mut server = Server::new(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let err = server.listen_tcp("0.0.0.0:0").expect_err("a wildcard bind is public");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("insecure-ot"), "{err}");
+    server.listen_tcp("127.0.0.1:0").expect("IPv4 loopback binds");
+    // IPv6 loopback, where the host has it.
+    if std::net::TcpListener::bind("[::1]:0").is_ok() {
+        server.listen_tcp("[::1]:0").expect("IPv6 loopback binds");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn tcp_sessions_run_end_to_end() {
     let mut server = Server::new(ServerConfig { workers: 2, ..ServerConfig::default() });
     let addr = server.listen_tcp("127.0.0.1:0").expect("bind ephemeral port");
@@ -300,8 +314,7 @@ fn mid_load_scrape_reports_nonzero_throughput_and_utilization() {
 
 #[test]
 fn stall_attribution_reconciles_with_the_streaming_wall_clock() {
-    // The server's resumable garbler streams serially (the replay
-    // buffer must see frames in wire order), so its compute and send
+    // The garbler's compute and send alternate, so its compute and send
     // segments must tile the streaming phase's wall clock — generously
     // bounded because 1-core CI charges scheduler latency to whichever
     // side resumes last.
@@ -322,9 +335,6 @@ fn stall_attribution_reconciles_with_the_streaming_wall_clock() {
         report.io_stall_ns,
         report.stream_ns
     );
-    // Serial streaming: no ring, so no reported depth (the pipelined
-    // attribution invariants live in the runtime tests).
-    assert_eq!(report.pipeline_depth, 0);
     server.shutdown();
 }
 

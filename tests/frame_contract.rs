@@ -23,11 +23,7 @@ fn default_frame_is_64_kib_or_half_a_smaller_window_and_sessions_frame_by_it() {
     for (kind, scale) in served_circuits() {
         let name = format!("{} at {scale:?}", kind.name());
         let w = build_workload(kind, scale);
-        // The strictly alternating loop, which is also what a server
-        // runs: the pipelined garbler may merge small-window frames
-        // mid-stream, and this test pins the exact count.
-        let config =
-            SessionConfig::for_circuit_with(&w.circuit, choose_reorder(kind)).with_pipeline(false);
+        let config = SessionConfig::for_circuit_with(&w.circuit, choose_reorder(kind));
         assert_eq!(config.chunk_override, None, "{name}: the default, not a pin");
         let frame = config.chunk_tables();
         let half = config.window.half() as usize;

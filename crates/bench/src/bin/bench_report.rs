@@ -4,7 +4,9 @@
 //! half-gate AES hash — on every available backend, plus one real
 //! end-to-end streaming session of the AES-128 VIP workload, and
 //! writes `BENCH_gatecrypto.json` at the repo root so successive PRs
-//! have a perf trajectory to track.
+//! have a perf trajectory to track. Self-gating: on the AES-NI row the
+//! re-keyed `garble_and` must reach 0.45 of the fixed-key rate of the
+//! same run.
 //!
 //! Run with: `cargo run --release -p haac-bench --bin bench_report`
 //!
@@ -68,6 +70,10 @@ struct ParallelRate {
     engines: usize,
     gates_per_sec: f64,
 }
+
+/// Least share of the fixed-key `garble_and` rate the re-keyed one must
+/// reach on the AES-NI backend.
+const REKEYED_VS_FIXED_KEY_FLOOR: f64 = 0.45;
 
 /// Times a closure until it has run for ~200 ms; returns calls/second.
 fn rate(mut f: impl FnMut()) -> f64 {
@@ -222,4 +228,21 @@ fn main() {
     std::fs::write(&out, &json).expect("BENCH_gatecrypto.json is writable");
     event!("bench_report", "wrote {out}");
     println!("{json}");
+
+    // The regression gate, after the file is written so a failing run
+    // still leaves its numbers behind. A same-run ratio, so the host's
+    // speed cancels: it reads ~0.79 while the AES-NI schedules are
+    // derived in the same pass as the rounds, and fell to 0.36 when
+    // they were built apart from a slower instruction.
+    if let Some(aesni) = report.backends.iter().find(|r| r.backend == AesBackend::AesNi.name()) {
+        let ratio = aesni.garble_and_per_sec / aesni.garble_and_fixed_key_per_sec;
+        assert!(
+            ratio >= REKEYED_VS_FIXED_KEY_FLOOR,
+            "aesni re-keyed garble_and runs at {ratio:.2} of the fixed-key rate \
+             ({:.0} vs {:.0}/s); the floor is {REKEYED_VS_FIXED_KEY_FLOOR}",
+            aesni.garble_and_per_sec,
+            aesni.garble_and_fixed_key_per_sec,
+        );
+        event!("bench_report", "aesni re-keyed/fixed-key garble_and ratio {ratio:.2}: gate passed");
+    }
 }

@@ -5,7 +5,8 @@
 //! implement the same computation in custom logic. This module mirrors
 //! that split in software: a single [`Aes128`] facade dispatches to
 //!
-//! - **AES-NI** (`aesenc`/`aeskeygenassist`) on x86_64,
+//! - **AES-NI** (`aesenc`, and a key schedule built on `aesenclast`) on
+//!   x86_64,
 //! - **ARMv8 crypto extensions** (`AESE`/`AESMC`) on aarch64,
 //! - a **portable** byte-oriented implementation everywhere — the
 //!   always-correct fallback, validated against FIPS-197 and NIST
@@ -18,8 +19,11 @@
 //! path exercised. Batch entry points ([`Aes128::encrypt_blocks`],
 //! [`encrypt_lanes`]) keep up to [`MAX_LANES`] independent blocks in
 //! flight so superscalar AES units pipeline the way HAAC's gate engines
-//! do. The workload structure (2 key expansions + 4 AES calls per
-//! garbled AND, §2.1/Fig. 2) is identical across backends.
+//! do; `encrypt_rekeyed` is the unit of the re-keyed gate hash, a few
+//! fresh keys used on a block or two each, which AES-NI runs as one
+//! fused schedule-and-encrypt pass. The workload structure (2 key
+//! expansions + 4 AES calls per garbled AND, §2.1/Fig. 2) is identical
+//! across backends.
 
 use std::sync::OnceLock;
 
@@ -46,7 +50,7 @@ pub const MAX_LANES: usize = 8;
 pub enum AesBackend {
     /// Byte-oriented software AES; compiled everywhere, always correct.
     Portable,
-    /// x86_64 AES-NI (`aesenc` / `aeskeygenassist`).
+    /// x86_64 AES-NI (`aesenc` / `aesenclast`, with SSSE3 `pshufb`).
     AesNi,
     /// aarch64 crypto extensions (`AESE` / `AESMC`).
     Neon,
@@ -131,14 +135,7 @@ impl Aes128 {
     /// equivalence tests use this to pin a backend.
     pub fn with_backend(key: [u8; 16], backend: AesBackend) -> Aes128 {
         let backend = if backend.is_available() { backend } else { AesBackend::Portable };
-        let round_keys = match backend {
-            #[cfg(target_arch = "x86_64")]
-            AesBackend::AesNi => unsafe { aesni::expand_key(key) },
-            // aarch64 has no key-schedule instructions; the portable
-            // schedule feeds the hardware rounds.
-            _ => portable::expand_key(key),
-        };
-        Aes128 { round_keys, backend }
+        Aes128 { round_keys: expand_key(backend, key), backend }
     }
 
     /// Creates a cipher keyed by a [`Block`] (the per-gate tweak under
@@ -153,7 +150,9 @@ impl Aes128 {
         self.backend
     }
 
-    pub(crate) fn round_keys(&self) -> &RoundKeys {
+    /// The expanded schedule, round key 0 (the key itself) first — what
+    /// the equivalence tests compare across backends.
+    pub fn round_keys(&self) -> &[[u8; 16]; 11] {
         &self.round_keys
     }
 
@@ -187,34 +186,59 @@ impl Aes128 {
     }
 }
 
-/// Expands `keys[i]` into `out[i]` on `backend`. On AES-NI the
-/// schedules run **pairwise interleaved** ([`aesni::expand_key2`]):
-/// each schedule is a serial `aeskeygenassist` chain, so overlapping
-/// two chains — the j0/j1 tweak pair of one half-gate — nearly halves
-/// the re-keying latency the paper's Fig. 2 identifies as the dominant
-/// per-gate cost.
-pub(crate) fn expand_many(backend: AesBackend, keys: &[[u8; 16]], out: &mut [RoundKeys]) {
-    debug_assert_eq!(keys.len(), out.len());
+/// The schedule of `key` written out to memory, on an available
+/// `backend`: the unfused form, for a cipher that outlives the call or
+/// for [`encrypt_lanes_rk`] to read back.
+fn expand_key(backend: AesBackend, key: [u8; 16]) -> RoundKeys {
     match backend {
         #[cfg(target_arch = "x86_64")]
-        AesBackend::AesNi => {
-            let mut i = 0;
-            while i + 2 <= keys.len() {
-                let (a, b) = unsafe { aesni::expand_key2(keys[i], keys[i + 1]) };
-                out[i] = a;
-                out[i + 1] = b;
-                i += 2;
-            }
-            if i < keys.len() {
-                out[i] = unsafe { aesni::expand_key(keys[i]) };
-            }
-        }
-        _ => {
-            for (key, slot) in keys.iter().zip(out.iter_mut()) {
-                *slot = portable::expand_key(*key);
+        AesBackend::AesNi => unsafe { aesni::key_schedule(key) },
+        // aarch64 has no key-schedule instructions; the portable
+        // schedule feeds the hardware rounds.
+        _ => portable::expand_key(key),
+    }
+}
+
+/// Most fresh keys one [`encrypt_rekeyed`] group may carry.
+pub(crate) const MAX_REKEYED_KEYS: usize = 4;
+
+/// Encrypts `blocks[k·b..(k+1)·b]` in place under the fresh key
+/// `keys[k]`, where `b = blocks.len() / keys.len()` — the unit of the
+/// re-keyed gate hash, whose keys are used once and thrown away. At
+/// most [`MAX_REKEYED_KEYS`] keys and [`MAX_LANES`] blocks.
+///
+/// On AES-NI the shapes the gate ops produce run through the fused
+/// schedule-and-encrypt kernel ([`aesni::encrypt_rekeyed`]), which
+/// keeps every schedule in registers. Any other shape, and every other
+/// backend, expands the schedules to memory and pipelines the lanes
+/// over them.
+pub(crate) fn encrypt_rekeyed(backend: AesBackend, keys: &[[u8; 16]], blocks: &mut [Block]) {
+    let per_key = blocks.len() / keys.len();
+    debug_assert_eq!(keys.len() * per_key, blocks.len());
+    debug_assert!(keys.len() <= MAX_REKEYED_KEYS && blocks.len() <= MAX_LANES);
+    #[cfg(target_arch = "x86_64")]
+    if backend == AesBackend::AesNi {
+        // SAFETY: `AesNi` is only ever stored after `aesni::available()`
+        // returned true.
+        unsafe {
+            match (keys.len(), per_key) {
+                (4, 2) => return aesni::encrypt_rekeyed::<4, 2>(keys, blocks),
+                (2, 2) => return aesni::encrypt_rekeyed::<2, 2>(keys, blocks),
+                (4, 1) => return aesni::encrypt_rekeyed::<4, 1>(keys, blocks),
+                (2, 1) => return aesni::encrypt_rekeyed::<2, 1>(keys, blocks),
+                _ => {}
             }
         }
     }
+    let mut scheds = [[[0u8; 16]; 11]; MAX_REKEYED_KEYS];
+    for (sched, key) in scheds.iter_mut().zip(keys) {
+        *sched = expand_key(backend, *key);
+    }
+    let mut refs = [&scheds[0]; MAX_LANES];
+    for (lane, sched) in refs.iter_mut().enumerate().take(blocks.len()) {
+        *sched = &scheds[lane / per_key];
+    }
+    encrypt_lanes_rk(backend, &refs[..blocks.len()], blocks);
 }
 
 /// Encrypts `blocks[i]` under `schedules[i]` in place, dispatching the

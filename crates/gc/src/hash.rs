@@ -4,24 +4,27 @@
 //! Paper §2.1: *"the Half-Gate uses the gate index as the key to
 //! construct the AES hash. An important step here is key expansion …
 //! HAAC uses re-keying rather than fixed-key, processing full key
-//! expansions at extra computational cost"* (measured at +27.5% per
-//! half-gate; our criterion bench `gate_crypto` reproduces the shape of
-//! that claim).
+//! expansions at extra computational cost"* (measured there at +27.5%
+//! per half-gate). Here, on AES-NI, a re-keyed `garble_and` costs +27%
+//! over a fixed-key one (14.2 M against 18.0 M calls/s, the `aesni` row
+//! of `BENCH_gatecrypto.json`; `bench_report` gates the ratio), because
+//! the schedules are derived in registers in the same pass as the
+//! rounds they feed (`aes::encrypt_rekeyed`); the software-AES
+//! fallback pays +55%.
 //!
 //! Both tweaks of an AND gate hash **two** labels each, so a
 //! [`GateHash`] exposes exactly the shapes the gate ops need:
 //! [`pair`](GateHash::pair) (one key expansion, two blocks) and
 //! [`hash_batch`](GateHash::hash_batch) (N independent lanes in flight,
-//! consecutive equal tweaks sharing one expansion). Every call is
-//! metered — key expansions and AES block invocations accumulate in
-//! per-instance [`CryptoCounters`], which is how the "2 expansions per
-//! AND gate" invariant is verified rather than asserted.
+//! consecutive equal tweaks sharing one expansion, whole runs handed
+//! to the cipher a few fresh keys at a time). Every call is metered —
+//! key expansions and AES block invocations accumulate in per-instance
+//! [`CryptoCounters`], which is how the "2 expansions per AND gate"
+//! invariant is verified rather than asserted.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::aes::{
-    active_backend, encrypt_lanes_rk, expand_many, Aes128, AesBackend, RoundKeys, MAX_LANES,
-};
+use crate::aes::{active_backend, encrypt_rekeyed, Aes128, AesBackend, MAX_REKEYED_KEYS};
 use crate::block::Block;
 
 /// Tweak namespace for **base-OT** key derivation. Gate tweaks are
@@ -170,10 +173,11 @@ impl GateHash {
     }
 
     /// Hashes `xs[i]` under `tweaks[i]` into `out[i]`, keeping up to
-    /// [`MAX_LANES`] independent AES blocks in flight. Runs of
-    /// **consecutive equal tweaks share one key expansion**, which is
-    /// what brings a re-keyed AND gate from four expansions down to two.
-    /// Equivalent to calling [`hash`](GateHash::hash) per lane.
+    /// [`MAX_LANES`](crate::aes::MAX_LANES) independent AES blocks in
+    /// flight. A run of **consecutive equal tweaks shares one key
+    /// expansion**, however long it is, which is what brings a re-keyed
+    /// AND gate from four expansions down to two. Equivalent to calling
+    /// [`hash`](GateHash::hash) per lane.
     ///
     /// # Panics
     ///
@@ -198,38 +202,41 @@ impl GateHash {
 
     fn rekeyed_batch(&self, xs: &[Block], tweaks: &[u64], out: &mut [Block]) {
         let backend = self.fixed.backend();
+        let n = xs.len();
+        // Length of the run of equal tweaks that starts at lane `at`.
+        let run_len = |at: usize| tweaks[at..].iter().take_while(|&&t| t == tweaks[at]).count();
+        out.copy_from_slice(xs);
         let mut expansions = 0u64;
-        // Chunk scratch, initialized once per call, overwritten up to
-        // `m`/`n` per chunk.
-        let mut uniq = [[0u8; 16]; MAX_LANES];
-        let mut lane_sched = [0usize; MAX_LANES];
-        let mut scheds = [[[0u8; 16]; 11]; MAX_LANES];
         let mut start = 0usize;
-        while start < xs.len() {
-            let n = (xs.len() - start).min(MAX_LANES);
-            // Dedupe consecutive equal tweaks: one expansion per unique
-            // tweak (the AND-gate shape [j0,j0,j1,j1] expands twice).
-            let mut m = 0usize;
-            for lane in 0..n {
-                let t = tweaks[start + lane];
-                if lane == 0 || t != tweaks[start + lane - 1] {
-                    uniq[m] = Block::from(u128::from(t)).to_bytes();
-                    m += 1;
+        while start < n {
+            let per_key = run_len(start);
+            let mut end = start;
+            if per_key > 2 {
+                // A long run is one cipher: one expansion however many
+                // lanes it spans.
+                end += per_key;
+                expansions += 1;
+                self.tweak_cipher(tweaks[start]).encrypt_blocks(&mut out[start..end]);
+            } else {
+                // A group of whole runs of one length, a fresh key
+                // each: the AND-gate shape [j0,j0,j1,j1] is two keys of
+                // two lanes, an evaluator's [j0,j1] two keys of one.
+                let mut keys = [[0u8; 16]; MAX_REKEYED_KEYS];
+                let mut k = 0usize;
+                while k < MAX_REKEYED_KEYS && end < n && run_len(end) == per_key {
+                    keys[k] = Block::from(u128::from(tweaks[end])).to_bytes();
+                    k += 1;
+                    end += per_key;
                 }
-                lane_sched[lane] = m - 1;
+                expansions += k as u64;
+                encrypt_rekeyed(backend, &keys[..k], &mut out[start..end]);
             }
-            expansions += m as u64;
-            expand_many(backend, &uniq[..m], &mut scheds[..m]);
-            let refs: [&RoundKeys; MAX_LANES] =
-                std::array::from_fn(|lane| &scheds[lane_sched[lane.min(n - 1)]]);
-            out[start..start + n].copy_from_slice(&xs[start..start + n]);
-            encrypt_lanes_rk(backend, &refs[..n], &mut out[start..start + n]);
-            for lane in 0..n {
-                out[start + lane] ^= xs[start + lane];
-            }
-            start += n;
+            start = end;
         }
-        self.meter(expansions, xs.len() as u64);
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o ^= x;
+        }
+        self.meter(expansions, n as u64);
     }
 }
 

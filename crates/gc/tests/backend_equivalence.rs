@@ -1,10 +1,14 @@
 //! Backend-equivalence suite: every compiled AES backend must agree
 //! with the portable reference bit-for-bit — on FIPS-197 known-answer
-//! vectors, on 10k random (key, block) pairs, through the batched APIs,
-//! and through whole garbling transcripts.
+//! vectors and key schedules, on 10k random (key, block) pairs, through
+//! the batched APIs and every tweak-run shape of the gate hash, and
+//! through whole garbling transcripts.
 
 use haac_gc::aes::{active_backend, encrypt_lanes, Aes128, AesBackend};
-use haac_gc::{garble, garble_and, Block, Delta, GateHash, HashScheme};
+use haac_gc::{
+    eval_and_batch, garble, garble_and, garble_and_batch, Block, CryptoCounters, Delta, GateHash,
+    HashScheme, MAX_AND_BATCH,
+};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn available_backends() -> Vec<AesBackend> {
@@ -49,6 +53,52 @@ fn fips_known_answers_on_every_backend() {
         for (key, pt, expect) in vectors {
             let aes = Aes128::with_backend(key, backend);
             assert_eq!(aes.encrypt(pt), expect, "KAT failed on {}", backend.name());
+        }
+    }
+}
+
+/// All eleven round keys of the FIPS-197 Appendix A.1 key expansion, on
+/// every backend's schedule.
+#[test]
+fn fips197_a1_key_schedule_on_every_backend() {
+    const KEY: u128 = 0x2b7e151628aed2a6abf7158809cf4f3c;
+    const ROUND_KEYS: [u128; 11] = [
+        KEY,
+        0xa0fafe1788542cb123a339392a6c7605,
+        0xf2c295f27a96b9435935807a7359f67f,
+        0x3d80477d4716fe3e1e237e446d7a883b,
+        0xef44a541a8525b7fb671253bdb0bad00,
+        0xd4d1c6f87c839d87caf2b8bc11f915bc,
+        0x6d88a37a110b3efddbf98641ca0093fd,
+        0x4e54f70e5f5fc9f384a64fb24ea6dc4f,
+        0xead27321b58dbad2312bf5607f8d292f,
+        0xac7766f319fadc2128d12941575c006e,
+        0xd014f9a8c9ee2589e13f0cc8b6630ca6,
+    ];
+    for backend in available_backends() {
+        let aes = Aes128::with_backend(KEY.to_be_bytes(), backend);
+        for (round, (got, want)) in aes.round_keys().iter().zip(ROUND_KEYS).enumerate() {
+            assert_eq!(*got, want.to_be_bytes(), "{} round key {round}", backend.name());
+        }
+    }
+}
+
+/// 10k random keys: every hardware schedule equals the portable one.
+#[test]
+fn hardware_schedule_matches_portable_on_10k_random_keys() {
+    let mut rng = StdRng::seed_from_u64(0x5C4ED);
+    for backend in available_backends() {
+        if backend == AesBackend::Portable {
+            continue;
+        }
+        for i in 0..10_000u32 {
+            let key = Block::random(&mut rng).to_bytes();
+            assert_eq!(
+                Aes128::with_backend(key, backend).round_keys(),
+                Aes128::with_backend(key, AesBackend::Portable).round_keys(),
+                "{} diverged on key {i}",
+                backend.name()
+            );
         }
     }
 }
@@ -103,36 +153,87 @@ fn batched_encryption_matches_singles_on_every_backend() {
     }
 }
 
-/// `GateHash::hash_batch` and `GateHash::pair` equal sequential
-/// `hash` on every backend and both schemes.
+/// Lane `i` of `len` → its tweak.
+type TweakOf = fn(u64, u64) -> u64;
+
+/// The tweak-run shapes the gate hash groups by: every caller's shape
+/// (AND gates hash pairs, evaluators and OT rows distinct tweaks) and
+/// the ones that cut across its groups of whole runs.
+const TWEAK_SHAPES: [(&str, TweakOf); 6] = [
+    ("all equal", |_, _| 7),
+    ("pairs", |i, _| i / 2),
+    ("all distinct", |i, _| i),
+    ("runs of 3", |i, _| i / 3),
+    ("a run across the 8-lane boundary", |i, _| if (6..10).contains(&i) { 6 } else { i }),
+    ("pairs then a ragged tail", |i, len| if i + 3 < len { i / 2 } else { 100 + i }),
+];
+
+/// `GateHash::hash_batch` equals per-lane `hash` on every backend and
+/// both schemes, for every length up to five kernel groups and every
+/// tweak-run shape — and meters exactly one key expansion per run of
+/// equal tweaks, however the run falls across the kernel's groups.
 #[test]
 fn gate_hash_batches_match_sequential_on_every_backend() {
     let mut rng = StdRng::seed_from_u64(0x6A7E);
     for backend in available_backends() {
         for scheme in [HashScheme::Rekeyed, HashScheme::FixedKey] {
             let h = GateHash::with_backend(scheme, backend);
-            for len in [1usize, 4, 8, 13, 32] {
-                let xs: Vec<Block> = (0..len).map(|_| Block::random(&mut rng)).collect();
-                let tweaks: Vec<u64> = (0..len as u64).map(|i| 1000 + i / 2).collect();
-                let mut out = vec![Block::ZERO; len];
-                h.hash_batch(&xs, &tweaks, &mut out);
-                for i in 0..len {
+            for (shape, tweak_of) in TWEAK_SHAPES {
+                for len in 0..=40u64 {
+                    let xs: Vec<Block> = (0..len).map(|_| Block::random(&mut rng)).collect();
+                    let tweaks: Vec<u64> = (0..len).map(|i| tweak_of(i, len)).collect();
+                    let mut out = vec![Block::ZERO; xs.len()];
+                    let before = h.counters();
+                    h.hash_batch(&xs, &tweaks, &mut out);
+                    let cost = h.counters().since(before);
+                    let context = format!("{} {scheme:?} {shape} len={len}", backend.name());
+                    let runs = (0..tweaks.len())
+                        .filter(|&i| i == 0 || tweaks[i] != tweaks[i - 1])
+                        .count() as u64;
+                    let key_expansions = if scheme == HashScheme::Rekeyed { runs } else { 0 };
                     assert_eq!(
-                        out[i],
-                        h.hash(xs[i], tweaks[i]),
-                        "{} {scheme:?} len={len} lane={i}",
-                        backend.name()
+                        cost,
+                        CryptoCounters { key_expansions, aes_blocks: len },
+                        "{context}"
                     );
+                    for i in 0..xs.len() {
+                        assert_eq!(out[i], h.hash(xs[i], tweaks[i]), "{context} lane={i}");
+                    }
                 }
             }
-            let (p0, p1) = h.pair(xs_pair(&mut rng).0, xs_pair(&mut rng).1, 77);
-            let _ = (p0, p1); // shapes exercised; equality covered above
+            let (x0, x1) = (Block::random(&mut rng), Block::random(&mut rng));
+            assert_eq!(h.pair(x0, x1, 77), (h.hash(x0, 77), h.hash(x1, 77)));
         }
     }
 }
 
-fn xs_pair(rng: &mut StdRng) -> (Block, Block) {
-    (Block::random(rng), Block::random(rng))
+/// Batched half-gates of every batch size are bit-identical between each
+/// backend and the portable reference, garbling and evaluating.
+#[test]
+fn and_batches_are_backend_independent() {
+    let mut rng = StdRng::seed_from_u64(0xBA7C4);
+    let delta = Delta::random(&mut rng);
+    let reference = GateHash::with_backend(HashScheme::Rekeyed, AesBackend::Portable);
+    for backend in available_backends() {
+        let h = GateHash::with_backend(HashScheme::Rekeyed, backend);
+        for k in 1..=MAX_AND_BATCH {
+            let gates: Vec<(u64, Block, Block)> = (0..k as u64)
+                .map(|i| (1000 * k as u64 + i, Block::random(&mut rng), Block::random(&mut rng)))
+                .collect();
+            let mut garbled = vec![(Block::ZERO, [Block::ZERO; 2]); k];
+            let mut expected = garbled.clone();
+            garble_and_batch(&h, delta, &gates, &mut garbled);
+            garble_and_batch(&reference, delta, &gates, &mut expected);
+            assert_eq!(garbled, expected, "{} garble k={k}", backend.name());
+
+            let tables: Vec<[Block; 2]> = garbled.iter().map(|&(_, table)| table).collect();
+            let mut labels = vec![Block::ZERO; k];
+            let mut expected = labels.clone();
+            eval_and_batch(&h, &gates, &tables, &mut labels);
+            eval_and_batch(&reference, &gates, &tables, &mut expected);
+            assert_eq!(labels, expected, "{} evaluate k={k}", backend.name());
+        }
+    }
 }
 
 /// A hardware-garbled AND gate is bit-identical to a portable-garbled

@@ -61,7 +61,9 @@ pub mod server;
 pub use bank::{BankKey, InstanceBank};
 pub use cache::{CachedWorkload, CircuitCache};
 pub use metrics::{RefusalReason, ServerMetrics};
-pub use registry::{percentile, ServerReport, SessionId, SessionOutcome, SessionRegistry};
+pub use registry::{
+    percentile, ServerReport, SessionId, SessionOutcome, SessionRegistry, WorkloadLabel,
+};
 pub use request::{SessionHello, SessionRequest};
 pub use resume::{ResumeHandoff, ResumeStore, ResumeWait, TicketForge};
 pub use server::{choose_ot_mode, choose_reorder, Server, ServerConfig};

@@ -8,8 +8,8 @@
 //! total sessions, aggregate AND-gate throughput over the serving
 //! window, and p50/p99 session wall times.
 
-use std::collections::HashMap;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use haac_runtime::SessionReport;
@@ -24,6 +24,31 @@ impl std::fmt::Display for SessionId {
     }
 }
 
+/// A workload label interned by the registry: every session of one
+/// workload shares a single allocation, so a finished session costs the
+/// registry a reference count and not a `String`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WorkloadLabel(Arc<str>);
+
+impl WorkloadLabel {
+    /// The label as a string slice.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl std::fmt::Display for WorkloadLabel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl PartialEq<&str> for WorkloadLabel {
+    fn eq(&self, other: &&str) -> bool {
+        &*self.0 == *other
+    }
+}
+
 /// The record of one finished session.
 #[derive(Debug, Clone)]
 pub struct SessionOutcome {
@@ -31,29 +56,49 @@ pub struct SessionOutcome {
     pub id: SessionId,
     /// Workload label (the request's workload once parsed, `"?"` if the
     /// session died before naming one).
-    pub workload: String,
+    pub workload: WorkloadLabel,
     /// Server-side wall time from acceptance to completion (queue wait
     /// included — what a client experiences under load).
     pub elapsed: Duration,
     /// The garbler-side report, or the failure rendered as a string.
+    ///
+    /// Every counter and timing of the report is retained; its
+    /// `outputs` are not (the vector is empty). The server completes a
+    /// session only after checking the outputs against the workload's
+    /// plaintext reference, so a copy per finished session would grow
+    /// with the server's lifetime and say nothing the workload does not.
     pub result: Result<SessionReport, String>,
 }
 
 #[derive(Debug)]
 struct ActiveSession {
-    workload: String,
+    workload: WorkloadLabel,
     registered: Instant,
 }
 
 #[derive(Debug, Default)]
 struct RegistryInner {
     next_id: u64,
+    /// One entry per distinct workload label ever seen.
+    labels: HashSet<Arc<str>>,
     active: HashMap<u64, ActiveSession>,
     completed: Vec<SessionOutcome>,
     /// When the first session was registered / the last one finished —
     /// the serving window aggregate throughput is measured over.
     first_registered: Option<Instant>,
     last_finished: Option<Instant>,
+}
+
+impl RegistryInner {
+    /// The shared copy of `label`, allocated on its first use only.
+    fn intern(&mut self, label: &str) -> WorkloadLabel {
+        if let Some(shared) = self.labels.get(label) {
+            return WorkloadLabel(Arc::clone(shared));
+        }
+        let shared: Arc<str> = Arc::from(label);
+        self.labels.insert(Arc::clone(&shared));
+        WorkloadLabel(shared)
+    }
 }
 
 /// Concurrent registry of in-flight and completed sessions.
@@ -86,22 +131,27 @@ impl SessionRegistry {
         let id = SessionId(inner.next_id);
         let now = Instant::now();
         inner.first_registered.get_or_insert(now);
-        inner
-            .active
-            .insert(id.0, ActiveSession { workload: workload.to_string(), registered: now });
+        let workload = inner.intern(workload);
+        inner.active.insert(id.0, ActiveSession { workload, registered: now });
         id
     }
 
     /// Renames an in-flight session once its request names a workload.
     pub fn set_workload(&self, id: SessionId, workload: &str) {
         let mut inner = self.locked();
+        let workload = inner.intern(workload);
         if let Some(active) = inner.active.get_mut(&id.0) {
-            active.workload = workload.to_string();
+            active.workload = workload;
         }
     }
 
     /// Moves a session from active to completed (exactly once per id).
-    pub fn complete(&self, id: SessionId, result: Result<SessionReport, String>) {
+    /// A successful report is kept without its `outputs`; see
+    /// [`SessionOutcome::result`].
+    pub fn complete(&self, id: SessionId, mut result: Result<SessionReport, String>) {
+        if let Ok(report) = &mut result {
+            report.outputs = Vec::new();
+        }
         let mut inner = self.locked();
         let Some(active) = inner.active.remove(&id.0) else {
             debug_assert!(false, "{id} completed twice or never registered");

@@ -30,13 +30,14 @@ fn bench_incremental_garbler(c: &mut Criterion) {
     let w = build(WorkloadKind::DotProduct, Scale::Small);
     let config = SessionConfig::for_circuit(&w.circuit);
     let chunk = config.chunk_tables();
+    let plan = &config.plan.program;
     let mut group = c.benchmark_group("garbler");
     // 32 B of tables per AND gate is what crosses the wire.
     group.throughput(Throughput::Bytes(32 * w.circuit.num_and_gates() as u64));
     group.bench_function("streaming_chunks", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(3);
-            let mut garbler = StreamingGarbler::new(&w.circuit, &mut rng, HashScheme::Rekeyed);
+            let mut garbler = StreamingGarbler::with_plan(plan, &mut rng, HashScheme::Rekeyed);
             let mut total = 0usize;
             while let Some(tables) = garbler.next_tables(chunk) {
                 total += tables.len();

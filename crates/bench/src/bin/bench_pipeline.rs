@@ -1,13 +1,8 @@
-//! `bench_pipeline`: machine-readable snapshot of the slot-slab label
-//! store and the streamed two-party session.
+//! `bench_pipeline`: machine-readable snapshot of the slab executors
+//! and the streamed two-party session.
 //!
 //! Written to `BENCH_pipeline.json` at the repo root:
 //!
-//! - **label-store microbench** — a XOR-only ring circuit (zero AES
-//!   work, so the label store *is* the workload) garbled through the
-//!   liveness-retired HashMap store and through the slot slab;
-//!   reported as ns/gate with the slab speedup (regression-gated at
-//!   2×).
 //! - **per-workload sessions** — every VIP workload's garbling cost and
 //!   whole-session gates/s, measured on real in-process sessions.
 //!
@@ -69,20 +64,6 @@ use haac_telemetry::event;
 use haac_workloads::{build, Scale, WorkloadKind};
 use rand::{rngs::StdRng, SeedableRng};
 use serde::Serialize;
-
-/// ns/gate of each label store on the XOR-ring microcircuit.
-#[derive(Debug, Serialize)]
-struct LabelStoreBench {
-    /// Gates in the microcircuit (all XOR: the store is the workload).
-    gates: usize,
-    /// Live set / slab footprint, for context.
-    peak_live_wires: usize,
-    slab_slot_wires: u32,
-    hashmap_ns_per_gate: f64,
-    slab_ns_per_gate: f64,
-    /// `hashmap / slab` — the acceptance bar is ≥ 2.
-    speedup: f64,
-}
 
 /// Measured session numbers for one workload.
 #[derive(Debug, Serialize)]
@@ -358,7 +339,6 @@ struct Report {
     /// The AES backend the run dispatched to.
     aes_backend: &'static str,
     available_cores: usize,
-    label_store: LabelStoreBench,
     pooled: PooledBench,
     /// Attached-vs-disabled telemetry cost (gated ≥ 0.95).
     telemetry_overhead: TelemetryOverheadBench,
@@ -372,62 +352,6 @@ struct Report {
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// A XOR-only ring: every gate rewrites one of `width` rolling wires
-/// from two recent ones, so the live set stays ~`2·width`, the renamed
-/// distances stay small, and — with FreeXOR — the executors do *no*
-/// cipher work at all. What remains per gate is exactly the label
-/// store: two reads, one write, and (HashMap only) retire bookkeeping.
-fn xor_ring_circuit(width: usize, gates: usize) -> Circuit {
-    let mut b = Builder::new();
-    let x = b.input_garbler(width as u32);
-    let y = b.input_evaluator(width as u32);
-    let mut ring: Vec<_> = x.iter().zip(&y).map(|(&a, &c)| b.xor(a, c)).collect();
-    for i in 0..gates {
-        let a = ring[i % width];
-        let c = ring[(i * 13 + 7) % width];
-        ring[i % width] = b.xor(a, c);
-    }
-    b.finish(ring).unwrap()
-}
-
-fn label_store_bench() -> LabelStoreBench {
-    const WIDTH: usize = 128;
-    const GATES: usize = 400_000;
-    let circuit = xor_ring_circuit(WIDTH, GATES);
-    let plan = lower_for_streaming(&circuit);
-    let total_gates = circuit.num_gates();
-
-    let time_garble = |slab: bool| -> f64 {
-        let mut best = f64::INFINITY;
-        for rep in 0..3 {
-            let mut rng = StdRng::seed_from_u64(100 + rep);
-            let mut garbler = if slab {
-                StreamingGarbler::with_plan(&plan.program, &mut rng, HashScheme::Rekeyed)
-            } else {
-                StreamingGarbler::new(&circuit, &mut rng, HashScheme::Rekeyed)
-            };
-            let mut tables = Vec::new();
-            let start = Instant::now();
-            while garbler.next_tables_into(1 << 20, &mut tables) {}
-            let ns = start.elapsed().as_nanos() as f64;
-            std::hint::black_box(garbler.finish());
-            best = best.min(ns / total_gates as f64);
-        }
-        best
-    };
-
-    let hashmap_ns_per_gate = time_garble(false);
-    let slab_ns_per_gate = time_garble(true);
-    LabelStoreBench {
-        gates: total_gates,
-        peak_live_wires: plan.peak_live(),
-        slab_slot_wires: plan.program.slot_wires(),
-        hashmap_ns_per_gate,
-        slab_ns_per_gate,
-        speedup: hashmap_ns_per_gate / slab_ns_per_gate,
-    }
 }
 
 /// A wide, AND-heavy layer circuit: `width` rolling wires where every
@@ -566,16 +490,6 @@ fn main() {
         _ => vec![ReorderKind::Full, ReorderKind::Segment],
     };
 
-    event!("bench_pipeline", "label-store microbench (XOR ring)...");
-    let label_store = label_store_bench();
-    event!(
-        "bench_pipeline",
-        "hashmap {:.1} ns/gate, slab {:.1} ns/gate ({:.1}x)",
-        label_store.hashmap_ns_per_gate,
-        label_store.slab_ns_per_gate,
-        label_store.speedup
-    );
-
     event!("bench_pipeline", "pooled-vs-single slab garbling ({engines} engines)...");
     let pooled = pooled_bench(engines, available_cores);
     event!(
@@ -652,7 +566,6 @@ fn main() {
         scale: "small",
         aes_backend: haac_gc::active_backend().name(),
         available_cores,
-        label_store,
         pooled,
         telemetry_overhead,
         ot,
@@ -667,11 +580,6 @@ fn main() {
     println!("{json}");
 
     // Regression gates — a failed bar fails the CI smoke job.
-    assert!(
-        report.label_store.speedup >= 2.0,
-        "label-store regression: slab is only {:.2}x over the HashMap store",
-        report.label_store.speedup
-    );
     // Pooled-slab gate: on a host that can genuinely run ≥ 4 of our
     // threads, a multi-engine pool must at least match the
     // single-engine slab on the high-ILP reference; 1-core runners

@@ -21,7 +21,7 @@ use std::time::Instant;
 use haac_circuit::aes_circuit::{aes128_circuit, bytes_to_bits};
 use haac_circuit::Circuit;
 use haac_gc::aes::{active_backend, AesBackend};
-use haac_gc::{garble_and, garble_parallel, Block, Delta, EngineConfig, GateHash, HashScheme};
+use haac_gc::{garble_and, Block, Delta, GateHash, HashScheme};
 use haac_runtime::{run_local_session, SessionConfig};
 use haac_telemetry::event;
 use haac_workloads::{build, Scale, WorkloadKind};
@@ -60,15 +60,7 @@ struct Report {
     backends: Vec<BackendRate>,
     /// active-backend `garble_and` rate ÷ portable rate.
     speedup_vs_portable: f64,
-    /// Multi-engine monolithic garbling of the AES circuit, gates/s.
-    parallel_garble: Vec<ParallelRate>,
     workloads: Vec<WorkloadRate>,
-}
-
-#[derive(Debug, Serialize)]
-struct ParallelRate {
-    engines: usize,
-    gates_per_sec: f64,
 }
 
 /// Least share of the fixed-key `garble_and` rate the re-keyed one must
@@ -190,24 +182,6 @@ fn main() {
     let speedup_vs_portable =
         if portable_rate_v > 0.0 { active_rate_v / portable_rate_v } else { 1.0 };
 
-    // Multi-engine garbling of the AES-128 circuit (monolithic path).
-    let aes_circuit = aes128_circuit().expect("AES-128 circuit builds");
-    let gates = aes_circuit.num_gates() as f64;
-    let mut parallel_garble = Vec::new();
-    let max_engines = std::thread::available_parallelism().map_or(1, |n| n.get());
-    for engines in [1usize, max_engines] {
-        let config = EngineConfig::new(engines, 64 * 1024);
-        let mut rng = StdRng::seed_from_u64(3);
-        let start = Instant::now();
-        let g = garble_parallel(&aes_circuit, &mut rng, HashScheme::Rekeyed, &config);
-        let secs = start.elapsed().as_secs_f64();
-        std::hint::black_box(&g.garbled.tables);
-        parallel_garble.push(ParallelRate { engines, gates_per_sec: gates / secs });
-        if engines == max_engines {
-            break;
-        }
-    }
-
     // End-to-end streamed sessions; the AES circuit is the headline.
     let workloads = vec![
         aes_workload_rate(),
@@ -215,13 +189,7 @@ fn main() {
         workload_rate(WorkloadKind::Hamming),
     ];
 
-    let report = Report {
-        active_backend: active.name(),
-        backends,
-        speedup_vs_portable,
-        parallel_garble,
-        workloads,
-    };
+    let report = Report { active_backend: active.name(), backends, speedup_vs_portable, workloads };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     let out = std::env::var("HAAC_BENCH_OUT")
         .unwrap_or_else(|_| format!("{}/../../BENCH_gatecrypto.json", env!("CARGO_MANIFEST_DIR")));

@@ -1,13 +1,14 @@
 //! # haac-bench — the experiment harness
 //!
 //! Shared support for the table/figure binaries that regenerate the
-//! paper's evaluation (see DESIGN.md §4 for the experiment index):
+//! paper's evaluation (README.md, "Reproducing the paper's
+//! evaluation", is the experiment index):
 //!
 //! - CPU-baseline measurement (garble / evaluate / plaintext) with an
 //!   on-disk cache, so the expensive software-GC runs happen once;
 //! - workload compilation + simulation plumbing;
-//! - result records serialized to `target/haac-results/*.json` for
-//!   EXPERIMENTS.md.
+//! - result records serialized to `target/haac-results/*.json`, the
+//!   machine-readable form of the rows each binary prints.
 //!
 //! Binaries: `table1` … `table5`, `fig6` … `fig10`. Each prints the
 //! paper-shaped rows/series and persists machine-readable results.
@@ -54,8 +55,9 @@ fn scale_tag(scale: Scale) -> &'static str {
 /// all eight workloads at a scale.
 ///
 /// The paper measures EMP with AES-NI on an i7-10700K; this measures our
-/// portable software GC on the host. Shapes, not absolutes, carry over
-/// (see DESIGN.md substitutions).
+/// software GC (`haac_gc::garble`/`evaluate`) on the host. Shapes, not
+/// absolutes, carry over (the substitution: our oracle for EMP, this
+/// host for the i7).
 pub fn cpu_baselines(scale: Scale) -> BTreeMap<String, CpuTimes> {
     let path = results_dir().join(format!("cpu_{}.json", scale_tag(scale)));
     if let Ok(text) = fs::read_to_string(&path) {
@@ -149,7 +151,7 @@ pub fn best_of_reorders(
     best.expect("two strategies simulated")
 }
 
-/// Persists a JSON result blob for EXPERIMENTS.md.
+/// Persists a JSON result blob under `target/haac-results/`.
 pub fn save_result(name: &str, scale: Scale, value: &impl Serialize) {
     let path = results_dir().join(format!("{name}_{}.json", scale_tag(scale)));
     let text = serde_json::to_string_pretty(value).expect("results serialize");

@@ -3,7 +3,7 @@
 //! VIP-Bench's Gradient-Descent workload uses "true floating point
 //! arithmetic" (paper §5), which is what makes it the deepest, least
 //! parallel benchmark in Table 2. This module synthesizes FP32 add/mul
-//! with the following documented simplifications (recorded in DESIGN.md):
+//! with the following simplifications (this list is their record):
 //!
 //! - subnormals are flushed to zero (an `exp == 0` operand is zero);
 //! - no NaN/Infinity handling — overflow saturates to `exp = 255,

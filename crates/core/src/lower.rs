@@ -1,11 +1,10 @@
 //! Lowering circuits for slot-addressed streaming execution.
 //!
-//! The gc hot path historically ran on the raw netlist with a
-//! hash-mapped label store; the HAAC co-design says that is money left
-//! on the table — once the compiler has reordered and renamed a
-//! program, labels can live in a tagless scratchpad indexed by
-//! `addr % window` and the window size is a *static* property of the
-//! program. [`lower_for_streaming`] runs that pipeline once per
+//! The HAAC co-design says that walking the raw netlist with a
+//! per-wire label table is money left on the table — once the compiler
+//! has reordered and renamed a program, labels can live in a tagless
+//! scratchpad indexed by `addr % window` and the window size is a
+//! *static* property of the program. [`lower_for_streaming`] runs that pipeline once per
 //! circuit (reorder → rename → window-size) and returns a
 //! [`StreamingPlan`] that sessions reuse: the renamed instruction
 //! stream ([`haac_gc::SlotProgram`]), the [`WindowModel`] sized so
@@ -15,7 +14,8 @@
 //!
 //! The default lowering keeps the **baseline** gate order, which
 //! preserves table order and per-gate tweaks: transcripts are
-//! bit-identical to garbling the raw netlist. Reordered plans
+//! bit-identical to the oracle `haac_gc::garble` on the raw netlist.
+//! Reordered plans
 //! ([`lower_with_reorder`] over a [`crate::compiler`] reorder) are
 //! valid protocols when both parties lower identically — the session
 //! layer negotiates the [`ReorderKind`] in its handshake so real
@@ -57,7 +57,7 @@ pub struct StreamingPlan {
 
 impl StreamingPlan {
     /// Static peak-live residency of the renamed program (what the
-    /// liveness-retired store would measure dynamically).
+    /// executors report as `peak_live_wires`).
     #[inline]
     pub fn peak_live(&self) -> usize {
         self.program.peak_live()
@@ -214,7 +214,7 @@ fn reorder_program(circuit: &Circuit, kind: ReorderKind) -> Program {
 ///
 /// [`ReorderKind::Baseline`] preserves gate order and tweaks, so
 /// sessions driven by it produce **bit-identical transcripts** to the
-/// raw-netlist path; `Full`/`Segment` change the transcript (both
+/// oracle `haac_gc::garble`; `Full`/`Segment` change the transcript (both
 /// parties must lower identically — negotiated in the session header)
 /// but expose the ILP the multi-engine garbler feeds on.
 pub fn lower_with_reorder(circuit: &Circuit, kind: ReorderKind) -> StreamingPlan {
@@ -247,7 +247,7 @@ pub fn lower_with_window(
 
 /// Lowers a circuit for streaming execution on the **baseline** order:
 /// [`lower_with_reorder`] with [`ReorderKind::Baseline`] — transcripts
-/// bit-identical to the raw-netlist path.
+/// bit-identical to the oracle `haac_gc::garble`.
 pub fn lower_for_streaming(circuit: &Circuit) -> StreamingPlan {
     lower_with_reorder(circuit, ReorderKind::Baseline)
 }

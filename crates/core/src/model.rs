@@ -1,9 +1,9 @@
 //! Area, power, and energy model (paper §6.4, Table 4, Fig. 9).
 //!
 //! The paper's silicon numbers come from synthesis in TSMC 28HPC scaled
-//! to 16 nm; per DESIGN.md we reproduce the *arithmetic* of the analysis
-//! with the published per-component constants, parameterized by the
-//! accelerator configuration:
+//! to 16 nm; with no synthesis flow here, we reproduce the *arithmetic*
+//! of the analysis with the published per-component constants,
+//! parameterized by the accelerator configuration:
 //!
 //! | Component      | Area (mm², 16 GE/2 MB) | Power (mW) |
 //! |----------------|------------------------|------------|

@@ -74,17 +74,6 @@ impl WindowModel {
     pub fn slot(&self, addr: u32) -> u32 {
         addr % self.sww_wires
     }
-
-    /// Gates a multi-engine garbler may consider for out-of-order issue
-    /// at once. HAAC's parallel gate engines only draw work from inside
-    /// the sliding wire window (every operand of an in-flight gate must
-    /// be SWW-resident, §3.2), so the software engines'
-    /// `EngineConfig::lookahead` is bounded the same way: one gate per
-    /// resident wire.
-    #[inline]
-    pub fn gate_lookahead(&self) -> usize {
-        self.sww_wires as usize
-    }
 }
 
 #[cfg(test)]
@@ -151,11 +140,5 @@ mod tests {
         let w = WindowModel::new(8);
         assert_eq!(w.slot(3), 3);
         assert_eq!(w.slot(11), 3);
-    }
-
-    #[test]
-    fn gate_lookahead_tracks_window_capacity() {
-        assert_eq!(WindowModel::new(16).gate_lookahead(), 16);
-        assert_eq!(WindowModel::from_bytes(2 * 1024 * 1024).gate_lookahead(), 131_072);
     }
 }

@@ -4,88 +4,40 @@
 //! HAAC reaches throughput by running up to 16 gate engines in
 //! parallel, each garbling an independent gate scheduled inside the
 //! sliding wire window (paper §3.2). This module reproduces that
-//! execution model on host threads: gates are considered in
-//! window-sized slices of the program order, each slice is peeled into
+//! execution model on host threads, and there is one wave scheduler:
+//! [`garble_plan_in`] walks a **renamed [`SlotProgram`]** on a shared
+//! [`EnginePool`]. The program is considered in slices of the plan's
+//! static window bound (no per-call sizing), each slice is peeled into
 //! waves of mutually independent gates (a gate joins a wave once both
 //! its input labels exist), XOR/INV relabelings are applied inline, and
-//! every wave's AND gates fan out across [`EngineConfig::engines`]
-//! scoped threads.
-//!
-//! Two wave schedulers coexist:
-//!
-//! - [`garble_parallel`] walks the **raw netlist** with an explicit
-//!   lookahead (the CPU-reference path, per-window `HashMap` producer
-//!   lookups and a full per-wire label vector);
-//! - [`garble_plan_in`] walks a **renamed [`SlotProgram`]** on a shared
-//!   [`EnginePool`]: the slice length is the plan's static window
-//!   bound (no per-call sizing), in-slice dependencies are pure
-//!   arithmetic over slab addresses, and all engines share one slot
-//!   slab — the co-design path the compiler's renaming pays for.
+//! every wave's AND gates fan out across the pool's engines. In-slice
+//! dependencies are pure arithmetic over slab addresses, and all
+//! engines share one slot slab — the co-design path the compiler's
+//! renaming pays for.
 //!
 //! Determinism is a hard contract, exactly as it is for HAAC's
 //! hardware: tables are emitted in gate order and every label is a pure
 //! function of (Δ, input labels, gate index), so the transcript is
-//! **bit-identical** to single-engine garbling for any engine count —
-//! the equivalence tests drive all eight VIP-Bench workloads through
-//! both paths and compare transcripts.
+//! **bit-identical** to the oracle [`garble`](crate::garble()) for any
+//! engine count — the equivalence tests drive all eight VIP-Bench
+//! workloads through the pool and compare transcripts with it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use haac_circuit::{Circuit, Gate, GateOp, WireId};
 use rand::Rng;
 
 use crate::block::{Block, Delta};
-use crate::garble::{
-    garble_and_batch, garble_inv, garble_xor, GarbledCircuit, Garbling, MAX_AND_BATCH,
-};
+use crate::garble::{garble_and_batch, garble_inv, garble_xor, MAX_AND_BATCH};
 use crate::hash::{CryptoCounters, GateHash, HashScheme};
 use crate::slab::{SlabState, SlotOp, SlotProgram};
-use crate::stream::baseline_plan;
-
-/// Geometry of a multi-engine garbling run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Parallel gate engines (threads). 1 disables threading.
-    pub engines: usize,
-    /// Gates considered for out-of-order issue at once — the software
-    /// stand-in for the compiler's wire-window schedule (see
-    /// `WindowModel::gate_lookahead` in `haac-core`).
-    pub lookahead: usize,
-}
 
 /// Below this many AND gates in a wave, threads cost more than they
 /// save and the wave runs inline.
 const PARALLEL_THRESHOLD: usize = 4 * MAX_AND_BATCH;
-
-impl EngineConfig {
-    /// A config with `engines` parallel engines and a lookahead of
-    /// `lookahead` gates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either is zero.
-    pub fn new(engines: usize, lookahead: usize) -> EngineConfig {
-        assert!(engines > 0, "at least one engine");
-        assert!(lookahead > 0, "lookahead must be positive");
-        EngineConfig { engines, lookahead }
-    }
-
-    /// Single-engine execution (the reference schedule).
-    pub fn single() -> EngineConfig {
-        EngineConfig { engines: 1, lookahead: 1 }
-    }
-
-    /// One engine per available CPU, with the paper's default 2 MiB SWW
-    /// worth of lookahead (128 Ki wires ÷ 16 B labels).
-    pub fn auto() -> EngineConfig {
-        let engines = std::thread::available_parallelism().map_or(1, |n| n.get());
-        EngineConfig { engines, lookahead: 128 * 1024 }
-    }
-}
 
 /// A queued unit of engine work, tagged with the scope that owns it
 /// (`0` for free-standing [`EnginePool::spawn`] jobs).
@@ -129,9 +81,8 @@ static NEXT_SCOPE_ID: AtomicU64 = AtomicU64::new(1);
 /// pool is created once and shared — by a multi-session server
 /// scheduling whole sessions onto engines ([`spawn`](EnginePool::spawn))
 /// and by parallel garbling fanning waves of independent AND gates
-/// across them ([`scope`](EnginePool::scope) via
-/// [`garble_parallel_in`]) — instead of spawning fresh threads per
-/// session or per wave.
+/// across them ([`scope`](EnginePool::scope) via [`garble_plan_in`]) —
+/// instead of spawning fresh threads per session or per wave.
 ///
 /// Deadlock freedom: a thread blocked in [`scope`](EnginePool::scope)
 /// executes its own still-queued jobs while it waits, so waves make
@@ -437,19 +388,6 @@ impl<'env> PoolScope<'_, 'env> {
     }
 }
 
-/// Garbles a circuit with parallel gate engines; the result — labels,
-/// tables, decode string — is bit-identical to
-/// [`garble`](crate::garble()) with the same RNG seed, for any engine
-/// count.
-pub fn garble_parallel<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    rng: &mut R,
-    scheme: HashScheme,
-    config: &EngineConfig,
-) -> Garbling {
-    garble_parallel_impl(circuit, rng, scheme, config.lookahead, WaveExec::Threads(config.engines))
-}
-
 /// A pooled garbling of a renamed [`SlotProgram`]: everything the
 /// protocol ships or keeps, without materializing per-wire labels
 /// (the slab forgets a label the moment its window slides past —
@@ -508,7 +446,7 @@ impl PlanGarbling {
 /// depends on in-slice producer `addr - slice_first` by arithmetic
 /// alone.
 ///
-/// All engines share one [`SlabState`] slab. In-slice results are
+/// All engines share one slot slab. In-slice results are
 /// staged in a window-sized buffer and committed to the slab in
 /// ascending address order at the slice boundary, so out-of-order wave
 /// execution can never clobber a slot a logically earlier instruction
@@ -529,226 +467,6 @@ pub fn garble_plan_in<R: Rng + ?Sized>(
     rng: &mut R,
     scheme: HashScheme,
     pool: &EnginePool,
-) -> PlanGarbling {
-    garble_plan_impl(plan, rng, scheme, WaveExec::Pool(pool))
-}
-
-/// Like [`garble_parallel`], but pooled **and plan-driven**: the
-/// circuit is lowered to its baseline-order [`SlotProgram`] and garbled
-/// through [`garble_plan_in`] — waves run on a shared persistent
-/// [`EnginePool`], labels live in the slab, and the table stream is
-/// bit-identical to single-engine garbling of the raw netlist. This is
-/// how a long-lived server amortizes engine threads across many
-/// garblings.
-pub fn garble_parallel_in<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    rng: &mut R,
-    scheme: HashScheme,
-    pool: &EnginePool,
-) -> PlanGarbling {
-    garble_plan_in(&baseline_plan(circuit), rng, scheme, pool)
-}
-
-/// Where a wave's AND gates execute: ad-hoc scoped threads or a shared
-/// persistent pool.
-#[derive(Clone, Copy)]
-enum WaveExec<'p> {
-    Threads(usize),
-    Pool(&'p EnginePool),
-}
-
-impl WaveExec<'_> {
-    fn engines(self) -> usize {
-        match self {
-            WaveExec::Threads(engines) => engines,
-            WaveExec::Pool(pool) => pool.engines(),
-        }
-    }
-}
-
-fn garble_parallel_impl<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    rng: &mut R,
-    scheme: HashScheme,
-    lookahead: usize,
-    exec: WaveExec<'_>,
-) -> Garbling {
-    // Same draw order as garble_streaming: Δ first, then input labels.
-    let hash = GateHash::new(scheme);
-    let delta = Delta::random(rng);
-    let num_wires = circuit.num_wires() as usize;
-    let num_inputs = circuit.num_inputs() as usize;
-    let mut labels = vec![Block::ZERO; num_wires];
-    for slot in labels.iter_mut().take(num_inputs) {
-        *slot = Block::random(rng);
-    }
-
-    let gates = circuit.gates();
-    let mut tables: Vec<[Block; 2]> = Vec::with_capacity(circuit.num_and_gates());
-    let mut and_jobs: Vec<(usize, Block, Block)> = Vec::new();
-    let mut and_results: Vec<(Block, [Block; 2])> = Vec::new();
-    // Tables of the current window, slotted by AND position so emission
-    // order is gate order regardless of which wave computed each.
-    let mut window_tables: Vec<[Block; 2]> = Vec::new();
-    // Window-local dependency graph, rebuilt (capacity reused) per
-    // window: who produces each wire, how many in-window inputs each
-    // gate still waits on, and a CSR consumer list — so every gate and
-    // edge is visited O(1) times instead of rescanning the window every
-    // wave (O(window·depth) on dependency-chained circuits).
-    let mut producer: HashMap<WireId, u32> = HashMap::new();
-    let mut pending: Vec<u8> = Vec::new();
-    let mut slots: Vec<u32> = Vec::new();
-    let mut edge_start: Vec<u32> = Vec::new();
-    let mut edges: Vec<u32> = Vec::new();
-    let mut cursor: Vec<u32> = Vec::new();
-    let mut ready_free: Vec<u32> = Vec::new();
-    let mut ready_and: Vec<u32> = Vec::new();
-
-    let mut start = 0usize;
-    while start < gates.len() {
-        let end = (start + lookahead).min(gates.len());
-        let window = &gates[start..end];
-        let wlen = window.len();
-
-        // Build the window graph. A window gate's input is either
-        // already labeled (earlier window / primary input) or produced
-        // by an earlier gate of this window — SSA and topological order
-        // are enforced by `Circuit::new`.
-        producer.clear();
-        for (offset, gate) in window.iter().enumerate() {
-            producer.insert(gate.out, offset as u32);
-        }
-        pending.clear();
-        pending.resize(wlen, 0);
-        slots.clear();
-        let mut and_count = 0u32;
-        for gate in window {
-            slots.push(and_count);
-            if gate.op == GateOp::And {
-                and_count += 1;
-            }
-        }
-        window_tables.clear();
-        window_tables.resize(and_count as usize, [Block::ZERO; 2]);
-        edge_start.clear();
-        edge_start.resize(wlen + 1, 0);
-        for (offset, gate) in window.iter().enumerate() {
-            for wire in gate_inputs(gate) {
-                if let Some(&p) = producer.get(&wire) {
-                    debug_assert!((p as usize) < offset, "topological order violated");
-                    pending[offset] += 1;
-                    edge_start[p as usize + 1] += 1;
-                }
-            }
-        }
-        for p in 0..wlen {
-            edge_start[p + 1] += edge_start[p];
-        }
-        edges.clear();
-        edges.resize(edge_start[wlen] as usize, 0);
-        cursor.clear();
-        cursor.extend_from_slice(&edge_start[..wlen]);
-        for (offset, gate) in window.iter().enumerate() {
-            for wire in gate_inputs(gate) {
-                if let Some(&p) = producer.get(&wire) {
-                    edges[cursor[p as usize] as usize] = offset as u32;
-                    cursor[p as usize] += 1;
-                }
-            }
-        }
-
-        ready_free.clear();
-        ready_and.clear();
-        for (offset, gate) in window.iter().enumerate() {
-            if pending[offset] == 0 {
-                match gate.op {
-                    GateOp::And => ready_and.push(offset as u32),
-                    _ => ready_free.push(offset as u32),
-                }
-            }
-        }
-
-        // Worklist execution: free gates propagate eagerly; ready AND
-        // gates accumulate and run as one parallel wave. Which wave a
-        // gate lands in cannot change its result — every label is a
-        // pure function of (Δ, input labels, gate index) — so the
-        // transcript is schedule-invariant.
-        let mut processed = 0usize;
-        macro_rules! complete {
-            ($offset:expr) => {{
-                let offset = $offset as usize;
-                processed += 1;
-                for e in edge_start[offset]..edge_start[offset + 1] {
-                    let consumer = edges[e as usize];
-                    pending[consumer as usize] -= 1;
-                    if pending[consumer as usize] == 0 {
-                        match window[consumer as usize].op {
-                            GateOp::And => ready_and.push(consumer),
-                            _ => ready_free.push(consumer),
-                        }
-                    }
-                }
-            }};
-        }
-        while processed < wlen {
-            while let Some(offset) = ready_free.pop() {
-                let gate = window[offset as usize];
-                let w0a = labels[gate.a as usize];
-                labels[gate.out as usize] = match gate.op {
-                    GateOp::Xor => garble_xor(w0a, labels[gate.b as usize]),
-                    _ => garble_inv(delta, w0a),
-                };
-                complete!(offset);
-            }
-            if ready_and.is_empty() {
-                assert_eq!(processed, wlen, "window deadlocked: circuit not topological");
-                break;
-            }
-            // Index order keeps engine splits cache-friendly; it does
-            // not affect the output.
-            ready_and.sort_unstable();
-            and_jobs.clear();
-            for &offset in &ready_and {
-                let gate = window[offset as usize];
-                and_jobs.push((offset as usize, labels[gate.a as usize], labels[gate.b as usize]));
-            }
-            ready_and.clear();
-            and_results.clear();
-            and_results.resize(and_jobs.len(), (Block::ZERO, [Block::ZERO; 2]));
-            run_wave(&hash, delta, start, &and_jobs, &mut and_results, exec);
-            for (&(offset, _, _), &(w0c, table)) in and_jobs.iter().zip(and_results.iter()) {
-                let gate = window[offset];
-                labels[gate.out as usize] = w0c;
-                window_tables[slots[offset] as usize] = table;
-                complete!(offset as u32);
-            }
-        }
-        tables.extend_from_slice(&window_tables);
-        start = end;
-    }
-
-    let output_decode = circuit.outputs().iter().map(|&w| labels[w as usize].lsb()).collect();
-    Garbling {
-        delta,
-        wire_zero_labels: labels,
-        garbled: GarbledCircuit { tables, output_decode },
-        crypto: hash.counters(),
-    }
-}
-
-/// The input wires a gate reads (INV has a single operand).
-fn gate_inputs(gate: &Gate) -> impl Iterator<Item = WireId> {
-    let b = if gate.op == GateOp::Inv { None } else { Some(gate.b) };
-    std::iter::once(gate.a).chain(b)
-}
-
-/// The pooled wave scheduler over a renamed instruction stream (see
-/// [`garble_plan_in`] for the contract).
-fn garble_plan_impl<R: Rng + ?Sized>(
-    plan: &SlotProgram,
-    rng: &mut R,
-    scheme: HashScheme,
-    exec: WaveExec<'_>,
 ) -> PlanGarbling {
     assert!(
         !plan.has_oor(),
@@ -781,8 +499,9 @@ fn garble_plan_impl<R: Rng + ?Sized>(
     // order is stream order regardless of which wave computed each.
     let mut window_tables: Vec<[Block; 2]> = Vec::new();
     // Slice-local dependency graph, rebuilt (capacity reused) per
-    // slice: pending in-slice operand counts and a CSR consumer list.
-    // Unlike the raw-circuit scheduler there is no producer map —
+    // slice: pending in-slice operand counts and a CSR consumer list,
+    // so every instruction and edge is visited O(1) times instead of
+    // rescanning the slice every wave. There is no producer map —
     // renaming made "who writes address a" pure arithmetic.
     let mut pending: Vec<u8> = Vec::new();
     let mut slots: Vec<u32> = Vec::new();
@@ -912,7 +631,7 @@ fn garble_plan_impl<R: Rng + ?Sized>(
             ready_and.clear();
             and_results.clear();
             and_results.resize(and_jobs.len(), (Block::ZERO, [Block::ZERO; 2]));
-            run_wave(&hash, delta, start, &and_jobs, &mut and_results, exec);
+            run_wave(&hash, delta, start, &and_jobs, &mut and_results, pool);
             for (&(offset, _, _), &(w0c, table)) in and_jobs.iter().zip(and_results.iter()) {
                 out_labels[offset] = w0c;
                 window_tables[slots[offset] as usize] = table;
@@ -942,31 +661,20 @@ fn run_wave(
     window_start: usize,
     jobs: &[(usize, Block, Block)],
     results: &mut [(Block, [Block; 2])],
-    exec: WaveExec<'_>,
+    pool: &EnginePool,
 ) {
-    let engines = exec.engines();
+    let engines = pool.engines();
     if engines <= 1 || jobs.len() < PARALLEL_THRESHOLD {
         garble_slice(hash, delta, window_start, jobs, results);
         return;
     }
     let per_engine = jobs.len().div_ceil(engines);
-    let chunks = jobs.chunks(per_engine).zip(results.chunks_mut(per_engine));
-    match exec {
-        WaveExec::Threads(_) => std::thread::scope(|scope| {
-            for (job_chunk, result_chunk) in chunks {
-                scope.spawn(move || {
-                    garble_slice(hash, delta, window_start, job_chunk, result_chunk)
-                });
-            }
-        }),
-        WaveExec::Pool(pool) => pool.scope(|scope| {
-            for (job_chunk, result_chunk) in chunks {
-                scope.submit(move || {
-                    garble_slice(hash, delta, window_start, job_chunk, result_chunk)
-                });
-            }
-        }),
-    }
+    pool.scope(|scope| {
+        for (job_chunk, result_chunk) in jobs.chunks(per_engine).zip(results.chunks_mut(per_engine))
+        {
+            scope.submit(move || garble_slice(hash, delta, window_start, job_chunk, result_chunk));
+        }
+    });
 }
 
 /// One engine's share of a wave, batched [`MAX_AND_BATCH`] gates at a
@@ -994,7 +702,8 @@ fn garble_slice(
 mod tests {
     use super::*;
     use crate::garble::garble;
-    use haac_circuit::Builder;
+    use crate::stream::baseline_plan;
+    use haac_circuit::{Builder, Circuit};
     use rand::{rngs::StdRng, SeedableRng};
 
     fn wide_circuit() -> Circuit {
@@ -1014,40 +723,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_transcript_is_bit_identical() {
-        let c = wide_circuit();
-        let mut rng = StdRng::seed_from_u64(33);
-        let reference = garble(&c, &mut rng, HashScheme::Rekeyed);
-        for engines in [1usize, 2, 3, 8] {
-            for lookahead in [1usize, 4, 64, 10_000] {
-                let mut rng = StdRng::seed_from_u64(33);
-                let config = EngineConfig::new(engines, lookahead);
-                let par = garble_parallel(&c, &mut rng, HashScheme::Rekeyed, &config);
-                assert_eq!(par.delta, reference.delta, "e={engines} l={lookahead}");
-                assert_eq!(
-                    par.wire_zero_labels, reference.wire_zero_labels,
-                    "e={engines} l={lookahead}"
-                );
-                assert_eq!(par.garbled, reference.garbled, "e={engines} l={lookahead}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_crypto_work_matches_sequential() {
-        let c = wide_circuit();
-        let mut rng = StdRng::seed_from_u64(40);
-        let reference = garble(&c, &mut rng, HashScheme::Rekeyed);
-        let mut rng = StdRng::seed_from_u64(40);
-        let par = garble_parallel(&c, &mut rng, HashScheme::Rekeyed, &EngineConfig::new(4, 1024));
-        assert_eq!(par.crypto, reference.crypto);
-        assert_eq!(par.crypto.key_expansions, 2 * c.num_and_gates() as u64);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one engine")]
     fn zero_engines_rejected() {
-        let _ = EngineConfig::new(0, 16);
+        let _ = EnginePool::new(0);
     }
 
     /// The mid-load utilization regression: a worker occupied by a job
@@ -1094,9 +772,10 @@ mod tests {
         // Several garblings through the *same* pool: persistent engines,
         // identical transcripts every time (baseline-order slab garbling
         // is bit-identical to the raw netlist's table stream).
+        let plan = baseline_plan(&c);
         for rep in 0..3 {
             let mut rng = StdRng::seed_from_u64(33);
-            let pooled = garble_parallel_in(&c, &mut rng, HashScheme::Rekeyed, &pool);
+            let pooled = garble_plan_in(&plan, &mut rng, HashScheme::Rekeyed, &pool);
             assert_eq!(pooled.delta, reference.delta, "rep={rep}");
             assert_eq!(pooled.tables, reference.garbled.tables, "rep={rep}");
             assert_eq!(pooled.output_decode, reference.garbled.output_decode, "rep={rep}");

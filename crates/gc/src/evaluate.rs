@@ -3,6 +3,10 @@
 //! The Evaluator holds one active label per wire and one table per AND
 //! gate; each AND costs two hash calls (half the Garbler's four —
 //! matching the paper's 18- vs 21-stage Evaluator/Garbler pipelines).
+//!
+//! [`evaluate`] is the evaluator-side **oracle**, the counterpart of
+//! [`garble`](crate::garble()): one straight-line loop over the netlist
+//! that [`crate::StreamingEvaluator`] is tested against.
 
 use haac_circuit::{Circuit, GateOp};
 
@@ -85,11 +89,17 @@ pub fn eval_inv(wa: Block) -> Block {
     wa
 }
 
-/// Evaluates an entire garbled circuit.
+/// Evaluates an entire garbled circuit — the reference every evaluating
+/// executor is compared with, and the paper's "CPU GC" baseline.
 ///
 /// `input_labels` are the active labels for all primary inputs in wire
 /// order; `tables` are the AND tables in gate order. Returns the active
-/// output labels (decode with [`crate::garble::decode_outputs`]).
+/// output labels (decode with [`crate::decode_outputs`]).
+///
+/// One pass over [`Circuit::gates`] in netlist order, a full
+/// `Vec<Block>` of active labels, one unbatched [`eval_and`] per AND
+/// gate. **Never optimise this function**: it is the specification the
+/// slab evaluator is checked against; make the executor faster instead.
 ///
 /// # Panics
 ///

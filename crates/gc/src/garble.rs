@@ -5,6 +5,12 @@
 //! decoding — the exact computation HAAC's Garbler gate engine pipelines
 //! in hardware (paper Fig. 2). XOR costs one 128-bit XOR and INV is a
 //! relabeling; neither produces a table.
+//!
+//! [`garble`] is the crate's **oracle** and the paper's "CPU GC"
+//! baseline: one straight-line loop over the netlist with every label
+//! resident. The executors ([`crate::StreamingGarbler`],
+//! [`crate::garble_plan_in`]) are each tested to reproduce its
+//! transcript bit for bit.
 
 use rand::Rng;
 
@@ -174,33 +180,29 @@ pub fn garble_inv(delta: Delta, w0a: Block) -> Block {
     w0a ^ delta.block()
 }
 
-/// Garbles an entire circuit.
+/// Garbles an entire circuit — the reference every executor is
+/// compared with, and the paper's "CPU GC" baseline.
 ///
-/// Labels are sampled from `rng`; tables are emitted in gate order (the
-/// stream HAAC's table queues replay). The returned [`Garbling`] holds
-/// every wire's zero label; see [`garble_streaming`] when tables should
-/// be consumed on the fly instead of collected.
+/// One pass over [`Circuit::gates`] in netlist order, a full
+/// `Vec<Block>` holding every wire's zero label, one unbatched
+/// [`garble_and`] per AND gate, tables emitted in gate order (the
+/// stream HAAC's table queues replay). Δ is drawn from `rng` first,
+/// then one zero label per primary input; every executor keeps that
+/// draw order so a shared seed yields the same garbling.
+///
+/// **Never optimise this function.** It is the specification: the
+/// slab executors and the pooled wave scheduler are checked against
+/// its Δ, labels, tables, decode string and [`CryptoCounters`], and
+/// `haac-bench` times it as the CPU baseline HAAC's speedups are
+/// quoted over. Make the executors faster instead.
 pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R, scheme: HashScheme) -> Garbling {
-    let mut tables = Vec::with_capacity(circuit.num_and_gates());
-    let garbling = garble_streaming(circuit, rng, scheme, |t| tables.push(t));
-    Garbling { garbled: GarbledCircuit { tables, ..garbling.garbled }, ..garbling }
-}
-
-/// Garbles an entire circuit, handing each AND table to `sink` instead of
-/// collecting them (constant memory for tables; used by throughput
-/// benchmarks and the streaming protocol).
-pub fn garble_streaming<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    rng: &mut R,
-    scheme: HashScheme,
-    mut sink: impl FnMut([Block; 2]),
-) -> Garbling {
     let hash = GateHash::new(scheme);
     let delta = Delta::random(rng);
     let mut labels = vec![Block::ZERO; circuit.num_wires() as usize];
     for slot in labels.iter_mut().take(circuit.num_inputs() as usize) {
         *slot = Block::random(rng);
     }
+    let mut tables = Vec::with_capacity(circuit.num_and_gates());
     for (index, gate) in circuit.gates().iter().enumerate() {
         let w0a = labels[gate.a as usize];
         let out = match gate.op {
@@ -209,7 +211,7 @@ pub fn garble_streaming<R: Rng + ?Sized>(
             GateOp::And => {
                 let (w0c, table) =
                     garble_and(&hash, delta, index as u64, w0a, labels[gate.b as usize]);
-                sink(table);
+                tables.push(table);
                 w0c
             }
         };
@@ -219,7 +221,7 @@ pub fn garble_streaming<R: Rng + ?Sized>(
     Garbling {
         delta,
         wire_zero_labels: labels,
-        garbled: GarbledCircuit { tables: Vec::new(), output_decode },
+        garbled: GarbledCircuit { tables, output_decode },
         crypto: hash.counters(),
     }
 }
@@ -332,21 +334,5 @@ mod tests {
         let labels = g.encode_inputs(&c, &[true], &[false]);
         assert_eq!(labels[0], g.wire_zero_labels[0] ^ g.delta.block());
         assert_eq!(labels[1], g.wire_zero_labels[1]);
-    }
-
-    #[test]
-    fn streaming_matches_collected() {
-        let mut b = Builder::new();
-        let x = b.input_garbler(8);
-        let y = b.input_evaluator(8);
-        let (s, _) = b.add_words(&x, &y);
-        let c = b.finish(s).unwrap();
-        let mut streamed = Vec::new();
-        let mut rng1 = StdRng::seed_from_u64(5);
-        let g1 = garble_streaming(&c, &mut rng1, HashScheme::Rekeyed, |t| streamed.push(t));
-        let mut rng2 = StdRng::seed_from_u64(5);
-        let g2 = garble(&c, &mut rng2, HashScheme::Rekeyed);
-        assert_eq!(streamed, g2.garbled.tables);
-        assert_eq!(g1.wire_zero_labels, g2.wire_zero_labels);
     }
 }

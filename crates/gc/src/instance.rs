@@ -129,10 +129,10 @@ impl PlanGarbling {
     /// # Errors
     ///
     /// Returns a [`InstanceDecodeError`] on a wrong magic, a truncated
-    /// payload, an overlong length prefix, or trailing bytes. Δ's
-    /// point-and-permute invariant (lsb = 1) is re-imposed by
-    /// construction, so a bit-flipped Δ cannot smuggle in a malformed
-    /// offset.
+    /// payload, an overlong length prefix, a Δ whose point-and-permute
+    /// bit (lsb) is not 1, nonzero padding bits after the decode
+    /// string, or trailing bytes — so the bytes that decode are exactly
+    /// the bytes [`to_bytes`](Self::to_bytes) writes for the result.
     pub fn from_bytes(bytes: &[u8]) -> Result<PlanGarbling, InstanceDecodeError> {
         let mut r = Reader { bytes, at: 0 };
         if r.take(MAGIC.len())? != MAGIC {
@@ -151,6 +151,11 @@ impl PlanGarbling {
             .collect::<Result<Vec<_>, InstanceDecodeError>>()?;
         let outputs = r.len(0, "output bit")?;
         let packed = r.take(outputs.div_ceil(8))?;
+        // One byte string per instance: the unused high bits of the
+        // last packed byte are zero, as `to_bytes` writes them.
+        if outputs % 8 != 0 && packed[packed.len() - 1] >> (outputs % 8) != 0 {
+            return Err(decode_err("nonzero padding in the decode string"));
+        }
         let output_decode = (0..outputs).map(|i| packed[i / 8] >> (i % 8) & 1 == 1).collect();
         let crypto = CryptoCounters { key_expansions: r.u64()?, aes_blocks: r.u64()? };
         if r.at != bytes.len() {

@@ -17,12 +17,25 @@
 //!
 //! The AES core dispatches at startup to AES-NI (x86_64), the ARMv8
 //! crypto extensions (aarch64), or a portable software fallback — see
-//! [`aes`] — and [`garble_parallel`] mirrors HAAC's parallel gate
-//! engines on host threads with bit-identical transcripts.
+//! [`aes`].
 //!
-//! This crate doubles as the paper's "CPU GC" baseline: garbling and
-//! evaluating on the host CPU is what HAAC's speedups are measured
-//! against.
+//! The crate has one of each thing:
+//!
+//! - **one oracle** — [`garble()`] and [`evaluate()`], a straight-line
+//!   loop each over the raw netlist with every label resident. They are
+//!   the paper's "CPU GC" baseline (what HAAC's speedups are measured
+//!   against) and the reference every executor below is tested to match
+//!   bit for bit; they are never optimised.
+//! - **one label store** — the tagless slot slab ([`slab`]) a renamed
+//!   [`SlotProgram`] indexes, behind [`StreamingGarbler`] and
+//!   [`StreamingEvaluator`] ([`stream`]).
+//! - **one wave scheduler** — [`garble_plan_in`] fans a plan's
+//!   independent AND gates across a shared [`EnginePool`] ([`engine`]),
+//!   mirroring HAAC's parallel gate engines.
+//!
+//! Two-party sessions (real OT, channels, framing) live in
+//! `haac-runtime`; this crate supplies their state machines ([`ot`],
+//! [`ot_ext`]) and the stored-instance format ([`instance`]).
 //!
 //! # Examples
 //!
@@ -57,20 +70,16 @@ mod hash;
 pub mod instance;
 pub mod ot;
 pub mod ot_ext;
-pub mod protocol;
 pub mod slab;
 pub mod stream;
 
 pub use aes::{active_backend, AesBackend};
 pub use block::{Block, Delta};
-pub use engine::{
-    garble_parallel, garble_parallel_in, garble_plan_in, EngineConfig, EnginePool, PlanGarbling,
-    PoolStats,
-};
+pub use engine::{garble_plan_in, EnginePool, PlanGarbling, PoolStats};
 pub use evaluate::{eval_and, eval_and_batch, eval_inv, eval_xor, evaluate};
 pub use garble::{
-    decode_outputs, garble, garble_and, garble_and_batch, garble_inv, garble_streaming, garble_xor,
-    GarbledCircuit, Garbling, MAX_AND_BATCH,
+    decode_outputs, garble, garble_and, garble_and_batch, garble_inv, garble_xor, GarbledCircuit,
+    Garbling, MAX_AND_BATCH,
 };
 pub use hash::{CryptoCounters, GateHash, HashScheme, OT_BASE_TWEAK, OT_EXT_TWEAK};
 pub use instance::{BankedGarbler, InstanceDecodeError};

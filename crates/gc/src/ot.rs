@@ -1,25 +1,20 @@
-//! Oblivious transfer: a Chou–Orlandi-style base OT plus a trusted-setup
-//! simulation.
+//! Oblivious transfer: a Chou–Orlandi-style base OT.
 //!
 //! The real protocol delivers the Evaluator's input labels via 1-out-of-2
 //! OT so the Garbler learns nothing about Bob's bits (paper §2.1). HAAC
 //! accelerates gate processing, not OT, so the paper's evaluation excludes
-//! it — but a streaming runtime needs the message flow to exist. Two
-//! implementations are provided:
+//! it — but a streaming runtime needs the message flow to exist.
 //!
-//! - [`base`] (feature `insecure-ot`, on by default): the "simplest OT"
-//!   of Chou & Orlandi (LatinCrypt 2015), instantiated in the
-//!   multiplicative group mod the Mersenne prime `p = 2^127 − 1` instead
-//!   of an elliptic curve. The protocol *structure* is the real thing —
-//!   blinded DH key agreement, per-branch key derivation, encrypted label
-//!   pairs — and it is transport-agnostic (pure message-in/message-out
-//!   state machines that `haac-runtime` ships over its `Channel`s). A
-//!   127-bit discrete-log group is **far below any acceptable security
-//!   parameter**, hence the feature name: this is protocol plumbing you
-//!   can measure, not cryptography you can deploy.
-//! - [`SimulatedOt`]: the trusted-setup functionality used by the legacy
-//!   in-process protocol path ([`crate::protocol::run_two_party`]), with
-//!   transfer accounting.
+//! [`base`] (feature `insecure-ot`, on by default) is the "simplest OT"
+//! of Chou & Orlandi (LatinCrypt 2015), instantiated in the
+//! multiplicative group mod the Mersenne prime `p = 2^127 − 1` instead
+//! of an elliptic curve. The protocol *structure* is the real thing —
+//! blinded DH key agreement, per-branch key derivation, encrypted label
+//! pairs — and it is transport-agnostic (pure message-in/message-out
+//! state machines that `haac-runtime` ships over its `Channel`s). A
+//! 127-bit discrete-log group is **far below any acceptable security
+//! parameter**, hence the feature name: this is protocol plumbing you
+//! can measure, not cryptography you can deploy.
 //!
 //! Base OTs are expensive (three ~127-squaring `pow_mod`s each); the
 //! [`crate::ot_ext`] module bootstraps unlimited cheap OTs from ~128 of
@@ -28,8 +23,6 @@
 //! violations a session must surface as typed errors, not aborts.
 
 use std::fmt;
-
-use crate::block::Block;
 
 /// Whether the base OT compiled into this build is the 127-bit
 /// [`base`] group of the `insecure-ot` feature — the only base OT there
@@ -68,71 +61,19 @@ impl fmt::Display for OtError {
 
 impl std::error::Error for OtError {}
 
-/// One 1-out-of-2 oblivious transfer: the receiver learns exactly one of
-/// the sender's two messages; the sender does not learn which.
-pub trait ObliviousTransfer {
-    /// Transfers `if choice { one } else { zero }` to the receiver.
-    fn transfer(&mut self, zero: Block, one: Block, choice: bool) -> Block;
-
-    /// Batched transfers for a whole input word.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `pairs` and `choices` differ in
-    /// length; the default implementation does.
-    fn transfer_all(&mut self, pairs: &[(Block, Block)], choices: &[bool]) -> Vec<Block> {
-        assert_eq!(pairs.len(), choices.len(), "one choice bit per label pair");
-        pairs
-            .iter()
-            .zip(choices)
-            .map(|(&(zero, one), &choice)| self.transfer(zero, one, choice))
-            .collect()
-    }
-}
-
-/// Trusted-setup OT simulation: functionally exact, with transfer
-/// accounting so protocol traffic can still be measured.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimulatedOt {
-    transfers: u64,
-}
-
-impl SimulatedOt {
-    /// Creates a fresh simulated OT endpoint.
-    pub fn new() -> SimulatedOt {
-        SimulatedOt::default()
-    }
-
-    /// Number of single transfers performed (for traffic accounting).
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-}
-
-impl ObliviousTransfer for SimulatedOt {
-    fn transfer(&mut self, zero: Block, one: Block, choice: bool) -> Block {
-        self.transfers += 1;
-        if choice {
-            one
-        } else {
-            zero
-        }
-    }
-}
-
 /// Chou–Orlandi-style base OT over the group `(Z/pZ)^*`, `p = 2^127 − 1`.
 ///
 /// Message flow for a batch of `n` transfers (all messages are plain
 /// byte-serializable values; the caller owns the transport):
 ///
 /// 1. Sender → Receiver: `S = g^y` plus a fresh batch nonce
-///    ([`OtSender::public_point`], [`OtSender::nonce`]).
+///    ([`base::OtSender::public_point`], [`base::OtSender::nonce`]).
 /// 2. Receiver → Sender: `R_i = g^{x_i} · S^{c_i}` for each choice bit
-///    `c_i` ([`OtReceiver::blinded_points`]).
+///    `c_i` ([`base::OtReceiver::blinded_points`]).
 /// 3. Sender → Receiver: `(e0_i, e1_i)` where `e_b = m_b ⊕ H(k_b ⊕ nonce, i)`
-///    with `k0 = R_i^y`, `k1 = (R_i/S)^y` ([`OtSender::encrypt`]).
+///    with `k0 = R_i^y`, `k1 = (R_i/S)^y` ([`base::OtSender::encrypt`]).
 /// 4. Receiver: `m_{c_i} = e_{c_i} ⊕ H(S^{x_i} ⊕ nonce, i)`
-///    ([`OtReceiver::decrypt`]).
+///    ([`base::OtReceiver::decrypt`]).
 ///
 /// Key derivation reuses the re-keyed gate hash (`H(x, tweak) =
 /// AES_{K(tweak)}(x) ⊕ x`), with tweaks in the
@@ -143,7 +84,7 @@ impl ObliviousTransfer for SimulatedOt {
 /// `(point, index)`, identical across sessions that ever repeat a point.
 #[cfg(feature = "insecure-ot")]
 pub mod base {
-    use super::{ObliviousTransfer, OtError};
+    use super::OtError;
     use crate::block::Block;
     use crate::hash::{GateHash, HashScheme, OT_BASE_TWEAK};
     use rand::Rng;
@@ -397,40 +338,6 @@ pub mod base {
         }
     }
 
-    /// Runs the whole protocol in-process (both roles): an
-    /// [`ObliviousTransfer`] for co-located tests and the legacy path.
-    #[derive(Debug)]
-    pub struct LocalBaseOt<R: Rng> {
-        rng: R,
-        transfers: u64,
-    }
-
-    impl<R: Rng> LocalBaseOt<R> {
-        /// Wraps an RNG that will drive both parties' sampling.
-        pub fn new(rng: R) -> LocalBaseOt<R> {
-            LocalBaseOt { rng, transfers: 0 }
-        }
-
-        /// Number of single transfers performed.
-        pub fn transfers(&self) -> u64 {
-            self.transfers
-        }
-    }
-
-    impl<R: Rng> ObliviousTransfer for LocalBaseOt<R> {
-        fn transfer(&mut self, zero: Block, one: Block, choice: bool) -> Block {
-            self.transfers += 1;
-            let sender = OtSender::new(&mut self.rng);
-            let receiver =
-                OtReceiver::new(&mut self.rng, sender.public_point(), sender.nonce(), &[choice])
-                    .expect("honest sender point is a unit");
-            let cts = sender
-                .encrypt(&receiver.blinded_points(), &[(zero, one)])
-                .expect("honest receiver points are units");
-            receiver.decrypt(&cts).expect("one ciphertext per choice")[0]
-        }
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -558,58 +465,12 @@ pub mod base {
                 OtError::CountMismatch { expected: 2, got: 1 }
             );
         }
-
-        #[test]
-        fn local_base_ot_implements_the_trait() {
-            let rng = StdRng::seed_from_u64(4);
-            let mut ot = LocalBaseOt::new(rng);
-            let zero = Block::from(11u128);
-            let one = Block::from(22u128);
-            assert_eq!(ot.transfer(zero, one, false), zero);
-            assert_eq!(ot.transfer(zero, one, true), one);
-            assert_eq!(ot.transfers(), 2);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn transfer_selects_by_choice() {
-        let mut ot = SimulatedOt::new();
-        let zero = Block::from(10u128);
-        let one = Block::from(20u128);
-        assert_eq!(ot.transfer(zero, one, false), zero);
-        assert_eq!(ot.transfer(zero, one, true), one);
-        assert_eq!(ot.transfers(), 2);
-    }
-
-    #[test]
-    fn batched_transfers() {
-        let mut ot = SimulatedOt::new();
-        let pairs: Vec<(Block, Block)> =
-            (0..4).map(|i| (Block::from(i as u128), Block::from((i + 100) as u128))).collect();
-        let got = ot.transfer_all(&pairs, &[true, false, true, false]);
-        assert_eq!(
-            got,
-            vec![
-                Block::from(100u128),
-                Block::from(1u128),
-                Block::from(102u128),
-                Block::from(3u128)
-            ]
-        );
-        assert_eq!(ot.transfers(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "one choice bit per label pair")]
-    fn mismatched_batch_panics() {
-        let mut ot = SimulatedOt::new();
-        let _ = ot.transfer_all(&[(Block::ZERO, Block::ZERO)], &[]);
-    }
 
     #[test]
     fn ot_error_displays_both_variants() {

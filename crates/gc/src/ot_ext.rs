@@ -41,12 +41,11 @@
 //! untouched, which is why this module needs nothing from the garbler
 //! beyond the pairs it already exposes.
 //!
-//! Hashing uses the re-keyed [`GateHash`] under the
-//! [`OT_EXT_TWEAK`](crate::OT_EXT_TWEAK) namespace; the
-//! per-transfer tweak makes `H` a correlation-robustness breaker (the
-//! hash, not the raw `qᵢ`, masks the messages) and the `[i, i]` tweak
-//! shape shares one key expansion across both branches of a pair,
-//! exactly like an AND gate's lanes.
+//! Hashing uses the re-keyed [`GateHash`] under the [`OT_EXT_TWEAK`]
+//! namespace; the per-transfer tweak makes `H` a
+//! correlation-robustness breaker (the hash, not the raw `qᵢ`, masks
+//! the messages) and the `[i, i]` tweak shape shares one key expansion
+//! across both branches of a pair, exactly like an AND gate's lanes.
 //!
 //! This module is pure symmetric crypto (PRG + transpose + hashes), so
 //! it is **not** gated behind `insecure-ot` — only the base-OT

@@ -11,9 +11,9 @@
 //!   (produced by `haac-core`'s `lower_for_streaming`) whose window
 //!   size is computed **statically** from the maximum operand distance,
 //!   so every read provably hits a live slot;
-//! - [`SlabLabels`] is the flat `Vec<Block>` slab the streaming
-//!   garbler/evaluator index with a single mask — the replacement for
-//!   the `HashMap<WireId, Block>` live-label store.
+//! - `SlabLabels` is the flat `Vec<Block>` slab the streaming
+//!   garbler/evaluator index with a single mask — the only label store
+//!   an executor in this crate has.
 //!
 //! Safety of the tagless discipline: addresses are written in strictly
 //! ascending order (inputs `1..=n`, then one output per instruction),
@@ -76,9 +76,10 @@ pub struct SlotInstr {
 ///
 /// Instruction order is the source circuit's gate order (the compiler's
 /// *baseline* schedule), so the table stream and per-gate tweaks are
-/// bit-identical to garbling the raw netlist — reordering strategies
-/// can be layered on by both parties symmetrically, but the default
-/// lowering preserves the legacy transcript exactly.
+/// bit-identical to the oracle [`garble`](crate::garble()) on the raw
+/// netlist — reordering strategies can be layered on by both parties
+/// symmetrically, but the default lowering preserves that transcript
+/// exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotProgram {
     instrs: Vec<SlotInstr>,
@@ -329,8 +330,9 @@ impl SlotProgram {
     }
 
     /// Peak simultaneously-live wire addresses, computed statically at
-    /// plan construction (identical to the dynamic liveness peak the
-    /// HashMap store used to measure per session).
+    /// plan construction — what the streaming executors report, and
+    /// equal to [`Liveness::peak_live_wires`](crate::Liveness::peak_live_wires)
+    /// of the source netlist for a baseline-order plan.
     #[inline]
     pub fn peak_live(&self) -> usize {
         self.peak_live

@@ -2,34 +2,27 @@
 //!
 //! GCs are a *streaming* workload (paper §2.2): tables are produced in
 //! gate order, consumed exactly once, and never revisited, and a wire's
-//! label is dead the moment its last reader has fired. The monolithic
-//! [`garble`](crate::garble())/[`evaluate`](crate::evaluate()) entry
-//! points materialize every wire label (O(circuit) memory); the
+//! label is dead the moment its last reader has fired. The oracle pair
+//! [`garble`](crate::garble())/[`evaluate`](crate::evaluate())
+//! materializes every wire label (O(circuit) memory); the
 //! [`StreamingGarbler`] and [`StreamingEvaluator`] here instead advance
-//! one gate at a time and expose the table stream in caller-sized
-//! chunks — the software analogue of HAAC's sliding wire window, and
-//! the substrate `haac-runtime` ships over real channels.
+//! through a renamed [`SlotProgram`] and expose the table stream in
+//! caller-sized chunks — the software analogue of HAAC's sliding wire
+//! window, and the substrate `haac-runtime` ships over real channels.
 //!
-//! Two label stores back the streaming executors:
+//! There is one label store, the **slot slab** (paper §3.1.1, §4.2.2):
+//! labels live in a flat `Vec<Block>` indexed by `addr & mask` — no
+//! tags, no lookups, no per-gate retire bookkeeping (overwrite-on-rename
+//! *is* the retire), peak residency known statically from the plan. This
+//! is what compiler renaming buys the hardware, reproduced in software;
+//! both parties run the same program against the same kind of store.
 //!
-//! - **Slot slab** (the HAAC co-design path): construct
-//!   [`with_plan`](StreamingGarbler::with_plan) from a renamed
-//!   [`SlotProgram`] and labels live in a flat `Vec<Block>` indexed by
-//!   `addr & mask` — no hashing, no per-gate retire bookkeeping
-//!   (overwrite-on-rename *is* the retire), peak residency known
-//!   statically from the plan. This is what compiler renaming buys the
-//!   hardware, reproduced in software.
-//! - **Liveness-retired `HashMap`** (the CPU-baseline path): construct
-//!   [`new`](StreamingGarbler::new) from a raw [`Circuit`] and labels
-//!   are retired at their last use, with the high-water mark measured
-//!   dynamically. This is the reference the slab path is benchmarked
-//!   and equivalence-tested against.
-//!
-//! Both stores produce **bit-identical transcripts**: the default
-//! lowering preserves gate order and per-gate tweaks, so tables, decode
-//! strings, and every label agree byte for byte.
-
-use std::collections::HashMap;
+//! The default lowering ([`baseline_plan`]) preserves gate order and
+//! per-gate tweaks, so for a shared seed the chunks concatenate to
+//! exactly the tables, decode string and cipher-work counters of
+//! [`garble`](crate::garble()) — the reference every executor in this
+//! crate is compared with. [`Liveness`] is the circuit-level reference
+//! for the plan's static [`SlotProgram::peak_live`].
 
 use haac_circuit::{Circuit, GateOp, WireId};
 use rand::Rng;
@@ -93,10 +86,9 @@ impl Liveness {
     }
 
     /// The peak number of simultaneously live wires across the circuit —
-    /// the minimum label storage an in-order streaming executor needs.
-    /// Mirrors the liveness-retired store exactly, so it predicts its
-    /// reported peaks without running it (and equals
-    /// [`SlotProgram::peak_live`] for the renamed program).
+    /// the minimum label storage an in-order streaming executor needs,
+    /// computed on the raw netlist. Equals [`SlotProgram::peak_live`]
+    /// for the renamed program, which is what the executors report.
     pub fn peak_live_wires(&self, circuit: &Circuit) -> usize {
         let mut stored = vec![false; self.last_use.len()];
         let mut live = 0usize;
@@ -125,55 +117,14 @@ impl Liveness {
     }
 }
 
-/// A live-label store that retires entries at their last use and tracks
-/// its own high-water mark (the CPU-baseline path).
-#[derive(Debug)]
-struct LiveLabels {
-    labels: HashMap<WireId, Block>,
-    peak: usize,
-}
-
-impl LiveLabels {
-    fn new() -> LiveLabels {
-        LiveLabels { labels: HashMap::new(), peak: 0 }
-    }
-
-    #[inline]
-    fn insert(&mut self, w: WireId, label: Block) {
-        self.labels.insert(w, label);
-        self.peak = self.peak.max(self.labels.len());
-    }
-
-    #[inline]
-    fn get(&self, w: WireId) -> Block {
-        *self.labels.get(&w).unwrap_or_else(|| panic!("wire {w} read after retirement"))
-    }
-
-    #[inline]
-    fn retire_if_dead(&mut self, w: WireId, index: usize, liveness: &Liveness) {
-        if liveness.last_use[w as usize] != LIVE_FOREVER && liveness.dies_at(w, index) {
-            self.labels.remove(&w);
-        }
-    }
-}
-
-/// Which label store an executor runs on.
-#[derive(Debug)]
-enum Store<'c> {
-    /// Raw circuit + liveness-retired HashMap (dynamic peak tracking).
-    Live { circuit: &'c Circuit, liveness: Liveness, live: LiveLabels },
-    /// Renamed program + tagless slot slab (static peak from the plan).
-    Slab(SlabState<'c>),
-}
-
 /// Result of a finished streaming garble: what the garbler must still
 /// send (the decode string) plus accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GarblerFinish {
     /// Permute bits of the output wires' zero labels (the decode string).
     pub output_decode: Vec<bool>,
-    /// High-water mark of simultaneously stored wire labels — measured
-    /// on the liveness path, statically known on the slab path.
+    /// High-water mark of simultaneously live wire labels — the plan's
+    /// static [`SlotProgram::peak_live`].
     pub peak_live_wires: usize,
     /// High-water mark of queued OoRW entries (0 unless the plan was
     /// built against a forced small window; always ≤ the plan's static
@@ -190,8 +141,8 @@ pub struct EvaluatorFinish {
     pub outputs: Vec<bool>,
     /// The active output labels (before decoding).
     pub output_labels: Vec<Block>,
-    /// High-water mark of simultaneously stored wire labels — measured
-    /// on the liveness path, statically known on the slab path.
+    /// High-water mark of simultaneously live wire labels — the plan's
+    /// static [`SlotProgram::peak_live`].
     pub peak_live_wires: usize,
     /// High-water mark of queued OoRW entries (0 unless the plan was
     /// built against a forced small window; always ≤ the plan's static
@@ -207,25 +158,25 @@ pub struct EvaluatorFinish {
 /// [`garble`](crate::garble()), so a shared seed yields a bit-identical
 /// garbling). Input encoding and OT label pairs are served from a
 /// dedicated input-label table that is dropped when table production
-/// starts; thereafter memory is the label store alone.
+/// starts; thereafter memory is the slot slab alone.
 ///
 /// # Examples
 ///
 /// ```
 /// use haac_circuit::Builder;
-/// use haac_gc::{HashScheme, StreamingGarbler, StreamingEvaluator};
+/// use haac_gc::{baseline_plan, HashScheme, StreamingGarbler, StreamingEvaluator};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let mut b = Builder::new();
 /// let x = b.input_garbler(8);
 /// let y = b.input_evaluator(8);
 /// let (s, _) = b.add_words(&x, &y);
-/// let c = b.finish(s).unwrap();
+/// let plan = baseline_plan(&b.finish(s).unwrap());
 ///
 /// let mut rng = StdRng::seed_from_u64(1);
-/// let mut garbler = StreamingGarbler::new(&c, &mut rng, HashScheme::Rekeyed);
+/// let mut garbler = StreamingGarbler::with_plan(&plan, &mut rng, HashScheme::Rekeyed);
 /// let inputs = garbler.encode_inputs(&haac_circuit::to_bits(20, 8), &haac_circuit::to_bits(22, 8));
-/// let mut evaluator = StreamingEvaluator::new(&c, inputs, HashScheme::Rekeyed);
+/// let mut evaluator = StreamingEvaluator::with_plan(&plan, inputs, HashScheme::Rekeyed);
 /// while let Some(chunk) = garbler.next_tables(4) {
 ///     evaluator.feed(&chunk);
 /// }
@@ -235,7 +186,7 @@ pub struct EvaluatorFinish {
 /// ```
 #[derive(Debug)]
 pub struct StreamingGarbler<'c> {
-    store: Store<'c>,
+    state: SlabState<'c>,
     hash: GateHash,
     delta: Delta,
     garbler_inputs: u32,
@@ -248,44 +199,13 @@ pub struct StreamingGarbler<'c> {
 }
 
 impl<'c> StreamingGarbler<'c> {
-    /// Samples a fresh garbling (Δ + input labels) for `circuit`,
-    /// backed by the liveness-retired HashMap store.
-    pub fn new<R: Rng + ?Sized>(
-        circuit: &'c Circuit,
-        rng: &mut R,
-        scheme: HashScheme,
-    ) -> StreamingGarbler<'c> {
-        let delta = Delta::random(rng);
-        let input_zero_labels: Vec<Block> =
-            (0..circuit.num_inputs()).map(|_| Block::random(rng)).collect();
-        let liveness = Liveness::analyze(circuit);
-        let mut live = LiveLabels::new();
-        for (w, &label) in input_zero_labels.iter().enumerate() {
-            let w = w as WireId;
-            if liveness.needed(w) {
-                live.insert(w, label);
-            }
-        }
-        StreamingGarbler {
-            store: Store::Live { circuit, liveness, live },
-            hash: GateHash::new(scheme),
-            delta,
-            garbler_inputs: circuit.garbler_inputs(),
-            evaluator_inputs: circuit.evaluator_inputs(),
-            num_gates: circuit.num_gates(),
-            num_tables: circuit.num_and_gates(),
-            input_zero_labels: Some(input_zero_labels),
-            next_gate: 0,
-        }
-    }
-
     /// Samples a fresh garbling driven by a renamed [`SlotProgram`],
     /// backed by the tagless slot slab — the HAAC co-design hot path.
     ///
-    /// The RNG draw order matches [`new`](StreamingGarbler::new), and
-    /// the default (baseline-order) lowering preserves gate order and
-    /// tweaks, so the transcript is bit-identical to the HashMap path
-    /// for the same seed.
+    /// The RNG draw order matches [`garble`](crate::garble()), and the
+    /// default (baseline-order) lowering preserves gate order and
+    /// tweaks, so the transcript is bit-identical to the oracle's for
+    /// the same seed.
     pub fn with_plan<R: Rng + ?Sized>(
         plan: &'c SlotProgram,
         rng: &mut R,
@@ -299,7 +219,7 @@ impl<'c> StreamingGarbler<'c> {
             state.write(w as u32 + 1, label);
         }
         StreamingGarbler {
-            store: Store::Slab(state),
+            state,
             hash: GateHash::new(scheme),
             delta,
             garbler_inputs: plan.garbler_inputs(),
@@ -411,23 +331,14 @@ impl<'c> StreamingGarbler<'c> {
             return false;
         }
         self.input_zero_labels = None;
-        match &mut self.store {
-            Store::Live { circuit, liveness, live } => {
-                garble_live(
-                    &self.hash,
-                    self.delta,
-                    circuit,
-                    liveness,
-                    live,
-                    &mut self.next_gate,
-                    max_tables,
-                    tables,
-                );
-            }
-            Store::Slab(state) => {
-                garble_slab(&self.hash, self.delta, state, &mut self.next_gate, max_tables, tables);
-            }
-        }
+        garble_slab(
+            &self.hash,
+            self.delta,
+            &mut self.state,
+            &mut self.next_gate,
+            max_tables,
+            tables,
+        );
         true
     }
 
@@ -442,13 +353,9 @@ impl<'c> StreamingGarbler<'c> {
     }
 
     /// OoRW entries queued right now — the live occupancy the session
-    /// driver samples at chunk boundaries (0 on the HashMap path, which
-    /// has no queue).
+    /// driver samples at chunk boundaries.
     pub fn oor_queue_len(&self) -> usize {
-        match &self.store {
-            Store::Live { .. } => 0,
-            Store::Slab(state) => state.oor_len(),
-        }
+        self.state.oor_len()
     }
 
     /// Finishes the garbling, yielding the output-decode string.
@@ -458,95 +365,18 @@ impl<'c> StreamingGarbler<'c> {
     /// Panics if gates remain ungarbled.
     pub fn finish(self) -> GarblerFinish {
         assert!(self.is_done(), "finish() before all gates were garbled");
-        let (output_decode, peak_live_wires, oor_queue_peak) = match self.store {
-            Store::Live { circuit, live, .. } => {
-                let decode = circuit.outputs().iter().map(|&w| live.get(w).lsb()).collect();
-                (decode, live.peak, 0)
-            }
-            Store::Slab(state) => {
-                let peak = state.plan().peak_live();
-                let oor_peak = state.oor_peak();
-                let decode = state.into_output_labels().iter().map(|l| l.lsb()).collect();
-                (decode, peak, oor_peak)
-            }
-        };
         GarblerFinish {
-            output_decode,
-            peak_live_wires,
-            oor_queue_peak,
+            peak_live_wires: self.state.plan().peak_live(),
+            oor_queue_peak: self.state.oor_peak(),
+            output_decode: self.state.into_output_labels().iter().map(|l| l.lsb()).collect(),
             crypto: self.hash.counters(),
         }
     }
 }
 
-/// One chunk of liveness-store garbling (the CPU-baseline hot loop:
-/// HashMap get/insert/retire per operand).
-#[allow(clippy::too_many_arguments)]
-fn garble_live(
-    hash: &GateHash,
-    delta: Delta,
-    circuit: &Circuit,
-    liveness: &Liveness,
-    live: &mut LiveLabels,
-    next_gate: &mut usize,
-    max_tables: usize,
-    tables: &mut Vec<[Block; 2]>,
-) {
-    let gates = circuit.gates();
-    while *next_gate < gates.len() && tables.len() < max_tables {
-        let index = *next_gate;
-        let gate = gates[index];
-        if gate.op == GateOp::And {
-            // Collect the run of consecutive AND gates none of which
-            // reads an output of an earlier gate in the run; their
-            // hashes are independent and batch into one call.
-            let budget = (max_tables - tables.len()).min(MAX_AND_BATCH);
-            let mut batch = [(0u64, Block::ZERO, Block::ZERO); MAX_AND_BATCH];
-            let mut outs = [WireId::MAX; MAX_AND_BATCH];
-            let mut k = 0;
-            while k < budget && index + k < gates.len() {
-                let g = gates[index + k];
-                if g.op != GateOp::And || outs[..k].contains(&g.a) || outs[..k].contains(&g.b) {
-                    break;
-                }
-                batch[k] = ((index + k) as u64, live.get(g.a), live.get(g.b));
-                outs[k] = g.out;
-                k += 1;
-            }
-            let mut results = [(Block::ZERO, [Block::ZERO; 2]); MAX_AND_BATCH];
-            garble_and_batch(hash, delta, &batch[..k], &mut results[..k]);
-            // Bookkeeping replays gate order exactly, so live-label
-            // peaks match gate-at-a-time execution.
-            for (j, &(w0c, table)) in results[..k].iter().enumerate() {
-                let idx = index + j;
-                let g = gates[idx];
-                tables.push(table);
-                if liveness.needed(g.out) {
-                    live.insert(g.out, w0c);
-                }
-                live.retire_if_dead(g.a, idx, liveness);
-                live.retire_if_dead(g.b, idx, liveness);
-            }
-            *next_gate = index + k;
-        } else {
-            let w0a = live.get(gate.a);
-            let out = match gate.op {
-                GateOp::Xor => garble_xor(w0a, live.get(gate.b)),
-                _ => garble_inv(delta, w0a),
-            };
-            if liveness.needed(gate.out) {
-                live.insert(gate.out, out);
-            }
-            live.retire_if_dead(gate.a, index, liveness);
-            live.retire_if_dead(gate.b, index, liveness);
-            *next_gate += 1;
-        }
-    }
-}
-
-/// One chunk of slab-store garbling — the per-gate hot loop is slab
-/// indexing only: no hash lookups, no retire bookkeeping, no liveness
-/// branches (sentinel operands pop the OoRW queue instead). An AND run
+/// One chunk of garbling — the per-gate hot loop is slab indexing
+/// only: no lookups, no retire bookkeeping, no liveness branches
+/// (sentinel operands pop the OoRW queue instead). An AND run
 /// is independent iff no operand address reaches into the run's own
 /// (contiguous, sequential) output range. A sentinel operand (address
 /// 0) needs the same check against its *original* address: with a
@@ -624,7 +454,7 @@ fn garble_slab(
 /// table into an intermediate queue.
 #[derive(Debug)]
 pub struct StreamingEvaluator<'c> {
-    store: Store<'c>,
+    state: SlabState<'c>,
     hash: GateHash,
     num_gates: usize,
     next_gate: usize,
@@ -632,42 +462,9 @@ pub struct StreamingEvaluator<'c> {
 }
 
 impl<'c> StreamingEvaluator<'c> {
-    /// Starts an evaluation from the active labels of all primary inputs
-    /// (wire order: garbler inputs then evaluator inputs), backed by the
-    /// liveness-retired HashMap store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the label count does not match the circuit.
-    pub fn new(
-        circuit: &'c Circuit,
-        input_labels: Vec<Block>,
-        scheme: HashScheme,
-    ) -> StreamingEvaluator<'c> {
-        assert_eq!(input_labels.len(), circuit.num_inputs() as usize, "input label count");
-        let liveness = Liveness::analyze(circuit);
-        let mut live = LiveLabels::new();
-        for (w, label) in input_labels.into_iter().enumerate() {
-            let w = w as WireId;
-            if liveness.needed(w) {
-                live.insert(w, label);
-            }
-        }
-        let mut evaluator = StreamingEvaluator {
-            store: Store::Live { circuit, liveness, live },
-            hash: GateHash::new(scheme),
-            num_gates: circuit.num_gates(),
-            next_gate: 0,
-            tables_consumed: 0,
-        };
-        // Table-free prefixes (XOR/INV) — and whole circuits without AND
-        // gates — evaluate before any chunk arrives.
-        evaluator.feed(&[]);
-        evaluator
-    }
-
-    /// Starts an evaluation driven by a renamed [`SlotProgram`], backed
-    /// by the tagless slot slab.
+    /// Starts an evaluation of a renamed [`SlotProgram`] from the active
+    /// labels of all primary inputs (garbler inputs first), backed by
+    /// the tagless slot slab.
     ///
     /// # Panics
     ///
@@ -683,12 +480,14 @@ impl<'c> StreamingEvaluator<'c> {
             state.write(w as u32 + 1, label);
         }
         let mut evaluator = StreamingEvaluator {
-            store: Store::Slab(state),
+            state,
             hash: GateHash::new(scheme),
             num_gates: plan.instrs().len(),
             next_gate: 0,
             tables_consumed: 0,
         };
+        // Table-free prefixes (XOR/INV) — and whole circuits without AND
+        // gates — evaluate before any chunk arrives.
         evaluator.feed(&[]);
         evaluator
     }
@@ -697,12 +496,7 @@ impl<'c> StreamingEvaluator<'c> {
     /// advances evaluation as far as possible, consuming tables directly
     /// from the slice.
     pub fn feed(&mut self, tables: &[[Block; 2]]) {
-        let consumed = match &mut self.store {
-            Store::Live { circuit, liveness, live } => {
-                eval_live(&self.hash, circuit, liveness, live, &mut self.next_gate, tables)
-            }
-            Store::Slab(state) => eval_slab(&self.hash, state, &mut self.next_gate, tables),
-        };
+        let consumed = eval_slab(&self.hash, &mut self.state, &mut self.next_gate, tables);
         self.tables_consumed += consumed as u64;
     }
 
@@ -717,13 +511,9 @@ impl<'c> StreamingEvaluator<'c> {
     }
 
     /// OoRW entries queued right now — the live occupancy the session
-    /// driver samples at chunk boundaries (0 on the HashMap path, which
-    /// has no queue).
+    /// driver samples at chunk boundaries.
     pub fn oor_queue_len(&self) -> usize {
-        match &self.store {
-            Store::Live { .. } => 0,
-            Store::Slab(state) => state.oor_len(),
-        }
+        self.state.oor_len()
     }
 
     /// Finishes the evaluation, decoding outputs with the garbler's
@@ -735,93 +525,17 @@ impl<'c> StreamingEvaluator<'c> {
     /// width is wrong.
     pub fn finish(self, output_decode: &[bool]) -> EvaluatorFinish {
         assert!(self.is_done(), "finish() before all gates were evaluated");
-        let (output_labels, peak_live_wires, oor_queue_peak): (Vec<Block>, usize, usize) =
-            match self.store {
-                Store::Live { circuit, live, .. } => {
-                    let labels = circuit.outputs().iter().map(|&w| live.get(w)).collect();
-                    (labels, live.peak, 0)
-                }
-                Store::Slab(state) => {
-                    let peak = state.plan().peak_live();
-                    let oor_peak = state.oor_peak();
-                    (state.into_output_labels(), peak, oor_peak)
-                }
-            };
-        let outputs = decode_outputs(&output_labels, output_decode);
+        let peak_live_wires = self.state.plan().peak_live();
+        let oor_queue_peak = self.state.oor_peak();
+        let output_labels = self.state.into_output_labels();
         EvaluatorFinish {
-            outputs,
+            outputs: decode_outputs(&output_labels, output_decode),
             output_labels,
             peak_live_wires,
             oor_queue_peak,
             crypto: self.hash.counters(),
         }
     }
-}
-
-/// Advances liveness-store evaluation as far as `tables` allows; returns
-/// the number of tables consumed (always the whole slice unless the gate
-/// list ends first).
-fn eval_live(
-    hash: &GateHash,
-    circuit: &Circuit,
-    liveness: &Liveness,
-    live: &mut LiveLabels,
-    next_gate: &mut usize,
-    tables: &[[Block; 2]],
-) -> usize {
-    let gates = circuit.gates();
-    let mut cursor = 0usize;
-    while *next_gate < gates.len() {
-        let index = *next_gate;
-        let gate = gates[index];
-        if gate.op == GateOp::And {
-            if cursor == tables.len() {
-                break; // starved: wait for the next chunk
-            }
-            // Batch the run of consecutive independent AND gates whose
-            // tables have already arrived (mirrors the garbler's
-            // batching; same results as gate-at-a-time).
-            let budget = (tables.len() - cursor).min(MAX_AND_BATCH);
-            let mut batch = [(0u64, Block::ZERO, Block::ZERO); MAX_AND_BATCH];
-            let mut outs = [WireId::MAX; MAX_AND_BATCH];
-            let mut k = 0;
-            while k < budget && index + k < gates.len() {
-                let g = gates[index + k];
-                if g.op != GateOp::And || outs[..k].contains(&g.a) || outs[..k].contains(&g.b) {
-                    break;
-                }
-                batch[k] = ((index + k) as u64, live.get(g.a), live.get(g.b));
-                outs[k] = g.out;
-                k += 1;
-            }
-            let mut labels = [Block::ZERO; MAX_AND_BATCH];
-            eval_and_batch(hash, &batch[..k], &tables[cursor..cursor + k], &mut labels[..k]);
-            cursor += k;
-            for (j, &label) in labels[..k].iter().enumerate() {
-                let idx = index + j;
-                let g = gates[idx];
-                if liveness.needed(g.out) {
-                    live.insert(g.out, label);
-                }
-                live.retire_if_dead(g.a, idx, liveness);
-                live.retire_if_dead(g.b, idx, liveness);
-            }
-            *next_gate = index + k;
-        } else {
-            let wa = live.get(gate.a);
-            let out = match gate.op {
-                GateOp::Xor => eval_xor(wa, live.get(gate.b)),
-                _ => eval_inv(wa),
-            };
-            if liveness.needed(gate.out) {
-                live.insert(gate.out, out);
-            }
-            live.retire_if_dead(gate.a, index, liveness);
-            live.retire_if_dead(gate.b, index, liveness);
-            *next_gate += 1;
-        }
-    }
-    cursor
 }
 
 /// Whether an AND instruction's OoR-sentinel operands (if any) are
@@ -848,8 +562,9 @@ fn oor_run_independent(state: &SlabState<'_>, g: &SlotInstr, run_min: u32) -> bo
     true
 }
 
-/// Advances slab-store evaluation as far as `tables` allows; the hot
-/// loop is slab indexing only.
+/// Advances evaluation as far as `tables` allows and returns the number
+/// of tables consumed (always the whole slice unless the instruction
+/// list ends first); the hot loop is slab indexing only.
 fn eval_slab(
     hash: &GateHash,
     state: &mut SlabState<'_>,
@@ -949,7 +664,7 @@ pub fn baseline_plan(circuit: &Circuit) -> SlotProgram {
 mod tests {
     use super::*;
     use crate::evaluate::evaluate;
-    use crate::garble::garble;
+    use crate::garble::{decode_outputs, garble};
     use haac_circuit::{to_bits, Builder};
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -981,10 +696,11 @@ mod tests {
     #[test]
     fn streaming_matches_monolithic_garbling_bit_for_bit() {
         let c = adder_circuit(16);
+        let plan = baseline_plan(&c);
         let mut rng1 = StdRng::seed_from_u64(77);
         let mut rng2 = StdRng::seed_from_u64(77);
         let mono = garble(&c, &mut rng1, HashScheme::Rekeyed);
-        let mut streaming = StreamingGarbler::new(&c, &mut rng2, HashScheme::Rekeyed);
+        let mut streaming = StreamingGarbler::with_plan(&plan, &mut rng2, HashScheme::Rekeyed);
         assert_eq!(streaming.delta(), mono.delta);
         let mut tables = Vec::new();
         while let Some(chunk) = streaming.next_tables(3) {
@@ -996,34 +712,32 @@ mod tests {
     }
 
     #[test]
-    fn slab_transcript_is_bit_identical_to_hashmap_store() {
+    fn slab_chunks_concatenate_to_the_oracle_transcript() {
         for c in [adder_circuit(16), mixed_circuit()] {
             let plan = baseline_plan(&c);
+            let mut rng = StdRng::seed_from_u64(123);
+            let oracle = garble(&c, &mut rng, HashScheme::Rekeyed);
             for chunk in [1usize, 3, 64, 1 << 14] {
-                let mut rng1 = StdRng::seed_from_u64(123);
-                let mut rng2 = StdRng::seed_from_u64(123);
-                let mut live = StreamingGarbler::new(&c, &mut rng1, HashScheme::Rekeyed);
-                let mut slab = StreamingGarbler::with_plan(&plan, &mut rng2, HashScheme::Rekeyed);
-                assert_eq!(live.delta(), slab.delta());
-                assert_eq!(live.total_tables(), slab.total_tables());
-                loop {
-                    let a = live.next_tables(chunk);
-                    let b = slab.next_tables(chunk);
-                    assert_eq!(a, b, "chunk={chunk}");
-                    if a.is_none() {
-                        break;
-                    }
+                let mut rng = StdRng::seed_from_u64(123);
+                let mut slab = StreamingGarbler::with_plan(&plan, &mut rng, HashScheme::Rekeyed);
+                assert_eq!(slab.delta(), oracle.delta);
+                assert_eq!(slab.total_tables(), oracle.garbled.tables.len());
+                let mut tables = Vec::new();
+                while let Some(part) = slab.next_tables(chunk) {
+                    let remaining = oracle.garbled.tables.len() - tables.len();
+                    assert_eq!(part.len(), chunk.min(remaining), "chunk={chunk}");
+                    tables.extend(part);
                 }
-                let lf = live.finish();
+                assert_eq!(tables, oracle.garbled.tables, "chunk={chunk}");
                 let sf = slab.finish();
-                assert_eq!(lf.output_decode, sf.output_decode, "chunk={chunk}");
-                assert_eq!(lf.crypto, sf.crypto, "chunk={chunk}");
+                assert_eq!(sf.output_decode, oracle.garbled.output_decode, "chunk={chunk}");
+                assert_eq!(sf.crypto, oracle.crypto, "chunk={chunk}");
             }
         }
     }
 
     #[test]
-    fn slab_evaluator_agrees_with_hashmap_evaluator() {
+    fn slab_evaluator_agrees_with_the_oracle_evaluator() {
         let c = mixed_circuit();
         let plan = baseline_plan(&c);
         let g_bits = to_bits(173, 8);
@@ -1032,18 +746,19 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(9);
             let mut garbler = StreamingGarbler::with_plan(&plan, &mut rng, HashScheme::Rekeyed);
             let inputs = garbler.encode_inputs(&g_bits, &e_bits);
-            let mut live_eval = StreamingEvaluator::new(&c, inputs.clone(), HashScheme::Rekeyed);
-            let mut slab_eval = StreamingEvaluator::with_plan(&plan, inputs, HashScheme::Rekeyed);
-            while let Some(tables) = garbler.next_tables(chunk) {
-                live_eval.feed(&tables);
-                slab_eval.feed(&tables);
+            let mut slab_eval =
+                StreamingEvaluator::with_plan(&plan, inputs.clone(), HashScheme::Rekeyed);
+            let mut tables = Vec::new();
+            while let Some(part) = garbler.next_tables(chunk) {
+                slab_eval.feed(&part);
+                tables.extend(part);
             }
             let decode = garbler.finish().output_decode;
-            let lf = live_eval.finish(&decode);
+            let oracle_labels = evaluate(&c, &tables, &inputs, HashScheme::Rekeyed);
             let sf = slab_eval.finish(&decode);
-            assert_eq!(lf.outputs, sf.outputs, "chunk={chunk}");
-            assert_eq!(lf.output_labels, sf.output_labels, "chunk={chunk}");
-            assert_eq!(lf.outputs, c.eval(&g_bits, &e_bits).unwrap(), "chunk={chunk}");
+            assert_eq!(sf.output_labels, oracle_labels, "chunk={chunk}");
+            assert_eq!(sf.outputs, decode_outputs(&oracle_labels, &decode), "chunk={chunk}");
+            assert_eq!(sf.outputs, c.eval(&g_bits, &e_bits).unwrap(), "chunk={chunk}");
         }
     }
 
@@ -1067,12 +782,12 @@ mod tests {
 
     #[test]
     fn streaming_pipeline_is_correct_for_every_chunk_size() {
-        let c = adder_circuit(8);
+        let plan = baseline_plan(&adder_circuit(8));
         for chunk in [1usize, 2, 7, 64, 1024] {
             let mut rng = StdRng::seed_from_u64(chunk as u64);
-            let mut garbler = StreamingGarbler::new(&c, &mut rng, HashScheme::Rekeyed);
+            let mut garbler = StreamingGarbler::with_plan(&plan, &mut rng, HashScheme::Rekeyed);
             let inputs = garbler.encode_inputs(&to_bits(200, 8), &to_bits(55, 8));
-            let mut evaluator = StreamingEvaluator::new(&c, inputs, HashScheme::Rekeyed);
+            let mut evaluator = StreamingEvaluator::with_plan(&plan, inputs, HashScheme::Rekeyed);
             while let Some(tables) = garbler.next_tables(chunk) {
                 evaluator.feed(&tables);
             }
@@ -1092,10 +807,11 @@ mod tests {
         let labels = mono.encode_inputs(&c, &g_bits, &e_bits);
         let mono_out = evaluate(&c, &mono.garbled.tables, &labels, HashScheme::FixedKey);
 
+        let plan = baseline_plan(&c);
         let mut rng = StdRng::seed_from_u64(5);
-        let mut garbler = StreamingGarbler::new(&c, &mut rng, HashScheme::FixedKey);
+        let mut garbler = StreamingGarbler::with_plan(&plan, &mut rng, HashScheme::FixedKey);
         let inputs = garbler.encode_inputs(&g_bits, &e_bits);
-        let mut evaluator = StreamingEvaluator::new(&c, inputs, HashScheme::FixedKey);
+        let mut evaluator = StreamingEvaluator::with_plan(&plan, inputs, HashScheme::FixedKey);
         while let Some(tables) = garbler.next_tables(8) {
             evaluator.feed(&tables);
         }
@@ -1115,11 +831,12 @@ mod tests {
             acc = b.and(acc, x[0]);
         }
         let c = b.finish(vec![acc]).unwrap();
+        let plan = baseline_plan(&c);
 
         let mut rng = StdRng::seed_from_u64(9);
-        let mut garbler = StreamingGarbler::new(&c, &mut rng, HashScheme::Rekeyed);
+        let mut garbler = StreamingGarbler::with_plan(&plan, &mut rng, HashScheme::Rekeyed);
         let inputs = garbler.encode_inputs(&[true], &[false]);
-        let mut evaluator = StreamingEvaluator::new(&c, inputs, HashScheme::Rekeyed);
+        let mut evaluator = StreamingEvaluator::with_plan(&plan, inputs, HashScheme::Rekeyed);
         while let Some(tables) = garbler.next_tables(16) {
             evaluator.feed(&tables);
         }
@@ -1135,10 +852,11 @@ mod tests {
     fn peak_live_wires_analysis_matches_execution() {
         let c = adder_circuit(8);
         let analyzed = Liveness::analyze(&c).peak_live_wires(&c);
+        let plan = baseline_plan(&c);
         let mut rng = StdRng::seed_from_u64(4);
-        let mut garbler = StreamingGarbler::new(&c, &mut rng, HashScheme::Rekeyed);
+        let mut garbler = StreamingGarbler::with_plan(&plan, &mut rng, HashScheme::Rekeyed);
         let inputs = garbler.encode_inputs(&to_bits(1, 8), &to_bits(2, 8));
-        let mut evaluator = StreamingEvaluator::new(&c, inputs, HashScheme::Rekeyed);
+        let mut evaluator = StreamingEvaluator::with_plan(&plan, inputs, HashScheme::Rekeyed);
         while let Some(tables) = garbler.next_tables(4) {
             evaluator.feed(&tables);
         }
@@ -1150,11 +868,11 @@ mod tests {
 
     #[test]
     fn next_tables_into_reuses_buffer_and_matches_next_tables() {
-        let c = adder_circuit(16);
+        let plan = baseline_plan(&adder_circuit(16));
         let mut rng1 = StdRng::seed_from_u64(55);
         let mut rng2 = StdRng::seed_from_u64(55);
-        let mut by_alloc = StreamingGarbler::new(&c, &mut rng1, HashScheme::Rekeyed);
-        let mut by_reuse = StreamingGarbler::new(&c, &mut rng2, HashScheme::Rekeyed);
+        let mut by_alloc = StreamingGarbler::with_plan(&plan, &mut rng1, HashScheme::Rekeyed);
+        let mut by_reuse = StreamingGarbler::with_plan(&plan, &mut rng2, HashScheme::Rekeyed);
         let mut buf: Vec<[Block; 2]> = Vec::with_capacity(5);
         let capacity_ptr = buf.as_ptr();
         loop {
@@ -1177,10 +895,11 @@ mod tests {
     fn streaming_counters_meter_exactly_two_expansions_per_and() {
         let c = adder_circuit(8);
         let ands = c.num_and_gates() as u64;
+        let plan = baseline_plan(&c);
         let mut rng = StdRng::seed_from_u64(60);
-        let mut garbler = StreamingGarbler::new(&c, &mut rng, HashScheme::Rekeyed);
+        let mut garbler = StreamingGarbler::with_plan(&plan, &mut rng, HashScheme::Rekeyed);
         let inputs = garbler.encode_inputs(&to_bits(9, 8), &to_bits(5, 8));
-        let mut evaluator = StreamingEvaluator::new(&c, inputs, HashScheme::Rekeyed);
+        let mut evaluator = StreamingEvaluator::with_plan(&plan, inputs, HashScheme::Rekeyed);
         while let Some(tables) = garbler.next_tables(4) {
             evaluator.feed(&tables);
         }
@@ -1230,9 +949,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "before streaming starts")]
     fn input_labels_unavailable_after_streaming_starts() {
-        let c = adder_circuit(4);
+        let plan = baseline_plan(&adder_circuit(4));
         let mut rng = StdRng::seed_from_u64(2);
-        let mut garbler = StreamingGarbler::new(&c, &mut rng, HashScheme::Rekeyed);
+        let mut garbler = StreamingGarbler::with_plan(&plan, &mut rng, HashScheme::Rekeyed);
         let _ = garbler.next_tables(1);
         let _ = garbler.input_label_pair(0);
     }

@@ -2163,8 +2163,17 @@ mod tests {
             let e_bits = to_bits(2000 + seed, 12);
             let config = SessionConfig::for_circuit(&c);
             let (g, _) = run_local_session(&c, &g_bits, &e_bits, seed, &config).unwrap();
-            let legacy = haac_gc::protocol::run_two_party(&c, &g_bits, &e_bits, seed);
-            assert_eq!(g.outputs, legacy.outputs);
+            // The monolithic protocol: the oracle pair on the raw netlist.
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mono = haac_gc::garble(&c, &mut rng, HashScheme::Rekeyed);
+            let labels = haac_gc::evaluate(
+                &c,
+                &mono.garbled.tables,
+                &mono.encode_inputs(&c, &g_bits, &e_bits),
+                HashScheme::Rekeyed,
+            );
+            let mono_outputs = haac_gc::decode_outputs(&labels, &mono.garbled.output_decode);
+            assert_eq!(g.outputs, mono_outputs);
             assert_eq!(g.outputs, c.eval(&g_bits, &e_bits).unwrap());
         }
     }

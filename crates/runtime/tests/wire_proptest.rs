@@ -7,10 +7,16 @@
 //! typed [`RuntimeError`] (never a panic), and an untrusted count or
 //! length prefix never drives an allocation beyond the bytes that
 //! actually arrived.
+//!
+//! The same contract is checked for the other decoder of stored or
+//! received bytes in the stack, [`PlanGarbling::from_bytes`] (the
+//! bank's instance format): any mutation of a valid encoding is a typed
+//! error or decodes to an instance that encodes back to exactly those
+//! bytes.
 
 use std::io;
 
-use haac_gc::{Block, HashScheme};
+use haac_gc::{Block, CryptoCounters, Delta, HashScheme, PlanGarbling};
 use haac_runtime::wire::{read_message, write_message, Message, OtMode, SessionHeader};
 use haac_runtime::{Channel, ChannelStats, ReorderKind, RuntimeError};
 use proptest::collection::vec;
@@ -125,6 +131,41 @@ fn message_from(kind: u8, data: &[u8]) -> Message {
         11 => Message::ResumeAck { from_seq: (u128_from(data) >> 23) as u64 },
         _ => Message::ChunkAck { upto_seq: (u128_from(data) >> 11) as u64 },
     }
+}
+
+/// Deterministically builds a small stored instance from sampled raw
+/// bytes: up to 30 input labels, 15 tables and `outputs` decode bits.
+fn instance_from(data: &[u8], outputs: u8) -> PlanGarbling {
+    PlanGarbling {
+        delta: Delta::from_block(Block::from(u128_from(data))),
+        input_zero_labels: blocks_from(data),
+        tables: pairs_from(data),
+        output_decode: (0..outputs).map(|i| u128_from(data) >> (i % 128) & 1 == 1).collect(),
+        crypto: CryptoCounters {
+            key_expansions: u128_from(data) as u64,
+            aes_blocks: (u128_from(data) >> 64) as u64,
+        },
+    }
+}
+
+/// Byte offsets of the three `u64` length prefixes in an instance's
+/// encoding: input labels, tables, output bits (after the 8-byte magic
+/// and the 16-byte Δ; labels are 16 bytes, tables 32).
+fn instance_prefix_offsets(instance: &PlanGarbling) -> [usize; 3] {
+    let labels_at = 8 + 16;
+    let tables_at = labels_at + 8 + 16 * instance.input_zero_labels.len();
+    let outputs_at = tables_at + 8 + 32 * instance.tables.len();
+    [labels_at, tables_at, outputs_at]
+}
+
+/// The instance decoder's contract on bytes it did not write: a typed
+/// error, or an instance whose encoding is exactly those bytes (so no
+/// decoded collection can be larger than what arrived).
+fn err_or_canonical(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(instance) = PlanGarbling::from_bytes(bytes) {
+        prop_assert_eq!(instance.to_bytes(), bytes);
+    }
+    Ok(())
 }
 
 /// Builds a raw frame without going through the (validating) writer.
@@ -264,6 +305,65 @@ proptest! {
             matches!(&err, RuntimeError::Protocol(m) if m.contains("exceeds")),
             "want a protocol error about the cap, got: {err}"
         );
+    }
+
+    #[test]
+    fn truncated_instances_are_typed_errors(
+        data in vec(any::<u8>(), 0..120),
+        outputs in any::<u8>(),
+        cut in any::<u16>(),
+    ) {
+        let mut bytes = instance_from(&data, outputs).to_bytes();
+        bytes.truncate(cut as usize % bytes.len()); // strictly shorter
+        prop_assert!(PlanGarbling::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn byte_flipped_instances_are_rejected_or_canonical(
+        data in vec(any::<u8>(), 0..120),
+        outputs in any::<u8>(),
+        at in any::<u16>(),
+        flip in 1u8..,
+    ) {
+        // A flip inside a label, a table or a counter is another valid
+        // instance; one in the magic, Δ's permute bit, a length prefix
+        // or the decode string's padding bits must not decode to
+        // something that re-encodes differently.
+        let instance = instance_from(&data, outputs);
+        let mut bytes = instance.to_bytes();
+        // A quarter of the cases aim at the bytes that steer the
+        // decoder — the low byte of each prefix and the last byte of the
+        // packed decode string — the rest land anywhere.
+        let [labels_at, tables_at, outputs_at] = instance_prefix_offsets(&instance);
+        let decode_end = outputs_at + 8 + (outputs as usize).div_ceil(8) - 1;
+        let at = match at % 16 {
+            0 => labels_at,
+            1 => tables_at,
+            2 => outputs_at,
+            3 => decode_end,
+            _ => at as usize % bytes.len(),
+        };
+        bytes[at] ^= flip;
+        err_or_canonical(&bytes)?;
+    }
+
+    #[test]
+    fn blown_up_instance_length_prefixes_are_rejected_before_allocating(
+        data in vec(any::<u8>(), 0..120),
+        outputs in any::<u8>(),
+        which in 0usize..3,
+        count in any::<u64>(),
+    ) {
+        // Each prefix in turn promises far more elements than the
+        // payload holds — up to 2^64 − 1, where reserving `count`
+        // elements would abort the process. The output-bit count has no
+        // per-element byte cost to check against, so it is the read of
+        // its packed bytes that must stop it.
+        let instance = instance_from(&data, outputs);
+        let mut bytes = instance.to_bytes();
+        let at = instance_prefix_offsets(&instance)[which];
+        bytes[at..at + 8].copy_from_slice(&count.max(1 << 16).to_le_bytes());
+        prop_assert!(PlanGarbling::from_bytes(&bytes).is_err());
     }
 }
 

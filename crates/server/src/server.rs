@@ -3,16 +3,18 @@
 //! One [`Server`] owns a bounded [`EnginePool`] and multiplexes every
 //! accepted evaluator connection onto it: a connection is registered,
 //! its session job queued, and the next free gate-engine worker drives
-//! the whole garbler side ([`read_request`] → circuit-cache fetch → ack
-//! → [`run_garbler`]) over that connection's channel. Concurrency is
+//! the whole garbler side ([`read_hello_deadline`] → circuit-cache
+//! fetch → ack → [`run_garbler_resumable`], or [`run_garbler_banked`]
+//! on a bank hit) over that connection's channel. Concurrency is
 //! bounded by the pool — 32 clients on a 4-engine pool run four at a
 //! time while the rest queue — and no thread is ever spawned per
 //! session.
 //!
 //! Failure is isolated per session: a malformed request, a hostile
 //! frame, a mid-protocol disconnect, or even a panic inside the session
-//! body is caught, recorded as a failed [`SessionOutcome`], and the
-//! worker moves on to the next queued session.
+//! body is caught, recorded as a failed
+//! [`SessionOutcome`](crate::SessionOutcome), and the worker moves on
+//! to the next queued session.
 
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

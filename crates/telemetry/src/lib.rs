@@ -9,16 +9,14 @@
 //! `vendor/` shims it implements exactly the surface the workspace
 //! uses):
 //!
-//! - [`metrics`]: lock-free instruments — [`Counter`](metrics::Counter),
-//!   [`Gauge`](metrics::Gauge), [`GaugeF`](metrics::GaugeF), fixed
-//!   64-bucket log2 [`Histogram`](metrics::Histogram) with
-//!   p50/p99/p999 extraction, and a [`SlidingRate`](metrics::SlidingRate)
-//!   window for aggregate gates/s. Every recording is a few relaxed
+//! - [`metrics`]: lock-free instruments — [`Counter`], [`Gauge`],
+//!   [`GaugeF`], fixed 64-bucket log2 [`Histogram`] with p50/p99/p999
+//!   extraction, and a [`SlidingRate`] window for aggregate gates/s. Every recording is a few relaxed
 //!   atomic operations; handles are `Arc`s created once and cached.
-//! - [`registry`]: a named, labeled [`Registry`](registry::Registry) of
-//!   those instruments with a Prometheus-style text snapshot
-//!   (`name{label="v"} value` lines) and a [`parse`](registry::parse)
-//!   helper so tests (and scrapers) can round-trip it.
+//! - [`registry`]: a named, labeled [`Registry`] of those instruments
+//!   with a Prometheus-style text snapshot (`name{label="v"} value`
+//!   lines) and a [`parse`] helper so tests (and scrapers) can
+//!   round-trip it.
 //! - [`events`]: the single structured progress writer the bench bins
 //!   share — one sink, one format, one `--quiet`/`HAAC_QUIET` switch —
 //!   replacing ad-hoc `eprintln!`.

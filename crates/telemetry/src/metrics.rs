@@ -239,7 +239,7 @@ const RATE_WINDOW_SECS: u64 = 10;
 const RATE_SLOTS: usize = 16;
 
 /// A sliding-window event rate (aggregate gates/s over the last
-/// ~[`RATE_WINDOW_SECS`] seconds) built from per-second atomic slots.
+/// ~10 seconds, `RATE_WINDOW_SECS`) built from per-second atomic slots.
 ///
 /// Lock-free and allocation-free; recycling a slot whose second has
 /// passed races benignly with concurrent adds (a handful of events can
@@ -285,7 +285,7 @@ impl SlidingRate {
     }
 
     /// Events per second over the window (the last
-    /// [`RATE_WINDOW_SECS`] complete-or-current seconds, or the
+    /// `RATE_WINDOW_SECS` = 10 complete-or-current seconds, or the
     /// process-so-far span when younger than the window).
     pub fn per_sec(&self) -> f64 {
         let sec = self.now_sec();

@@ -1,9 +1,11 @@
 //! Quickstart: the full HAAC pipeline on one small private function.
 //!
 //! Builds a private 32-bit multiply circuit, runs it three ways —
-//! plaintext, real two-party garbled circuits on the CPU, and compiled
-//! onto the simulated HAAC accelerator — and reports the accelerator's
-//! advantage.
+//! plaintext, a real two-party garbled-circuit session on the CPU, and
+//! compiled onto the simulated HAAC accelerator — and reports the
+//! accelerator's advantage over this machine's CPU GC (`garble` +
+//! `evaluate`, the paper's baseline: gate processing only, no OT and no
+//! transport).
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -33,16 +35,27 @@ fn main() {
         circuit.eval(&to_bits(alice, 32), &to_bits(bob, 32)).expect("inputs are the right width");
     println!("plaintext: {alice} * {bob} = {}", from_bits(&plain));
 
-    // 3. Real two-party GC protocol on the CPU (garbler and evaluator
-    //    threads, simulated OT) — this is what HAAC accelerates.
-    let started = Instant::now();
-    let run = run_two_party(&circuit, &to_bits(alice, 32), &to_bits(bob, 32), 7);
-    let cpu_time = started.elapsed();
+    // 3. Real two-party GC protocol on the CPU: a streamed session with
+    //    real OT between a garbler and an evaluator thread.
+    let session = SessionConfig::for_circuit(&circuit);
+    let (run, _) = run_local_session(&circuit, &to_bits(alice, 32), &to_bits(bob, 32), 7, &session)
+        .expect("in-process session completes");
     assert_eq!(run.outputs, plain, "GC must agree with plaintext");
     println!(
-        "two-party GC: same answer in {cpu_time:?} ({} bytes garbler→evaluator, {} OTs)",
-        run.garbler_to_evaluator_bytes, run.ot_transfers
+        "two-party GC: same answer ({} bytes garbler→evaluator, {} OTs)",
+        run.bytes_sent, run.ot_transfers
     );
+
+    //    What HAAC accelerates is the gate processing inside it. Time
+    //    that alone — the paper's "CPU GC" baseline.
+    let mut rng = rand::thread_rng();
+    let started = Instant::now();
+    let garbling = garble(&circuit, &mut rng, HashScheme::Rekeyed);
+    let inputs = garbling.encode_inputs(&circuit, &to_bits(alice, 32), &to_bits(bob, 32));
+    let labels = evaluate(&circuit, &garbling.garbled.tables, &inputs, HashScheme::Rekeyed);
+    let cpu_time = started.elapsed();
+    assert_eq!(decode_outputs(&labels, &garbling.garbled.output_decode), plain);
+    println!("CPU GC (garble + evaluate): {cpu_time:?}");
 
     // 4. Compile for HAAC and simulate the paper's headline design
     //    (16 gate engines, 2 MB SWW, DDR4).
@@ -64,7 +77,6 @@ fn main() {
 
     // 5. And prove the compiled program still computes the right thing,
     //    end to end through the modeled memory system.
-    let mut rng = rand::thread_rng();
     let via_streams = run_gc_through_streams(
         &lowered,
         config.window(),

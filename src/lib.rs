@@ -9,14 +9,15 @@
 //! | Crate | Contents |
 //! |-------|----------|
 //! | [`circuit`] | Boolean circuit IR, synthesis frontend (EMP equivalent), Bristol I/O, AES/FP32 generators |
-//! | [`gc`] | Half-gate garbling with FreeXOR and re-keyed hashing (the "CPU GC" baseline), streaming garble/evaluate, base OT |
+//! | [`gc`] | Half-gate garbling with FreeXOR and re-keyed hashing: the `garble`/`evaluate` oracle (the "CPU GC" baseline), slab-backed streaming executors, pooled wave scheduler, base OT + extension |
 //! | [`runtime`] | Streaming two-party execution: pluggable channels (in-memory, TCP), framed table streaming, sessions |
 //! | [`server`] | Multi-session garbling service: concurrent evaluator connections multiplexed over a shared gate-engine pool, with a circuit cache and session registry |
 //! | [`workloads`] | The eight VIP-Bench workloads + Table 5 microbenchmarks |
 //! | [`core`] | The HAAC ISA, optimizing compiler, cycle-level simulator, area/power/energy model |
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory, and
-//! `EXPERIMENTS.md` for paper-vs-measured results. The `haac-bench`
+//! See `README.md` for a tour: its "Crate map" is the system
+//! inventory, and "Reproducing the paper's evaluation" and
+//! "Performance" hold the paper-vs-measured results. The `haac-bench`
 //! crate regenerates every table and figure of the paper's evaluation.
 //!
 //! # Quickstart
@@ -65,7 +66,6 @@ pub mod prelude {
     };
     pub use haac_core::sim::{map_and_simulate, DramKind, HaacConfig, Role, SimReport};
     pub use haac_core::WindowModel;
-    pub use haac_gc::protocol::run_two_party;
     pub use haac_gc::{
         decode_outputs, evaluate, garble, HashScheme, StreamingEvaluator, StreamingGarbler,
     };

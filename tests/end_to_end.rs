@@ -66,9 +66,12 @@ fn every_workload_survives_haac_compilation_at_multiple_sww_sizes() {
 fn every_workload_runs_the_two_party_protocol() {
     for kind in [WorkloadKind::DotProduct, WorkloadKind::Relu, WorkloadKind::Hamming] {
         let w = build_workload(kind, Scale::Small);
-        let run = run_two_party(&w.circuit, &w.garbler_bits, &w.evaluator_bits, 5);
-        assert_eq!(run.outputs, w.expected, "{}", kind.name());
-        assert!(run.garbler_to_evaluator_bytes > 0);
+        let config = SessionConfig::for_circuit(&w.circuit);
+        let (g, e) = run_local_session(&w.circuit, &w.garbler_bits, &w.evaluator_bits, 5, &config)
+            .unwrap_or_else(|err| panic!("{}: {err}", kind.name()));
+        assert_eq!(g.outputs, w.expected, "{}", kind.name());
+        assert_eq!(e.outputs, w.expected, "{}", kind.name());
+        assert!(g.bytes_sent > 0);
     }
 }
 

@@ -1,12 +1,28 @@
 //! Multi-engine garbling must be a pure throughput optimization: for
 //! every VIP-Bench workload and any engine count, the transcript —
-//! Δ, every wire's zero label, every garbled table, the decode string —
-//! is bit-identical to single-engine garbling, exactly as HAAC's
-//! parallel gate engines are architecturally invisible to the evaluator.
+//! Δ, the input labels, every garbled table, the decode string, the
+//! cipher-work counters — is bit-identical to the oracle `garble`,
+//! exactly as HAAC's parallel gate engines are architecturally
+//! invisible to the evaluator.
 
-use haac::gc::{garble, garble_parallel, EngineConfig, HashScheme};
+use haac::gc::{
+    baseline_plan, garble, garble_plan_in, EnginePool, Garbling, HashScheme, PlanGarbling,
+};
 use haac::workloads::{build, Scale, WorkloadKind};
 use rand::{rngs::StdRng, SeedableRng};
+
+/// Everything a pooled garbling keeps or ships, against the oracle's.
+fn assert_matches_oracle(pooled: &PlanGarbling, oracle: &Garbling, context: &str) {
+    assert_eq!(pooled.delta, oracle.delta, "{context}");
+    assert_eq!(
+        pooled.input_zero_labels,
+        oracle.wire_zero_labels[..pooled.input_zero_labels.len()],
+        "{context}"
+    );
+    assert_eq!(pooled.tables, oracle.garbled.tables, "{context}");
+    assert_eq!(pooled.output_decode, oracle.garbled.output_decode, "{context}");
+    assert_eq!(pooled.crypto, oracle.crypto, "{context}");
+}
 
 #[test]
 fn multi_engine_transcripts_match_single_engine_on_all_workloads() {
@@ -16,45 +32,27 @@ fn multi_engine_transcripts_match_single_engine_on_all_workloads() {
         let mut rng = StdRng::seed_from_u64(seed);
         let reference = garble(&w.circuit, &mut rng, HashScheme::Rekeyed);
 
+        let plan = baseline_plan(&w.circuit);
         for engines in [1usize, 4] {
-            let window = haac::core::WindowModel::new(4096);
-            let config = EngineConfig::new(engines, window.gate_lookahead());
             let mut rng = StdRng::seed_from_u64(seed);
-            let parallel = garble_parallel(&w.circuit, &mut rng, HashScheme::Rekeyed, &config);
-            assert_eq!(parallel.delta, reference.delta, "{} e={engines}", kind.name());
-            assert_eq!(
-                parallel.wire_zero_labels,
-                reference.wire_zero_labels,
-                "{} e={engines}",
-                kind.name()
-            );
-            assert_eq!(
-                parallel.garbled.tables,
-                reference.garbled.tables,
-                "{} e={engines}",
-                kind.name()
-            );
-            assert_eq!(
-                parallel.garbled.output_decode,
-                reference.garbled.output_decode,
-                "{} e={engines}",
-                kind.name()
-            );
-            assert_eq!(parallel.crypto, reference.crypto, "{} e={engines}", kind.name());
+            let pooled =
+                garble_plan_in(&plan, &mut rng, HashScheme::Rekeyed, &EnginePool::new(engines));
+            assert_matches_oracle(&pooled, &reference, &format!("{} e={engines}", kind.name()));
         }
     }
 }
 
 #[test]
 fn parallel_garbling_still_evaluates_correctly() {
-    // End-to-end sanity on one workload: a parallel-garbled circuit
-    // decodes to the plaintext reference through the normal evaluator.
+    // End-to-end sanity on one workload: a pool-garbled circuit decodes
+    // to the plaintext reference through the oracle evaluator.
     let w = build(WorkloadKind::Hamming, Scale::Small);
     let mut rng = StdRng::seed_from_u64(77);
-    let g = garble_parallel(&w.circuit, &mut rng, HashScheme::Rekeyed, &EngineConfig::new(4, 8192));
-    let inputs = g.encode_inputs(&w.circuit, &w.garbler_bits, &w.evaluator_bits);
-    let out = haac::gc::evaluate(&w.circuit, &g.garbled.tables, &inputs, HashScheme::Rekeyed);
-    let decoded = haac::gc::decode_outputs(&out, &g.garbled.output_decode);
+    let plan = baseline_plan(&w.circuit);
+    let g = garble_plan_in(&plan, &mut rng, HashScheme::Rekeyed, &EnginePool::new(4));
+    let inputs = g.encode_inputs(&w.garbler_bits, &w.evaluator_bits);
+    let out = haac::gc::evaluate(&w.circuit, &g.tables, &inputs, HashScheme::Rekeyed);
+    let decoded = haac::gc::decode_outputs(&out, &g.output_decode);
     assert_eq!(decoded, w.expected);
 }
 
@@ -62,23 +60,17 @@ fn parallel_garbling_still_evaluates_correctly() {
 fn shared_pool_transcripts_match_single_engine_on_all_workloads() {
     // One persistent EnginePool garbles every VIP workload in turn —
     // the multi-session server's execution model — and each transcript
-    // must still be bit-identical to single-engine garbling of the raw
-    // netlist. The pool path is plan-driven now (baseline slab), whose
-    // slice length comes from the plan's static window bound: no
-    // per-call lookahead sizing.
-    let pool = haac::gc::EnginePool::new(4);
+    // must still be bit-identical to the oracle's. The slice length
+    // comes from each plan's static window bound: no per-call sizing.
+    let pool = EnginePool::new(4);
     for kind in WorkloadKind::ALL {
         let w = build(kind, Scale::Small);
         let seed = 0xE27 ^ kind.name().len() as u64;
         let mut rng = StdRng::seed_from_u64(seed);
         let reference = garble(&w.circuit, &mut rng, HashScheme::Rekeyed);
         let mut rng = StdRng::seed_from_u64(seed);
-        let pooled = haac::gc::garble_parallel_in(&w.circuit, &mut rng, HashScheme::Rekeyed, &pool);
-        assert_eq!(pooled.delta, reference.delta, "{}", kind.name());
-        assert_eq!(pooled.tables, reference.garbled.tables, "{}", kind.name());
-        assert_eq!(pooled.output_decode, reference.garbled.output_decode, "{}", kind.name());
-        assert_eq!(pooled.crypto, reference.crypto, "{}", kind.name());
-        let input_zero = &reference.wire_zero_labels[..w.circuit.num_inputs() as usize];
-        assert_eq!(pooled.input_zero_labels, input_zero, "{}", kind.name());
+        let pooled =
+            garble_plan_in(&baseline_plan(&w.circuit), &mut rng, HashScheme::Rekeyed, &pool);
+        assert_matches_oracle(&pooled, &reference, kind.name());
     }
 }

@@ -7,10 +7,10 @@
 //! - chunk sizes: 1, window/2, the full window, and a single chunk
 //!   larger than the whole table stream.
 //!
-//! What the three garbler drivers put on the wire is compared message
-//! by message in `haac-runtime`'s session tests; the label-store oracle
-//! (slot slab vs the liveness-retired HashMap store in `haac-gc`) is
-//! compared here below the session layer, chunk for chunk.
+//! What the garbler drivers put on the wire is compared message by
+//! message in `haac-runtime`'s session tests; below the session layer,
+//! the slab garbler's chunks are compared here with the oracle
+//! `haac_gc::garble` on the raw netlist.
 
 use haac::prelude::*;
 use rand::rngs::StdRng;
@@ -75,31 +75,34 @@ fn serial_tcp_session_still_agrees_with_plaintext() {
 
 #[test]
 fn slab_garblers_stream_identical_tables_on_every_workload() {
-    // The store-level half of the acceptance bar, without any
-    // transport: slab and HashMap garblers emit the same chunks and the
-    // same decode string for all eight workloads.
+    // The executor-level half of the acceptance bar, without any
+    // transport: for all eight workloads the slab garbler's chunks are
+    // each `min(chunk, remaining)` long and concatenate to the oracle's
+    // tables, with the same decode string and cipher work, and the
+    // plan's static peak equals the netlist's liveness peak.
     use haac_core::lower_for_streaming;
-    use haac_gc::StreamingGarbler;
+    use haac_gc::{Liveness, StreamingGarbler};
 
+    const CHUNK: usize = 509;
     for kind in WorkloadKind::ALL {
         let w = build_workload(kind, Scale::Small);
         let plan = lower_for_streaming(&w.circuit);
         let mut rng1 = StdRng::seed_from_u64(7 + kind as u64);
         let mut rng2 = StdRng::seed_from_u64(7 + kind as u64);
-        let mut live = StreamingGarbler::new(&w.circuit, &mut rng1, HashScheme::Rekeyed);
+        let oracle = garble(&w.circuit, &mut rng1, HashScheme::Rekeyed);
         let mut slab = StreamingGarbler::with_plan(&plan.program, &mut rng2, HashScheme::Rekeyed);
-        loop {
-            let a = live.next_tables(509);
-            let b = slab.next_tables(509);
-            assert_eq!(a, b, "{}", kind.name());
-            if a.is_none() {
-                break;
-            }
+        assert_eq!(slab.delta(), oracle.delta, "{}", kind.name());
+        let mut tables = Vec::with_capacity(slab.total_tables());
+        while let Some(chunk) = slab.next_tables(CHUNK) {
+            let remaining = oracle.garbled.tables.len() - tables.len();
+            assert_eq!(chunk.len(), CHUNK.min(remaining), "{}", kind.name());
+            tables.extend(chunk);
         }
-        let lf = live.finish();
+        assert_eq!(tables, oracle.garbled.tables, "{}", kind.name());
         let sf = slab.finish();
-        assert_eq!(lf.output_decode, sf.output_decode, "{}", kind.name());
-        assert_eq!(lf.crypto, sf.crypto, "{}", kind.name());
-        assert_eq!(lf.peak_live_wires, sf.peak_live_wires, "{}", kind.name());
+        assert_eq!(sf.output_decode, oracle.garbled.output_decode, "{}", kind.name());
+        assert_eq!(sf.crypto, oracle.crypto, "{}", kind.name());
+        let liveness_peak = Liveness::analyze(&w.circuit).peak_live_wires(&w.circuit);
+        assert_eq!(sf.peak_live_wires, liveness_peak, "{}", kind.name());
     }
 }

@@ -7,12 +7,13 @@
 //! queues, a wire-forwarding network, and a streaming DRAM interface
 //! (DDR4-4400 at 35.2 GB/s or HBM2 at 512 GB/s).
 //!
-//! Following the paper's co-design, simulation runs in two passes:
+//! Following the paper's co-design, simulation ([`map_and_simulate`])
+//! runs in two passes:
 //!
-//! 1. **Mapping** ([`map_to_ges`]): the compiler maps instructions onto
+//! 1. **Mapping** (`map_to_ges`): the compiler maps instructions onto
 //!    non-stalled GEs cycle by cycle with idealized memory, recording
 //!    per-GE streams ("saving the order, and replaying it in hardware").
-//! 2. **Replay** ([`simulate`]): the recorded streams execute against the
+//! 2. **Replay** (`simulate`): the recorded streams execute against the
 //!    full memory system — queues fill at DRAM bandwidth, table/OoRW
 //!    pops block when streams fall behind, live wires drain write
 //!    bandwidth — producing the reported cycle count.
@@ -213,10 +214,10 @@ impl SimReport {
 
 /// Per-GE instruction streams recorded by the mapping pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GeAssignment {
+struct GeAssignment {
     /// Instruction indices per GE, in that GE's execution order
     /// (monotonically increasing — GEs preserve program order locally).
-    pub streams: Vec<Vec<u32>>,
+    streams: Vec<Vec<u32>>,
 }
 
 /// Computes static traffic for a lowered program under a configuration.
@@ -306,17 +307,13 @@ struct GeState {
 
 /// Runs the greedy mapping pass: instructions are assigned to the first
 /// non-stalled GE each cycle with idealized (infinite) memory streams.
-pub fn map_to_ges(lowered: &LoweredProgram, config: &HaacConfig) -> GeAssignment {
+fn map_to_ges(lowered: &LoweredProgram, config: &HaacConfig) -> GeAssignment {
     let engine = Engine::new(lowered, config, None);
     engine.run().1
 }
 
 /// Replays recorded streams against the full memory system.
-pub fn simulate(
-    lowered: &LoweredProgram,
-    config: &HaacConfig,
-    assignment: &GeAssignment,
-) -> SimReport {
+fn simulate(lowered: &LoweredProgram, config: &HaacConfig, assignment: &GeAssignment) -> SimReport {
     let engine = Engine::new(lowered, config, Some(assignment));
     engine.run().0
 }

@@ -193,8 +193,8 @@ pub fn garble_inv(delta: Delta, w0a: Block) -> Block {
 /// **Never optimise this function.** It is the specification: the
 /// slab executors and the pooled wave scheduler are checked against
 /// its Δ, labels, tables, decode string and [`CryptoCounters`], and
-/// `haac-bench` times it as the CPU baseline HAAC's speedups are
-/// quoted over. Make the executors faster instead.
+/// `haac-bench`'s `paper` binary times it as the CPU baseline HAAC's
+/// speedups are quoted over. Make the executors faster instead.
 pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R, scheme: HashScheme) -> Garbling {
     let hash = GateHash::new(scheme);
     let delta = Delta::random(rng);

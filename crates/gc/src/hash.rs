@@ -6,11 +6,11 @@
 //! HAAC uses re-keying rather than fixed-key, processing full key
 //! expansions at extra computational cost"* (measured there at +27.5%
 //! per half-gate). Here, on AES-NI, a re-keyed `garble_and` costs +27%
-//! over a fixed-key one (14.2 M against 18.0 M calls/s, the `aesni` row
-//! of `BENCH_gatecrypto.json`; `bench_report` gates the ratio), because
-//! the schedules are derived in registers in the same pass as the
-//! rounds they feed (`aes::encrypt_rekeyed`); the software-AES
-//! fallback pays +55%.
+//! over a fixed-key one (14.2 M against 18.0 M calls/s, measured in
+//! PR 14; `benchmark/`'s `gc.garble.and_per_s` ladder rung now tracks
+//! the re-keyed rate), because the schedules are derived in registers
+//! in the same pass as the rounds they feed (`aes::encrypt_rekeyed`);
+//! the software-AES fallback pays +55%.
 //!
 //! Both tweaks of an AND gate hash **two** labels each, so a
 //! [`GateHash`] exposes exactly the shapes the gate ops need:
@@ -52,8 +52,8 @@ pub enum HashScheme {
 }
 
 /// A snapshot of cipher work performed: the quantities HAAC's gate
-/// engines pipeline (paper Fig. 2) and the denominators of every
-/// gates/s claim in `BENCH_gatecrypto.json`.
+/// engines pipeline (paper Fig. 2) and the source of `benchmark/`'s
+/// `gc.hash.aes_blocks_per_and` and `gc.hash.key_expansions_per_and`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CryptoCounters {
     /// Full 176-byte AES key schedules run (the re-keying cost).

@@ -327,9 +327,19 @@ pub struct SessionTelemetry {
 }
 
 impl SessionTelemetry {
+    /// Records one party's finished OT phase.
+    fn record_ot(&self, ot_ns: u64, ot: &OtOutcome) {
+        self.ot_ns.record(ot_ns);
+        self.base_ots.add(ot.base_ots);
+        self.ext_ots.add(ot.ext_ots);
+        self.ot_rate.add(ot.transfers);
+    }
+}
+
+impl Default for SessionTelemetry {
     /// Fresh handles not registered anywhere — useful for tests and
     /// one-off sessions that read the handles directly.
-    pub fn detached() -> SessionTelemetry {
+    fn default() -> SessionTelemetry {
         SessionTelemetry {
             chunk_compute_ns: Arc::new(Histogram::new()),
             chunk_io_ns: Arc::new(Histogram::new()),
@@ -341,20 +351,6 @@ impl SessionTelemetry {
             ext_ots: Arc::new(Counter::new()),
             ot_rate: Arc::new(SlidingRate::new()),
         }
-    }
-
-    /// Records one party's finished OT phase.
-    fn record_ot(&self, ot_ns: u64, ot: &OtOutcome) {
-        self.ot_ns.record(ot_ns);
-        self.base_ots.add(ot.base_ots);
-        self.ext_ots.add(ot.ext_ots);
-        self.ot_rate.add(ot.transfers);
-    }
-}
-
-impl Default for SessionTelemetry {
-    fn default() -> SessionTelemetry {
-        SessionTelemetry::detached()
     }
 }
 
@@ -2133,7 +2129,7 @@ mod tests {
     fn attached_telemetry_sees_the_stream_and_respects_the_kill_switch() {
         let c = adder(16);
         let ands = c.num_and_gates() as u64;
-        let tel = Arc::new(SessionTelemetry::detached());
+        let tel = Arc::new(SessionTelemetry::default());
         let config = SessionConfig::for_circuit(&c).with_telemetry(Arc::clone(&tel));
         let (g, e) = run_local_session(&c, &to_bits(3, 16), &to_bits(4, 16), 9, &config).unwrap();
         assert_eq!(from_bits(&g.outputs), 7);
@@ -2438,7 +2434,7 @@ mod tests {
     #[test]
     fn telemetry_meters_the_ot_mode_split() {
         let c = adder(16);
-        let tel = Arc::new(SessionTelemetry::detached());
+        let tel = Arc::new(SessionTelemetry::default());
         let ext = SessionConfig::for_circuit(&c)
             .with_telemetry(Arc::clone(&tel))
             .with_ot_mode(OtMode::Extended);

@@ -97,7 +97,7 @@ pub fn prepare_with_reorder(
 
 /// Runs one full evaluator session against a served channel, reusing an
 /// already-built workload and its prepared config (what a warm client —
-/// or the loadgen — does; see [`prepare`]).
+/// or `benchmark/`'s closed-loop driver — does; see [`prepare`]).
 ///
 /// # Errors
 ///
@@ -226,7 +226,8 @@ impl Default for RetryPolicy {
 }
 
 /// What one retrying call actually did — returned alongside the result
-/// so callers (and the loadgen) can audit retry behavior.
+/// so callers (`benchmark/`'s `server.client.retries_per_session`, the
+/// overload test in `chaos_sessions`) can audit retry behavior.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryStats {
     /// Attempts made (≥ 1).

@@ -19,7 +19,7 @@
 //! | [`metrics`] | [`ServerMetrics`]: the live admin plane — lock-free instruments, per-workload stage histograms, Prometheus text snapshots |
 //! | [`resume`] | [`ResumeStore`]: the bounded, TTL-evicting suspended-session store behind mid-stream reconnects, plus the [`TicketForge`] issuing opaque resume tickets |
 //! | [`server`] | [`Server`]: accept loops, pooled session jobs, per-session error isolation, [`choose_reorder`] policy, graceful shutdown |
-//! | [`client`] | Evaluator-side drivers for tests and load generation |
+//! | [`client`] | Evaluator-side drivers for tests and `benchmark/`'s closed-loop clients |
 //!
 //! # Example: four engines, many concurrent sessions
 //!
@@ -61,9 +61,7 @@ pub mod server;
 pub use bank::{BankKey, InstanceBank};
 pub use cache::{CachedWorkload, CircuitCache};
 pub use metrics::{RefusalReason, ServerMetrics};
-pub use registry::{
-    percentile, ServerReport, SessionId, SessionOutcome, SessionRegistry, WorkloadLabel,
-};
+pub use registry::{ServerReport, SessionId, SessionOutcome, SessionRegistry, WorkloadLabel};
 pub use request::{SessionHello, SessionRequest};
 pub use resume::{ResumeHandoff, ResumeStore, ResumeWait, TicketForge};
 pub use server::{choose_ot_mode, choose_reorder, Server, ServerConfig};

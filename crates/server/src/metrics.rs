@@ -201,16 +201,6 @@ impl ServerMetrics {
         self.sessions_resumed.get()
     }
 
-    /// Suspended sessions given up on so far (TTL or eviction).
-    pub fn resume_evictions(&self) -> u64 {
-        self.resume_evictions.get()
-    }
-
-    /// Failed resume attempts so far.
-    pub fn resume_failures(&self) -> u64 {
-        self.resume_failures.get()
-    }
-
     /// Records a session served from the pre-garbled bank and its
     /// client-visible wall time — the distribution CI gates against the
     /// warm-compute baseline (storage must beat recompute).
@@ -335,8 +325,8 @@ mod tests {
         metrics.record_resume_eviction();
         metrics.record_resume_failure();
         assert_eq!(metrics.resumed(), 2);
-        assert_eq!(metrics.resume_evictions(), 1);
-        assert_eq!(metrics.resume_failures(), 1);
+        assert_eq!(metrics.resume_evictions.get(), 1);
+        assert_eq!(metrics.resume_failures.get(), 1);
         let samples = haac_telemetry::parse(&metrics.render()).expect("snapshot must parse");
         assert!(samples.iter().any(|s| s.name == "haac_sessions_resumed_total" && s.value == 2.0));
         assert!(samples.iter().any(|s| s.name == "haac_resume_evictions_total" && s.value == 1.0));

@@ -256,8 +256,8 @@ impl SessionRegistry {
 }
 
 /// Nearest-rank percentile of an ascending slice (0.0 when empty) —
-/// the definition behind every p50/p99 this workspace reports.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+/// the definition behind the p50/p99 of a [`ServerReport`].
+pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }

@@ -13,6 +13,7 @@
 //! than a second garbling.
 
 use std::io;
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use haac_runtime::{
@@ -230,6 +231,69 @@ fn overload_sheds_cold_work_but_keeps_serving_warm() {
     let report = server.shutdown();
     assert_eq!(report.completed, 1);
     assert_eq!(report.failed, 1, "the shed session is a recorded (typed) failure");
+    assert_eq!(report.active, 0);
+}
+
+#[test]
+fn overloaded_retrying_clients_all_land_and_refusals_reconcile() {
+    // One worker behind a one-deep accept queue, eight retrying
+    // clients: the only place a fleet of `run_session_retrying` callers
+    // meets admission control. Counts only — every refusal the server
+    // issues is one busy ack some client absorbed, and nobody is lost.
+    const CLIENTS: usize = 8;
+    let server = Server::new(ServerConfig { accept_queue_limit: 1, ..chaos_config(1) });
+    let (workload, config) =
+        client::prepare(haac_workloads::WorkloadKind::DotProduct, Scale::Small);
+    // Every client's first connection is made before any client says
+    // hello: the worker can hold one job and the queue one more, so at
+    // least six of the eight first attempts are refused on any schedule.
+    let all_connected = Barrier::new(CLIENTS);
+    let stats: Vec<client::RetryStats> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS as u64)
+            .map(|i| {
+                let (server, workload, config) = (&server, &workload, &config);
+                let all_connected = &all_connected;
+                scope.spawn(move || {
+                    let policy = client::RetryPolicy {
+                        max_attempts: 512,
+                        base: Duration::from_millis(2),
+                        cap: Duration::from_millis(10),
+                        seed: 0xC11E57 + i,
+                        resume_attempts: 2,
+                    };
+                    let mut first = true;
+                    let connect = || {
+                        let channel = server.connect();
+                        if std::mem::take(&mut first) {
+                            all_connected.wait();
+                        }
+                        Ok(channel)
+                    };
+                    let req = request("DotProd", 40 + i);
+                    let (result, stats) = client::run_session_retrying(
+                        connect, &req, workload, config, &policy, None,
+                    );
+                    result.expect("every overloaded client lands within its retry budget");
+                    stats
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().expect("client thread")).collect()
+    });
+
+    assert!(stats.iter().all(|s| !s.gave_up), "no client may exhaust its retry budget");
+    let absorbed: u64 = stats.iter().map(|s| u64::from(s.busy_refusals)).sum();
+    let refused = server.metrics().refusals();
+    assert!(refused >= CLIENTS as u64 - 2, "the fleet must actually overrun the queue");
+    assert_eq!(absorbed, refused, "every refusal is a busy ack some client absorbed");
+    let samples = haac_telemetry::parse(&server.metrics_snapshot()).expect("snapshot parses");
+    let exported: f64 =
+        samples.iter().filter(|s| s.name == "haac_busy_refusals_total").map(|s| s.value).sum();
+    assert_eq!(exported, refused as f64, "the admin plane reports the same refusals");
+    assert!(server.registry().wait_drained(Duration::from_secs(30)));
+    let report = server.shutdown();
+    assert_eq!(report.completed, CLIENTS as u64);
+    assert_eq!(report.failed, 0);
     assert_eq!(report.active, 0);
 }
 

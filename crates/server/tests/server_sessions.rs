@@ -263,7 +263,7 @@ fn metrics_snapshot_is_parseable_mid_session_and_over_tcp() {
 
 #[test]
 fn mid_load_scrape_reports_nonzero_throughput_and_utilization() {
-    // Regression: BENCH_server.json's mid-load snapshot used to report
+    // Regression: a mid-load snapshot used to report
     // gates_per_sec 0 and pool_utilization 0 — the scrape fired before
     // any session had streamed, and worker busy time only accumulated
     // at job completion. Pin one worker with a session that is

@@ -17,9 +17,6 @@
 //!   with a Prometheus-style text snapshot (`name{label="v"} value`
 //!   lines) and a [`parse`] helper so tests (and scrapers) can
 //!   round-trip it.
-//! - [`events`]: the single structured progress writer the bench bins
-//!   share — one sink, one format, one `--quiet`/`HAAC_QUIET` switch —
-//!   replacing ad-hoc `eprintln!`.
 //!
 //! A process-wide [`enabled`] switch (`HAAC_TELEMETRY=0` or
 //! [`set_enabled`]) gates the *optional* span recording callers add
@@ -28,7 +25,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod events;
 pub mod metrics;
 pub mod registry;
 

@@ -221,7 +221,7 @@ impl Histogram {
     }
 
     /// 99.9th percentile (factor-2 resolution).
-    pub fn p999(&self) -> u64 {
+    pub(crate) fn p999(&self) -> u64 {
         self.quantile(0.999)
     }
 

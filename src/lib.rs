@@ -18,7 +18,9 @@
 //! See `README.md` for a tour: its "Crate map" is the system
 //! inventory, and "Reproducing the paper's evaluation" and
 //! "Performance" hold the paper-vs-measured results. The `haac-bench`
-//! crate regenerates every table and figure of the paper's evaluation.
+//! crate's one `paper` binary regenerates every table and figure of the
+//! paper's evaluation, and `paper check` holds the clock-free columns
+//! to checked-in reference rows.
 //!
 //! # Quickstart
 //!

@@ -10,7 +10,10 @@
 //! 2. **Reorder** (§4.2.1): *full* (breadth-first over the leveled
 //!    dependence graph, maximizing ILP) or *segment* (level-order within
 //!    half-SWW-sized windows, balancing ILP against wire locality).
-//!    After any reorder, renaming is re-applied.
+//!    Inside a level the AND gates come first: gates of one level are
+//!    mutually independent, so the order within it is free, and
+//!    contiguous ANDs are what keeps a gate engine's (or a CPU's AES)
+//!    pipeline full. After any reorder, renaming is re-applied.
 //! 3. **Eliminate spent wires** (§4.2.3): clear the live bit of every
 //!    output that is never read beyond its SWW residency, saving
 //!    off-chip write bandwidth.
@@ -30,11 +33,13 @@ pub enum ReorderKind {
     /// Keep the netlist's original (depth-first-ish) order.
     #[default]
     Baseline,
-    /// Breadth-first level order over the whole program: maximum ILP,
-    /// potentially poor wire locality.
+    /// Breadth-first level order over the whole program, AND gates
+    /// first within a level: maximum ILP, potentially poor wire
+    /// locality.
     Full,
-    /// Level order within contiguous segments of half the SWW capacity:
-    /// the compromise that preserves locality (§6.2).
+    /// The same level order within contiguous segments of half the SWW
+    /// capacity: the compromise that preserves locality (§6.2), and
+    /// identical to `Full` for circuits that fit one segment.
     Segment,
 }
 
@@ -68,6 +73,33 @@ pub fn assemble(circuit: &Circuit) -> Program {
 /// Panics (in debug builds) if `order` is not a permutation; invalid
 /// topological orders surface as validation failures downstream.
 pub fn program_from_order(circuit: &Circuit, order: &[u32]) -> Program {
+    let (instructions, output_addrs) = rename_in_order(circuit, order, |op, a, b| {
+        let op = match op {
+            GateOp::And => Opcode::And,
+            GateOp::Xor => Opcode::Xor,
+            GateOp::Inv => Opcode::Inv,
+        };
+        Instruction::new(op, a, b)
+    });
+    Program {
+        instructions,
+        num_inputs: circuit.num_inputs(),
+        output_addrs,
+        source_gate: order.to_vec(),
+    }
+}
+
+/// The renaming pass (§4.2.2) behind every instruction stream built
+/// from a gate order: input wire `w` gets address `w + 1`, the `i`-th
+/// gate of `order` writes `num_inputs + 1 + i`, and `emit(op, a, b)`
+/// turns each gate, with its operands renamed (INV's `b` mirrors `a`),
+/// into the caller's instruction type. Returns the instructions and the
+/// circuit outputs' addresses.
+pub(crate) fn rename_in_order<T>(
+    circuit: &Circuit,
+    order: &[u32],
+    mut emit: impl FnMut(GateOp, u32, u32) -> T,
+) -> (Vec<T>, Vec<u32>) {
     debug_assert_eq!(order.len(), circuit.num_gates());
     let num_inputs = circuit.num_inputs();
     // wire_to_addr: circuit wire id → program address (renaming).
@@ -82,63 +114,87 @@ pub fn program_from_order(circuit: &Circuit, order: &[u32]) -> Program {
         let gate = &gates[g as usize];
         wire_to_addr[gate.out as usize] = first_out + i as u32;
         let a = wire_to_addr[gate.a as usize];
-        let (op, b) = match gate.op {
-            GateOp::And => (Opcode::And, wire_to_addr[gate.b as usize]),
-            GateOp::Xor => (Opcode::Xor, wire_to_addr[gate.b as usize]),
-            GateOp::Inv => (Opcode::Inv, a),
-        };
-        instructions.push(Instruction::new(op, a, b));
+        let b = if gate.op == GateOp::Inv { a } else { wire_to_addr[gate.b as usize] };
+        instructions.push(emit(gate.op, a, b));
     }
     let output_addrs = circuit.outputs().iter().map(|&w| wire_to_addr[w as usize]).collect();
-    Program { instructions, num_inputs, output_addrs, source_gate: order.to_vec() }
+    (instructions, output_addrs)
 }
 
 /// Full reordering: breadth-first traversal of the leveled dependence
-/// graph (§4.2.1), followed by renaming.
+/// graph (§4.2.1), AND gates first within each level, followed by
+/// renaming.
 pub fn full_reorder(circuit: &Circuit) -> Program {
-    let levels = circuit.wire_levels();
-    let order = level_sorted_order(circuit, &levels, 0, circuit.num_gates());
-    program_from_order(circuit, &order)
+    program_from_order(circuit, &level_sorted_order(circuit, usize::MAX))
 }
 
-/// Segment reordering: level-order within contiguous windows of
-/// `segment_size` instructions (§4.2.1 recommends half the SWW size),
-/// followed by renaming.
+/// Segment reordering: level-order (AND gates first within each level)
+/// within contiguous windows of `segment_size` instructions (§4.2.1
+/// recommends half the SWW size), followed by renaming.
 ///
 /// # Panics
 ///
 /// Panics if `segment_size` is zero.
 pub fn segment_reorder(circuit: &Circuit, segment_size: usize) -> Program {
-    assert!(segment_size > 0, "segment size must be positive");
-    let levels = circuit.wire_levels();
-    let mut order = Vec::with_capacity(circuit.num_gates());
-    let mut start = 0usize;
-    while start < circuit.num_gates() {
-        let end = (start + segment_size).min(circuit.num_gates());
-        order.extend(level_sorted_order(circuit, &levels, start, end));
-        start = end;
+    program_from_order(circuit, &level_sorted_order(circuit, segment_size))
+}
+
+/// The gate order realizing `kind` under the given SWW size: a
+/// topological permutation of the circuit's gate indices. This is the
+/// one schedule both consumers share — [`reorder`] renames it into a
+/// [`Program`] for the simulator, and [`crate::lower`] emits the
+/// streaming plan straight from it.
+pub fn gate_order(circuit: &Circuit, kind: ReorderKind, window: WindowModel) -> Vec<u32> {
+    match kind {
+        ReorderKind::Baseline => (0..circuit.num_gates() as u32).collect(),
+        ReorderKind::Full => level_sorted_order(circuit, usize::MAX),
+        ReorderKind::Segment => level_sorted_order(circuit, window.half() as usize),
     }
-    program_from_order(circuit, &order)
 }
 
 /// Builds a reordered program for the given strategy and SWW size.
 pub fn reorder(circuit: &Circuit, kind: ReorderKind, window: WindowModel) -> Program {
-    match kind {
-        ReorderKind::Baseline => assemble(circuit),
-        ReorderKind::Full => full_reorder(circuit),
-        ReorderKind::Segment => segment_reorder(circuit, window.half() as usize),
-    }
+    program_from_order(circuit, &gate_order(circuit, kind, window))
 }
 
-/// Stable counting sort of gates `[start, end)` by dependence level.
-fn level_sorted_order(circuit: &Circuit, levels: &[u32], start: usize, end: usize) -> Vec<u32> {
-    let gates = circuit.gates();
-    let max_level = (start..end).map(|g| levels[gates[g].out as usize]).max().unwrap_or(0) as usize;
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_level + 1];
-    for g in start..end {
-        buckets[levels[gates[g].out as usize] as usize].push(g as u32);
+/// Stable counting sort of each `segment_size`-gate segment by the key
+/// `(level, op != And)`. Gates of one dependence level are mutually
+/// independent, so any order inside a level is valid; putting a level's
+/// AND gates first makes them one contiguous run the executors batch
+/// through the cipher pipeline (and the simulator's gate engines issue
+/// back to back).
+fn level_sorted_order(circuit: &Circuit, segment_size: usize) -> Vec<u32> {
+    assert!(segment_size > 0, "segment size must be positive");
+    let levels = circuit.wire_levels();
+    let keys: Vec<u32> = circuit
+        .gates()
+        .iter()
+        .map(|gate| 2 * levels[gate.out as usize] + u32::from(gate.op != GateOp::And))
+        .collect();
+    let mut order = vec![0u32; keys.len()];
+    // counts[k - lo + 1] counts the segment's gates with key k, then
+    // (after the prefix sum) counts[k - lo] is where key k's next gate
+    // lands.
+    let mut counts: Vec<u32> = Vec::new();
+    for (segment, keys) in keys.chunks(segment_size).enumerate() {
+        let start = segment * segment_size;
+        let lo = keys.iter().copied().min().unwrap_or(0);
+        let hi = keys.iter().copied().max().unwrap_or(0);
+        counts.clear();
+        counts.resize((hi - lo) as usize + 2, 0);
+        for &key in keys {
+            counts[(key - lo) as usize + 1] += 1;
+        }
+        for k in 1..counts.len() {
+            counts[k] += counts[k - 1];
+        }
+        for (offset, &key) in keys.iter().enumerate() {
+            let slot = &mut counts[(key - lo) as usize];
+            order[start + *slot as usize] = (start + offset) as u32;
+            *slot += 1;
+        }
     }
-    buckets.into_iter().flatten().collect()
+    order
 }
 
 /// Eliminating spent wires (§4.2.3): clears the live bit of every

@@ -3,37 +3,47 @@
 //! The HAAC co-design says that walking the raw netlist with a
 //! per-wire label table is money left on the table — once the compiler
 //! has reordered and renamed a program, labels can live in a tagless
-//! scratchpad indexed by `addr % window` and the window size is a
-//! *static* property of the program. [`lower_for_streaming`] runs that pipeline once per
-//! circuit (reorder → rename → window-size) and returns a
+//! scratchpad indexed by `addr % window`, and everything the datapath
+//! would otherwise decide per gate is a *static* property of the
+//! program. [`lower_with_reorder`] runs that pipeline once per circuit
+//! (schedule → rename → window, AND runs, OoRW slots) and returns a
 //! [`StreamingPlan`] that sessions reuse: the renamed instruction
-//! stream ([`haac_gc::SlotProgram`]), the [`WindowModel`] sized so
-//! every operand read is in-window (zero OoR traffic), and the static
-//! peak-live residency — so warm sessions skip the per-session
-//! liveness analysis entirely.
+//! stream ([`haac_gc::SlotProgram`]) with its batch runs and far-read
+//! store slots fixed, the [`WindowModel`] the slab is provisioned
+//! with, and the static peak-live residency — so warm sessions skip the
+//! per-session analysis entirely.
+//!
+//! **The served window is the paper's 2 MB SWW** ([`served_window`],
+//! 131 072 labels): a plan gets `min(natural window, SWW)` slab labels.
+//! Circuits whose operand distances fit stream with zero OoR traffic;
+//! the rest route their far reads (typically re-reads of primary inputs
+//! or early wires) through the gc layer's software OoRW queue — enqueue
+//! at producer, drain at consumer, every slot assigned here — so a
+//! session's label memory is O(SWW + queue) however large the circuit.
 //!
 //! The default lowering keeps the **baseline** gate order, which
 //! preserves table order and per-gate tweaks: transcripts are
 //! bit-identical to the oracle `haac_gc::garble` on the raw netlist.
-//! Reordered plans
-//! ([`lower_with_reorder`] over a [`crate::compiler`] reorder) are
+//! Reordered plans ([`ReorderKind::Full`], [`ReorderKind::Segment`]:
+//! level order with AND gates first inside a level, over the whole
+//! program or inside half-SWW segments of 65 536 instructions) are
 //! valid protocols when both parties lower identically — the session
-//! layer negotiates the [`ReorderKind`] in its handshake so real
-//! sessions can run the ILP-friendly `Full`/`Segment` schedules — but
-//! change the transcript relative to the raw circuit.
+//! layer negotiates the [`ReorderKind`] in its handshake — but change
+//! the transcript relative to the raw circuit. The gate order comes
+//! from [`compiler::gate_order`](crate::compiler::gate_order), the same
+//! function that feeds the simulator's [`Program`]s: one schedule, two
+//! consumers.
 //!
-//! A plan may also be built against a **forced small window**
-//! ([`lower_with_window`]): reads farther than the window are rewritten
-//! to OoR-sentinel slots backed by the gc layer's software OoRW queue
-//! (enqueue at producer, drain at consumer), so adversarial
-//! wire-distance circuits stream O(window + queue) labels instead of
-//! forcing the slab up to the worst skip connection.
+//! [`lower_with_window`] caps the slab at any other window instead (the
+//! schedule does not change with it, so plans of one circuit and kind
+//! are wire-identical at every window).
 
-use haac_circuit::Circuit;
+use haac_circuit::{Circuit, GateOp};
 use haac_gc::{SlotInstr, SlotOp, SlotProgram};
 
-use crate::compiler::{assemble, full_reorder, segment_reorder, ReorderKind};
+use crate::compiler::{gate_order, rename_in_order, ReorderKind};
 use crate::isa::{Instruction, Opcode, Program, OOR_SENTINEL};
+use crate::sim::HaacConfig;
 use crate::window::WindowModel;
 
 /// A circuit lowered once for streaming execution: everything a session
@@ -44,9 +54,10 @@ pub struct StreamingPlan {
     /// The renamed instruction stream driving the slot-slab executors.
     pub program: SlotProgram,
     /// The window the slab is provisioned with — the smallest power of
-    /// two under which every read of this program hits the SWW (or the
-    /// forced window of [`lower_with_window`], with the spill routed
-    /// through the OoRW queue).
+    /// two under which every read of this program hits the SWW, or the
+    /// smaller cap it was lowered against ([`served_window`] unless
+    /// [`lower_with_window`] chose another), with the spill routed
+    /// through the OoRW queue.
     pub window: WindowModel,
     /// The instruction schedule this plan was lowered with. Both
     /// parties of a session must lower identically; the session header
@@ -76,7 +87,8 @@ impl StreamingPlan {
 /// Yields an error for instructions a streaming executor cannot run:
 /// NOPs (pipeline filler has no streaming meaning) and OoR-sentinel
 /// operands (plans must be built *before* [`mark_out_of_range`]
-/// rewrites operands — the slab window is sized so nothing is OoR).
+/// rewrites operands — [`haac_gc::SlotProgram`] routes its own far
+/// reads, with store slots the simulator's marking does not carry).
 ///
 /// [`mark_out_of_range`]: crate::compiler::mark_out_of_range
 #[derive(Debug, Clone)]
@@ -143,12 +155,12 @@ pub fn plan_from_program(
     plan_from_program_impl(program, garbler_inputs, evaluator_inputs, reorder, None)
 }
 
-/// Like [`plan_from_program`], but provisions the slab with a **forced
-/// window** (rounded up to a power of two, minimum 2) instead of the
-/// natural zero-OoR size: reads farther than the window are rewritten
-/// to OoR-sentinel slots served by the software OoRW queue, whose peak
-/// occupancy is computed statically
-/// ([`haac_gc::SlotProgram::oor_queue_bound`]).
+/// Like [`plan_from_program`], but caps the slab at `window` (rounded
+/// up to a power of two, minimum 2): below the natural zero-OoR size,
+/// reads farther than the window are rewritten to OoR-sentinel slots
+/// served by the software OoRW queue, whose peak occupancy is computed
+/// statically ([`haac_gc::SlotProgram::oor_queue_bound`]); at or above
+/// it the natural plan comes back.
 ///
 /// # Errors
 ///
@@ -192,57 +204,58 @@ fn plan_from_program_impl(
     Ok(StreamingPlan { program: slots, window, reorder })
 }
 
-/// The renamed program realizing `kind` for this circuit. The segment
-/// size of [`ReorderKind::Segment`] is half the circuit's *baseline*
-/// natural window — a pure function of the circuit, so both parties
-/// derive the same schedule independently.
-fn reorder_program(circuit: &Circuit, kind: ReorderKind) -> Program {
-    match kind {
-        ReorderKind::Baseline => assemble(circuit),
-        ReorderKind::Full => full_reorder(circuit),
-        ReorderKind::Segment => {
-            let segment = (haac_gc::baseline_plan(circuit).slot_wires() / 2).max(1) as usize;
-            segment_reorder(circuit, segment)
-        }
-    }
+/// The window every served plan is capped at: the paper's 2 MB SWW,
+/// 131 072 labels — the one `compiler::reorder` callers and the
+/// simulator use by default ([`HaacConfig::default`]). Half of it,
+/// 65 536 instructions, is the segment of [`ReorderKind::Segment`].
+pub fn served_window() -> WindowModel {
+    HaacConfig::default().window()
 }
 
 /// Lowers a circuit for streaming execution under the given schedule:
-/// reorder → rename → static window sizing. Run once per `(circuit,
-/// reorder)` and cache the plan; every session that reuses it skips the
-/// per-session analysis pass and runs on the tagless slab.
+/// schedule → rename → window, runs and OoRW slots, the slab capped at
+/// [`served_window`]. Run once per `(circuit, reorder)` and cache the
+/// plan; every session that reuses it skips the per-session analysis
+/// pass and runs on the tagless slab.
 ///
 /// [`ReorderKind::Baseline`] preserves gate order and tweaks, so
 /// sessions driven by it produce **bit-identical transcripts** to the
 /// oracle `haac_gc::garble`; `Full`/`Segment` change the transcript (both
 /// parties must lower identically — negotiated in the session header)
-/// but expose the ILP the multi-engine garbler feeds on.
+/// but line independent AND gates up in runs the executors batch.
 pub fn lower_with_reorder(circuit: &Circuit, kind: ReorderKind) -> StreamingPlan {
-    plan_from_program(
-        &reorder_program(circuit, kind),
-        circuit.garbler_inputs(),
-        circuit.evaluator_inputs(),
-        kind,
-    )
-    .expect("compiled programs always lower")
+    lower_with_window(circuit, kind, served_window())
 }
 
-/// Lowers a circuit against a **forced window** (see
-/// [`plan_from_program_with_window`]): the OoRW-queue entry point for
-/// deliberately small slabs.
+/// Lowers a circuit with its slab capped at `window` instead of
+/// [`served_window`] (see [`plan_from_program_with_window`]): the entry
+/// point for deliberately small slabs. The schedule is the one
+/// [`lower_with_reorder`] uses, whatever the window.
 pub fn lower_with_window(
     circuit: &Circuit,
     kind: ReorderKind,
     window: WindowModel,
 ) -> StreamingPlan {
-    plan_from_program_with_window(
-        &reorder_program(circuit, kind),
+    // Slot instructions straight from the schedule: the renaming pass
+    // `compiler::program_from_order` runs, without a `Program` between.
+    let order = gate_order(circuit, kind, served_window());
+    let (instrs, outputs) = rename_in_order(circuit, &order, |op, a, b| {
+        let op = match op {
+            GateOp::And => SlotOp::And,
+            GateOp::Xor => SlotOp::Xor,
+            GateOp::Inv => SlotOp::Inv,
+        };
+        SlotInstr { a, b, op }
+    });
+    let program = SlotProgram::with_window(
+        instrs,
         circuit.garbler_inputs(),
         circuit.evaluator_inputs(),
-        kind,
-        window,
+        outputs,
+        window.sww_wires(),
     )
-    .expect("compiled programs always lower")
+    .expect("a scheduled circuit always lowers");
+    StreamingPlan { window: WindowModel::new(program.slot_wires()), program, reorder: kind }
 }
 
 /// Lowers a circuit for streaming execution on the **baseline** order:
@@ -255,7 +268,7 @@ pub fn lower_for_streaming(circuit: &Circuit) -> StreamingPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiler::{eliminate_spent_wires, mark_out_of_range};
+    use crate::compiler::{assemble, eliminate_spent_wires, mark_out_of_range};
     use haac_circuit::Builder;
     use haac_gc::stream::Liveness;
 
@@ -342,7 +355,7 @@ mod tests {
             let plan = lower_with_reorder(&c, kind);
             assert_eq!(plan.reorder, kind);
             assert_eq!(plan.and_count(), c.num_and_gates());
-            assert!(!plan.program.has_oor(), "{kind:?}: natural windows never spill");
+            assert!(!plan.program.has_oor(), "{kind:?}: a window inside the SWW never spills");
             assert!(plan.window.sww_wires() >= plan.program.max_operand_distance());
         }
         assert_eq!(lower_for_streaming(&c), lower_with_reorder(&c, ReorderKind::Baseline));
@@ -364,9 +377,11 @@ mod tests {
         assert_eq!(plan.and_count(), natural.and_count());
         assert_eq!(plan.program.instrs().len(), natural.program.instrs().len());
         assert_eq!(plan.program.output_addrs(), natural.program.output_addrs());
-        // A forced window at (or above) the natural size spills nothing
-        // and reproduces the natural plan exactly.
-        let roomy = lower_with_window(&c, ReorderKind::Baseline, natural.window);
-        assert_eq!(roomy.program, natural.program);
+        // The window is an upper bound: at or above the natural size
+        // nothing spills and the natural plan comes back exactly.
+        let above = WindowModel::new(natural.window.sww_wires() * 4);
+        for roomy in [natural.window, above] {
+            assert_eq!(lower_with_window(&c, ReorderKind::Baseline, roomy), natural);
+        }
     }
 }

@@ -7,10 +7,13 @@
 //! — and compiling (reorder → rename → ESW → OoR marking) must preserve
 //! GC semantics exactly: executing the lowered stream through the
 //! modeled SWW/OoRW memory yields outputs bit-identical to plaintext
-//! evaluation of the untouched netlist, at every window size.
+//! evaluation of the untouched netlist, at every window size. The level
+//! orders are additionally held to their definition: at every segment
+//! size, a permutation of each baseline segment sorted by
+//! `(level, op != And)`.
 
-use haac_circuit::{Bit, Builder, Circuit};
-use haac_core::compiler::{compile, reorder, ReorderKind};
+use haac_circuit::{Bit, Builder, Circuit, GateOp};
+use haac_core::compiler::{compile, reorder, segment_reorder, ReorderKind};
 use haac_core::exec::run_gc_through_streams;
 use haac_core::WindowModel;
 use haac_gc::HashScheme;
@@ -89,6 +92,46 @@ proptest! {
                 "{:?} must permute all gates", kind
             );
         }
+    }
+
+    #[test]
+    fn every_segment_size_sorts_its_segments_by_level_with_ands_first(
+        script in vec((any::<u8>(), any::<u16>(), any::<u16>()), 1..60),
+        inputs in 2u32..12,
+    ) {
+        let circuit = random_circuit(&script, inputs);
+        let gates = circuit.gates();
+        let levels = circuit.wire_levels();
+        let key = |g: u32| {
+            let gate = &gates[g as usize];
+            (levels[gate.out as usize], gate.op != GateOp::And)
+        };
+        // One past the gate count is a single segment: `Full`'s order.
+        for segment in 1..=gates.len() + 1 {
+            let program = segment_reorder(&circuit, segment);
+            prop_assert!(program.validate().is_ok(), "segment {segment}: {:?}", program.validate());
+            for (s, chunk) in program.source_gate.chunks(segment).enumerate() {
+                // The segment holds exactly the baseline segment's gates…
+                let mut sorted = chunk.to_vec();
+                sorted.sort_unstable();
+                let first = (s * segment) as u32;
+                prop_assert_eq!(
+                    sorted,
+                    (first..first + chunk.len() as u32).collect::<Vec<_>>(),
+                    "segment size {}, segment {}", segment, s
+                );
+                // …level by level, AND gates first inside a level.
+                prop_assert!(
+                    chunk.windows(2).all(|w| key(w[0]) <= key(w[1])),
+                    "segment size {segment}, segment {s}: keys {:?}",
+                    chunk.iter().map(|&g| key(g)).collect::<Vec<_>>()
+                );
+            }
+        }
+        prop_assert_eq!(
+            segment_reorder(&circuit, gates.len() + 1),
+            reorder(&circuit, ReorderKind::Full, WindowModel::new(4))
+        );
     }
 
     #[test]

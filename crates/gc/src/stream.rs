@@ -16,6 +16,10 @@
 //! *is* the retire), peak residency known statically from the plan. This
 //! is what compiler renaming buys the hardware, reproduced in software;
 //! both parties run the same program against the same kind of store.
+//! The plan also fixes what the loops would otherwise decide per gate:
+//! which consecutive AND gates batch through the cipher together
+//! ([`SlotProgram::and_runs`]) and, where the slab is smaller than the
+//! program's natural window, which store slot serves each far read.
 //!
 //! The default lowering ([`baseline_plan`]) preserves gate order and
 //! per-gate tweaks, so for a shared seed the chunks concatenate to
@@ -31,7 +35,7 @@ use crate::block::{Block, Delta};
 use crate::evaluate::{eval_and_batch, eval_inv, eval_xor};
 use crate::garble::{decode_outputs, garble_and_batch, garble_inv, garble_xor, MAX_AND_BATCH};
 use crate::hash::{CryptoCounters, GateHash, HashScheme};
-use crate::slab::{SlabState, SlotInstr, SlotOp, SlotProgram, OOR_SLOT};
+use crate::slab::{SlabState, SlotInstr, SlotOp, SlotProgram};
 
 /// Sentinel for "never dies" (circuit outputs live to the end).
 const LIVE_FOREVER: usize = usize::MAX;
@@ -126,8 +130,8 @@ pub struct GarblerFinish {
     /// High-water mark of simultaneously live wire labels — the plan's
     /// static [`SlotProgram::peak_live`].
     pub peak_live_wires: usize,
-    /// High-water mark of queued OoRW entries (0 unless the plan was
-    /// built against a forced small window; always ≤ the plan's static
+    /// High-water mark of queued OoRW entries (0 unless the plan's
+    /// window is below its natural one; always ≤ the plan's static
     /// [`SlotProgram::oor_queue_bound`]).
     pub oor_queue_peak: usize,
     /// Cipher work performed (key expansions, AES block calls).
@@ -144,8 +148,8 @@ pub struct EvaluatorFinish {
     /// High-water mark of simultaneously live wire labels — the plan's
     /// static [`SlotProgram::peak_live`].
     pub peak_live_wires: usize,
-    /// High-water mark of queued OoRW entries (0 unless the plan was
-    /// built against a forced small window; always ≤ the plan's static
+    /// High-water mark of queued OoRW entries (0 unless the plan's
+    /// window is below its natural one; always ≤ the plan's static
     /// [`SlotProgram::oor_queue_bound`]).
     pub oor_queue_peak: usize,
     /// Cipher work performed (key expansions, AES block calls).
@@ -316,11 +320,12 @@ impl<'c> StreamingGarbler<'c> {
     /// million-table circuit performs zero per-chunk allocations.
     /// Returns `false` once the circuit is fully garbled.
     ///
-    /// Runs of consecutive, mutually independent AND gates are garbled
-    /// as one batched hash call — up to 4·[`MAX_AND_BATCH`] AES blocks
-    /// in flight, the software analogue of HAAC keeping several gate
-    /// engines busy. The table stream and every label are bit-identical
-    /// to gate-at-a-time garbling.
+    /// The plan's runs of consecutive, mutually independent AND gates
+    /// ([`SlotProgram::and_runs`]) are garbled as one batched hash call
+    /// each — up to 4·[`MAX_AND_BATCH`] AES blocks in flight, the
+    /// software analogue of HAAC keeping several gate engines busy. A
+    /// chunk budget may cut a run; the table stream and every label are
+    /// bit-identical to gate-at-a-time garbling either way.
     ///
     /// The first call drops the input-label table: encoding and OT must
     /// happen before streaming.
@@ -376,15 +381,11 @@ impl<'c> StreamingGarbler<'c> {
 
 /// One chunk of garbling — the per-gate hot loop is slab indexing
 /// only: no lookups, no retire bookkeeping, no liveness branches
-/// (sentinel operands pop the OoRW queue instead). An AND run
-/// is independent iff no operand address reaches into the run's own
-/// (contiguous, sequential) output range. A sentinel operand (address
-/// 0) needs the same check against its *original* address: with a
-/// window smaller than the batch span, an OoR read's producer can sit
-/// inside the run itself, and popping the queue before that producer's
-/// write enqueues the label would be a use-before-def —
-/// [`oor_run_independent`] peeks the pending OoRW stream to break the
-/// run first.
+/// (sentinel operands read the OoRW store slot the plan names instead).
+/// AND gates are batched by the plan's static run partition
+/// ([`SlotProgram::and_runs`]): the gates of a run are consecutive and
+/// mutually independent by construction, so the loop takes as much of
+/// the run as the chunk budget allows and never re-derives independence.
 fn garble_slab(
     hash: &GateHash,
     delta: Delta,
@@ -394,54 +395,45 @@ fn garble_slab(
     tables: &mut Vec<[Block; 2]>,
 ) {
     let instrs = state.plan().instrs();
+    let runs = state.plan().and_runs();
     let first_out = state.plan().first_output_addr();
-    while *next_gate < instrs.len() && tables.len() < max_tables {
-        let index = *next_gate;
+    // Batch scratch, initialised once per chunk: every batch overwrites
+    // the prefix it reads.
+    let mut batch = [(0u64, Block::ZERO, Block::ZERO); MAX_AND_BATCH];
+    let mut results = [(Block::ZERO, [Block::ZERO; 2]); MAX_AND_BATCH];
+    let mut index = *next_gate;
+    while index < instrs.len() && tables.len() < max_tables {
         let instr = instrs[index];
+        let out = first_out + index as u32;
         match instr.op {
             SlotOp::And => {
-                // Renaming makes run outputs the contiguous range
-                // starting at `run_min`, so "reads an output of an
-                // earlier gate in the run" is a single compare.
-                let run_min = first_out + index as u32;
-                let budget = (max_tables - tables.len()).min(MAX_AND_BATCH);
-                let mut batch = [(0u64, Block::ZERO, Block::ZERO); MAX_AND_BATCH];
-                let mut k = 0;
-                while k < budget && index + k < instrs.len() {
-                    let g = instrs[index + k];
-                    if g.op != SlotOp::And
-                        || g.a >= run_min
-                        || g.b >= run_min
-                        || !oor_run_independent(state, &g, run_min)
-                    {
-                        break;
-                    }
+                let k = (runs[index] as usize).min(max_tables - tables.len());
+                for (j, (slot, g)) in batch.iter_mut().zip(&instrs[index..index + k]).enumerate() {
                     let w0a = state.read(g.a);
                     let w0b = state.read(g.b);
-                    batch[k] = ((index + k) as u64, w0a, w0b);
-                    k += 1;
+                    *slot = ((index + j) as u64, w0a, w0b);
                 }
-                let mut results = [(Block::ZERO, [Block::ZERO; 2]); MAX_AND_BATCH];
                 garble_and_batch(hash, delta, &batch[..k], &mut results[..k]);
-                for (j, &(w0c, table)) in results[..k].iter().enumerate() {
-                    tables.push(table);
-                    state.write(first_out + (index + j) as u32, w0c);
+                for (j, &(w0c, _)) in results[..k].iter().enumerate() {
+                    state.write(out + j as u32, w0c);
                 }
-                *next_gate = index + k;
+                tables.extend(results[..k].iter().map(|&(_, table)| table));
+                index += k;
             }
             SlotOp::Xor => {
                 let w0a = state.read(instr.a);
                 let w0b = state.read(instr.b);
-                state.write(first_out + index as u32, garble_xor(w0a, w0b));
-                *next_gate += 1;
+                state.write(out, garble_xor(w0a, w0b));
+                index += 1;
             }
             SlotOp::Inv => {
                 let w0a = state.read(instr.a);
-                state.write(first_out + index as u32, garble_inv(delta, w0a));
-                *next_gate += 1;
+                state.write(out, garble_inv(delta, w0a));
+                index += 1;
             }
         }
     }
+    *next_gate = index;
 }
 
 /// Gate-at-a-time evaluator with window-bounded label storage.
@@ -538,33 +530,10 @@ impl<'c> StreamingEvaluator<'c> {
     }
 }
 
-/// Whether an AND instruction's OoR-sentinel operands (if any) are
-/// independent of the batch run starting at output address `run_min`:
-/// an OoRW read whose *original* producer address lies inside the run
-/// has not been enqueued yet (its producing write is part of the batch
-/// itself), so the run must break before it. Peeks the pending OoRW
-/// stream in consumption order (`a` before `b`); instructions without
-/// sentinels return `true` on the first compare.
-#[inline]
-fn oor_run_independent(state: &SlabState<'_>, g: &SlotInstr, run_min: u32) -> bool {
-    if g.a != OOR_SLOT && g.b != OOR_SLOT {
-        return true;
-    }
-    let mut pending = 0usize;
-    for &operand in &[g.a, g.b] {
-        if operand == OOR_SLOT {
-            if state.oor_pending_addr(pending) >= run_min {
-                return false;
-            }
-            pending += 1;
-        }
-    }
-    true
-}
-
 /// Advances evaluation as far as `tables` allows and returns the number
 /// of tables consumed (always the whole slice unless the instruction
-/// list ends first); the hot loop is slab indexing only.
+/// list ends first); the hot loop is slab indexing only, batched by the
+/// plan's static AND runs like [`garble_slab`].
 fn eval_slab(
     hash: &GateHash,
     state: &mut SlabState<'_>,
@@ -572,55 +541,49 @@ fn eval_slab(
     tables: &[[Block; 2]],
 ) -> usize {
     let instrs = state.plan().instrs();
+    let runs = state.plan().and_runs();
     let first_out = state.plan().first_output_addr();
+    // Batch scratch, initialised once per chunk: every batch overwrites
+    // the prefix it reads.
+    let mut batch = [(0u64, Block::ZERO, Block::ZERO); MAX_AND_BATCH];
+    let mut labels = [Block::ZERO; MAX_AND_BATCH];
     let mut cursor = 0usize;
-    while *next_gate < instrs.len() {
-        let index = *next_gate;
+    let mut index = *next_gate;
+    while index < instrs.len() {
         let instr = instrs[index];
+        let out = first_out + index as u32;
         match instr.op {
             SlotOp::And => {
                 if cursor == tables.len() {
                     break; // starved: wait for the next chunk
                 }
-                let run_min = first_out + index as u32;
-                let budget = (tables.len() - cursor).min(MAX_AND_BATCH);
-                let mut batch = [(0u64, Block::ZERO, Block::ZERO); MAX_AND_BATCH];
-                let mut k = 0;
-                while k < budget && index + k < instrs.len() {
-                    let g = instrs[index + k];
-                    if g.op != SlotOp::And
-                        || g.a >= run_min
-                        || g.b >= run_min
-                        || !oor_run_independent(state, &g, run_min)
-                    {
-                        break;
-                    }
+                let k = (runs[index] as usize).min(tables.len() - cursor);
+                for (j, (slot, g)) in batch.iter_mut().zip(&instrs[index..index + k]).enumerate() {
                     let wa = state.read(g.a);
                     let wb = state.read(g.b);
-                    batch[k] = ((index + k) as u64, wa, wb);
-                    k += 1;
+                    *slot = ((index + j) as u64, wa, wb);
                 }
-                let mut labels = [Block::ZERO; MAX_AND_BATCH];
                 eval_and_batch(hash, &batch[..k], &tables[cursor..cursor + k], &mut labels[..k]);
-                cursor += k;
                 for (j, &label) in labels[..k].iter().enumerate() {
-                    state.write(first_out + (index + j) as u32, label);
+                    state.write(out + j as u32, label);
                 }
-                *next_gate = index + k;
+                cursor += k;
+                index += k;
             }
             SlotOp::Xor => {
                 let wa = state.read(instr.a);
                 let wb = state.read(instr.b);
-                state.write(first_out + index as u32, eval_xor(wa, wb));
-                *next_gate += 1;
+                state.write(out, eval_xor(wa, wb));
+                index += 1;
             }
             SlotOp::Inv => {
                 let wa = state.read(instr.a);
-                state.write(first_out + index as u32, eval_inv(wa));
-                *next_gate += 1;
+                state.write(out, eval_inv(wa));
+                index += 1;
             }
         }
     }
+    *next_gate = index;
     cursor
 }
 
@@ -629,9 +592,11 @@ fn eval_slab(
 /// address `w + 1`, gate `i`'s output → `num_inputs + 1 + i`).
 ///
 /// This is the renaming half of the HAAC compiler, inlined for callers
-/// that don't need the full pass pipeline; `haac-core`'s
+/// that don't need the full pass pipeline, at the **natural** window
+/// (it never spills, however large the circuit); `haac-core`'s
 /// `lower_for_streaming` reaches the same program through the compiler
-/// proper and the two are equivalence-tested against each other.
+/// proper — the two are equivalence-tested against each other — and
+/// caps the slab at the paper's 2 MB SWW.
 ///
 /// # Panics
 ///

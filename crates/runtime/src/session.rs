@@ -153,8 +153,11 @@ pub struct SessionConfig {
     /// carries the garbler's choice and the evaluator validates it).
     pub scheme: HashScheme,
     /// The sliding-wire-window geometry the plan's label slab is sized
-    /// by: wire *residency*. It bounds the table frame only where half
-    /// of it is smaller than the default frame (see
+    /// by: wire *residency* — the plan's natural window, capped at the
+    /// paper's 2 MB SWW (131 072 labels, 2 MiB per party) by the
+    /// lowering every constructor here uses, with reads beyond it served
+    /// from the plan's OoRW store. It bounds the table frame only where
+    /// half of it is smaller than the default frame (see
     /// [`chunk_tables`](SessionConfig::chunk_tables)).
     pub window: WindowModel,
     /// The circuit lowered once for slot-slab execution: both roles
@@ -192,11 +195,11 @@ pub struct SessionConfig {
 }
 
 impl SessionConfig {
-    /// Lowers the circuit once (baseline reorder → rename →
-    /// window-size) and sizes the session around the resulting plan:
-    /// the slab window under which every read is in-window. Cache the
-    /// returned config (or its `plan`) to amortize the lowering across
-    /// sessions.
+    /// Lowers the circuit once (baseline order → rename → window, AND
+    /// runs, OoRW slots) and sizes the session around the resulting
+    /// plan: the slab window under which every read is in-window, or
+    /// the 2 MB SWW where that is smaller. Cache the returned config (or
+    /// its `plan`) to amortize the lowering across sessions.
     pub fn for_circuit(circuit: &Circuit) -> SessionConfig {
         SessionConfig::for_circuit_with(circuit, ReorderKind::Baseline)
     }
@@ -308,7 +311,7 @@ pub struct SessionTelemetry {
     /// garbler, receive on the evaluator.
     pub chunk_io_ns: Arc<Histogram>,
     /// OoRW queue occupancy sampled at every chunk boundary (0 unless
-    /// the plan forced a window smaller than the circuit needs).
+    /// the plan's window is smaller than the circuit's natural one).
     pub oor_occupancy: Arc<Histogram>,
     /// OT phase wall time, in nanoseconds (one sample per session).
     pub ot_ns: Arc<Histogram>,
@@ -426,7 +429,9 @@ pub struct SessionReport {
     /// `stream_ns`.
     pub io_stall_ns: u64,
     /// High-water mark of the OoRW queue during streaming (0 unless
-    /// the plan was built against a forced small window).
+    /// the plan's window is smaller than the circuit's natural one —
+    /// circuits whose operand distances exceed the 2 MB SWW, or plans
+    /// lowered against a deliberately small window).
     pub oor_queue_peak: usize,
     /// Times this session survived a mid-stream connection loss by
     /// resuming onto a fresh channel (0 for plain and uncut sessions).
@@ -517,9 +522,9 @@ fn expect_message<C: Channel + ?Sized>(
 /// per-instruction opcode sequence (one allocation-free O(gates)
 /// pass). Reordered plans permute the opcode sequence, so for them the
 /// cheap check stops at the aggregates. Debug builds additionally
-/// re-lower **baseline** plans (same window, so forced-window OoRW
-/// plans are covered) and require exact equality; reordered plans skip
-/// the rebuild — the tag names a schedule *family*, and
+/// re-lower **baseline** plans (same window, so plans that spill to
+/// the OoRW queue are covered) and require exact equality; reordered
+/// plans skip the rebuild — the tag names a schedule *family*, and
 /// `plan_from_program` explicitly supports custom orders within it, so
 /// a canonical rebuild would falsely reject valid mutually-agreed
 /// plans.
@@ -546,7 +551,7 @@ fn check_plan(plan: &StreamingPlan, circuit: &Circuit) -> Result<(), RuntimeErro
     }
     #[cfg(debug_assertions)]
     if plan.reorder == ReorderKind::Baseline {
-        // Rebuild with the same slab window (a forced-window plan
+        // Rebuild with the same slab window (a plan that spills
         // re-marks the same OoR reads) and require exact equality.
         let rebuilt = haac_core::lower::lower_with_window(
             circuit,

@@ -55,9 +55,13 @@ type Slot = Arc<OnceLock<Arc<CachedWorkload>>>;
 /// at most 48 entries can ever be resident, and a peer can name nothing
 /// else: an unknown workload, scale or schedule tag is a typed refusal
 /// before any lookup. Worst-case residency is therefore a constant:
-/// all 24 `Scale::Small` entries measure 27 MB, all 48 about 2.7 GB
-/// (process RSS after filling the cache on x86-64; GradDesc at
-/// `Scale::Paper`, 6.8 M gates, is ~120–250 MB per schedule). A key
+/// all 24 `Scale::Small` entries measure about 30 MB, all 48 about
+/// 2.8 GB (process RSS growth per entry on x86-64, summed; GradDesc at
+/// `Scale::Paper`, 6.8 M gates, is ~190–270 MB per schedule). An
+/// entry is the circuit plus its plan — 13 B per instruction (the slot
+/// instruction and its batch-run byte) and 4 B per far read, 0.5–6.6 M
+/// of them on the paper-scale plans that spill past the 2 MB SWW; the
+/// per-session label slab is not cached and is capped at that SWW. A key
 /// component with an open-ended domain would void this bound and needs
 /// an eviction policy first — `every_key_fits_and_there_are_48` fails
 /// to compile when the key grows.

@@ -146,10 +146,12 @@ struct ServerShared {
 /// The server's per-workload schedule policy, applied when a client
 /// leaves the choice open ([`SessionRequest::negotiated`]): kernels
 /// with wide independent gate levels — the dense linear-algebra VIPs —
-/// gain ILP from the fully level-ordered stream, while the
-/// sequential/compare-heavy ones keep the baseline order and its wire
-/// locality. The chosen kind travels back in the ack, so both sides
-/// lower identically.
+/// get the paper's locality-preserving default, level order with AND
+/// gates first inside half-SWW segments (whole-program level order on
+/// MatMult at paper scale keeps 271 k wires live; segments keep 16 k
+/// and still batch 7.8 ANDs at a time), while the
+/// sequential/compare-heavy ones keep the baseline order. The chosen
+/// kind travels back in the ack, so both sides lower identically.
 ///
 /// [`SessionRequest::negotiated`]: crate::SessionRequest::negotiated
 pub fn choose_reorder(kind: WorkloadKind) -> ReorderKind {
@@ -157,7 +159,7 @@ pub fn choose_reorder(kind: WorkloadKind) -> ReorderKind {
         WorkloadKind::DotProduct
         | WorkloadKind::MatMult
         | WorkloadKind::GradDesc
-        | WorkloadKind::Relu => ReorderKind::Full,
+        | WorkloadKind::Relu => ReorderKind::Segment,
         WorkloadKind::BubbleSort
         | WorkloadKind::Mersenne
         | WorkloadKind::Triangle
@@ -588,9 +590,10 @@ fn bank_producer_pace(shared: &ServerShared) -> bool {
 /// Garbles one fresh instance of `key` on the pool and deposits it.
 /// Every instance draws from its own deterministic RNG stream
 /// (`bank_seed + seq`), so Δ and the input labels are fresh per
-/// deposit. Plans with out-of-range reads are not bankable (the
-/// pre-garbler is plan-driven and refuses them), so those keys always
-/// miss and fall back to online garbling.
+/// deposit. Plans with out-of-range reads are not bankable (the pooled
+/// pre-garbler runs waves out of stream order and refuses them), so
+/// those keys — at the served 2 MB SWW, most `Scale::Paper` circuits;
+/// no `Scale::Small` one — always miss and are garbled online.
 fn bank_garble_one(
     shared: &ServerShared,
     pool: &EnginePool,

@@ -183,9 +183,9 @@ fn reorder_disagreement_is_a_typed_refusal_not_a_hang() {
 fn negotiated_requests_run_the_server_chosen_schedule() {
     // A client that leaves the schedule open gets the server's policy
     // pick advertised in the ack and lowers with it — here DotProd
-    // (policy: Full) and BubbSt (policy: Baseline).
+    // (policy: Segment) and BubbSt (policy: Baseline).
     let server = Server::new(ServerConfig { workers: 2, ..ServerConfig::default() });
-    assert_eq!(haac_server::choose_reorder(WorkloadKind::DotProduct), ReorderKind::Full);
+    assert_eq!(haac_server::choose_reorder(WorkloadKind::DotProduct), ReorderKind::Segment);
     assert_eq!(haac_server::choose_reorder(WorkloadKind::BubbleSort), ReorderKind::Baseline);
     for name in ["DotProd", "BubbSt"] {
         let mut channel = server.connect();
@@ -201,8 +201,8 @@ fn negotiated_requests_run_the_server_chosen_schedule() {
     assert!(
         samples.iter().any(|s| s.name == "haac_sessions_total"
             && s.label("workload") == Some("DotProd")
-            && s.label("reorder") == Some("Full")),
-        "negotiated DotProd must be served (and labeled) as Full:\n{snapshot}"
+            && s.label("reorder") == Some("Seg")),
+        "negotiated DotProd must be served (and labeled) as Segment:\n{snapshot}"
     );
     assert!(
         samples.iter().any(|s| s.name == "haac_sessions_total"

@@ -1,9 +1,14 @@
-//! The software OoRW queue: deliberately small slab windows must
-//! stream adversarial wire-distance circuits **bit-identically** to the
-//! naturally sized slab, in O(window + queue) memory, with queue
+//! The software OoRW queue: slab windows below a circuit's natural one —
+//! the served 2 MB SWW on a long circuit, or deliberately tiny ones —
+//! must stream adversarial wire-distance circuits **bit-identically**
+//! to the naturally sized slab, in O(window + queue) memory, with queue
 //! occupancy never exceeding the plan's static bound.
 
-use haac::core::{lower_for_streaming, lower_with_window, ReorderKind, WindowModel};
+use haac::core::lower::served_window;
+use haac::core::{
+    compiler, lower_for_streaming, lower_with_reorder, lower_with_window, plan_from_program,
+    ReorderKind, WindowModel,
+};
 use haac::gc::{HashScheme, StreamingEvaluator, StreamingGarbler};
 use haac::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -96,6 +101,83 @@ fn tiny_window_streams_are_wire_identical_to_the_big_slab() {
             assert_eq!(gfin.oor_queue_peak, efin.oor_queue_peak, "both sides drain identically");
         }
     }
+}
+
+#[test]
+fn a_circuit_longer_than_the_sww_spills_under_the_plain_served_lowering() {
+    // No forced window here: ~150 k gates re-reading four early anchors
+    // push the natural window to 262 144 labels, so the lowering every
+    // session uses caps the slab at the paper's 2 MB SWW and routes the
+    // far reads through the statically slotted store — on all three
+    // schedules, wire-identical to the natural-window plan of the same
+    // order.
+    let c = skip_connection_circuit(70_000, 7);
+    let g_bits = [true, false, true, true];
+    let e_bits = [false, true, true, false];
+    let sww = served_window();
+    for kind in [ReorderKind::Baseline, ReorderKind::Full, ReorderKind::Segment] {
+        let natural = plan_from_program(
+            &compiler::reorder(&c, kind, sww),
+            c.garbler_inputs(),
+            c.evaluator_inputs(),
+            kind,
+        )
+        .unwrap();
+        assert!(!natural.program.has_oor(), "{kind:?}");
+        assert!(natural.program.slot_wires() > sww.sww_wires(), "{kind:?}: the test needs a spill");
+
+        let plan = lower_with_reorder(&c, kind);
+        assert!(plan.program.has_oor(), "{kind:?}");
+        assert_eq!(plan.program.slot_wires(), 131_072, "{kind:?}");
+        assert_eq!(plan.window, sww, "{kind:?}");
+        let bound = plan.program.oor_queue_bound();
+        assert!(bound > 0 && bound <= plan.program.oor_read_count(), "{kind:?}: bound {bound}");
+
+        let (big_tables, big_decode, big_g, big_e) =
+            run_plan(&natural, &g_bits, &e_bits, 0x5AA, 2048);
+        let (tables, decode, gfin, efin) = run_plan(&plan, &g_bits, &e_bits, 0x5AA, 2048);
+        assert_eq!(tables, big_tables, "{kind:?}");
+        assert_eq!(decode, big_decode, "{kind:?}");
+        assert_eq!((gfin.crypto, efin.crypto), (big_g.crypto, big_e.crypto), "{kind:?}");
+        assert_eq!(efin.outputs, c.eval(&g_bits, &e_bits).unwrap(), "{kind:?}");
+        // The anchors stay queued together, so the run reaches the
+        // static bound exactly — on both sides.
+        assert_eq!(gfin.oor_queue_peak, bound, "{kind:?}: garbler");
+        assert_eq!(efin.oor_queue_peak, bound, "{kind:?}: evaluator");
+    }
+
+    // And through the session layer, which lowers the same way.
+    let config = SessionConfig::for_circuit_with(&c, ReorderKind::Segment);
+    assert!(config.plan.program.has_oor());
+    let (g, e) = run_local_session(&c, &g_bits, &e_bits, 78, &config).unwrap();
+    assert_eq!(g.outputs, c.eval(&g_bits, &e_bits).unwrap());
+    assert_eq!(e.outputs, g.outputs);
+    assert!(g.oor_queue_peak > 0 && e.oor_queue_peak > 0, "both parties queue far reads");
+    assert_eq!(g.oor_queue_peak, e.oor_queue_peak);
+}
+
+#[test]
+fn the_served_matmult_paper_plan_keeps_its_shape_and_streams_to_plaintext() {
+    // The benchmark's `long_stream` circuit under the server's own
+    // schedule, pinned outside the benchmark: the 2 MB SWW, a store no
+    // larger than the re-read primary inputs (4 096 of them; measured
+    // bound 4 096), full AND batches (measured 7.81 of 8), and a live
+    // set two orders of magnitude under the circuit (measured 15 738).
+    let kind = WorkloadKind::MatMult;
+    let w = build_workload(kind, Scale::Paper);
+    let plan = lower_with_reorder(&w.circuit, haac::server::choose_reorder(kind));
+    let program = &plan.program;
+    assert!(program.has_oor());
+    assert_eq!(program.slot_wires(), 131_072);
+    assert!(program.oor_queue_bound() <= 4_300, "store {}", program.oor_queue_bound());
+    assert!(program.ands_per_batch() >= 7.5, "mean run {}", program.ands_per_batch());
+    assert!(program.peak_live() <= 20_000, "live {}", program.peak_live());
+
+    let (tables, _, gfin, efin) = run_plan(&plan, &w.garbler_bits, &w.evaluator_bits, 0x10A6, 2048);
+    assert_eq!(tables.len(), w.circuit.num_and_gates());
+    assert_eq!(efin.outputs, w.expected);
+    assert_eq!(gfin.oor_queue_peak, efin.oor_queue_peak);
+    assert!(gfin.oor_queue_peak <= program.oor_queue_bound());
 }
 
 #[test]

@@ -10,7 +10,9 @@
 //! What the garbler drivers put on the wire is compared message by
 //! message in `haac-runtime`'s session tests; below the session layer,
 //! the slab garbler's chunks are compared here with the oracle
-//! `haac_gc::garble` on the raw netlist.
+//! `haac_gc::garble` on the raw netlist, and the plans themselves — one
+//! schedule for the simulator and the executors, AND runs fixed at
+//! lowering — are held to what the compiler promises.
 
 use haac::prelude::*;
 use rand::rngs::StdRng;
@@ -104,5 +106,114 @@ fn slab_garblers_stream_identical_tables_on_every_workload() {
         assert_eq!(sf.crypto, oracle.crypto, "{}", kind.name());
         let liveness_peak = Liveness::analyze(&w.circuit).peak_live_wires(&w.circuit);
         assert_eq!(sf.peak_live_wires, liveness_peak, "{}", kind.name());
+    }
+}
+
+const REORDERS: [ReorderKind; 3] = [ReorderKind::Baseline, ReorderKind::Full, ReorderKind::Segment];
+
+#[test]
+fn the_direct_emitter_and_the_program_road_lower_every_workload_identically() {
+    // One schedule, two consumers: `lower_with_reorder` emits slot
+    // instructions straight from `compiler::gate_order`, the simulator
+    // gets the same order renamed into a `Program` by
+    // `compiler::reorder`. Lowering that program at the served window
+    // must give the same plan, and at `Small` no kind may spill — the
+    // bank and the pooled garbler only take in-window plans.
+    use haac_core::compiler::reorder;
+    use haac_core::lower::served_window;
+    use haac_core::plan_from_program_with_window;
+
+    let sww = served_window();
+    assert_eq!(sww.sww_wires(), 131_072, "the paper's 2 MB SWW");
+    for kind in WorkloadKind::ALL {
+        let w = build_workload(kind, Scale::Small);
+        for reorder_kind in REORDERS {
+            let name = format!("{} {reorder_kind:?}", kind.name());
+            let direct = lower_with_reorder(&w.circuit, reorder_kind);
+            let by_program = plan_from_program_with_window(
+                &reorder(&w.circuit, reorder_kind, sww),
+                w.circuit.garbler_inputs(),
+                w.circuit.evaluator_inputs(),
+                reorder_kind,
+                sww,
+            )
+            .unwrap();
+            assert_eq!(direct.program, by_program.program, "{name}");
+            assert!(!direct.program.has_oor(), "{name}: a Small plan must stay in-window");
+            assert!(direct.window.sww_wires() <= sww.sww_wires(), "{name}");
+        }
+    }
+}
+
+#[test]
+fn served_plans_batch_as_the_schedule_promises() {
+    // Batches are a plan property, so they are asserted, not sampled:
+    // the mean AND run of each level-ordered kind under the server's
+    // schedule (measured 7.70, 7.50, 5.35 and exactly 8, of
+    // `MAX_AND_BATCH` = 8; 1.0–1.8 before the level orders put ANDs
+    // first).
+    use haac::server::choose_reorder;
+
+    let floors = [
+        (WorkloadKind::MatMult, 7.5),
+        (WorkloadKind::DotProduct, 7.0),
+        (WorkloadKind::GradDesc, 5.0),
+        (WorkloadKind::Relu, 8.0),
+    ];
+    for (kind, floor) in floors {
+        let w = build_workload(kind, Scale::Small);
+        let plan = lower_with_reorder(&w.circuit, choose_reorder(kind));
+        let mean = plan.program.ands_per_batch();
+        assert!((floor..=8.0).contains(&mean), "{}: {mean}", kind.name());
+    }
+}
+
+#[test]
+fn chunk_budgets_that_cut_runs_stream_the_same_transcript() {
+    // A chunk budget may end inside a run (1 cuts every run, 3 and 1013
+    // cut the 8-gate runs of the level orders at odd places); the
+    // remainder is itself a run, so tables, decode string and cipher
+    // work do not depend on the cut — they equal the oracle's on the
+    // baseline order, and the one-chunk stream's on the reordered ones,
+    // whose evaluator, fed the same cuts, decodes the plaintext.
+    use haac_gc::{StreamingEvaluator, StreamingGarbler};
+
+    for kind in [WorkloadKind::Triangle, WorkloadKind::DotProduct, WorkloadKind::GradDesc] {
+        let w = build_workload(kind, Scale::Small);
+        let oracle = garble(&w.circuit, &mut StdRng::seed_from_u64(9), HashScheme::Rekeyed);
+        for reorder_kind in REORDERS {
+            let plan = lower_with_reorder(&w.circuit, reorder_kind);
+            let mut reference = None;
+            for chunk in [usize::MAX, 1, 3, 1013] {
+                let name = format!("{} {reorder_kind:?} chunk={chunk}", kind.name());
+                let mut rng = StdRng::seed_from_u64(9);
+                let mut garbler =
+                    StreamingGarbler::with_plan(&plan.program, &mut rng, HashScheme::Rekeyed);
+                let inputs = garbler.encode_inputs(&w.garbler_bits, &w.evaluator_bits);
+                let mut evaluator =
+                    StreamingEvaluator::with_plan(&plan.program, inputs, HashScheme::Rekeyed);
+                let mut tables = Vec::new();
+                while let Some(part) = garbler.next_tables(chunk) {
+                    evaluator.feed(&part);
+                    tables.extend(part);
+                }
+                let gfin = garbler.finish();
+                let efin = evaluator.finish(&gfin.output_decode);
+                assert_eq!(efin.outputs, w.expected, "{name}");
+                assert_eq!(gfin.crypto, oracle.crypto, "{name}");
+                assert_eq!(efin.crypto.aes_blocks, 2 * tables.len() as u64, "{name}");
+                let transcript = (tables, gfin.output_decode);
+                match &reference {
+                    Some(one_chunk) => assert_eq!(one_chunk, &transcript, "{name}"),
+                    None => {
+                        if reorder_kind == ReorderKind::Baseline {
+                            let garbled = oracle.garbled.clone();
+                            assert_eq!(transcript, (garbled.tables, garbled.output_decode));
+                        }
+                        reference = Some(transcript);
+                    }
+                }
+            }
+        }
     }
 }

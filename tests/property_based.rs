@@ -8,6 +8,8 @@
 //! - garble∘evaluate∘decode == plaintext on random DAG circuits;
 //! - compiler passes (reorder/rename/ESW/OoR) preserve semantics at
 //!   arbitrary SWW sizes;
+//! - the slab executors stream the natural plan's transcript at any
+//!   slab window, through the statically slotted OoRW store;
 //! - the SWW window math satisfies its residency contract.
 
 use haac::circuit::float::{fp32_add_ref, fp32_canon, fp32_mul_ref};
@@ -147,6 +149,56 @@ proptest! {
                 &lowered, window, &g_bits, &e_bits, &mut rng, HashScheme::Rekeyed,
             );
             prop_assert_eq!(got.unwrap(), expect.clone(), "{:?} sww={}", kind, sww);
+        }
+    }
+
+    #[test]
+    fn slab_executors_stream_the_natural_transcript_at_any_window(
+        script in proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 1..100),
+        inputs in 2u32..16,
+        window in 2u32..64,
+        chunk_pick in 0usize..3,
+        seed in any::<u64>(),
+        g_word in any::<u64>(),
+        e_word in any::<u64>(),
+    ) {
+        // Random far reads recycle store slots and land producers inside
+        // would-be AND runs; the plan's slots and runs must keep every
+        // window wire-identical to the slab that holds everything.
+        use haac::gc::{StreamingEvaluator, StreamingGarbler};
+        let chunk = [1usize, 3, 64][chunk_pick];
+        let c = random_circuit(&script, inputs);
+        let g_bits = to_bits(g_word, c.garbler_inputs());
+        let e_bits = to_bits(e_word, c.evaluator_inputs());
+        let expect = c.eval(&g_bits, &e_bits).unwrap();
+        let stream = |plan: &StreamingPlan| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut garbler =
+                StreamingGarbler::with_plan(&plan.program, &mut rng, HashScheme::Rekeyed);
+            let labels = garbler.encode_inputs(&g_bits, &e_bits);
+            let mut evaluator =
+                StreamingEvaluator::with_plan(&plan.program, labels, HashScheme::Rekeyed);
+            let mut tables = Vec::new();
+            while let Some(part) = garbler.next_tables(chunk) {
+                evaluator.feed(&part);
+                tables.extend(part);
+            }
+            let gfin = garbler.finish();
+            let efin = evaluator.finish(&gfin.output_decode);
+            (tables, gfin, efin)
+        };
+        for kind in [ReorderKind::Baseline, ReorderKind::Segment, ReorderKind::Full] {
+            let natural = lower_with_reorder(&c, kind);
+            prop_assert!(!natural.program.has_oor());
+            let plan = lower_with_window(&c, kind, WindowModel::new(window));
+            let (tables, gfin, efin) = stream(&plan);
+            let (natural_tables, natural_gfin, _) = stream(&natural);
+            prop_assert_eq!(tables, natural_tables, "{:?} window={}", kind, window);
+            prop_assert_eq!(&gfin.output_decode, &natural_gfin.output_decode);
+            prop_assert_eq!(efin.outputs, expect.clone(), "{:?} window={}", kind, window);
+            let bound = plan.program.oor_queue_bound();
+            prop_assert!(gfin.oor_queue_peak <= bound && efin.oor_queue_peak <= bound);
+            prop_assert_eq!(bound > 0, plan.program.has_oor());
         }
     }
 

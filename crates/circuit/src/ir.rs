@@ -181,6 +181,10 @@ pub struct Circuit {
     gates: Vec<Gate>,
     outputs: Vec<WireId>,
     num_wires: u32,
+    /// AND gates in `gates` — a function of the gate list, counted in
+    /// the validating pass [`Circuit::new`] makes, so the derived
+    /// `PartialEq`/`Clone` keep their meaning.
+    num_ands: usize,
 }
 
 impl Circuit {
@@ -201,8 +205,9 @@ impl Circuit {
     ) -> Result<Self, CircuitError> {
         let num_inputs = garbler_inputs + evaluator_inputs;
         let num_wires = num_inputs + gates.len() as u32;
-        let circuit = Circuit { garbler_inputs, evaluator_inputs, gates, outputs, num_wires };
-        circuit.validate()?;
+        let mut circuit =
+            Circuit { garbler_inputs, evaluator_inputs, gates, outputs, num_wires, num_ands: 0 };
+        circuit.num_ands = circuit.check()?;
         Ok(circuit)
     }
 
@@ -212,11 +217,18 @@ impl Circuit {
     ///
     /// Returns the first [`CircuitError`] encountered.
     pub fn validate(&self) -> Result<(), CircuitError> {
+        self.check().map(|_| ())
+    }
+
+    /// The one pass over the netlist construction pays for: validates it
+    /// and returns its AND count.
+    fn check(&self) -> Result<usize, CircuitError> {
         let num_inputs = self.num_inputs();
         let mut defined = vec![false; self.num_wires as usize];
         for slot in defined.iter_mut().take(num_inputs as usize) {
             *slot = true;
         }
+        let mut num_ands = 0usize;
         for (i, gate) in self.gates.iter().enumerate() {
             let check_use = |wire: WireId| -> Result<(), CircuitError> {
                 if wire >= self.num_wires || !defined[wire as usize] {
@@ -225,6 +237,7 @@ impl Circuit {
                     Ok(())
                 }
             };
+            num_ands += usize::from(gate.is_and());
             check_use(gate.a)?;
             if gate.op != GateOp::Inv {
                 check_use(gate.b)?;
@@ -245,7 +258,7 @@ impl Circuit {
                 return Err(CircuitError::UndefinedOutput { wire: out });
             }
         }
-        Ok(())
+        Ok(num_ands)
     }
 
     /// Number of garbler (Alice) input bits.
@@ -290,9 +303,11 @@ impl Circuit {
         self.gates.len()
     }
 
-    /// Number of AND gates (each costs a garbled table).
+    /// Number of AND gates (each costs a garbled table) — counted at
+    /// construction, so sessions read it without walking the netlist.
+    #[inline]
     pub fn num_and_gates(&self) -> usize {
-        self.gates.iter().filter(|g| g.is_and()).count()
+        self.num_ands
     }
 
     /// Evaluates the circuit over plaintext Booleans.
@@ -437,6 +452,64 @@ mod tests {
         assert_eq!(c.num_and_gates(), 1);
         assert_eq!(c.num_gates(), 3);
         assert_eq!(c.num_wires(), 5);
+    }
+
+    fn recount(c: &Circuit) -> usize {
+        c.gates().iter().filter(|g| g.is_and()).count()
+    }
+
+    #[test]
+    fn stored_and_count_equals_a_recount_on_every_road_into_new() {
+        use crate::{bristol, opt, Builder};
+
+        // `Builder::finish`: a multiplier (ANDs, XORs and INVs), with a
+        // dropped adder for `prune` to remove and outputs that are not
+        // the last wires for `normalize_outputs` to move.
+        let mut b = Builder::new();
+        let x = b.input_garbler(8);
+        let y = b.input_evaluator(8);
+        let product = b.mul_words(&x, &y);
+        let _dead = b.add_words(&x, &y);
+        let built = b.finish(product).unwrap();
+        assert!(recount(&built) > 50, "want a circuit with real AND work");
+
+        let pruned = opt::prune(&built);
+        assert!(pruned.removed_ands > 0, "the dropped adder had ANDs");
+        let normalized = bristol::normalize_outputs(&built);
+        assert!(normalized.num_gates() > built.num_gates(), "outputs were not canonical");
+        let parsed = bristol::parse(&bristol::write(&built)).unwrap();
+        for (road, c) in [
+            ("Builder::finish", &built),
+            ("opt::prune", &pruned.circuit),
+            ("bristol::normalize_outputs", &normalized),
+            ("bristol::parse", &parsed),
+        ] {
+            assert_eq!(c.num_and_gates(), recount(c), "{road}");
+        }
+        assert_eq!(pruned.circuit.num_and_gates(), built.num_and_gates() - pruned.removed_ands);
+
+        // The count is a function of the gate list, so the derived
+        // impls mean what they meant: a clone is equal and counts the
+        // same, equal parts build equal circuits, and a circuit that
+        // differs only in one gate's op differs.
+        assert_eq!(built.clone(), built);
+        assert_eq!(built.clone().num_and_gates(), built.num_and_gates());
+        let rebuild = |gates: Vec<Gate>| {
+            Circuit::new(
+                built.garbler_inputs(),
+                built.evaluator_inputs(),
+                gates,
+                built.outputs().to_vec(),
+            )
+            .unwrap()
+        };
+        assert_eq!(rebuild(built.gates().to_vec()), built);
+        let mut gates = built.gates().to_vec();
+        let and = gates.iter_mut().find(|g| g.is_and()).expect("an AND gate");
+        and.op = GateOp::Xor;
+        let swapped = rebuild(gates);
+        assert_ne!(swapped, built);
+        assert_eq!(swapped.num_and_gates(), built.num_and_gates() - 1);
     }
 
     #[test]

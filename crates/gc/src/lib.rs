@@ -74,7 +74,7 @@ pub mod slab;
 pub mod stream;
 
 pub use aes::{active_backend, AesBackend};
-pub use block::{Block, Delta};
+pub use block::{tables_from_wire, tables_to_wire, Block, Delta, TABLE_BYTES};
 pub use engine::{garble_plan_in, EnginePool, PlanGarbling, PoolStats};
 pub use evaluate::{eval_and, eval_and_batch, eval_inv, eval_xor, evaluate};
 pub use garble::{

@@ -46,8 +46,8 @@ use rand::Rng;
 use crate::channel::{Channel, ChannelStats};
 use crate::error::{RuntimeError, SessionPhase};
 use crate::wire::{
-    encode_frame, encode_tables_frame, read_message, tables_frame_len, write_message, Message,
-    OtMode, SessionHeader,
+    encode_frame, fill_tables_frame, read_message, read_stream_frame, tables_frame_len,
+    write_message, Message, OtMode, SessionHeader, StreamFrame,
 };
 
 /// Default cumulative-ack cadence for resumable sessions: the evaluator
@@ -1035,11 +1035,35 @@ struct ReplayBuffer {
     bytes: usize,
     /// High-water mark of `bytes`.
     peak_bytes: usize,
+    /// Released frames' buffers, handed back out by
+    /// [`frame_buffer`](ReplayBuffer::frame_buffer) instead of freed: a
+    /// session allocates as many frames as it ever retains at once.
+    spare: Vec<Vec<u8>>,
+    /// Frame buffers [`frame_buffer`](ReplayBuffer::frame_buffer) had to
+    /// allocate because nothing was spare.
+    allocated: usize,
 }
 
 impl ReplayBuffer {
     fn new() -> ReplayBuffer {
-        ReplayBuffer { frames: VecDeque::new(), next_seq: 0, acked: 0, bytes: 0, peak_bytes: 0 }
+        ReplayBuffer {
+            frames: VecDeque::new(),
+            next_seq: 0,
+            acked: 0,
+            bytes: 0,
+            peak_bytes: 0,
+            spare: Vec::new(),
+            allocated: 0,
+        }
+    }
+
+    /// A buffer to fill the next frame into: a released frame's, or a
+    /// fresh one when none is spare.
+    fn frame_buffer(&mut self) -> Vec<u8> {
+        self.spare.pop().unwrap_or_else(|| {
+            self.allocated += 1;
+            Vec::new()
+        })
     }
 
     /// Stores a frame's wire bytes under the next sequence number.
@@ -1065,6 +1089,7 @@ impl ReplayBuffer {
             while self.frames.front().is_some_and(|(seq, _)| *seq < upto) {
                 let (_, released) = self.frames.pop_front().expect("front was just checked");
                 self.bytes -= released.len();
+                self.spare.push(released);
             }
         }
         Ok(())
@@ -1566,7 +1591,8 @@ where
             tel.chunk_compute_ns.record(compute_ns);
             tel.oor_occupancy.record(garbler.oor_queue_len() as u64);
         }
-        let frame = encode_tables_frame(link.buffer.next_seq, &chunk)
+        let mut frame = link.buffer.frame_buffer();
+        fill_tables_frame(&mut frame, link.buffer.next_seq, &chunk)
             .map_err(|e| e.in_phase(SessionPhase::Stream))?;
         let t = Instant::now();
         channel = link.ship(channel, frame, SessionPhase::Stream)?;
@@ -1911,19 +1937,23 @@ where
         resumes: 0,
         resume,
     };
+    // The one table buffer of the stream: every frame is received
+    // straight into it and fed from it.
+    let mut chunk: Vec<[Block; 2]> = Vec::new();
     let output_decode = loop {
         let t = Instant::now();
-        match read_message(&mut channel) {
-            Ok(Message::Tables { seq, tables: chunk }) => {
+        let frame = read_stream_frame(&mut channel, &mut chunk, |seq, count| {
+            check_seq(seq, stats.chunks)
+                .and_then(|()| check_frame_fits(count, stats.tables, header.num_tables))
+        });
+        match frame {
+            Ok(StreamFrame::Tables) => {
                 // Evaluation sat idle for the whole receive: waiting
                 // for the garbler to produce the frame, then for its
                 // bytes — the evaluator's I/O-starved stall.
                 let io_ns = t.elapsed().as_nanos() as u64;
                 stats.io_ns += io_ns;
                 stats.io_stall_ns += io_ns;
-                check_seq(seq, stats.chunks)
-                    .and_then(|()| check_frame_fits(chunk.len(), stats.tables, header.num_tables))
-                    .map_err(|e| e.in_phase(SessionPhase::Stream))?;
                 stats.chunks += 1;
                 stats.tables += chunk.len() as u64;
                 let t = Instant::now();
@@ -1943,8 +1973,8 @@ where
                     channel = link.recover(channel, e, SessionPhase::Stream, stats.chunks)?;
                 }
             }
-            Ok(Message::OutputDecode(decode)) => break decode,
-            Ok(other) => {
+            Ok(StreamFrame::Other(Message::OutputDecode(decode))) => break decode,
+            Ok(StreamFrame::Other(other)) => {
                 return Err(RuntimeError::protocol(format!(
                     "expected Tables or OutputDecode, received {}",
                     other.name()
@@ -2367,6 +2397,62 @@ mod tests {
         // both windows and then waited on the lagging evaluator's acks.
         assert!(replay.peak_bytes >= bound - decode_frame, "peak {}", replay.peak_bytes);
         assert!(g.io_stall_ns > 0, "time blocked on acks is the garbler's I/O stall");
+        // Released frames are refilled, not reallocated: the session
+        // allocated the two windows it retained at once, however many
+        // frames it streamed.
+        assert_eq!(replay.allocated, 2 * config.ack_interval as usize);
+        assert!(g.table_chunks as usize > 2 * replay.allocated);
+    }
+
+    /// A session that retains nothing recycles its one frame buffer; a
+    /// resumable one allocates at most the frames it may hold at once.
+    #[test]
+    fn frame_buffers_are_recycled_across_the_stream() {
+        use rand::rngs::StdRng;
+
+        let c = multiplier(24);
+        let bits = to_bits(0xABCDEF, 24);
+        let resumable = SessionConfig::for_circuit(&c).with_chunk_tables(8).with_ack_interval(3);
+        let plain = SessionConfig { ack_interval: 0, ..resumable.clone() };
+        for config in [&plain, &resumable] {
+            let (mut gc, mut ec) = crate::channel::MemChannel::pair();
+            let mut replay = ReplayBuffer::new();
+            let (g, e) = std::thread::scope(|scope| {
+                let garbler = scope.spawn(|| {
+                    let mut rng = StdRng::seed_from_u64(21);
+                    write_resumable_header(&c, config, &mut gc)?;
+                    let garbler =
+                        StreamingGarbler::with_plan(&config.plan.program, &mut rng, config.scheme);
+                    stream_garbler_resumable(
+                        &c,
+                        &bits,
+                        garbler,
+                        &mut rng,
+                        config,
+                        gc,
+                        |_: &RuntimeError, _| None,
+                        Instant::now(),
+                        &mut replay,
+                    )
+                });
+                let mut rng = StdRng::seed_from_u64(22);
+                let e = run_evaluator_with(&c, &bits, &mut rng, config, &mut ec);
+                (garbler.join().unwrap().unwrap(), e.unwrap())
+            });
+            assert_eq!(g.outputs, c.eval(&bits, &bits).unwrap());
+            assert_eq!(g.outputs, e.outputs);
+            let window = 2 * config.ack_interval as usize;
+            assert!(g.table_chunks as usize > window + 2, "{} frames", g.table_chunks);
+            if config.ack_interval == 0 {
+                assert_eq!(replay.allocated, 1, "one frame, refilled for every chunk");
+            } else {
+                assert!(
+                    (1..=window + 2).contains(&replay.allocated),
+                    "{} buffers allocated for a window of {window} frames",
+                    replay.allocated
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! of desynchronizing.
 
 use haac_core::ReorderKind;
-use haac_gc::{Block, HashScheme};
+use haac_gc::{tables_from_wire, tables_to_wire, Block, HashScheme, TABLE_BYTES};
 
 use crate::channel::Channel;
 use crate::error::RuntimeError;
@@ -17,9 +17,12 @@ use crate::error::RuntimeError;
 /// length prefix must not drive allocation.
 const MAX_PAYLOAD: usize = 64 << 20;
 
-/// Frame tag of [`Message::Tables`], shared by the owned
-/// ([`write_message`]) and borrowed ([`write_tables`]) writers.
+/// Frame tag of [`Message::Tables`].
 const TABLES_TAG: u8 = 6;
+
+/// Bytes of a `Tables` payload ahead of the tables: the stream cursor
+/// (8 B) and the table count (4 B).
+const TABLES_PREFIX: usize = 8 + 4;
 
 /// Frame tag of [`Message::Resume`]. Public because a server dispatches
 /// on the first byte of a fresh connection: a service request opens with
@@ -256,10 +259,7 @@ fn push_blocks(payload: &mut Vec<u8>, blocks: &[Block]) {
 
 fn push_tables(payload: &mut Vec<u8>, tables: &[[Block; 2]]) {
     payload.extend_from_slice(&(tables.len() as u32).to_le_bytes());
-    for table in tables {
-        payload.extend_from_slice(&table[0].to_bytes());
-        payload.extend_from_slice(&table[1].to_bytes());
-    }
+    tables_to_wire(tables, payload);
 }
 
 fn push_bits(payload: &mut Vec<u8>, bits: &[bool]) {
@@ -287,31 +287,17 @@ pub fn write_message<C: Channel + ?Sized>(
     channel: &mut C,
     message: &Message,
 ) -> Result<(), RuntimeError> {
-    // The streaming hot path writes table chunks without owning them;
-    // one implementation serves both entry points.
+    // One `Tables` encoder: the frame filler the streaming loop uses.
     if let Message::Tables { seq, tables } = message {
-        return write_tables(channel, *seq, tables);
+        let mut frame = Vec::new();
+        fill_tables_frame(&mut frame, *seq, tables)?;
+        return Ok(channel.send(&frame)?);
     }
-    let payload = encode_payload(message);
-    if payload.len() > MAX_PAYLOAD {
-        // The receiver enforces the same bound; sending an oversized frame
-        // would be accepted by the transport and then kill the session at
-        // the peer (and beyond u32::MAX the length prefix would wrap).
-        return Err(RuntimeError::protocol(format!(
-            "{} frame of {} bytes exceeds the {} byte limit",
-            message.name(),
-            payload.len(),
-            MAX_PAYLOAD
-        )));
-    }
-    channel.send(&[message.tag()])?;
-    channel.send(&(payload.len() as u32).to_le_bytes())?;
-    channel.send(&payload)?;
-    Ok(())
+    Ok(channel.send(&encode_frame(message)?)?)
 }
 
-/// Serializes every non-`Tables` message's payload (the `Tables` hot
-/// path streams straight to the channel and never builds this `Vec`).
+/// Serializes a message's payload (the streaming loop never comes here
+/// for `Tables`: it fills recycled frames with [`fill_tables_frame`]).
 fn encode_payload(message: &Message) -> Vec<u8> {
     let mut payload = Vec::new();
     match message {
@@ -387,42 +373,17 @@ pub fn tables_frame_len(tables: usize) -> usize {
     5 + 8 + 4 + 32 * tables
 }
 
-/// Serializes one `Tables` frame from a borrowed slice into its exact
-/// wire bytes — byte-identical to [`write_tables`], allocation-owned so
-/// the caller can both send and stash the same buffer.
+/// Fills `frame` — cleared first, its capacity kept, so a released
+/// frame buffer can be handed back in — with the exact wire bytes of one
+/// `Tables` frame: byte-identical to what [`encode_frame`] builds from
+/// the owned message, with one bulk copy of the chunk's tables. The
+/// caller both sends and stashes the same buffer: resume is byte replay.
 ///
 /// # Errors
 ///
 /// Rejects oversized chunks.
-pub fn encode_tables_frame(seq: u64, tables: &[[Block; 2]]) -> Result<Vec<u8>, RuntimeError> {
-    let payload_len = tables_frame_len(tables.len()) - 5;
-    if payload_len > MAX_PAYLOAD {
-        return Err(RuntimeError::protocol(format!(
-            "Tables frame of {payload_len} bytes exceeds the {MAX_PAYLOAD} byte limit"
-        )));
-    }
-    let mut frame = Vec::with_capacity(5 + payload_len);
-    frame.push(TABLES_TAG);
-    frame.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    frame.extend_from_slice(&seq.to_le_bytes());
-    frame.extend_from_slice(&(tables.len() as u32).to_le_bytes());
-    for table in tables {
-        frame.extend_from_slice(&table[0].to_bytes());
-        frame.extend_from_slice(&table[1].to_bytes());
-    }
-    Ok(frame)
-}
-
-/// Serializes and sends one `Tables` frame from a **borrowed** slice —
-/// wire-identical to `write_message(&Message::Tables(..))` but without
-/// moving the tables into a `Message`, so the session layer can reuse
-/// one chunk buffer for the whole stream. Does not flush.
-///
-/// # Errors
-///
-/// Propagates channel I/O failures; rejects oversized chunks.
-pub fn write_tables<C: Channel + ?Sized>(
-    channel: &mut C,
+pub fn fill_tables_frame(
+    frame: &mut Vec<u8>,
     seq: u64,
     tables: &[[Block; 2]],
 ) -> Result<(), RuntimeError> {
@@ -432,14 +393,12 @@ pub fn write_tables<C: Channel + ?Sized>(
             "Tables frame of {payload_len} bytes exceeds the {MAX_PAYLOAD} byte limit"
         )));
     }
-    channel.send(&[TABLES_TAG])?;
-    channel.send(&(payload_len as u32).to_le_bytes())?;
-    channel.send(&seq.to_le_bytes())?;
-    channel.send(&(tables.len() as u32).to_le_bytes())?;
-    for table in tables {
-        channel.send(&table[0].to_bytes())?;
-        channel.send(&table[1].to_bytes())?;
-    }
+    frame.clear();
+    frame.reserve(5 + payload_len);
+    frame.push(TABLES_TAG);
+    frame.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    frame.extend_from_slice(&seq.to_le_bytes());
+    push_tables(frame, tables);
     Ok(())
 }
 
@@ -483,22 +442,39 @@ impl PayloadReader {
         self.bytes.len() - self.pos
     }
 
-    fn counted<T>(
-        &mut self,
-        per_item_bytes: usize,
-        read: impl Fn(&mut Self) -> Result<T, RuntimeError>,
-    ) -> Result<Vec<T>, RuntimeError> {
+    /// Reads a count prefix. It is untrusted: the items it promises
+    /// must actually be present in the (already length-capped) payload
+    /// before a single element is allocated — a hostile 4-byte count in
+    /// a tiny frame must not drive a giant `Vec` reservation.
+    fn count(&mut self, per_item_bytes: usize) -> Result<usize, RuntimeError> {
         let count = self.u32()? as usize;
-        // The count prefix is untrusted: the items it promises must
-        // actually be present in the (already length-capped) payload
-        // before a single element is allocated — a hostile 4-byte count
-        // in a tiny frame must not drive a giant `Vec` reservation.
         if count.saturating_mul(per_item_bytes) > self.remaining() {
             return Err(RuntimeError::protocol(format!(
                 "count {count} exceeds the {} bytes of frame payload",
                 self.remaining()
             )));
         }
+        Ok(count)
+    }
+
+    /// A count-prefixed run of table-shaped pairs, decoded in one pass.
+    fn tables(&mut self) -> Result<Vec<[Block; 2]>, RuntimeError> {
+        let count = self.count(TABLE_BYTES)?;
+        let bytes = self.take(TABLE_BYTES * count)?;
+        let mut tables = vec![[Block::ZERO; 2]; count];
+        tables_from_wire(&mut tables, |buf| -> Result<(), RuntimeError> {
+            buf.copy_from_slice(bytes);
+            Ok(())
+        })?;
+        Ok(tables)
+    }
+
+    fn counted<T>(
+        &mut self,
+        per_item_bytes: usize,
+        read: impl Fn(&mut Self) -> Result<T, RuntimeError>,
+    ) -> Result<Vec<T>, RuntimeError> {
+        let count = self.count(per_item_bytes)?;
         (0..count).map(|_| read(self)).collect()
     }
 
@@ -525,6 +501,14 @@ impl PayloadReader {
     }
 }
 
+/// The length prefix is untrusted: it is capped before it sizes anything.
+fn check_len(len: usize) -> Result<(), RuntimeError> {
+    if len > MAX_PAYLOAD {
+        return Err(RuntimeError::protocol(format!("frame of {len} bytes exceeds limit")));
+    }
+    Ok(())
+}
+
 /// Receives and decodes one message (blocking).
 ///
 /// # Errors
@@ -536,14 +520,21 @@ pub fn read_message<C: Channel + ?Sized>(channel: &mut C) -> Result<Message, Run
     let mut len = [0u8; 4];
     channel.recv_exact(&mut len)?;
     let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(RuntimeError::protocol(format!("frame of {len} bytes exceeds limit")));
-    }
+    check_len(len)?;
+    read_payload(channel, tag[0], len)
+}
+
+/// Receives the `len`-byte payload of a frame tagged `tag` and decodes it.
+fn read_payload<C: Channel + ?Sized>(
+    channel: &mut C,
+    tag: u8,
+    len: usize,
+) -> Result<Message, RuntimeError> {
     let mut bytes = vec![0u8; len];
     channel.recv_exact(&mut bytes)?;
     let mut r = PayloadReader { bytes, pos: 0 };
 
-    let message = match tag[0] {
+    let message = match tag {
         1 => Message::Header(SessionHeader {
             garbler_inputs: r.u32()?,
             evaluator_inputs: r.u32()?,
@@ -559,15 +550,12 @@ pub fn read_message<C: Channel + ?Sized>(channel: &mut C) -> Result<Message, Run
         2 => Message::GarblerInputs(r.counted(16, PayloadReader::block)?),
         3 => Message::OtSetup { point: r.u128()?, nonce: r.u128()? },
         4 => Message::OtPoints(r.counted(16, PayloadReader::u128)?),
-        5 => Message::OtCiphertexts(r.counted(32, |r| Ok([r.block()?, r.block()?]))?),
-        TABLES_TAG => Message::Tables {
-            seq: r.u64()?,
-            tables: r.counted(32, |r| Ok([r.block()?, r.block()?]))?,
-        },
+        5 => Message::OtCiphertexts(r.tables()?),
+        TABLES_TAG => Message::Tables { seq: r.u64()?, tables: r.tables()? },
         7 => Message::OutputDecode(r.bits()?),
         8 => Message::Outputs(r.bits()?),
         9 => Message::OtExtMatrix(r.counted(16, PayloadReader::block)?),
-        10 => Message::OtExtLabels(r.counted(32, |r| Ok([r.block()?, r.block()?]))?),
+        10 => Message::OtExtLabels(r.tables()?),
         RESUME_TAG => Message::Resume { ticket: r.u128()?, next_seq: r.u64()? },
         12 => Message::ResumeAck { from_seq: r.u64()? },
         13 => Message::ChunkAck { upto_seq: r.u64()? },
@@ -575,6 +563,70 @@ pub fn read_message<C: Channel + ?Sized>(channel: &mut C) -> Result<Message, Run
     };
     r.finish()?;
     Ok(message)
+}
+
+/// What [`read_stream_frame`] found next on the table stream.
+#[derive(Debug, PartialEq)]
+pub enum StreamFrame {
+    /// A `Tables` frame that `admit` accepted; its tables are now the
+    /// whole content of the buffer the reader was handed.
+    Tables,
+    /// Any other message, decoded as [`read_message`] decodes it.
+    Other(Message),
+}
+
+/// The evaluator's stream-loop reader: [`read_message`], except that a
+/// `Tables` payload is received straight into `tables` — one reused
+/// buffer, resized to exactly the frame's count, so nothing of an
+/// earlier frame can be fed again — instead of through a zero-filled
+/// byte vector and a fresh `Vec` per frame. A frame costs three channel
+/// receives, as it does in [`read_message`]: tag and length, cursor and
+/// count, tables.
+///
+/// Every peer-controlled length is refused before it sizes anything:
+/// the length prefix by the frame cap, the count by `12 + 32 × count ==
+/// len` exactly, and the frame itself by `admit(seq, count)` — the
+/// session's sequence and remaining-tables checks — which runs before
+/// `tables` is resized or a table byte is received.
+///
+/// # Errors
+///
+/// Propagates channel I/O failures and `admit`'s refusal, and rejects
+/// malformed frames.
+pub fn read_stream_frame<C: Channel + ?Sized>(
+    channel: &mut C,
+    tables: &mut Vec<[Block; 2]>,
+    admit: impl FnOnce(u64, usize) -> Result<(), RuntimeError>,
+) -> Result<StreamFrame, RuntimeError> {
+    let mut head = [0u8; 5];
+    channel.recv_exact(&mut head)?;
+    let len = u32::from_le_bytes(head[1..].try_into().expect("4 bytes")) as usize;
+    check_len(len)?;
+    if head[0] != TABLES_TAG {
+        return read_payload(channel, head[0], len).map(StreamFrame::Other);
+    }
+    let Some(table_bytes) = len.checked_sub(TABLES_PREFIX) else {
+        return Err(RuntimeError::protocol("frame payload truncated"));
+    };
+    let mut prefix = [0u8; TABLES_PREFIX];
+    channel.recv_exact(&mut prefix)?;
+    let seq = u64::from_le_bytes(prefix[..8].try_into().expect("8 bytes"));
+    let count = u32::from_le_bytes(prefix[8..].try_into().expect("4 bytes")) as usize;
+    match count.saturating_mul(TABLE_BYTES).cmp(&table_bytes) {
+        std::cmp::Ordering::Greater => {
+            return Err(RuntimeError::protocol(format!(
+                "count {count} exceeds the {table_bytes} bytes of frame payload"
+            )));
+        }
+        std::cmp::Ordering::Less => {
+            return Err(RuntimeError::protocol("frame payload has trailing bytes"));
+        }
+        std::cmp::Ordering::Equal => {}
+    }
+    admit(seq, count)?;
+    tables.resize(count, [Block::ZERO; 2]);
+    tables_from_wire(tables, |bytes| channel.recv_exact(bytes))?;
+    Ok(StreamFrame::Tables)
 }
 
 #[cfg(test)]
@@ -644,15 +696,20 @@ mod tests {
             [Block::from(1u128), Block::from(2u128)],
             [Block::from(3u128), Block::from(4u128)],
         ];
-        let (mut a, mut b) = MemChannel::pair();
-        write_tables(&mut a, 9, &tables).unwrap();
-        a.flush().unwrap();
-        let got = read_message(&mut b).unwrap();
-        assert_eq!(got, Message::Tables { seq: 9, tables: tables.clone() });
-        // Byte-identical framing: same bytes_sent as the owned path.
-        let (mut c, _d) = MemChannel::pair();
-        write_message(&mut c, &Message::Tables { seq: 9, tables }).unwrap();
-        assert_eq!(a.stats().bytes_sent, c.stats().bytes_sent);
+        // A recycled buffer: longer stale contents must not leak.
+        let mut frame = vec![0xEE; 200];
+        fill_tables_frame(&mut frame, 9, &tables).unwrap();
+        assert_eq!(frame.len(), tables_frame_len(tables.len()));
+        // Byte-identical framing: the owned message serializes to it.
+        let owned = Message::Tables { seq: 9, tables };
+        assert_eq!(frame, encode_frame(&owned).unwrap());
+        let (mut c, mut d) = MemChannel::pair();
+        write_message(&mut c, &owned).unwrap();
+        c.flush().unwrap();
+        let mut sent = vec![0u8; frame.len()];
+        d.recv_exact(&mut sent).unwrap();
+        assert_eq!(sent, frame);
+        assert_eq!(c.stats().bytes_sent, frame.len() as u64);
     }
 
     #[test]
@@ -663,17 +720,12 @@ mod tests {
         ];
         // The replay-buffer encoder must produce exactly what the live
         // writers put on the wire — resume correctness is byte replay.
-        let frame = encode_tables_frame(3, &tables).unwrap();
+        let mut frame = Vec::new();
+        fill_tables_frame(&mut frame, 3, &tables).unwrap();
         let (mut a, mut b) = MemChannel::pair();
         a.send(&frame).unwrap();
         a.flush().unwrap();
-        assert_eq!(
-            read_message(&mut b).unwrap(),
-            Message::Tables { seq: 3, tables: tables.clone() }
-        );
-        let (mut c, _d) = MemChannel::pair();
-        write_tables(&mut c, 3, &tables).unwrap();
-        assert_eq!(frame.len() as u64, c.stats().bytes_sent);
+        assert_eq!(read_message(&mut b).unwrap(), Message::Tables { seq: 3, tables });
 
         let decode = Message::OutputDecode(vec![true, false, true]);
         let frame = encode_frame(&decode).unwrap();
@@ -681,6 +733,60 @@ mod tests {
         e.send(&frame).unwrap();
         e.flush().unwrap();
         assert_eq!(read_message(&mut f).unwrap(), decode);
+    }
+
+    #[test]
+    fn stream_frame_reader_takes_three_receives_and_never_feeds_stale_tables() {
+        use crate::fault::{FaultChannel, FaultSpec};
+
+        let long: Vec<[Block; 2]> =
+            (0..40u128).map(|i| [Block::from(i), Block::from(!i)]).collect();
+        let short = vec![[Block::from(77u128), Block::from(78u128)]];
+        let (mut a, b) = MemChannel::pair();
+        // Injects nothing; its op counter counts this side's receives.
+        let mut b = FaultChannel::new(b, FaultSpec::default(), 0);
+        for (seq, tables) in [(0, &long), (1, &short), (2, &long)] {
+            write_message(&mut a, &Message::Tables { seq, tables: tables.clone() }).unwrap();
+        }
+        write_message(&mut a, &Message::OutputDecode(vec![true])).unwrap();
+        a.flush().unwrap();
+
+        let mut buf = Vec::new();
+        let mut admitted = Vec::new();
+        let mut read = |b: &mut FaultChannel<MemChannel>, buf: &mut Vec<[Block; 2]>| {
+            read_stream_frame(b, buf, |seq, count| {
+                admitted.push((seq, count));
+                Ok(())
+            })
+            .unwrap()
+        };
+        assert_eq!(read(&mut b, &mut buf), StreamFrame::Tables);
+        assert_eq!((b.ops(), &buf), (3, &long));
+        let (at, capacity) = (buf.as_ptr(), buf.capacity());
+        // A short frame after a long one is exactly its own tables.
+        assert_eq!(read(&mut b, &mut buf), StreamFrame::Tables);
+        assert_eq!((b.ops(), &buf), (6, &short));
+        assert_eq!(read(&mut b, &mut buf), StreamFrame::Tables);
+        assert_eq!((b.ops(), &buf), (9, &long));
+        // One buffer for the whole stream.
+        assert_eq!((buf.as_ptr(), buf.capacity()), (at, capacity));
+        assert_eq!(read(&mut b, &mut buf), StreamFrame::Other(Message::OutputDecode(vec![true])));
+        assert_eq!(admitted, vec![(0, 40), (1, 1), (2, 40)]);
+    }
+
+    #[test]
+    fn stream_frame_reader_asks_the_session_before_sizing_its_buffer() {
+        let tables = vec![[Block::from(1u128), Block::from(2u128)]; 3];
+        let (mut a, mut b) = MemChannel::pair();
+        write_message(&mut a, &Message::Tables { seq: 5, tables }).unwrap();
+        a.flush().unwrap();
+        let mut buf = Vec::new();
+        let err = read_stream_frame(&mut b, &mut buf, |seq, count| {
+            Err(RuntimeError::protocol(format!("refused {seq}/{count}")))
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("refused 5/3"), "{err}");
+        assert_eq!(buf.capacity(), 0);
     }
 
     #[test]

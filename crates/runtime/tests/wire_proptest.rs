@@ -8,6 +8,11 @@
 //! length prefix never drives an allocation beyond the bytes that
 //! actually arrived.
 //!
+//! The evaluator's stream loop reads through a second entry point,
+//! [`read_stream_frame`], which receives `Tables` payloads straight into
+//! one reused table buffer; it is held to the same contract, plus: a
+//! refused frame never grows that buffer.
+//!
 //! The same contract is checked for the other decoder of stored or
 //! received bytes in the stack, [`PlanGarbling::from_bytes`] (the
 //! bank's instance format): any mutation of a valid encoding is a typed
@@ -17,7 +22,9 @@
 use std::io;
 
 use haac_gc::{Block, CryptoCounters, Delta, HashScheme, PlanGarbling};
-use haac_runtime::wire::{read_message, write_message, Message, OtMode, SessionHeader};
+use haac_runtime::wire::{
+    read_message, read_stream_frame, write_message, Message, OtMode, SessionHeader, StreamFrame,
+};
 use haac_runtime::{Channel, ChannelStats, ReorderKind, RuntimeError};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -176,8 +183,134 @@ fn raw_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
     frame
 }
 
+/// Reads one frame through the stream-loop reader, admitting whatever
+/// cursor and count it announces.
+fn read_stream(bytes: Vec<u8>, tables: &mut Vec<[Block; 2]>) -> Result<StreamFrame, RuntimeError> {
+    read_stream_frame(&mut ByteChannel::of(bytes), tables, |_, _| Ok(()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn stream_frame_reader_agrees_with_read_message(
+        kind in any::<u8>(),
+        data in vec(any::<u8>(), 0..120),
+        stale in vec(any::<u8>(), 0..120),
+    ) {
+        // Whatever an earlier frame left in the buffer, a `Tables` frame
+        // leaves exactly its own tables there; every other message
+        // decodes as `read_message` decodes it.
+        let message = message_from(kind, &data);
+        let mut tables = pairs_from(&stale);
+        let mut admitted = None;
+        let frame = read_stream_frame(
+            &mut ByteChannel::of(encode(&message)),
+            &mut tables,
+            |seq, count| {
+                admitted = Some((seq, count));
+                Ok(())
+            },
+        )
+        .expect("valid frame decodes");
+        match message {
+            Message::Tables { seq, tables: sent } => {
+                prop_assert_eq!(frame, StreamFrame::Tables);
+                prop_assert_eq!(admitted, Some((seq, sent.len())));
+                prop_assert_eq!(tables, sent);
+            }
+            other => {
+                prop_assert_eq!(frame, StreamFrame::Other(other));
+                prop_assert_eq!(admitted, None);
+            }
+        }
+    }
+
+    #[test]
+    fn stream_frame_reader_types_every_malformed_frame_and_never_grows_its_buffer(
+        data in vec(any::<u8>(), 0..120),
+        mutation in 0u8..6,
+        knob in any::<u32>(),
+    ) {
+        let sent = pairs_from(&data);
+        let mut frame = encode(&Message::Tables { seq: 3, tables: sent.clone() });
+        // tag (1) | len (4) | seq (8) | count (4) | 32 B per table
+        let (len_at, count_at) = (1, 13);
+        let put = |frame: &mut Vec<u8>, at: usize, v: u32| {
+            frame[at..at + 4].copy_from_slice(&v.to_le_bytes())
+        };
+        let want = match mutation {
+            // Truncated anywhere: the transport's error, or the typed
+            // refusal of a length too short for its own prefix.
+            0 => {
+                frame.truncate(knob as usize % frame.len());
+                "Io"
+            }
+            // A count beyond the payload — up to 2^32 − 1 tables.
+            1 => {
+                put(&mut frame, count_at, (sent.len() as u32 + 1).max(knob));
+                "exceeds"
+            }
+            // A count short of the payload: trailing bytes.
+            2 => {
+                prop_assume!(!sent.is_empty());
+                put(&mut frame, count_at, knob % sent.len() as u32);
+                "trailing"
+            }
+            // A length that is not 12 + 32 × count, either way.
+            3 => {
+                let len = (12 + 32 * sent.len() as u32).wrapping_add(1 + knob % 64);
+                put(&mut frame, len_at, len);
+                "trailing"
+            }
+            // A length over the frame cap.
+            4 => {
+                put(&mut frame, len_at, (64u32 << 20) + 1 + knob % 1024);
+                "exceeds limit"
+            }
+            // An unknown tag over the same bytes.
+            _ => {
+                frame[0] = 14 + (knob % 242) as u8;
+                "unknown frame tag"
+            }
+        };
+        let mut tables = Vec::with_capacity(2);
+        tables.push([Block::from(7u128); 2]);
+        let (at, capacity) = (tables.as_ptr(), tables.capacity());
+        let err = read_stream(frame, &mut tables).expect_err("a malformed frame must not decode");
+        match &err {
+            RuntimeError::Io(_) => prop_assert_eq!(want, "Io", "{}", err),
+            RuntimeError::Protocol(m) => prop_assert!(
+                m.contains(want) || (want == "Io" && m.contains("truncated")),
+                "want {want:?}, got: {err}"
+            ),
+            _ => prop_assert!(false, "unexpected error shape: {err}"),
+        }
+        // Refused before the count sized anything — except a frame cut
+        // inside its tables, which was well-formed up to the cut and had
+        // sized the buffer for exactly the tables it announced.
+        if want != "Io" {
+            prop_assert_eq!((tables.as_ptr(), tables.capacity()), (at, capacity));
+        }
+        prop_assert!(tables.len() <= sent.len().max(1));
+    }
+
+    #[test]
+    fn stream_frame_reader_never_panics_on_arbitrary_bytes(
+        blob in vec(any::<u8>(), 0..600),
+        tag_it in any::<bool>(),
+    ) {
+        // Half the cases are steered into the `Tables` arm.
+        let mut bytes = blob.clone();
+        if let (true, Some(tag)) = (tag_it, bytes.first_mut()) {
+            *tag = 6;
+        }
+        let mut tables = Vec::new();
+        if let Ok(StreamFrame::Tables) = read_stream(bytes, &mut tables) {
+            // Only bytes that arrived can have become tables.
+            prop_assert!(17 + 32 * tables.len() <= blob.len());
+        }
+    }
 
     #[test]
     fn arbitrary_bytes_never_panic(blob in vec(any::<u8>(), 0..600)) {

@@ -215,6 +215,16 @@ mod tests {
     }
 
     #[test]
+    fn stored_and_counts_equal_a_recount_for_every_workload() {
+        for kind in WorkloadKind::ALL {
+            let circuit = build(kind, Scale::Small).circuit;
+            let recount = circuit.gates().iter().filter(|g| g.is_and()).count();
+            assert!(recount > 0, "{}", kind.name());
+            assert_eq!(circuit.num_and_gates(), recount, "{}", kind.name());
+        }
+    }
+
+    #[test]
     fn scale_default_is_small() {
         assert_eq!(Scale::default(), Scale::Small);
     }

@@ -5,7 +5,8 @@
 //! implement the same computation in custom logic. This module mirrors
 //! that split in software: a single [`Aes128`] facade dispatches to
 //!
-//! - **AES-NI** (`aesenc`, and a key schedule built on `aesenclast`) on
+//! - **AES-NI** (`aesenc`, and a key schedule built on `aesenclast`;
+//!   their `vaesenc` forms on 512-bit registers where available) on
 //!   x86_64,
 //! - **ARMv8 crypto extensions** (`AESE`/`AESMC`) on aarch64,
 //! - a **portable** byte-oriented implementation everywhere — the
@@ -17,13 +18,15 @@
 //! `HAAC_AES_BACKEND` environment variable (`portable` / `aesni` /
 //! `neon`) forces a specific one, which CI uses to keep the fallback
 //! path exercised. Batch entry points ([`Aes128::encrypt_blocks`],
-//! [`encrypt_lanes`]) keep up to [`MAX_LANES`] independent blocks in
-//! flight so superscalar AES units pipeline the way HAAC's gate engines
-//! do; `encrypt_rekeyed` is the unit of the re-keyed gate hash, a few
-//! fresh keys used on a block or two each, which AES-NI runs as one
-//! fused schedule-and-encrypt pass. The workload structure (2 key
-//! expansions + 4 AES calls per garbled AND, §2.1/Fig. 2) is identical
-//! across backends.
+//! [`encrypt_lanes`]) keep enough independent blocks in flight
+//! ([`MAX_LANES`] on a 128-bit unit) that superscalar AES units pipeline
+//! the way HAAC's gate engines do; `encrypt_rekeyed` is the unit of the
+//! re-keyed gate hash, up to sixteen fresh keys used on a block or two
+//! each, which AES-NI runs as one fused schedule-and-encrypt pass — four
+//! schedules to a 512-bit register where the CPU has VAES and AVX-512,
+//! one to a 128-bit register elsewhere, under the one `aesni` name. The
+//! workload structure (2 key expansions + 4 AES calls per garbled AND,
+//! §2.1/Fig. 2) is identical across backends and widths.
 
 use std::sync::OnceLock;
 
@@ -39,10 +42,14 @@ pub use portable::sbox;
 /// expansion to 176 Byte" of paper §2.1.
 pub(crate) type RoundKeys = [[u8; 16]; 11];
 
-/// Maximum independent blocks a batch kernel keeps in flight.
+/// Independent blocks the 128-bit batch kernels (AES-NI's `xmm` shapes,
+/// NEON) keep in flight.
 ///
-/// Eight lanes cover the `aesenc` latency×throughput product of every
-/// AES-NI core shipped to date (latency ≤ 8 cycles, 1–2 issued/cycle).
+/// Eight lanes cover the latency × throughput product of `aesenc` on a
+/// 128-bit AES unit (latency ≤ 8 cycles, 1–2 issued a cycle). A core
+/// with VAES retires four blocks an instruction, so the 512-bit kernels
+/// of the `aesni` backend do not use this bound: they keep up to eight
+/// *registers* — 32 blocks — in flight.
 pub const MAX_LANES: usize = 8;
 
 /// An AES implementation the facade can dispatch to.
@@ -50,7 +57,9 @@ pub const MAX_LANES: usize = 8;
 pub enum AesBackend {
     /// Byte-oriented software AES; compiled everywhere, always correct.
     Portable,
-    /// x86_64 AES-NI (`aesenc` / `aesenclast`, with SSSE3 `pshufb`).
+    /// x86_64 AES-NI (`aesenc` / `aesenclast`, with SSSE3 `pshufb`), on
+    /// 512-bit registers where the CPU also has VAES, AVX-512F and
+    /// AVX-512BW — one backend, the width picked inside it.
     AesNi,
     /// aarch64 crypto extensions (`AESE` / `AESMC`).
     Neon,
@@ -169,8 +178,9 @@ impl Aes128 {
         one[0]
     }
 
-    /// Encrypts a slice of blocks in place under this one key,
-    /// [`MAX_LANES`] independent blocks in flight at a time.
+    /// Encrypts a slice of blocks in place under this one key, with as
+    /// many independent blocks in flight as the backend's widest kernel
+    /// holds ([`MAX_LANES`] on 128-bit units).
     pub fn encrypt_blocks(&self, blocks: &mut [Block]) {
         match self.backend {
             #[cfg(target_arch = "x86_64")]
@@ -199,46 +209,73 @@ fn expand_key(backend: AesBackend, key: [u8; 16]) -> RoundKeys {
     }
 }
 
-/// Most fresh keys one [`encrypt_rekeyed`] group may carry.
-pub(crate) const MAX_REKEYED_KEYS: usize = 4;
+/// Most fresh keys one [`encrypt_rekeyed`] call may carry: the two
+/// tweaks of each gate of a full `MAX_AND_BATCH` — four zmm registers
+/// of four schedules each where the wide kernel runs.
+pub(crate) const MAX_REKEYED_KEYS: usize = 16;
 
-/// Encrypts `blocks[k·b..(k+1)·b]` in place under the fresh key
-/// `keys[k]`, where `b = blocks.len() / keys.len()` — the unit of the
-/// re-keyed gate hash, whose keys are used once and thrown away. At
-/// most [`MAX_REKEYED_KEYS`] keys and [`MAX_LANES`] blocks.
+/// The re-keyed gate hash's cipher pass, the unit of work of a gate
+/// engine: replaces every block `x` with `AES_key(x) ⊕ x`, where lane
+/// `k` of **every plane** is keyed by the fresh key `keys[k]`, used once
+/// and thrown away. A plane is one block per key; a caller that hashes
+/// two labels under each tweak passes two planes (`P` = 2), so the
+/// labels that share a register never need de-interleaving. At most
+/// [`MAX_REKEYED_KEYS`] keys; no keys is a no-op.
 ///
-/// On AES-NI the shapes the gate ops produce run through the fused
-/// schedule-and-encrypt kernel ([`aesni::encrypt_rekeyed`]), which
-/// keeps every schedule in registers. Any other shape, and every other
-/// backend, expands the schedules to memory and pipelines the lanes
-/// over them.
-pub(crate) fn encrypt_rekeyed(backend: AesBackend, keys: &[[u8; 16]], blocks: &mut [Block]) {
-    let per_key = blocks.len() / keys.len();
-    debug_assert_eq!(keys.len() * per_key, blocks.len());
-    debug_assert!(keys.len() <= MAX_REKEYED_KEYS && blocks.len() <= MAX_LANES);
+/// On AES-NI this is one fused schedule-and-encrypt pass
+/// ([`aesni::encrypt_rekeyed`]) that keeps every schedule in registers,
+/// 512 bits wide where the CPU has VAES and AVX-512, 128 bits wide
+/// elsewhere. Every other backend expands the schedules to memory, a
+/// few at a time, and pipelines the lanes over them.
+///
+/// # Panics
+///
+/// Panics on more than [`MAX_REKEYED_KEYS`] keys or a plane whose
+/// length is not `keys.len()`.
+pub(crate) fn encrypt_rekeyed<const P: usize>(
+    backend: AesBackend,
+    keys: &[[u8; 16]],
+    mut planes: [&mut [Block]; P],
+) {
+    assert!(keys.len() <= MAX_REKEYED_KEYS, "{} keys exceed {MAX_REKEYED_KEYS}", keys.len());
+    for plane in &planes {
+        assert_eq!(plane.len(), keys.len(), "one block per key in every plane");
+    }
+    if keys.is_empty() {
+        return;
+    }
     #[cfg(target_arch = "x86_64")]
     if backend == AesBackend::AesNi {
         // SAFETY: `AesNi` is only ever stored after `aesni::available()`
         // returned true.
-        unsafe {
-            match (keys.len(), per_key) {
-                (4, 2) => return aesni::encrypt_rekeyed::<4, 2>(keys, blocks),
-                (2, 2) => return aesni::encrypt_rekeyed::<2, 2>(keys, blocks),
-                (4, 1) => return aesni::encrypt_rekeyed::<4, 1>(keys, blocks),
-                (2, 1) => return aesni::encrypt_rekeyed::<2, 1>(keys, blocks),
-                _ => {}
+        return unsafe { aesni::encrypt_rekeyed(keys, planes) };
+    }
+    // Unfused: as many schedules at a time as fill the lanes of one
+    // `encrypt_lanes_rk` group.
+    let group_keys = MAX_LANES / P;
+    for (group, keys) in keys.chunks(group_keys).enumerate() {
+        let group = group * group_keys..group * group_keys + keys.len();
+        let mut scheds = [[[0u8; 16]; 11]; MAX_LANES];
+        for (sched, key) in scheds.iter_mut().zip(keys) {
+            *sched = expand_key(backend, *key);
+        }
+        let mut refs = [&scheds[0]; MAX_LANES];
+        let mut lanes = [Block::ZERO; MAX_LANES];
+        let mut n = 0;
+        for plane in &planes {
+            for (k, &x) in plane[group.clone()].iter().enumerate() {
+                (refs[n], lanes[n]) = (&scheds[k], x);
+                n += 1;
+            }
+        }
+        encrypt_lanes_rk(backend, &refs[..n], &mut lanes[..n]);
+        let mut ciphertexts = lanes[..n].iter();
+        for plane in &mut planes {
+            for (x, &c) in plane[group.clone()].iter_mut().zip(&mut ciphertexts) {
+                *x ^= c;
             }
         }
     }
-    let mut scheds = [[[0u8; 16]; 11]; MAX_REKEYED_KEYS];
-    for (sched, key) in scheds.iter_mut().zip(keys) {
-        *sched = expand_key(backend, *key);
-    }
-    let mut refs = [&scheds[0]; MAX_LANES];
-    for (lane, sched) in refs.iter_mut().enumerate().take(blocks.len()) {
-        *sched = &scheds[lane / per_key];
-    }
-    encrypt_lanes_rk(backend, &refs[..blocks.len()], blocks);
 }
 
 /// Encrypts `blocks[i]` under `schedules[i]` in place, dispatching the
@@ -428,6 +465,141 @@ mod tests {
                 keys.iter().zip(&batch).map(|(k, &b)| k.encrypt_block(b)).collect();
             encrypt_lanes(&key_refs, &mut batch);
             assert_eq!(batch, singles, "{}", backend.name());
+        }
+    }
+    /// `AES_key(x) ⊕ x` by the portable schedule and rounds: what every
+    /// width of the re-keyed kernel must leave in a lane.
+    fn portable_rekeyed(key: [u8; 16], x: Block) -> Block {
+        let sched = portable::expand_key(key);
+        Block::from_bytes(portable::encrypt(&sched, x.to_bytes())) ^ x
+    }
+
+    /// Fresh keys as the gate hash makes them — a tweak in the low half
+    /// — starting with the OT namespaces' bit 62 and bit 63 and all-ones.
+    fn tweak_keys(n: usize) -> Vec<[u8; 16]> {
+        use crate::hash::{OT_BASE_TWEAK, OT_EXT_TWEAK};
+        let special = [OT_BASE_TWEAK | 5, OT_EXT_TWEAK | 9, u64::MAX, OT_EXT_TWEAK | OT_BASE_TWEAK];
+        (0..n)
+            .map(|k| special.get(k).copied().unwrap_or(0x9E37_79B9 * k as u64 + 1))
+            .map(|tweak| Block::from(u128::from(tweak)).to_bytes())
+            .collect()
+    }
+
+    const GUARDS: usize = 5;
+
+    fn guard(i: usize) -> Block {
+        Block::from(0xA5A5_A5A5_0000_0000_0000_0000_5A5A_5A5Au128 ^ ((i as u128) << 64))
+    }
+
+    /// `len` distinct blocks in the middle of a guard-patterned buffer.
+    fn guarded_buffer(len: usize) -> Vec<Block> {
+        let mut buffer: Vec<Block> = (0..len + 2 * GUARDS).map(guard).collect();
+        for (i, x) in buffer[GUARDS..GUARDS + len].iter_mut().enumerate() {
+            *x = Block::from((i as u128 + 1) * 0x0123_4567_89AB_CDEF_0F1E_2D3C_4B5A_6978);
+        }
+        buffer
+    }
+
+    fn assert_guards_intact(buffer: &[Block], context: &str) {
+        let len = buffer.len() - 2 * GUARDS;
+        for i in (0..GUARDS).chain(GUARDS + len..buffer.len()) {
+            assert_eq!(buffer[i], guard(i), "{context}: a store landed on guard block {i}");
+        }
+    }
+
+    /// Runs one re-keyed kernel on `P` planes of `n` blocks carved from
+    /// the middle of a guarded buffer, against the portable oracle.
+    fn check_rekeyed<const P: usize>(
+        name: &str,
+        n: usize,
+        kernel: impl FnOnce(&[[u8; 16]], [&mut [Block]; P]),
+    ) {
+        let keys = tweak_keys(n);
+        let mut buffer = guarded_buffer(P * n);
+        let inputs = buffer[GUARDS..GUARDS + P * n].to_vec();
+        let mut planes = buffer[GUARDS..GUARDS + P * n].chunks_mut(n.max(1));
+        kernel(&keys, std::array::from_fn(|_| planes.next().unwrap_or_default()));
+        let context = format!("{name} keys={n} per_key={P}");
+        for (i, &x) in inputs.iter().enumerate() {
+            let want = portable_rekeyed(keys[i % n], x);
+            assert_eq!(buffer[GUARDS + i], want, "{context} lane={i}");
+        }
+        assert_guards_intact(&buffer, &context);
+    }
+
+    /// Every key count a gate batch can produce (1..=16, so every ragged
+    /// last register), one and two labels a key, through the dispatching
+    /// entry on every backend and through each AES-NI width called
+    /// directly — a VAES box still covers the 128-bit shapes, and says
+    /// so when it cannot cover the 512-bit ones.
+    #[test]
+    fn rekeyed_kernels_match_portable_at_every_width_and_key_count() {
+        for n in 0..=MAX_REKEYED_KEYS {
+            for backend in AesBackend::ALL.into_iter().filter(|b| b.is_available()) {
+                check_rekeyed::<1>(backend.name(), n, |k, p| encrypt_rekeyed(backend, k, p));
+                check_rekeyed::<2>(backend.name(), n, |k, p| encrypt_rekeyed(backend, k, p));
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        if aesni::available() {
+            for n in 1..=MAX_REKEYED_KEYS {
+                // SAFETY: `available()` was checked just above.
+                check_rekeyed::<1>("aesni 128-bit", n, |k, p| unsafe {
+                    aesni::encrypt_rekeyed_narrow(k, p)
+                });
+                check_rekeyed::<2>("aesni 128-bit", n, |k, p| unsafe {
+                    aesni::encrypt_rekeyed_narrow(k, p)
+                });
+            }
+            eprintln!("aesni: the 128-bit re-keyed kernel was covered");
+            if aesni::wide() {
+                for n in 1..=MAX_REKEYED_KEYS {
+                    // SAFETY: `wide()` was checked just above.
+                    check_rekeyed::<1>("aesni 512-bit", n, |k, p| unsafe {
+                        aesni::encrypt_rekeyed_wide(k, p)
+                    });
+                    check_rekeyed::<2>("aesni 512-bit", n, |k, p| unsafe {
+                        aesni::encrypt_rekeyed_wide(k, p)
+                    });
+                }
+                eprintln!("aesni: the 512-bit re-keyed kernel was covered");
+            } else {
+                eprintln!("aesni: the 512-bit kernels were SKIPPED (no vaes + avx512f + avx512bw)");
+            }
+        }
+    }
+
+    /// One key, many blocks: both AES-NI widths and the split between
+    /// them equal the portable rounds at every length around a whole
+    /// wide pass.
+    #[test]
+    fn encrypt_blocks_matches_portable_at_every_width() {
+        let key = [0x3Cu8; 16];
+        let sched = portable::expand_key(key);
+        for backend in AesBackend::ALL.into_iter().filter(|b| b.is_available()) {
+            let aes = Aes128::with_backend(key, backend);
+            for len in [0usize, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100] {
+                let mut buffer = guarded_buffer(len);
+                let inputs = buffer[GUARDS..GUARDS + len].to_vec();
+                aes.encrypt_blocks(&mut buffer[GUARDS..GUARDS + len]);
+                let context = format!("{} len={len}", backend.name());
+                for (i, x) in inputs.iter().enumerate() {
+                    let want = Block::from_bytes(portable::encrypt(&sched, x.to_bytes()));
+                    assert_eq!(buffer[GUARDS + i], want, "{context} block={i}");
+                }
+                assert_guards_intact(&buffer, &context);
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        if aesni::available() {
+            let mut narrow = guarded_buffer(100);
+            let mut dispatched = narrow.clone();
+            // SAFETY: `available()` was checked just above.
+            unsafe {
+                aesni::encrypt_blocks_narrow(&sched, &mut narrow[GUARDS..GUARDS + 100]);
+                aesni::encrypt_blocks(&sched, &mut dispatched[GUARDS..GUARDS + 100]);
+            }
+            assert_eq!(narrow, dispatched, "the 128-bit shape alone equals the dispatched split");
         }
     }
 }

@@ -30,8 +30,8 @@ pub fn eval_and(
     let j1 = 2 * tweak_base + 1;
     let sa = wa.lsb();
     let sb = wb.lsb();
-    let mut h = [Block::ZERO; 2];
-    hash.hash_batch(&[wa, wb], &[j0, j1], &mut h);
+    let mut h = [wa, wb];
+    hash.hash_batch(&[j0, j1], &mut h);
     let wg = h[0] ^ table[0].select(sa);
     let we = h[1] ^ (table[1] ^ wa).select(sb);
     wg ^ we
@@ -58,19 +58,18 @@ pub fn eval_and_batch(
     assert_eq!(gates.len(), tables.len(), "one table per gate");
     assert_eq!(gates.len(), out.len(), "one output slot per gate");
     let k = gates.len();
-    let mut xs = [Block::ZERO; 2 * MAX_AND_BATCH];
+    // One plane, laid out like the garbler's: A-side tweaks and labels
+    // of all `k` gates, then the B-side ones.
     let mut tweaks = [0u64; 2 * MAX_AND_BATCH];
+    let mut h = [Block::ZERO; 2 * MAX_AND_BATCH];
     for (i, &(tweak_base, wa, wb)) in gates.iter().enumerate() {
-        xs[2 * i] = wa;
-        xs[2 * i + 1] = wb;
-        tweaks[2 * i] = 2 * tweak_base;
-        tweaks[2 * i + 1] = 2 * tweak_base + 1;
+        (tweaks[i], tweaks[k + i]) = (2 * tweak_base, 2 * tweak_base + 1);
+        (h[i], h[k + i]) = (wa, wb);
     }
-    let mut hashes = [Block::ZERO; 2 * MAX_AND_BATCH];
-    hash.hash_batch(&xs[..2 * k], &tweaks[..2 * k], &mut hashes[..2 * k]);
+    hash.hash_batch(&tweaks[..2 * k], &mut h[..2 * k]);
     for (i, (&(_, wa, wb), table)) in gates.iter().zip(tables).enumerate() {
-        let wg = hashes[2 * i] ^ table[0].select(wa.lsb());
-        let we = hashes[2 * i + 1] ^ (table[1] ^ wa).select(wb.lsb());
+        let wg = h[i] ^ table[0].select(wa.lsb());
+        let we = h[k + i] ^ (table[1] ^ wa).select(wb.lsb());
         out[i] = wg ^ we;
     }
 }

@@ -108,10 +108,10 @@ pub fn garble_and(
     let j1 = 2 * tweak_base + 1;
     let pa = w0a.lsb();
     let pb = w0b.lsb();
-    let xs = [w0a, w0a ^ delta.block(), w0b, w0b ^ delta.block()];
-    let mut h = [Block::ZERO; 4];
-    hash.hash_batch(&xs, &[j0, j0, j1, j1], &mut h);
-    let [ha0, ha1, hb0, hb1] = h;
+    // Two planes of the two tweaks: the zero labels, then the one labels.
+    let mut h = [w0a, w0b, w0a ^ delta.block(), w0b ^ delta.block()];
+    hash.hash_batch(&[j0, j1], &mut h);
+    let [ha0, hb0, ha1, hb1] = h;
     // Generator half-gate.
     let tg = ha0 ^ ha1 ^ delta.block().select(pb);
     let wg = ha0 ^ tg.select(pa);
@@ -127,10 +127,11 @@ pub fn garble_and(
 pub const MAX_AND_BATCH: usize = 8;
 
 /// Garbles up to [`MAX_AND_BATCH`] *mutually independent* AND gates in
-/// one batched hash call (`4·k` blocks in flight, `2·k` key
-/// expansions). `gates[i]` is `(tweak_base, w0a, w0b)`; `out[i]`
-/// receives `(output zero label, table)`. Produces bit-identical
-/// results to calling [`garble_and`] per gate.
+/// one batched hash call (`4·k` blocks in flight under `2·k` fresh
+/// keys, one pass of the cipher for a full batch). `gates[i]` is
+/// `(tweak_base, w0a, w0b)`; `out[i]` receives `(output zero label,
+/// table)`. Produces bit-identical results to calling [`garble_and`] per
+/// gate.
 ///
 /// # Panics
 ///
@@ -145,19 +146,23 @@ pub fn garble_and_batch(
     assert!(gates.len() <= MAX_AND_BATCH, "batch of {} exceeds {MAX_AND_BATCH}", gates.len());
     assert_eq!(gates.len(), out.len(), "one output slot per gate");
     let k = gates.len();
-    let mut xs = [Block::ZERO; 4 * MAX_AND_BATCH];
-    let mut tweaks = [0u64; 4 * MAX_AND_BATCH];
+    // The batch as the cipher holds it: the A-side tweaks of all `k`
+    // gates, then the B-side ones, over a plane of zero labels and a
+    // plane of one labels — four gates' A-side (or B-side) labels to a
+    // 512-bit register, and no lane to move before or after.
+    let mut tweaks = [0u64; 2 * MAX_AND_BATCH];
+    let mut h = [Block::ZERO; 4 * MAX_AND_BATCH];
     for (i, &(tweak_base, w0a, w0b)) in gates.iter().enumerate() {
-        xs[4 * i..4 * i + 4].copy_from_slice(&[w0a, w0a ^ delta.block(), w0b, w0b ^ delta.block()]);
-        let j0 = 2 * tweak_base;
-        let j1 = 2 * tweak_base + 1;
-        tweaks[4 * i..4 * i + 4].copy_from_slice(&[j0, j0, j1, j1]);
+        (tweaks[i], tweaks[k + i]) = (2 * tweak_base, 2 * tweak_base + 1);
+        (h[i], h[k + i]) = (w0a, w0b);
     }
-    let mut hashes = [Block::ZERO; 4 * MAX_AND_BATCH];
-    hash.hash_batch(&xs[..4 * k], &tweaks[..4 * k], &mut hashes[..4 * k]);
+    let (zeros, ones) = h[..4 * k].split_at_mut(2 * k);
+    for (one, &zero) in ones.iter_mut().zip(zeros.iter()) {
+        *one = zero ^ delta.block();
+    }
+    hash.hash_batch(&tweaks[..2 * k], &mut h[..4 * k]);
     for (i, (&(_, w0a, w0b), slot)) in gates.iter().zip(out.iter_mut()).enumerate() {
-        let [ha0, ha1, hb0, hb1] =
-            [hashes[4 * i], hashes[4 * i + 1], hashes[4 * i + 2], hashes[4 * i + 3]];
+        let [ha0, hb0, ha1, hb1] = [h[i], h[k + i], h[2 * k + i], h[3 * k + i]];
         let pa = w0a.lsb();
         let pb = w0b.lsb();
         let tg = ha0 ^ ha1 ^ delta.block().select(pb);

@@ -5,22 +5,27 @@
 //! construct the AES hash. An important step here is key expansion …
 //! HAAC uses re-keying rather than fixed-key, processing full key
 //! expansions at extra computational cost"* (measured there at +27.5%
-//! per half-gate). Here, on AES-NI, a re-keyed `garble_and` costs +27%
-//! over a fixed-key one (14.2 M against 18.0 M calls/s, measured in
-//! PR 14; `benchmark/`'s `gc.garble.and_per_s` ladder rung now tracks
-//! the re-keyed rate), because the schedules are derived in registers
-//! in the same pass as the rounds they feed (`aes::encrypt_rekeyed`);
-//! the software-AES fallback pays +55%.
+//! per half-gate). Here the schedules are derived in registers in the
+//! same pass as the rounds they feed (`aes::encrypt_rekeyed`), and what
+//! re-keying costs depends on that pass's width. PR 14's "+27 % (14.2 M
+//! against 18.0 M calls/s)" is the 128-bit AES-NI kernel, one
+//! `garble_and` a call; PR 23's parent reads the same (+26 %, and +45 %
+//! an AND in full batches). On the 512-bit kernel, four schedules to a
+//! register, a full batch costs 19.5 ns an AND re-keyed against 17.1
+//! fixed-key, +14 %; one gate a call +52 % (73 against 48 ns: a lone
+//! gate waits on its schedule chain). Tables: `docs/measurements/
+//! pr23.md`. The software-AES fallback pays +55 %. `benchmark/`'s
+//! `gc.garble.and_per_s` ladder rung tracks the re-keyed rate.
 //!
 //! Both tweaks of an AND gate hash **two** labels each, so a
 //! [`GateHash`] exposes exactly the shapes the gate ops need:
 //! [`pair`](GateHash::pair) (one key expansion, two blocks) and
-//! [`hash_batch`](GateHash::hash_batch) (N independent lanes in flight,
-//! consecutive equal tweaks sharing one expansion, whole runs handed
-//! to the cipher a few fresh keys at a time). Every call is metered —
-//! key expansions and AES block invocations accumulate in per-instance
-//! [`CryptoCounters`], which is how the "2 expansions per AND gate"
-//! invariant is verified rather than asserted.
+//! [`hash_batch`](GateHash::hash_batch) (a gate-shaped batch: every
+//! tweak keys its lane of one or two planes of labels, a full batch in
+//! one pass of the cipher). Every call is metered — key expansions and
+//! AES block invocations accumulate in per-instance [`CryptoCounters`],
+//! which is how the "2 expansions per AND gate" invariant is verified
+//! rather than asserted.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -168,75 +173,69 @@ impl GateHash {
     /// labels of one input wire. Equals `(hash(x0, t), hash(x1, t))`.
     pub fn pair(&self, x0: Block, x1: Block, tweak: u64) -> (Block, Block) {
         let mut out = [x0, x1];
-        self.hash_batch(&[x0, x1], &[tweak, tweak], &mut out);
+        self.hash_batch(&[tweak], &mut out);
         (out[0], out[1])
     }
 
-    /// Hashes `xs[i]` under `tweaks[i]` into `out[i]`, keeping up to
-    /// [`MAX_LANES`](crate::aes::MAX_LANES) independent AES blocks in
-    /// flight. A run of **consecutive equal tweaks shares one key
-    /// expansion**, however long it is, which is what brings a re-keyed
-    /// AND gate from four expansions down to two. Equivalent to calling
-    /// [`hash`](GateHash::hash) per lane.
+    /// Hashes a gate-shaped batch in place. `blocks` is one or two
+    /// **planes** of `n = tweaks.len()` labels, and lane `k` of every
+    /// plane is replaced by its hash under `tweaks[k]`: `blocks[p·n + k]
+    /// = hash(blocks[p·n + k], tweaks[k])`. Each tweak is **expanded
+    /// once** for the one or two labels it keys, which is what makes a
+    /// re-keyed AND gate two expansions and not four. The batch is laid
+    /// out plane by plane, not label pair by label pair, because that is
+    /// how the cipher holds it: the lanes that share a register of round
+    /// keys are contiguous in memory.
     ///
     /// # Panics
     ///
-    /// Panics if the three slices' lengths differ.
-    pub fn hash_batch(&self, xs: &[Block], tweaks: &[u64], out: &mut [Block]) {
-        assert_eq!(xs.len(), tweaks.len(), "one tweak per lane");
-        assert_eq!(xs.len(), out.len(), "one output per lane");
+    /// Panics unless `blocks` is one or two planes of `tweaks.len()`.
+    pub fn hash_batch(&self, tweaks: &[u64], blocks: &mut [Block]) {
+        let n = tweaks.len();
+        let two_planes = blocks.len() != n;
+        assert!(!two_planes || blocks.len() == 2 * n, "one or two labels per tweak");
         match self.scheme {
-            HashScheme::Rekeyed => self.rekeyed_batch(xs, tweaks, out),
+            HashScheme::Rekeyed if two_planes => {
+                let (plane0, plane1) = blocks.split_at_mut(n);
+                self.rekeyed(tweaks, [plane0, plane1]);
+            }
+            HashScheme::Rekeyed => self.rekeyed(tweaks, [blocks]),
             HashScheme::FixedKey => {
-                self.meter(0, xs.len() as u64);
-                for ((o, &x), &t) in out.iter_mut().zip(xs).zip(tweaks) {
-                    *o = x ^ Block::from(u128::from(t));
+                self.meter(0, blocks.len() as u64);
+                for plane in blocks.chunks_mut(n.max(1)) {
+                    for (x, &t) in plane.iter_mut().zip(tweaks) {
+                        *x ^= Block::from(u128::from(t));
+                    }
                 }
-                self.fixed.encrypt_blocks(out);
-                for ((o, &x), &t) in out.iter_mut().zip(xs).zip(tweaks) {
-                    *o = *o ^ x ^ Block::from(u128::from(t));
+                // The feed-forward needs the cipher's input, so the
+                // ciphertext takes a buffer of its own.
+                let mut pads = [Block::ZERO; 2 * MAX_REKEYED_KEYS];
+                for inputs in blocks.chunks_mut(pads.len()) {
+                    let pads = &mut pads[..inputs.len()];
+                    pads.copy_from_slice(inputs);
+                    self.fixed.encrypt_blocks(pads);
+                    for (x, &pad) in inputs.iter_mut().zip(pads.iter()) {
+                        *x ^= pad;
+                    }
                 }
             }
         }
     }
 
-    fn rekeyed_batch(&self, xs: &[Block], tweaks: &[u64], out: &mut [Block]) {
-        let backend = self.fixed.backend();
-        let n = xs.len();
-        // Length of the run of equal tweaks that starts at lane `at`.
-        let run_len = |at: usize| tweaks[at..].iter().take_while(|&&t| t == tweaks[at]).count();
-        out.copy_from_slice(xs);
-        let mut expansions = 0u64;
-        let mut start = 0usize;
-        while start < n {
-            let per_key = run_len(start);
-            let mut end = start;
-            if per_key > 2 {
-                // A long run is one cipher: one expansion however many
-                // lanes it spans.
-                end += per_key;
-                expansions += 1;
-                self.tweak_cipher(tweaks[start]).encrypt_blocks(&mut out[start..end]);
-            } else {
-                // A group of whole runs of one length, a fresh key
-                // each: the AND-gate shape [j0,j0,j1,j1] is two keys of
-                // two lanes, an evaluator's [j0,j1] two keys of one.
-                let mut keys = [[0u8; 16]; MAX_REKEYED_KEYS];
-                let mut k = 0usize;
-                while k < MAX_REKEYED_KEYS && end < n && run_len(end) == per_key {
-                    keys[k] = Block::from(u128::from(tweaks[end])).to_bytes();
-                    k += 1;
-                    end += per_key;
-                }
-                expansions += k as u64;
-                encrypt_rekeyed(backend, &keys[..k], &mut out[start..end]);
+    /// The re-keyed batch: [`MAX_REKEYED_KEYS`] tweaks at a time, each a
+    /// fresh key for its lane of every plane.
+    fn rekeyed<const P: usize>(&self, tweaks: &[u64], mut planes: [&mut [Block]; P]) {
+        self.meter(tweaks.len() as u64, (P * tweaks.len()) as u64);
+        let mut keys = [[0u8; 16]; MAX_REKEYED_KEYS];
+        for (group, tweaks) in tweaks.chunks(MAX_REKEYED_KEYS).enumerate() {
+            let at = group * MAX_REKEYED_KEYS;
+            let keys = &mut keys[..tweaks.len()];
+            for (key, &t) in keys.iter_mut().zip(tweaks) {
+                *key = Block::from(u128::from(t)).to_bytes();
             }
-            start = end;
+            let lanes = planes.each_mut().map(|plane| &mut plane[at..at + tweaks.len()]);
+            encrypt_rekeyed(self.fixed.backend(), keys, lanes);
         }
-        for (o, &x) in out.iter_mut().zip(xs) {
-            *o ^= x;
-        }
-        self.meter(expansions, n as u64);
     }
 }
 
@@ -303,28 +302,39 @@ mod tests {
     fn hash_batch_equals_sequential_hash() {
         for scheme in [HashScheme::Rekeyed, HashScheme::FixedKey] {
             let h = GateHash::new(scheme);
-            for len in [0usize, 1, 2, 3, 4, 7, 8, 9, 16, 31] {
-                let xs: Vec<Block> = (0..len as u128).map(|i| Block::from(i * 7 + 1)).collect();
-                let tweaks: Vec<u64> = (0..len as u64).map(|i| i / 2).collect();
-                let mut out = vec![Block::ZERO; len];
-                h.hash_batch(&xs, &tweaks, &mut out);
-                for i in 0..len {
-                    assert_eq!(out[i], h.hash(xs[i], tweaks[i]), "{scheme:?} len={len} lane={i}");
+            for n in [0usize, 1, 2, 3, 4, 7, 8, 9, 16, 17, 31, 40] {
+                for planes in [1usize, 2] {
+                    let xs: Vec<Block> =
+                        (0..(planes * n) as u128).map(|i| Block::from(i * 7 + 1)).collect();
+                    let tweaks: Vec<u64> = (0..n as u64).map(|k| 3 * k + 1).collect();
+                    let mut out = xs.clone();
+                    h.hash_batch(&tweaks, &mut out);
+                    for (i, &x) in xs.iter().enumerate() {
+                        let want = h.hash(x, tweaks[i % n]);
+                        assert_eq!(out[i], want, "{scheme:?} n={n} planes={planes} lane={i}");
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn batch_dedupes_consecutive_tweaks() {
+    fn a_tweak_is_expanded_once_for_the_labels_it_keys() {
         let h = GateHash::new(HashScheme::Rekeyed);
-        let xs = [Block::from(1u128), Block::from(2u128), Block::from(3u128), Block::from(4u128)];
         let before = h.counters();
-        let mut out = [Block::ZERO; 4];
-        // The AND-gate shape: [j0, j0, j1, j1] → exactly 2 expansions.
-        h.hash_batch(&xs, &[10, 10, 11, 11], &mut out);
+        // The AND-gate shape: tweaks [j0, j1] over a plane of zero labels
+        // and a plane of one labels → exactly 2 expansions, 4 blocks.
+        let mut out = [1u128, 2, 3, 4].map(Block::from);
+        h.hash_batch(&[10, 11], &mut out);
         let cost = h.counters().since(before);
         assert_eq!(cost, CryptoCounters { key_expansions: 2, aes_blocks: 4 });
+    }
+
+    #[test]
+    #[should_panic(expected = "one or two labels per tweak")]
+    fn a_batch_that_is_not_whole_planes_is_refused() {
+        let mut out = [Block::ZERO; 5];
+        GateHash::new(HashScheme::Rekeyed).hash_batch(&[1, 2], &mut out);
     }
 
     #[test]

@@ -44,8 +44,9 @@
 //! Hashing uses the re-keyed [`GateHash`] under the [`OT_EXT_TWEAK`]
 //! namespace; the per-transfer tweak makes `H` a
 //! correlation-robustness breaker (the hash, not the raw `qᵢ`, masks
-//! the messages) and the `[i, i]` tweak shape shares one key expansion
-//! across both branches of a pair, exactly like an AND gate's lanes.
+//! the messages) and both branches of a pair are hashed under the one
+//! expansion of tweak `i`, exactly like the two labels of an AND gate's
+//! input wire.
 //!
 //! This module is pure symmetric crypto (PRG + transpose + hashes), so
 //! it is **not** gated behind `insecure-ot` — only the base-OT
@@ -197,24 +198,20 @@ impl OtExtSender {
                 column
             })
             .collect();
-        let q_rows = transpose_rows(&q_columns, m);
-        // Mask both branches per transfer in one batch; the [i, i] tweak
-        // shape shares one key expansion per pair.
-        let mut xs = Vec::with_capacity(2 * m);
-        let mut tweaks = Vec::with_capacity(2 * m);
-        for (i, &q) in q_rows.iter().enumerate() {
-            let tweak = OT_EXT_TWEAK | i as u64;
-            xs.push(q);
-            xs.push(q ^ self.s_block);
-            tweaks.push(tweak);
-            tweaks.push(tweak);
+        let mut masks = transpose_rows(&q_columns, m);
+        // Mask both branches of every transfer in one batch of two
+        // planes, `H(qᵢ, i)` then `H(qᵢ ⊕ s, i)`: one key expansion per
+        // transfer covers both.
+        let tweaks: Vec<u64> = (0..m as u64).map(|i| OT_EXT_TWEAK | i).collect();
+        masks.extend_from_within(..);
+        for q in &mut masks[m..] {
+            *q ^= self.s_block;
         }
-        let mut masks = vec![Block::ZERO; 2 * m];
-        self.hash.hash_batch(&xs, &tweaks, &mut masks);
+        self.hash.hash_batch(&tweaks, &mut masks);
         Ok(pairs
             .iter()
             .enumerate()
-            .map(|(i, &(m0, m1))| [m0 ^ masks[2 * i], m1 ^ masks[2 * i + 1]])
+            .map(|(i, &(m0, m1))| [m0 ^ masks[i], m1 ^ masks[m + i]])
             .collect())
     }
 }
@@ -295,8 +292,8 @@ impl OtExtReceiver {
             return Err(OtError::CountMismatch { expected: m, got: ciphertexts.len() });
         }
         let tweaks: Vec<u64> = (0..m as u64).map(|i| OT_EXT_TWEAK | i).collect();
-        let mut masks = vec![Block::ZERO; m];
-        self.hash.hash_batch(&self.t_rows, &tweaks, &mut masks);
+        let mut masks = self.t_rows.clone();
+        self.hash.hash_batch(&tweaks, &mut masks);
         Ok(ciphertexts
             .iter()
             .zip(&self.choices)

@@ -1,13 +1,13 @@
 //! Backend-equivalence suite: every compiled AES backend must agree
 //! with the portable reference bit-for-bit — on FIPS-197 known-answer
 //! vectors and key schedules, on 10k random (key, block) pairs, through
-//! the batched APIs and every tweak-run shape of the gate hash, and
-//! through whole garbling transcripts.
+//! the batched APIs and both gate shapes of the gate hash at every
+//! tweak count, and through whole garbling transcripts.
 
 use haac_gc::aes::{active_backend, encrypt_lanes, Aes128, AesBackend};
 use haac_gc::{
-    eval_and_batch, garble, garble_and, garble_and_batch, Block, CryptoCounters, Delta, GateHash,
-    HashScheme, MAX_AND_BATCH,
+    eval_and, eval_and_batch, garble, garble_and, garble_and_batch, Block, CryptoCounters, Delta,
+    GateHash, HashScheme, MAX_AND_BATCH,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -153,56 +153,98 @@ fn batched_encryption_matches_singles_on_every_backend() {
     }
 }
 
-/// Lane `i` of `len` → its tweak.
-type TweakOf = fn(u64, u64) -> u64;
-
-/// The tweak-run shapes the gate hash groups by: every caller's shape
-/// (AND gates hash pairs, evaluators and OT rows distinct tweaks) and
-/// the ones that cut across its groups of whole runs.
-const TWEAK_SHAPES: [(&str, TweakOf); 6] = [
-    ("all equal", |_, _| 7),
-    ("pairs", |i, _| i / 2),
-    ("all distinct", |i, _| i),
-    ("runs of 3", |i, _| i / 3),
-    ("a run across the 8-lane boundary", |i, _| if (6..10).contains(&i) { 6 } else { i }),
-    ("pairs then a ragged tail", |i, len| if i + 3 < len { i / 2 } else { 100 + i }),
-];
-
 /// `GateHash::hash_batch` equals per-lane `hash` on every backend and
-/// both schemes, for every length up to five kernel groups and every
-/// tweak-run shape — and meters exactly one key expansion per run of
-/// equal tweaks, however the run falls across the kernel's groups.
+/// both schemes, for every tweak count up to two and a half kernel calls
+/// and both gate shapes (one label a tweak, two labels a tweak as two
+/// planes) — and meters exactly one key expansion per tweak, whatever
+/// padding the kernel adds to a ragged last register.
 #[test]
 fn gate_hash_batches_match_sequential_on_every_backend() {
     let mut rng = StdRng::seed_from_u64(0x6A7E);
     for backend in available_backends() {
         for scheme in [HashScheme::Rekeyed, HashScheme::FixedKey] {
             let h = GateHash::with_backend(scheme, backend);
-            for (shape, tweak_of) in TWEAK_SHAPES {
-                for len in 0..=40u64 {
-                    let xs: Vec<Block> = (0..len).map(|_| Block::random(&mut rng)).collect();
-                    let tweaks: Vec<u64> = (0..len).map(|i| tweak_of(i, len)).collect();
-                    let mut out = vec![Block::ZERO; xs.len()];
+            for per_key in [1u64, 2] {
+                for n in 0..=40u64 {
+                    let xs: Vec<Block> =
+                        (0..per_key * n).map(|_| Block::random(&mut rng)).collect();
+                    // Gate tweaks, then the OT namespaces' high bits.
+                    let tweaks: Vec<u64> = (0..n).map(|k| (k % 3) << 62 | (7 * k + n)).collect();
+                    let mut out = xs.clone();
                     let before = h.counters();
-                    h.hash_batch(&xs, &tweaks, &mut out);
+                    h.hash_batch(&tweaks, &mut out);
                     let cost = h.counters().since(before);
-                    let context = format!("{} {scheme:?} {shape} len={len}", backend.name());
-                    let runs = (0..tweaks.len())
-                        .filter(|&i| i == 0 || tweaks[i] != tweaks[i - 1])
-                        .count() as u64;
-                    let key_expansions = if scheme == HashScheme::Rekeyed { runs } else { 0 };
+                    let context = format!("{} {scheme:?} per_key={per_key} n={n}", backend.name());
+                    let key_expansions = if scheme == HashScheme::Rekeyed { n } else { 0 };
                     assert_eq!(
                         cost,
-                        CryptoCounters { key_expansions, aes_blocks: len },
+                        CryptoCounters { key_expansions, aes_blocks: per_key * n },
                         "{context}"
                     );
-                    for i in 0..xs.len() {
-                        assert_eq!(out[i], h.hash(xs[i], tweaks[i]), "{context} lane={i}");
+                    for (i, &x) in xs.iter().enumerate() {
+                        let tweak = tweaks[i % n as usize];
+                        assert_eq!(out[i], h.hash(x, tweak), "{context} lane={i}");
                     }
                 }
             }
             let (x0, x1) = (Block::random(&mut rng), Block::random(&mut rng));
             assert_eq!(h.pair(x0, x1, 77), (h.hash(x0, 77), h.hash(x1, 77)));
+        }
+    }
+}
+
+/// Every batch size, both schemes, tweak bases at the bottom, the middle
+/// and the top of the gate-tweak range (`2·base + 1 < 2⁶²`): a batched
+/// half-gate is its per-gate form bit for bit, garbling and evaluating,
+/// and costs exactly two expansions an AND — four blocks garbling, two
+/// evaluating — so the lanes that pad a ragged batch are never metered.
+#[test]
+fn and_batches_match_per_gate_calls_with_exact_counters() {
+    let mut rng = StdRng::seed_from_u64(0xBA7C_0023);
+    let delta = Delta::random(&mut rng);
+    for backend in available_backends() {
+        for scheme in [HashScheme::Rekeyed, HashScheme::FixedKey] {
+            let h = GateHash::with_backend(scheme, backend);
+            let expansions = |k: u64| if scheme == HashScheme::Rekeyed { 2 * k } else { 0 };
+            for base in [0u64, (1 << 31) - 3, (1 << 61) - 9] {
+                for k in 1..=MAX_AND_BATCH {
+                    let context = format!("{} {scheme:?} base={base} k={k}", backend.name());
+                    let gates: Vec<(u64, Block, Block)> = (0..k as u64)
+                        .map(|i| (base + i, Block::random(&mut rng), Block::random(&mut rng)))
+                        .collect();
+
+                    let mut garbled = vec![(Block::ZERO, [Block::ZERO; 2]); k];
+                    let before = h.counters();
+                    garble_and_batch(&h, delta, &gates, &mut garbled);
+                    assert_eq!(
+                        h.counters().since(before),
+                        CryptoCounters {
+                            key_expansions: expansions(k as u64),
+                            aes_blocks: 4 * k as u64
+                        },
+                        "{context} garbling"
+                    );
+                    for (&(t, a, b), got) in gates.iter().zip(&garbled) {
+                        assert_eq!(*got, garble_and(&h, delta, t, a, b), "{context} gate {t}");
+                    }
+
+                    let tables: Vec<[Block; 2]> = garbled.iter().map(|&(_, t)| t).collect();
+                    let mut labels = vec![Block::ZERO; k];
+                    let before = h.counters();
+                    eval_and_batch(&h, &gates, &tables, &mut labels);
+                    assert_eq!(
+                        h.counters().since(before),
+                        CryptoCounters {
+                            key_expansions: expansions(k as u64),
+                            aes_blocks: 2 * k as u64
+                        },
+                        "{context} evaluating"
+                    );
+                    for ((&(t, a, b), table), got) in gates.iter().zip(&tables).zip(&labels) {
+                        assert_eq!(*got, eval_and(&h, t, a, b, table), "{context} gate {t}");
+                    }
+                }
+            }
         }
     }
 }

@@ -16,9 +16,18 @@
 //! parameter**, hence the feature name: this is protocol plumbing you
 //! can measure, not cryptography you can deploy.
 //!
-//! Base OTs are expensive (three ~127-squaring `pow_mod`s each); the
-//! [`crate::ot_ext`] module bootstraps unlimited cheap OTs from ~128 of
-//! them. Every peer-facing entry point here returns [`OtError`] instead
+//! A base OT costs its algebra and no more. The sender pays one
+//! variable-base exponentiation a transfer — a 4-bit window, 124
+//! squarings and 45 multiplications — because its second branch key is
+//! the first times `(S^y)⁻¹`, an inverse taken once a batch. The
+//! receiver's two exponentiations have bases fixed for the batch (`g`
+//! always, `S` from a 480-multiplication table built once a batch), so
+//! each is 32 table reads and multiplications and no squaring: ≈ 235
+//! group operations a transfer across both roles. That is still
+//! public-key work; the [`crate::ot_ext`] module bootstraps unlimited
+//! cheap OTs from ~128 of these.
+//!
+//! Every peer-facing entry point here returns [`OtError`] instead
 //! of panicking — malformed points or mismatched counts are protocol
 //! violations a session must surface as typed errors, not aborts.
 
@@ -95,67 +104,137 @@ pub mod base {
     /// A fixed generator of a large subgroup of `(Z/pZ)^*`.
     pub const G: u128 = 3;
 
+    // Everything below the protocol is written against three group
+    // operations — multiply, square, invert — and two ways to raise to
+    // a power built from them: a table for a base that stays fixed
+    // (`FixedBase`) and a window for one that does not (`pow_mod`).
+    // A curve (ROADMAP item 6(a)) swaps the three operations and keeps
+    // the rest: `yR − yS` for the sender's second key, a comb for `B`,
+    // a window for `S`.
+
     /// Reduces `x` modulo `p = 2^127 − 1`.
     #[inline]
-    fn reduce(x: u128) -> u128 {
+    const fn reduce(x: u128) -> u128 {
         // x < 2^128 = 2·2^127, so one fold brings x below 2^127 + 1 and a
         // second (conditional) fold below p.
-        let mut r = (x >> 127) + (x & P);
+        let r = (x >> 127) + (x & P);
         if r >= P {
-            r -= P;
+            r - P
+        } else {
+            r
         }
-        r
     }
 
-    /// Modular multiplication via 64-bit limbs: `2^128 ≡ 2 (mod p)`.
+    /// Reduces the 256-bit value `hi·2^128 + lo`, `hi < 2^126` — every
+    /// product of two operands below `2^127`.
     #[inline]
-    pub fn mul_mod(a: u128, b: u128) -> u128 {
+    const fn reduce_wide(hi: u128, lo: u128) -> u128 {
+        // hi·2^128 + lo = top·2^127 + bottom with bottom < 2^127, and
+        // 2^127 ≡ 1 (which is 2^128 ≡ 2 for the bits of `hi`). The bound
+        // on `hi` keeps top below 2^127, so the sum fits: an operand out
+        // of range overflows here — a panic in a debug build, a wrong
+        // residue in release.
+        reduce(((hi << 1) | (lo >> 127)) + (lo & P))
+    }
+
+    /// Group multiply: `a·b mod p` from four 64-bit limb products.
+    /// Operands must be below `2^127` (a residue, or `p` itself).
+    #[inline]
+    const fn mul_mod(a: u128, b: u128) -> u128 {
         let (a_lo, a_hi) = (a as u64 as u128, a >> 64);
         let (b_lo, b_hi) = (b as u64 as u128, b >> 64);
-        // a·b = lo + mid·2^64 + hi·2^128, all pieces < 2^128.
-        let lo = a_lo * b_lo;
-        let mid1 = a_lo * b_hi;
-        let mid2 = a_hi * b_lo;
-        let hi = a_hi * b_hi;
-
-        // Accumulate into a 256-bit value (hi128, lo128).
-        let (lo128, carry1) = lo.overflowing_add(mid1 << 64);
-        let (lo128, carry2) = lo128.overflowing_add(mid2 << 64);
-        let hi128 = hi
-            .wrapping_add(mid1 >> 64)
-            .wrapping_add(mid2 >> 64)
-            .wrapping_add(carry1 as u128)
-            .wrapping_add(carry2 as u128);
-
-        // 2^128 ≡ 2 (mod 2^127 − 1): fold the high half in with weight 2.
-        // Reduce before doubling so the shift cannot overflow.
-        reduce_sum(reduce(lo128), reduce(reduce(hi128) << 1))
+        // a·b = lo + mid·2^64 + hi·2^128. The high limbs are below 2^63,
+        // so each cross product is below 2^127 and their sum fits.
+        let mid = a_lo * b_hi + a_hi * b_lo;
+        let (lo, carry) = (a_lo * b_lo).overflowing_add(mid << 64);
+        reduce_wide(a_hi * b_hi + (mid >> 64) + carry as u128, lo)
     }
 
-    /// Adds two reduced residues.
+    /// Group square: [`mul_mod`]`(a, a)` from three limb products.
     #[inline]
-    fn reduce_sum(a: u128, b: u128) -> u128 {
-        // a, b < p < 2^127 so a + b < 2^128 never overflows.
-        reduce(a + b)
+    const fn sqr_mod(a: u128) -> u128 {
+        let (a_lo, a_hi) = (a as u64 as u128, a >> 64);
+        let mid = (a_lo * a_hi) << 1;
+        let (lo, carry) = (a_lo * a_lo).overflowing_add(mid << 64);
+        reduce_wide(a_hi * a_hi + (mid >> 64) + carry as u128, lo)
     }
 
-    /// Modular exponentiation by square-and-multiply.
-    pub fn pow_mod(mut base: u128, mut exp: u128) -> u128 {
-        let mut acc: u128 = 1;
-        base = reduce(base);
-        while exp > 0 {
-            if exp & 1 == 1 {
-                acc = mul_mod(acc, base);
+    /// Nibbles in an exponent: 32 cover all 128 bits (exponents here are
+    /// below `2^127`, so the top one is at most 7).
+    const WINDOWS: usize = 32;
+
+    /// Exponentiation with a variable base, by a 4-bit fixed window:
+    /// `base^1..base^15` once, then four squarings and one multiply per
+    /// nibble of `exp` below its leading one.
+    pub fn pow_mod(base: u128, exp: u128) -> u128 {
+        if exp == 0 {
+            return 1;
+        }
+        let base = reduce(base);
+        let mut powers = [1; 16];
+        powers[1] = base;
+        for j in 2..16 {
+            powers[j] = mul_mod(powers[j - 1], base);
+        }
+        let nibble = |w: u32| (exp >> (4 * w)) as usize & 0xF;
+        let top = (127 - exp.leading_zeros()) / 4;
+        let mut acc = powers[nibble(top)];
+        for w in (0..top).rev() {
+            acc = sqr_mod(sqr_mod(sqr_mod(sqr_mod(acc))));
+            if nibble(w) != 0 {
+                acc = mul_mod(acc, powers[nibble(w)]);
             }
-            base = mul_mod(base, base);
-            exp >>= 1;
         }
         acc
     }
 
-    /// Modular inverse via Fermat: `a^(p−2) mod p`.
+    /// Group invert, via Fermat: `a^(p−2) mod p`.
     pub fn inv_mod(a: u128) -> u128 {
         pow_mod(a, P - 2)
+    }
+
+    /// `base^(j·16^w)` for every nibble value `j` and nibble position
+    /// `w`: raising the base to any power is then one table read and one
+    /// multiply per nibble of the exponent, and no squaring.
+    ///
+    /// The reads are indexed by secret nibbles and so are not
+    /// constant-time; item 6(a)'s curve must select its table entries in
+    /// constant time.
+    #[derive(Debug)]
+    struct FixedBase([[u128; 16]; WINDOWS]);
+
+    /// The generator's table, built when the crate is.
+    static G_POWERS: FixedBase = FixedBase::new(G);
+
+    impl FixedBase {
+        /// Tabulates `base` in `32·15 = 480` multiplications — what a
+        /// windowed [`pow_mod`] (169 a full-length exponent) spends in
+        /// three transfers, so every batch worth measuring repays it.
+        const fn new(base: u128) -> FixedBase {
+            let mut table = [[1u128; 16]; WINDOWS];
+            let mut unit = reduce(base);
+            let mut w = 0;
+            while w < WINDOWS {
+                table[w][1] = unit;
+                let mut j = 2;
+                while j < 16 {
+                    table[w][j] = mul_mod(table[w][j - 1], unit);
+                    j += 1;
+                }
+                unit = mul_mod(table[w][15], unit);
+                w += 1;
+            }
+            FixedBase(table)
+        }
+
+        /// `base^exp`.
+        fn pow(&self, exp: u128) -> u128 {
+            let mut acc = 1;
+            for (w, row) in self.0.iter().enumerate() {
+                acc = mul_mod(acc, row[(exp >> (4 * w)) as usize & 0xF]);
+            }
+            acc
+        }
     }
 
     /// Whether a wire value denotes a usable group element (a nonzero
@@ -202,7 +281,7 @@ pub mod base {
             let y = sample_exponent(rng);
             OtSender {
                 y,
-                s: pow_mod(G, y),
+                s: G_POWERS.pow(y),
                 nonce: Block::random(rng),
                 hash: GateHash::new(HashScheme::Rekeyed),
             }
@@ -240,14 +319,17 @@ pub mod base {
             if !points.iter().all(|&r| valid_point(r)) {
                 return Err(OtError::InvalidPoint);
             }
-            let s_inv = inv_mod(self.s);
+            // (R/S)^y = R^y · (S^y)⁻¹: one exponentiation a transfer,
+            // and one a batch for the inverse — S^(p−1−y) in this group,
+            // by Fermat; a curve negates `yS`.
+            let s_y_inv = pow_mod(self.s, P - 1 - self.y);
             Ok(points
                 .iter()
                 .zip(pairs)
                 .enumerate()
                 .map(|(i, (&r, &(m0, m1)))| {
                     let k0 = pow_mod(r, self.y);
-                    let k1 = pow_mod(mul_mod(r, s_inv), self.y);
+                    let k1 = mul_mod(k0, s_y_inv);
                     [
                         m0 ^ derive_key(&self.hash, self.nonce, k0, 2 * i as u64),
                         m1 ^ derive_key(&self.hash, self.nonce, k1, 2 * i as u64 + 1),
@@ -263,6 +345,7 @@ pub mod base {
         xs: Vec<u128>,
         choices: Vec<bool>,
         s: u128,
+        s_powers: Box<FixedBase>,
         nonce: Block,
         hash: GateHash,
     }
@@ -287,10 +370,12 @@ pub mod base {
                 return Err(OtError::InvalidPoint);
             }
             let xs: Vec<u128> = choices.iter().map(|_| sample_exponent(rng)).collect();
+            let s = reduce(sender_point);
             Ok(OtReceiver {
                 xs,
                 choices: choices.to_vec(),
-                s: sender_point,
+                s,
+                s_powers: Box::new(FixedBase::new(s)),
                 nonce,
                 hash: GateHash::new(HashScheme::Rekeyed),
             })
@@ -302,7 +387,7 @@ pub mod base {
                 .iter()
                 .zip(&self.choices)
                 .map(|(&x, &c)| {
-                    let g_x = pow_mod(G, x);
+                    let g_x = G_POWERS.pow(x);
                     if c {
                         mul_mod(g_x, self.s)
                     } else {
@@ -329,7 +414,7 @@ pub mod base {
                 .iter()
                 .enumerate()
                 .map(|(i, e)| {
-                    let k = pow_mod(self.s, self.xs[i]);
+                    let k = self.s_powers.pow(self.xs[i]);
                     let branch = self.choices[i] as u64;
                     e[self.choices[i] as usize]
                         ^ derive_key(&self.hash, self.nonce, k, 2 * i as u64 + branch)
@@ -342,6 +427,72 @@ pub mod base {
     mod tests {
         use super::*;
         use rand::{rngs::StdRng, SeedableRng};
+
+        /// `a·b mod p` by shift-and-add: the arithmetic oracle, sharing
+        /// nothing with the limb products under test.
+        fn mul_slow(a: u128, b: u128) -> u128 {
+            let add = |x: u128, y: u128| (x + y) % P; // x, y < p < 2^127
+            let (mut acc, mut addend) = (0, a % P);
+            for bit in 0..128 {
+                if (b >> bit) & 1 == 1 {
+                    acc = add(acc, addend);
+                }
+                addend = add(addend, addend);
+            }
+            acc
+        }
+
+        /// The parent's square-and-multiply, over [`mul_slow`]: the
+        /// exponentiation oracle.
+        fn pow_slow(mut base: u128, mut exp: u128) -> u128 {
+            let mut acc = 1;
+            while exp > 0 {
+                if exp & 1 == 1 {
+                    acc = mul_slow(acc, base);
+                }
+                base = mul_slow(base, base);
+                exp >>= 1;
+            }
+            acc
+        }
+
+        /// Edge operands and exponents: the ends of the range, the limb
+        /// boundary, and the top of the field.
+        fn edge_values() -> Vec<u128> {
+            let limb = 1u128 << 64;
+            vec![0, 1, 2, limb - 1, limb, limb + 1, 1 << 126, (1 << 126) + 1, P - 2, P - 1, P]
+        }
+
+        #[test]
+        fn multiply_and_square_match_shift_and_add() {
+            let mut rng = StdRng::seed_from_u64(11);
+            let mut operands = edge_values();
+            operands.extend((0..64).map(|_| rng.gen::<u128>() >> 1));
+            for &a in &operands {
+                assert_eq!(sqr_mod(a), mul_slow(a, a), "{a:#x}²");
+                for &b in &operands {
+                    assert_eq!(mul_mod(a, b), mul_slow(a, b), "{a:#x} · {b:#x}");
+                }
+            }
+        }
+
+        #[test]
+        fn both_exponentiations_match_square_and_multiply() {
+            let mut rng = StdRng::seed_from_u64(12);
+            let mut exponents = edge_values();
+            exponents.push(P >> 3); // every nibble 0xF below a top 0
+            exponents.extend((0..WINDOWS).map(|w| 0x9u128 << (4 * w) & P)); // one nibble set
+            exponents.extend((0..8).map(|_| sample_exponent(&mut rng)));
+            for base in [G, P - 1, (1 << 64) + 1, sample_exponent(&mut rng)] {
+                let table = FixedBase::new(base);
+                for &exp in &exponents {
+                    let want = pow_slow(base, exp);
+                    assert_eq!(table.pow(exp), want, "table: {base:#x}^{exp:#x}");
+                    assert_eq!(pow_mod(base, exp), want, "window: {base:#x}^{exp:#x}");
+                }
+            }
+            assert_eq!(G_POWERS.0, FixedBase::new(G).0, "the build-time table is g's");
+        }
 
         #[test]
         fn modular_arithmetic_identities() {
@@ -356,6 +507,74 @@ pub mod base {
                 // Fermat: a^(p−1) = 1.
                 assert_eq!(pow_mod(a, P - 1), 1);
             }
+        }
+
+        #[test]
+        fn second_branch_key_is_the_first_over_the_shared_key() {
+            // The sender's one-exponentiation identity, against the two
+            // the parent computed: R^y · S^(p−1−y) = (R·S⁻¹)^y.
+            let mut rng = StdRng::seed_from_u64(13);
+            for _ in 0..16 {
+                let y = sample_exponent(&mut rng);
+                let s = G_POWERS.pow(y);
+                let r = sample_exponent(&mut rng);
+                let s_y_inv = pow_mod(s, P - 1 - y);
+                assert_eq!(s_y_inv, inv_mod(pow_mod(s, y)), "S^(p−1−y) inverts S^y");
+                assert_eq!(
+                    mul_mod(pow_mod(r, y), s_y_inv),
+                    pow_slow(mul_slow(r, inv_mod(s)), y),
+                    "y = {y:#x}, r = {r:#x}"
+                );
+            }
+        }
+
+        /// One seeded batch of `n` transfers; feeds every message of the
+        /// exchange, in wire order, and the receiver's outputs to `absorb`.
+        fn exchange(rng: &mut StdRng, n: usize, absorb: &mut dyn FnMut(u128)) {
+            let pairs: Vec<(Block, Block)> =
+                (0..n).map(|_| (Block::random(rng), Block::random(rng))).collect();
+            let choices: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
+            let sender = OtSender::new(rng);
+            let receiver = OtReceiver::new(rng, sender.public_point(), sender.nonce(), &choices)
+                .expect("valid sender point");
+            let points = receiver.blinded_points();
+            let cts = sender.encrypt(&points, &pairs).expect("valid blinded points");
+            let got = receiver.decrypt(&cts).expect("matching counts");
+            for (i, (&(zero, one), &c)) in pairs.iter().zip(&choices).enumerate() {
+                assert_eq!(got[i], if c { one } else { zero }, "n = {n}, transfer {i}");
+            }
+            absorb(sender.public_point());
+            absorb(sender.nonce().into());
+            points.iter().for_each(|&r| absorb(r));
+            cts.iter().flatten().for_each(|&e| absorb(e.into()));
+            got.iter().for_each(|&m| absorb(m.into()));
+        }
+
+        #[test]
+        fn short_batches_round_trip() {
+            let mut rng = StdRng::seed_from_u64(14);
+            for n in 1..=8 {
+                exchange(&mut rng, n, &mut |_| ());
+            }
+        }
+
+        #[test]
+        fn seeded_exchange_is_the_parents_byte_for_byte() {
+            // "No wire change" as an assertion: FNV-1a over every point,
+            // nonce, ciphertext and output of six seeded batches, pinned
+            // from commit 56980b9 (three square-and-multiply `pow_mod`s
+            // and an `inv_mod` per transfer).
+            let mut rng = StdRng::seed_from_u64(24);
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            let mut absorb = |x: u128| {
+                for byte in x.to_le_bytes() {
+                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            };
+            for n in [1, 3, 4, 5, 16, 128] {
+                exchange(&mut rng, n, &mut absorb);
+            }
+            assert_eq!(digest, 0x6ea4_cce8_3cbb_f9c0);
         }
 
         #[test]

@@ -1,9 +1,9 @@
 //! IKNP/ALSZ-style OT extension: ~128 base OTs bootstrap unlimited
 //! cheap OTs evaluated entirely with the batched AES engine.
 //!
-//! Base OTs cost three ~127-squaring `pow_mod`s each (see
-//! [`crate::ot::base`]); at thousands of evaluator inputs the input
-//! phase dwarfs garbling. The classic IKNP trick (Ishai–Kilian–
+//! A base OT costs ≈ 235 modular multiplications and squarings across
+//! its two roles (see [`crate::ot`]); at thousands of evaluator inputs
+//! the input phase dwarfs garbling. The classic IKNP trick (Ishai–Kilian–
 //! Nissim–Petrank 2003, with the ALSZ framing) inverts the cost: run
 //! [`KAPPA`] base OTs **with the roles reversed**, then serve every
 //! real transfer from a PRG expansion, one matrix transpose, and two

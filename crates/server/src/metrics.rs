@@ -234,9 +234,8 @@ impl ServerMetrics {
         self.active_sessions.set(sessions.active_sessions() as i64);
         self.accept_queue_depth.set(pool.queued_jobs as i64);
         self.pool_utilization.set(pool.utilization());
-        let report = sessions.report();
-        self.sessions_completed.set(report.completed as i64);
-        self.sessions_failed.set(report.failed as i64);
+        self.sessions_completed.set(sessions.completed_sessions() as i64);
+        self.sessions_failed.set(sessions.failed_sessions() as i64);
         self.cache_hits.set(cache.hits() as i64);
         self.cache_misses.set(cache.misses() as i64);
         self.cache_hit_ns.set(cache.hit_ns() as i64);

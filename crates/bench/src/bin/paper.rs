@@ -11,13 +11,16 @@
 //! `target/haac-results/<exhibit>_<scale>.json`. `HAAC_SCALE=paper`
 //! selects the paper's input sizes.
 //!
-//! `check` recomputes every exhibit at `Scale::Small` and compares each
-//! column that does not divide by a host-measured CPU time against
-//! `crates/bench/reference/<exhibit>_small.json` (integers exactly,
-//! floats to 1e-9 relative), then requires every claim an exhibit makes
-//! about its own shape to hold. After an intended compiler or simulator
-//! change, refresh the reference with `paper all` and
-//! `cp target/haac-results/{table,fig,ablations}*_small.json crates/bench/reference/`.
+//! `check` recomputes, at the `HAAC_SCALE` scale, every exhibit that has
+//! a `crates/bench/reference/<exhibit>_<scale>.json` reference (all
+//! eleven at `small`; the compile-only Tables 2 and 3 and the ablations
+//! at `paper`), compares each column that does not divide by a
+//! host-measured CPU time against it (integers exactly, floats to 1e-9
+//! relative), then requires every claim an exhibit makes about its own
+//! shape to hold. After an intended compiler or simulator change,
+//! refresh the reference with `paper all` and
+//! `cp target/haac-results/{table,fig,ablations}*_small.json crates/bench/reference/`
+//! (and the same at `HAAC_SCALE=paper` for the `_paper.json` files).
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
@@ -25,7 +28,7 @@ use std::process::ExitCode;
 
 use haac_bench::{
     best_of_reorders, col, compile_and_simulate, cpu_baselines, geomean, paper_config, save_result,
-    Table,
+    scale_tag, Table,
 };
 use haac_circuit::stats::CircuitStats;
 use haac_core::compiler::{
@@ -62,7 +65,7 @@ fn main() -> ExitCode {
         println!();
     };
     match arg.as_str() {
-        "check" => return check(),
+        "check" => return check(scale),
         "all" => EXHIBITS.iter().for_each(|(name, exhibit)| emit(name, *exhibit)),
         name => match EXHIBITS.iter().find(|(n, _)| *n == name) {
             Some((name, exhibit)) => emit(name, *exhibit),
@@ -76,14 +79,18 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Recomputes every exhibit at `Scale::Small` against the checked-in
-/// reference rows; exits non-zero on any mismatch or broken claim.
-fn check() -> ExitCode {
+/// Recomputes every exhibit that has a reference at `scale` against the
+/// checked-in rows; exits non-zero on any mismatch or broken claim.
+fn check(scale: Scale) -> ExitCode {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("reference");
     let mut failed = false;
     for (name, exhibit) in EXHIBITS {
-        let table = exhibit(Scale::Small);
-        let path = dir.join(format!("{name}_small.json"));
+        let path = dir.join(format!("{name}_{}.json", scale_tag(scale)));
+        if !path.exists() {
+            println!("{name}: no reference at {scale:?} scale");
+            continue;
+        }
+        let table = exhibit(scale);
         let reference = std::fs::read_to_string(&path)
             .map_err(|e| e.to_string())
             .and_then(|text| serde_json::from_str(&text).map_err(|e| e.to_string()));

@@ -48,7 +48,8 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-fn scale_tag(scale: Scale) -> &'static str {
+/// The scale's file-name tag: `small` or `paper`.
+pub fn scale_tag(scale: Scale) -> &'static str {
     match scale {
         Scale::Paper => "paper",
         Scale::Small => "small",

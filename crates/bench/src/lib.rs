@@ -121,8 +121,8 @@ pub fn compile_and_simulate(
     kind: ReorderKind,
     config: &HaacConfig,
 ) -> (CompileStats, SimReport) {
-    let (lowered, stats) = compile(&w.circuit, kind, config.window());
-    let report = map_and_simulate(&lowered, config);
+    let (plan, stats) = compile(&w.circuit, kind, config.window());
+    let report = map_and_simulate(&plan, config);
     (stats, report)
 }
 

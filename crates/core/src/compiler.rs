@@ -1,30 +1,32 @@
 //! The HAAC optimizing compiler (paper §4).
 //!
-//! The compiler turns a Boolean netlist into a renamed, straight-line
-//! HAAC [`Program`] and then optimizes it:
+//! The compiler turns a Boolean netlist into the renamed, straight-line
+//! [`SlotProgram`] every consumer runs — the simulator and the slab
+//! executors alike:
 //!
-//! 1. **Assemble** (§4.1): gates → instructions. Renaming (§4.2.2) is
-//!    inherent to assembly — output wire addresses always follow program
-//!    order, which is what makes the SWW workable and output addresses
-//!    implicit.
-//! 2. **Reorder** (§4.2.1): *full* (breadth-first over the leveled
+//! 1. **Reorder** (§4.2.1): *full* (breadth-first over the leveled
 //!    dependence graph, maximizing ILP) or *segment* (level-order within
 //!    half-SWW-sized windows, balancing ILP against wire locality).
 //!    Inside a level the AND gates come first: gates of one level are
 //!    mutually independent, so the order within it is free, and
 //!    contiguous ANDs are what keeps a gate engine's (or a CPU's AES)
-//!    pipeline full. After any reorder, renaming is re-applied.
-//! 3. **Eliminate spent wires** (§4.2.3): clear the live bit of every
-//!    output that is never read beyond its SWW residency, saving
-//!    off-chip write bandwidth.
-//! 4. **Mark out-of-range reads**: operands that fall outside the SWW
-//!    window at their consumer are rewritten to the OoRW-queue sentinel,
-//!    and their addresses recorded — the compiler-pushed stream that
-//!    fully decouples HAAC's off-chip traffic.
+//!    pipeline full.
+//! 2. **Rename** (§4.2.2): [`haac_gc::rename_in_order`] — output wire
+//!    addresses follow program order, which is what makes the SWW
+//!    workable and output addresses implicit.
+//! 3. **Route far reads** (§3.1.4): operands below the half-sliding
+//!    SWW's base at their consumer become OoRW-queue pops
+//!    ([`SlotProgram::with_far_reads`]) — the compiler-pushed stream
+//!    that fully decouples HAAC's off-chip traffic.
+//!
+//! **Eliminating spent wires** (§4.2.3) is no separate pass: a wire
+//! spills to DRAM iff something reads it from outside the window or it
+//! is a circuit output, which the routed plan already says
+//! ([`live_bits`]).
 
 use haac_circuit::{Circuit, GateOp};
+use haac_gc::{rename_in_order, SlotProgram};
 
-use crate::isa::{Instruction, Opcode, Program, OOR_SENTINEL};
 use crate::window::WindowModel;
 
 /// Instruction-scheduling strategy (paper Fig. 5 / §4.2.1).
@@ -54,116 +56,32 @@ impl ReorderKind {
     }
 }
 
-/// Assembles a circuit into a baseline-order HAAC program.
-///
-/// INV gates map to the INV opcode (executed by the FreeXOR unit — a
-/// free relabeling); the returned program is renamed by construction.
-pub fn assemble(circuit: &Circuit) -> Program {
-    let order: Vec<u32> = (0..circuit.num_gates() as u32).collect();
-    program_from_order(circuit, &order)
-}
-
-/// Builds a renamed program realizing the given gate order.
-///
-/// `order` must be a topological permutation of the circuit's gate
-/// indices (every gate's inputs produced earlier in `order`).
-///
-/// # Panics
-///
-/// Panics (in debug builds) if `order` is not a permutation; invalid
-/// topological orders surface as validation failures downstream.
-pub fn program_from_order(circuit: &Circuit, order: &[u32]) -> Program {
-    let (instructions, output_addrs) = rename_in_order(circuit, order, |op, a, b| {
-        let op = match op {
-            GateOp::And => Opcode::And,
-            GateOp::Xor => Opcode::Xor,
-            GateOp::Inv => Opcode::Inv,
-        };
-        Instruction::new(op, a, b)
-    });
-    Program {
-        instructions,
-        num_inputs: circuit.num_inputs(),
-        output_addrs,
-        source_gate: order.to_vec(),
+/// The gate order realizing `kind` under the given SWW size: a
+/// topological permutation of the circuit's gate indices. This is the
+/// one schedule every consumer shares — [`compile`] routes it for the
+/// simulator, and [`crate::lower`] for the served plans.
+pub fn gate_order(circuit: &Circuit, kind: ReorderKind, window: WindowModel) -> Vec<u32> {
+    match kind {
+        ReorderKind::Baseline => (0..circuit.num_gates() as u32).collect(),
+        ReorderKind::Full => segment_order(circuit, usize::MAX),
+        ReorderKind::Segment => segment_order(circuit, window.half() as usize),
     }
 }
 
-/// The renaming pass (§4.2.2) behind every instruction stream built
-/// from a gate order: input wire `w` gets address `w + 1`, the `i`-th
-/// gate of `order` writes `num_inputs + 1 + i`, and `emit(op, a, b)`
-/// turns each gate, with its operands renamed (INV's `b` mirrors `a`),
-/// into the caller's instruction type. Returns the instructions and the
-/// circuit outputs' addresses.
-pub(crate) fn rename_in_order<T>(
-    circuit: &Circuit,
-    order: &[u32],
-    mut emit: impl FnMut(GateOp, u32, u32) -> T,
-) -> (Vec<T>, Vec<u32>) {
-    debug_assert_eq!(order.len(), circuit.num_gates());
-    let num_inputs = circuit.num_inputs();
-    // wire_to_addr: circuit wire id → program address (renaming).
-    let mut wire_to_addr = vec![0u32; circuit.num_wires() as usize];
-    for w in 0..num_inputs {
-        wire_to_addr[w as usize] = w + 1;
-    }
-    let first_out = num_inputs + 1;
-    let gates = circuit.gates();
-    let mut instructions = Vec::with_capacity(order.len());
-    for (i, &g) in order.iter().enumerate() {
-        let gate = &gates[g as usize];
-        wire_to_addr[gate.out as usize] = first_out + i as u32;
-        let a = wire_to_addr[gate.a as usize];
-        let b = if gate.op == GateOp::Inv { a } else { wire_to_addr[gate.b as usize] };
-        instructions.push(emit(gate.op, a, b));
-    }
-    let output_addrs = circuit.outputs().iter().map(|&w| wire_to_addr[w as usize]).collect();
-    (instructions, output_addrs)
-}
-
-/// Full reordering: breadth-first traversal of the leveled dependence
-/// graph (§4.2.1), AND gates first within each level, followed by
-/// renaming.
-pub fn full_reorder(circuit: &Circuit) -> Program {
-    program_from_order(circuit, &level_sorted_order(circuit, usize::MAX))
-}
-
-/// Segment reordering: level-order (AND gates first within each level)
-/// within contiguous windows of `segment_size` instructions (§4.2.1
-/// recommends half the SWW size), followed by renaming.
+/// Segment reordering's gate order: level order (AND gates first within
+/// each level) within contiguous windows of `segment_size` gates
+/// (§4.2.1 recommends half the SWW size; `usize::MAX` is `Full`).
+///
+/// A stable counting sort of each segment by the key `(level, op !=
+/// And)`. Gates of one dependence level are mutually independent, so any
+/// order inside a level is valid; putting a level's AND gates first
+/// makes them one contiguous run the executors batch through the cipher
+/// pipeline (and the simulator's gate engines issue back to back).
 ///
 /// # Panics
 ///
 /// Panics if `segment_size` is zero.
-pub fn segment_reorder(circuit: &Circuit, segment_size: usize) -> Program {
-    program_from_order(circuit, &level_sorted_order(circuit, segment_size))
-}
-
-/// The gate order realizing `kind` under the given SWW size: a
-/// topological permutation of the circuit's gate indices. This is the
-/// one schedule both consumers share — [`reorder`] renames it into a
-/// [`Program`] for the simulator, and [`crate::lower`] emits the
-/// streaming plan straight from it.
-pub fn gate_order(circuit: &Circuit, kind: ReorderKind, window: WindowModel) -> Vec<u32> {
-    match kind {
-        ReorderKind::Baseline => (0..circuit.num_gates() as u32).collect(),
-        ReorderKind::Full => level_sorted_order(circuit, usize::MAX),
-        ReorderKind::Segment => level_sorted_order(circuit, window.half() as usize),
-    }
-}
-
-/// Builds a reordered program for the given strategy and SWW size.
-pub fn reorder(circuit: &Circuit, kind: ReorderKind, window: WindowModel) -> Program {
-    program_from_order(circuit, &gate_order(circuit, kind, window))
-}
-
-/// Stable counting sort of each `segment_size`-gate segment by the key
-/// `(level, op != And)`. Gates of one dependence level are mutually
-/// independent, so any order inside a level is valid; putting a level's
-/// AND gates first makes them one contiguous run the executors batch
-/// through the cipher pipeline (and the simulator's gate engines issue
-/// back to back).
-fn level_sorted_order(circuit: &Circuit, segment_size: usize) -> Vec<u32> {
+pub fn segment_order(circuit: &Circuit, segment_size: usize) -> Vec<u32> {
     assert!(segment_size > 0, "segment size must be positive");
     let levels = circuit.wire_levels();
     let keys: Vec<u32> = circuit
@@ -197,80 +115,6 @@ fn level_sorted_order(circuit: &Circuit, segment_size: usize) -> Vec<u32> {
     order
 }
 
-/// Eliminating spent wires (§4.2.3): clears the live bit of every
-/// instruction whose output is provably never read from beyond its SWW
-/// residency. Circuit outputs always stay live (they must reach DRAM).
-pub fn eliminate_spent_wires(program: &mut Program, window: WindowModel) {
-    let first_out = program.first_output_addr();
-    let n = program.instructions.len();
-    // For each produced address, the largest window base among its
-    // consumers; a wire is live iff some consumer's base exceeds it.
-    let mut live = vec![false; n];
-    for (j, instr) in program.instructions.iter().enumerate() {
-        let frontier = program.output_addr(j);
-        let base = window.base_for_frontier(frontier);
-        for operand in [instr.a, instr.b].iter().take(instr.num_operands()) {
-            if *operand >= first_out && *operand < base {
-                live[(*operand - first_out) as usize] = true;
-            }
-        }
-    }
-    for &out in &program.output_addrs {
-        if out >= first_out {
-            live[(out - first_out) as usize] = true;
-        }
-    }
-    for (instr, &is_live) in program.instructions.iter_mut().zip(&live) {
-        instr.live = is_live;
-    }
-}
-
-/// A program lowered against a concrete SWW: OoR operands rewritten to
-/// the sentinel, with the OoR address stream recorded (in program order).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoweredProgram {
-    /// The program with sentinel operands.
-    pub program: Program,
-    /// For each instruction, the original addresses of its OoR operands
-    /// in operand order (`a` first) — the stream pushed on-chip by the
-    /// memory controller.
-    pub oor_addrs: Vec<Vec<u32>>,
-    /// Total OoR reads.
-    pub num_oor: usize,
-}
-
-/// Marks out-of-range reads (§3.1.4): every operand outside the SWW
-/// window at its consumer becomes an OoRW-queue read.
-///
-/// Call after [`eliminate_spent_wires`] — OoR reads of spent wires would
-/// find nothing in DRAM. (The combination is validated by the functional
-/// executor.)
-pub fn mark_out_of_range(program: &Program, window: WindowModel) -> LoweredProgram {
-    let mut lowered = program.clone();
-    let mut oor_addrs = vec![Vec::new(); program.instructions.len()];
-    let mut num_oor = 0usize;
-    for (j, instr) in lowered.instructions.iter_mut().enumerate() {
-        let frontier = program.output_addr(j);
-        let base = window.base_for_frontier(frontier);
-        let operands = instr.num_operands();
-        // `a` first, then `b` — matching the paper's "if both operands
-        // are OoR, the first operand is handled first".
-        if operands >= 1 && instr.a < base && instr.a != OOR_SENTINEL {
-            oor_addrs[j].push(instr.a);
-            instr.a = OOR_SENTINEL;
-            num_oor += 1;
-        }
-        if operands >= 2 && instr.b < base && instr.b != OOR_SENTINEL {
-            // INV duplicates `a` into `b`; keep them in sync without a
-            // second queue pop.
-            oor_addrs[j].push(instr.b);
-            instr.b = OOR_SENTINEL;
-            num_oor += 1;
-        }
-    }
-    LoweredProgram { program: lowered, oor_addrs, num_oor }
-}
-
 /// End-to-end compilation summary for one strategy/SWW configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompileStats {
@@ -286,36 +130,75 @@ pub struct CompileStats {
     pub spent_percent: f64,
 }
 
-/// Compiles a circuit with the given strategy and SWW size, running
-/// reorder → rename → ESW → OoR marking; returns the lowered program and
-/// its statistics.
+/// Compiles a circuit with the given strategy and SWW size: reorder →
+/// rename → far-read routing under the half-sliding SWW. Returns the
+/// routed plan and its statistics.
 pub fn compile(
     circuit: &Circuit,
     kind: ReorderKind,
     window: WindowModel,
-) -> (LoweredProgram, CompileStats) {
-    let mut program = reorder(circuit, kind, window);
-    eliminate_spent_wires(&mut program, window);
-    let lowered = mark_out_of_range(&program, window);
-    let live_count = lowered.program.instructions.iter().filter(|i| i.live).count();
+) -> (SlotProgram, CompileStats) {
+    compile_order(circuit, &gate_order(circuit, kind, window), window)
+}
+
+/// [`compile`] on an explicit gate order — the entry for schedules no
+/// [`ReorderKind`] names, such as [`segment_order`] at other segment
+/// sizes.
+///
+/// # Panics
+///
+/// Panics if `order` is not a topological permutation of the circuit's
+/// gates.
+pub fn compile_order(
+    circuit: &Circuit,
+    order: &[u32],
+    window: WindowModel,
+) -> (SlotProgram, CompileStats) {
+    let (instrs, outputs) = rename_in_order(circuit, order);
+    let plan = SlotProgram::with_far_reads(
+        instrs,
+        circuit.garbler_inputs(),
+        circuit.evaluator_inputs(),
+        outputs,
+        |out, a| a < window.base_for_frontier(out),
+    )
+    .expect("a topological order always renames");
+    let live_count = live_bits(&plan).iter().filter(|&&live| live).count();
+    let instructions = plan.instrs().len();
     let stats = CompileStats {
-        instructions: lowered.program.instructions.len(),
-        and_count: lowered.program.num_and(),
+        instructions,
+        and_count: plan.and_count(),
         live_count,
-        oor_count: lowered.num_oor,
-        spent_percent: if lowered.program.instructions.is_empty() {
+        oor_count: plan.oor_read_count(),
+        spent_percent: if instructions == 0 {
             0.0
         } else {
-            100.0 * (1.0 - live_count as f64 / lowered.program.instructions.len() as f64)
+            100.0 * (1.0 - live_count as f64 / instructions as f64)
         },
     };
-    (lowered, stats)
+    (plan, stats)
+}
+
+/// Eliminating spent wires (§4.2.3), read off a routed plan: instruction
+/// `i`'s live bit — its output spills to DRAM — is set iff the output is
+/// a far-read source or a circuit output — one pass over the plan's two
+/// address lists. Every other wire is spent inside the window.
+pub fn live_bits(plan: &SlotProgram) -> Vec<bool> {
+    let first_out = plan.first_output_addr();
+    let mut live = vec![false; plan.instrs().len()];
+    let sources = plan.oor_sources().iter().map(|&(addr, _)| addr);
+    let outputs = plan.outputs_by_addr().iter().map(|&(addr, _)| addr);
+    for addr in sources.chain(outputs).filter(|&addr| addr >= first_out) {
+        live[(addr - first_out) as usize] = true;
+    }
+    live
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use haac_circuit::Builder;
+    use haac_gc::OOR_SLOT;
 
     fn adder_circuit(width: u32) -> Circuit {
         let mut b = Builder::new();
@@ -329,34 +212,38 @@ mod tests {
 
     #[test]
     fn assemble_is_renamed_and_valid() {
+        // Baseline compilation is the netlist renamed in place: operand
+        // addresses always sit below their reader's output.
         let c = adder_circuit(8);
-        let p = assemble(&c);
-        assert!(p.validate().is_ok());
-        assert_eq!(p.instructions.len(), c.num_gates());
-        assert_eq!(p.num_and(), c.num_and_gates());
+        let (p, stats) = compile(&c, ReorderKind::Baseline, WindowModel::new(1 << 20));
+        assert_eq!(p.instrs().len(), c.num_gates());
+        assert_eq!(stats.and_count, c.num_and_gates());
+        for (i, instr) in p.instrs().iter().enumerate() {
+            let out = p.first_output_addr() + i as u32;
+            assert!(instr.operands().all(|a| (1..out).contains(&a)), "instruction {i}");
+        }
     }
 
     #[test]
     fn full_reorder_is_level_sorted_and_valid() {
         let c = adder_circuit(8);
-        let p = full_reorder(&c);
-        assert!(p.validate().is_ok());
+        let order = gate_order(&c, ReorderKind::Full, WindowModel::new(4));
         // Levels of successive instructions must be non-decreasing.
         let levels = c.wire_levels();
         let gates = c.gates();
         let inst_levels: Vec<u32> =
-            p.source_gate.iter().map(|&g| levels[gates[g as usize].out as usize]).collect();
+            order.iter().map(|&g| levels[gates[g as usize].out as usize]).collect();
         assert!(inst_levels.windows(2).all(|w| w[0] <= w[1]));
+        let (plan, _) = compile_order(&c, &order, WindowModel::new(1 << 20));
+        assert_eq!(plan.instrs().len(), c.num_gates());
     }
 
     #[test]
     fn segment_reorder_keeps_segments_contiguous() {
         let c = adder_circuit(16);
         let seg = 8;
-        let p = segment_reorder(&c, seg);
-        assert!(p.validate().is_ok());
         // Each segment must be a permutation of the baseline segment.
-        for (s, chunk) in p.source_gate.chunks(seg).enumerate() {
+        for (s, chunk) in segment_order(&c, seg).chunks(seg).enumerate() {
             let mut sorted: Vec<u32> = chunk.to_vec();
             sorted.sort_unstable();
             let expect: Vec<u32> = (s * seg..(s * seg + chunk.len())).map(|v| v as u32).collect();
@@ -368,12 +255,12 @@ mod tests {
     fn esw_keeps_outputs_live() {
         let c = adder_circuit(8);
         let window = WindowModel::new(4); // tiny SWW forces spills
-        let mut p = assemble(&c);
-        eliminate_spent_wires(&mut p, window);
-        for &out in &p.output_addrs.clone() {
+        let (p, _) = compile(&c, ReorderKind::Baseline, window);
+        let live = live_bits(&p);
+        for &out in p.output_addrs() {
             if out >= p.first_output_addr() {
                 let idx = (out - p.first_output_addr()) as usize;
-                assert!(p.instructions[idx].live, "circuit output must stay live");
+                assert!(live[idx], "circuit output must stay live");
             }
         }
     }
@@ -381,40 +268,50 @@ mod tests {
     #[test]
     fn esw_with_huge_window_spills_only_outputs() {
         let c = adder_circuit(8);
-        let window = WindowModel::new(1 << 20);
-        let mut p = assemble(&c);
-        eliminate_spent_wires(&mut p, window);
-        let live: usize = p.instructions.iter().filter(|i| i.live).count();
+        let (p, stats) = compile(&c, ReorderKind::Baseline, WindowModel::new(1 << 20));
         let outputs_produced =
-            p.output_addrs.iter().filter(|&&o| o >= p.first_output_addr()).count();
-        assert_eq!(live, outputs_produced, "nothing is OoR under a huge window");
+            p.output_addrs().iter().filter(|&&o| o >= p.first_output_addr()).count();
+        assert_eq!(stats.live_count, outputs_produced, "nothing is OoR under a huge window");
     }
 
     #[test]
     fn oor_marking_rewrites_to_sentinel() {
         let c = adder_circuit(8);
         let window = WindowModel::new(4);
-        let p = assemble(&c);
-        let lowered = mark_out_of_range(&p, window);
-        assert!(lowered.num_oor > 0, "a tiny SWW must force OoR reads");
-        for (j, instr) in lowered.program.instructions.iter().enumerate() {
-            let n_sentinels = [instr.a, instr.b]
-                .iter()
-                .take(instr.num_operands())
-                .filter(|&&x| x == OOR_SENTINEL)
-                .count();
-            assert_eq!(n_sentinels, lowered.oor_addrs[j].len(), "instr {j}");
+        let (p, stats) = compile(&c, ReorderKind::Baseline, window);
+        assert!(stats.oor_count > 0, "a tiny SWW must force OoR reads");
+        // Every read below the sliding window's base, and no other, is
+        // the sentinel: renaming again recovers the addresses it hid.
+        let order: Vec<u32> = (0..c.num_gates() as u32).collect();
+        let (renamed, _) = rename_in_order(&c, &order);
+        let mut sentinels = 0;
+        for (i, (routed, real)) in p.instrs().iter().zip(&renamed).enumerate() {
+            let base = window.base_for_frontier(p.first_output_addr() + i as u32);
+            for (routed, real) in routed.operands().zip(real.operands()) {
+                assert_eq!(routed == OOR_SLOT, real < base, "instruction {i}");
+                sentinels += usize::from(routed == OOR_SLOT);
+            }
         }
-        let total: usize = lowered.oor_addrs.iter().map(|v| v.len()).sum();
-        assert_eq!(total, lowered.num_oor);
+        assert_eq!(sentinels, stats.oor_count);
     }
 
     #[test]
     fn huge_window_has_no_oor() {
         let c = adder_circuit(8);
-        let p = assemble(&c);
-        let lowered = mark_out_of_range(&p, WindowModel::new(1 << 20));
-        assert_eq!(lowered.num_oor, 0);
+        let (p, stats) = compile(&c, ReorderKind::Baseline, WindowModel::new(1 << 20));
+        assert_eq!(stats.oor_count, 0);
+        assert!(!p.has_oor());
+    }
+
+    #[test]
+    fn tiny_window_produces_oor_traffic() {
+        // The statistics are the plan's own far reads and spills.
+        let c = adder_circuit(8);
+        let (p, stats) = compile(&c, ReorderKind::Full, WindowModel::new(4));
+        assert!(stats.oor_count > 0);
+        assert_eq!(stats.oor_count, p.oor_read_count());
+        let sources = p.oor_sources().iter().filter(|&&(a, _)| a >= p.first_output_addr());
+        assert!(stats.live_count >= sources.count());
     }
 
     #[test]
@@ -422,10 +319,10 @@ mod tests {
         let c = adder_circuit(32);
         let window = WindowModel::new(64);
         for kind in [ReorderKind::Baseline, ReorderKind::Full, ReorderKind::Segment] {
-            let (lowered, stats) = compile(&c, kind, window);
-            assert!(lowered.program.validate().is_ok(), "{kind:?}");
+            let (p, stats) = compile(&c, kind, window);
             assert_eq!(stats.instructions, c.num_gates());
             assert_eq!(stats.and_count, c.num_and_gates());
+            assert_eq!(p.and_count(), c.num_and_gates(), "{kind:?}");
             assert!(stats.spent_percent >= 0.0 && stats.spent_percent <= 100.0);
         }
     }
@@ -443,12 +340,12 @@ mod tests {
             outs.extend(s);
         }
         let c = b.finish(outs).unwrap();
-        let p = full_reorder(&c);
+        let order = gate_order(&c, ReorderKind::Full, WindowModel::new(4));
         let levels = c.wire_levels();
         let gates = c.gates();
         // The first 4+ instructions must all be level-1 gates (one per adder).
         let first_levels: Vec<u32> =
-            p.source_gate[..4].iter().map(|&g| levels[gates[g as usize].out as usize]).collect();
+            order[..4].iter().map(|&g| levels[gates[g as usize].out as usize]).collect();
         assert!(first_levels.iter().all(|&l| l == 1), "{first_levels:?}");
     }
 }

@@ -1,27 +1,24 @@
-//! # haac-core — the HAAC accelerator: ISA, compiler, simulator, model
+//! # haac-core — the HAAC accelerator: compiler, simulator, model
 //!
 //! The primary contribution of *HAAC: A Hardware-Software Co-Design to
 //! Accelerate Garbled Circuits* (Mo, Gopinath & Reagen, ISCA 2023),
-//! rebuilt as a library:
+//! rebuilt as a library. There is one compiled program, `haac-gc`'s
+//! renamed [`SlotProgram`](haac_gc::SlotProgram): the simulator reads it
+//! as the hardware's instruction stream, the slab executors run it.
 //!
-//! - [`isa`]: the straight-line HAAC instruction set — 2-bit opcode, two
-//!   wire addresses (with the OoRW sentinel), a live bit, and implicit
-//!   in-order output addresses.
-//! - [`compiler`]: assembly + the paper's three optimizations — full and
-//!   segment **reordering**, **renaming** (inherent to assembly here),
-//!   and **eliminating spent wires** — plus out-of-range marking, which
-//!   turns all off-chip traffic into compiler-known streams.
+//! - [`compiler`]: the paper's optimizations — full and segment
+//!   **reordering**, **renaming**, and far-read routing under the
+//!   half-sliding SWW, from which **eliminating spent wires** follows —
+//!   turning all off-chip traffic into compiler-known streams.
 //! - [`window`]: the sliding-wire-window address discipline shared by
 //!   every layer.
-//! - [`lower`]: [`lower_for_streaming`] — the reorder → rename →
-//!   window-size pipeline producing the cached [`StreamingPlan`] that
-//!   drives the gc layer's slot-slab streaming executors.
-//! - [`exec`]: functional execution of compiled programs through the
-//!   modeled memory system, validating compiler correctness against
-//!   plaintext/GC semantics.
+//! - [`lower`]: [`lower_for_streaming`] — the same schedule and renaming
+//!   under the slab's ring window, producing the cached
+//!   [`StreamingPlan`] sessions serve — and [`run_gc_through_streams`],
+//!   which runs any plan through both executors.
 //! - [`sim`]: the cycle-level simulator (gate-engine pipelines, banked
-//!   SWW, queues, streaming DRAM) in the paper's two-pass
-//!   mapping-then-replay methodology.
+//!   SWW, queues, streaming DRAM, the §3.1.3 instruction encoding) in
+//!   the paper's two-pass mapping-then-replay methodology.
 //! - [`model`]: Table 4's area/power arithmetic and Fig. 9's energy
 //!   accounting.
 //!
@@ -41,12 +38,12 @@
 //! let circuit = b.finish(p).unwrap();
 //!
 //! let config = sim::HaacConfig::default();
-//! let (lowered, stats) = compiler::compile(
+//! let (plan, stats) = compiler::compile(
 //!     &circuit,
 //!     compiler::ReorderKind::Full,
 //!     config.window(),
 //! );
-//! let report = sim::map_and_simulate(&lowered, &config);
+//! let report = sim::map_and_simulate(&plan, &config);
 //! assert!(report.cycles > 0);
 //! assert_eq!(report.and_count as usize, stats.and_count);
 //! ```
@@ -55,18 +52,15 @@
 #![warn(missing_debug_implementations)]
 
 pub mod compiler;
-pub mod exec;
-pub mod isa;
 pub mod lower;
 pub mod model;
 pub mod sim;
 pub mod window;
 
 pub use compiler::{compile, ReorderKind};
-pub use isa::{Instruction, Opcode, Program};
 pub use lower::{
-    lower_for_streaming, lower_with_reorder, lower_with_window, plan_from_program,
-    plan_from_program_with_window, slot_stream, StreamingPlan,
+    lower_for_streaming, lower_with_reorder, lower_with_window, run_gc_through_streams,
+    StreamingPlan,
 };
 pub use sim::{DramKind, HaacConfig, Role, SimReport};
 pub use window::WindowModel;
@@ -82,8 +76,8 @@ pub fn best_reorder(
     let window = config.window();
     let mut best: Option<(ReorderKind, SimReport)> = None;
     for kind in [ReorderKind::Segment, ReorderKind::Full] {
-        let (lowered, _) = compiler::compile(circuit, kind, window);
-        let report = sim::map_and_simulate(&lowered, config);
+        let (plan, _) = compiler::compile(circuit, kind, window);
+        let report = sim::map_and_simulate(&plan, config);
         let better = match &best {
             Some((_, b)) => report.cycles < b.cycles,
             None => true,
@@ -114,8 +108,8 @@ mod tests {
             ReorderKind::Full => ReorderKind::Segment,
             _ => ReorderKind::Full,
         };
-        let (lowered, _) = compiler::compile(&c, other, config.window());
-        let other_report = sim::map_and_simulate(&lowered, &config);
+        let (plan, _) = compiler::compile(&c, other, config.window());
+        let other_report = sim::map_and_simulate(&plan, &config);
         assert!(report.cycles <= other_report.cycles);
     }
 }

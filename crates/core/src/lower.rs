@@ -31,18 +31,21 @@
 //! layer negotiates the [`ReorderKind`] in its handshake — but change
 //! the transcript relative to the raw circuit. The gate order comes
 //! from [`compiler::gate_order`](crate::compiler::gate_order), the same
-//! function that feeds the simulator's [`Program`]s: one schedule, two
-//! consumers.
+//! function that feeds the simulator's [`compile`](crate::compile): one
+//! schedule, one renaming pass, one far-read routing pass, under two
+//! window predicates — the slab's ring here, the hardware's half-sliding
+//! SWW there.
 //!
 //! [`lower_with_window`] caps the slab at any other window instead (the
 //! schedule does not change with it, so plans of one circuit and kind
-//! are wire-identical at every window).
+//! are wire-identical at every window). [`run_gc_through_streams`] runs
+//! any plan — a served one or a compiled one — through both executors.
 
-use haac_circuit::{Circuit, GateOp};
-use haac_gc::{SlotInstr, SlotOp, SlotProgram};
+use haac_circuit::Circuit;
+use haac_gc::{rename_in_order, HashScheme, SlotProgram, StreamingEvaluator, StreamingGarbler};
+use rand::Rng;
 
-use crate::compiler::{gate_order, rename_in_order, ReorderKind};
-use crate::isa::{Instruction, Opcode, Program, OOR_SENTINEL};
+use crate::compiler::{gate_order, ReorderKind};
 use crate::sim::HaacConfig;
 use crate::window::WindowModel;
 
@@ -81,132 +84,8 @@ impl StreamingPlan {
     }
 }
 
-/// Iterator adapting a renamed [`Program`]'s instructions into the gc
-/// layer's slot-instruction stream.
-///
-/// Yields an error for instructions a streaming executor cannot run:
-/// NOPs (pipeline filler has no streaming meaning) and OoR-sentinel
-/// operands (plans must be built *before* [`mark_out_of_range`]
-/// rewrites operands — [`haac_gc::SlotProgram`] routes its own far
-/// reads, with store slots the simulator's marking does not carry).
-///
-/// [`mark_out_of_range`]: crate::compiler::mark_out_of_range
-#[derive(Debug, Clone)]
-pub struct SlotStream<'p> {
-    instrs: std::slice::Iter<'p, Instruction>,
-    index: usize,
-}
-
-/// Adapts a renamed program's instruction stream for the slot-slab
-/// executors (one [`SlotInstr`] per instruction, in program order).
-pub fn slot_stream(program: &Program) -> SlotStream<'_> {
-    SlotStream { instrs: program.instructions.iter(), index: 0 }
-}
-
-impl Iterator for SlotStream<'_> {
-    type Item = Result<SlotInstr, String>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let instr = self.instrs.next()?;
-        let i = self.index;
-        self.index += 1;
-        let op = match instr.op {
-            Opcode::And => SlotOp::And,
-            Opcode::Xor => SlotOp::Xor,
-            Opcode::Inv => SlotOp::Inv,
-            Opcode::Nop => {
-                return Some(Err(format!("instruction {i} is a NOP; streaming has no filler")))
-            }
-        };
-        let operands = if op == SlotOp::Inv { 1 } else { 2 };
-        if [instr.a, instr.b].iter().take(operands).any(|&o| o == OOR_SENTINEL) {
-            return Some(Err(format!(
-                "instruction {i} carries the OoR sentinel; lower plans before OoR marking"
-            )));
-        }
-        Some(Ok(SlotInstr { a: instr.a, b: instr.b, op }))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.instrs.size_hint()
-    }
-}
-
-/// Builds a [`StreamingPlan`] from an already renamed (un-lowered)
-/// program — the hook for running reordered schedules through the
-/// slot-slab executors. `reorder` tags the plan with the schedule the
-/// program was built under (session negotiation compares tags, not
-/// instruction streams).
-///
-/// `garbler_inputs + evaluator_inputs` must equal the program's input
-/// count (the split is protocol metadata the ISA does not carry).
-///
-/// # Errors
-///
-/// Returns an error if the program contains NOPs or OoR sentinels, if
-/// the input split does not sum to the program's inputs, or if the
-/// stream violates a renaming invariant.
-pub fn plan_from_program(
-    program: &Program,
-    garbler_inputs: u32,
-    evaluator_inputs: u32,
-    reorder: ReorderKind,
-) -> Result<StreamingPlan, String> {
-    plan_from_program_impl(program, garbler_inputs, evaluator_inputs, reorder, None)
-}
-
-/// Like [`plan_from_program`], but caps the slab at `window` (rounded
-/// up to a power of two, minimum 2): below the natural zero-OoR size,
-/// reads farther than the window are rewritten to OoR-sentinel slots
-/// served by the software OoRW queue, whose peak occupancy is computed
-/// statically ([`haac_gc::SlotProgram::oor_queue_bound`]); at or above
-/// it the natural plan comes back.
-///
-/// # Errors
-///
-/// As [`plan_from_program`].
-pub fn plan_from_program_with_window(
-    program: &Program,
-    garbler_inputs: u32,
-    evaluator_inputs: u32,
-    reorder: ReorderKind,
-    window: WindowModel,
-) -> Result<StreamingPlan, String> {
-    plan_from_program_impl(program, garbler_inputs, evaluator_inputs, reorder, Some(window))
-}
-
-fn plan_from_program_impl(
-    program: &Program,
-    garbler_inputs: u32,
-    evaluator_inputs: u32,
-    reorder: ReorderKind,
-    window: Option<WindowModel>,
-) -> Result<StreamingPlan, String> {
-    if garbler_inputs + evaluator_inputs != program.num_inputs {
-        return Err(format!(
-            "input split {garbler_inputs}+{evaluator_inputs} does not match the program's {}",
-            program.num_inputs
-        ));
-    }
-    let instrs = slot_stream(program).collect::<Result<Vec<_>, _>>()?;
-    let outputs = program.output_addrs.clone();
-    let slots = match window {
-        Some(w) => SlotProgram::with_window(
-            instrs,
-            garbler_inputs,
-            evaluator_inputs,
-            outputs,
-            w.sww_wires(),
-        )?,
-        None => SlotProgram::new(instrs, garbler_inputs, evaluator_inputs, outputs)?,
-    };
-    let window = WindowModel::new(slots.slot_wires());
-    Ok(StreamingPlan { program: slots, window, reorder })
-}
-
 /// The window every served plan is capped at: the paper's 2 MB SWW,
-/// 131 072 labels — the one `compiler::reorder` callers and the
-/// simulator use by default ([`HaacConfig::default`]). Half of it,
+/// 131 072 labels — the one the simulator uses by default ([`HaacConfig::default`]). Half of it,
 /// 65 536 instructions, is the segment of [`ReorderKind::Segment`].
 pub fn served_window() -> WindowModel {
     HaacConfig::default().window()
@@ -228,25 +107,17 @@ pub fn lower_with_reorder(circuit: &Circuit, kind: ReorderKind) -> StreamingPlan
 }
 
 /// Lowers a circuit with its slab capped at `window` instead of
-/// [`served_window`] (see [`plan_from_program_with_window`]): the entry
-/// point for deliberately small slabs. The schedule is the one
+/// [`served_window`] (below the natural window, reads farther than the
+/// slab go through the OoRW store, [`SlotProgram::with_window`]): the
+/// entry point for deliberately small slabs. The schedule is the one
 /// [`lower_with_reorder`] uses, whatever the window.
 pub fn lower_with_window(
     circuit: &Circuit,
     kind: ReorderKind,
     window: WindowModel,
 ) -> StreamingPlan {
-    // Slot instructions straight from the schedule: the renaming pass
-    // `compiler::program_from_order` runs, without a `Program` between.
     let order = gate_order(circuit, kind, served_window());
-    let (instrs, outputs) = rename_in_order(circuit, &order, |op, a, b| {
-        let op = match op {
-            GateOp::And => SlotOp::And,
-            GateOp::Xor => SlotOp::Xor,
-            GateOp::Inv => SlotOp::Inv,
-        };
-        SlotInstr { a, b, op }
-    });
+    let (instrs, outputs) = rename_in_order(circuit, &order);
     let program = SlotProgram::with_window(
         instrs,
         circuit.garbler_inputs(),
@@ -265,12 +136,41 @@ pub fn lower_for_streaming(circuit: &Circuit) -> StreamingPlan {
     lower_with_reorder(circuit, ReorderKind::Baseline)
 }
 
+/// Garbles and evaluates `plan` on the slab executors from one RNG and
+/// decodes the outputs: the functional half of the paper's §5
+/// "Correctness" methodology. On a [`compile`](crate::compile)d plan
+/// every operand comes from where the hardware would read it — the SWW
+/// slab in-window, the OoRW store for every far read — so a compiler
+/// bug (a wrong rename, a missed or misrouted far read) decodes to
+/// something other than the plaintext.
+///
+/// # Panics
+///
+/// Panics if the input widths do not match the plan.
+pub fn run_gc_through_streams<R: Rng + ?Sized>(
+    plan: &SlotProgram,
+    garbler_bits: &[bool],
+    evaluator_bits: &[bool],
+    rng: &mut R,
+    scheme: HashScheme,
+) -> Vec<bool> {
+    let mut garbler = StreamingGarbler::with_plan(plan, rng, scheme);
+    let inputs = garbler.encode_inputs(garbler_bits, evaluator_bits);
+    let mut evaluator = StreamingEvaluator::with_plan(plan, inputs, scheme);
+    let mut tables = Vec::new();
+    while garbler.next_tables_into(4096, &mut tables) {
+        evaluator.feed(&tables);
+    }
+    evaluator.finish(&garbler.finish().output_decode).outputs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiler::{assemble, eliminate_spent_wires, mark_out_of_range};
+    use crate::compiler::compile;
     use haac_circuit::Builder;
     use haac_gc::stream::Liveness;
+    use rand::{rngs::StdRng, SeedableRng};
 
     fn mixed_circuit() -> Circuit {
         let mut b = Builder::new();
@@ -283,16 +183,6 @@ mod tests {
         out.extend(p);
         out.push(lt);
         b.finish(out).unwrap()
-    }
-
-    #[test]
-    fn compiler_lowering_matches_the_gc_baseline_plan() {
-        // Two roads to the same renamed stream: the compiler pipeline
-        // here and haac-gc's inline baseline renaming must agree
-        // exactly — they are the same pass.
-        let c = mixed_circuit();
-        let plan = lower_for_streaming(&c);
-        assert_eq!(plan.program, haac_gc::baseline_plan(&c));
     }
 
     #[test]
@@ -309,43 +199,61 @@ mod tests {
 
     #[test]
     fn oor_lowered_programs_are_rejected() {
+        // A routed program carries the OoR sentinel in place of the
+        // addresses it hid, so it cannot be lowered a second time.
         let c = mixed_circuit();
-        let window = WindowModel::new(4); // tiny SWW forces OoR rewrites
-        let mut program = assemble(&c);
-        eliminate_spent_wires(&mut program, window);
-        let lowered = mark_out_of_range(&program, window);
-        assert!(lowered.num_oor > 0);
-        let err = plan_from_program(
-            &lowered.program,
+        let (routed, stats) = compile(&c, ReorderKind::Baseline, WindowModel::new(4));
+        assert!(stats.oor_count > 0);
+        let err = SlotProgram::new(
+            routed.instrs().to_vec(),
             c.garbler_inputs(),
             c.evaluator_inputs(),
-            ReorderKind::Baseline,
+            routed.output_addrs().to_vec(),
         )
         .unwrap_err();
         assert!(err.contains("OoR sentinel"), "{err}");
     }
 
     #[test]
-    fn wrong_input_split_is_rejected() {
+    fn reordered_programs_also_lower() {
+        // The simulator's program is a plan the executors run: a Full
+        // schedule under a sliding window that forces far reads decodes
+        // the plaintext.
         let c = mixed_circuit();
-        let program = assemble(&c);
-        assert!(plan_from_program(&program, 1, 2, ReorderKind::Baseline).is_err());
+        let (plan, stats) = compile(&c, ReorderKind::Full, WindowModel::new(8));
+        assert!(plan.has_oor());
+        assert_eq!(plan.and_count(), c.num_and_gates());
+        assert_eq!(stats.oor_count, plan.oor_read_count());
+        let (g, e) = (haac_circuit::to_bits(173, 8), haac_circuit::to_bits(99, 8));
+        let mut rng = StdRng::seed_from_u64(3);
+        let got = run_gc_through_streams(&plan, &g, &e, &mut rng, HashScheme::Rekeyed);
+        assert_eq!(got, c.eval(&g, &e).unwrap());
     }
 
     #[test]
-    fn reordered_programs_also_lower() {
+    #[should_panic(expected = "evaluator input width")]
+    fn wrong_input_count_is_rejected() {
         let c = mixed_circuit();
-        let program = crate::compiler::full_reorder(&c);
-        let plan = plan_from_program(
-            &program,
-            c.garbler_inputs(),
-            c.evaluator_inputs(),
-            ReorderKind::Full,
-        )
-        .unwrap();
-        assert_eq!(plan.and_count(), c.num_and_gates());
-        assert_eq!(plan.reorder, ReorderKind::Full);
-        assert!(plan.window.sww_wires() >= plan.program.max_operand_distance());
+        let (plan, _) = compile(&c, ReorderKind::Baseline, WindowModel::new(64));
+        let mut rng = StdRng::seed_from_u64(5);
+        run_gc_through_streams(&plan, &[false; 8], &[false; 3], &mut rng, HashScheme::Rekeyed);
+    }
+
+    #[test]
+    fn streams_match_plaintext_across_windows_and_orders() {
+        let c = mixed_circuit();
+        let g_bits = haac_circuit::to_bits(173, 8);
+        let e_bits = haac_circuit::to_bits(99, 8);
+        let expect = c.eval(&g_bits, &e_bits).unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        for sww in [4u32, 8, 16, 64, 4096] {
+            for kind in [ReorderKind::Baseline, ReorderKind::Full, ReorderKind::Segment] {
+                let (plan, _) = compile(&c, kind, WindowModel::new(sww));
+                let got =
+                    run_gc_through_streams(&plan, &g_bits, &e_bits, &mut rng, HashScheme::Rekeyed);
+                assert_eq!(got, expect, "sww={sww} {kind:?}");
+            }
+        }
     }
 
     #[test]

@@ -17,9 +17,14 @@
 //!    full memory system — queues fill at DRAM bandwidth, table/OoRW
 //!    pops block when streams fall behind, live wires drain write
 //!    bandwidth — producing the reported cycle count.
+//!
+//! Both passes read the compiled [`SlotProgram`] itself: an
+//! [`OOR_SLOT`] operand is an OoRW pop, and the live bit is derived from
+//! the plan's far-read sources and outputs ([`live_bits`]).
 
-use crate::compiler::LoweredProgram;
-use crate::isa::{Opcode, Program, OOR_SENTINEL};
+use haac_gc::{SlotInstr, SlotOp, SlotProgram, OOR_SLOT};
+
+use crate::compiler::live_bits;
 use crate::window::WindowModel;
 
 /// Off-chip memory technology (paper §5).
@@ -220,21 +225,39 @@ struct GeAssignment {
     streams: Vec<Vec<u32>>,
 }
 
-/// Computes static traffic for a lowered program under a configuration.
-pub fn static_traffic(lowered: &LoweredProgram, config: &HaacConfig) -> Traffic {
-    let program = &lowered.program;
+/// Bits per encoded instruction for a given SWW capacity: 2 (op) + 2 ×
+/// address width + 1 (live), per §3.1.3. Operand fields hold the
+/// distance from the instruction's own output address, which the window
+/// bounds below `sww_wires`, so the value 0 stays free for the OoRW
+/// sentinel and output addresses are never encoded.
+pub fn instruction_bits(sww_wires: u32) -> u32 {
+    let addr_bits = 32 - (sww_wires.max(2) - 1).leading_zeros();
+    2 + 2 * addr_bits + 1
+}
+
+/// Bytes per encoded instruction, each padded to a whole byte (§3.1.3's
+/// 37 bits → 5 B for a 2 MB SWW).
+pub fn instruction_bytes(sww_wires: u32) -> u32 {
+    instruction_bits(sww_wires).div_ceil(8)
+}
+
+/// Computes static traffic for a compiled plan under a configuration.
+pub fn static_traffic(plan: &SlotProgram, config: &HaacConfig) -> Traffic {
+    let live = live_bits(plan).iter().filter(|&&live| live).count();
+    traffic(plan, config, live)
+}
+
+fn traffic(plan: &SlotProgram, config: &HaacConfig, live: usize) -> Traffic {
     let window = config.window();
-    let instr_bytes = Program::instruction_bytes(window.sww_wires()) as u64;
-    let live = program.instructions.iter().filter(|i| i.live).count() as u64;
-    let and_count = program.num_and() as u64;
-    let first_frontier = program.num_inputs + 1;
-    let base0 = window.base_for_frontier(first_frontier);
-    let preloaded = (program.num_inputs).saturating_sub(base0.saturating_sub(1)) as u64;
+    let instr_bytes = instruction_bytes(window.sww_wires()) as u64;
+    let num_inputs = plan.num_inputs();
+    let base0 = window.base_for_frontier(plan.first_output_addr());
+    let preloaded = num_inputs.saturating_sub(base0.saturating_sub(1)) as u64;
     Traffic {
-        instr_bytes: program.instructions.len() as u64 * instr_bytes,
-        table_bytes: and_count * 32,
-        oorw_bytes: lowered.num_oor as u64 * (16 + 4),
-        live_bytes: live * 16,
+        instr_bytes: plan.instrs().len() as u64 * instr_bytes,
+        table_bytes: plan.and_count() as u64 * 32,
+        oorw_bytes: plan.oor_read_count() as u64 * (16 + 4),
+        live_bytes: live as u64 * 16,
         preload_bytes: preloaded * 16,
     }
 }
@@ -307,41 +330,43 @@ struct GeState {
 
 /// Runs the greedy mapping pass: instructions are assigned to the first
 /// non-stalled GE each cycle with idealized (infinite) memory streams.
-fn map_to_ges(lowered: &LoweredProgram, config: &HaacConfig) -> GeAssignment {
-    let engine = Engine::new(lowered, config, None);
-    engine.run().1
+fn map_to_ges(plan: &SlotProgram, config: &HaacConfig) -> GeAssignment {
+    Engine { plan, config, live: &[], assignment: None }.run().1
 }
 
-/// Replays recorded streams against the full memory system.
-fn simulate(lowered: &LoweredProgram, config: &HaacConfig, assignment: &GeAssignment) -> SimReport {
-    let engine = Engine::new(lowered, config, Some(assignment));
-    engine.run().0
+/// Mapping pass + replay, with the live bits [`live_bits`] derives: the
+/// full compiler, eliminating spent wires included.
+pub fn map_and_simulate(plan: &SlotProgram, config: &HaacConfig) -> SimReport {
+    map_and_simulate_esw(plan, config, true)
 }
 
-/// Convenience: mapping pass + replay.
-pub fn map_and_simulate(lowered: &LoweredProgram, config: &HaacConfig) -> SimReport {
-    let assignment = map_to_ges(lowered, config);
-    simulate(lowered, config, &assignment)
+/// Mapping pass + replay; `esw: false` writes every produced wire back
+/// to DRAM, as the compiler does without eliminating spent wires
+/// (§4.2.3; Fig. 6's Baseline and RO+RN bars).
+pub fn map_and_simulate_esw(plan: &SlotProgram, config: &HaacConfig, esw: bool) -> SimReport {
+    let assignment = map_to_ges(plan, config);
+    let live = if esw { live_bits(plan) } else { vec![true; plan.instrs().len()] };
+    Engine { plan, config, live: &live, assignment: Some(&assignment) }.run().0
 }
 
 struct Engine<'a> {
-    lowered: &'a LoweredProgram,
+    plan: &'a SlotProgram,
     config: &'a HaacConfig,
+    /// Per instruction, whether its output is written back (replay
+    /// only).
+    live: &'a [bool],
     assignment: Option<&'a GeAssignment>,
 }
 
-impl<'a> Engine<'a> {
-    fn new(
-        lowered: &'a LoweredProgram,
-        config: &'a HaacConfig,
-        assignment: Option<&'a GeAssignment>,
-    ) -> Engine<'a> {
-        Engine { lowered, config, assignment }
-    }
+/// OoRW pops an instruction performs: its sentinel operands.
+fn oor_pops(instr: &SlotInstr) -> usize {
+    instr.operands().filter(|&a| a == OOR_SLOT).count()
+}
 
+impl Engine<'_> {
     fn run(&self) -> (SimReport, GeAssignment) {
-        let program = &self.lowered.program;
-        let n = program.instructions.len();
+        let program = self.plan;
+        let n = program.instrs().len();
         let num_ges = self.config.num_ges.max(1);
         let window = self.config.window();
         let num_banks = self.config.num_banks();
@@ -380,11 +405,11 @@ impl<'a> Engine<'a> {
             let mut oors = vec![0usize; num_ges];
             for (g, stream) in replay_streams.iter().enumerate() {
                 for &i in stream {
-                    let instr = &program.instructions[i as usize];
-                    if instr.op == Opcode::And {
+                    let instr = &program.instrs()[i as usize];
+                    if instr.op == SlotOp::And {
                         ands[g] += 1;
                     }
-                    oors[g] += self.lowered.oor_addrs[i as usize].len();
+                    oors[g] += oor_pops(instr);
                 }
             }
             (ands, oors)
@@ -399,14 +424,14 @@ impl<'a> Engine<'a> {
 
         // DRAM byte budget accumulator (replay only).
         let bytes_per_cycle = self.config.dram_bytes_per_cycle();
-        let instr_bytes = Program::instruction_bytes(window.sww_wires()) as u64;
+        let instr_bytes = instruction_bytes(window.sww_wires()) as u64;
         let mut dram_credit = bytes_per_cycle;
         // Round-robin arbitration pointer.
         let mut rr_start = 0usize;
         // Outstanding live-wire write-backs in bytes.
         let mut write_backlog = 0u64;
         // Initial preload of in-window inputs competes for bandwidth too.
-        let traffic = static_traffic(self.lowered, self.config);
+        let traffic = traffic(program, self.config, self.live.iter().filter(|&&l| l).count());
         let mut preload_remaining = if mapping_mode { 0 } else { traffic.preload_bytes };
 
         let halfgate = self.config.role.halfgate_latency();
@@ -506,7 +531,7 @@ impl<'a> Engine<'a> {
                 };
                 let Some(i) = head else { continue };
                 let i = i as usize;
-                let instr = &program.instructions[i];
+                let instr = &program.instrs()[i];
 
                 // Frontend: instruction must be in the queue (replay).
                 if !mapping_mode && ges[g].instr_q == 0 {
@@ -515,12 +540,12 @@ impl<'a> Engine<'a> {
                 }
 
                 // Queue heads for tables and OoR wires.
-                let oor_needed = self.lowered.oor_addrs[i].len();
+                let oor_needed = oor_pops(instr);
                 if !mapping_mode && oor_needed > 0 && ges[g].oorw_q < oor_needed {
                     stalls.oorw_queue += 1;
                     continue;
                 }
-                if !mapping_mode && instr.op == Opcode::And && ges[g].table_q == 0 {
+                if !mapping_mode && instr.op == SlotOp::And && ges[g].table_q == 0 {
                     stalls.table_queue += 1;
                     continue;
                 }
@@ -528,11 +553,11 @@ impl<'a> Engine<'a> {
                 // Operand readiness (forwarding network: ready when the
                 // producer's compute completes).
                 let mut operands_ready = true;
-                for operand in [instr.a, instr.b].iter().take(instr.num_operands()) {
-                    if *operand == OOR_SENTINEL || *operand < first_out {
+                for operand in instr.operands() {
+                    if operand == OOR_SLOT || operand < first_out {
                         continue; // OoR (queued) or primary input
                     }
-                    let producer = (*operand - first_out) as usize;
+                    let producer = (operand - first_out) as usize;
                     if ready[producer] > cycle {
                         operands_ready = false;
                         break;
@@ -546,9 +571,9 @@ impl<'a> Engine<'a> {
                 // SWW bank ports for the in-window reads.
                 let mut read_banks: [usize; 2] = [usize::MAX; 2];
                 let mut n_reads = 0;
-                for operand in [instr.a, instr.b].iter().take(instr.num_operands()) {
-                    if *operand != OOR_SENTINEL {
-                        read_banks[n_reads] = (*operand as usize) % num_banks;
+                for operand in instr.operands() {
+                    if operand != OOR_SLOT {
+                        read_banks[n_reads] = (operand as usize) % num_banks;
                         n_reads += 1;
                     }
                 }
@@ -570,15 +595,14 @@ impl<'a> Engine<'a> {
 
                 // Issue!
                 let compute = match instr.op {
-                    Opcode::And => halfgate,
-                    Opcode::Xor | Opcode::Inv => 1,
-                    Opcode::Nop => 1,
+                    SlotOp::And => halfgate,
+                    SlotOp::Xor | SlotOp::Inv => 1,
                 };
                 let done = cycle + READ_LATENCY + compute;
                 ready[i] = done;
                 last_completion = last_completion.max(done + WRITEBACK_LATENCY);
                 // Writeback bank reservation (best effort within the ring).
-                let out_addr = program.output_addr(i);
+                let out_addr = first_out + i as u32;
                 banks.reserve(done + WRITEBACK_LATENCY, (out_addr as usize) % num_banks);
                 sww_writes += 1;
 
@@ -588,11 +612,11 @@ impl<'a> Engine<'a> {
                 any_issued = true;
                 if !mapping_mode {
                     ges[g].instr_q -= 1;
-                    if instr.op == Opcode::And {
+                    if instr.op == SlotOp::And {
                         ges[g].table_q -= 1;
                     }
                     ges[g].oorw_q -= oor_needed;
-                    if instr.live {
+                    if self.live[i] {
                         write_backlog += 16;
                     }
                 }
@@ -615,24 +639,23 @@ impl<'a> Engine<'a> {
                     };
                     let Some(i) = head else { continue };
                     let i = i as usize;
+                    let instr = &program.instrs()[i];
                     if !mapping_mode {
                         let ge = &ges[g];
-                        let instr = &program.instructions[i];
-                        let oor_needed = self.lowered.oor_addrs[i].len();
+                        let oor_needed = oor_pops(instr);
                         if ge.instr_q == 0
-                            || (instr.op == Opcode::And && ge.table_q == 0)
+                            || (instr.op == SlotOp::And && ge.table_q == 0)
                             || (oor_needed > 0 && ge.oorw_q < oor_needed)
                         {
                             skippable = false;
                             break;
                         }
                     }
-                    let instr = &program.instructions[i];
-                    for operand in [instr.a, instr.b].iter().take(instr.num_operands()) {
-                        if *operand == OOR_SENTINEL || *operand < first_out {
+                    for operand in instr.operands() {
+                        if operand == OOR_SLOT || operand < first_out {
                             continue;
                         }
-                        let producer = (*operand - first_out) as usize;
+                        let producer = (operand - first_out) as usize;
                         if ready[producer] > cycle && ready[producer] != u64::MAX {
                             next_event = next_event.min(ready[producer]);
                         }
@@ -657,7 +680,7 @@ impl<'a> Engine<'a> {
             end += drain;
         }
 
-        let and_count = program.num_and() as u64;
+        let and_count = program.and_count() as u64;
         let report = SimReport {
             cycles: end,
             seconds: end as f64 / (self.config.ge_clock_ghz * 1e9),
@@ -704,8 +727,8 @@ mod tests {
     fn mapping_covers_all_instructions_once() {
         let c = adder_tree_circuit(8, 4);
         let config = small_config();
-        let (lowered, _) = compile(&c, ReorderKind::Full, config.window());
-        let assignment = map_to_ges(&lowered, &config);
+        let (plan, _) = compile(&c, ReorderKind::Full, config.window());
+        let assignment = map_to_ges(&plan, &config);
         let mut seen: Vec<u32> = assignment.streams.iter().flatten().copied().collect();
         seen.sort_unstable();
         let expect: Vec<u32> = (0..c.num_gates() as u32).collect();
@@ -720,8 +743,8 @@ mod tests {
     fn replay_matches_instruction_count() {
         let c = adder_tree_circuit(8, 4);
         let config = small_config();
-        let (lowered, _) = compile(&c, ReorderKind::Full, config.window());
-        let report = map_and_simulate(&lowered, &config);
+        let (plan, _) = compile(&c, ReorderKind::Full, config.window());
+        let report = map_and_simulate(&plan, &config);
         assert_eq!(report.instructions as usize, c.num_gates());
         assert_eq!(report.per_ge_instructions.iter().sum::<u64>() as usize, c.num_gates());
         assert!(report.cycles > 0);
@@ -733,9 +756,9 @@ mod tests {
         let mk =
             |ges: usize| HaacConfig { num_ges: ges, dram: DramKind::Infinite, ..small_config() };
         let window = mk(1).window();
-        let (lowered, _) = compile(&c, ReorderKind::Full, window);
-        let t1 = map_and_simulate(&lowered, &mk(1)).cycles;
-        let t8 = map_and_simulate(&lowered, &mk(8)).cycles;
+        let (plan, _) = compile(&c, ReorderKind::Full, window);
+        let t1 = map_and_simulate(&plan, &mk(1)).cycles;
+        let t8 = map_and_simulate(&plan, &mk(8)).cycles;
         assert!(t8 < t1, "8 GEs ({t8}) should beat 1 GE ({t1}) on parallel work");
     }
 
@@ -743,10 +766,10 @@ mod tests {
     fn infinite_bandwidth_is_no_slower() {
         let c = adder_tree_circuit(8, 8);
         let config = small_config();
-        let (lowered, _) = compile(&c, ReorderKind::Full, config.window());
-        let ddr = map_and_simulate(&lowered, &config).cycles;
+        let (plan, _) = compile(&c, ReorderKind::Full, config.window());
+        let ddr = map_and_simulate(&plan, &config).cycles;
         let inf =
-            map_and_simulate(&lowered, &HaacConfig { dram: DramKind::Infinite, ..config }).cycles;
+            map_and_simulate(&plan, &HaacConfig { dram: DramKind::Infinite, ..config }).cycles;
         assert!(inf <= ddr, "infinite bandwidth ({inf}) must not lose to DDR4 ({ddr})");
     }
 
@@ -759,9 +782,9 @@ mod tests {
         let outs = b.and_words(&x, &y);
         let c = b.finish(outs).unwrap();
         let config = HaacConfig { num_ges: 16, ..small_config() };
-        let (lowered, _) = compile(&c, ReorderKind::Full, config.window());
-        let ddr = map_and_simulate(&lowered, &config).cycles;
-        let hbm = map_and_simulate(&lowered, &HaacConfig { dram: DramKind::Hbm2, ..config }).cycles;
+        let (plan, _) = compile(&c, ReorderKind::Full, config.window());
+        let ddr = map_and_simulate(&plan, &config).cycles;
+        let hbm = map_and_simulate(&plan, &HaacConfig { dram: DramKind::Hbm2, ..config }).cycles;
         assert!(hbm < ddr, "HBM2 ({hbm}) should beat DDR4 ({ddr}) on a table-bound workload");
     }
 
@@ -769,13 +792,20 @@ mod tests {
     fn traffic_accounting_is_exact() {
         let c = adder_tree_circuit(8, 2);
         let config = small_config();
-        let (lowered, stats) = compile(&c, ReorderKind::Baseline, config.window());
-        let traffic = static_traffic(&lowered, &config);
+        let (plan, stats) = compile(&c, ReorderKind::Baseline, config.window());
+        let traffic = static_traffic(&plan, &config);
         assert_eq!(traffic.table_bytes, stats.and_count as u64 * 32);
         assert_eq!(traffic.oorw_bytes, stats.oor_count as u64 * 20);
         assert_eq!(traffic.live_bytes, stats.live_count as u64 * 16);
-        let per_instr = Program::instruction_bytes(config.window().sww_wires()) as u64;
+        let per_instr = instruction_bytes(config.window().sww_wires()) as u64;
         assert_eq!(traffic.instr_bytes, stats.instructions as u64 * per_instr);
+    }
+
+    #[test]
+    fn encoding_width_matches_paper() {
+        // 2 MB SWW = 131072 wires → 17-bit addresses → 37 bits (§3.1.3).
+        assert_eq!(instruction_bits(131_072), 2 + 2 * 17 + 1);
+        assert_eq!(instruction_bytes(131_072), 5);
     }
 
     #[test]
@@ -790,8 +820,8 @@ mod tests {
         // Prevent folding tricks: acc is a fresh wire each step already.
         let c = b.finish(vec![acc]).unwrap();
         let config = HaacConfig { dram: DramKind::Infinite, ..small_config() };
-        let (lowered, _) = compile(&c, ReorderKind::Baseline, config.window());
-        let report = map_and_simulate(&lowered, &config);
+        let (plan, _) = compile(&c, ReorderKind::Baseline, config.window());
+        let report = map_and_simulate(&plan, &config);
         let min_expected = 64 * config.role.halfgate_latency();
         assert!(
             report.cycles >= min_expected,

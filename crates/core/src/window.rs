@@ -9,8 +9,8 @@
 //! hits the SWW or must stream in through the OoRW queue.
 //!
 //! This module is the single source of truth for that math; the
-//! compiler's ESW/OoR passes, the functional executor, and the timing
-//! simulator all share it.
+//! compiler's far-read routing (and the spills that follow from it) and
+//! the timing simulator share it.
 
 /// Window geometry for a given SWW capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,22 +1,23 @@
 //! Property tests for the optimizing compiler (paper §4).
 //!
 //! For random well-formed circuits and every [`ReorderKind`], the
-//! reordered + renamed program must be *topologically valid* — every
-//! operand resolves to an input or an earlier instruction's output, as
-//! [`Program::validate`] and a direct renamed-address check both attest
-//! — and compiling (reorder → rename → ESW → OoR marking) must preserve
-//! GC semantics exactly: executing the lowered stream through the
-//! modeled SWW/OoRW memory yields outputs bit-identical to plaintext
-//! evaluation of the untouched netlist, at every window size. The level
-//! orders are additionally held to their definition: at every segment
-//! size, a permutation of each baseline segment sorted by
-//! `(level, op != And)`.
+//! schedule must be a permutation of the gates whose renaming is
+//! *topologically valid* — every operand resolves to an input or an
+//! earlier instruction's output, as a direct renamed-address check and
+//! [`SlotProgram::new`] both attest — and compiling (reorder → rename →
+//! far-read routing under the sliding SWW) must preserve GC semantics
+//! exactly: running the routed plan on the slab executors, every far
+//! read served from the OoRW store, yields outputs bit-identical to
+//! plaintext evaluation of the untouched netlist, at every window size.
+//! [`CompileStats`] is held to a brute-force oracle over the renamed
+//! order. The level orders are additionally held to their definition:
+//! at every segment size, a permutation of each baseline segment sorted
+//! by `(level, op != And)`.
 
 use haac_circuit::{Bit, Builder, Circuit, GateOp};
-use haac_core::compiler::{compile, reorder, segment_reorder, ReorderKind};
-use haac_core::exec::run_gc_through_streams;
-use haac_core::WindowModel;
-use haac_gc::HashScheme;
+use haac_core::compiler::{compile, gate_order, segment_order, CompileStats, ReorderKind};
+use haac_core::{run_gc_through_streams, WindowModel};
+use haac_gc::{rename_in_order, HashScheme, SlotProgram};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -67,24 +68,25 @@ proptest! {
         let circuit = random_circuit(&script, inputs);
         let window = WindowModel::new(1 << window_exp);
         for kind in ALL_KINDS {
-            let program = reorder(&circuit, kind, window);
-            prop_assert!(program.validate().is_ok(), "{kind:?}: {:?}", program.validate());
+            let order = gate_order(&circuit, kind, window);
+            prop_assert!(renames_validly(&circuit, &order), "{kind:?}");
             // Renaming makes validity directly checkable: instruction j
             // writes address first_out + j, so every operand must point
             // strictly below its own output — an input or an earlier
             // instruction — never forward.
-            let first_out = program.first_output_addr();
-            for (j, instr) in program.instructions.iter().enumerate() {
+            let (instrs, _) = rename_in_order(&circuit, &order);
+            let first_out = circuit.num_inputs() + 1;
+            for (j, instr) in instrs.iter().enumerate() {
                 let out_addr = first_out + j as u32;
-                for operand in [instr.a, instr.b].iter().take(instr.num_operands()) {
+                for operand in instr.operands() {
                     prop_assert!(
-                        *operand < out_addr && *operand >= 1,
+                        operand < out_addr && operand >= 1,
                         "{kind:?}: instruction {j} reads {operand} at or above its own output {out_addr}"
                     );
                 }
             }
             // The schedule is a permutation of the gates, not a subset.
-            let mut seen = program.source_gate.clone();
+            let mut seen = order.clone();
             seen.sort_unstable();
             prop_assert_eq!(
                 seen,
@@ -108,9 +110,9 @@ proptest! {
         };
         // One past the gate count is a single segment: `Full`'s order.
         for segment in 1..=gates.len() + 1 {
-            let program = segment_reorder(&circuit, segment);
-            prop_assert!(program.validate().is_ok(), "segment {segment}: {:?}", program.validate());
-            for (s, chunk) in program.source_gate.chunks(segment).enumerate() {
+            let order = segment_order(&circuit, segment);
+            prop_assert!(renames_validly(&circuit, &order), "segment {segment}");
+            for (s, chunk) in order.chunks(segment).enumerate() {
                 // The segment holds exactly the baseline segment's gates…
                 let mut sorted = chunk.to_vec();
                 sorted.sort_unstable();
@@ -129,8 +131,8 @@ proptest! {
             }
         }
         prop_assert_eq!(
-            segment_reorder(&circuit, gates.len() + 1),
-            reorder(&circuit, ReorderKind::Full, WindowModel::new(4))
+            segment_order(&circuit, gates.len() + 1),
+            gate_order(&circuit, ReorderKind::Full, WindowModel::new(4))
         );
     }
 
@@ -147,29 +149,73 @@ proptest! {
         let expected = circuit.eval(&g_bits, &e_bits).expect("plaintext baseline");
         let window = WindowModel::new(1 << window_exp);
         for kind in ALL_KINDS {
-            let (lowered, stats) = compile(&circuit, kind, window);
-            prop_assert!(lowered.program.validate().is_ok(), "{kind:?}");
+            let (plan, stats) = compile(&circuit, kind, window);
             prop_assert_eq!(stats.and_count, circuit.num_and_gates(), "{:?}", kind);
             let mut rng = StdRng::seed_from_u64(seed.wrapping_add(kind.label().len() as u64));
-            let got = run_gc_through_streams(
-                &lowered,
-                window,
-                &g_bits,
-                &e_bits,
-                &mut rng,
-                HashScheme::Rekeyed,
+            let got = run_gc_through_streams(&plan, &g_bits, &e_bits, &mut rng, HashScheme::Rekeyed);
+            prop_assert_eq!(
+                &got, &expected,
+                "{:?} window={} changed the function", kind, window.sww_wires()
             );
-            match got {
-                Ok(bits) => prop_assert_eq!(
-                    &bits, &expected,
-                    "{:?} window={} changed the function", kind, window.sww_wires()
-                ),
-                Err(e) => prop_assert!(
-                    false,
-                    "{kind:?} window={} violated the memory discipline: {e}",
-                    window.sww_wires()
-                ),
+        }
+    }
+
+    #[test]
+    fn compile_stats_match_a_brute_force_oracle(
+        script in vec((any::<u8>(), any::<u16>(), any::<u16>()), 1..80),
+        inputs in 2u32..12,
+        window_exp in 1u32..9,
+    ) {
+        let circuit = random_circuit(&script, inputs);
+        let window = WindowModel::new(1 << window_exp);
+        for kind in ALL_KINDS {
+            let (_, stats) = compile(&circuit, kind, window);
+            prop_assert_eq!(
+                stats,
+                brute_force_stats(&circuit, &gate_order(&circuit, kind, window), window),
+                "{:?} window={}", kind, window.sww_wires()
+            );
+        }
+    }
+}
+
+/// Whether an order renames into a program [`SlotProgram::new`] accepts.
+fn renames_validly(circuit: &Circuit, order: &[u32]) -> bool {
+    let (instrs, outputs) = rename_in_order(circuit, order);
+    SlotProgram::new(instrs, circuit.garbler_inputs(), circuit.evaluator_inputs(), outputs).is_ok()
+}
+
+/// [`CompileStats`] straight from the paper's definitions, over the
+/// renamed order: an operand below the sliding window's base at its
+/// reader's output address is a far read, and a produced wire that is
+/// read from outside the window, or is a circuit output, is live.
+fn brute_force_stats(circuit: &Circuit, order: &[u32], window: WindowModel) -> CompileStats {
+    let (instrs, outputs) = rename_in_order(circuit, order);
+    let first_out = circuit.num_inputs() + 1;
+    let mut live = vec![false; instrs.len()];
+    let mut oor_count = 0;
+    for (i, instr) in instrs.iter().enumerate() {
+        let base = window.base_for_frontier(first_out + i as u32);
+        for operand in instr.operands().filter(|&a| a < base) {
+            oor_count += 1;
+            if operand >= first_out {
+                live[(operand - first_out) as usize] = true;
             }
         }
+    }
+    for &out in outputs.iter().filter(|&&out| out >= first_out) {
+        live[(out - first_out) as usize] = true;
+    }
+    let live_count = live.iter().filter(|&&l| l).count();
+    CompileStats {
+        instructions: instrs.len(),
+        and_count: circuit.num_and_gates(),
+        live_count,
+        oor_count,
+        spent_percent: if instrs.is_empty() {
+            0.0
+        } else {
+            100.0 * (1.0 - live_count as f64 / instrs.len() as f64)
+        },
     }
 }

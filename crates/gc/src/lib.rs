@@ -85,7 +85,7 @@ pub use hash::{CryptoCounters, GateHash, HashScheme, OT_BASE_TWEAK, OT_EXT_TWEAK
 pub use instance::{BankedGarbler, InstanceDecodeError};
 pub use ot::OtError;
 pub use ot_ext::{OtExtReceiver, OtExtSender, KAPPA as OT_EXT_KAPPA};
-pub use slab::{SlotInstr, SlotOp, SlotProgram, OOR_SLOT};
+pub use slab::{rename_in_order, SlotInstr, SlotOp, SlotProgram, OOR_SLOT};
 pub use stream::{
     baseline_plan, EvaluatorFinish, GarblerFinish, Liveness, StreamingEvaluator, StreamingGarbler,
 };

@@ -7,10 +7,13 @@
 //! per-wire retire bookkeeping, because overwriting a slot when the
 //! window slides *is* the retire. This module is the software analogue:
 //!
-//! - [`SlotProgram`] is a renamed, straight-line instruction stream
-//!   (produced by `haac-core`'s `lower_for_streaming`) whose window
-//!   size is computed **statically** from the maximum operand distance,
-//!   so every read provably hits a live slot;
+//! - [`rename_in_order`] is the renaming pass (§4.2.2) itself: a gate
+//!   order in, sequentially addressed instructions out;
+//! - [`SlotProgram`] is the renamed, straight-line instruction stream
+//!   — the one compiled program, which `haac-core` lowers for the
+//!   executors and the simulator alike — whose window size is computed
+//!   **statically** from the operand distances, so every read provably
+//!   hits a live slot;
 //! - `SlabLabels` is the flat `Vec<Block>` slab the streaming
 //!   garbler/evaluator index with a single mask — the only label store
 //!   an executor in this crate has.
@@ -20,19 +23,21 @@
 //! so slot `a % w` is clobbered exactly when address `a + w` is
 //! written. A read of `a` by the instruction writing `out` is therefore
 //! valid iff `out - a <= w` — which [`SlotProgram::new`] guarantees by
-//! sizing `w` to the maximum operand distance. The functional executor
-//! in `haac-core::exec` checks the same contract dynamically with slot
-//! tags; here it is discharged once at plan-construction time and the
-//! hot loop carries zero checks.
+//! sizing `w` to the maximum operand distance. The contract is
+//! discharged once at plan-construction time and the hot loop carries
+//! zero checks.
 //!
 //! **Out-of-range reads** (paper §3.1.4): a plan may instead be capped
 //! at a window *below* its worst operand distance with
 //! [`SlotProgram::with_window`] — the served plans cap at the paper's
-//! 2 MB SWW. Operands whose distance exceeds the window are rewritten
-//! to the [`OOR_SLOT`] sentinel and routed through a software OoRW
-//! queue whose every decision is made at plan construction: the build
-//! simulates queue occupancy once and hands each far-read source a
-//! **store slot** from a free list, so at run time the producer copies
+//! 2 MB SWW — or route whichever reads a window predicate calls far
+//! with [`SlotProgram::with_far_reads`], which is how `haac-core`
+//! compiles for the hardware's half-sliding SWW. Far operands are
+//! rewritten to the [`OOR_SLOT`] sentinel and routed through a
+//! software OoRW queue whose every decision is made at plan
+//! construction: the build simulates queue occupancy once and hands
+//! each far-read source a **store slot** from a free list, so at run
+//! time the producer copies
 //! the label into its slot the moment the address is written (before
 //! its slab slot can be clobbered) and each consumer reads the slot the
 //! plan names, in stream order, with a last-read bit retiring the
@@ -47,6 +52,8 @@
 //! most [`MAX_AND_BATCH`]) and stores each AND's remaining run length,
 //! so the executors batch `(index, len)` through the cipher without
 //! re-deriving independence per gate.
+
+use haac_circuit::{Circuit, GateOp};
 
 use crate::block::Block;
 use crate::garble::MAX_AND_BATCH;
@@ -86,20 +93,59 @@ impl SlotInstr {
     /// The addresses the instruction reads, `a` before `b` (INV reads
     /// only `a`; its `b` mirrors `a` by convention).
     #[inline]
-    fn operands(&self) -> impl Iterator<Item = u32> {
+    pub fn operands(&self) -> impl Iterator<Item = u32> {
         [self.a, self.b].into_iter().take(if self.op == SlotOp::Inv { 1 } else { 2 })
     }
 }
 
-/// A circuit lowered for slot-addressed streaming: the renamed
-/// instruction stream plus the statically derived slab geometry.
+/// The renaming pass (§4.2.2): input wire `w` gets address `w + 1`, the
+/// `i`-th gate of `order` writes `num_inputs + 1 + i`, and its operands
+/// are renamed with it (INV's `b` mirrors `a`). Returns the instructions
+/// and the circuit outputs' addresses. Every compiled program is built
+/// by this one pass, whatever the schedule.
 ///
-/// Instruction order is the source circuit's gate order (the compiler's
-/// *baseline* schedule), so the table stream and per-gate tweaks are
-/// bit-identical to the oracle [`garble`](crate::garble()) on the raw
-/// netlist — reordering strategies can be layered on by both parties
-/// symmetrically, but the default lowering preserves that transcript
-/// exactly.
+/// `order` must be a topological permutation of the circuit's gate
+/// indices; [`SlotProgram`]'s constructors reject the operands any other
+/// order leaves behind.
+pub fn rename_in_order(circuit: &Circuit, order: &[u32]) -> (Vec<SlotInstr>, Vec<u32>) {
+    debug_assert_eq!(order.len(), circuit.num_gates());
+    let num_inputs = circuit.num_inputs();
+    // Circuit wire id → program address.
+    let mut addr = vec![0u32; circuit.num_wires() as usize];
+    for w in 0..num_inputs {
+        addr[w as usize] = w + 1;
+    }
+    let first_out = num_inputs + 1;
+    let gates = circuit.gates();
+    let mut instrs = Vec::with_capacity(order.len());
+    for (i, &g) in order.iter().enumerate() {
+        let gate = &gates[g as usize];
+        addr[gate.out as usize] = first_out + i as u32;
+        let a = addr[gate.a as usize];
+        // A select for `b` and a separate op map: measured ≈ 1 % faster
+        // lowering on MatMult-small than one three-armed match.
+        let b = if gate.op == GateOp::Inv { a } else { addr[gate.b as usize] };
+        let op = match gate.op {
+            GateOp::And => SlotOp::And,
+            GateOp::Xor => SlotOp::Xor,
+            GateOp::Inv => SlotOp::Inv,
+        };
+        instrs.push(SlotInstr { a, b, op });
+    }
+    let output_addrs = circuit.outputs().iter().map(|&w| addr[w as usize]).collect();
+    (instrs, output_addrs)
+}
+
+/// A circuit lowered for slot-addressed streaming: the renamed
+/// instruction stream plus the statically derived slab geometry, AND
+/// runs and far-read routing.
+///
+/// Instruction order is the order [`rename_in_order`] was given. On the
+/// source circuit's gate order (the compiler's *baseline* schedule) the
+/// table stream and per-gate tweaks are bit-identical to the oracle
+/// [`garble`](crate::garble()) on the raw netlist; reordered schedules
+/// are valid protocols when both parties lower identically. Routing
+/// never changes the transcript: only where an operand is read from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotProgram {
     instrs: Vec<SlotInstr>,
@@ -154,7 +200,8 @@ impl SlotProgram {
         evaluator_inputs: u32,
         output_addrs: Vec<u32>,
     ) -> Result<SlotProgram, String> {
-        SlotProgram::build(instrs, garbler_inputs, evaluator_inputs, output_addrs, u32::MAX)
+        let window = Window::Ring(u32::MAX);
+        SlotProgram::build(instrs, garbler_inputs, evaluator_inputs, output_addrs, window)
     }
 
     /// Builds a slot program whose slab holds **at most** `window_wires`
@@ -188,7 +235,31 @@ impl SlotProgram {
         output_addrs: Vec<u32>,
         window_wires: u32,
     ) -> Result<SlotProgram, String> {
-        SlotProgram::build(instrs, garbler_inputs, evaluator_inputs, output_addrs, window_wires)
+        let window = Window::Ring(window_wires);
+        SlotProgram::build(instrs, garbler_inputs, evaluator_inputs, output_addrs, window)
+    }
+
+    /// Builds a slot program that routes through the OoRW store exactly
+    /// the reads `is_far(out, a)` names — `out` the reader's output
+    /// address, `a` the operand — and sizes the slab to the farthest
+    /// read left in it. Any predicate yields a valid plan; `haac-core`
+    /// passes the hardware's half-sliding SWW (§3.1.1), under which a
+    /// far read is exactly the OoRW pop the accelerator performs, and
+    /// [`with_window`](SlotProgram::with_window) is the same pass under
+    /// the slab's own ring, `out - a > window`.
+    ///
+    /// # Errors
+    ///
+    /// As [`SlotProgram::new`].
+    pub fn with_far_reads(
+        instrs: Vec<SlotInstr>,
+        garbler_inputs: u32,
+        evaluator_inputs: u32,
+        output_addrs: Vec<u32>,
+        is_far: impl Fn(u32, u32) -> bool,
+    ) -> Result<SlotProgram, String> {
+        let window = Window::FarReads(&is_far);
+        SlotProgram::build(instrs, garbler_inputs, evaluator_inputs, output_addrs, window)
     }
 
     fn build(
@@ -196,7 +267,7 @@ impl SlotProgram {
         garbler_inputs: u32,
         evaluator_inputs: u32,
         output_addrs: Vec<u32>,
-        max_window_wires: u32,
+        window: Window<'_>,
     ) -> Result<SlotProgram, String> {
         let num_inputs = garbler_inputs + evaluator_inputs;
         let first_out = num_inputs + 1;
@@ -239,13 +310,23 @@ impl SlotProgram {
         let peak_live = peak_live(&instrs, num_inputs, &output_addrs);
         let and_runs = and_runs(&instrs, first_out);
         let natural = max_distance.max(2).next_power_of_two();
-        // Saturating: a bound above 2^31 has no next power of two in u32.
-        let bound = max_window_wires.max(2).checked_next_power_of_two().unwrap_or(u32::MAX);
-        let slot_wires = natural.min(bound);
-        let (oor_reads, oor_sources, oor_queue_bound) = if slot_wires < max_distance {
-            route_far_reads(&mut instrs, first_out, slot_wires)
-        } else {
-            (Vec::new(), Vec::new(), 0)
+        let (slot_wires, far) = match window {
+            Window::Ring(max_window_wires) => {
+                // Saturating: a bound above 2^31 has no next power of two
+                // in u32.
+                let bound = max_window_wires.max(2).checked_next_power_of_two().unwrap_or(u32::MAX);
+                let slot_wires = natural.min(bound);
+                let far = if slot_wires < max_distance {
+                    route_far_reads(&mut instrs, first_out, |out, a| out - a > slot_wires)
+                } else {
+                    FarReads::default()
+                };
+                (slot_wires, far)
+            }
+            Window::FarReads(is_far) => {
+                let far = route_far_reads(&mut instrs, first_out, is_far);
+                (far.max_near.max(2).next_power_of_two(), far)
+            }
         };
         Ok(SlotProgram {
             instrs,
@@ -258,9 +339,9 @@ impl SlotProgram {
             and_count,
             peak_live,
             and_runs,
-            oor_reads,
-            oor_sources,
-            oor_queue_bound,
+            oor_reads: far.reads,
+            oor_sources: far.sources,
+            oor_queue_bound: far.queue_bound,
         })
     }
 
@@ -300,16 +381,20 @@ impl SlotProgram {
         &self.output_addrs
     }
 
-    /// Output positions sorted by producing address (ascending).
+    /// `(address, output position)` of every circuit output, sorted by
+    /// address.
     #[inline]
-    pub(crate) fn outputs_by_addr(&self) -> &[(u32, u32)] {
+    pub fn outputs_by_addr(&self) -> &[(u32, u32)] {
         &self.outputs_by_addr
     }
 
     /// Slab capacity in wire labels: the natural window (the smallest
     /// power of two `>=` the maximum operand distance, under which
-    /// **every** read of this program is in-window), or the smaller
-    /// bound given to [`with_window`](SlotProgram::with_window).
+    /// **every** read of this program is in-window), the smaller bound
+    /// given to [`with_window`](SlotProgram::with_window), or the
+    /// smallest power of two covering every read a
+    /// [`with_far_reads`](SlotProgram::with_far_reads) predicate left in
+    /// the slab.
     #[inline]
     pub fn slot_wires(&self) -> u32 {
         self.slot_wires
@@ -339,7 +424,8 @@ impl SlotProgram {
 
     /// Whether any read is routed through the OoRW queue (only possible
     /// for plans built with [`with_window`](SlotProgram::with_window)
-    /// below their natural window).
+    /// below their natural window, or with
+    /// [`with_far_reads`](SlotProgram::with_far_reads)).
     #[inline]
     pub fn has_oor(&self) -> bool {
         !self.oor_reads.is_empty()
@@ -358,10 +444,11 @@ impl SlotProgram {
         &self.oor_reads
     }
 
-    /// `(address, store slot)` of every OoRW-queue source, ascending by
+    /// `(address, store slot)` of every OoRW-queue source — each address
+    /// some instruction reads from outside the window — ascending by
     /// address.
     #[inline]
-    pub(crate) fn oor_sources(&self) -> &[(u32, u32)] {
+    pub fn oor_sources(&self) -> &[(u32, u32)] {
         &self.oor_sources
     }
 
@@ -422,14 +509,39 @@ fn and_runs(instrs: &[SlotInstr], first_out: u32) -> Vec<u8> {
     runs
 }
 
-/// Rewrites every read farther than `window` to the [`OOR_SLOT`]
+/// How a plan decides which reads leave the slab.
+enum Window<'f> {
+    /// The slab holds at most this many labels (rounded up to a power of
+    /// two); reads farther than the slab are far.
+    Ring(u32),
+    /// The reads `is_far(out, a)` names are far; the slab covers the
+    /// rest.
+    FarReads(&'f dyn Fn(u32, u32) -> bool),
+}
+
+/// What [`route_far_reads`] decided for a stream.
+#[derive(Debug, Default)]
+struct FarReads {
+    /// `store slot << 1 | last read`, in consumption order.
+    reads: Vec<u32>,
+    /// `(address, store slot)`, ascending by address.
+    sources: Vec<(u32, u32)>,
+    /// Store slots handed out: the queue's peak occupancy.
+    queue_bound: usize,
+    /// The longest read left in the slab.
+    max_near: u32,
+}
+
+/// Rewrites every read `is_far(out, a)` names to the [`OOR_SLOT`]
 /// sentinel and simulates the OoRW queue over the stream — an entry
 /// lives from the write of its producing address to its last far read —
-/// handing each source a store slot from a free list. Returns the read
-/// stream (`slot << 1 | last read`, consumption order), the sources
-/// (`(address, slot)`, ascending) and the number of slots handed out,
-/// which is the queue's peak occupancy: a slot is minted only when
-/// every earlier one is occupied.
+/// handing each source a store slot from a free list. The predicate is
+/// the pass's one parameter: the slab ring (`out - a > window`) for
+/// served plans, the half-sliding SWW for the simulator's. Returns the
+/// read stream (`slot << 1 | last read`, consumption order), the sources
+/// (`(address, slot)`, ascending), the number of slots handed out, which
+/// is the queue's peak occupancy — a slot is minted only when every
+/// earlier one is occupied — and the longest read left in the slab.
 ///
 /// The stream is swept **backwards**, so the first far read met of an
 /// address is its last in stream order (no counting pass) and the
@@ -442,8 +554,8 @@ fn and_runs(instrs: &[SlotInstr], first_out: u32) -> Vec<u8> {
 fn route_far_reads(
     instrs: &mut [SlotInstr],
     first_out: u32,
-    window: u32,
-) -> (Vec<u32>, Vec<(u32, u32)>, usize) {
+    is_far: impl Fn(u32, u32) -> bool,
+) -> FarReads {
     // Store slot + 1 of every address whose entry is live at the sweep
     // position; 0 elsewhere.
     let mut queued = vec![0u32; first_out as usize + instrs.len()];
@@ -451,6 +563,7 @@ fn route_far_reads(
     let mut sources = Vec::new();
     let mut free: Vec<u32> = Vec::new();
     let mut slots = 0u32;
+    let mut max_near = 0u32;
     let mut written = |queued: &mut [u32], free: &mut Vec<u32>, addr: u32| {
         let slot = std::mem::take(&mut queued[addr as usize]);
         if slot != 0 {
@@ -462,7 +575,7 @@ fn route_far_reads(
         let out = first_out + i as u32;
         written(&mut queued, &mut free, out);
         let mut route = |operand: &mut u32| {
-            if out - *operand > window {
+            if is_far(out, *operand) {
                 let entry = &mut queued[*operand as usize];
                 let last = *entry == 0;
                 if last {
@@ -473,6 +586,8 @@ fn route_far_reads(
                 }
                 reads.push((*entry - 1) << 1 | u32::from(last));
                 *operand = OOR_SLOT;
+            } else {
+                max_near = max_near.max(out - *operand);
             }
         };
         // `b` before `a`: the reverse of consumption order.
@@ -490,7 +605,7 @@ fn route_far_reads(
     }
     reads.reverse();
     sources.reverse();
-    (reads, sources, slots as usize)
+    FarReads { reads, sources, queue_bound: slots as usize, max_near }
 }
 
 /// Static liveness peak over a renamed stream — the same quantity
@@ -761,6 +876,9 @@ mod tests {
         assert_eq!(read_slots, [1, 3, 1, 4, 6].map(slot_of));
         assert!(read_slots.iter().all(|&slot| (slot as usize) < p.oor_queue_bound()));
         assert_eq!(slot_of(6), slot_of(3), "6 takes the slot 3 gave up");
+        // The ring is one value of the routing predicate.
+        let ring = |out: u32, a: u32| out - a > 2;
+        assert_eq!(SlotProgram::with_far_reads(instrs.clone(), 1, 1, vec![9], ring), Ok(p.clone()));
         // The window is an upper bound: from the natural size up, the
         // natural plan comes back.
         let natural = SlotProgram::new(instrs.clone(), 1, 1, vec![9]).unwrap();

@@ -35,7 +35,7 @@ use crate::block::{Block, Delta};
 use crate::evaluate::{eval_and_batch, eval_inv, eval_xor};
 use crate::garble::{decode_outputs, garble_and_batch, garble_inv, garble_xor, MAX_AND_BATCH};
 use crate::hash::{CryptoCounters, GateHash, HashScheme};
-use crate::slab::{SlabState, SlotInstr, SlotOp, SlotProgram};
+use crate::slab::{rename_in_order, SlabState, SlotOp, SlotProgram};
 
 /// Sentinel for "never dies" (circuit outputs live to the end).
 const LIVE_FOREVER: usize = usize::MAX;
@@ -588,39 +588,19 @@ fn eval_slab(
 }
 
 /// Lowers a circuit into the baseline-order [`SlotProgram`]: identity
-/// gate order, wires renamed to sequential addresses (input wire `w` →
-/// address `w + 1`, gate `i`'s output → `num_inputs + 1 + i`).
-///
-/// This is the renaming half of the HAAC compiler, inlined for callers
-/// that don't need the full pass pipeline, at the **natural** window
-/// (it never spills, however large the circuit); `haac-core`'s
-/// `lower_for_streaming` reaches the same program through the compiler
-/// proper — the two are equivalence-tested against each other — and
-/// caps the slab at the paper's 2 MB SWW.
+/// gate order through [`rename_in_order`] (input wire `w` → address
+/// `w + 1`, gate `i`'s output → `num_inputs + 1 + i`), at the
+/// **natural** window — it never spills, however large the circuit.
+/// `haac-core`'s `lower_for_streaming` renames the same order and caps
+/// the slab at the paper's 2 MB SWW.
 ///
 /// # Panics
 ///
 /// Panics only if the circuit violates its own SSA/topological
 /// invariants (impossible for `Circuit`s built through the public API).
 pub fn baseline_plan(circuit: &Circuit) -> SlotProgram {
-    let num_inputs = circuit.num_inputs();
-    let first_out = num_inputs + 1;
-    let mut addr = vec![0u32; circuit.num_wires() as usize];
-    for w in 0..num_inputs {
-        addr[w as usize] = w + 1;
-    }
-    let mut instrs = Vec::with_capacity(circuit.num_gates());
-    for (i, gate) in circuit.gates().iter().enumerate() {
-        addr[gate.out as usize] = first_out + i as u32;
-        let a = addr[gate.a as usize];
-        let (op, b) = match gate.op {
-            GateOp::And => (SlotOp::And, addr[gate.b as usize]),
-            GateOp::Xor => (SlotOp::Xor, addr[gate.b as usize]),
-            GateOp::Inv => (SlotOp::Inv, a),
-        };
-        instrs.push(SlotInstr { a, b, op });
-    }
-    let output_addrs = circuit.outputs().iter().map(|&w| addr[w as usize]).collect();
+    let order: Vec<u32> = (0..circuit.num_gates() as u32).collect();
+    let (instrs, output_addrs) = rename_in_order(circuit, &order);
     SlotProgram::new(instrs, circuit.garbler_inputs(), circuit.evaluator_inputs(), output_addrs)
         .expect("a valid circuit always lowers")
 }

@@ -524,10 +524,10 @@ fn expect_message<C: Channel + ?Sized>(
 /// cheap check stops at the aggregates. Debug builds additionally
 /// re-lower **baseline** plans (same window, so plans that spill to
 /// the OoRW queue are covered) and require exact equality; reordered
-/// plans skip the rebuild — the tag names a schedule *family*, and
-/// `plan_from_program` explicitly supports custom orders within it, so
-/// a canonical rebuild would falsely reject valid mutually-agreed
-/// plans.
+/// plans skip the rebuild — the tag names a schedule *family*, and a
+/// `SlotProgram` may be renamed from any order within it
+/// (`haac_gc::rename_in_order`), so a canonical rebuild would falsely
+/// reject valid mutually-agreed plans.
 fn check_plan(plan: &StreamingPlan, circuit: &Circuit) -> Result<(), RuntimeError> {
     let p = &plan.program;
     let mismatch = p.garbler_inputs() != circuit.garbler_inputs()

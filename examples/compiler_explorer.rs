@@ -2,27 +2,29 @@
 //! (the paper's Fig. 5, live).
 //!
 //! Prints the instruction stream of a small circuit after each compiler
-//! stage — baseline assembly, full reordering, renaming, ESW, and OoR
-//! marking — then shows how the choices change wire traffic.
+//! stage — baseline renaming, full reordering + renaming, and far-read
+//! routing with the live bits eliminating spent wires leaves — then
+//! shows how the choices change wire traffic.
 //!
 //! Run with: `cargo run --release --example compiler_explorer`
 
 use haac::core::compiler::{self, ReorderKind};
 use haac::core::sim::{map_and_simulate, HaacConfig};
 use haac::core::WindowModel;
+use haac::gc::{rename_in_order, SlotInstr};
 use haac::prelude::*;
 
-fn print_program(title: &str, p: &haac::core::Program) {
+fn print_stage(title: &str, first_out: u32, instrs: &[SlotInstr], live: &[bool]) {
     println!("--- {title} ---");
-    for (i, instr) in p.instructions.iter().enumerate() {
+    for (i, instr) in instrs.iter().enumerate() {
         println!(
-            "  {:>2}: {} {:>2}, {:>2} -> {}{}",
+            "  {:>2}: {:?} {:>2}, {:>2} -> {}{}",
             i,
             instr.op,
             instr.a,
             instr.b,
-            p.output_addr(i),
-            if instr.live { "  [live]" } else { "" },
+            first_out + i as u32,
+            if live.get(i) == Some(&true) { "  [live]" } else { "" },
         );
     }
 }
@@ -41,20 +43,25 @@ fn main() {
 
     // A deliberately tiny SWW (4 wires) so the window actually slides.
     let window = WindowModel::new(4);
+    let first_out = circuit.num_inputs() + 1;
 
-    let baseline = compiler::assemble(&circuit);
-    print_program("baseline (renamed, original order)", &baseline);
+    let baseline: Vec<u32> = (0..circuit.num_gates() as u32).collect();
+    let (instrs, _) = rename_in_order(&circuit, &baseline);
+    print_stage("baseline (renamed, original order)", first_out, &instrs, &[]);
 
-    let full = compiler::full_reorder(&circuit);
-    print_program("full reorder + rename (level order)", &full);
+    let full = compiler::gate_order(&circuit, ReorderKind::Full, window);
+    let (instrs, _) = rename_in_order(&circuit, &full);
+    print_stage("full reorder + rename (level order)", first_out, &instrs, &[]);
 
-    let mut esw = full.clone();
-    compiler::eliminate_spent_wires(&mut esw, window);
-    print_program("after ESW (live bits minimized)", &esw);
-
-    let lowered = compiler::mark_out_of_range(&esw, window);
-    print_program("after OoR marking (0 = OoRW queue)", &lowered.program);
-    println!("OoR address streams per instruction: {:?}", lowered.oor_addrs);
+    let (plan, _) = compiler::compile(&circuit, ReorderKind::Full, window);
+    let live = compiler::live_bits(&plan);
+    print_stage(
+        "far reads routed (0 = OoRW queue); live = ESW's survivors",
+        first_out,
+        plan.instrs(),
+        &live,
+    );
+    println!("OoRW sources (address, store slot): {:?}", plan.oor_sources());
 
     // Now at benchmark scale: compare the three schedules on MatMult.
     println!();
@@ -66,8 +73,8 @@ fn main() {
         "schedule", "cycles", "OoR", "live wires", "spent %"
     );
     for kind in [ReorderKind::Baseline, ReorderKind::Segment, ReorderKind::Full] {
-        let (lowered, stats) = compiler::compile(&w.circuit, kind, config.window());
-        let report = map_and_simulate(&lowered, &config);
+        let (plan, stats) = compiler::compile(&w.circuit, kind, config.window());
+        let report = map_and_simulate(&plan, &config);
         println!(
             "  {:<10} {:>10} {:>10} {:>12} {:>9.1}%",
             kind.label(),

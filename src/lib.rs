@@ -13,7 +13,7 @@
 //! | [`runtime`] | Streaming two-party execution: pluggable channels (in-memory, TCP), framed table streaming, sessions |
 //! | [`server`] | Multi-session garbling service: concurrent evaluator connections multiplexed over a shared gate-engine pool, with a circuit cache and session registry |
 //! | [`workloads`] | The eight VIP-Bench workloads + Table 5 microbenchmarks |
-//! | [`core`] | The HAAC ISA, optimizing compiler, cycle-level simulator, area/power/energy model |
+//! | [`core`] | The HAAC optimizing compiler, cycle-level simulator, area/power/energy model |
 //!
 //! See `README.md` for a tour: its "Crate map" is the system
 //! inventory, and "Reproducing the paper's evaluation" and
@@ -44,8 +44,8 @@
 //!
 //! // 3. Compile it for HAAC and simulate the accelerator.
 //! let config = HaacConfig::default(); // 16 GEs, 2 MB SWW, DDR4
-//! let (lowered, _) = compile(&circuit, ReorderKind::Full, config.window());
-//! let report = map_and_simulate(&lowered, &config);
+//! let (plan, _) = compile(&circuit, ReorderKind::Full, config.window());
+//! let report = map_and_simulate(&plan, &config);
 //! assert!(report.cycles > 0);
 //! ```
 
@@ -62,9 +62,9 @@ pub use haac_workloads as workloads;
 pub mod prelude {
     pub use haac_circuit::{from_bits, to_bits, Bit, Builder, Circuit, GateOp, Word};
     pub use haac_core::compiler::{compile, CompileStats, ReorderKind};
-    pub use haac_core::exec::run_gc_through_streams;
     pub use haac_core::lower::{
-        lower_for_streaming, lower_with_reorder, lower_with_window, StreamingPlan,
+        lower_for_streaming, lower_with_reorder, lower_with_window, run_gc_through_streams,
+        StreamingPlan,
     };
     pub use haac_core::sim::{map_and_simulate, DramKind, HaacConfig, Role, SimReport};
     pub use haac_core::WindowModel;
@@ -87,8 +87,8 @@ mod tests {
     fn facade_exposes_a_working_pipeline() {
         let w = build_workload(WorkloadKind::DotProduct, Scale::Small);
         let config = HaacConfig { num_ges: 2, sww_bytes: 4096, ..HaacConfig::default() };
-        let (lowered, _) = compile(&w.circuit, ReorderKind::Segment, config.window());
-        let report = map_and_simulate(&lowered, &config);
+        let (plan, _) = compile(&w.circuit, ReorderKind::Segment, config.window());
+        let report = map_and_simulate(&plan, &config);
         assert!(report.seconds > 0.0);
     }
 }

@@ -35,14 +35,13 @@ fn parsed_bristol_compiles_and_garbles_on_haac() {
     let text = "3 7\n2 2 1\n\n2 1 0 2 4 AND\n1 1 1 5 INV\n2 1 4 5 6 XOR\n";
     let circuit = bristol::parse(text).unwrap();
     let window = WindowModel::new(8);
-    let (lowered, _) = compile(&circuit, ReorderKind::Full, window);
+    let (plan, _) = compile(&circuit, ReorderKind::Full, window);
     let mut rng = StdRng::seed_from_u64(77);
     for bits in 0..16u32 {
         let g = vec![bits & 1 != 0, bits & 2 != 0];
         let e = vec![bits & 4 != 0, bits & 8 != 0];
         let expect = circuit.eval(&g, &e).unwrap();
-        let got = run_gc_through_streams(&lowered, window, &g, &e, &mut rng, HashScheme::Rekeyed)
-            .unwrap();
+        let got = run_gc_through_streams(&plan, &g, &e, &mut rng, HashScheme::Rekeyed);
         assert_eq!(got, expect, "input pattern {bits:#06b}");
     }
 }
@@ -55,20 +54,4 @@ fn pruned_workload_still_verifies_end_to_end() {
     assert_eq!(out, w.expected);
     // Workload generators are already lean; pruning must not grow them.
     assert!(report.circuit.num_gates() <= w.circuit.num_gates());
-}
-
-#[test]
-fn instruction_streams_roundtrip_through_binary_encoding() {
-    use haac::core::Program;
-    let w = build_workload(WorkloadKind::Relu, Scale::Small);
-    let window = WindowModel::new(1024);
-    let (lowered, _) = compile(&w.circuit, ReorderKind::Segment, window);
-    let bytes = lowered.program.encode(window.sww_wires());
-    let decoded = Program::decode_instructions(
-        &bytes,
-        window.sww_wires(),
-        lowered.program.first_output_addr(),
-    )
-    .unwrap();
-    assert_eq!(decoded, lowered.program.instructions);
 }

@@ -46,16 +46,14 @@ fn every_workload_survives_haac_compilation_at_multiple_sww_sizes() {
         for sww_wires in [64u32, 1024] {
             let window = WindowModel::new(sww_wires);
             for strategy in [ReorderKind::Baseline, ReorderKind::Segment, ReorderKind::Full] {
-                let (lowered, _) = compile(&w.circuit, strategy, window);
+                let (plan, _) = compile(&w.circuit, strategy, window);
                 let got = run_gc_through_streams(
-                    &lowered,
-                    window,
+                    &plan,
                     &w.garbler_bits,
                     &w.evaluator_bits,
                     &mut rng,
                     HashScheme::Rekeyed,
-                )
-                .unwrap_or_else(|e| panic!("{} sww={sww_wires} {strategy:?}: {e}", kind.name()));
+                );
                 assert_eq!(got, w.expected, "{} sww={sww_wires} {strategy:?}", kind.name());
             }
         }
@@ -80,8 +78,8 @@ fn every_workload_simulates_on_the_default_accelerator() {
     let config = HaacConfig { num_ges: 4, sww_bytes: 16 * 1024, ..HaacConfig::default() };
     for kind in WorkloadKind::ALL {
         let w = build_workload(kind, Scale::Small);
-        let (lowered, stats) = compile(&w.circuit, ReorderKind::Segment, config.window());
-        let report = map_and_simulate(&lowered, &config);
+        let (plan, stats) = compile(&w.circuit, ReorderKind::Segment, config.window());
+        let report = map_and_simulate(&plan, &config);
         assert_eq!(report.instructions as usize, stats.instructions, "{}", kind.name());
         assert!(report.cycles > 0, "{}", kind.name());
         // An accelerator issuing ≤ num_ges instructions/cycle can't beat

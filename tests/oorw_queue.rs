@@ -6,8 +6,7 @@
 
 use haac::core::lower::served_window;
 use haac::core::{
-    compiler, lower_for_streaming, lower_with_reorder, lower_with_window, plan_from_program,
-    ReorderKind, WindowModel,
+    lower_for_streaming, lower_with_reorder, lower_with_window, ReorderKind, WindowModel,
 };
 use haac::gc::{HashScheme, StreamingEvaluator, StreamingGarbler};
 use haac::prelude::*;
@@ -115,14 +114,10 @@ fn a_circuit_longer_than_the_sww_spills_under_the_plain_served_lowering() {
     let g_bits = [true, false, true, true];
     let e_bits = [false, true, true, false];
     let sww = served_window();
+    // A cap this far above the circuit leaves the natural slab.
+    let unbounded = WindowModel::new(1 << 30);
     for kind in [ReorderKind::Baseline, ReorderKind::Full, ReorderKind::Segment] {
-        let natural = plan_from_program(
-            &compiler::reorder(&c, kind, sww),
-            c.garbler_inputs(),
-            c.evaluator_inputs(),
-            kind,
-        )
-        .unwrap();
+        let natural = lower_with_window(&c, kind, unbounded);
         assert!(!natural.program.has_oor(), "{kind:?}");
         assert!(natural.program.slot_wires() > sww.sww_wires(), "{kind:?}: the test needs a spill");
 

@@ -11,8 +11,8 @@
 //! message in `haac-runtime`'s session tests; below the session layer,
 //! the slab garbler's chunks are compared here with the oracle
 //! `haac_gc::garble` on the raw netlist, and the plans themselves — one
-//! schedule for the simulator and the executors, AND runs fixed at
-//! lowering — are held to what the compiler promises.
+//! schedule and one program for the simulator and the executors, AND
+//! runs fixed at lowering — are held to what the compiler promises.
 
 use haac::prelude::*;
 use rand::rngs::StdRng;
@@ -112,35 +112,46 @@ fn slab_garblers_stream_identical_tables_on_every_workload() {
 const REORDERS: [ReorderKind; 3] = [ReorderKind::Baseline, ReorderKind::Full, ReorderKind::Segment];
 
 #[test]
-fn the_direct_emitter_and_the_program_road_lower_every_workload_identically() {
-    // One schedule, two consumers: `lower_with_reorder` emits slot
-    // instructions straight from `compiler::gate_order`, the simulator
-    // gets the same order renamed into a `Program` by
-    // `compiler::reorder`. Lowering that program at the served window
-    // must give the same plan, and at `Small` no kind may spill — the
-    // bank and the pooled garbler only take in-window plans.
-    use haac_core::compiler::reorder;
-    use haac_core::lower::served_window;
-    use haac_core::plan_from_program_with_window;
+fn compiled_and_served_plans_garble_identical_tables_on_every_workload() {
+    // One schedule and one renaming pass under two window predicates:
+    // the plan the simulator reads — routed under a 256-label sliding
+    // SWW, so every workload has far reads — and the served plan garble
+    // byte-identical tables from one seed, and both decode the
+    // plaintext. No served `Small` plan spills: the bank and the pooled
+    // garbler only take in-window plans.
+    use haac::core::compiler::{compile_order, gate_order};
+    use haac::core::lower::served_window;
+    use haac_gc::{SlotProgram, StreamingEvaluator, StreamingGarbler};
 
+    let stream = |plan: &SlotProgram, w: &haac::workloads::Workload| {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut garbler = StreamingGarbler::with_plan(plan, &mut rng, HashScheme::Rekeyed);
+        let inputs = garbler.encode_inputs(&w.garbler_bits, &w.evaluator_bits);
+        let mut evaluator = StreamingEvaluator::with_plan(plan, inputs, HashScheme::Rekeyed);
+        let mut tables = Vec::new();
+        while let Some(part) = garbler.next_tables(1024) {
+            evaluator.feed(&part);
+            tables.extend(part);
+        }
+        let decode = garbler.finish().output_decode;
+        assert_eq!(evaluator.finish(&decode).outputs, w.expected, "{}", w.kind.name());
+        (tables, decode)
+    };
     let sww = served_window();
     assert_eq!(sww.sww_wires(), 131_072, "the paper's 2 MB SWW");
+    let tight = WindowModel::new(256);
     for kind in WorkloadKind::ALL {
         let w = build_workload(kind, Scale::Small);
         for reorder_kind in REORDERS {
             let name = format!("{} {reorder_kind:?}", kind.name());
-            let direct = lower_with_reorder(&w.circuit, reorder_kind);
-            let by_program = plan_from_program_with_window(
-                &reorder(&w.circuit, reorder_kind, sww),
-                w.circuit.garbler_inputs(),
-                w.circuit.evaluator_inputs(),
-                reorder_kind,
-                sww,
-            )
-            .unwrap();
-            assert_eq!(direct.program, by_program.program, "{name}");
-            assert!(!direct.program.has_oor(), "{name}: a Small plan must stay in-window");
-            assert!(direct.window.sww_wires() <= sww.sww_wires(), "{name}");
+            let served = lower_with_reorder(&w.circuit, reorder_kind);
+            assert!(!served.program.has_oor(), "{name}: a Small plan must stay in-window");
+            assert!(served.window.sww_wires() <= sww.sww_wires(), "{name}");
+            let order = gate_order(&w.circuit, reorder_kind, sww);
+            let (compiled, stats) = compile_order(&w.circuit, &order, tight);
+            assert!(compiled.has_oor(), "{name}: 256 labels must force far reads");
+            assert_eq!(stats.oor_count, compiled.oor_read_count(), "{name}");
+            assert_eq!(stream(&compiled, &w), stream(&served.program, &w), "{name}");
         }
     }
 }

@@ -6,8 +6,8 @@
 //! - builder word ops match native u64 arithmetic;
 //! - FP32 circuits match the reference semantics bit-for-bit;
 //! - garble∘evaluate∘decode == plaintext on random DAG circuits;
-//! - compiler passes (reorder/rename/ESW/OoR) preserve semantics at
-//!   arbitrary SWW sizes;
+//! - compiled plans (reorder/rename/far-read routing under the sliding
+//!   SWW) preserve semantics at arbitrary SWW sizes;
 //! - the slab executors stream the natural plan's transcript at any
 //!   slab window, through the statically slotted OoRW store;
 //! - the SWW window math satisfies its residency contract.
@@ -144,11 +144,9 @@ proptest! {
         let window = WindowModel::new(sww);
         let mut rng = StdRng::seed_from_u64(seed);
         for kind in [ReorderKind::Baseline, ReorderKind::Segment, ReorderKind::Full] {
-            let (lowered, _) = compile(&c, kind, window);
-            let got = run_gc_through_streams(
-                &lowered, window, &g_bits, &e_bits, &mut rng, HashScheme::Rekeyed,
-            );
-            prop_assert_eq!(got.unwrap(), expect.clone(), "{:?} sww={}", kind, sww);
+            let (plan, _) = compile(&c, kind, window);
+            let got = run_gc_through_streams(&plan, &g_bits, &e_bits, &mut rng, HashScheme::Rekeyed);
+            prop_assert_eq!(got, expect.clone(), "{:?} sww={}", kind, sww);
         }
     }
 

@@ -85,8 +85,9 @@ impl StreamingPlan {
 }
 
 /// The window every served plan is capped at: the paper's 2 MB SWW,
-/// 131 072 labels — the one the simulator uses by default ([`HaacConfig::default`]). Half of it,
-/// 65 536 instructions, is the segment of [`ReorderKind::Segment`].
+/// 131 072 labels — the one the simulator uses by default
+/// ([`HaacConfig::default`]). Half of it, 65 536 instructions, is the
+/// segment of [`ReorderKind::Segment`].
 pub fn served_window() -> WindowModel {
     HaacConfig::default().window()
 }

@@ -187,6 +187,16 @@ mod tests {
     }
 
     #[test]
+    fn compiler_lowering_matches_the_gc_baseline_plan() {
+        // Two roads to the same renamed stream: the compiler pipeline
+        // here and haac-gc's inline baseline renaming must agree
+        // exactly — they are the same pass.
+        let c = mixed_circuit();
+        let plan = lower_for_streaming(&c);
+        assert_eq!(plan.program, haac_gc::baseline_plan(&c));
+    }
+
+    #[test]
     fn plan_window_admits_every_read_and_bounds_peak_live() {
         let c = mixed_circuit();
         let plan = lower_for_streaming(&c);

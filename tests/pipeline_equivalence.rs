@@ -112,6 +112,33 @@ fn slab_garblers_stream_identical_tables_on_every_workload() {
 const REORDERS: [ReorderKind; 3] = [ReorderKind::Baseline, ReorderKind::Full, ReorderKind::Segment];
 
 #[test]
+fn the_direct_emitter_and_the_program_road_lower_every_workload_identically() {
+    // One schedule, two consumers: `lower_with_reorder` emits the served
+    // plan under the slab's ring, the simulator gets its program from
+    // `compile` under the sliding SWW. At the served window no `Small`
+    // read is far under either predicate, so the two plans must be
+    // equal — and no kind may spill, as the bank and the pooled garbler
+    // only take in-window plans.
+    use haac::core::compile;
+    use haac::core::lower::served_window;
+
+    let sww = served_window();
+    assert_eq!(sww.sww_wires(), 131_072, "the paper's 2 MB SWW");
+    for kind in WorkloadKind::ALL {
+        let w = build_workload(kind, Scale::Small);
+        for reorder_kind in REORDERS {
+            let name = format!("{} {reorder_kind:?}", kind.name());
+            let direct = lower_with_reorder(&w.circuit, reorder_kind);
+            let (by_program, stats) = compile(&w.circuit, reorder_kind, sww);
+            assert_eq!(stats.oor_count, 0, "{name}");
+            assert_eq!(direct.program, by_program, "{name}");
+            assert!(!direct.program.has_oor(), "{name}: a Small plan must stay in-window");
+            assert!(direct.window.sww_wires() <= sww.sww_wires(), "{name}");
+        }
+    }
+}
+
+#[test]
 fn compiled_and_served_plans_garble_identical_tables_on_every_workload() {
     // One schedule and one renaming pass under two window predicates:
     // the plan the simulator reads — routed under a 256-label sliding

@@ -8,9 +8,9 @@
 //!
 //! [`garble`] is the crate's **oracle** and the paper's "CPU GC"
 //! baseline: one straight-line loop over the netlist with every label
-//! resident. The executors ([`crate::StreamingGarbler`],
-//! [`crate::garble_plan_in`]) are each tested to reproduce its
-//! transcript bit for bit.
+//! resident. The slab executor ([`crate::StreamingGarbler`], also
+//! behind the ahead-of-time [`crate::garble_plan_in`]) is tested to
+//! reproduce its transcript bit for bit.
 
 use rand::Rng;
 
@@ -196,7 +196,7 @@ pub fn garble_inv(delta: Delta, w0a: Block) -> Block {
 /// draw order so a shared seed yields the same garbling.
 ///
 /// **Never optimise this function.** It is the specification: the
-/// slab executors and the pooled wave scheduler are checked against
+/// slab executors are checked against
 /// its Δ, labels, tables, decode string and [`CryptoCounters`], and
 /// `haac-bench`'s `paper` binary times it as the CPU baseline HAAC's
 /// speedups are quoted over. Make the executors faster instead.

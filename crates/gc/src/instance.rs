@@ -1,14 +1,16 @@
-//! Banked pre-garbled instances: serialization and byte replay.
+//! Banked pre-garbled instances: the ahead-of-time drain, a byte
+//! format, and replay.
 //!
 //! HAAC's premise is that garbling is embarrassingly precomputable —
 //! tables depend only on the circuit and the garbler's randomness, never
 //! on either party's inputs. A serving stack exploits that by garbling
-//! *off the request path*: a [`PlanGarbling`] produced by
-//! [`garble_plan_in`](crate::garble_plan_in) during idle capacity is
-//! serialized into a bank ([`PlanGarbling::to_bytes`]), and at request
-//! time a [`BankedGarbler`] replays the stored tables chunk-for-chunk
-//! with **zero online cipher work** — only the OT/input phase still
-//! computes.
+//! *off the request path*: [`garble_plan_in`] runs the streaming
+//! garbler's slab loop to completion during idle capacity, a bank
+//! shelves the resulting [`PlanGarbling`], and at request time a
+//! [`BankedGarbler`] replays the stored tables chunk-for-chunk with
+//! **zero online cipher work** — only the OT/input phase still
+//! computes. [`PlanGarbling::to_bytes`] and
+//! [`PlanGarbling::from_bytes`] give an instance a checked byte form.
 //!
 //! Unlike CRGC-style reusable circuits, a banked instance is strictly
 //! **one-time-use**: FreeXOR ties every label pair to one global Δ, so
@@ -18,11 +20,85 @@
 //! bank's claim API moves it out of storage.
 
 use haac_circuit::WireId;
+use rand::Rng;
 
 use crate::block::{Block, Delta};
-use crate::engine::PlanGarbling;
-use crate::hash::CryptoCounters;
-use crate::stream::GarblerFinish;
+use crate::engine::EnginePool;
+use crate::hash::{CryptoCounters, HashScheme};
+use crate::slab::SlotProgram;
+use crate::stream::{GarblerFinish, StreamingGarbler};
+
+/// A whole garbling of a renamed [`SlotProgram`], made ahead of time by
+/// [`garble_plan_in`]: everything the protocol ships or keeps, without
+/// per-wire labels (the slab forgets a label the moment its window
+/// slides past, exactly as it does online).
+///
+/// Bit-identical to driving [`StreamingGarbler::with_plan`] to
+/// completion with the same seed: same Δ, same input labels, same table
+/// stream, same decode string, same cipher counters.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanGarbling {
+    /// The global FreeXOR offset.
+    pub delta: Delta,
+    /// Zero labels of all primary inputs (garbler inputs first).
+    pub input_zero_labels: Vec<Block>,
+    /// The garbled AND tables, in stream order.
+    pub tables: Vec<[Block; 2]>,
+    /// Permute bits of the output wires' zero labels.
+    pub output_decode: Vec<bool>,
+    /// Cipher work performed.
+    pub crypto: CryptoCounters,
+}
+
+impl PlanGarbling {
+    /// Encodes both parties' cleartext bits into active input labels
+    /// (garbler bits first), as [`StreamingGarbler::encode_inputs`]
+    /// does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the combined width does not match the garbling's input
+    /// count.
+    pub fn encode_inputs(&self, garbler_bits: &[bool], evaluator_bits: &[bool]) -> Vec<Block> {
+        assert_eq!(
+            garbler_bits.len() + evaluator_bits.len(),
+            self.input_zero_labels.len(),
+            "input width"
+        );
+        garbler_bits
+            .iter()
+            .chain(evaluator_bits)
+            .zip(&self.input_zero_labels)
+            .map(|(&bit, &zero)| if bit { zero ^ self.delta.block() } else { zero })
+            .collect()
+    }
+}
+
+/// Garbles a whole renamed [`SlotProgram`] ahead of time: the
+/// [`StreamingGarbler`] slab loop drained in one call, so a banked
+/// instance comes out of the same loop as every online session.
+///
+/// The transcript — Δ, input labels, every table, the decode string,
+/// the cipher counters — is the streaming garbler's for the same seed.
+/// A plan whose slab is below its natural window reads its far operands
+/// from the OoRW store here exactly as it does online.
+///
+/// `pool` is unused: the drain runs on the calling thread, and the
+/// argument only keeps the signature its callers already use.
+pub fn garble_plan_in<R: Rng + ?Sized>(
+    plan: &SlotProgram,
+    rng: &mut R,
+    scheme: HashScheme,
+    _pool: &EnginePool,
+) -> PlanGarbling {
+    let mut garbler = StreamingGarbler::with_plan(plan, rng, scheme);
+    let delta = garbler.delta();
+    let input_zero_labels = garbler.take_input_zero_labels();
+    let mut tables = Vec::with_capacity(plan.and_count());
+    garbler.next_tables_into(usize::MAX, &mut tables);
+    let GarblerFinish { output_decode, crypto, .. } = garbler.finish();
+    PlanGarbling { delta, input_zero_labels, tables, output_decode, crypto }
+}
 
 /// Serialization format tag: bumped on any layout change so a stale
 /// bank is refused loudly instead of deserializing garbage.
@@ -167,10 +243,10 @@ impl PlanGarbling {
 
 /// Replays a pre-garbled instance through the streaming-garbler surface.
 ///
-/// Mirrors [`StreamingGarbler`](crate::StreamingGarbler) closely enough
-/// that a session driver is generic over the two: input labels are
-/// available until the first chunk is pulled, chunks come out in stream
-/// order via [`next_tables_into`](Self::next_tables_into), and
+/// Mirrors [`StreamingGarbler`] closely enough that a session driver is
+/// generic over the two: input labels are available until the first
+/// chunk is pulled, chunks come out in stream order via
+/// [`next_tables_into`](Self::next_tables_into), and
 /// [`finish`](Self::finish) consumes the garbler. The difference is the
 /// cost model — every "garbled" chunk is a memcpy from storage, so
 /// [`finish`](Self::finish) reports **zero** online cipher work (the
@@ -253,9 +329,9 @@ impl BankedGarbler {
     /// Copies the next chunk of up to `max_tables` stored tables into
     /// `tables`, dropping the input labels on the first call. Returns
     /// `false` once the replay is exhausted — same contract as
-    /// [`StreamingGarbler::next_tables_into`](crate::StreamingGarbler::next_tables_into),
-    /// so the chunk framing on the wire is identical to an online
-    /// garbling with the same chunk size.
+    /// [`StreamingGarbler::next_tables_into`], so the chunk framing on
+    /// the wire is identical to an online garbling with the same chunk
+    /// size.
     pub fn next_tables_into(&mut self, max_tables: usize, tables: &mut Vec<[Block; 2]>) -> bool {
         assert!(max_tables > 0, "chunk capacity must be positive");
         tables.clear();
@@ -317,9 +393,7 @@ impl BankedGarbler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{garble_plan_in, EnginePool};
-    use crate::stream::{baseline_plan, StreamingGarbler};
-    use crate::HashScheme;
+    use crate::stream::baseline_plan;
     use haac_circuit::Builder;
     use rand::{rngs::StdRng, SeedableRng};
 

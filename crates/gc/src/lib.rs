@@ -29,13 +29,16 @@
 //! - **one label store** — the tagless slot slab ([`slab`]) a renamed
 //!   [`SlotProgram`] indexes, behind [`StreamingGarbler`] and
 //!   [`StreamingEvaluator`] ([`stream`]).
-//! - **one wave scheduler** — [`garble_plan_in`] fans a plan's
-//!   independent AND gates across a shared [`EnginePool`] ([`engine`]),
-//!   mirroring HAAC's parallel gate engines.
+//! - **one garbling loop** — the slab loop behind [`StreamingGarbler`].
+//!   It batches the plan's runs of independent AND gates through one
+//!   cipher call, mirroring HAAC's parallel gate engines, and
+//!   [`garble_plan_in`] runs it to completion ahead of time for a bank
+//!   ([`instance`]).
 //!
 //! Two-party sessions (real OT, channels, framing) live in
 //! `haac-runtime`; this crate supplies their state machines ([`ot`],
-//! [`ot_ext`]) and the stored-instance format ([`instance`]).
+//! [`ot_ext`]), the stored-instance format ([`instance`]) and the
+//! worker pool a server runs sessions on ([`engine`]).
 //!
 //! # Examples
 //!
@@ -75,14 +78,14 @@ pub mod stream;
 
 pub use aes::{active_backend, AesBackend};
 pub use block::{tables_from_wire, tables_to_wire, Block, Delta, TABLE_BYTES};
-pub use engine::{garble_plan_in, EnginePool, PlanGarbling, PoolStats};
+pub use engine::{EnginePool, PoolStats};
 pub use evaluate::{eval_and, eval_and_batch, eval_inv, eval_xor, evaluate};
 pub use garble::{
     decode_outputs, garble, garble_and, garble_and_batch, garble_inv, garble_xor, GarbledCircuit,
     Garbling, MAX_AND_BATCH,
 };
 pub use hash::{CryptoCounters, GateHash, HashScheme, OT_BASE_TWEAK, OT_EXT_TWEAK};
-pub use instance::{BankedGarbler, InstanceDecodeError};
+pub use instance::{garble_plan_in, BankedGarbler, InstanceDecodeError, PlanGarbling};
 pub use ot::OtError;
 pub use ot_ext::{OtExtReceiver, OtExtSender, KAPPA as OT_EXT_KAPPA};
 pub use slab::{rename_in_order, SlotInstr, SlotOp, SlotProgram, OOR_SLOT};

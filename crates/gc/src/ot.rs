@@ -188,7 +188,9 @@ pub mod base {
         acc
     }
 
-    /// Group invert, via Fermat: `a^(p−2) mod p`.
+    /// Group invert, via Fermat: `a^(p−2) mod p`. Only the algebra
+    /// tests invert; the protocol never does.
+    #[cfg(test)]
     pub fn inv_mod(a: u128) -> u128 {
         pow_mod(a, P - 2)
     }

@@ -673,8 +673,8 @@ impl SlabLabels {
     }
 }
 
-/// The slot-slab execution state shared by every slab-backed executor
-/// (streaming garbler/evaluator and the pooled wave garbler): the flat
+/// The slot-slab execution state shared by the slab-backed executors
+/// (streaming garbler and evaluator): the flat
 /// label slab, an ascending cursor that snapshots output labels as
 /// their producing addresses stream past (outputs may be overwritten in
 /// the slab long before `finish`, so they are captured at write time),
@@ -727,13 +727,6 @@ impl<'p> SlabState<'p> {
     #[inline]
     pub(crate) fn plan(&self) -> &'p SlotProgram {
         self.plan
-    }
-
-    /// Reads an in-window address straight off the slab (no OoR check —
-    /// callers that can prove the operand is real use this).
-    #[inline]
-    pub(crate) fn get(&self, addr: u32) -> Block {
-        self.slab.get(addr)
     }
 
     /// Reads one operand: the slab for real addresses, the OoRW store

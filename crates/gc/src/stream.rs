@@ -303,6 +303,19 @@ impl<'c> StreamingGarbler<'c> {
             .collect()
     }
 
+    /// Moves the primary inputs' zero labels out (garbler inputs
+    /// first) — the labels the first chunk would otherwise drop — so a
+    /// garbling drained ahead of time can keep them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if streaming has started or the labels were already taken.
+    pub(crate) fn take_input_zero_labels(&mut self) -> Vec<Block> {
+        self.input_zero_labels
+            .take()
+            .expect("input labels are only available before streaming starts")
+    }
+
     /// Garbles forward until `max_tables` AND tables are produced or the
     /// gate list ends. Returns `None` once the circuit is fully garbled
     /// (a final, possibly short, chunk is returned first).

@@ -11,8 +11,8 @@
 //!   each, so the evaluator is evaluating frame N while the garbler
 //!   garbles frame N+1. Within one party compute and I/O alternate:
 //!   there is no second, in-process queue behind the transport's. The
-//!   frame is the unit on the channel; the sliding wire window
-//!   ([`SessionConfig::window`]) is circuit-wire *residency* and only
+//!   frame is the unit on the channel; the plan's sliding wire window
+//!   ([`StreamingPlan::window`]) is circuit-wire *residency* and only
 //!   bounds the frame where it is smaller.
 //! - **Slot-renamed execution.** A session runs off a cached
 //!   [`StreamingPlan`] ([`SessionConfig::for_circuit`] lowers once, the
@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use haac_circuit::Circuit;
 use haac_core::lower::{lower_with_reorder, StreamingPlan};
-use haac_core::{ReorderKind, WindowModel};
+use haac_core::ReorderKind;
 use haac_gc::{
     BankedGarbler, Block, CryptoCounters, GarblerFinish, HashScheme, PlanGarbling,
     StreamingEvaluator, StreamingGarbler,
@@ -152,17 +152,16 @@ pub struct SessionConfig {
     /// The gate-hash construction (both parties must agree; the header
     /// carries the garbler's choice and the evaluator validates it).
     pub scheme: HashScheme,
-    /// The sliding-wire-window geometry the plan's label slab is sized
-    /// by: wire *residency* — the plan's natural window, capped at the
-    /// paper's 2 MB SWW (131 072 labels, 2 MiB per party) by the
-    /// lowering every constructor here uses, with reads beyond it served
-    /// from the plan's OoRW store. It bounds the table frame only where
-    /// half of it is smaller than the default frame (see
-    /// [`chunk_tables`](SessionConfig::chunk_tables)).
-    pub window: WindowModel,
     /// The circuit lowered once for slot-slab execution: both roles
     /// run off its renamed instruction stream. Shared, so a cache can
-    /// hand the same plan to every session of a workload.
+    /// hand the same plan to every session of a workload. Its
+    /// [`window`](StreamingPlan::window) is the sliding-wire-window
+    /// geometry the label slab is sized by: wire *residency* — the
+    /// plan's natural window, capped at the paper's 2 MB SWW (131 072
+    /// labels, 2 MiB per party) by the lowering every constructor here
+    /// uses, with reads beyond it served from the plan's OoRW store. It
+    /// bounds the table frame only where half of it is smaller than the
+    /// default frame (see [`chunk_tables`](SessionConfig::chunk_tables)).
     pub plan: Arc<StreamingPlan>,
     /// Overrides the tables per `Tables` frame (tests and benchmarks
     /// sweep this; `None` — what a server runs — is the 64 KiB default
@@ -220,7 +219,6 @@ impl SessionConfig {
     pub fn from_plan(scheme: HashScheme, plan: Arc<StreamingPlan>) -> SessionConfig {
         SessionConfig {
             scheme,
-            window: plan.window,
             plan,
             chunk_override: None,
             telemetry: None,
@@ -287,7 +285,7 @@ impl SessionConfig {
     pub fn chunk_tables(&self) -> usize {
         match self.chunk_override {
             Some(tables) => tables.clamp(1, MAX_CHUNK_TABLES),
-            None => (self.window.half() as usize).clamp(1, FRAME_TABLES),
+            None => (self.plan.window.half() as usize).clamp(1, FRAME_TABLES),
         }
     }
 }
@@ -556,7 +554,7 @@ fn check_plan(plan: &StreamingPlan, circuit: &Circuit) -> Result<(), RuntimeErro
         let rebuilt = haac_core::lower::lower_with_window(
             circuit,
             ReorderKind::Baseline,
-            WindowModel::new(plan.program.slot_wires()),
+            haac_core::WindowModel::new(plan.program.slot_wires()),
         );
         if *p != rebuilt.program {
             return Err(RuntimeError::protocol(
@@ -1423,7 +1421,7 @@ fn write_resumable_header<C: Channel>(
             num_gates: circuit.num_gates() as u64,
             num_tables: circuit.num_and_gates() as u64,
             scheme: config.scheme,
-            window_wires: config.window.sww_wires(),
+            window_wires: config.plan.window.sww_wires(),
             chunk_tables: config.chunk_tables() as u32,
             reorder: config.reorder(),
             ot_mode: config.ot_mode,
@@ -1657,7 +1655,7 @@ where
         table_chunks: stats.chunks,
         tables: stats.tables,
         peak_live_wires: finish.peak_live_wires,
-        within_window: finish.peak_live_wires <= config.window.sww_wires() as usize,
+        within_window: finish.peak_live_wires <= config.plan.window.sww_wires() as usize,
         ot_transfers: ot.transfers,
         crypto: finish.crypto,
         compute_ns: stats.compute_ns,
@@ -1760,7 +1758,7 @@ impl<F> EvaluatorRecovery<'_, F> {
 /// honoured, 0 (no acks) included.
 ///
 /// `config.plan` must be the plan the garbler lowered (`config.scheme`
-/// and `config.window` are the garbler's choices and arrive via the
+/// and the plan's window are the garbler's choices and arrive via the
 /// header).
 ///
 /// # Errors
@@ -2136,7 +2134,8 @@ mod tests {
         assert_eq!(g.table_chunks, e.table_chunks);
         assert!(g.table_chunks >= 1);
         assert_eq!(e.ot_transfers, 16);
-        assert!(e.within_window, "peak {} window {}", e.peak_live_wires, config.window.sww_wires());
+        let window = config.plan.window.sww_wires();
+        assert!(e.within_window, "peak {} window {window}", e.peak_live_wires);
         // Each side's sent bytes are the other side's received bytes.
         assert_eq!(g.bytes_sent, e.bytes_received);
         assert_eq!(e.bytes_sent, g.bytes_received);
@@ -2224,8 +2223,11 @@ mod tests {
         let c = adder(32);
         // A plan forced onto a 2-wire slab: reads that fall outside it
         // go through the OoRW queue, and half the window is one table.
-        let plan =
-            haac_core::lower::lower_with_window(&c, ReorderKind::Baseline, WindowModel::new(2));
+        let plan = haac_core::lower::lower_with_window(
+            &c,
+            ReorderKind::Baseline,
+            haac_core::WindowModel::new(2),
+        );
         let config = SessionConfig::from_plan(HashScheme::Rekeyed, Arc::new(plan));
         assert_eq!(config.chunk_override, None);
         assert_eq!(config.chunk_tables(), 1);

@@ -4,10 +4,11 @@
 //! circuit and the garbler's randomness, never on either party's inputs
 //! — so a serving stack can move the whole cipher bill off the request
 //! path: a background producer drains *idle* gate-engine capacity to
-//! pre-garble instances of cache-resident circuits, each instance is
-//! serialized ([`PlanGarbling::to_bytes`]) onto a bounded per-key shelf,
-//! and a session that finds its key stocked streams stored bytes with
-//! only the OT/input phase still computing online.
+//! pre-garble instances of cache-resident circuits
+//! ([`garble_plan_in`](haac_gc::garble_plan_in), the streaming
+//! garbler's loop run early), each [`PlanGarbling`] goes onto a bounded
+//! per-key shelf, and a session that finds its key stocked streams the
+//! stored tables with only the OT/input phase still computing online.
 //!
 //! Two properties are load-bearing:
 //!
@@ -15,7 +16,7 @@
 //!   one global Δ; streaming the same tables to two evaluators would let
 //!   them pool active labels and decode wires neither may learn.
 //!   [`claim`](InstanceBank::claim) therefore *moves* the instance out
-//!   of storage — there is no peek, no get, no clone — and the decoded
+//!   of storage — there is no peek, no get, no clone — and the claimed
 //!   [`PlanGarbling`] is consumed by
 //!   [`BankedGarbler::new`](haac_gc::BankedGarbler::new) downstream.
 //! - **Fresh randomness per instance.** Every deposit was garbled from
@@ -25,7 +26,7 @@
 //! The bank never builds circuits and never blocks a session: shelves
 //! are keyed by the same `(workload, scale, reorder)` triple as the
 //! [`CircuitCache`](crate::CircuitCache), a claim is one lock acquire
-//! plus a deserialize, and a miss simply falls back to online garbling.
+//! and a pop, and a miss simply falls back to online garbling.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,14 +41,11 @@ use haac_workloads::{Scale, WorkloadKind};
 /// exact plan it was garbled from.
 pub type BankKey = (WorkloadKind, Scale, ReorderKind);
 
-/// A bounded, take-only store of serialized pre-garbled instances.
+/// A bounded, take-only store of pre-garbled instances.
 #[derive(Debug)]
 pub struct InstanceBank {
-    /// Serialized instances per key, claimed oldest-first. Bytes — not
-    /// live [`PlanGarbling`]s — so the request path genuinely serves
-    /// *from storage*: a claim pays one deserialize, exactly what a
-    /// disk- or remote-backed bank would pay.
-    shelves: Mutex<HashMap<BankKey, VecDeque<Vec<u8>>>>,
+    /// Instances per key, claimed oldest-first.
+    shelves: Mutex<HashMap<BankKey, VecDeque<PlanGarbling>>>,
     /// Most instances kept per key. 0 disables the bank entirely.
     capacity: usize,
     hits: AtomicU64,
@@ -82,10 +80,10 @@ impl InstanceBank {
     }
 
     /// The shelf map, recovering from lock poisoning: a shelf only ever
-    /// holds fully serialized instances (deposit pushes a complete byte
-    /// vector, claim pops one), so a panicking holder cannot have left a
-    /// torn entry — serving must keep going.
-    fn shelves(&self) -> MutexGuard<'_, HashMap<BankKey, VecDeque<Vec<u8>>>> {
+    /// holds whole instances (deposit pushes one, claim pops one), so a
+    /// panicking holder cannot have left a torn entry — serving must
+    /// keep going.
+    fn shelves(&self) -> MutexGuard<'_, HashMap<BankKey, VecDeque<PlanGarbling>>> {
         self.shelves.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -97,40 +95,31 @@ impl InstanceBank {
         if !self.enabled() {
             return false;
         }
-        let bytes = instance.to_bytes();
         let mut shelves = self.shelves();
         let shelf = shelves.entry(key).or_default();
         if shelf.len() >= self.capacity {
             return false;
         }
-        shelf.push_back(bytes);
+        shelf.push_back(instance);
         drop(shelves);
         self.refills.fetch_add(1, Ordering::Relaxed);
         true
     }
 
     /// Takes the oldest banked instance for the key, if any — the
-    /// one-time-use move: the stored bytes leave the shelf before they
-    /// are decoded, so no two claims can ever observe the same instance.
-    /// An enabled bank counts every claim as a hit or a miss; a disabled
-    /// bank always returns `None` without counting (nothing was offered,
-    /// so nothing was missed).
+    /// one-time-use move: the instance leaves the shelf under the lock,
+    /// so no two claims can ever observe the same instance. An enabled
+    /// bank counts every claim as a hit or a miss; a disabled bank
+    /// always returns `None` without counting (nothing was offered, so
+    /// nothing was missed).
     pub fn claim(&self, key: BankKey) -> Option<PlanGarbling> {
         if !self.enabled() {
             return None;
         }
-        let bytes = self.shelves().get_mut(&key).and_then(VecDeque::pop_front);
-        let instance = bytes.and_then(|bytes| PlanGarbling::from_bytes(&bytes).ok());
-        match instance {
-            Some(instance) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(instance)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let instance = self.shelves().get_mut(&key).and_then(VecDeque::pop_front);
+        let counter = if instance.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        instance
     }
 
     /// Whether the key's shelf has room for another instance.

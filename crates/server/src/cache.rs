@@ -252,7 +252,7 @@ mod tests {
         assert_eq!(cache.hits(), 1);
         // The plan actually describes the cached circuit.
         assert_eq!(cold.plan().and_count(), cold.workload.circuit.num_and_gates());
-        assert_eq!(cold.config.window.sww_wires(), cold.plan().window.sww_wires());
+        assert_eq!(cold.config.plan.window.sww_wires(), cold.plan().window.sww_wires());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! |-------|----------|
 //! | [`request`] | The service handshake: [`SessionRequest`] (workload, scale, an optional pinned [`ReorderKind`](haac_runtime::ReorderKind), seed); the ack advertises the schedule the server chose |
 //! | [`cache`] | [`CircuitCache`]: build/compile once per `(workload, scale, reorder)`, share via `Arc`, hit/miss latency split |
-//! | [`bank`] | [`InstanceBank`]: bounded take-only shelves of serialized pre-garbled instances (strictly one-time-use); a background producer restocks them from idle engine capacity, and sessions that hit stream stored tables instead of computing |
+//! | [`bank`] | [`InstanceBank`]: bounded take-only shelves of pre-garbled instances (strictly one-time-use); a background producer restocks them from idle engine capacity, and sessions that hit stream stored tables instead of computing |
 //! | [`registry`] | [`SessionRegistry`], per-session [`SessionOutcome`]s, aggregate [`ServerReport`] (p50/p99, aggregate gates/s) |
 //! | [`metrics`] | [`ServerMetrics`]: the live admin plane — lock-free instruments, per-workload stage histograms, Prometheus text snapshots |
 //! | [`resume`] | [`ResumeStore`]: the bounded, TTL-evicting suspended-session store behind mid-stream reconnects, plus the [`TicketForge`] issuing opaque resume tickets |

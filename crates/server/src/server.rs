@@ -594,13 +594,16 @@ fn bank_producer_pace(shared: &ServerShared) -> bool {
     }
 }
 
-/// Garbles one fresh instance of `key` on the pool and deposits it.
-/// Every instance draws from its own deterministic RNG stream
-/// (`bank_seed + seq`), so Δ and the input labels are fresh per
-/// deposit. Plans with out-of-range reads are not bankable (the pooled
-/// pre-garbler runs waves out of stream order and refuses them), so
-/// those keys — at the served 2 MB SWW, most `Scale::Paper` circuits;
-/// no `Scale::Small` one — always miss and are garbled online.
+/// Garbles one fresh instance of `key` and deposits it. Every instance
+/// draws from its own deterministic RNG stream (`bank_seed + seq`), so
+/// Δ and the input labels are fresh per deposit.
+///
+/// Plans with far reads are refused, so those keys always miss and are
+/// garbled online. Such a plan exceeds the 2 MB SWW, which makes it
+/// `Scale::Paper`-sized (MatMult-paper carries 17 MB of tables per
+/// instance; no `Scale::Small` plan spills), and the bank's bound
+/// counts instances, not bytes. Whether the bank stays at all is
+/// ROADMAP item 7's decision.
 fn bank_garble_one(
     shared: &ServerShared,
     pool: &EnginePool,

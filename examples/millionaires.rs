@@ -56,7 +56,7 @@ fn main() {
         "evaluator held at most {} live wires of {} total (window: {}) — and neither party saw a number",
         evaluator.peak_live_wires,
         circuit.num_wires(),
-        config.window.sww_wires()
+        config.plan.window.sww_wires()
     );
 
     // The HAAC view of the same computation.

@@ -9,7 +9,7 @@
 //! | Crate | Contents |
 //! |-------|----------|
 //! | [`circuit`] | Boolean circuit IR, synthesis frontend (EMP equivalent), Bristol I/O, AES/FP32 generators |
-//! | [`gc`] | Half-gate garbling with FreeXOR and re-keyed hashing: the `garble`/`evaluate` oracle (the "CPU GC" baseline), slab-backed streaming executors, pooled wave scheduler, base OT + extension |
+//! | [`gc`] | Half-gate garbling with FreeXOR and re-keyed hashing: the `garble`/`evaluate` oracle (the "CPU GC" baseline), slab-backed streaming executors (also drained ahead of time for a bank), base OT + extension |
 //! | [`runtime`] | Streaming two-party execution: pluggable channels (in-memory, TCP), framed table streaming, sessions |
 //! | [`server`] | Multi-session garbling service: concurrent evaluator connections multiplexed over a shared gate-engine pool, with a circuit cache and session registry |
 //! | [`workloads`] | The eight VIP-Bench workloads + Table 5 microbenchmarks |

@@ -26,7 +26,7 @@ fn default_frame_is_64_kib_or_half_a_smaller_window_and_sessions_frame_by_it() {
         let config = SessionConfig::for_circuit_with(&w.circuit, choose_reorder(kind));
         assert_eq!(config.chunk_override, None, "{name}: the default, not a pin");
         let frame = config.chunk_tables();
-        let half = config.window.half() as usize;
+        let half = config.plan.window.half() as usize;
         assert!(frame * 32 <= 64 << 10, "{name}: {frame} tables exceed a 64 KiB frame");
         assert_eq!(frame, half.min(2048), "{name}: half-window {half}");
 

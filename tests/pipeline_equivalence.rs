@@ -22,8 +22,8 @@ use rand::SeedableRng;
 fn chunk_sizes(config: &SessionConfig, and_gates: usize) -> [usize; 4] {
     [
         1,
-        (config.window.half() as usize).max(2),
-        (config.window.sww_wires() as usize).max(2),
+        (config.plan.window.half() as usize).max(2),
+        (config.plan.window.sww_wires() as usize).max(2),
         and_gates + 7, // strictly more tables than exist: one giant chunk
     ]
 }
@@ -117,8 +117,8 @@ fn the_direct_emitter_and_the_program_road_lower_every_workload_identically() {
     // plan under the slab's ring, the simulator gets its program from
     // `compile` under the sliding SWW. At the served window no `Small`
     // read is far under either predicate, so the two plans must be
-    // equal — and no kind may spill, as the bank and the pooled garbler
-    // only take in-window plans.
+    // equal — and no kind may spill, as the bank only takes in-window
+    // plans.
     use haac::core::compile;
     use haac::core::lower::served_window;
 
@@ -144,8 +144,8 @@ fn compiled_and_served_plans_garble_identical_tables_on_every_workload() {
     // the plan the simulator reads — routed under a 256-label sliding
     // SWW, so every workload has far reads — and the served plan garble
     // byte-identical tables from one seed, and both decode the
-    // plaintext. No served `Small` plan spills: the bank and the pooled
-    // garbler only take in-window plans.
+    // plaintext. No served `Small` plan spills: the bank only takes
+    // in-window plans.
     use haac::core::compiler::{compile_order, gate_order};
     use haac::core::lower::served_window;
     use haac_gc::{SlotProgram, StreamingEvaluator, StreamingGarbler};
@@ -190,7 +190,7 @@ fn served_plans_batch_as_the_schedule_promises() {
     // schedule (measured 7.70, 7.50, 5.35, exactly 8, 2.21, 4.24 and
     // 5.06, of `MAX_AND_BATCH` = 8; 1.0–1.8 in netlist order). Triangle
     // alone is served in netlist order, and no served `Small` plan
-    // spills: the bank and the pooled garbler take in-window plans only.
+    // spills: the bank takes in-window plans only.
     use haac::server::choose_reorder;
 
     let floors = [

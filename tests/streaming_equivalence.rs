@@ -41,7 +41,7 @@ fn every_workload_streams_identically_to_monolithic() {
 
         // The streaming discipline held: peak live wires fit the window,
         // and the window is a genuine bound (not circuit-sized).
-        let window_wires = config.window.sww_wires() as usize;
+        let window_wires = config.plan.window.sww_wires() as usize;
         assert!(
             evaluator.peak_live_wires <= window_wires,
             "{}: peak {} exceeds window {}",

@@ -278,6 +278,73 @@ pub(crate) fn encrypt_rekeyed<const P: usize>(
     }
 }
 
+/// Whether `backend` runs a re-keyed half-gate batch as one fused
+/// kernel a side ([`garble_half_gates`], [`eval_half_gates`]): the
+/// keys, the cipher and the half-gate XOR network in 512-bit registers,
+/// on AES-NI where the CPU has VAES and AVX-512. Everywhere else the
+/// batch is [`encrypt_rekeyed`] and the algebra around it.
+pub(crate) fn fuses_half_gates(backend: AesBackend) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if backend == AesBackend::AesNi {
+        return aesni::wide();
+    }
+    let _ = backend;
+    false
+}
+
+/// Garbles `bases.len()` independent AND gates, at most eight, in one
+/// fused pass: gate `i` has tweak base `bases[i]` and input zero labels
+/// `a[i]`, `b[i]`; `labels[i]` receives its output zero label and
+/// `tables[i]` its table — bit for bit `garble_and` over the re-keyed
+/// hash.
+///
+/// # Panics
+///
+/// Panics unless [`fuses_half_gates`] holds for [`AesBackend::AesNi`],
+/// on more than eight gates, or unless every slice holds one element
+/// per gate.
+pub(crate) fn garble_half_gates(
+    delta: Block,
+    bases: &[u64],
+    a: &[Block],
+    b: &[Block],
+    labels: &mut [Block],
+    tables: &mut [[Block; 2]],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if aesni::wide() {
+        // SAFETY: `wide()` returned true just above; the kernel asserts
+        // the slice lengths its masked loads and stores rely on.
+        return unsafe { aesni::garble_batch512(delta, bases, a, b, labels, tables) };
+    }
+    let _ = (delta, bases, a, b, labels, tables);
+    panic!("the fused half-gate kernels need VAES and AVX-512");
+}
+
+/// Evaluates `bases.len()` independent AND gates, at most eight, in one
+/// fused pass: gate `i` has tweak base `bases[i]`, active input labels
+/// `a[i]`, `b[i]` and table `tables[i]`; `labels[i]` receives its
+/// active output label — bit for bit `eval_and` over the re-keyed hash.
+///
+/// # Panics
+///
+/// As [`garble_half_gates`].
+pub(crate) fn eval_half_gates(
+    bases: &[u64],
+    a: &[Block],
+    b: &[Block],
+    tables: &[[Block; 2]],
+    labels: &mut [Block],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if aesni::wide() {
+        // SAFETY: as in `garble_half_gates`.
+        return unsafe { aesni::eval_batch512(bases, a, b, tables, labels) };
+    }
+    let _ = (bases, a, b, tables, labels);
+    panic!("the fused half-gate kernels need VAES and AVX-512");
+}
+
 /// Encrypts `blocks[i]` under `schedules[i]` in place, dispatching the
 /// whole group to one backend kernel. Groups larger than [`MAX_LANES`]
 /// are chunked.
@@ -567,6 +634,102 @@ mod tests {
                 eprintln!("aesni: the 512-bit kernels were SKIPPED (no vaes + avx512f + avx512bw)");
             }
         }
+    }
+
+    /// A label whose permute bit is `bit`.
+    fn label_with_lsb(rng: &mut impl rand::Rng, bit: bool) -> Block {
+        let x = Block::random(rng);
+        x ^ Block::from(u128::from(x.lsb() != bit))
+    }
+
+    /// The fused half-gate kernels, called through the hash's fused
+    /// entries (which dispatch on no width) at every batch size
+    /// (k = 0..=8: every ragged register on both sides), against the
+    /// composition — `garble_and` and `eval_and` on the portable backend
+    /// — with every pair of permute bits at every k, tweak bases at 0
+    /// and near 2³¹ and 2⁶¹, operands, labels and tables cut from the
+    /// middle of guarded buffers, and the cipher work metered exactly.
+    #[test]
+    fn fused_half_gate_kernels_match_the_composition_at_every_batch_size() {
+        use crate::block::Delta;
+        use crate::evaluate::eval_and;
+        use crate::garble::garble_and;
+        use crate::hash::{CryptoCounters, GateHash, HashScheme};
+        use rand::{rngs::StdRng, SeedableRng};
+
+        if !fuses_half_gates(AesBackend::AesNi) {
+            eprintln!(
+                "aesni: the fused half-gate kernels were SKIPPED (no vaes + avx512f + avx512bw)"
+            );
+            return;
+        }
+        let fused = GateHash::with_backend(HashScheme::Rekeyed, AesBackend::AesNi);
+        let composition = GateHash::with_backend(HashScheme::Rekeyed, AesBackend::Portable);
+        let mut rng = StdRng::seed_from_u64(33);
+        for start in [0u64, (1 << 31) - 3, (1 << 61) - 9] {
+            for k in 0..=8usize {
+                let (live, live_rows) = (GUARDS..GUARDS + k, GUARDS..GUARDS + 2 * k);
+                let cost = |blocks| CryptoCounters {
+                    key_expansions: 2 * k as u64,
+                    aes_blocks: blocks * k as u64,
+                };
+                // Gate `i` of rotation `r` has the permute-bit pair
+                // `(i + r) mod 4` on the garbler's side, and the
+                // evaluator's active bits flip a fixed pattern of them.
+                for rotation in 0..4 {
+                    let context = format!("k={k} base={start} rotation={rotation}");
+                    let delta = Delta::random(&mut rng);
+                    let bases: Vec<u64> = (0..k as u64).map(|i| start + 3 * i).collect();
+                    let (mut a, mut b) = (guarded_buffer(k), guarded_buffer(k));
+                    for i in 0..k {
+                        let pair = (i + rotation) % 4;
+                        a[GUARDS + i] = label_with_lsb(&mut rng, pair & 1 == 1);
+                        b[GUARDS + i] = label_with_lsb(&mut rng, pair & 2 == 2);
+                    }
+                    let (mut labels, mut rows) = (guarded_buffer(k), guarded_buffer(2 * k));
+                    let before = fused.counters();
+                    let (tables, _) = rows[live_rows.clone()].as_chunks_mut::<2>();
+                    let (a0, b0) = (&a[live.clone()], &b[live.clone()]);
+                    fused.garble_ands(
+                        delta.block(),
+                        &bases,
+                        a0,
+                        b0,
+                        &mut labels[live.clone()],
+                        tables,
+                    );
+                    assert_eq!(fused.counters().since(before), cost(4), "{context}: garbler");
+                    let (tables, _) = rows[live_rows.clone()].as_chunks::<2>();
+                    for i in 0..k {
+                        let want = garble_and(&composition, delta, bases[i], a0[i], b0[i]);
+                        assert_eq!((labels[GUARDS + i], tables[i]), want, "{context} gate={i}");
+                    }
+                    assert_guards_intact(&labels, &format!("{context}: garbled labels"));
+                    assert_guards_intact(&rows, &format!("{context}: tables"));
+
+                    let (mut wa, mut wb, mut out) = (a.clone(), b.clone(), guarded_buffer(k));
+                    let bits: Vec<(bool, bool)> =
+                        (0..k).map(|i| (i % 2 == 1, i % 3 == 0)).collect();
+                    for (i, &(x, y)) in bits.iter().enumerate() {
+                        wa[GUARDS + i] ^= delta.block().select(x);
+                        wb[GUARDS + i] ^= delta.block().select(y);
+                    }
+                    let before = fused.counters();
+                    let (wa, wb) = (&wa[live.clone()], &wb[live.clone()]);
+                    fused.eval_ands(&bases, wa, wb, tables, &mut out[live.clone()]);
+                    assert_eq!(fused.counters().since(before), cost(2), "{context}: evaluator");
+                    for (i, &(x, y)) in bits.iter().enumerate() {
+                        let want = eval_and(&composition, bases[i], wa[i], wb[i], &tables[i]);
+                        assert_eq!(out[GUARDS + i], want, "{context} gate={i}");
+                        let w0c = labels[GUARDS + i];
+                        assert_eq!(want, w0c ^ delta.block().select(x && y), "{context} gate={i}");
+                    }
+                    assert_guards_intact(&out, &format!("{context}: evaluated labels"));
+                    assert_guards_intact(&rows, &format!("{context}: tables read"));
+                }
+            }
+        }
+        eprintln!("aesni: the fused half-gate kernels were covered");
     }
 
     /// One key, many blocks: both AES-NI widths and the split between

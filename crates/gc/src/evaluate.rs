@@ -11,6 +11,7 @@
 use haac_circuit::{Circuit, GateOp};
 
 use crate::block::Block;
+use crate::garble::MAX_AND_BATCH;
 use crate::hash::{GateHash, HashScheme};
 
 /// Evaluates one AND gate from its garbled table.
@@ -37,11 +38,17 @@ pub fn eval_and(
     wg ^ we
 }
 
-/// Evaluates up to [`crate::MAX_AND_BATCH`] *mutually
-/// independent* AND gates in one batched hash call (`2·k` blocks in
-/// flight). `gates[i]` is `(tweak_base, wa, wb)`; `tables[i]` the
-/// matching garbled table; `out[i]` receives the active output label.
-/// Bit-identical to calling [`eval_and`] per gate.
+/// Evaluates up to [`MAX_AND_BATCH`] *mutually independent* AND gates
+/// in one batched pass (`2·k` blocks in flight). `gates[i]` is
+/// `(tweak_base, wa, wb)`; `tables[i]` the matching garbled table;
+/// `out[i]` receives the active output label. Bit-identical to calling
+/// [`eval_and`] per gate, and metered the same.
+///
+/// Re-keyed on the `aesni` backend at 512 bits, the batch is one fused
+/// kernel that derives the keys, runs the cipher and computes the
+/// half-gate XOR network in registers, reading the tables in place;
+/// everywhere else it is one [`GateHash::hash_batch`] call and the
+/// algebra of [`eval_and`] around it.
 ///
 /// # Panics
 ///
@@ -53,24 +60,55 @@ pub fn eval_and_batch(
     tables: &[[Block; 2]],
     out: &mut [Block],
 ) {
-    use crate::garble::MAX_AND_BATCH;
     assert!(gates.len() <= MAX_AND_BATCH, "batch of {} exceeds {MAX_AND_BATCH}", gates.len());
-    assert_eq!(gates.len(), tables.len(), "one table per gate");
-    assert_eq!(gates.len(), out.len(), "one output slot per gate");
     let k = gates.len();
+    let mut bases = [0u64; MAX_AND_BATCH];
+    let mut a = [Block::ZERO; MAX_AND_BATCH];
+    let mut b = [Block::ZERO; MAX_AND_BATCH];
+    for (i, &gate) in gates.iter().enumerate() {
+        (bases[i], a[i], b[i]) = gate;
+    }
+    eval_batch(hash, &bases[..k], &a[..k], &b[..k], tables, out);
+}
+
+/// [`eval_and_batch`] on a structure of arrays, the form the slab loop
+/// gathers into: gate `i` has tweak base `bases[i]`, active input
+/// labels `a[i]`, `b[i]` and table `tables[i]`; `labels[i]` receives
+/// its active output label.
+///
+/// # Panics
+///
+/// Panics on more than [`MAX_AND_BATCH`] gates or unless every slice
+/// holds one element per gate.
+pub(crate) fn eval_batch(
+    hash: &GateHash,
+    bases: &[u64],
+    a: &[Block],
+    b: &[Block],
+    tables: &[[Block; 2]],
+    labels: &mut [Block],
+) {
+    let k = bases.len();
+    assert!(k <= MAX_AND_BATCH, "batch of {k} exceeds {MAX_AND_BATCH}");
+    assert_eq!(tables.len(), k, "one table per gate");
+    assert_eq!(labels.len(), k, "one output slot per gate");
+    assert!(a.len() == k && b.len() == k, "one operand pair per gate");
+    if hash.fuses_half_gates() {
+        return hash.eval_ands(bases, a, b, tables, labels);
+    }
     // One plane, laid out like the garbler's: A-side tweaks and labels
     // of all `k` gates, then the B-side ones.
     let mut tweaks = [0u64; 2 * MAX_AND_BATCH];
     let mut h = [Block::ZERO; 2 * MAX_AND_BATCH];
-    for (i, &(tweak_base, wa, wb)) in gates.iter().enumerate() {
-        (tweaks[i], tweaks[k + i]) = (2 * tweak_base, 2 * tweak_base + 1);
-        (h[i], h[k + i]) = (wa, wb);
+    for i in 0..k {
+        (tweaks[i], tweaks[k + i]) = (2 * bases[i], 2 * bases[i] + 1);
+        (h[i], h[k + i]) = (a[i], b[i]);
     }
     hash.hash_batch(&tweaks[..2 * k], &mut h[..2 * k]);
-    for (i, (&(_, wa, wb), table)) in gates.iter().zip(tables).enumerate() {
-        let wg = h[i] ^ table[0].select(wa.lsb());
-        let we = h[k + i] ^ (table[1] ^ wa).select(wb.lsb());
-        out[i] = wg ^ we;
+    for (i, table) in tables.iter().enumerate() {
+        let wg = h[i] ^ table[0].select(a[i].lsb());
+        let we = h[k + i] ^ (table[1] ^ a[i]).select(b[i].lsb());
+        labels[i] = wg ^ we;
     }
 }
 

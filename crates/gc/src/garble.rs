@@ -127,11 +127,16 @@ pub fn garble_and(
 pub const MAX_AND_BATCH: usize = 8;
 
 /// Garbles up to [`MAX_AND_BATCH`] *mutually independent* AND gates in
-/// one batched hash call (`4·k` blocks in flight under `2·k` fresh
-/// keys, one pass of the cipher for a full batch). `gates[i]` is
-/// `(tweak_base, w0a, w0b)`; `out[i]` receives `(output zero label,
-/// table)`. Produces bit-identical results to calling [`garble_and`] per
-/// gate.
+/// one batched pass (`4·k` blocks in flight under `2·k` fresh keys).
+/// `gates[i]` is `(tweak_base, w0a, w0b)`; `out[i]` receives `(output
+/// zero label, table)`. Produces bit-identical results to calling
+/// [`garble_and`] per gate, and meters the same cipher work.
+///
+/// Re-keyed on the `aesni` backend at 512 bits, the batch is one fused
+/// kernel that derives the keys, runs the cipher and computes the
+/// half-gate XOR network in registers; everywhere else it is one
+/// [`GateHash::hash_batch`] call and the algebra of [`garble_and`]
+/// around it.
 ///
 /// # Panics
 ///
@@ -146,30 +151,70 @@ pub fn garble_and_batch(
     assert!(gates.len() <= MAX_AND_BATCH, "batch of {} exceeds {MAX_AND_BATCH}", gates.len());
     assert_eq!(gates.len(), out.len(), "one output slot per gate");
     let k = gates.len();
+    let mut bases = [0u64; MAX_AND_BATCH];
+    let mut a = [Block::ZERO; MAX_AND_BATCH];
+    let mut b = [Block::ZERO; MAX_AND_BATCH];
+    for (i, &gate) in gates.iter().enumerate() {
+        (bases[i], a[i], b[i]) = gate;
+    }
+    let mut labels = [Block::ZERO; MAX_AND_BATCH];
+    let mut tables = [[Block::ZERO; 2]; MAX_AND_BATCH];
+    garble_batch(hash, delta, &bases[..k], &a[..k], &b[..k], &mut labels[..k], &mut tables[..k]);
+    for (slot, (&label, &table)) in out.iter_mut().zip(labels.iter().zip(&tables)) {
+        *slot = (label, table);
+    }
+}
+
+/// [`garble_and_batch`] on a structure of arrays, the form the slab
+/// loop gathers into: gate `i` has tweak base `bases[i]` and input zero
+/// labels `a[i]`, `b[i]`; `labels[i]` receives its output zero label
+/// and `tables[i]` its table.
+///
+/// # Panics
+///
+/// Panics on more than [`MAX_AND_BATCH`] gates or unless every slice
+/// holds one element per gate.
+pub(crate) fn garble_batch(
+    hash: &GateHash,
+    delta: Delta,
+    bases: &[u64],
+    a: &[Block],
+    b: &[Block],
+    labels: &mut [Block],
+    tables: &mut [[Block; 2]],
+) {
+    let k = bases.len();
+    assert!(k <= MAX_AND_BATCH, "batch of {k} exceeds {MAX_AND_BATCH}");
+    assert!(
+        [a.len(), b.len(), labels.len(), tables.len()].iter().all(|&len| len == k),
+        "one operand pair, label and table per gate"
+    );
+    if hash.fuses_half_gates() {
+        return hash.garble_ands(delta.block(), bases, a, b, labels, tables);
+    }
     // The batch as the cipher holds it: the A-side tweaks of all `k`
     // gates, then the B-side ones, over a plane of zero labels and a
     // plane of one labels — four gates' A-side (or B-side) labels to a
     // 512-bit register, and no lane to move before or after.
     let mut tweaks = [0u64; 2 * MAX_AND_BATCH];
     let mut h = [Block::ZERO; 4 * MAX_AND_BATCH];
-    for (i, &(tweak_base, w0a, w0b)) in gates.iter().enumerate() {
-        (tweaks[i], tweaks[k + i]) = (2 * tweak_base, 2 * tweak_base + 1);
-        (h[i], h[k + i]) = (w0a, w0b);
+    for i in 0..k {
+        (tweaks[i], tweaks[k + i]) = (2 * bases[i], 2 * bases[i] + 1);
+        (h[i], h[k + i]) = (a[i], b[i]);
     }
     let (zeros, ones) = h[..4 * k].split_at_mut(2 * k);
     for (one, &zero) in ones.iter_mut().zip(zeros.iter()) {
         *one = zero ^ delta.block();
     }
     hash.hash_batch(&tweaks[..2 * k], &mut h[..4 * k]);
-    for (i, (&(_, w0a, w0b), slot)) in gates.iter().zip(out.iter_mut()).enumerate() {
+    for i in 0..k {
         let [ha0, hb0, ha1, hb1] = [h[i], h[k + i], h[2 * k + i], h[3 * k + i]];
-        let pa = w0a.lsb();
-        let pb = w0b.lsb();
+        let (w0a, pa, pb) = (a[i], a[i].lsb(), b[i].lsb());
         let tg = ha0 ^ ha1 ^ delta.block().select(pb);
         let wg = ha0 ^ tg.select(pa);
         let te = hb0 ^ hb1 ^ w0a;
         let we = hb0 ^ (te ^ w0a).select(pb);
-        *slot = (wg ^ we, [tg, te]);
+        (labels[i], tables[i]) = (wg ^ we, [tg, te]);
     }
 }
 

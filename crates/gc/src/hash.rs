@@ -11,11 +11,22 @@
 //! against 18.0 M calls/s)" is the 128-bit AES-NI kernel, one
 //! `garble_and` a call; PR 23's parent reads the same (+26 %, and +45 %
 //! an AND in full batches). On the 512-bit kernel, four schedules to a
-//! register, a full batch costs 19.5 ns an AND re-keyed against 17.1
-//! fixed-key, +14 %; one gate a call +52 % (73 against 48 ns: a lone
-//! gate waits on its schedule chain). Tables: `docs/measurements/
-//! pr23.md`. The software-AES fallback pays +55 %. `benchmark/`'s
-//! `gc.garble.and_per_s` ladder rung tracks the re-keyed rate.
+//! register, the composition — [`GateHash::hash_batch`] and the
+//! half-gate algebra around it — was timed at 19.5 ns an AND re-keyed
+//! against 17.1 fixed-key in a full batch, +14 %, and +52 % one gate a
+//! call (73 against 48 ns: a lone gate waits on its schedule chain),
+//! best of 21 timings. A re-keyed batch at 512 bits no longer takes
+//! that road: the batch entries run one fused kernel a side that
+//! derives the keys, runs the rounds and computes the half-gates in
+//! registers, while a fixed-key batch is still the composition. Timed
+//! in one process (medians of 11, a scratch build that can force the
+//! composition), a full garbler batch costs 16.9–18.6 ns an AND fused
+//! and re-keyed, 34.2–36.2 composed and re-keyed, 32.0–33.0 composed
+//! and fixed-key; one gate a call 84–93, 131–147 and 97–104 ns.
+//! Re-keyed and fused is now the cheapest of the three at every batch
+//! size. `benchmark/`'s `gc.garble.and_per_s` rung times the fused
+//! kernel, the oracle `garble_and` the composition. Tables for both
+//! are in `docs/measurements/`. The software-AES fallback pays +55 %.
 //!
 //! Both tweaks of an AND gate hash **two** labels each, so a
 //! [`GateHash`] exposes exactly the shapes the gate ops need:
@@ -29,7 +40,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::aes::{active_backend, encrypt_rekeyed, Aes128, AesBackend, MAX_REKEYED_KEYS};
+use crate::aes::{
+    active_backend, encrypt_rekeyed, eval_half_gates, fuses_half_gates, garble_half_gates, Aes128,
+    AesBackend, MAX_REKEYED_KEYS,
+};
 use crate::block::Block;
 
 /// Tweak namespace for **base-OT** key derivation. Gate tweaks are
@@ -220,6 +234,49 @@ impl GateHash {
                 }
             }
         }
+    }
+
+    /// Whether this hash garbles and evaluates a batch of AND gates in
+    /// one fused kernel a side ([`garble_ands`](Self::garble_ands),
+    /// [`eval_ands`](Self::eval_ands)) rather than through
+    /// [`hash_batch`](Self::hash_batch): re-keyed, on AES-NI at 512
+    /// bits.
+    pub(crate) fn fuses_half_gates(&self) -> bool {
+        self.scheme == HashScheme::Rekeyed && fuses_half_gates(self.backend())
+    }
+
+    /// The garbler's fused half-gate batch (`crate::aes`'s
+    /// `garble_half_gates`), metered as the composition is: two
+    /// expansions and four blocks an AND. Only where
+    /// [`fuses_half_gates`](Self::fuses_half_gates) holds.
+    pub(crate) fn garble_ands(
+        &self,
+        delta: Block,
+        bases: &[u64],
+        a: &[Block],
+        b: &[Block],
+        labels: &mut [Block],
+        tables: &mut [[Block; 2]],
+    ) {
+        debug_assert!(self.fuses_half_gates());
+        garble_half_gates(delta, bases, a, b, labels, tables);
+        self.meter(2 * bases.len() as u64, 4 * bases.len() as u64);
+    }
+
+    /// The evaluator's fused half-gate batch, metered as the composition
+    /// is: two expansions and two blocks an AND. Only where
+    /// [`fuses_half_gates`](Self::fuses_half_gates) holds.
+    pub(crate) fn eval_ands(
+        &self,
+        bases: &[u64],
+        a: &[Block],
+        b: &[Block],
+        tables: &[[Block; 2]],
+        labels: &mut [Block],
+    ) {
+        debug_assert!(self.fuses_half_gates());
+        eval_half_gates(bases, a, b, tables, labels);
+        self.meter(2 * bases.len() as u64, 2 * bases.len() as u64);
     }
 
     /// The re-keyed batch: [`MAX_REKEYED_KEYS`] tweaks at a time, each a

@@ -8,7 +8,10 @@
 //!   XOR; a global offset Δ ([`Delta`]) relates every label pair.
 //! - **Half-Gate AND** [Zahur, Rosulek & Evans]: two table rows per AND;
 //!   four hash calls to garble, two to evaluate — batched so the AES
-//!   blocks pipeline ([`garble_and_batch`], [`eval_and_batch`]).
+//!   blocks pipeline ([`garble_and_batch`], [`eval_and_batch`]). With
+//!   the re-keyed hash on a VAES core a batch is one fused kernel a
+//!   side: keys, rounds and the half-gate XOR network in 512-bit
+//!   registers, as in HAAC's gate engine.
 //! - **Re-keyed gate hash** [Guo et al.]: `H(x, i) = AES_i(x) ⊕ x` with
 //!   exactly one key expansion per tweak (two per AND gate, metered by
 //!   [`CryptoCounters`]) — the secure construction HAAC chooses over

@@ -32,8 +32,8 @@ use haac_circuit::{Circuit, GateOp, WireId};
 use rand::Rng;
 
 use crate::block::{Block, Delta};
-use crate::evaluate::{eval_and_batch, eval_inv, eval_xor};
-use crate::garble::{decode_outputs, garble_and_batch, garble_inv, garble_xor, MAX_AND_BATCH};
+use crate::evaluate::{eval_batch, eval_inv, eval_xor};
+use crate::garble::{decode_outputs, garble_batch, garble_inv, garble_xor, MAX_AND_BATCH};
 use crate::hash::{CryptoCounters, GateHash, HashScheme};
 use crate::slab::{rename_in_order, SlabState, SlotOp, SlotProgram};
 
@@ -334,9 +334,10 @@ impl<'c> StreamingGarbler<'c> {
     /// Returns `false` once the circuit is fully garbled.
     ///
     /// The plan's runs of consecutive, mutually independent AND gates
-    /// ([`SlotProgram::and_runs`]) are garbled as one batched hash call
-    /// each — up to 4·[`MAX_AND_BATCH`] AES blocks in flight, the
-    /// software analogue of HAAC keeping several gate engines busy. A
+    /// ([`SlotProgram::and_runs`]) are garbled as one batch each — up to
+    /// 4·[`MAX_AND_BATCH`] AES blocks in flight, the software analogue
+    /// of HAAC keeping several gate engines busy; re-keyed on a VAES
+    /// core, one fused kernel that leaves only labels and tables. A
     /// chunk budget may cut a run; the table stream and every label are
     /// bit-identical to gate-at-a-time garbling either way.
     ///
@@ -410,10 +411,12 @@ fn garble_slab(
     let instrs = state.plan().instrs();
     let runs = state.plan().and_runs();
     let first_out = state.plan().first_output_addr();
-    // Batch scratch, initialised once per chunk: every batch overwrites
-    // the prefix it reads.
-    let mut batch = [(0u64, Block::ZERO, Block::ZERO); MAX_AND_BATCH];
-    let mut results = [(Block::ZERO, [Block::ZERO; 2]); MAX_AND_BATCH];
+    // Batch operands, a structure of arrays initialised once per chunk:
+    // every batch overwrites the prefix it reads.
+    let mut bases = [0u64; MAX_AND_BATCH];
+    let mut a = [Block::ZERO; MAX_AND_BATCH];
+    let mut b = [Block::ZERO; MAX_AND_BATCH];
+    let mut labels = [Block::ZERO; MAX_AND_BATCH];
     let mut index = *next_gate;
     while index < instrs.len() && tables.len() < max_tables {
         let instr = instrs[index];
@@ -421,16 +424,17 @@ fn garble_slab(
         match instr.op {
             SlotOp::And => {
                 let k = (runs[index] as usize).min(max_tables - tables.len());
-                for (j, (slot, g)) in batch.iter_mut().zip(&instrs[index..index + k]).enumerate() {
-                    let w0a = state.read(g.a);
-                    let w0b = state.read(g.b);
-                    *slot = ((index + j) as u64, w0a, w0b);
+                for (j, g) in instrs[index..index + k].iter().enumerate() {
+                    (bases[j], a[j], b[j]) = ((index + j) as u64, state.read(g.a), state.read(g.b));
                 }
-                garble_and_batch(hash, delta, &batch[..k], &mut results[..k]);
-                for (j, &(w0c, _)) in results[..k].iter().enumerate() {
+                // The tables land on the chunk's tail.
+                let at = tables.len();
+                tables.resize(at + k, [Block::ZERO; 2]);
+                let (a, b, labels) = (&a[..k], &b[..k], &mut labels[..k]);
+                garble_batch(hash, delta, &bases[..k], a, b, labels, &mut tables[at..]);
+                for (j, &w0c) in labels.iter().enumerate() {
                     state.write(out + j as u32, w0c);
                 }
-                tables.extend(results[..k].iter().map(|&(_, table)| table));
                 index += k;
             }
             SlotOp::Xor => {
@@ -556,9 +560,11 @@ fn eval_slab(
     let instrs = state.plan().instrs();
     let runs = state.plan().and_runs();
     let first_out = state.plan().first_output_addr();
-    // Batch scratch, initialised once per chunk: every batch overwrites
-    // the prefix it reads.
-    let mut batch = [(0u64, Block::ZERO, Block::ZERO); MAX_AND_BATCH];
+    // Batch operands, a structure of arrays initialised once per chunk:
+    // every batch overwrites the prefix it reads.
+    let mut bases = [0u64; MAX_AND_BATCH];
+    let mut a = [Block::ZERO; MAX_AND_BATCH];
+    let mut b = [Block::ZERO; MAX_AND_BATCH];
     let mut labels = [Block::ZERO; MAX_AND_BATCH];
     let mut cursor = 0usize;
     let mut index = *next_gate;
@@ -571,13 +577,13 @@ fn eval_slab(
                     break; // starved: wait for the next chunk
                 }
                 let k = (runs[index] as usize).min(tables.len() - cursor);
-                for (j, (slot, g)) in batch.iter_mut().zip(&instrs[index..index + k]).enumerate() {
-                    let wa = state.read(g.a);
-                    let wb = state.read(g.b);
-                    *slot = ((index + j) as u64, wa, wb);
+                for (j, g) in instrs[index..index + k].iter().enumerate() {
+                    (bases[j], a[j], b[j]) = ((index + j) as u64, state.read(g.a), state.read(g.b));
                 }
-                eval_and_batch(hash, &batch[..k], &tables[cursor..cursor + k], &mut labels[..k]);
-                for (j, &label) in labels[..k].iter().enumerate() {
+                // The tables are read in place from the received slice.
+                let (a, b, labels) = (&a[..k], &b[..k], &mut labels[..k]);
+                eval_batch(hash, &bases[..k], a, b, &tables[cursor..cursor + k], labels);
+                for (j, &label) in labels.iter().enumerate() {
                     state.write(out + j as u32, label);
                 }
                 cursor += k;

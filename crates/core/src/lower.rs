@@ -64,8 +64,8 @@ pub struct StreamingPlan {
     pub window: WindowModel,
     /// The instruction schedule this plan was lowered with. Both
     /// parties of a session must lower identically; the session header
-    /// carries this tag so a disagreement fails loudly instead of
-    /// diverging transcripts.
+    /// carries the program's digest, not this tag, so a disagreement
+    /// fails loudly instead of diverging transcripts.
     pub reorder: ReorderKind,
 }
 
@@ -101,7 +101,7 @@ pub fn served_window() -> WindowModel {
 /// [`ReorderKind::Baseline`] preserves gate order and tweaks, so
 /// sessions driven by it produce **bit-identical transcripts** to the
 /// oracle `haac_gc::garble`; `Full`/`Segment` change the transcript (both
-/// parties must lower identically — negotiated in the session header)
+/// parties must lower identically — checked by the session header's digest)
 /// but line independent AND gates up in runs the executors batch.
 pub fn lower_with_reorder(circuit: &Circuit, kind: ReorderKind) -> StreamingPlan {
     lower_with_window(circuit, kind, served_window())

@@ -90,6 +90,17 @@ pub struct SlotInstr {
 }
 
 impl SlotInstr {
+    /// The instruction as one digest word: the operands, with the
+    /// opcode folded in as a multiple of an odd constant. Instructions
+    /// that differ only in their opcode, or only in their operands,
+    /// never share a word; sharing one takes both to differ and an
+    /// operand at or above 2^30.
+    #[inline]
+    fn digest_word(&self) -> u64 {
+        (u64::from(self.a) | u64::from(self.b) << 32)
+            ^ (self.op as u64).wrapping_mul(0xA076_1D64_78BD_642F)
+    }
+
     /// The addresses the instruction reads, `a` before `b` (INV reads
     /// only `a`; its `b` mirrors `a` by convention).
     #[inline]
@@ -175,6 +186,8 @@ pub struct SlotProgram {
     /// Static peak of simultaneously queued OoRW entries = slots the
     /// store needs.
     oor_queue_bound: usize,
+    /// See [`SlotProgram::digest`].
+    digest: [u8; 16],
 }
 
 impl SlotProgram {
@@ -274,8 +287,12 @@ impl SlotProgram {
         let num_addrs = first_out + instrs.len() as u32;
         let mut max_distance = 1u32;
         let mut and_count = 0usize;
+        let mut digest = Digest(DIGEST_SEEDS);
+        digest.absorb(u64::from(garbler_inputs) | u64::from(evaluator_inputs) << 32);
+        digest.absorb(instrs.len() as u64);
         for (i, instr) in instrs.iter().enumerate() {
             let out = first_out + i as u32;
+            digest.absorb(instr.digest_word());
             for operand in instr.operands() {
                 if operand == OOR_SLOT {
                     return Err(format!(
@@ -298,6 +315,10 @@ impl SlotProgram {
             if addr == 0 || addr >= num_addrs {
                 return Err(format!("output address {addr} out of range (1..{num_addrs})"));
             }
+        }
+        digest.absorb(output_addrs.len() as u64);
+        for &addr in &output_addrs {
+            digest.absorb(u64::from(addr));
         }
         let mut outputs_by_addr: Vec<(u32, u32)> =
             output_addrs.iter().enumerate().map(|(pos, &addr)| (addr, pos as u32)).collect();
@@ -342,7 +363,26 @@ impl SlotProgram {
             oor_reads: far.reads,
             oor_sources: far.sources,
             oor_queue_bound: far.queue_bound,
+            digest: digest.finish(),
         })
+    }
+
+    /// A 16-byte fingerprint of everything that determines a session's
+    /// transcript: the input counts, the instruction stream in its real
+    /// addresses and the output addresses. Window and far-read routing
+    /// are left out, because they never change the wire: plans of one
+    /// schedule agree at every window. Computed once, when the plan is
+    /// built; the value is the same on every target and AES backend.
+    ///
+    /// The session header carries it so that two parties who lowered
+    /// differently (another schedule under the same tag, another
+    /// circuit of the same size) fail before any table moves. It is a
+    /// consistency check against honest skew, not a commitment: a
+    /// semi-honest garbler can garble any function it likes whatever
+    /// digest it announces.
+    #[inline]
+    pub fn digest(&self) -> [u8; 16] {
+        self.digest
     }
 
     /// The renamed instruction stream, in execution order.
@@ -517,6 +557,34 @@ enum Window<'f> {
     /// The reads `is_far(out, a)` names are far; the slab covers the
     /// rest.
     FarReads(&'f dyn Fn(u32, u32) -> bool),
+}
+
+/// Two 64-bit multiply-xorshift lanes over little-endian words, each
+/// with its own seed and odd multiplier (see [`SlotProgram::digest`]).
+/// Every step is a bijection of the lane for a fixed word, so two
+/// streams that differ in one word always differ after it.
+struct Digest([u64; 2]);
+
+const DIGEST_SEEDS: [u64; 2] = [0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344];
+const DIGEST_KEYS: [u64; 2] = [0x9E37_79B9_7F4A_7C15, 0xC2B2_AE3D_27D4_EB4F];
+
+impl Digest {
+    #[inline]
+    fn absorb(&mut self, word: u64) {
+        for (lane, key) in self.0.iter_mut().zip(DIGEST_KEYS) {
+            let x = (*lane ^ word).wrapping_mul(key);
+            *lane = x ^ x >> 29;
+        }
+    }
+
+    /// Both lanes absorb both lanes' states, so every output byte
+    /// depends on the whole stream.
+    fn finish(mut self) -> [u8; 16] {
+        let [a, b] = self.0;
+        self.absorb(b.rotate_left(32));
+        self.absorb(a.rotate_left(32));
+        (u128::from(self.0[1]) << 64 | u128::from(self.0[0])).to_le_bytes()
+    }
 }
 
 /// What [`route_far_reads`] decided for a stream.
@@ -881,6 +949,32 @@ mod tests {
                 SlotProgram::with_window(instrs.clone(), 1, 1, vec![9], roomy),
                 Ok(natural.clone())
             );
+        }
+    }
+
+    #[test]
+    fn the_digest_covers_the_wire_and_ignores_the_window() {
+        let instrs =
+            vec![xor(1, 2), xor(3, 3), xor(4, 1), and(5, 3), xor(6, 1), xor(7, 4), xor(8, 6)];
+        let natural = SlotProgram::new(instrs.clone(), 1, 1, vec![9]).unwrap();
+        let spilling = SlotProgram::with_window(instrs.clone(), 1, 1, vec![9], 2).unwrap();
+        assert!(spilling.has_oor());
+        assert_eq!(spilling.digest(), natural.digest(), "routing never changes the wire");
+        let digest = |instrs: Vec<SlotInstr>, g: u32, e: u32, outs: Vec<u32>| {
+            SlotProgram::new(instrs, g, e, outs).unwrap().digest()
+        };
+        let mut swapped = instrs.clone();
+        swapped[0] = xor(2, 1);
+        let mut relabeled = instrs.clone();
+        relabeled[3].op = SlotOp::Xor;
+        for other in [
+            digest(swapped, 1, 1, vec![9]),
+            digest(relabeled, 1, 1, vec![9]),
+            digest(instrs.clone(), 2, 0, vec![9]),
+            digest(instrs.clone(), 1, 1, vec![8]),
+            digest(instrs[..6].to_vec(), 1, 1, vec![8]),
+        ] {
+            assert_ne!(other, natural.digest());
         }
     }
 

@@ -13,8 +13,8 @@
 //! |-------|----------|
 //! | [`channel`] | [`Channel`] trait, [`MemChannel`] (in-process), [`TcpChannel`] (real sockets), traffic accounting, per-operation I/O deadlines |
 //! | [`fault`] | [`FaultChannel`]: deterministic, seeded fault injection (delays, corruption, partial writes, disconnects, read stalls) for chaos testing |
-//! | [`wire`] | Framed protocol messages: header, input labels, base-OT flow, table chunks, outputs |
-//! | [`session`] | One garbler loop and one evaluator loop behind the [`run_garbler`] / [`run_evaluator`] drivers and their resumable and banked variants, [`SessionConfig`], [`SessionReport`] (bytes, frames, peak live wires, AES work, gates/s) |
+//! | [`wire`] | Framed protocol messages: header (with the plan digest), input labels, base-OT flow, table chunks, outputs |
+//! | [`session`] | One garbler loop and one evaluator loop behind the [`run_garbler`] / [`run_evaluator`] drivers and their resumable and banked variants, which run on the plan alone (only [`run_evaluator`], which lowers one, takes a circuit), [`SessionConfig`], [`SessionReport`] (bytes, frames, peak live wires, AES work, gates/s) |
 //!
 //! The cryptography lives in `haac-gc` ([`StreamingGarbler`] /
 //! [`StreamingEvaluator`] and the Chou–Orlandi-style base OT); this crate
@@ -64,7 +64,7 @@
 //! let mut channel = TcpChannel::connect("127.0.0.1:7700").unwrap();
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let config = SessionConfig::for_circuit(&circuit);
-//! let report = run_garbler(&circuit, &garbler_bits, &mut rng, &config, &mut channel).unwrap();
+//! let report = run_garbler(&garbler_bits, &mut rng, &config, &mut channel).unwrap();
 //!
 //! // Evaluator process (elsewhere):
 //! // let listener = std::net::TcpListener::bind("0.0.0.0:7700").unwrap();

@@ -28,6 +28,15 @@
 //! resumable session keeps the unacknowledged frames' bytes and asks a
 //! callback for a fresh channel; a plain session announces
 //! `ack_interval: 0`, keeps nothing, and its callback declines.
+//!
+//! **A session runs on its plan alone.** No driver takes the netlist:
+//! input widths, the table count, the evaluator's OT pairs and the
+//! output count are the plan's, and what the two parties agree on is
+//! the plan itself. The header carries its 16-byte
+//! [digest](haac_gc::SlotProgram::digest), and the evaluator refuses a
+//! mismatch in the handshake, before any label or table moves: two
+//! parties who lowered different schedules under one tag, or different
+//! circuits of one size, fail there instead of decoding garbage.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -180,7 +189,7 @@ pub struct SessionConfig {
     /// How the evaluator's input labels are delivered (default:
     /// [`OtMode::Base`], one public-key OT per input bit). Both parties
     /// must agree — the header carries the garbler's choice and the
-    /// evaluator refuses a mismatch, exactly like `reorder`.
+    /// evaluator refuses a mismatch, as it does a plan digest.
     pub ot_mode: OtMode,
     /// Cumulative-ack cadence a **resumable** garbler announces in its
     /// header: the evaluator acks the stream cursor every
@@ -204,9 +213,9 @@ impl SessionConfig {
     }
 
     /// Like [`for_circuit`](SessionConfig::for_circuit) but lowers with
-    /// the given schedule. Both parties must use the same
-    /// [`ReorderKind`] — the session header carries the garbler's
-    /// choice and the evaluator refuses a disagreement.
+    /// the given schedule. Both parties must lower the same program —
+    /// the session header carries the garbler's plan digest and the
+    /// evaluator refuses a disagreement.
     pub fn for_circuit_with(circuit: &Circuit, reorder: ReorderKind) -> SessionConfig {
         SessionConfig::from_plan(
             HashScheme::Rekeyed,
@@ -512,64 +521,11 @@ fn expect_message<C: Channel + ?Sized>(
     Ok(message)
 }
 
-/// A configured plan must describe the session's circuit — a mismatch
-/// would garble garbage rather than fail loudly.
-///
-/// Release builds check the aggregate counts, plus — for baseline-order
-/// plans, whose instruction order equals the gate order — the
-/// per-instruction opcode sequence (one allocation-free O(gates)
-/// pass). Reordered plans permute the opcode sequence, so for them the
-/// cheap check stops at the aggregates. Debug builds additionally
-/// re-lower **baseline** plans (same window, so plans that spill to
-/// the OoRW queue are covered) and require exact equality; reordered
-/// plans skip the rebuild — the tag names a schedule *family*, and a
-/// `SlotProgram` may be renamed from any order within it
-/// (`haac_gc::rename_in_order`), so a canonical rebuild would falsely
-/// reject valid mutually-agreed plans.
-fn check_plan(plan: &StreamingPlan, circuit: &Circuit) -> Result<(), RuntimeError> {
-    let p = &plan.program;
-    let mismatch = p.garbler_inputs() != circuit.garbler_inputs()
-        || p.evaluator_inputs() != circuit.evaluator_inputs()
-        || p.instrs().len() != circuit.num_gates()
-        || p.and_count() != circuit.num_and_gates()
-        || p.output_addrs().len() != circuit.outputs().len()
-        || (plan.reorder == ReorderKind::Baseline
-            && p.instrs().iter().zip(circuit.gates()).any(|(instr, gate)| {
-                instr.op
-                    != match gate.op {
-                        haac_circuit::GateOp::And => haac_gc::SlotOp::And,
-                        haac_circuit::GateOp::Xor => haac_gc::SlotOp::Xor,
-                        haac_circuit::GateOp::Inv => haac_gc::SlotOp::Inv,
-                    }
-            }));
-    if mismatch {
-        return Err(RuntimeError::protocol(
-            "session plan does not match the circuit (stale cache entry?)",
-        ));
-    }
-    #[cfg(debug_assertions)]
-    if plan.reorder == ReorderKind::Baseline {
-        // Rebuild with the same slab window (a plan that spills
-        // re-marks the same OoR reads) and require exact equality.
-        let rebuilt = haac_core::lower::lower_with_window(
-            circuit,
-            ReorderKind::Baseline,
-            haac_core::WindowModel::new(plan.program.slot_wires()),
-        );
-        if *p != rebuilt.program {
-            return Err(RuntimeError::protocol(
-                "session plan does not match the circuit's wiring (stale cache entry?)",
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Refuses a party's input bits when their count is not the circuit's.
+/// Refuses a party's input bits when their count is not the plan's.
 fn check_width(role: &str, bits: usize, expected: u32) -> Result<(), RuntimeError> {
     if bits != expected as usize {
         return Err(RuntimeError::protocol(format!(
-            "{role} input width {bits} does not match circuit ({expected})"
+            "{role} input width {bits} does not match the plan ({expected})"
         )));
     }
     Ok(())
@@ -588,7 +544,7 @@ fn check_seq(seq: u64, expected: u64) -> Result<(), RuntimeError> {
     Ok(())
 }
 
-/// A `Tables` frame may carry at most the tables the circuit still
+/// A `Tables` frame may carry at most the tables the plan still
 /// expects. The executors stop at the last gate and would drop surplus
 /// tables silently, so without this check a malformed stream would
 /// complete as if it were well-formed.
@@ -621,31 +577,16 @@ fn maybe_ack<C: Channel + ?Sized>(
     Ok(())
 }
 
-fn validate_header(circuit: &Circuit, header: &SessionHeader) -> Result<(), RuntimeError> {
-    let mismatch = |what: &str, ours: u64, theirs: u64| {
-        Err(RuntimeError::protocol(format!(
-            "circuit mismatch: {what} is {theirs} on the garbler, {ours} here"
-        )))
-    };
-    if header.garbler_inputs != circuit.garbler_inputs() {
-        return mismatch(
-            "garbler_inputs",
-            circuit.garbler_inputs() as u64,
-            header.garbler_inputs as u64,
-        );
-    }
-    if header.evaluator_inputs != circuit.evaluator_inputs() {
-        return mismatch(
-            "evaluator_inputs",
-            circuit.evaluator_inputs() as u64,
-            header.evaluator_inputs as u64,
-        );
-    }
-    if header.num_gates != circuit.num_gates() as u64 {
-        return mismatch("num_gates", circuit.num_gates() as u64, header.num_gates);
-    }
-    if header.num_tables != circuit.num_and_gates() as u64 {
-        return mismatch("num_tables", circuit.num_and_gates() as u64, header.num_tables);
+/// Refuses a header whose plan is not ours, before any label moves.
+fn validate_header(plan: &StreamingPlan, header: &SessionHeader) -> Result<(), RuntimeError> {
+    let ours = plan.program.digest();
+    if header.plan_digest != ours {
+        return Err(RuntimeError::protocol(format!(
+            "plan digest mismatch: the garbler lowered {:032x}, this side {:032x}",
+            u128::from_be_bytes(header.plan_digest),
+            u128::from_be_bytes(ours)
+        ))
+        .in_phase(SessionPhase::Handshake));
     }
     if header.chunk_tables == 0 {
         return Err(RuntimeError::protocol("chunk_tables must be positive"));
@@ -883,6 +824,10 @@ use {ot_receive as ot_receive_extended, ot_send as ot_send_extended};
 /// Runs a complete session in-process: garbler and evaluator threads
 /// joined by a [`MemChannel`](crate::MemChannel) pair.
 ///
+/// Both parties run on `config`'s plan; `_circuit` is unused and stays
+/// only because the benchmark's `SessionFn` pins this signature
+/// (ROADMAP item 1).
+///
 /// Returns `(garbler_report, evaluator_report)`.
 ///
 /// # Errors
@@ -918,27 +863,22 @@ use {ot_receive as ot_receive_extended, ot_send as ot_send_extended};
 /// assert_eq!(e.outputs, vec![true]);
 /// ```
 pub fn run_local_session(
-    circuit: &Circuit,
+    _circuit: &Circuit,
     garbler_bits: &[bool],
     evaluator_bits: &[bool],
     seed: u64,
     config: &SessionConfig,
 ) -> Result<(SessionReport, SessionReport), RuntimeError> {
     let (garbler_channel, evaluator_channel) = crate::channel::MemChannel::pair();
-    run_session_pair(
-        circuit,
-        garbler_bits,
-        evaluator_bits,
-        seed,
-        config,
-        garbler_channel,
-        evaluator_channel,
-    )
+    run_session_pair(garbler_bits, evaluator_bits, seed, config, garbler_channel, evaluator_channel)
 }
 
 /// Runs a complete session over a real loopback TCP socket: an
 /// evaluator thread listens on an ephemeral `127.0.0.1` port, the
 /// garbler connects, and both run the full streamed protocol.
+///
+/// As with [`run_local_session`], `_circuit` is unused: the signature
+/// is pinned by the benchmark's `SessionFn` (ROADMAP item 1).
 ///
 /// Returns `(garbler_report, evaluator_report)`.
 ///
@@ -950,7 +890,7 @@ pub fn run_local_session(
 ///
 /// Panics if a party thread panics.
 pub fn run_tcp_session(
-    circuit: &Circuit,
+    _circuit: &Circuit,
     garbler_bits: &[bool],
     evaluator_bits: &[bool],
     seed: u64,
@@ -969,7 +909,6 @@ pub fn run_tcp_session(
         let garbler_channel = TcpChannel::from_stream(TcpStream::connect(addr)?)?;
         let evaluator_channel = accept.join().expect("accept thread panicked")?;
         run_session_pair(
-            circuit,
             garbler_bits,
             evaluator_bits,
             seed,
@@ -984,7 +923,6 @@ pub fn run_tcp_session(
 /// The one `config` governs both sides (the evaluator shares the
 /// garbler's plan — no second lowering).
 fn run_session_pair<C: Channel + Send>(
-    circuit: &Circuit,
     garbler_bits: &[bool],
     evaluator_bits: &[bool],
     seed: u64,
@@ -998,12 +936,12 @@ fn run_session_pair<C: Channel + Send>(
     std::thread::scope(|scope| {
         let garbler = scope.spawn(move || {
             let mut rng = StdRng::seed_from_u64(seed);
-            run_garbler(circuit, garbler_bits, &mut rng, config, &mut garbler_channel)
+            run_garbler(garbler_bits, &mut rng, config, &mut garbler_channel)
         });
         let evaluator = scope.spawn(move || {
             // Independent randomness for the receiver's OT blinding.
             let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-            run_evaluator_with(circuit, evaluator_bits, &mut rng, config, &mut evaluator_channel)
+            run_evaluator_with(evaluator_bits, &mut rng, config, &mut evaluator_channel)
         });
         let garbler_report = garbler.join().expect("garbler thread panicked");
         let evaluator_report = evaluator.join().expect("evaluator thread panicked");
@@ -1259,17 +1197,16 @@ impl<F> GarblerRecovery<'_, F> {
 ///
 /// # Errors
 ///
-/// Fails on transport errors, protocol violations, input width
-/// mismatch, or a plan that does not describe `circuit`.
+/// Fails on transport errors, protocol violations, or input bits of
+/// another width than the plan's.
 pub fn run_garbler<C: Channel + ?Sized, R: Rng + ?Sized>(
-    circuit: &Circuit,
     garbler_bits: &[bool],
     rng: &mut R,
     config: &SessionConfig,
     channel: &mut C,
 ) -> Result<SessionReport, RuntimeError> {
     let plain = SessionConfig { ack_interval: 0, ..config.clone() };
-    run_garbler_resumable(circuit, garbler_bits, rng, &plain, channel, |_: &RuntimeError, _| None)
+    run_garbler_resumable(garbler_bits, rng, &plain, channel, |_: &RuntimeError, _| None)
 }
 
 /// Runs the garbler side of a **resumable** streaming session.
@@ -1308,7 +1245,6 @@ pub fn run_garbler<C: Channel + ?Sized, R: Rng + ?Sized>(
 /// on protocol violations, and on resumable failures once the callback
 /// declines to provide a new channel.
 pub fn run_garbler_resumable<C, R, F>(
-    circuit: &Circuit,
     garbler_bits: &[bool],
     rng: &mut R,
     config: &SessionConfig,
@@ -1320,14 +1256,12 @@ where
     R: Rng + ?Sized,
     F: FnMut(&RuntimeError, u64) -> Option<(C, u64)>,
 {
-    check_width("garbler", garbler_bits.len(), circuit.garbler_inputs())?;
-    check_plan(&config.plan, circuit)?;
+    check_width("garbler", garbler_bits.len(), config.plan.program.garbler_inputs())?;
     let start = Instant::now();
-    write_resumable_header(circuit, config, &mut channel)?;
+    write_resumable_header(config, &mut channel)?;
     let garbler = StreamingGarbler::with_plan(&config.plan.program, rng, config.scheme);
     let mut replay = ReplayBuffer::new();
     stream_garbler_resumable(
-        circuit,
         garbler_bits,
         garbler,
         rng,
@@ -1354,11 +1288,10 @@ where
 /// # Errors
 ///
 /// Fails like [`run_garbler_resumable`], plus a protocol error when the
-/// instance's dimensions (inputs / tables / outputs) do not match
-/// `circuit` — a stale or mis-keyed bank entry is refused before any
-/// byte is streamed.
+/// instance's dimensions (inputs / tables / outputs) do not match the
+/// plan's — a stale or mis-keyed bank entry is refused before any byte
+/// is streamed.
 pub fn run_garbler_banked<C, R, F>(
-    circuit: &Circuit,
     garbler_bits: &[bool],
     instance: PlanGarbling,
     rng: &mut R,
@@ -1371,28 +1304,28 @@ where
     R: Rng + ?Sized,
     F: FnMut(&RuntimeError, u64) -> Option<(C, u64)>,
 {
-    check_width("garbler", garbler_bits.len(), circuit.garbler_inputs())?;
-    if instance.input_zero_labels.len() != circuit.num_inputs() as usize
-        || instance.tables.len() != circuit.num_and_gates()
-        || instance.output_decode.len() != circuit.outputs().len()
+    let program = &config.plan.program;
+    check_width("garbler", garbler_bits.len(), program.garbler_inputs())?;
+    if instance.input_zero_labels.len() != program.num_inputs() as usize
+        || instance.tables.len() != program.and_count()
+        || instance.output_decode.len() != program.output_addrs().len()
     {
         return Err(RuntimeError::protocol(format!(
             "banked instance shape ({} inputs, {} tables, {} outputs) does not match the \
-             circuit ({}, {}, {}) — stale or mis-keyed bank entry",
+             plan ({}, {}, {}) — stale or mis-keyed bank entry",
             instance.input_zero_labels.len(),
             instance.tables.len(),
             instance.output_decode.len(),
-            circuit.num_inputs(),
-            circuit.num_and_gates(),
-            circuit.outputs().len(),
+            program.num_inputs(),
+            program.and_count(),
+            program.output_addrs().len(),
         )));
     }
     let start = Instant::now();
-    write_resumable_header(circuit, config, &mut channel)?;
+    write_resumable_header(config, &mut channel)?;
     let garbler = BankedGarbler::new(instance);
     let mut replay = ReplayBuffer::new();
     stream_garbler_resumable(
-        circuit,
         garbler_bits,
         garbler,
         rng,
@@ -1408,7 +1341,6 @@ where
 /// which is the point, the evaluator drives one protocol. The ack
 /// cadence it announces is what makes the session resumable (0: not).
 fn write_resumable_header<C: Channel>(
-    circuit: &Circuit,
     config: &SessionConfig,
     channel: &mut C,
 ) -> Result<(), RuntimeError> {
@@ -1416,16 +1348,11 @@ fn write_resumable_header<C: Channel>(
     write_message(
         channel,
         &Message::Header(SessionHeader {
-            garbler_inputs: circuit.garbler_inputs(),
-            evaluator_inputs: circuit.evaluator_inputs(),
-            num_gates: circuit.num_gates() as u64,
-            num_tables: circuit.num_and_gates() as u64,
+            plan_digest: config.plan.program.digest(),
             scheme: config.scheme,
-            window_wires: config.plan.window.sww_wires(),
             chunk_tables: config.chunk_tables() as u32,
-            reorder: config.reorder(),
-            ot_mode: config.ot_mode,
             ack_interval: config.ack_interval,
+            ot_mode: config.ot_mode,
         }),
     )
     .map_err(|e| e.in_phase(SessionPhase::Handshake))
@@ -1496,7 +1423,6 @@ impl GarblerSource for BankedGarbler {
 /// so a test can read its high-water mark afterwards.
 #[allow(clippy::too_many_arguments)]
 fn stream_garbler_resumable<G, C, R, F>(
-    circuit: &Circuit,
     garbler_bits: &[bool],
     mut garbler: G,
     rng: &mut R,
@@ -1522,8 +1448,9 @@ where
     )
     .map_err(|e| e.in_phase(SessionPhase::Handshake))?;
 
-    let evaluator_pairs: Vec<(Block, Block)> = (0..circuit.evaluator_inputs())
-        .map(|i| garbler.input_label_pair(circuit.garbler_inputs() + i))
+    let program = &config.plan.program;
+    let evaluator_pairs: Vec<(Block, Block)> = (0..program.evaluator_inputs())
+        .map(|i| garbler.input_label_pair(program.garbler_inputs() + i))
         .collect();
     let live = config.telemetry.as_deref().filter(|_| haac_telemetry::enabled());
     arm_phase(&mut channel, SessionPhase::Ot, &config.deadlines)?;
@@ -1636,11 +1563,11 @@ where
             Err(e) => channel = link.recover(channel, e, SessionPhase::Output)?,
         }
     };
-    if outputs.len() != circuit.outputs().len() {
+    if outputs.len() != program.output_addrs().len() {
         return Err(RuntimeError::protocol(format!(
-            "evaluator shared {} outputs, circuit has {}",
+            "evaluator shared {} outputs, the plan has {}",
             outputs.len(),
-            circuit.outputs().len()
+            program.output_addrs().len()
         )));
     }
 
@@ -1757,22 +1684,22 @@ impl<F> EvaluatorRecovery<'_, F> {
 /// ack cadence is the garbler's call: whatever its header announces is
 /// honoured, 0 (no acks) included.
 ///
-/// `config.plan` must be the plan the garbler lowered (`config.scheme`
-/// and the plan's window are the garbler's choices and arrive via the
-/// header).
+/// `config.plan` must be the program the garbler lowered — the header
+/// carries its digest, and a mismatch is refused in the handshake —
+/// though its window may differ: routing never changes the wire.
+/// `config.scheme` is the garbler's choice and arrives via the header.
 ///
 /// # Errors
 ///
-/// Fails on transport errors, protocol violations, input width
-/// mismatch, or a plan that does not describe `circuit`.
+/// Fails on transport errors, protocol violations, a plan digest other
+/// than the garbler's, or input bits of another width than the plan's.
 pub fn run_evaluator_with<C: Channel + ?Sized, R: Rng + ?Sized>(
-    circuit: &Circuit,
     evaluator_bits: &[bool],
     rng: &mut R,
     config: &SessionConfig,
     channel: &mut C,
 ) -> Result<SessionReport, RuntimeError> {
-    evaluator_session(circuit, evaluator_bits, rng, config, channel, None, |_, _| None)
+    evaluator_session(evaluator_bits, rng, config, channel, None, |_, _| None)
 }
 
 /// Runs the evaluator (Bob) side of a streaming session with default
@@ -1780,11 +1707,8 @@ pub fn run_evaluator_with<C: Channel + ?Sized, R: Rng + ?Sized>(
 /// schedule (callers running many sessions — or negotiating a
 /// reordered schedule — should cache a plan and use
 /// [`run_evaluator_with`]/[`SessionConfig::from_plan`] instead; a
-/// garbler announcing a non-baseline reorder is refused with a typed
-/// mismatch error).
-///
-/// The evaluator learns the session parameters from the garbler's header
-/// and validates them against its own copy of the circuit.
+/// garbler that lowered anything else is refused with a typed digest
+/// mismatch).
 ///
 /// # Errors
 ///
@@ -1796,8 +1720,7 @@ pub fn run_evaluator<C: Channel + ?Sized, R: Rng + ?Sized>(
     rng: &mut R,
     channel: &mut C,
 ) -> Result<SessionReport, RuntimeError> {
-    let config = SessionConfig::for_circuit(circuit);
-    run_evaluator_with(circuit, evaluator_bits, rng, &config, channel)
+    run_evaluator_with(evaluator_bits, rng, &SessionConfig::for_circuit(circuit), channel)
 }
 
 /// Runs the evaluator side of a **resumable** streaming session.
@@ -1825,7 +1748,6 @@ pub fn run_evaluator<C: Channel + ?Sized, R: Rng + ?Sized>(
 /// i.e. one that cannot resume — and resumable failures once the
 /// callback declines to reconnect.
 pub fn run_evaluator_resumable<C, R, F>(
-    circuit: &Circuit,
     evaluator_bits: &[bool],
     rng: &mut R,
     config: &SessionConfig,
@@ -1838,7 +1760,7 @@ where
     R: Rng + ?Sized,
     F: FnMut(&RuntimeError, u64) -> Option<C>,
 {
-    evaluator_session(circuit, evaluator_bits, rng, config, channel, Some(ticket), resume)
+    evaluator_session(evaluator_bits, rng, config, channel, Some(ticket), resume)
 }
 
 /// Every evaluator session — the one evaluator loop: header checks,
@@ -1848,7 +1770,6 @@ where
 /// refused at the header and a transport failure past the stream
 /// boundary consults `resume`; without one, nothing does.
 fn evaluator_session<C, R, F>(
-    circuit: &Circuit,
     evaluator_bits: &[bool],
     rng: &mut R,
     config: &SessionConfig,
@@ -1861,8 +1782,8 @@ where
     R: Rng + ?Sized,
     F: FnMut(&RuntimeError, u64) -> Option<C>,
 {
-    check_width("evaluator", evaluator_bits.len(), circuit.evaluator_inputs())?;
-    check_plan(&config.plan, circuit)?;
+    let program = &config.plan.program;
+    check_width("evaluator", evaluator_bits.len(), program.evaluator_inputs())?;
     let start = Instant::now();
 
     arm_phase(&mut channel, SessionPhase::Handshake, &config.deadlines)?;
@@ -1871,16 +1792,7 @@ where
     else {
         unreachable!()
     };
-    validate_header(circuit, &header)?;
-    if header.reorder != config.reorder() {
-        // Running anyway would not fail fast — it would desynchronize
-        // the table stream and surface as garbage labels much later.
-        return Err(RuntimeError::protocol(format!(
-            "reorder mismatch: the garbler lowered with {}, this side with {}",
-            header.reorder.label(),
-            config.reorder().label()
-        )));
-    }
+    validate_header(&config.plan, &header)?;
     if header.ot_mode != config.ot_mode {
         // The two modes speak different message sequences: running on
         // would deadlock inside the OT phase instead of failing here.
@@ -1903,7 +1815,7 @@ where
     else {
         unreachable!()
     };
-    if garbler_labels.len() != circuit.garbler_inputs() as usize {
+    if garbler_labels.len() != program.garbler_inputs() as usize {
         return Err(RuntimeError::protocol("garbler label count mismatch"));
     }
 
@@ -1922,8 +1834,7 @@ where
 
     let mut input_labels = garbler_labels;
     input_labels.extend(own_labels);
-    let mut evaluator =
-        StreamingEvaluator::with_plan(&config.plan.program, input_labels, header.scheme);
+    let mut evaluator = StreamingEvaluator::with_plan(program, input_labels, header.scheme);
 
     arm_phase(&mut channel, SessionPhase::Stream, &config.deadlines)?;
     let stream_start = Instant::now();
@@ -1938,11 +1849,12 @@ where
     // The one table buffer of the stream: every frame is received
     // straight into it and fed from it.
     let mut chunk: Vec<[Block; 2]> = Vec::new();
+    let num_tables = program.and_count() as u64;
     let output_decode = loop {
         let t = Instant::now();
         let frame = read_stream_frame(&mut channel, &mut chunk, |seq, count| {
             check_seq(seq, stats.chunks)
-                .and_then(|()| check_frame_fits(count, stats.tables, header.num_tables))
+                .and_then(|()| check_frame_fits(count, stats.tables, num_tables))
         });
         match frame {
             Ok(StreamFrame::Tables) => {
@@ -1987,7 +1899,7 @@ where
         return Err(RuntimeError::protocol(format!(
             "table stream ended early: consumed {} of {} tables",
             evaluator.tables_consumed(),
-            header.num_tables
+            num_tables
         ))
         .in_phase(SessionPhase::Stream));
     }
@@ -2019,8 +1931,8 @@ where
         table_chunks: stats.chunks,
         tables,
         peak_live_wires: finish.peak_live_wires,
-        within_window: finish.peak_live_wires <= header.window_wires as usize,
-        ot_transfers: circuit.evaluator_inputs() as u64,
+        within_window: finish.peak_live_wires <= config.plan.window.sww_wires() as usize,
+        ot_transfers: u64::from(program.evaluator_inputs()),
         crypto: finish.crypto,
         compute_ns: stats.compute_ns,
         io_ns: stats.io_ns,
@@ -2075,7 +1987,7 @@ mod tests {
         // The peer endpoint stays alive but sends nothing: a stall, not
         // a disconnect. Without the deadline this would block forever.
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let err = run_evaluator_with(&c, &to_bits(1, 8), &mut rng, &config, &mut ours).unwrap_err();
+        let err = run_evaluator_with(&to_bits(1, 8), &mut rng, &config, &mut ours).unwrap_err();
         assert!(
             matches!(err, RuntimeError::Deadline { phase: SessionPhase::Handshake }),
             "expected a handshake deadline, got {err}"
@@ -2097,7 +2009,7 @@ mod tests {
         // The peer accepts the handshake traffic (buffered in the
         // queue) but never answers the base-OT round trip.
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let err = run_garbler(&c, &to_bits(1, 8), &mut rng, &config, &mut ours).unwrap_err();
+        let err = run_garbler(&to_bits(1, 8), &mut rng, &config, &mut ours).unwrap_err();
         assert!(
             matches!(err, RuntimeError::Deadline { phase: SessionPhase::Ot }),
             "expected an OT deadline, got {err}"
@@ -2251,7 +2163,8 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
 
-        let big = adder(16);
+        // Inputs for a 16-bit adder against an 8-bit adder's plan: the
+        // plan's own width refuses them before the header is written.
         let small = adder(8);
         let config = SessionConfig::from_plan(
             HashScheme::Rekeyed,
@@ -2259,8 +2172,9 @@ mod tests {
         );
         let (mut gc, _ec) = crate::channel::MemChannel::pair();
         let mut rng = StdRng::seed_from_u64(1);
-        let err = run_garbler(&big, &to_bits(1, 16), &mut rng, &config, &mut gc).unwrap_err();
-        assert!(err.to_string().contains("plan does not match"), "{err}");
+        let err = run_garbler(&to_bits(1, 16), &mut rng, &config, &mut gc).unwrap_err();
+        assert!(err.to_string().contains("garbler input width 16"), "{err}");
+        assert_eq!(gc.stats().bytes_sent, 0, "refused before any traffic");
     }
 
     #[test]
@@ -2275,14 +2189,15 @@ mod tests {
             let config = SessionConfig::for_circuit(&big);
             let garbler = scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(1);
-                run_garbler(&big, &to_bits(1, 16), &mut rng, &config, &mut gc)
+                run_garbler(&to_bits(1, 16), &mut rng, &config, &mut gc)
             });
             let evaluator = scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(2);
                 run_evaluator(&small, &to_bits(1, 8), &mut rng, &mut ec)
             });
             let eval_err = evaluator.join().unwrap().unwrap_err();
-            assert!(eval_err.to_string().contains("circuit mismatch"), "{eval_err}");
+            assert!(eval_err.to_string().contains("plan digest mismatch"), "{eval_err}");
+            assert_eq!(eval_err.phase(), Some(SessionPhase::Handshake));
             // The garbler sees the evaluator hang up mid-protocol.
             assert!(garbler.join().unwrap().is_err());
         });
@@ -2327,7 +2242,7 @@ mod tests {
         std::thread::scope(|scope| {
             let garbler = scope.spawn(|| {
                 let mut rng = StdRng::seed_from_u64(21);
-                run_garbler(&c, &to_bits(7, 32), &mut rng, &config, &mut gc)
+                run_garbler(&to_bits(7, 32), &mut rng, &config, &mut gc)
             });
             let evaluator = scope.spawn(|| {
                 let mut rng = StdRng::seed_from_u64(22);
@@ -2361,10 +2276,9 @@ mod tests {
             let garbler = scope.spawn(|| {
                 let mut rng = StdRng::seed_from_u64(21);
                 let start = Instant::now();
-                write_resumable_header(&c, &config, &mut gc)?;
+                write_resumable_header(&config, &mut gc)?;
                 let garbler = StreamingGarbler::with_plan(&plan.program, &mut rng, config.scheme);
                 stream_garbler_resumable(
-                    &c,
                     &to_bits(7, 32),
                     garbler,
                     &mut rng,
@@ -2377,7 +2291,7 @@ mod tests {
             });
             let evaluator = scope.spawn(|| {
                 let mut rng = StdRng::seed_from_u64(22);
-                run_evaluator_resumable(&c, &to_bits(8, 32), &mut rng, &config, ec, 9, |_, _| None)
+                run_evaluator_resumable(&to_bits(8, 32), &mut rng, &config, ec, 9, |_, _| None)
             });
             (garbler.join().unwrap().unwrap(), evaluator.join().unwrap().unwrap())
         });
@@ -2422,11 +2336,10 @@ mod tests {
             let (g, e) = std::thread::scope(|scope| {
                 let garbler = scope.spawn(|| {
                     let mut rng = StdRng::seed_from_u64(21);
-                    write_resumable_header(&c, config, &mut gc)?;
+                    write_resumable_header(config, &mut gc)?;
                     let garbler =
                         StreamingGarbler::with_plan(&config.plan.program, &mut rng, config.scheme);
                     stream_garbler_resumable(
-                        &c,
                         &bits,
                         garbler,
                         &mut rng,
@@ -2438,7 +2351,7 @@ mod tests {
                     )
                 });
                 let mut rng = StdRng::seed_from_u64(22);
-                let e = run_evaluator_with(&c, &bits, &mut rng, config, &mut ec);
+                let e = run_evaluator_with(&bits, &mut rng, config, &mut ec);
                 (garbler.join().unwrap().unwrap(), e.unwrap())
             });
             assert_eq!(g.outputs, c.eval(&bits, &bits).unwrap());
@@ -2510,11 +2423,11 @@ mod tests {
             let base = SessionConfig::for_circuit(c);
             let garbler = scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(1);
-                run_garbler(c, &to_bits(1, 8), &mut rng, &ext, &mut gc)
+                run_garbler(&to_bits(1, 8), &mut rng, &ext, &mut gc)
             });
             let evaluator = scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(2);
-                run_evaluator_with(c, &to_bits(2, 8), &mut rng, &base, &mut ec)
+                run_evaluator_with(&to_bits(2, 8), &mut rng, &base, &mut ec)
             });
             let eval_err = evaluator.join().unwrap().unwrap_err();
             assert!(eval_err.to_string().contains("OT mode mismatch"), "{eval_err}");
@@ -2549,7 +2462,6 @@ mod tests {
     /// routing by ticket. `wrap` intercepts every *resumed* channel end
     /// (tests use it to observe deadline re-arming).
     fn run_resumable_pair(
-        circuit: &Circuit,
         seed: u64,
         config: &SessionConfig,
         garbler_bits: &[bool],
@@ -2557,16 +2469,7 @@ mod tests {
         cut_at_op: Option<u64>,
         wrap: &(dyn Fn(crate::channel::MemChannel) -> DynChannel + Sync),
     ) -> Result<(SessionReport, SessionReport), RuntimeError> {
-        run_resumable_pair_with(
-            false,
-            circuit,
-            seed,
-            config,
-            garbler_bits,
-            evaluator_bits,
-            cut_at_op,
-            wrap,
-        )
+        run_resumable_pair_with(false, seed, config, garbler_bits, evaluator_bits, cut_at_op, wrap)
     }
 
     /// Like [`run_resumable_pair`], with a `banked` switch: the garbler
@@ -2577,7 +2480,6 @@ mod tests {
     #[allow(clippy::too_many_arguments)]
     fn run_resumable_pair_with(
         banked: bool,
-        circuit: &Circuit,
         seed: u64,
         config: &SessionConfig,
         garbler_bits: &[bool],
@@ -2616,7 +2518,6 @@ mod tests {
                     let instance =
                         haac_gc::garble_plan_in(&plan.program, &mut rng, config.scheme, &pool);
                     run_garbler_banked(
-                        circuit,
                         garbler_bits,
                         instance,
                         &mut rng,
@@ -2625,20 +2526,12 @@ mod tests {
                         callback,
                     )
                 } else {
-                    run_garbler_resumable(
-                        circuit,
-                        garbler_bits,
-                        &mut rng,
-                        config,
-                        garbler_channel,
-                        callback,
-                    )
+                    run_garbler_resumable(garbler_bits, &mut rng, config, garbler_channel, callback)
                 }
             });
             let evaluator = scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
                 run_evaluator_resumable(
-                    circuit,
                     evaluator_bits,
                     &mut rng,
                     config,
@@ -2680,7 +2573,6 @@ mod tests {
     /// the online one draws Δ and its labels).
     fn recorded_session(
         driver: Driver,
-        c: &Circuit,
         gb: &[bool],
         eb: &[bool],
         config: &SessionConfig,
@@ -2697,13 +2589,13 @@ mod tests {
                 let rng = &mut rng;
                 let no = |_: &RuntimeError, _| None;
                 match driver {
-                    Driver::Plain => run_garbler(c, gb, rng, config, &mut g_tee),
-                    Driver::Resumable => run_garbler_resumable(c, gb, rng, config, &mut g_tee, no),
+                    Driver::Plain => run_garbler(gb, rng, config, &mut g_tee),
+                    Driver::Resumable => run_garbler_resumable(gb, rng, config, &mut g_tee, no),
                     Driver::Banked => {
                         let pool = haac_gc::EnginePool::new(2);
                         let program = &config.plan.program;
                         let instance = haac_gc::garble_plan_in(program, rng, config.scheme, &pool);
-                        run_garbler_banked(c, gb, instance, rng, config, &mut g_tee, no)
+                        run_garbler_banked(gb, instance, rng, config, &mut g_tee, no)
                     }
                 }
             });
@@ -2711,9 +2603,9 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
                 let rng = &mut rng;
                 match driver {
-                    Driver::Plain => run_evaluator_with(c, eb, rng, config, &mut e_tee),
+                    Driver::Plain => run_evaluator_with(eb, rng, config, &mut e_tee),
                     Driver::Resumable | Driver::Banked => {
-                        run_evaluator_resumable(c, eb, rng, config, &mut e_tee, 9, |_, _| None)
+                        run_evaluator_resumable(eb, rng, config, &mut e_tee, 9, |_, _| None)
                     }
                 }
             });
@@ -2740,8 +2632,8 @@ mod tests {
             let w = build(kind, Scale::Small);
             let config = SessionConfig::for_circuit(&w.circuit).with_ack_interval(2);
             let seed = 7 + kind as u64;
-            let (c, gb, eb) = (&w.circuit, &w.garbler_bits, &w.evaluator_bits);
-            let run = |driver| recorded_session(driver, c, gb, eb, &config, seed);
+            let (gb, eb) = (&w.garbler_bits, &w.evaluator_bits);
+            let run = |driver| recorded_session(driver, gb, eb, &config, seed);
             let (plain_sent, plain_replies, pg, pe) = run(Driver::Plain);
             let (sent, replies, g, e) = run(Driver::Resumable);
             for report in [&pg, &pe, &g, &e] {
@@ -2780,8 +2672,8 @@ mod tests {
             let w = build(kind, Scale::Small);
             let config = SessionConfig::for_circuit(&w.circuit).with_ack_interval(2);
             let seed = 7 + kind as u64;
-            let (c, gb, eb) = (&w.circuit, &w.garbler_bits, &w.evaluator_bits);
-            let run = |driver| recorded_session(driver, c, gb, eb, &config, seed);
+            let (gb, eb) = (&w.garbler_bits, &w.evaluator_bits);
+            let run = |driver| recorded_session(driver, gb, eb, &config, seed);
             let (online_sent, online_replies, online_g, online_e) = run(Driver::Resumable);
             let (banked_sent, banked_replies, banked_g, banked_e) = run(Driver::Banked);
             assert_eq!(banked_g.outputs, w.expected, "{}", kind.name());
@@ -2807,14 +2699,12 @@ mod tests {
         let gb = to_bits(123_456, 32);
         let eb = to_bits(654_321, 32);
         let (baseline, _) =
-            run_resumable_pair_with(true, &c, 7, &config, &gb, &eb, None, &|ch| Box::new(ch))
-                .unwrap();
+            run_resumable_pair_with(true, 7, &config, &gb, &eb, None, &|ch| Box::new(ch)).unwrap();
 
         let mut resumed = 0u64;
         for op in 1..48 {
-            match run_resumable_pair_with(true, &c, 7, &config, &gb, &eb, Some(op), &|ch| {
-                Box::new(ch)
-            }) {
+            match run_resumable_pair_with(true, 7, &config, &gb, &eb, Some(op), &|ch| Box::new(ch))
+            {
                 Ok((g, e)) => {
                     assert_eq!(g.outputs, baseline.outputs, "cut at op {op}");
                     assert_eq!(e.outputs, baseline.outputs, "cut at op {op}");
@@ -2859,10 +2749,8 @@ mod tests {
         let instance = haac_gc::garble_plan_in(&plan.program, &mut rng, config.scheme, &pool);
         let (g_end, _e_end) = MemChannel::pair();
         let err =
-            run_garbler_banked(&c, &to_bits(1, 32), instance, &mut rng, &config, g_end, |_, _| {
-                None
-            })
-            .unwrap_err();
+            run_garbler_banked(&to_bits(1, 32), instance, &mut rng, &config, g_end, |_, _| None)
+                .unwrap_err();
         assert!(err.to_string().contains("banked instance shape"), "{err}");
     }
 
@@ -2872,7 +2760,6 @@ mod tests {
     /// Returns both outcomes and the messages the evaluator had
     /// received in full when it stopped.
     fn run_plain_pair_cut(
-        c: &Circuit,
         seed: u64,
         config: &SessionConfig,
         gb: &[bool],
@@ -2889,11 +2776,11 @@ mod tests {
         std::thread::scope(|scope| {
             let garbler = scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed);
-                run_garbler(c, gb, &mut rng, config, &mut g_end)
+                run_garbler(gb, &mut rng, config, &mut g_end)
             });
             let evaluator = scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-                let outcome = run_evaluator_with(c, eb, &mut rng, config, &mut e_end);
+                let outcome = run_evaluator_with(eb, &mut rng, config, &mut e_end);
                 // The connection dies with this thread, as a dropped
                 // client's would; only the recording leaves it.
                 (outcome, e_end.into_inner().received)
@@ -2905,13 +2792,12 @@ mod tests {
     }
 
     fn cut_sweep(
-        c: &Circuit,
         config: &SessionConfig,
         gb: &[bool],
         eb: &[bool],
         ops: std::ops::Range<u64>,
     ) -> (u64, u64) {
-        cut_sweep_with(Driver::Resumable, c, config, gb, eb, ops)
+        cut_sweep_with(Driver::Resumable, config, gb, eb, ops)
     }
 
     /// Cuts the evaluator's connection at every channel operation in
@@ -2932,20 +2818,19 @@ mod tests {
     /// cuts that fell mid-stream and were terminal.
     fn cut_sweep_with(
         driver: Driver,
-        c: &Circuit,
         config: &SessionConfig,
         gb: &[bool],
         eb: &[bool],
         ops: std::ops::Range<u64>,
     ) -> (u64, u64) {
         let (baseline, _) =
-            run_resumable_pair(c, 7, config, gb, eb, None, &|ch| Box::new(ch)).unwrap();
+            run_resumable_pair(7, config, gb, eb, None, &|ch| Box::new(ch)).unwrap();
         let (mut resumed, mut retry_safe) = (0u64, 0u64);
         let mut replayed_nothing = None;
         let mut swept_to_the_end = false;
         for op in ops {
             if matches!(driver, Driver::Plain) {
-                let (g, e, received) = run_plain_pair_cut(c, 7, config, gb, eb, op);
+                let (g, e, received) = run_plain_pair_cut(7, config, gb, eb, op);
                 let (g_err, e_err) = match (g, e) {
                     (Ok(g), Ok(e)) => {
                         assert_eq!(
@@ -2976,7 +2861,7 @@ mod tests {
                 }
                 continue;
             }
-            match run_resumable_pair(c, 7, config, gb, eb, Some(op), &|ch| Box::new(ch)) {
+            match run_resumable_pair(7, config, gb, eb, Some(op), &|ch| Box::new(ch)) {
                 Ok((g, e)) => {
                     assert_eq!(g.outputs, baseline.outputs, "cut at op {op}");
                     assert_eq!(e.outputs, baseline.outputs, "cut at op {op}");
@@ -3025,7 +2910,7 @@ mod tests {
         let c = adder(32);
         let config = SessionConfig::for_circuit(&c).with_chunk_tables(2).with_ack_interval(2);
         let (resumed, retry_safe) =
-            cut_sweep(&c, &config, &to_bits(123_456, 32), &to_bits(654_321, 32), 1..60);
+            cut_sweep(&config, &to_bits(123_456, 32), &to_bits(654_321, 32), 1..60);
         assert!(resumed > 0, "the sweep never exercised a resume");
         assert!(retry_safe > 0, "the sweep never hit the retry-safe region");
     }
@@ -3040,7 +2925,6 @@ mod tests {
         let config = SessionConfig::for_circuit(&c).with_chunk_tables(2).with_ack_interval(2);
         let (mid_stream, retry_safe) = cut_sweep_with(
             Driver::Plain,
-            &c,
             &config,
             &to_bits(123_456, 32),
             &to_bits(654_321, 32),
@@ -3065,7 +2949,7 @@ mod tests {
         let frames = (c.num_and_gates() as u64).div_ceil(config.chunk_tables() as u64);
         assert!(frames >= 4 * u64::from(config.ack_interval), "{frames} frames");
         let bits = vec![true; 92];
-        let (resumed, _) = cut_sweep(&c, &config, &bits, &bits, 1..u64::MAX);
+        let (resumed, _) = cut_sweep(&config, &bits, &bits, 1..u64::MAX);
         // A cut inside any frame of the stream resumes.
         assert!(resumed >= frames, "only {resumed} resumed cuts over {frames} frames");
     }
@@ -3126,7 +3010,6 @@ mod tests {
         for op in 10..60 {
             armed.lock().unwrap().clear();
             let Ok((g, e)) = run_resumable_pair(
-                &c,
                 7,
                 &config,
                 &to_bits(123_456, 32),
@@ -3169,19 +3052,12 @@ mod tests {
             scope.spawn(|| {
                 let mut rng = StdRng::seed_from_u64(1);
                 // Fails when the evaluator hangs up; that is the point.
-                let _ = run_garbler(&c, &to_bits(1, 16), &mut rng, &config, &mut g_end);
+                let _ = run_garbler(&to_bits(1, 16), &mut rng, &config, &mut g_end);
             });
             let mut rng = StdRng::seed_from_u64(2);
-            let err = run_evaluator_resumable(
-                &c,
-                &to_bits(2, 16),
-                &mut rng,
-                &config,
-                e_end,
-                9,
-                |_, _| None,
-            )
-            .unwrap_err();
+            let err =
+                run_evaluator_resumable(&to_bits(2, 16), &mut rng, &config, e_end, 9, |_, _| None)
+                    .unwrap_err();
             assert!(
                 matches!(&err, RuntimeError::Protocol(m) if m.contains("cannot be resumed")),
                 "{err}"
@@ -3255,9 +3131,9 @@ mod tests {
             scope.spawn(|| {
                 let mut rng = StdRng::seed_from_u64(5);
                 let no_resume = |_: &RuntimeError, _| None::<(crate::channel::MemChannel, u64)>;
-                run_garbler_resumable(&c, &gb, &mut rng, &config, g_end, no_resume).unwrap();
+                run_garbler_resumable(&gb, &mut rng, &config, g_end, no_resume).unwrap();
             });
-            run_evaluator_with(&c, &eb, &mut evaluator_rng(), &config, &mut tee).unwrap();
+            run_evaluator_with(&eb, &mut evaluator_rng(), &config, &mut tee).unwrap();
         });
 
         // ...re-framed with one table too many in its last `Tables`
@@ -3282,10 +3158,8 @@ mod tests {
         // either entry point.
         let replay = || ScriptChannel { script: script.clone(), pos: 0 };
         let outcomes = [
-            run_evaluator_with(&c, &eb, &mut evaluator_rng(), &config, &mut replay()),
-            run_evaluator_resumable(&c, &eb, &mut evaluator_rng(), &config, replay(), 9, |_, _| {
-                None
-            }),
+            run_evaluator_with(&eb, &mut evaluator_rng(), &config, &mut replay()),
+            run_evaluator_resumable(&eb, &mut evaluator_rng(), &config, replay(), 9, |_, _| None),
         ];
         for (outcome, driver) in outcomes.into_iter().zip(["plain", "resumable"]) {
             let err = outcome.expect_err(driver);
@@ -3308,7 +3182,7 @@ mod tests {
         let config = SessionConfig::for_circuit(&c);
         let bits = vec![true; 92];
         let (g, e) =
-            run_resumable_pair(&c, 3, &config, &bits, &bits, None, &|ch| Box::new(ch)).unwrap();
+            run_resumable_pair(3, &config, &bits, &bits, None, &|ch| Box::new(ch)).unwrap();
         assert_eq!(g.outputs, c.eval(&bits, &bits).unwrap());
         assert_eq!(g.table_chunks, 9);
         assert!(e.io_stall_ns > 0, "the evaluator waited for frames");
@@ -3329,7 +3203,7 @@ mod tests {
         let config = SessionConfig::for_circuit(&c).with_ack_interval(2);
         let bits = vec![true; 92];
         let (g, e) =
-            run_resumable_pair_with(true, &c, 3, &config, &bits, &bits, None, &|ch| Box::new(ch))
+            run_resumable_pair_with(true, 3, &config, &bits, &bits, None, &|ch| Box::new(ch))
                 .unwrap();
         assert_eq!(g.outputs, c.eval(&bits, &bits).unwrap());
         assert!(g.table_chunks > 2 * u64::from(config.ack_interval));
@@ -3344,27 +3218,23 @@ mod tests {
 
     /// Everything an honest evaluator sends a resumable garbler (seed
     /// 5) on a one-table-per-frame, ack-every-frame adder session.
-    fn honest_replies(c: &Circuit, config: &SessionConfig) -> Vec<Message> {
+    fn honest_replies(config: &SessionConfig) -> Vec<Message> {
         let (gb, eb) = (to_bits(40_000, 32), to_bits(2_000, 32));
-        let (_, replies, g, _) = recorded_session(Driver::Resumable, c, &gb, &eb, config, 5);
+        let (_, replies, g, _) = recorded_session(Driver::Resumable, &gb, &eb, config, 5);
         assert_eq!(replies.iter().filter(|m| is_ack(m)).count() as u64, g.table_chunks);
         replies
     }
 
     /// The same garbler against a scripted evaluator that never shares
     /// outputs: returns what the garbler makes of the script.
-    fn garbler_against_script(
-        c: &Circuit,
-        config: &SessionConfig,
-        script: &[Message],
-    ) -> RuntimeError {
+    fn garbler_against_script(config: &SessionConfig, script: &[Message]) -> RuntimeError {
         use rand::rngs::StdRng;
 
         let script = script.iter().flat_map(|m| encode_frame(m).unwrap()).collect();
         let peer = ScriptChannel { script, pos: 0 };
         let mut rng = StdRng::seed_from_u64(5);
         let decline = |_: &RuntimeError, _| None;
-        run_garbler_resumable(c, &to_bits(40_000, 32), &mut rng, config, peer, decline)
+        run_garbler_resumable(&to_bits(40_000, 32), &mut rng, config, peer, decline)
             .expect_err("the scripted peer never shares outputs")
     }
 
@@ -3386,9 +3256,9 @@ mod tests {
         let c = adder(32);
         let config = SessionConfig::for_circuit(&c).with_chunk_tables(1).with_ack_interval(1);
         let mut script: Vec<Message> =
-            honest_replies(&c, &config).into_iter().take_while(|m| !is_ack(m)).collect();
+            honest_replies(&config).into_iter().take_while(|m| !is_ack(m)).collect();
         script.extend(vec![Message::ChunkAck { upto_seq: 0 }; 3]);
-        assert_stale_ack(&garbler_against_script(&c, &config, &script), SessionPhase::Stream);
+        assert_stale_ack(&garbler_against_script(&config, &script), SessionPhase::Stream);
     }
 
     /// The output tail reads acks too: an evaluator that acknowledges
@@ -3398,12 +3268,12 @@ mod tests {
     fn a_repeated_ack_in_the_output_tail_is_a_typed_output_error() {
         let c = adder(32);
         let config = SessionConfig::for_circuit(&c).with_chunk_tables(1).with_ack_interval(1);
-        let mut script = honest_replies(&c, &config);
+        let mut script = honest_replies(&config);
         assert!(matches!(script.pop(), Some(Message::Outputs(_))));
         let last_ack = script.last().cloned().expect("the honest run acked");
         assert!(is_ack(&last_ack));
         script.extend(vec![last_ack; 3]);
-        assert_stale_ack(&garbler_against_script(&c, &config, &script), SessionPhase::Output);
+        assert_stale_ack(&garbler_against_script(&config, &script), SessionPhase::Output);
     }
 
     #[test]
@@ -3421,7 +3291,6 @@ mod tests {
             let garbler = scope.spawn(|| {
                 let mut rng = StdRng::seed_from_u64(5);
                 run_garbler_resumable(
-                    &c,
                     &to_bits(40_000, 32),
                     &mut rng,
                     &config,
@@ -3430,7 +3299,7 @@ mod tests {
                 )
             });
             let mut rng = StdRng::seed_from_u64(5 ^ 0x9E37_79B9_7F4A_7C15);
-            let e = run_evaluator_with(&c, &to_bits(2_000, 32), &mut rng, &config, &mut e_end);
+            let e = run_evaluator_with(&to_bits(2_000, 32), &mut rng, &config, &mut e_end);
             (garbler.join().expect("garbler thread panicked"), e)
         });
         let (g, e) = (g.unwrap(), e.unwrap());

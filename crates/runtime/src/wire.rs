@@ -32,36 +32,24 @@ pub const RESUME_TAG: u8 = 11;
 /// Session parameters the garbler announces before streaming.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionHeader {
-    /// Garbler input bits the circuit expects.
-    pub garbler_inputs: u32,
-    /// Evaluator input bits the circuit expects.
-    pub evaluator_inputs: u32,
-    /// Total gates (order-of-battle check between the two circuit copies).
-    pub num_gates: u64,
-    /// Total AND tables that will be streamed.
-    pub num_tables: u64,
+    /// The garbler's plan digest (`SlotProgram::digest`): the evaluator
+    /// must have lowered the same program, or the stream would decode
+    /// to garbage, so a mismatch is refused before any table moves.
+    pub plan_digest: [u8; 16],
     /// The gate-hash construction in use.
     pub scheme: HashScheme,
-    /// Sliding-wire-window capacity (in wire labels) the garbler planned
-    /// streaming around.
-    pub window_wires: u32,
     /// Tables per streamed `Tables` frame — the garbler's
     /// `SessionConfig::chunk_tables`, a capacity hint: every frame
     /// carries its own count.
     pub chunk_tables: u32,
-    /// The instruction schedule the garbler lowered with. The evaluator
-    /// must have lowered identically — reordered transcripts are only a
-    /// valid protocol when both parties agree — so a mismatch is
-    /// refused before any table is streamed.
-    pub reorder: ReorderKind,
-    /// How evaluator-input labels are delivered. Both parties drive the
-    /// same OT message flow, so — like `reorder` — a mismatch is refused
-    /// before any OT round runs.
-    pub ot_mode: OtMode,
     /// Cumulative-ack cadence: the evaluator sends a [`Message::ChunkAck`]
     /// after every `ack_interval` table frames. The garbler's replay
     /// buffer (and therefore its backpressure point) is sized from this.
     pub ack_interval: u32,
+    /// How evaluator-input labels are delivered. Both parties drive the
+    /// same OT message flow, so a mismatch is refused before any OT
+    /// round runs.
+    pub ot_mode: OtMode,
 }
 
 /// How a session delivers the evaluator's input labels.
@@ -226,8 +214,7 @@ fn scheme_from_tag(tag: u8) -> Result<HashScheme, RuntimeError> {
     }
 }
 
-/// Wire tag of a [`ReorderKind`] (shared by the session header and the
-/// server's request frame).
+/// Wire tag of a [`ReorderKind`] (the server's request and ack frames).
 pub fn reorder_tag(reorder: ReorderKind) -> u8 {
     match reorder {
         ReorderKind::Baseline => 0,
@@ -302,15 +289,10 @@ fn encode_payload(message: &Message) -> Vec<u8> {
     let mut payload = Vec::new();
     match message {
         Message::Header(h) => {
-            payload.extend_from_slice(&h.garbler_inputs.to_le_bytes());
-            payload.extend_from_slice(&h.evaluator_inputs.to_le_bytes());
-            payload.extend_from_slice(&h.num_gates.to_le_bytes());
-            payload.extend_from_slice(&h.num_tables.to_le_bytes());
+            payload.extend_from_slice(&h.plan_digest);
             payload.push(scheme_tag(h.scheme));
-            payload.extend_from_slice(&h.window_wires.to_le_bytes());
             payload.extend_from_slice(&h.chunk_tables.to_le_bytes());
             payload.extend_from_slice(&h.ack_interval.to_le_bytes());
-            payload.push(reorder_tag(h.reorder));
             payload.push(ot_mode_tag(h.ot_mode));
         }
         Message::GarblerInputs(labels) => push_blocks(&mut payload, labels),
@@ -536,15 +518,10 @@ fn read_payload<C: Channel + ?Sized>(
 
     let message = match tag {
         1 => Message::Header(SessionHeader {
-            garbler_inputs: r.u32()?,
-            evaluator_inputs: r.u32()?,
-            num_gates: r.u64()?,
-            num_tables: r.u64()?,
+            plan_digest: r.u128()?.to_le_bytes(),
             scheme: scheme_from_tag(r.u8()?)?,
-            window_wires: r.u32()?,
             chunk_tables: r.u32()?,
             ack_interval: r.u32()?,
-            reorder: reorder_from_tag(r.u8()?)?,
             ot_mode: ot_mode_from_tag(r.u8()?)?,
         }),
         2 => Message::GarblerInputs(r.counted(16, PayloadReader::block)?),
@@ -644,21 +621,14 @@ mod tests {
 
     #[test]
     fn all_message_kinds_round_trip() {
-        for reorder in [ReorderKind::Baseline, ReorderKind::Full, ReorderKind::Segment] {
-            for ot_mode in [OtMode::Base, OtMode::Extended] {
-                round_trip(Message::Header(SessionHeader {
-                    garbler_inputs: 32,
-                    evaluator_inputs: 32,
-                    num_gates: 1234,
-                    num_tables: 567,
-                    scheme: HashScheme::Rekeyed,
-                    window_wires: 4096,
-                    chunk_tables: 2048,
-                    reorder,
-                    ot_mode,
-                    ack_interval: 16,
-                }));
-            }
+        for ot_mode in [OtMode::Base, OtMode::Extended] {
+            round_trip(Message::Header(SessionHeader {
+                plan_digest: *b"0123456789abcdef",
+                scheme: HashScheme::Rekeyed,
+                chunk_tables: 2048,
+                ack_interval: 16,
+                ot_mode,
+            }));
         }
         round_trip(Message::GarblerInputs(vec![Block::from(1u128), Block::from(2u128)]));
         round_trip(Message::OtSetup { point: 0xDEAD_BEEFu128, nonce: 0xFACEu128 });

@@ -25,7 +25,7 @@ use haac_gc::{Block, CryptoCounters, Delta, HashScheme, PlanGarbling};
 use haac_runtime::wire::{
     read_message, read_stream_frame, write_message, Message, OtMode, SessionHeader, StreamFrame,
 };
-use haac_runtime::{Channel, ChannelStats, ReorderKind, RuntimeError};
+use haac_runtime::{Channel, ChannelStats, RuntimeError};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -102,23 +102,14 @@ fn bits_from(data: &[u8]) -> Vec<bool> {
 fn message_from(kind: u8, data: &[u8]) -> Message {
     match kind % 13 {
         0 => Message::Header(SessionHeader {
-            garbler_inputs: u128_from(data) as u32,
-            evaluator_inputs: (u128_from(data) >> 32) as u32,
-            num_gates: (u128_from(data) >> 13) as u64,
-            num_tables: (u128_from(data) >> 29) as u64,
+            plan_digest: u128_from(data).wrapping_mul(0x9E37_79B9).to_le_bytes(),
             scheme: if data.first().copied().unwrap_or(0) & 1 == 0 {
                 HashScheme::Rekeyed
             } else {
                 HashScheme::FixedKey
             },
-            window_wires: (u128_from(data) >> 7) as u32,
             chunk_tables: (u128_from(data) as u32) | 1,
             ack_interval: (u128_from(data) >> 40) as u32,
-            reorder: match data.first().copied().unwrap_or(0) % 3 {
-                0 => ReorderKind::Baseline,
-                1 => ReorderKind::Full,
-                _ => ReorderKind::Segment,
-            },
             ot_mode: if data.first().copied().unwrap_or(0) & 2 == 0 {
                 OtMode::Base
             } else {
@@ -371,25 +362,23 @@ proptest! {
     }
 
     #[test]
-    fn unknown_reorder_tags_in_the_header_are_typed_errors(
-        kind in any::<u8>(),
-        data in vec(any::<u8>(), 0..120),
-        bad_tag in 3u8..,
+    fn a_parent_layout_header_is_a_typed_error(
+        fields in vec(any::<u8>(), 39..40),
+        tags in any::<u8>(),
     ) {
-        // The header's second-to-last byte is the negotiated
-        // ReorderKind; a peer speaking a newer (or corrupted) schedule
-        // vocabulary must fail as a typed protocol error naming the
-        // field — never a panic, and never a silently-assumed Baseline.
-        let Message::Header(header) = message_from(0, &data) else { unreachable!() };
-        let mut frame = encode(&Message::Header(header));
-        let reorder_at = frame.len() - 2;
-        frame[reorder_at] = bad_tag;
-        let err = read_message(&mut ByteChannel::of(frame))
-            .expect_err("an unknown reorder tag must not decode");
-        prop_assert!(
-            matches!(&err, RuntimeError::Protocol(m) if m.contains("reorder")),
-            "want a protocol error naming the reorder tag, got: {err}"
-        );
+        // The header before plan digests, 39 bytes: garbler and
+        // evaluator input counts (4 + 4), gate and table counts (8 + 8),
+        // the scheme tag, window, chunk and ack cadence (4 each), then
+        // the reorder and OT mode tags — valid tags here. A peer still
+        // speaking it is refused as a protocol error, never a panic and
+        // never a decoded header.
+        let mut payload = fields.clone();
+        payload[16] = tags & 1;
+        payload[37] = (tags >> 1) % 3;
+        payload[38] = tags >> 7;
+        let err = read_message(&mut ByteChannel::of(raw_frame(1, &payload)))
+            .expect_err("a parent-layout header must not decode");
+        prop_assert!(matches!(err, RuntimeError::Protocol(_)), "unexpected error shape: {err}");
     }
 
     #[test]

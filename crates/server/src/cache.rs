@@ -10,7 +10,7 @@
 //! requests skip synthesis entirely, and **warm sessions skip the
 //! per-circuit analysis pass**: the cached config carries the lowered
 //! plan, and `run_garbler` drives the slot-slab executors straight off
-//! it. Distinct [`ReorderKind`]s of one workload share nothing but the
+//! it. The netlist itself is dropped once lowered. Distinct [`ReorderKind`]s of one workload share nothing but the
 //! synthesis inputs — their plans (and transcripts) genuinely differ —
 //! so they are distinct entries.
 
@@ -21,17 +21,21 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use haac_runtime::{ReorderKind, SessionConfig, StreamingPlan};
 use haac_workloads::{build, Scale, Workload, WorkloadKind};
 
-/// One fully prepared workload: the synthesized circuit with its sample
-/// inputs and reference outputs, plus the streaming session config
-/// carrying the lowered plan (slab window, renamed stream, static
-/// peak-live) — everything a session needs beyond fresh randomness.
+/// One fully prepared workload: the streaming session config carrying
+/// the lowered plan (slab window, renamed stream, static peak-live),
+/// the garbler's sample inputs and the reference outputs — everything a
+/// session needs beyond fresh randomness. The netlist is dropped once
+/// the plan is lowered: sessions run on the plan alone.
 #[derive(Debug)]
 pub struct CachedWorkload {
-    /// The built workload (circuit, sample inputs, expected outputs).
-    pub workload: Workload,
-    /// Streaming parameters for this circuit, including the lowered
+    /// Streaming parameters for this workload, including the lowered
     /// plan every warm session reuses.
     pub config: SessionConfig,
+    /// Sample garbler (Alice) input bits.
+    pub garbler_bits: Vec<bool>,
+    /// Reference output bits, computed by an independent plaintext
+    /// implementation.
+    pub expected: Vec<bool>,
 }
 
 impl CachedWorkload {
@@ -55,13 +59,17 @@ type Slot = Arc<OnceLock<Arc<CachedWorkload>>>;
 /// at most 48 entries can ever be resident, and a peer can name nothing
 /// else: an unknown workload, scale or schedule tag is a typed refusal
 /// before any lookup. Worst-case residency is therefore a constant:
-/// all 24 `Scale::Small` entries measure about 30 MB, all 48 about
-/// 2.8 GB (process RSS growth per entry on x86-64, summed; GradDesc at
-/// `Scale::Paper`, 6.8 M gates, is ~190–270 MB per schedule). An
-/// entry is the circuit plus its plan — 13 B per instruction (the slot
-/// instruction and its batch-run byte) and 4 B per far read, 0.5–6.6 M
-/// of them on the paper-scale plans that spill past the 2 MB SWW; the
-/// per-session label slab is not cached and is capped at that SWW. A key
+/// all 24 `Scale::Small` entries measure 14.3–14.9 MB (process RSS
+/// growth per entry on x86-64, summed, three runs; 26.2–26.8 MB while
+/// an entry still kept its netlist). MatMult at `Scale::Paper`, 1.56 M
+/// gates, measures 28.2 MB in `Baseline` order and 35.7 MB in `Full`
+/// (52.6 and 60.2 MB with the netlist); all 48 entries measured about
+/// 2.8 GB with their netlists, and the paper-scale ones have not been
+/// re-measured since. An entry is the plan — 13 B per instruction (the
+/// slot instruction and its batch-run byte) and 4 B per far read,
+/// 0.5–6.6 M of them on the paper-scale plans that spill past the 2 MB
+/// SWW — plus the garbler's sample inputs and the reference outputs;
+/// the per-session label slab is not cached and is capped at that SWW. A key
 /// component with an open-ended domain would void this bound and needs
 /// an eviction policy first — `every_key_fits_and_there_are_48` fails
 /// to compile when the key grows.
@@ -107,9 +115,9 @@ impl CircuitCache {
         let mut built = false;
         let entry = Arc::clone(slot.get_or_init(|| {
             built = true;
-            let workload = build(kind, scale);
-            let config = SessionConfig::for_circuit_with(&workload.circuit, reorder);
-            Arc::new(CachedWorkload { workload, config })
+            let Workload { circuit, garbler_bits, expected, .. } = build(kind, scale);
+            let config = SessionConfig::for_circuit_with(&circuit, reorder);
+            Arc::new(CachedWorkload { config, garbler_bits, expected })
         }));
         let (count, ns) =
             if built { (&self.misses, &self.miss_ns) } else { (&self.hits, &self.hit_ns) };
@@ -250,8 +258,9 @@ mod tests {
         let warm = cache.get(WorkloadKind::Hamming, Scale::Small, ReorderKind::Baseline);
         assert!(Arc::ptr_eq(cold.plan(), warm.plan()), "plan must be shared, not re-lowered");
         assert_eq!(cache.hits(), 1);
-        // The plan actually describes the cached circuit.
-        assert_eq!(cold.plan().and_count(), cold.workload.circuit.num_and_gates());
+        // The plan actually describes the workload's circuit.
+        let circuit = build(WorkloadKind::Hamming, Scale::Small).circuit;
+        assert_eq!(cold.plan().and_count(), circuit.num_and_gates());
         assert_eq!(cold.config.plan.window.sww_wires(), cold.plan().window.sww_wires());
     }
 

@@ -7,9 +7,10 @@
 //! (header, labels, OT, table chunks) begin, unchanged from
 //! `haac-runtime`. Carrying the reorder in the request is what lets
 //! both parties lower with the same `Full`/`Segment` schedule: the
-//! server fetches (or builds) the matching cached plan and the session
-//! header confirms the choice back, so a disagreement dies as a typed
-//! refusal instead of a diverged transcript.
+//! server fetches (or builds) the matching cached plan, the ack names
+//! the schedule back, and the session header's plan digest confirms
+//! both parties lowered the same program, so a disagreement dies as a
+//! typed refusal instead of a diverged transcript.
 //!
 //! Frames reuse the wire discipline of the session layer: a 1-byte tag,
 //! explicit lengths, and hard caps on every untrusted length so a

@@ -768,12 +768,11 @@ fn session_body(
         return Err(RuntimeError::busy(retry_after_ms));
     }
     let cached = shared.cache.get(kind, request.scale, reorder);
-    // The OT mode: explicit client choice, or sized from the circuit
-    // the cache just produced (extension iff the input count amortizes
-    // its κ-OT bootstrap).
-    let ot_mode = request
-        .ot_mode
-        .unwrap_or_else(|| choose_ot_mode(cached.workload.circuit.evaluator_inputs()));
+    // The OT mode: explicit client choice, or sized from the plan the
+    // cache just produced (extension iff the input count amortizes its
+    // κ-OT bootstrap).
+    let ot_mode =
+        request.ot_mode.unwrap_or_else(|| choose_ot_mode(cached.plan().program.evaluator_inputs()));
     // The resume ticket rides in the ack; issuing one costs nothing
     // until a cut actually suspends the session. None means this
     // server cannot suspend (store disabled).
@@ -823,30 +822,15 @@ fn session_body(
     let banked = shared.bank.claim((kind, request.scale, reorder));
     let from_bank = banked.is_some();
     let report = if let Some(instance) = banked {
-        run_garbler_banked(
-            &cached.workload.circuit,
-            &cached.workload.garbler_bits,
-            instance,
-            &mut rng,
-            &config,
-            channel,
-            park,
-        )?
+        run_garbler_banked(&cached.garbler_bits, instance, &mut rng, &config, channel, park)?
     } else {
-        run_garbler_resumable(
-            &cached.workload.circuit,
-            &cached.workload.garbler_bits,
-            &mut rng,
-            &config,
-            channel,
-            park,
-        )?
+        run_garbler_resumable(&cached.garbler_bits, &mut rng, &config, channel, park)?
     };
     // The service computes the canonical VIP sample: the outputs the
     // evaluator shares back must decode to the plaintext reference, so
     // every completed session doubles as an end-to-end correctness
     // check.
-    if report.outputs != cached.workload.expected {
+    if report.outputs != cached.expected {
         return Err(RuntimeError::protocol(format!(
             "{} outputs diverge from the plaintext reference",
             kind.name()

@@ -261,10 +261,28 @@ fn overloaded_retrying_clients_all_land_and_refusals_reconcile() {
                         seed: 0xC11E57 + i,
                         resume_attempts: 2,
                     };
-                    let mut first = true;
+                    // Re-dials are paced by the server's progress, not by
+                    // the clock: a refusal means a job was queued when
+                    // this client dialled, so the finished count will
+                    // move past what it read then. Waiting for that
+                    // keeps the retry budget a count of server events,
+                    // however slow a session runs on this build.
+                    let finished = || {
+                        let registry = server.registry();
+                        registry.completed_sessions() + registry.failed_sessions()
+                    };
+                    let mut seen: Option<u64> = None;
                     let connect = || {
+                        if let Some(seen) = seen {
+                            let give_up = Instant::now() + Duration::from_secs(60);
+                            while finished() == seen && Instant::now() < give_up {
+                                std::thread::sleep(Duration::from_millis(1));
+                            }
+                        }
+                        let first = seen.is_none();
+                        seen = Some(finished());
                         let channel = server.connect();
-                        if std::mem::take(&mut first) {
+                        if first {
                             all_connected.wait();
                         }
                         Ok(channel)

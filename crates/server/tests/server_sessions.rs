@@ -134,8 +134,8 @@ fn poisoned_sessions_are_isolated_from_healthy_ones() {
 fn negotiated_reorders_serve_end_to_end() {
     // Clients asking for the ILP-friendly schedules get sessions whose
     // transcripts both parties lower identically — the reorder rides
-    // the request, the cache keys on it, and the session header
-    // confirms it.
+    // the request, the cache keys on it, and the session header's
+    // plan digest confirms it.
     let server = Server::new(ServerConfig { workers: 2, ..ServerConfig::default() });
     for reorder in [ReorderKind::Baseline, ReorderKind::Full, ReorderKind::Segment] {
         let mut channel = server.connect();

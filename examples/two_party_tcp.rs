@@ -56,8 +56,8 @@ fn run_garbler_side(addr: &str, value: u64) {
     println!("[garbler] connected to {addr}");
     let mut rng = StdRng::seed_from_u64(0xA11CE);
     let config = SessionConfig::for_circuit(&circuit);
-    let report = run_garbler(&circuit, &to_bits(value, 32), &mut rng, &config, &mut channel)
-        .expect("garbler session");
+    let report =
+        run_garbler(&to_bits(value, 32), &mut rng, &config, &mut channel).expect("garbler session");
     print_report("garbler", &report);
 }
 
@@ -94,9 +94,8 @@ fn run_local() {
     let mut channel = TcpChannel::connect(&addr).expect("connect");
     let mut rng = StdRng::seed_from_u64(0xA11CE);
     let config = SessionConfig::for_circuit(&circuit);
-    let garbler_report =
-        run_garbler(&circuit, &to_bits(alice_value, 32), &mut rng, &config, &mut channel)
-            .expect("garbler session");
+    let garbler_report = run_garbler(&to_bits(alice_value, 32), &mut rng, &config, &mut channel)
+        .expect("garbler session");
     let evaluator_report = evaluator.join().expect("evaluator thread");
 
     print_report("garbler", &garbler_report);

@@ -52,10 +52,10 @@ fn run_acked(
         let garbler = scope.spawn(move || {
             let mut rng = StdRng::seed_from_u64(5);
             let no_resume = |_: &RuntimeError, _| None::<(MemChannel, u64)>;
-            run_garbler_resumable(&w.circuit, &w.garbler_bits, &mut rng, config, g_end, no_resume)
+            run_garbler_resumable(&w.garbler_bits, &mut rng, config, g_end, no_resume)
         });
         let mut rng = StdRng::seed_from_u64(6);
-        let e = run_evaluator_with(&w.circuit, &w.evaluator_bits, &mut rng, config, &mut e_end);
+        let e = run_evaluator_with(&w.evaluator_bits, &mut rng, config, &mut e_end);
         (garbler.join().expect("garbler thread").expect("garbler"), e.expect("evaluator"))
     })
 }

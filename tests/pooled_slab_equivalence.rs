@@ -8,9 +8,13 @@
 //! bank's producer, and (through the session layer) both protocol
 //! parties.
 
+use std::sync::Arc;
+
 use haac::core::{lower_with_reorder, ReorderKind};
 use haac::gc::{garble_plan_in, EnginePool, HashScheme, StreamingEvaluator, StreamingGarbler};
 use haac::prelude::*;
+use haac_runtime::{RuntimeError, SessionPhase};
+use haac_workloads::Workload;
 use rand::{rngs::StdRng, SeedableRng};
 
 const REORDERS: [ReorderKind; 3] = [ReorderKind::Baseline, ReorderKind::Full, ReorderKind::Segment];
@@ -97,34 +101,111 @@ fn reordered_sessions_run_end_to_end_with_negotiated_schedules() {
     }
 }
 
-#[test]
-fn reorder_disagreement_is_a_typed_refusal_not_a_divergence() {
-    use haac_runtime::{run_evaluator_with, run_garbler, MemChannel};
+/// Runs one session with each party on its own config, the channel
+/// halves *moved* into the threads so a refusing side's hangup is
+/// visible to its peer. Returns both outcomes and the bytes the
+/// evaluator received.
+fn run_split(
+    w: &Workload,
+    garbler_config: &SessionConfig,
+    evaluator_config: &SessionConfig,
+) -> (Result<SessionReport, RuntimeError>, Result<SessionReport, RuntimeError>, u64) {
+    use haac_runtime::run_evaluator_with;
 
-    let w = build_workload(WorkloadKind::DotProduct, Scale::Small);
-    let garbler_config = SessionConfig::for_circuit_with(&w.circuit, ReorderKind::Full);
-    let evaluator_config = SessionConfig::for_circuit_with(&w.circuit, ReorderKind::Segment);
-    // The channel halves are *moved* into the threads so the refusing
-    // side's hangup is visible to its peer.
     let (mut gc, mut ec) = MemChannel::pair();
     std::thread::scope(|scope| {
-        let garbler = scope.spawn({
-            let (w, config) = (&w, &garbler_config);
-            move || {
-                let mut rng = StdRng::seed_from_u64(1);
-                run_garbler(&w.circuit, &w.garbler_bits, &mut rng, config, &mut gc)
-            }
+        let garbler = scope.spawn(move || {
+            let mut rng = StdRng::seed_from_u64(1);
+            run_garbler(&w.garbler_bits, &mut rng, garbler_config, &mut gc)
         });
-        let evaluator = scope.spawn({
-            let (w, config) = (&w, &evaluator_config);
-            move || {
-                let mut rng = StdRng::seed_from_u64(2);
-                run_evaluator_with(&w.circuit, &w.evaluator_bits, &mut rng, config, &mut ec)
-            }
+        let evaluator = scope.spawn(move || {
+            let mut rng = StdRng::seed_from_u64(2);
+            let report = run_evaluator_with(&w.evaluator_bits, &mut rng, evaluator_config, &mut ec);
+            (report, ec.stats().bytes_received)
         });
-        let eval_err = evaluator.join().unwrap().unwrap_err();
-        assert!(eval_err.to_string().contains("reorder mismatch"), "{eval_err}");
-        // The garbler sees the hangup, not a hung stream.
-        assert!(garbler.join().unwrap().is_err());
-    });
+        let (e, received) = evaluator.join().unwrap();
+        (garbler.join().unwrap(), e, received)
+    })
+}
+
+/// The evaluator's refusal of a garbler that lowered another program:
+/// a typed protocol error in the handshake naming both digests, after
+/// the header frame and nothing else, and a garbler that sees the
+/// hangup.
+fn assert_digest_refusal(w: &Workload, garbler: &SessionConfig, evaluator: &SessionConfig) {
+    let (g, e, received) = run_split(w, garbler, evaluator);
+    let err = e.expect_err("the evaluator must refuse another plan");
+    assert!(err.to_string().contains("plan digest mismatch"), "{err}");
+    for config in [garbler, evaluator] {
+        let hex = format!("{:032x}", u128::from_be_bytes(config.plan.program.digest()));
+        assert!(err.to_string().contains(&hex), "{err} names {hex}");
+    }
+    assert_eq!(err.phase(), Some(SessionPhase::Handshake), "{err}");
+    assert!(
+        matches!(&err, RuntimeError::Phased { source, .. } if matches!(**source, RuntimeError::Protocol(_))),
+        "{err:?}"
+    );
+    // Only the header frame (5 + 26 bytes) was read: no label, no table.
+    assert_eq!(received, 31, "the evaluator consumed nothing past the header");
+    assert!(g.is_err(), "the garbler sees the hangup, not a hung stream");
+}
+
+/// MatMult is the smallest workload whose `Full` and `Segment` programs
+/// differ at `Scale::Small` (every other kind fits in one segment).
+#[test]
+fn reorder_disagreement_is_a_typed_refusal_not_a_divergence() {
+    let w = build_workload(WorkloadKind::MatMult, Scale::Small);
+    let garbler_config = SessionConfig::for_circuit_with(&w.circuit, ReorderKind::Full);
+    let evaluator_config = SessionConfig::for_circuit_with(&w.circuit, ReorderKind::Segment);
+    assert_digest_refusal(&w, &garbler_config, &evaluator_config);
+}
+
+#[test]
+fn same_tag_different_schedule_is_a_typed_refusal() {
+    // Two builds that mean different schedules by one tag: the
+    // evaluator holds the `Segment` program labelled `Full`. Every count
+    // a header used to carry agrees; only the digest tells them apart.
+    let w = build_workload(WorkloadKind::MatMult, Scale::Small);
+    let full = lower_with_reorder(&w.circuit, ReorderKind::Full);
+    let segment = lower_with_reorder(&w.circuit, ReorderKind::Segment);
+    assert_ne!(full.program, segment.program, "the two schedules must differ");
+    let (p, q) = (&full.program, &segment.program);
+    assert_eq!(
+        (p.garbler_inputs(), p.evaluator_inputs(), p.instrs().len(), p.and_count()),
+        (q.garbler_inputs(), q.evaluator_inputs(), q.instrs().len(), q.and_count())
+    );
+    let relabeled = StreamingPlan { reorder: ReorderKind::Full, ..segment };
+    let garbler_config = SessionConfig::from_plan(HashScheme::Rekeyed, Arc::new(full));
+    let evaluator_config = SessionConfig::from_plan(HashScheme::Rekeyed, Arc::new(relabeled));
+    assert_eq!(garbler_config.reorder(), evaluator_config.reorder());
+    assert_digest_refusal(&w, &garbler_config, &evaluator_config);
+}
+
+#[test]
+fn a_spilling_evaluator_shares_the_served_plans_digest() {
+    // Routing never changes the wire, so the digest leaves it out: an
+    // evaluator whose slab is far smaller than the garbler's runs the
+    // same session.
+    let w = build_workload(WorkloadKind::DotProduct, Scale::Small);
+    let served = lower_with_reorder(&w.circuit, ReorderKind::Full);
+    let spilling = lower_with_window(&w.circuit, ReorderKind::Full, WindowModel::new(64));
+    assert!(!served.program.has_oor() && spilling.program.has_oor());
+    assert_eq!(served.program.digest(), spilling.program.digest());
+    let garbler_config = SessionConfig::from_plan(HashScheme::Rekeyed, Arc::new(served));
+    let evaluator_config = SessionConfig::from_plan(HashScheme::Rekeyed, Arc::new(spilling));
+    let (g, e, _) = run_split(&w, &garbler_config, &evaluator_config);
+    assert_eq!(g.unwrap().outputs, w.expected);
+    assert_eq!(e.unwrap().outputs, w.expected);
+}
+
+#[test]
+fn the_served_plan_digest_is_pinned() {
+    // The digest is integer arithmetic over the program, so it is the
+    // same under every AES backend and on every target: this literal
+    // holds under `HAAC_AES_BACKEND=portable` and natively. It moves
+    // only when the lowering or the digest itself does — a wire change.
+    let w = build_workload(WorkloadKind::DotProduct, Scale::Small);
+    let plan = lower_with_reorder(&w.circuit, ReorderKind::Baseline);
+    let hex: String = plan.program.digest().iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, "a41b8fba2530a87cff4476aba390d1cf");
 }

@@ -3,6 +3,7 @@
 //! Every GC object the paper counts bytes for — wire labels (16 B) and
 //! garbled tables (2 × 16 B per AND) — is a [`Block`].
 
+use std::borrow::Cow;
 use std::fmt;
 
 use rand::Rng;
@@ -108,10 +109,7 @@ pub const TABLE_BYTES: usize = 32;
 /// [`Block::to_bytes`], in order) to `out` — on little-endian targets one
 /// bulk copy, because there a table's memory *is* its wire encoding.
 pub fn tables_to_wire(tables: &[[Block; 2]], out: &mut Vec<u8>) {
-    #[cfg(target_endian = "little")]
-    out.extend_from_slice(table_bytes(tables));
-    #[cfg(target_endian = "big")]
-    tables_to_wire_by_block(tables, out);
+    blocks_to_wire(tables.as_flattened(), out);
 }
 
 /// Overwrites `tables` with the tables whose wire encoding `fill`
@@ -127,59 +125,83 @@ pub fn tables_from_wire<E>(
     tables: &mut [[Block; 2]],
     fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
 ) -> Result<(), E> {
-    #[cfg(target_endian = "little")]
-    return fill(table_bytes_mut(tables));
-    #[cfg(target_endian = "big")]
-    return tables_from_wire_by_block(tables, fill);
+    blocks_from_wire(tables.as_flattened_mut(), fill)
 }
 
-/// The bytes of `tables` in memory order — their wire encoding on a
-/// little-endian target, which is all this is compiled for.
-#[cfg(target_endian = "little")]
-fn table_bytes(tables: &[[Block; 2]]) -> &[u8] {
-    // SAFETY: `Block` is `#[repr(transparent)]` over `u128`, so
-    // `[[Block; 2]]` is `size_of_val(tables)` contiguous, initialised
-    // bytes without padding; `u8` has alignment 1 and the returned slice
-    // borrows `tables` for its whole lifetime.
-    unsafe { std::slice::from_raw_parts(tables.as_ptr().cast(), std::mem::size_of_val(tables)) }
+/// Appends the wire encoding of `blocks` (each [`Block::to_bytes`], in
+/// order) to `out`, reserving the room once — on little-endian targets
+/// one bulk copy of their memory.
+pub fn blocks_to_wire(blocks: &[Block], out: &mut Vec<u8>) {
+    out.extend_from_slice(&wire_view(blocks));
 }
 
-/// [`table_bytes`], mutably.
-#[cfg(target_endian = "little")]
-fn table_bytes_mut(tables: &mut [[Block; 2]]) -> &mut [u8] {
-    // SAFETY: as in `table_bytes`; additionally every bit pattern is a
-    // valid `u128`, so no write through the view can break `Block`, and
-    // the exclusive borrow of `tables` makes the view unique.
-    unsafe {
-        std::slice::from_raw_parts_mut(tables.as_mut_ptr().cast(), std::mem::size_of_val(tables))
-    }
-}
-
-/// [`tables_to_wire`] one block at a time: the big-endian
-/// implementation, and the oracle the byte view is tested against.
-#[cfg(any(test, target_endian = "big"))]
-fn tables_to_wire_by_block(tables: &[[Block; 2]], out: &mut Vec<u8>) {
-    for table in tables {
-        out.extend_from_slice(&table[0].to_bytes());
-        out.extend_from_slice(&table[1].to_bytes());
-    }
-}
-
-/// [`tables_from_wire`] one block at a time, through a scratch buffer:
-/// the big-endian implementation, and the byte view's test oracle.
-#[cfg(any(test, target_endian = "big"))]
-fn tables_from_wire_by_block<E>(
-    tables: &mut [[Block; 2]],
+/// [`tables_from_wire`] for a run of single blocks: `fill` writes the
+/// `16 × blocks.len()`-byte wire encoding, which on little-endian
+/// targets lands in `blocks` directly.
+///
+/// # Errors
+///
+/// Propagates `fill`'s error.
+pub fn blocks_from_wire<E>(
+    blocks: &mut [Block],
     fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
 ) -> Result<(), E> {
-    let mut bytes = vec![0u8; TABLE_BYTES * tables.len()];
+    #[cfg(target_endian = "little")]
+    return fill(block_bytes_mut(blocks));
+    #[cfg(target_endian = "big")]
+    return blocks_from_wire_by_block(blocks, fill);
+}
+
+/// The wire encoding of `blocks`: on little-endian targets their own
+/// memory, borrowed — so a transport can write a chunk of tables
+/// (`tables.as_flattened()`) without copying it first.
+pub fn wire_view(blocks: &[Block]) -> Cow<'_, [u8]> {
+    #[cfg(target_endian = "little")]
+    return Cow::Borrowed(block_bytes(blocks));
+    #[cfg(target_endian = "big")]
+    return Cow::Owned(blocks_to_wire_by_block(blocks));
+}
+
+/// The bytes of `blocks` in memory order — their wire encoding on a
+/// little-endian target, which is all this is compiled for.
+#[cfg(target_endian = "little")]
+fn block_bytes(blocks: &[Block]) -> &[u8] {
+    // SAFETY: `Block` is `#[repr(transparent)]` over `u128`, so
+    // `[Block]` is `size_of_val(blocks)` contiguous, initialised bytes
+    // without padding; `u8` has alignment 1 and the returned slice
+    // borrows `blocks` for its whole lifetime.
+    unsafe { std::slice::from_raw_parts(blocks.as_ptr().cast(), std::mem::size_of_val(blocks)) }
+}
+
+/// [`block_bytes`], mutably.
+#[cfg(target_endian = "little")]
+fn block_bytes_mut(blocks: &mut [Block]) -> &mut [u8] {
+    // SAFETY: as in `block_bytes`; additionally every bit pattern is a
+    // valid `u128`, so no write through the view can break `Block`, and
+    // the exclusive borrow of `blocks` makes the view unique.
+    unsafe {
+        std::slice::from_raw_parts_mut(blocks.as_mut_ptr().cast(), std::mem::size_of_val(blocks))
+    }
+}
+
+/// [`wire_view`] one block at a time: the big-endian implementation,
+/// and the oracle the byte view is tested against.
+#[cfg(any(test, target_endian = "big"))]
+fn blocks_to_wire_by_block(blocks: &[Block]) -> Vec<u8> {
+    blocks.iter().flat_map(|block| block.to_bytes()).collect()
+}
+
+/// [`blocks_from_wire`] one block at a time, through a scratch buffer:
+/// the big-endian implementation, and the byte view's test oracle.
+#[cfg(any(test, target_endian = "big"))]
+fn blocks_from_wire_by_block<E>(
+    blocks: &mut [Block],
+    fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut bytes = vec![0u8; 16 * blocks.len()];
     fill(&mut bytes)?;
-    for (table, raw) in tables.iter_mut().zip(bytes.chunks_exact(TABLE_BYTES)) {
-        let (row0, row1) = raw.split_at(16);
-        *table = [
-            Block::from_bytes(row0.try_into().expect("16 bytes")),
-            Block::from_bytes(row1.try_into().expect("16 bytes")),
-        ];
+    for (block, raw) in blocks.iter_mut().zip(bytes.chunks_exact(16)) {
+        *block = Block::from_bytes(raw.try_into().expect("16 bytes"));
     }
     Ok(())
 }
@@ -250,9 +272,10 @@ mod tests {
             // A non-empty prefix: the encoders append.
             let (mut bulk, mut by_block) = (vec![0xAA], vec![0xAA]);
             tables_to_wire(&tables, &mut bulk);
-            tables_to_wire_by_block(&tables, &mut by_block);
+            by_block.extend(blocks_to_wire_by_block(tables.as_flattened()));
             assert_eq!(bulk, by_block, "{n} tables");
             assert_eq!(bulk.len(), 1 + TABLE_BYTES * n);
+            assert_eq!(*wire_view(tables.as_flattened()), bulk[1..], "{n} tables");
 
             let wire = &bulk[1..];
             let fill = |buf: &mut [u8]| -> Result<(), ()> {
@@ -263,9 +286,27 @@ mod tests {
             let mut decoded = random_tables(&mut rng, n);
             let mut oracle = decoded.clone();
             tables_from_wire(&mut decoded, fill).unwrap();
-            tables_from_wire_by_block(&mut oracle, fill).unwrap();
+            blocks_from_wire_by_block(oracle.as_flattened_mut(), fill).unwrap();
             assert_eq!(decoded, tables, "{n} tables");
             assert_eq!(oracle, tables, "{n} tables");
+        }
+    }
+
+    #[test]
+    fn label_byte_view_matches_the_per_block_loop() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for n in [0usize, 1, 3, 255, 19_968] {
+            let labels: Vec<Block> = (0..n).map(|_| Block::random(&mut rng)).collect();
+            let mut bulk = vec![0x55];
+            blocks_to_wire(&labels, &mut bulk);
+            assert_eq!(bulk[1..], blocks_to_wire_by_block(&labels), "{n} labels");
+            let mut decoded = vec![Block::from(u128::MAX); n];
+            blocks_from_wire(&mut decoded, |buf| -> Result<(), ()> {
+                buf.copy_from_slice(&bulk[1..]);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(decoded, labels, "{n} labels");
         }
     }
 

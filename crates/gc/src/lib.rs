@@ -80,7 +80,10 @@ pub mod slab;
 pub mod stream;
 
 pub use aes::{active_backend, AesBackend};
-pub use block::{tables_from_wire, tables_to_wire, Block, Delta, TABLE_BYTES};
+pub use block::{
+    blocks_from_wire, blocks_to_wire, tables_from_wire, tables_to_wire, wire_view, Block, Delta,
+    TABLE_BYTES,
+};
 pub use engine::{EnginePool, PoolStats};
 pub use evaluate::{eval_and, eval_and_batch, eval_inv, eval_xor, evaluate};
 pub use garble::{
@@ -91,7 +94,7 @@ pub use hash::{CryptoCounters, GateHash, HashScheme, OT_BASE_TWEAK, OT_EXT_TWEAK
 pub use instance::{garble_plan_in, BankedGarbler, InstanceDecodeError, PlanGarbling};
 pub use ot::OtError;
 pub use ot_ext::{OtExtReceiver, OtExtSender, KAPPA as OT_EXT_KAPPA};
-pub use slab::{rename_in_order, SlotInstr, SlotOp, SlotProgram, OOR_SLOT};
+pub use slab::{rename_in_order, RunClass, SlotInstr, SlotOp, SlotProgram, OOR_SLOT};
 pub use stream::{
     baseline_plan, EvaluatorFinish, GarblerFinish, Liveness, StreamingEvaluator, StreamingGarbler,
 };

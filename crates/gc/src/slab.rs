@@ -52,6 +52,28 @@
 //! most [`MAX_AND_BATCH`]) and stores each AND's remaining run length,
 //! so the executors batch `(index, len)` through the cipher without
 //! re-deriving independence per gate.
+//!
+//! **Run classes** are the last static decision (paper §3.1, §4.2: the
+//! compiler fixes every memory access, the hardware makes none). One
+//! pass after the far-read routing gives every instruction a
+//! [`RunClass`], and the loops dispatch once a run instead of once an
+//! operand:
+//!
+//! - a **clean XOR run** — consecutive XORs (at most 255) that read only
+//!   the slab and write no event (a circuit output or an OoRW source) —
+//!   is one tight loop over a local view of the slab under one mask;
+//! - a **slab-only AND run** gathers its operands from and scatters its
+//!   labels into that same view;
+//! - a **store-only AND run** reads its `2k` operands straight off the
+//!   plan's store-slot stream, bumping the read cursor and retiring the
+//!   last reads once for the run;
+//! - everything else — an event write, a run that mixes slab and store
+//!   reads, an INV — takes the **general path**:
+//!   `SlabState::read` tests each operand for the OoR sentinel and
+//!   `SlabState::write` compares each address with the next event.
+//!
+//! Every class computes exactly what the general path would, in the same
+//! order, so the transcript does not depend on the classes.
 
 use haac_circuit::{Circuit, GateOp};
 
@@ -108,6 +130,30 @@ impl SlotInstr {
         [self.a, self.b].into_iter().take(if self.op == SlotOp::Inv { 1 } else { 2 })
     }
 }
+
+/// How the slab loops execute the run starting at an instruction,
+/// fixed at plan construction ([`SlotProgram::run_class`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RunClass {
+    /// The first of this many consecutive XORs (at most 255) whose
+    /// operands all sit in the slab and none of whose outputs is a
+    /// circuit output or an OoRW source.
+    CleanXor(u8),
+    /// An AND batch run (from this gate to the run's end) that reads
+    /// only the slab and writes no circuit output or OoRW source.
+    SlabAnd,
+    /// An AND batch run that reads only the OoRW store and writes no
+    /// circuit output or OoRW source.
+    StoreAnd,
+    /// Anything else: the per-operand general path.
+    General,
+}
+
+/// The class byte of an AND instruction; an XOR's is its clean-run
+/// length (0: general), an INV's is always 0.
+const AND_GENERAL: u8 = 0;
+const AND_SLAB: u8 = 1;
+const AND_STORE: u8 = 2;
 
 /// The renaming pass (§4.2.2): input wire `w` gets address `w + 1`, the
 /// `i`-th gate of `order` writes `num_inputs + 1 + i`, and its operands
@@ -175,6 +221,10 @@ pub struct SlotProgram {
     /// included, at most [`MAX_AND_BATCH`]); 0 for XOR/INV. Computed
     /// from the original addresses, before the OoR rewrite.
     and_runs: Vec<u8>,
+    /// One class byte per instruction (see [`RunClass`]): an XOR's
+    /// clean-run length, an AND's `AND_*` class, 0 for INV. Computed
+    /// after the OoR rewrite.
+    run_classes: Vec<u8>,
     /// One entry per OoR-sentinel operand in consumption order
     /// (instruction ascending, `a` before `b`): `store slot << 1 |
     /// last read` — the consumer drains this stream with one cursor.
@@ -198,8 +248,9 @@ impl SlotProgram {
     /// The slab window is the **natural** one — the smallest power of
     /// two covering the maximum operand distance, so every read is
     /// in-window and the OoRW queue stays empty — and the static
-    /// peak-live residency and AND-run partition are computed here once
-    /// (amortized across every session that reuses the plan).
+    /// peak-live residency, AND-run partition and run classes are
+    /// computed here once (amortized across every session that reuses
+    /// the plan).
     ///
     /// # Errors
     ///
@@ -349,6 +400,9 @@ impl SlotProgram {
                 (far.max_near.max(2).next_power_of_two(), far)
             }
         };
+        let events = outputs_by_addr.iter().map(|&(addr, _)| addr);
+        let events = events.chain(far.sources.iter().map(|&(addr, _)| addr));
+        let run_classes = run_classes(&instrs, first_out, &and_runs, events);
         Ok(SlotProgram {
             instrs,
             garbler_inputs,
@@ -360,6 +414,7 @@ impl SlotProgram {
             and_count,
             peak_live,
             and_runs,
+            run_classes,
             oor_reads: far.reads,
             oor_sources: far.sources,
             oor_queue_bound: far.queue_bound,
@@ -521,6 +576,21 @@ impl SlotProgram {
             self.and_count as f64 / runs as f64
         }
     }
+
+    /// How the slab loops execute the run starting at instruction
+    /// `index` — the plan's static dispatch (see [`RunClass`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn run_class(&self, index: usize) -> RunClass {
+        match (self.instrs[index].op, self.run_classes[index]) {
+            (SlotOp::Xor, 0) | (SlotOp::Inv, _) | (SlotOp::And, AND_GENERAL) => RunClass::General,
+            (SlotOp::Xor, len) => RunClass::CleanXor(len),
+            (SlotOp::And, AND_SLAB) => RunClass::SlabAnd,
+            (SlotOp::And, _) => RunClass::StoreAnd,
+        }
+    }
 }
 
 /// Partitions the stream's AND gates into batch runs, greedily from the
@@ -547,6 +617,58 @@ fn and_runs(instrs: &[SlotInstr], first_out: u32) -> Vec<u8> {
         start += len.max(1);
     }
     runs
+}
+
+/// Classifies every instruction's run (see [`RunClass`]) in one
+/// backward pass over the routed stream: an XOR's byte is the length of
+/// the clean run starting there (capped at 255), an AND's the class of
+/// its batch run from there to the run's end — so any prefix a chunk
+/// budget takes is of the same class. `events` are the addresses whose
+/// write has more to do than the slab store (circuit outputs and OoRW
+/// sources), in any order.
+fn run_classes(
+    instrs: &[SlotInstr],
+    first_out: u32,
+    and_runs: &[u8],
+    events: impl Iterator<Item = u32>,
+) -> Vec<u8> {
+    // Marks event outputs until the sweep overwrites the mark with the
+    // instruction's class.
+    const EVENT: u8 = u8::MAX;
+    let mut classes = vec![0u8; instrs.len()];
+    for addr in events.filter(|&addr| addr >= first_out) {
+        classes[(addr - first_out) as usize] = EVENT;
+    }
+    // The next instruction's op and class: what an XOR run or an AND
+    // batch run continues into.
+    let mut next = (SlotOp::Inv, 0u8);
+    for ((class, instr), &left) in classes.iter_mut().zip(instrs).zip(and_runs).rev() {
+        let event = *class == EVENT;
+        let near = instr.a != OOR_SLOT && instr.b != OOR_SLOT;
+        *class = match instr.op {
+            SlotOp::Xor if near && !event => {
+                let rest = if next.0 == SlotOp::Xor { next.1 } else { 0 };
+                rest.saturating_add(1)
+            }
+            SlotOp::And if !event => {
+                let own = match (instr.a, instr.b) {
+                    (OOR_SLOT, OOR_SLOT) => AND_STORE,
+                    _ if near => AND_SLAB,
+                    _ => AND_GENERAL,
+                };
+                // A gate with more of its run left is followed by the
+                // rest of the run, already classified.
+                if left == 1 || next.1 == own {
+                    own
+                } else {
+                    AND_GENERAL
+                }
+            }
+            _ => 0,
+        };
+        next = (instr.op, *class);
+    }
+    classes
 }
 
 /// How a plan decides which reads leave the slab.
@@ -739,6 +861,16 @@ impl SlabLabels {
     pub(crate) fn set(&mut self, addr: u32, label: Block) {
         self.slab[(addr & self.mask) as usize] = label;
     }
+
+    /// The slab as a slice of exactly `mask + 1` slots, and a function
+    /// from address to slot: what the run loops index. The length is
+    /// re-established here so an optimised build can drop the bounds
+    /// check on every masked index.
+    #[inline]
+    fn view(&mut self) -> (&mut [Block], impl Fn(u32) -> usize) {
+        let mask = self.mask;
+        (&mut self.slab[..=mask as usize], move |addr| (addr & mask) as usize)
+    }
 }
 
 /// The slot-slab execution state shared by the slab-backed executors
@@ -827,6 +959,79 @@ impl<'p> SlabState<'p> {
         self.slab.set(addr, label);
         if addr == self.next_event {
             self.write_event(addr, label);
+        }
+    }
+
+    /// Executes the XOR at instruction `index` and returns how many
+    /// instructions ran: its whole clean run, in one loop over the slab
+    /// view, or else this gate alone through [`read`](SlabState::read)
+    /// and [`write`](SlabState::write). Garbling and evaluating an XOR
+    /// are the same sum (`W_c = W_a ⊕ W_b` for zero and active labels
+    /// alike), so both loops come here.
+    #[inline]
+    pub(crate) fn xor(&mut self, index: usize) -> usize {
+        let plan = self.plan;
+        let out = plan.first_output_addr() + index as u32;
+        let len = plan.run_classes[index] as usize;
+        if len == 0 {
+            let instr = plan.instrs[index];
+            let label = self.read(instr.a) ^ self.read(instr.b);
+            self.write(out, label);
+            return 1;
+        }
+        let (slab, slot) = self.slab.view();
+        for (g, out) in plan.instrs[index..index + len].iter().zip(out..) {
+            slab[slot(out)] = slab[slot(g.a)] ^ slab[slot(g.b)];
+        }
+        len
+    }
+
+    /// Gathers the operands of the `a.len()` AND gates from instruction
+    /// `index` on — a prefix of one batch run — by the run's class: slab
+    /// view, store slots, or the general path.
+    #[inline]
+    pub(crate) fn and_operands(&mut self, index: usize, a: &mut [Block], b: &mut [Block]) {
+        let plan = self.plan;
+        let gates = &plan.instrs[index..index + a.len()];
+        match plan.run_classes[index] {
+            AND_SLAB => {
+                let (slab, slot) = self.slab.view();
+                for ((g, a), b) in gates.iter().zip(a).zip(b) {
+                    (*a, *b) = (slab[slot(g.a)], slab[slot(g.b)]);
+                }
+            }
+            AND_STORE => {
+                let reads = &plan.oor_reads[self.oor_read_cursor..][..2 * gates.len()];
+                self.oor_read_cursor += reads.len();
+                for ((pair, a), b) in reads.chunks_exact(2).zip(a).zip(b) {
+                    (*a, *b) =
+                        (self.oor[(pair[0] >> 1) as usize], self.oor[(pair[1] >> 1) as usize]);
+                }
+                self.oor_len -= reads.iter().map(|&read| (read & 1) as usize).sum::<usize>();
+            }
+            _ => {
+                for ((g, a), b) in gates.iter().zip(a).zip(b) {
+                    (*a, *b) = (self.read(g.a), self.read(g.b));
+                }
+            }
+        }
+    }
+
+    /// Writes the output labels of the AND gates from instruction
+    /// `index` on: straight into the slab view when the run writes no
+    /// event, else through [`write`](SlabState::write).
+    #[inline]
+    pub(crate) fn and_outputs(&mut self, index: usize, labels: &[Block]) {
+        let out = self.plan.first_output_addr() + index as u32;
+        if self.plan.run_classes[index] == AND_GENERAL {
+            for (&label, out) in labels.iter().zip(out..) {
+                self.write(out, label);
+            }
+        } else {
+            let (slab, slot) = self.slab.view();
+            for (&label, out) in labels.iter().zip(out..) {
+                slab[slot(out)] = label;
+            }
         }
     }
 

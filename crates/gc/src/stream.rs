@@ -18,8 +18,24 @@
 //! both parties run the same program against the same kind of store.
 //! The plan also fixes what the loops would otherwise decide per gate:
 //! which consecutive AND gates batch through the cipher together
-//! ([`SlotProgram::and_runs`]) and, where the slab is smaller than the
-//! program's natural window, which store slot serves each far read.
+//! ([`SlotProgram::and_runs`]), where the slab is smaller than the
+//! program's natural window, which store slot serves each far read, and
+//! how each run executes ([`SlotProgram::run_class`]). The loops
+//! dispatch once a run, not once an operand:
+//!
+//! - a **clean XOR run** (up to 255 XORs reading only the slab, writing
+//!   no circuit output or OoRW source) is one loop over the slab under
+//!   one mask — garbling and evaluating share it, FreeXOR being the same
+//!   sum on either side;
+//! - an AND batch run reading **only the slab** gathers its operands
+//!   and scatters its output labels through the same slab view;
+//! - an AND batch run reading **only the OoRW store** takes its `2k`
+//!   operands straight off the plan's store-slot stream;
+//! - everything else — a write that snapshots an output or fills a
+//!   store slot, a run mixing slab and store reads, INV — takes the
+//!   **general path**, one sentinel test per read and one event compare
+//!   per write. On the served MatMult-paper plan that is 2 048 of its
+//!   1.56 M instructions.
 //!
 //! The default lowering ([`baseline_plan`]) preserves gate order and
 //! per-gate tweaks, so for a shared seed the chunks concatenate to
@@ -32,8 +48,8 @@ use haac_circuit::{Circuit, GateOp, WireId};
 use rand::Rng;
 
 use crate::block::{Block, Delta};
-use crate::evaluate::{eval_batch, eval_inv, eval_xor};
-use crate::garble::{decode_outputs, garble_batch, garble_inv, garble_xor, MAX_AND_BATCH};
+use crate::evaluate::{eval_batch, eval_inv};
+use crate::garble::{decode_outputs, garble_batch, garble_inv, MAX_AND_BATCH};
 use crate::hash::{CryptoCounters, GateHash, HashScheme};
 use crate::slab::{rename_in_order, SlabState, SlotOp, SlotProgram};
 
@@ -197,6 +213,8 @@ pub struct StreamingGarbler<'c> {
     evaluator_inputs: u32,
     num_gates: usize,
     num_tables: usize,
+    /// Tables emitted by the chunks so far.
+    tables_done: usize,
     /// Zero labels of all primary inputs; present until streaming starts.
     input_zero_labels: Option<Vec<Block>>,
     next_gate: usize,
@@ -230,6 +248,7 @@ impl<'c> StreamingGarbler<'c> {
             evaluator_inputs: plan.evaluator_inputs(),
             num_gates: plan.instrs().len(),
             num_tables: plan.and_count(),
+            tables_done: 0,
             input_zero_labels: Some(input_zero_labels),
             next_gate: 0,
         }
@@ -329,9 +348,12 @@ impl<'c> StreamingGarbler<'c> {
     }
 
     /// Like [`next_tables`](StreamingGarbler::next_tables) but fills a
-    /// caller-owned buffer (cleared first), so streaming a
-    /// million-table circuit performs zero per-chunk allocations.
-    /// Returns `false` once the circuit is fully garbled.
+    /// caller-owned buffer, so streaming a million-table circuit
+    /// performs zero per-chunk allocations. The buffer is resized once to
+    /// the chunk's table count and overwritten — a recycled buffer of
+    /// that length is not zeroed first — and holds exactly the chunk
+    /// afterwards (nothing once the circuit is done). Returns `false`
+    /// once the circuit is fully garbled.
     ///
     /// The plan's runs of consecutive, mutually independent AND gates
     /// ([`SlotProgram::and_runs`]) are garbled as one batch each — up to
@@ -345,11 +367,12 @@ impl<'c> StreamingGarbler<'c> {
     /// happen before streaming.
     pub fn next_tables_into(&mut self, max_tables: usize, tables: &mut Vec<[Block; 2]>) -> bool {
         assert!(max_tables > 0, "chunk capacity must be positive");
-        tables.clear();
         if self.next_gate == self.num_gates {
+            tables.clear();
             return false;
         }
         self.input_zero_labels = None;
+        tables.resize(max_tables.min(self.num_tables - self.tables_done), [Block::ZERO; 2]);
         garble_slab(
             &self.hash,
             self.delta,
@@ -358,6 +381,7 @@ impl<'c> StreamingGarbler<'c> {
             max_tables,
             tables,
         );
+        self.tables_done += tables.len();
         true
     }
 
@@ -393,20 +417,23 @@ impl<'c> StreamingGarbler<'c> {
     }
 }
 
-/// One chunk of garbling — the per-gate hot loop is slab indexing
-/// only: no lookups, no retire bookkeeping, no liveness branches
-/// (sentinel operands read the OoRW store slot the plan names instead).
-/// AND gates are batched by the plan's static run partition
-/// ([`SlotProgram::and_runs`]): the gates of a run are consecutive and
-/// mutually independent by construction, so the loop takes as much of
-/// the run as the chunk budget allows and never re-derives independence.
+/// One chunk of garbling, dispatched once a run by the plan's static
+/// [`RunClass`](crate::RunClass): a clean XOR run is one loop over the
+/// slab, an AND batch run ([`SlotProgram::and_runs`] — consecutive,
+/// mutually independent gates) gathers its operands from the slab or the
+/// OoRW store the plan names, goes through the cipher as one batch, and
+/// scatters its labels; the loop takes as much of the run as the chunk
+/// budget allows and never re-derives independence or class. Only event
+/// writes, mixed runs and INV take the per-operand path. `tables` holds
+/// exactly the tables the chunk produces: `max_tables`, or fewer when
+/// the plan has fewer left, in which case the chunk runs to the end.
 fn garble_slab(
     hash: &GateHash,
     delta: Delta,
     state: &mut SlabState<'_>,
     next_gate: &mut usize,
     max_tables: usize,
-    tables: &mut Vec<[Block; 2]>,
+    tables: &mut [[Block; 2]],
 ) {
     let instrs = state.plan().instrs();
     let runs = state.plan().and_runs();
@@ -418,38 +445,32 @@ fn garble_slab(
     let mut b = [Block::ZERO; MAX_AND_BATCH];
     let mut labels = [Block::ZERO; MAX_AND_BATCH];
     let mut index = *next_gate;
-    while index < instrs.len() && tables.len() < max_tables {
+    let mut at = 0;
+    while index < instrs.len() && at < max_tables {
         let instr = instrs[index];
-        let out = first_out + index as u32;
         match instr.op {
             SlotOp::And => {
-                let k = (runs[index] as usize).min(max_tables - tables.len());
-                for (j, g) in instrs[index..index + k].iter().enumerate() {
-                    (bases[j], a[j], b[j]) = ((index + j) as u64, state.read(g.a), state.read(g.b));
+                let k = (runs[index] as usize).min(max_tables - at);
+                let (bases, a, b, labels) =
+                    (&mut bases[..k], &mut a[..k], &mut b[..k], &mut labels[..k]);
+                state.and_operands(index, a, b);
+                for (base, gate) in bases.iter_mut().zip(index as u64..) {
+                    *base = gate;
                 }
-                // The tables land on the chunk's tail.
-                let at = tables.len();
-                tables.resize(at + k, [Block::ZERO; 2]);
-                let (a, b, labels) = (&a[..k], &b[..k], &mut labels[..k]);
-                garble_batch(hash, delta, &bases[..k], a, b, labels, &mut tables[at..]);
-                for (j, &w0c) in labels.iter().enumerate() {
-                    state.write(out + j as u32, w0c);
-                }
+                garble_batch(hash, delta, bases, a, b, labels, &mut tables[at..at + k]);
+                state.and_outputs(index, labels);
+                at += k;
                 index += k;
             }
-            SlotOp::Xor => {
-                let w0a = state.read(instr.a);
-                let w0b = state.read(instr.b);
-                state.write(out, garble_xor(w0a, w0b));
-                index += 1;
-            }
+            SlotOp::Xor => index += state.xor(index),
             SlotOp::Inv => {
                 let w0a = state.read(instr.a);
-                state.write(out, garble_inv(delta, w0a));
+                state.write(first_out + index as u32, garble_inv(delta, w0a));
                 index += 1;
             }
         }
     }
+    debug_assert_eq!(at, tables.len(), "the chunk was sized to its tables");
     *next_gate = index;
 }
 
@@ -549,8 +570,8 @@ impl<'c> StreamingEvaluator<'c> {
 
 /// Advances evaluation as far as `tables` allows and returns the number
 /// of tables consumed (always the whole slice unless the instruction
-/// list ends first); the hot loop is slab indexing only, batched by the
-/// plan's static AND runs like [`garble_slab`].
+/// list ends first); dispatched once a run by the plan's static classes
+/// like [`garble_slab`].
 fn eval_slab(
     hash: &GateHash,
     state: &mut SlabState<'_>,
@@ -570,34 +591,28 @@ fn eval_slab(
     let mut index = *next_gate;
     while index < instrs.len() {
         let instr = instrs[index];
-        let out = first_out + index as u32;
         match instr.op {
             SlotOp::And => {
                 if cursor == tables.len() {
                     break; // starved: wait for the next chunk
                 }
                 let k = (runs[index] as usize).min(tables.len() - cursor);
-                for (j, g) in instrs[index..index + k].iter().enumerate() {
-                    (bases[j], a[j], b[j]) = ((index + j) as u64, state.read(g.a), state.read(g.b));
+                let (bases, a, b, labels) =
+                    (&mut bases[..k], &mut a[..k], &mut b[..k], &mut labels[..k]);
+                state.and_operands(index, a, b);
+                for (base, gate) in bases.iter_mut().zip(index as u64..) {
+                    *base = gate;
                 }
                 // The tables are read in place from the received slice.
-                let (a, b, labels) = (&a[..k], &b[..k], &mut labels[..k]);
-                eval_batch(hash, &bases[..k], a, b, &tables[cursor..cursor + k], labels);
-                for (j, &label) in labels.iter().enumerate() {
-                    state.write(out + j as u32, label);
-                }
+                eval_batch(hash, bases, a, b, &tables[cursor..cursor + k], labels);
+                state.and_outputs(index, labels);
                 cursor += k;
                 index += k;
             }
-            SlotOp::Xor => {
-                let wa = state.read(instr.a);
-                let wb = state.read(instr.b);
-                state.write(out, eval_xor(wa, wb));
-                index += 1;
-            }
+            SlotOp::Xor => index += state.xor(index),
             SlotOp::Inv => {
                 let wa = state.read(instr.a);
-                state.write(out, eval_inv(wa));
+                state.write(first_out + index as u32, eval_inv(wa));
                 index += 1;
             }
         }

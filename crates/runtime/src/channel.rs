@@ -16,7 +16,7 @@
 //!   two-process / two-machine sessions.
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -64,6 +64,21 @@ pub trait Channel {
     /// Returns an I/O error if the peer has disconnected.
     fn flush(&mut self) -> io::Result<()>;
 
+    /// Sends `head` then `body` and flushes: one frame whose body the
+    /// caller keeps. The default is exactly `send`, `send`, `flush`; a
+    /// transport that can write both parts where they lie overrides it
+    /// to skip copying them into its write buffer (the table stream's
+    /// 64 KiB frames go out this way).
+    ///
+    /// # Errors
+    ///
+    /// Returns an I/O error if the peer has disconnected.
+    fn send_flush(&mut self, head: &[u8], body: &[u8]) -> io::Result<()> {
+        self.send(head)?;
+        self.send(body)?;
+        self.flush()
+    }
+
     /// Traffic counters for this endpoint.
     fn stats(&self) -> ChannelStats;
 
@@ -101,6 +116,10 @@ impl<T: Channel + ?Sized> Channel for &mut T {
         (**self).flush()
     }
 
+    fn send_flush(&mut self, head: &[u8], body: &[u8]) -> io::Result<()> {
+        (**self).send_flush(head, body)
+    }
+
     fn stats(&self) -> ChannelStats {
         (**self).stats()
     }
@@ -121,6 +140,10 @@ impl<T: Channel + ?Sized> Channel for Box<T> {
 
     fn flush(&mut self) -> io::Result<()> {
         (**self).flush()
+    }
+
+    fn send_flush(&mut self, head: &[u8], body: &[u8]) -> io::Result<()> {
+        (**self).send_flush(head, body)
     }
 
     fn stats(&self) -> ChannelStats {
@@ -374,6 +397,32 @@ impl Channel for TcpChannel {
         Ok(())
     }
 
+    /// Whatever is buffered, then `head` and `body`, in vectored writes
+    /// straight from where they lie — the frame is never copied into the
+    /// write buffer.
+    fn send_flush(&mut self, head: &[u8], body: &[u8]) -> io::Result<()> {
+        if self.write_buffer.is_empty() && head.is_empty() && body.is_empty() {
+            return Ok(());
+        }
+        // Counted as `send` counts: when handed over, written or not.
+        self.stats.bytes_sent += (head.len() + body.len()) as u64;
+        let mut parts = [IoSlice::new(&self.write_buffer), IoSlice::new(head), IoSlice::new(body)];
+        let mut parts = &mut parts[..];
+        IoSlice::advance_slices(&mut parts, 0);
+        while !parts.is_empty() {
+            match self.stream.write_vectored(parts) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(written) => IoSlice::advance_slices(&mut parts, written),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.stream.flush()?;
+        self.write_buffer.clear();
+        self.stats.flushes += 1;
+        Ok(())
+    }
+
     fn stats(&self) -> ChannelStats {
         self.stats
     }
@@ -419,6 +468,41 @@ mod tests {
         b.recv_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"abcdef");
         assert_eq!(a.stats(), ChannelStats { bytes_sent: 6, bytes_received: 0, flushes: 2 });
+    }
+
+    #[test]
+    fn tcp_send_flush_survives_partial_writes_to_a_slow_reader() {
+        const BODY: usize = 4 << 20;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let body: Vec<u8> = (0..BODY).map(|i| (i * 31 % 251) as u8).collect();
+        let expected = [&b"buffered"[..], b"head", &body].concat();
+        let reader = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            // Small reads with pauses: the socket buffers fill, so the
+            // writer's vectored writes come back short.
+            let mut got = Vec::new();
+            let mut piece = [0u8; 16 * 1024];
+            loop {
+                match stream.read(&mut piece).unwrap() {
+                    0 => break got,
+                    n => got.extend_from_slice(&piece[..n]),
+                }
+                if got.len() % (256 * 1024) < piece.len() {
+                    thread::sleep(std::time::Duration::from_millis(2));
+                }
+            }
+        });
+        let mut writer = TcpChannel::connect(addr).unwrap();
+        writer.send(b"buffered").unwrap();
+        writer.send_flush(b"head", &body).unwrap();
+        // Nothing left behind in the write buffer to go out twice.
+        writer.flush().unwrap();
+        let stats = writer.stats();
+        drop(writer);
+        assert!(reader.join().unwrap() == expected, "bytes arrive once, in order");
+        let sent = (8 + 4 + BODY) as u64;
+        assert_eq!(stats, ChannelStats { bytes_sent: sent, bytes_received: 0, flushes: 1 });
     }
 
     #[test]

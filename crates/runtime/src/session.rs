@@ -38,6 +38,7 @@
 //! parties who lowered different schedules under one tag, or different
 //! circuits of one size, fail there instead of decoding garbage.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,7 +47,7 @@ use haac_circuit::Circuit;
 use haac_core::lower::{lower_with_reorder, StreamingPlan};
 use haac_core::ReorderKind;
 use haac_gc::{
-    BankedGarbler, Block, CryptoCounters, GarblerFinish, HashScheme, PlanGarbling,
+    wire_view, BankedGarbler, Block, CryptoCounters, GarblerFinish, HashScheme, PlanGarbling,
     StreamingEvaluator, StreamingGarbler,
 };
 use haac_telemetry::{Counter, Histogram, SlidingRate};
@@ -55,8 +56,8 @@ use rand::Rng;
 use crate::channel::{Channel, ChannelStats};
 use crate::error::{RuntimeError, SessionPhase};
 use crate::wire::{
-    encode_frame, fill_tables_frame, read_message, read_stream_frame, tables_frame_len,
-    write_message, Message, OtMode, SessionHeader, StreamFrame,
+    encode_frame, read_message, read_stream_frame, tables_frame_head, tables_frame_len,
+    write_message, Message, OtMode, SessionHeader, StreamFrame, TABLES_HEAD,
 };
 
 /// Default cumulative-ack cadence for resumable sessions: the evaluator
@@ -949,12 +950,38 @@ fn run_session_pair<C: Channel + Send>(
     })
 }
 
-/// Bounded store of the framed wire bytes of every
-/// not-yet-acknowledged stream frame (table chunks and the
-/// output-decode tail), addressed by sequence number. Resume is **byte
-/// replay** out of this buffer: the exact bytes are re-sent and labels
-/// are never re-derived, so the one-time-label invariant holds by
-/// construction.
+/// One stream frame as the replay buffer keeps it: a table chunk as
+/// its head and the very buffer the garbler filled — sent where it lies,
+/// never copied into a byte frame — or any other frame's encoded bytes
+/// (the output-decode tail).
+enum Frame {
+    Tables { head: [u8; TABLES_HEAD], tables: Vec<[Block; 2]> },
+    Bytes(Vec<u8>),
+}
+
+impl Frame {
+    /// The frame's wire bytes, as head and body.
+    fn parts(&self) -> (&[u8], Cow<'_, [u8]>) {
+        match self {
+            Frame::Tables { head, tables } => (head, wire_view(tables.as_flattened())),
+            Frame::Bytes(bytes) => (bytes, Cow::Borrowed(&[])),
+        }
+    }
+
+    /// Wire length of the frame.
+    fn len(&self) -> usize {
+        match self {
+            Frame::Tables { tables, .. } => tables_frame_len(tables.len()),
+            Frame::Bytes(bytes) => bytes.len(),
+        }
+    }
+}
+
+/// Bounded store of every not-yet-acknowledged stream frame (table
+/// chunks and the output-decode tail), addressed by sequence number.
+/// Resume is **byte replay** out of this buffer: the exact bytes are
+/// re-sent and labels are never re-derived, so the one-time-label
+/// invariant holds by construction.
 ///
 /// The driver admits at most `2 × ack_interval` unacknowledged table
 /// frames and a frame is at most [`tables_frame_len`] of the session's
@@ -962,7 +989,7 @@ fn run_session_pair<C: Channel + Send>(
 /// 2 × 16 × (17 + 32 × 2 048) B ≈ 2 MiB at the defaults, plus the
 /// decode frame (see [`run_garbler_resumable`], which asserts it).
 struct ReplayBuffer {
-    frames: VecDeque<(u64, Vec<u8>)>,
+    frames: VecDeque<(u64, Frame)>,
     /// Sequence number the next pushed frame gets.
     next_seq: u64,
     /// Cumulative ack cursor: every frame below it has been released.
@@ -971,10 +998,10 @@ struct ReplayBuffer {
     bytes: usize,
     /// High-water mark of `bytes`.
     peak_bytes: usize,
-    /// Released frames' buffers, handed back out by
+    /// Released table frames' buffers, handed back out by
     /// [`frame_buffer`](ReplayBuffer::frame_buffer) instead of freed: a
     /// session allocates as many frames as it ever retains at once.
-    spare: Vec<Vec<u8>>,
+    spare: Vec<Vec<[Block; 2]>>,
     /// Frame buffers [`frame_buffer`](ReplayBuffer::frame_buffer) had to
     /// allocate because nothing was spare.
     allocated: usize,
@@ -993,20 +1020,21 @@ impl ReplayBuffer {
         }
     }
 
-    /// A buffer to fill the next frame into: a released frame's, or a
-    /// fresh one when none is spare.
-    fn frame_buffer(&mut self) -> Vec<u8> {
+    /// A table buffer to garble the next chunk into — a released
+    /// frame's, or a fresh one with room for `tables` (capped) when none
+    /// is spare.
+    fn frame_buffer(&mut self, tables: usize) -> Vec<[Block; 2]> {
         self.spare.pop().unwrap_or_else(|| {
             self.allocated += 1;
-            Vec::new()
+            Vec::with_capacity(tables.min(CHUNK_BUFFER_CAP))
         })
     }
 
-    /// Stores a frame's wire bytes under the next sequence number.
-    fn push(&mut self, bytes: Vec<u8>) {
-        self.bytes += bytes.len();
+    /// Stores a frame under the next sequence number.
+    fn push(&mut self, frame: Frame) {
+        self.bytes += frame.len();
         self.peak_bytes = self.peak_bytes.max(self.bytes);
-        self.frames.push_back((self.next_seq, bytes));
+        self.frames.push_back((self.next_seq, frame));
         self.next_seq += 1;
     }
 
@@ -1025,7 +1053,9 @@ impl ReplayBuffer {
             while self.frames.front().is_some_and(|(seq, _)| *seq < upto) {
                 let (_, released) = self.frames.pop_front().expect("front was just checked");
                 self.bytes -= released.len();
-                self.spare.push(released);
+                if let Frame::Tables { tables, .. } = released {
+                    self.spare.push(tables);
+                }
             }
         }
         Ok(())
@@ -1144,9 +1174,11 @@ impl<F> GarblerRecovery<'_, F> {
         (|| -> Result<(), RuntimeError> {
             write_message(channel, &Message::ResumeAck { from_seq: next_seq })?;
             buffer.ack(next_seq)?;
-            for (seq, bytes) in &buffer.frames {
+            for (seq, frame) in &buffer.frames {
                 debug_assert!(*seq >= next_seq);
-                channel.send(bytes)?;
+                let (head, body) = frame.parts();
+                channel.send(head)?;
+                channel.send(&body)?;
                 self.replayed_frames += 1;
             }
             Ok(channel.flush()?)
@@ -1156,15 +1188,15 @@ impl<F> GarblerRecovery<'_, F> {
         Ok(())
     }
 
-    /// Buffers a frame's bytes in the replay buffer, then sends and
-    /// flushes them — recovering through the resume callback on a
-    /// transport failure. After a successful recovery the frame has
-    /// already been replayed out of the buffer, so the send is not
-    /// repeated.
+    /// Buffers a frame in the replay buffer, then sends and flushes it
+    /// ([`Channel::send_flush`], head and body from where they lie) —
+    /// recovering through the resume callback on a transport failure.
+    /// After a successful recovery the frame has already been replayed
+    /// out of the buffer, so the send is not repeated.
     fn ship<C>(
         &mut self,
         mut channel: C,
-        frame: Vec<u8>,
+        frame: Frame,
         phase: SessionPhase,
     ) -> Result<C, RuntimeError>
     where
@@ -1173,8 +1205,9 @@ impl<F> GarblerRecovery<'_, F> {
     {
         self.buffer.push(frame);
         let sent = {
-            let (_, bytes) = self.buffer.frames.back().expect("frame was just pushed");
-            channel.send(bytes).and_then(|()| channel.flush())
+            let (_, frame) = self.buffer.frames.back().expect("frame was just pushed");
+            let (head, body) = frame.parts();
+            channel.send_flush(head, &body)
         };
         let channel = match sent {
             Ok(()) => channel,
@@ -1477,7 +1510,6 @@ where
         replayed_frames: 0,
         resume,
     };
-    let mut chunk: Vec<[Block; 2]> = Vec::with_capacity(chunk_tables.min(CHUNK_BUFFER_CAP));
     loop {
         // Bounded replay buffer: block for acks before garbling on.
         // Waiting here is waiting for the evaluator to catch up — the
@@ -1500,14 +1532,19 @@ where
                 Err(e) => channel = link.recover(channel, e, SessionPhase::Stream)?,
             }
         }
+        // The chunk is garbled straight into the frame the replay buffer
+        // will keep and the channel will send.
+        let mut chunk = link.buffer.frame_buffer(chunk_tables);
         let t = Instant::now();
         let more = garbler.next_tables_into(chunk_tables, &mut chunk);
         let compute_ns = t.elapsed().as_nanos() as u64;
         stats.compute_ns += compute_ns;
-        if !more {
-            break;
-        }
-        if chunk.is_empty() {
+        if !more || chunk.is_empty() {
+            // Nothing to frame: the buffer goes back to the spare list.
+            link.buffer.spare.push(chunk);
+            if !more {
+                break;
+            }
             continue;
         }
         stats.tables += chunk.len() as u64;
@@ -1516,11 +1553,12 @@ where
             tel.chunk_compute_ns.record(compute_ns);
             tel.oor_occupancy.record(garbler.oor_queue_len() as u64);
         }
-        let mut frame = link.buffer.frame_buffer();
-        fill_tables_frame(&mut frame, link.buffer.next_seq, &chunk)
+        let head = tables_frame_head(link.buffer.next_seq, chunk.len())
             .map_err(|e| e.in_phase(SessionPhase::Stream))?;
+        let tables = chunk.len() as u64;
         let t = Instant::now();
-        channel = link.ship(channel, frame, SessionPhase::Stream)?;
+        channel =
+            link.ship(channel, Frame::Tables { head, tables: chunk }, SessionPhase::Stream)?;
         let io_ns = t.elapsed().as_nanos() as u64;
         stats.io_ns += io_ns;
         assert!(
@@ -1530,8 +1568,8 @@ where
         );
         if let Some(tel) = live {
             tel.chunk_io_ns.record(io_ns);
-            tel.tables.add(chunk.len() as u64);
-            tel.table_rate.add(chunk.len() as u64);
+            tel.tables.add(tables);
+            tel.table_rate.add(tables);
         }
     }
     stats.wall_ns = stream_start.elapsed().as_nanos() as u64;
@@ -1543,7 +1581,7 @@ where
     let finish = garbler.finish();
     let decode_frame = encode_frame(&Message::OutputDecode(finish.output_decode))
         .map_err(|e| e.in_phase(SessionPhase::Output))?;
-    channel = link.ship(channel, decode_frame, SessionPhase::Output)?;
+    channel = link.ship(channel, Frame::Bytes(decode_frame), SessionPhase::Output)?;
 
     let outputs = loop {
         match read_message(&mut channel) {
@@ -3066,12 +3104,12 @@ mod tests {
     }
 
     /// Records every byte the wrapped end receives.
-    struct RecvTee {
-        inner: crate::channel::MemChannel,
+    struct RecvTee<C = crate::channel::MemChannel> {
+        inner: C,
         received: Vec<u8>,
     }
 
-    impl Channel for RecvTee {
+    impl<C: Channel> Channel for RecvTee<C> {
         fn send(&mut self, bytes: &[u8]) -> std::io::Result<()> {
             self.inner.send(bytes)
         }
@@ -3086,6 +3124,56 @@ mod tests {
         fn stats(&self) -> ChannelStats {
             self.inner.stats()
         }
+    }
+
+    /// What the evaluator of a resumable session receives, byte for
+    /// byte, with the garbler's report.
+    fn received_transcript<C: Channel + Send>(
+        config: &SessionConfig,
+        bits: &[bool],
+        garbler_end: C,
+        evaluator_end: C,
+    ) -> (Vec<u8>, SessionReport) {
+        use rand::rngs::StdRng;
+
+        std::thread::scope(|scope| {
+            let garbler = scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(21);
+                run_garbler_resumable(bits, &mut rng, config, garbler_end, |_, _| None)
+            });
+            let mut tee = RecvTee { inner: evaluator_end, received: Vec::new() };
+            let mut rng = StdRng::seed_from_u64(22);
+            let e = run_evaluator_resumable(bits, &mut rng, config, &mut tee, 9, |_, _| None);
+            let g = garbler.join().unwrap().unwrap();
+            assert_eq!(e.unwrap().outputs, g.outputs);
+            (tee.received, g)
+        })
+    }
+
+    /// Over TCP the garbler's table frames leave as the head and the
+    /// chunk's own bytes in one vectored write; over a `MemChannel` they
+    /// are copied into one buffered message. The evaluator must receive
+    /// the same bytes either way.
+    #[test]
+    fn tcp_garbler_bytes_equal_the_in_process_transcript() {
+        use crate::channel::{MemChannel, TcpChannel};
+        use std::net::{TcpListener, TcpStream};
+
+        let c = multiplier(24);
+        let bits = to_bits(0xABCDEF, 24);
+        let config = SessionConfig::for_circuit(&c).with_chunk_tables(8).with_ack_interval(3);
+        let (g_end, e_end) = MemChannel::pair();
+        let (in_process, g_mem) = received_transcript(&config, &bits, g_end, e_end);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let g_end =
+            TcpChannel::from_stream(TcpStream::connect(listener.local_addr().unwrap()).unwrap())
+                .unwrap();
+        let e_end = TcpChannel::from_stream(listener.accept().unwrap().0).unwrap();
+        let (over_tcp, g_tcp) = received_transcript(&config, &bits, g_end, e_end);
+        assert!(g_tcp.table_chunks > 8, "want a many-frame stream, got {}", g_tcp.table_chunks);
+        assert!(over_tcp == in_process, "the TCP transcript differs from the in-process one");
+        assert_eq!(g_tcp.bytes_sent, over_tcp.len() as u64);
+        assert_eq!((g_tcp.bytes_sent, g_tcp.flushes), (g_mem.bytes_sent, g_mem.flushes));
     }
 
     /// A scripted peer: reads come from a recorded transcript (EOF past

@@ -8,7 +8,10 @@
 //! of desynchronizing.
 
 use haac_core::ReorderKind;
-use haac_gc::{tables_from_wire, tables_to_wire, Block, HashScheme, TABLE_BYTES};
+use haac_gc::{
+    blocks_from_wire, blocks_to_wire, tables_from_wire, tables_to_wire, wire_view, Block,
+    HashScheme, TABLE_BYTES,
+};
 
 use crate::channel::Channel;
 use crate::error::RuntimeError;
@@ -23,6 +26,10 @@ const TABLES_TAG: u8 = 6;
 /// Bytes of a `Tables` payload ahead of the tables: the stream cursor
 /// (8 B) and the table count (4 B).
 const TABLES_PREFIX: usize = 8 + 4;
+
+/// Bytes of a `Tables` frame ahead of the tables: tag and length (5 B)
+/// and the payload prefix — see [`tables_frame_head`].
+pub const TABLES_HEAD: usize = 5 + TABLES_PREFIX;
 
 /// Frame tag of [`Message::Resume`]. Public because a server dispatches
 /// on the first byte of a fresh connection: a service request opens with
@@ -238,13 +245,13 @@ pub fn reorder_from_tag(tag: u8) -> Result<ReorderKind, RuntimeError> {
 }
 
 fn push_blocks(payload: &mut Vec<u8>, blocks: &[Block]) {
+    payload.reserve(4 + 16 * blocks.len());
     payload.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
-    for block in blocks {
-        payload.extend_from_slice(&block.to_bytes());
-    }
+    blocks_to_wire(blocks, payload);
 }
 
 fn push_tables(payload: &mut Vec<u8>, tables: &[[Block; 2]]) {
+    payload.reserve(4 + TABLE_BYTES * tables.len());
     payload.extend_from_slice(&(tables.len() as u32).to_le_bytes());
     tables_to_wire(tables, payload);
 }
@@ -274,19 +281,19 @@ pub fn write_message<C: Channel + ?Sized>(
     channel: &mut C,
     message: &Message,
 ) -> Result<(), RuntimeError> {
-    // One `Tables` encoder: the frame filler the streaming loop uses.
+    // One `Tables` encoder: the head the streaming loop sends ahead of
+    // the tables' own bytes.
     if let Message::Tables { seq, tables } = message {
-        let mut frame = Vec::new();
-        fill_tables_frame(&mut frame, *seq, tables)?;
-        return Ok(channel.send(&frame)?);
+        channel.send(&tables_frame_head(*seq, tables.len())?)?;
+        return Ok(channel.send(&wire_view(tables.as_flattened()))?);
     }
     Ok(channel.send(&encode_frame(message)?)?)
 }
 
-/// Serializes a message's payload (the streaming loop never comes here
-/// for `Tables`: it fills recycled frames with [`fill_tables_frame`]).
-fn encode_payload(message: &Message) -> Vec<u8> {
-    let mut payload = Vec::new();
+/// Appends a message's payload to `payload` (the streaming loop never
+/// comes here for `Tables`: it sends [`tables_frame_head`] and the
+/// tables).
+fn encode_payload(message: &Message, payload: &mut Vec<u8>) {
     match message {
         Message::Header(h) => {
             payload.extend_from_slice(&h.plan_digest);
@@ -295,7 +302,7 @@ fn encode_payload(message: &Message) -> Vec<u8> {
             payload.extend_from_slice(&h.ack_interval.to_le_bytes());
             payload.push(ot_mode_tag(h.ot_mode));
         }
-        Message::GarblerInputs(labels) => push_blocks(&mut payload, labels),
+        Message::GarblerInputs(labels) => push_blocks(payload, labels),
         Message::OtSetup { point, nonce } => {
             payload.extend_from_slice(&point.to_le_bytes());
             payload.extend_from_slice(&nonce.to_le_bytes());
@@ -306,15 +313,13 @@ fn encode_payload(message: &Message) -> Vec<u8> {
                 payload.extend_from_slice(&point.to_le_bytes());
             }
         }
-        Message::OtCiphertexts(pairs) | Message::OtExtLabels(pairs) => {
-            push_tables(&mut payload, pairs)
-        }
-        Message::OtExtMatrix(blocks) => push_blocks(&mut payload, blocks),
+        Message::OtCiphertexts(pairs) | Message::OtExtLabels(pairs) => push_tables(payload, pairs),
+        Message::OtExtMatrix(blocks) => push_blocks(payload, blocks),
         Message::Tables { seq, tables } => {
             payload.extend_from_slice(&seq.to_le_bytes());
-            push_tables(&mut payload, tables);
+            push_tables(payload, tables);
         }
-        Message::OutputDecode(bits) | Message::Outputs(bits) => push_bits(&mut payload, bits),
+        Message::OutputDecode(bits) | Message::Outputs(bits) => push_bits(payload, bits),
         Message::Resume { ticket, next_seq } => {
             payload.extend_from_slice(&ticket.to_le_bytes());
             payload.extend_from_slice(&next_seq.to_le_bytes());
@@ -322,66 +327,59 @@ fn encode_payload(message: &Message) -> Vec<u8> {
         Message::ResumeAck { from_seq } => payload.extend_from_slice(&from_seq.to_le_bytes()),
         Message::ChunkAck { upto_seq } => payload.extend_from_slice(&upto_seq.to_le_bytes()),
     }
-    payload
 }
 
 /// Serializes one message into its exact wire frame (tag + length +
-/// payload) — the bytes a resumable garbler stashes in its replay
-/// buffer so that resume is byte replay, never re-encoding.
+/// payload), encoding the payload in place behind the head — the bytes
+/// a resumable garbler stashes in its replay buffer so that resume is
+/// byte replay, never re-encoding.
 ///
 /// # Errors
 ///
 /// Rejects oversized payloads (same bound the channel writers enforce).
 pub fn encode_frame(message: &Message) -> Result<Vec<u8>, RuntimeError> {
-    let payload = encode_payload(message);
-    if payload.len() > MAX_PAYLOAD {
+    let mut frame = vec![message.tag(), 0, 0, 0, 0];
+    encode_payload(message, &mut frame);
+    let payload_len = frame.len() - 5;
+    if payload_len > MAX_PAYLOAD {
         return Err(RuntimeError::protocol(format!(
-            "{} frame of {} bytes exceeds the {} byte limit",
+            "{} frame of {payload_len} bytes exceeds the {MAX_PAYLOAD} byte limit",
             message.name(),
-            payload.len(),
-            MAX_PAYLOAD
         )));
     }
-    let mut frame = Vec::with_capacity(5 + payload.len());
-    frame.push(message.tag());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    frame[1..5].copy_from_slice(&(payload_len as u32).to_le_bytes());
     Ok(frame)
 }
 
 /// Wire bytes of a `Tables` frame carrying `tables` tables: tag and
 /// length (5 B), stream cursor (8 B), count (4 B), then 32 B per table.
 pub fn tables_frame_len(tables: usize) -> usize {
-    5 + 8 + 4 + 32 * tables
+    TABLES_HEAD + TABLE_BYTES * tables
 }
 
-/// Fills `frame` — cleared first, its capacity kept, so a released
-/// frame buffer can be handed back in — with the exact wire bytes of one
-/// `Tables` frame: byte-identical to what [`encode_frame`] builds from
-/// the owned message, with one bulk copy of the chunk's tables. The
-/// caller both sends and stashes the same buffer: resume is byte replay.
+/// The head of a `Tables` frame carrying `count` tables under stream
+/// cursor `seq` — tag, length, cursor and count. The frame is this head
+/// followed by the tables' wire bytes ([`wire_view`] of the flattened
+/// chunk), byte-identical to what [`encode_frame`] builds from the owned
+/// message; the garbler sends the two parts as they lie, so a chunk is
+/// never copied into a frame.
 ///
 /// # Errors
 ///
 /// Rejects oversized chunks.
-pub fn fill_tables_frame(
-    frame: &mut Vec<u8>,
-    seq: u64,
-    tables: &[[Block; 2]],
-) -> Result<(), RuntimeError> {
-    let payload_len = tables_frame_len(tables.len()) - 5;
+pub fn tables_frame_head(seq: u64, count: usize) -> Result<[u8; TABLES_HEAD], RuntimeError> {
+    let payload_len = tables_frame_len(count) - 5;
     if payload_len > MAX_PAYLOAD {
         return Err(RuntimeError::protocol(format!(
             "Tables frame of {payload_len} bytes exceeds the {MAX_PAYLOAD} byte limit"
         )));
     }
-    frame.clear();
-    frame.reserve(5 + payload_len);
-    frame.push(TABLES_TAG);
-    frame.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    frame.extend_from_slice(&seq.to_le_bytes());
-    push_tables(frame, tables);
-    Ok(())
+    let mut head = [0u8; TABLES_HEAD];
+    head[0] = TABLES_TAG;
+    head[1..5].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    head[5..13].copy_from_slice(&seq.to_le_bytes());
+    head[13..].copy_from_slice(&(count as u32).to_le_bytes());
+    Ok(head)
 }
 
 struct PayloadReader {
@@ -415,10 +413,6 @@ impl PayloadReader {
         Ok(self.take(1)?[0])
     }
 
-    fn block(&mut self) -> Result<Block, RuntimeError> {
-        Ok(Block::from_bytes(self.take(16)?.try_into().expect("16 bytes")))
-    }
-
     /// Bytes of payload not yet consumed.
     fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
@@ -444,11 +438,19 @@ impl PayloadReader {
         let count = self.count(TABLE_BYTES)?;
         let bytes = self.take(TABLE_BYTES * count)?;
         let mut tables = vec![[Block::ZERO; 2]; count];
-        tables_from_wire(&mut tables, |buf| -> Result<(), RuntimeError> {
-            buf.copy_from_slice(bytes);
-            Ok(())
-        })?;
+        tables_from_wire(&mut tables, copy_from(bytes))?;
         Ok(tables)
+    }
+
+    /// A count-prefixed run of blocks, decoded in one pass into a
+    /// presized vector once the count has been checked against the
+    /// payload.
+    fn blocks(&mut self) -> Result<Vec<Block>, RuntimeError> {
+        let count = self.count(16)?;
+        let bytes = self.take(16 * count)?;
+        let mut blocks = vec![Block::ZERO; count];
+        blocks_from_wire(&mut blocks, copy_from(bytes))?;
+        Ok(blocks)
     }
 
     fn counted<T>(
@@ -480,6 +482,15 @@ impl PayloadReader {
         } else {
             Err(RuntimeError::protocol("frame payload has trailing bytes"))
         }
+    }
+}
+
+/// A wire-decoder fill that copies `bytes`, which are exactly as long
+/// as the buffer it is handed.
+fn copy_from(bytes: &[u8]) -> impl FnOnce(&mut [u8]) -> Result<(), RuntimeError> + '_ {
+    |buf| {
+        buf.copy_from_slice(bytes);
+        Ok(())
     }
 }
 
@@ -524,14 +535,14 @@ fn read_payload<C: Channel + ?Sized>(
             ack_interval: r.u32()?,
             ot_mode: ot_mode_from_tag(r.u8()?)?,
         }),
-        2 => Message::GarblerInputs(r.counted(16, PayloadReader::block)?),
+        2 => Message::GarblerInputs(r.blocks()?),
         3 => Message::OtSetup { point: r.u128()?, nonce: r.u128()? },
         4 => Message::OtPoints(r.counted(16, PayloadReader::u128)?),
         5 => Message::OtCiphertexts(r.tables()?),
         TABLES_TAG => Message::Tables { seq: r.u64()?, tables: r.tables()? },
         7 => Message::OutputDecode(r.bits()?),
         8 => Message::Outputs(r.bits()?),
-        9 => Message::OtExtMatrix(r.counted(16, PayloadReader::block)?),
+        9 => Message::OtExtMatrix(r.blocks()?),
         10 => Message::OtExtLabels(r.tables()?),
         RESUME_TAG => Message::Resume { ticket: r.u128()?, next_seq: r.u64()? },
         12 => Message::ResumeAck { from_seq: r.u64()? },
@@ -666,9 +677,9 @@ mod tests {
             [Block::from(1u128), Block::from(2u128)],
             [Block::from(3u128), Block::from(4u128)],
         ];
-        // A recycled buffer: longer stale contents must not leak.
-        let mut frame = vec![0xEE; 200];
-        fill_tables_frame(&mut frame, 9, &tables).unwrap();
+        // The garbler's frame: the head, then the chunk's own bytes.
+        let head = tables_frame_head(9, tables.len()).unwrap();
+        let frame = [&head[..], &wire_view(tables.as_flattened())].concat();
         assert_eq!(frame.len(), tables_frame_len(tables.len()));
         // Byte-identical framing: the owned message serializes to it.
         let owned = Message::Tables { seq: 9, tables };
@@ -683,6 +694,29 @@ mod tests {
     }
 
     #[test]
+    fn label_runs_encode_as_the_per_block_reference() {
+        let labels: Vec<Block> =
+            (0..19_968u128).map(|i| Block::from((i * 0x9E37_79B9) ^ !i)).collect();
+        for message in [Message::GarblerInputs(labels.clone()), Message::OtExtMatrix(labels)] {
+            let blocks = match &message {
+                Message::GarblerInputs(blocks) | Message::OtExtMatrix(blocks) => blocks,
+                _ => unreachable!(),
+            };
+            let mut reference = vec![message.tag()];
+            reference.extend_from_slice(&(4 + 16 * blocks.len() as u32).to_le_bytes());
+            reference.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
+            for block in blocks {
+                reference.extend_from_slice(&block.to_bytes());
+            }
+            let frame = encode_frame(&message).unwrap();
+            assert_eq!(frame, reference, "{}", message.name());
+            let (mut a, mut b) = MemChannel::pair();
+            a.send_flush(&frame, &[]).unwrap();
+            assert_eq!(read_message(&mut b).unwrap(), message);
+        }
+    }
+
+    #[test]
     fn encoded_frames_match_the_channel_writers_byte_for_byte() {
         let tables = vec![
             [Block::from(5u128), Block::from(6u128)],
@@ -690,11 +724,9 @@ mod tests {
         ];
         // The replay-buffer encoder must produce exactly what the live
         // writers put on the wire — resume correctness is byte replay.
-        let mut frame = Vec::new();
-        fill_tables_frame(&mut frame, 3, &tables).unwrap();
+        let head = tables_frame_head(3, tables.len()).unwrap();
         let (mut a, mut b) = MemChannel::pair();
-        a.send(&frame).unwrap();
-        a.flush().unwrap();
+        a.send_flush(&head, &wire_view(tables.as_flattened())).unwrap();
         assert_eq!(read_message(&mut b).unwrap(), Message::Tables { seq: 3, tables });
 
         let decode = Message::OutputDecode(vec![true, false, true]);

@@ -20,33 +20,34 @@ pub struct PruneReport {
     pub removed_ands: usize,
 }
 
+/// The backward liveness sweep: `live[w]` is set iff wire `w` is a
+/// circuit output or an operand of a gate whose output is live — every
+/// wire some output transitively depends on. An input is live iff a
+/// live gate reads it or it is itself an output. One pass over the
+/// gates, last to first.
+pub fn live_wires(circuit: &Circuit) -> Vec<bool> {
+    let mut live = vec![false; circuit.num_wires() as usize];
+    for &out in circuit.outputs() {
+        live[out as usize] = true;
+    }
+    for gate in circuit.gates().iter().rev() {
+        if live[gate.out as usize] {
+            live[gate.a as usize] = true;
+            if gate.op != GateOp::Inv {
+                live[gate.b as usize] = true;
+            }
+        }
+    }
+    live
+}
+
 /// Removes every gate that no output transitively depends on, and
 /// renumbers wires compactly. Inputs are never removed (the interface is
 /// part of the contract), only gates.
 pub fn prune(circuit: &Circuit) -> PruneReport {
     let num_inputs = circuit.num_inputs();
     let gates = circuit.gates();
-
-    // Mark live wires backwards from the outputs.
-    let mut live = vec![false; circuit.num_wires() as usize];
-    for &out in circuit.outputs() {
-        live[out as usize] = true;
-    }
-    // producer[w] = index of the gate producing wire w (if any).
-    let mut producer = vec![usize::MAX; circuit.num_wires() as usize];
-    for (i, gate) in gates.iter().enumerate() {
-        producer[gate.out as usize] = i;
-    }
-    for i in (0..gates.len()).rev() {
-        let gate = &gates[i];
-        if !live[gate.out as usize] {
-            continue;
-        }
-        live[gate.a as usize] = true;
-        if gate.op != GateOp::Inv {
-            live[gate.b as usize] = true;
-        }
-    }
+    let live = live_wires(circuit);
 
     // Renumber: inputs keep their ids; surviving gates get fresh outputs
     // in the original order.

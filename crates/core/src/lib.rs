@@ -59,7 +59,7 @@ pub mod window;
 
 pub use compiler::{compile, ReorderKind};
 pub use lower::{
-    lower_for_streaming, lower_with_reorder, lower_with_window, run_gc_through_streams,
+    lower_for_streaming, lower_live, lower_with_reorder, lower_with_window, run_gc_through_streams,
     StreamingPlan,
 };
 pub use sim::{DramKind, HaacConfig, Role, SimReport};

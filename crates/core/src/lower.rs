@@ -36,13 +36,29 @@
 //! window predicates — the slab's ring here, the hardware's half-sliding
 //! SWW there.
 //!
+//! **Sessions serve the live program.** [`lower_live`] is the lowering
+//! a session config makes: under `Full` and `Segment` it drops every
+//! gate and garbler input no circuit output depends on, in the renaming
+//! pass itself, and keeps the circuit's declared garbler width and the
+//! map of kept inputs in the plan ([`StreamingPlan::garbler_width`],
+//! [`StreamingPlan::live_garbler_inputs`]): a garbler hands the session
+//! drivers declared-width bits and they select the kept ones. Every
+//! evaluator input is kept. `Baseline`, [`lower_with_reorder`] and the
+//! simulator's [`compile`](crate::compile) lower the netlist as given.
+//!
 //! [`lower_with_window`] caps the slab at any other window instead (the
 //! schedule does not change with it, so plans of one circuit and kind
 //! are wire-identical at every window). [`run_gc_through_streams`] runs
 //! any plan — a served one or a compiled one — through both executors.
 
+use std::borrow::Cow;
+
+use haac_circuit::opt::live_wires;
 use haac_circuit::Circuit;
-use haac_gc::{rename_in_order, HashScheme, SlotProgram, StreamingEvaluator, StreamingGarbler};
+use haac_gc::{
+    rename_in_order, rename_live_in_order, HashScheme, Renaming, SlotProgram, StreamingEvaluator,
+    StreamingGarbler,
+};
 use rand::Rng;
 
 use crate::compiler::{gate_order, ReorderKind};
@@ -67,6 +83,14 @@ pub struct StreamingPlan {
     /// carries the program's digest, not this tag, so a disagreement
     /// fails loudly instead of diverging transcripts.
     pub reorder: ReorderKind,
+    /// The circuit's declared garbler input width: what a garbler hands
+    /// the session drivers, whatever the program keeps.
+    pub garbler_width: u32,
+    /// The declared garbler inputs the program keeps, ascending: the
+    /// program's garbler input `k` is declared bit
+    /// `live_garbler_inputs[k]`. All of them (`0..garbler_width`) unless
+    /// [`lower_live`] dropped inputs no output reads.
+    pub live_garbler_inputs: Vec<u32>,
 }
 
 impl StreamingPlan {
@@ -81,6 +105,23 @@ impl StreamingPlan {
     #[inline]
     pub fn and_count(&self) -> usize {
         self.program.and_count()
+    }
+
+    /// The program's garbler bits out of the declared ones: `bits`
+    /// itself when the program keeps every input, else the kept bits in
+    /// [`live_garbler_inputs`](StreamingPlan::live_garbler_inputs) order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bits` has the declared
+    /// [`garbler_width`](StreamingPlan::garbler_width).
+    pub fn live_garbler_bits<'b>(&self, bits: &'b [bool]) -> Cow<'b, [bool]> {
+        assert_eq!(bits.len(), self.garbler_width as usize, "garbler input width");
+        if self.live_garbler_inputs.len() == bits.len() {
+            Cow::Borrowed(bits)
+        } else {
+            Cow::Owned(self.live_garbler_inputs.iter().map(|&i| bits[i as usize]).collect())
+        }
     }
 }
 
@@ -118,16 +159,65 @@ pub fn lower_with_window(
     window: WindowModel,
 ) -> StreamingPlan {
     let order = gate_order(circuit, kind, served_window());
-    let (instrs, outputs) = rename_in_order(circuit, &order);
+    let (instrs, output_addrs) = rename_in_order(circuit, &order);
+    let live_garbler_inputs = (0..circuit.garbler_inputs()).collect();
+    plan(circuit, kind, window, Renaming { instrs, output_addrs, live_garbler_inputs })
+}
+
+/// Lowers the **live program** a session serves: what
+/// [`lower_with_reorder`] lowers, less every gate and garbler input no
+/// circuit output depends on, for the compiled schedules (`Full`,
+/// `Segment`). One backward sweep ([`live_wires`]) marks the live
+/// wires of the netlist as given; the schedule is [`gate_order`]'s on
+/// that netlist, and the renaming pass skips the dead gates in it and
+/// compacts the dead garbler inputs out of the address space. Every
+/// evaluator input is kept, so the evaluator's width, and the OT that
+/// delivers it, are the circuit's.
+///
+/// The plan keeps the declared [`garbler_width`](StreamingPlan::garbler_width)
+/// and the [`live_garbler_inputs`](StreamingPlan::live_garbler_inputs)
+/// map: a garbler hands its declared-width bits to the session drivers,
+/// which select the live ones themselves
+/// ([`StreamingPlan::live_garbler_bits`]).
+///
+/// [`ReorderKind::Baseline`] serves the netlist as given:
+/// [`lower_with_reorder`]'s plan, whose transcript is bit-identical to
+/// the oracle `haac_gc::garble` on the raw netlist. A circuit whose
+/// every gate and garbler input some output reads lowers to exactly
+/// [`lower_with_reorder`]'s plan under every schedule.
+pub fn lower_live(circuit: &Circuit, kind: ReorderKind) -> StreamingPlan {
+    if kind == ReorderKind::Baseline {
+        return lower_with_reorder(circuit, kind);
+    }
+    let live = live_wires(circuit);
+    let order = gate_order(circuit, kind, served_window());
+    plan(circuit, kind, served_window(), rename_live_in_order(circuit, &order, &live))
+}
+
+/// The tail every lowering shares: window, runs and OoRW slots over a
+/// renamed program of `circuit`.
+fn plan(
+    circuit: &Circuit,
+    kind: ReorderKind,
+    window: WindowModel,
+    renamed: Renaming,
+) -> StreamingPlan {
+    let Renaming { instrs, output_addrs, live_garbler_inputs } = renamed;
     let program = SlotProgram::with_window(
         instrs,
-        circuit.garbler_inputs(),
+        live_garbler_inputs.len() as u32,
         circuit.evaluator_inputs(),
-        outputs,
+        output_addrs,
         window.sww_wires(),
     )
     .expect("a scheduled circuit always lowers");
-    StreamingPlan { window: WindowModel::new(program.slot_wires()), program, reorder: kind }
+    StreamingPlan {
+        window: WindowModel::new(program.slot_wires()),
+        program,
+        reorder: kind,
+        garbler_width: circuit.garbler_inputs(),
+        live_garbler_inputs,
+    }
 }
 
 /// Lowers a circuit for streaming execution on the **baseline** order:
@@ -278,6 +368,31 @@ mod tests {
             assert!(plan.window.sww_wires() >= plan.program.max_operand_distance());
         }
         assert_eq!(lower_for_streaming(&c), lower_with_reorder(&c, ReorderKind::Baseline));
+    }
+
+    #[test]
+    fn live_plans_drop_dead_gates_and_garbler_inputs_but_keep_every_evaluator_input() {
+        let mut b = Builder::new();
+        let x = b.input_garbler(8);
+        let y = b.input_evaluator(8);
+        let (sum, _) = b.add_words(&x[..4], &y[..4]);
+        let _dead = b.mul_words(&x, &y);
+        let c = b.finish(sum).unwrap();
+        let (g, e) = (haac_circuit::to_bits(0xA7, 8), haac_circuit::to_bits(0x5C, 8));
+        for kind in [ReorderKind::Full, ReorderKind::Segment] {
+            let full = lower_with_reorder(&c, kind);
+            let live = lower_live(&c, kind);
+            assert!(live.and_count() < full.and_count(), "{kind:?}: the multiplier is dead");
+            assert_eq!((live.garbler_width, &live.live_garbler_inputs[..]), (8, &[0, 1, 2, 3][..]));
+            assert_eq!(live.program.garbler_inputs(), 4);
+            assert_eq!(live.program.evaluator_inputs(), 8, "{kind:?}: unread, and kept");
+            let bits = live.live_garbler_bits(&g);
+            let mut rng = StdRng::seed_from_u64(9);
+            let got =
+                run_gc_through_streams(&live.program, &bits, &e, &mut rng, HashScheme::Rekeyed);
+            assert_eq!(got, c.eval(&g, &e).unwrap(), "{kind:?}");
+        }
+        assert_eq!(lower_live(&c, ReorderKind::Baseline), lower_for_streaming(&c));
     }
 
     #[test]

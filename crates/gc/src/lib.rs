@@ -94,7 +94,10 @@ pub use hash::{CryptoCounters, GateHash, HashScheme, OT_BASE_TWEAK, OT_EXT_TWEAK
 pub use instance::{garble_plan_in, BankedGarbler, InstanceDecodeError, PlanGarbling};
 pub use ot::OtError;
 pub use ot_ext::{OtExtReceiver, OtExtSender, KAPPA as OT_EXT_KAPPA};
-pub use slab::{rename_in_order, RunClass, SlotInstr, SlotOp, SlotProgram, OOR_SLOT};
+pub use slab::{
+    rename_in_order, rename_live_in_order, Renaming, RunClass, SlotInstr, SlotOp, SlotProgram,
+    OOR_SLOT,
+};
 pub use stream::{
     baseline_plan, EvaluatorFinish, GarblerFinish, Liveness, StreamingEvaluator, StreamingGarbler,
 };

@@ -108,7 +108,7 @@ pub mod base {
     // operations — multiply, square, invert — and two ways to raise to
     // a power built from them: a table for a base that stays fixed
     // (`FixedBase`) and a window for one that does not (`pow_mod`).
-    // A curve (ROADMAP item 6(a)) swaps the three operations and keeps
+    // A curve (ROADMAP item 9(a)) swaps the three operations and keeps
     // the rest: `yR − yS` for the sender's second key, a comb for `B`,
     // a window for `S`.
 
@@ -200,7 +200,7 @@ pub mod base {
     /// multiply per nibble of the exponent, and no squaring.
     ///
     /// The reads are indexed by secret nibbles and so are not
-    /// constant-time; item 6(a)'s curve must select its table entries in
+    /// constant-time; item 9(a)'s curve must select its table entries in
     /// constant time.
     #[derive(Debug)]
     struct FixedBase([[u128; 16]; WINDOWS]);

@@ -165,19 +165,63 @@ const AND_STORE: u8 = 2;
 /// indices; [`SlotProgram`]'s constructors reject the operands any other
 /// order leaves behind.
 pub fn rename_in_order(circuit: &Circuit, order: &[u32]) -> (Vec<SlotInstr>, Vec<u32>) {
+    let renamed = rename(circuit, order, |_| true);
+    (renamed.instrs, renamed.output_addrs)
+}
+
+/// A renamed program and the garbler inputs it keeps
+/// ([`rename_live_in_order`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Renaming {
+    /// The kept gates, renamed in schedule order.
+    pub instrs: Vec<SlotInstr>,
+    /// The circuit outputs' addresses.
+    pub output_addrs: Vec<u32>,
+    /// The declared garbler inputs the program keeps, ascending: kept
+    /// input `k` is garbler bit `live_garbler_inputs[k]`, at address
+    /// `k + 1`.
+    pub live_garbler_inputs: Vec<u32>,
+}
+
+/// The renaming pass over the live program: [`rename_in_order`], except
+/// that a gate whose output `live` leaves unset is skipped (it writes no
+/// address, so the next live gate takes its place), and the garbler
+/// inputs `live` leaves unset get no address: the kept ones are
+/// compacted to `1..=k`, and the evaluator's follow from `k + 1`, every
+/// one of them kept. `live` is a wire liveness map such as
+/// `haac_circuit::opt::live_wires` computes; it must mark the operands
+/// of every live gate.
+pub fn rename_live_in_order(circuit: &Circuit, order: &[u32], live: &[bool]) -> Renaming {
+    debug_assert_eq!(live.len(), circuit.num_wires() as usize);
+    rename(circuit, order, |wire| live[wire as usize])
+}
+
+/// The one renaming loop behind both entry points: `keep` names the
+/// garbler inputs and gate outputs that get an address.
+fn rename(circuit: &Circuit, order: &[u32], keep: impl Fn(u32) -> bool) -> Renaming {
     debug_assert_eq!(order.len(), circuit.num_gates());
-    let num_inputs = circuit.num_inputs();
-    // Circuit wire id → program address.
+    let garbler_inputs = circuit.garbler_inputs();
+    // Circuit wire id → program address (0, the OoR sentinel, for an
+    // input the program drops: no kept gate reads it).
     let mut addr = vec![0u32; circuit.num_wires() as usize];
-    for w in 0..num_inputs {
-        addr[w as usize] = w + 1;
+    let mut live_garbler_inputs = Vec::with_capacity(garbler_inputs as usize);
+    for w in (0..garbler_inputs).filter(|&w| keep(w)) {
+        live_garbler_inputs.push(w);
+        addr[w as usize] = live_garbler_inputs.len() as u32;
     }
-    let first_out = num_inputs + 1;
+    let first_eval = live_garbler_inputs.len() as u32 + 1;
+    for w in garbler_inputs..circuit.num_inputs() {
+        addr[w as usize] = first_eval + (w - garbler_inputs);
+    }
+    let first_out = first_eval + circuit.evaluator_inputs();
     let gates = circuit.gates();
     let mut instrs = Vec::with_capacity(order.len());
-    for (i, &g) in order.iter().enumerate() {
+    for &g in order {
         let gate = &gates[g as usize];
-        addr[gate.out as usize] = first_out + i as u32;
+        if !keep(gate.out) {
+            continue;
+        }
+        addr[gate.out as usize] = first_out + instrs.len() as u32;
         let a = addr[gate.a as usize];
         // A select for `b` and a separate op map: measured ≈ 1 % faster
         // lowering on MatMult-small than one three-armed match.
@@ -190,7 +234,7 @@ pub fn rename_in_order(circuit: &Circuit, order: &[u32]) -> (Vec<SlotInstr>, Vec
         instrs.push(SlotInstr { a, b, op });
     }
     let output_addrs = circuit.outputs().iter().map(|&w| addr[w as usize]).collect();
-    (instrs, output_addrs)
+    Renaming { instrs, output_addrs, live_garbler_inputs }
 }
 
 /// A circuit lowered for slot-addressed streaming: the renamed

@@ -96,7 +96,7 @@ pub use wire::OtMode;
 // schedule they were lowered with — without importing haac-core
 // directly.
 pub use haac_core::lower::{
-    lower_for_streaming, lower_with_reorder, lower_with_window, StreamingPlan,
+    lower_for_streaming, lower_live, lower_with_reorder, lower_with_window, StreamingPlan,
 };
 pub use haac_core::ReorderKind;
 

@@ -44,7 +44,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use haac_circuit::Circuit;
-use haac_core::lower::{lower_with_reorder, StreamingPlan};
+use haac_core::lower::{lower_live, StreamingPlan};
 use haac_core::ReorderKind;
 use haac_gc::{
     wire_view, BankedGarbler, Block, CryptoCounters, GarblerFinish, HashScheme, PlanGarbling,
@@ -214,14 +214,19 @@ impl SessionConfig {
     }
 
     /// Like [`for_circuit`](SessionConfig::for_circuit) but lowers with
-    /// the given schedule. Both parties must lower the same program —
-    /// the session header carries the garbler's plan digest and the
-    /// evaluator refuses a disagreement.
+    /// the given schedule, and serves the **live program**
+    /// ([`lower_live`]): under `Full` and `Segment` the plan drops every
+    /// gate and garbler input no output depends on; `Baseline` serves
+    /// the netlist as given, bit-identical to the oracle. Both parties
+    /// must lower the same program — the session header carries the
+    /// garbler's plan digest and the evaluator refuses a disagreement,
+    /// such as a peer that lowered the unpruned netlist.
+    ///
+    /// The garbler drivers still take the circuit's declared-width bits
+    /// and select the kept ones from the plan's map
+    /// ([`StreamingPlan::live_garbler_bits`]).
     pub fn for_circuit_with(circuit: &Circuit, reorder: ReorderKind) -> SessionConfig {
-        SessionConfig::from_plan(
-            HashScheme::Rekeyed,
-            Arc::new(lower_with_reorder(circuit, reorder)),
-        )
+        SessionConfig::from_plan(HashScheme::Rekeyed, Arc::new(lower_live(circuit, reorder)))
     }
 
     /// Builds a config around an already lowered plan (what a warm
@@ -1231,7 +1236,7 @@ impl<F> GarblerRecovery<'_, F> {
 /// # Errors
 ///
 /// Fails on transport errors, protocol violations, or input bits of
-/// another width than the plan's.
+/// another width than the plan's declared garbler width.
 pub fn run_garbler<C: Channel + ?Sized, R: Rng + ?Sized>(
     garbler_bits: &[bool],
     rng: &mut R,
@@ -1272,11 +1277,19 @@ pub fn run_garbler<C: Channel + ?Sized, R: Rng + ?Sized>(
 /// replay-buffer invariant — a frame's bytes are buffered before they
 /// are sent — trivially true.
 ///
+/// `garbler_bits` has the circuit's **declared** width
+/// ([`StreamingPlan::garbler_width`]), whatever the program keeps: a
+/// live plan ([`SessionConfig::for_circuit_with`]) that dropped garbler
+/// inputs no output reads selects the kept bits itself
+/// ([`StreamingPlan::live_garbler_bits`]) and labels only those.
+///
 /// # Errors
 ///
 /// Fails on pre-stream failures (which are retry-safe, never resumed),
-/// on protocol violations, and on resumable failures once the callback
-/// declines to provide a new channel.
+/// on protocol violations — bits of any width but the declared one,
+/// the live width included, are refused before the header is written —
+/// and on resumable failures once the callback declines to provide a
+/// new channel.
 pub fn run_garbler_resumable<C, R, F>(
     garbler_bits: &[bool],
     rng: &mut R,
@@ -1289,13 +1302,13 @@ where
     R: Rng + ?Sized,
     F: FnMut(&RuntimeError, u64) -> Option<(C, u64)>,
 {
-    check_width("garbler", garbler_bits.len(), config.plan.program.garbler_inputs())?;
+    check_width("garbler", garbler_bits.len(), config.plan.garbler_width)?;
     let start = Instant::now();
     write_resumable_header(config, &mut channel)?;
     let garbler = StreamingGarbler::with_plan(&config.plan.program, rng, config.scheme);
     let mut replay = ReplayBuffer::new();
     stream_garbler_resumable(
-        garbler_bits,
+        &config.plan.live_garbler_bits(garbler_bits),
         garbler,
         rng,
         config,
@@ -1318,6 +1331,10 @@ where
 /// the session succeeds or fails, so one instance can never label two
 /// evaluators (FreeXOR one-time-use, enforced by move semantics).
 ///
+/// Takes declared-width bits and selects the live ones, as
+/// [`run_garbler_resumable`] does; the instance is a garbling of the
+/// plan's program, so it labels only the kept inputs.
+///
 /// # Errors
 ///
 /// Fails like [`run_garbler_resumable`], plus a protocol error when the
@@ -1338,7 +1355,7 @@ where
     F: FnMut(&RuntimeError, u64) -> Option<(C, u64)>,
 {
     let program = &config.plan.program;
-    check_width("garbler", garbler_bits.len(), program.garbler_inputs())?;
+    check_width("garbler", garbler_bits.len(), config.plan.garbler_width)?;
     if instance.input_zero_labels.len() != program.num_inputs() as usize
         || instance.tables.len() != program.and_count()
         || instance.output_decode.len() != program.output_addrs().len()
@@ -1359,7 +1376,7 @@ where
     let garbler = BankedGarbler::new(instance);
     let mut replay = ReplayBuffer::new();
     stream_garbler_resumable(
-        garbler_bits,
+        &config.plan.live_garbler_bits(garbler_bits),
         garbler,
         rng,
         config,
@@ -1992,6 +2009,7 @@ where
 mod tests {
     use super::*;
     use haac_circuit::{from_bits, to_bits, Builder};
+    use haac_core::lower::lower_with_reorder;
     use rand::SeedableRng as _;
     use std::sync::mpsc;
 

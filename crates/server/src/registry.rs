@@ -17,7 +17,7 @@
 //!
 //! The arena is interim: `pack` and `Records` mirror [`SessionReport`]
 //! field by field only because `benchmark/` indexes outcomes by absolute
-//! count, so every one must be kept. They go away when ROADMAP item 5's
+//! count, so every one must be kept. They go away when ROADMAP item 8's
 //! bounded ring replaces the store.
 
 use std::collections::HashMap;

@@ -63,8 +63,8 @@ pub mod prelude {
     pub use haac_circuit::{from_bits, to_bits, Bit, Builder, Circuit, GateOp, Word};
     pub use haac_core::compiler::{compile, CompileStats, ReorderKind};
     pub use haac_core::lower::{
-        lower_for_streaming, lower_with_reorder, lower_with_window, run_gc_through_streams,
-        StreamingPlan,
+        lower_for_streaming, lower_live, lower_with_reorder, lower_with_window,
+        run_gc_through_streams, StreamingPlan,
     };
     pub use haac_core::sim::{map_and_simulate, DramKind, HaacConfig, Role, SimReport};
     pub use haac_core::WindowModel;

@@ -95,7 +95,7 @@ fn reordered_sessions_run_end_to_end_with_negotiated_schedules() {
             .unwrap_or_else(|err| panic!("{} {:?}: {err}", kind.name(), reorder));
             assert_eq!(g.outputs, w.expected, "{} {:?}", kind.name(), reorder);
             assert_eq!(e.outputs, w.expected, "{} {:?}", kind.name(), reorder);
-            assert_eq!(g.tables, w.circuit.num_and_gates() as u64);
+            assert_eq!(g.tables, config.plan.and_count() as u64);
             assert!(e.within_window, "{} {:?}", kind.name(), reorder);
         }
     }
@@ -204,8 +204,27 @@ fn the_served_plan_digest_is_pinned() {
     // same under every AES backend and on every target: this literal
     // holds under `HAAC_AES_BACKEND=portable` and natively. It moves
     // only when the lowering or the digest itself does — a wire change.
+    let hex = |plan: &StreamingPlan| -> String {
+        plan.program.digest().iter().map(|b| format!("{b:02x}")).collect()
+    };
     let w = build_workload(WorkloadKind::DotProduct, Scale::Small);
     let plan = lower_with_reorder(&w.circuit, ReorderKind::Baseline);
-    let hex: String = plan.program.digest().iter().map(|b| format!("{b:02x}")).collect();
-    assert_eq!(hex, "a41b8fba2530a87cff4476aba390d1cf");
+    assert_eq!(hex(&plan), "a41b8fba2530a87cff4476aba390d1cf");
+    // The live program a server serves under a compiled schedule.
+    let w = build_workload(WorkloadKind::Mersenne, Scale::Small);
+    let config = SessionConfig::for_circuit_with(&w.circuit, ReorderKind::Segment);
+    assert_eq!(hex(&config.plan), "aa675f97d9ae7457da85f95689dec25c");
+}
+
+#[test]
+fn a_client_that_lowered_the_unpruned_netlist_is_refused() {
+    // The server serves Merse's live program; a client that lowered the
+    // netlist as given holds another program of the same schedule, and
+    // is refused in the handshake before any garbler label moves.
+    let w = build_workload(WorkloadKind::Mersenne, Scale::Small);
+    let server = SessionConfig::for_circuit_with(&w.circuit, ReorderKind::Segment);
+    let unpruned = lower_with_reorder(&w.circuit, ReorderKind::Segment);
+    assert!(unpruned.and_count() > server.plan.and_count());
+    let client = SessionConfig::from_plan(HashScheme::Rekeyed, Arc::new(unpruned));
+    assert_digest_refusal(&w, &server, &client);
 }

@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use haac_core::compiler::{compile, CompileStats, ReorderKind};
 use haac_core::sim::{map_and_simulate, DramKind, HaacConfig, SimReport};
-use haac_gc::{evaluate, garble, HashScheme};
+use haac_gc::{evaluate, garble};
 use haac_workloads::{build, Scale, Workload, WorkloadKind};
 use rand::{rngs::StdRng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -84,15 +84,13 @@ pub fn cpu_baselines(scale: Scale) -> BTreeMap<String, CpuTimes> {
 /// Times garbling, evaluation, and plaintext for one workload.
 pub fn measure_cpu(w: &Workload) -> CpuTimes {
     let mut rng = StdRng::seed_from_u64(0xBE);
-    let scheme = HashScheme::Rekeyed;
-
     let start = Instant::now();
-    let garbling = garble(&w.circuit, &mut rng, scheme);
+    let garbling = garble(&w.circuit, &mut rng);
     let garble_s = start.elapsed().as_secs_f64();
 
     let inputs = garbling.encode_inputs(&w.circuit, &w.garbler_bits, &w.evaluator_bits);
     let start = Instant::now();
-    let out_labels = evaluate(&w.circuit, &garbling.garbled.tables, &inputs, scheme);
+    let out_labels = evaluate(&w.circuit, &garbling.garbled.tables, &inputs);
     let evaluate_s = start.elapsed().as_secs_f64();
     let decoded = haac_gc::decode_outputs(&out_labels, &garbling.garbled.output_decode);
     assert_eq!(decoded, w.expected, "{}: GC must agree with plaintext", w.kind.name());

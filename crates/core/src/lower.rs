@@ -243,11 +243,10 @@ pub fn run_gc_through_streams<R: Rng + ?Sized>(
     garbler_bits: &[bool],
     evaluator_bits: &[bool],
     rng: &mut R,
-    scheme: HashScheme,
 ) -> Vec<bool> {
-    let mut garbler = StreamingGarbler::with_plan(plan, rng, scheme);
+    let mut garbler = StreamingGarbler::with_plan(plan, rng, HashScheme::Rekeyed);
     let inputs = garbler.encode_inputs(garbler_bits, evaluator_bits);
-    let mut evaluator = StreamingEvaluator::with_plan(plan, inputs, scheme);
+    let mut evaluator = StreamingEvaluator::with_plan(plan, inputs, HashScheme::Rekeyed);
     let mut tables = Vec::new();
     while garbler.next_tables_into(4096, &mut tables) {
         evaluator.feed(&tables);
@@ -327,7 +326,7 @@ mod tests {
         assert_eq!(stats.oor_count, plan.oor_read_count());
         let (g, e) = (haac_circuit::to_bits(173, 8), haac_circuit::to_bits(99, 8));
         let mut rng = StdRng::seed_from_u64(3);
-        let got = run_gc_through_streams(&plan, &g, &e, &mut rng, HashScheme::Rekeyed);
+        let got = run_gc_through_streams(&plan, &g, &e, &mut rng);
         assert_eq!(got, c.eval(&g, &e).unwrap());
     }
 
@@ -337,7 +336,7 @@ mod tests {
         let c = mixed_circuit();
         let (plan, _) = compile(&c, ReorderKind::Baseline, WindowModel::new(64));
         let mut rng = StdRng::seed_from_u64(5);
-        run_gc_through_streams(&plan, &[false; 8], &[false; 3], &mut rng, HashScheme::Rekeyed);
+        run_gc_through_streams(&plan, &[false; 8], &[false; 3], &mut rng);
     }
 
     #[test]
@@ -350,8 +349,7 @@ mod tests {
         for sww in [4u32, 8, 16, 64, 4096] {
             for kind in [ReorderKind::Baseline, ReorderKind::Full, ReorderKind::Segment] {
                 let (plan, _) = compile(&c, kind, WindowModel::new(sww));
-                let got =
-                    run_gc_through_streams(&plan, &g_bits, &e_bits, &mut rng, HashScheme::Rekeyed);
+                let got = run_gc_through_streams(&plan, &g_bits, &e_bits, &mut rng);
                 assert_eq!(got, expect, "sww={sww} {kind:?}");
             }
         }
@@ -388,8 +386,7 @@ mod tests {
             assert_eq!(live.program.evaluator_inputs(), 8, "{kind:?}: unread, and kept");
             let bits = live.live_garbler_bits(&g);
             let mut rng = StdRng::seed_from_u64(9);
-            let got =
-                run_gc_through_streams(&live.program, &bits, &e, &mut rng, HashScheme::Rekeyed);
+            let got = run_gc_through_streams(&live.program, &bits, &e, &mut rng);
             assert_eq!(got, c.eval(&g, &e).unwrap(), "{kind:?}");
         }
         assert_eq!(lower_live(&c, ReorderKind::Baseline), lower_for_streaming(&c));

@@ -17,7 +17,7 @@
 use haac_circuit::{Bit, Builder, Circuit, GateOp};
 use haac_core::compiler::{compile, gate_order, segment_order, CompileStats, ReorderKind};
 use haac_core::{run_gc_through_streams, WindowModel};
-use haac_gc::{rename_in_order, HashScheme, SlotProgram};
+use haac_gc::{rename_in_order, SlotProgram};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -152,7 +152,7 @@ proptest! {
             let (plan, stats) = compile(&circuit, kind, window);
             prop_assert_eq!(stats.and_count, circuit.num_and_gates(), "{:?}", kind);
             let mut rng = StdRng::seed_from_u64(seed.wrapping_add(kind.label().len() as u64));
-            let got = run_gc_through_streams(&plan, &g_bits, &e_bits, &mut rng, HashScheme::Rekeyed);
+            let got = run_gc_through_streams(&plan, &g_bits, &e_bits, &mut rng);
             prop_assert_eq!(
                 &got, &expected,
                 "{:?} window={} changed the function", kind, window.sww_wires()

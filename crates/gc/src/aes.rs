@@ -654,7 +654,7 @@ mod tests {
         use crate::block::Delta;
         use crate::evaluate::eval_and;
         use crate::garble::garble_and;
-        use crate::hash::{CryptoCounters, GateHash, HashScheme};
+        use crate::hash::{CryptoCounters, GateHash};
         use rand::{rngs::StdRng, SeedableRng};
 
         if !fuses_half_gates(AesBackend::AesNi) {
@@ -663,8 +663,8 @@ mod tests {
             );
             return;
         }
-        let fused = GateHash::with_backend(HashScheme::Rekeyed, AesBackend::AesNi);
-        let composition = GateHash::with_backend(HashScheme::Rekeyed, AesBackend::Portable);
+        let fused = GateHash::with_backend(AesBackend::AesNi);
+        let composition = GateHash::with_backend(AesBackend::Portable);
         let mut rng = StdRng::seed_from_u64(33);
         for start in [0u64, (1 << 31) - 3, (1 << 61) - 9] {
             for k in 0..=8usize {

@@ -302,7 +302,7 @@ mod tests {
     fn pooled_garbling_matches_the_raw_netlist_transcript_and_reuses_the_pool() {
         let c = wide_circuit();
         let mut rng = StdRng::seed_from_u64(33);
-        let reference = garble(&c, &mut rng, HashScheme::Rekeyed);
+        let reference = garble(&c, &mut rng);
         let pool = EnginePool::new(3);
         // Several garblings handed the *same* pool, identical transcripts
         // every time (baseline-order slab garbling is bit-identical to

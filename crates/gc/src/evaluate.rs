@@ -141,15 +141,10 @@ pub fn eval_inv(wa: Block) -> Block {
 /// # Panics
 ///
 /// Panics if `input_labels` or `tables` have the wrong length.
-pub fn evaluate(
-    circuit: &Circuit,
-    tables: &[[Block; 2]],
-    input_labels: &[Block],
-    scheme: HashScheme,
-) -> Vec<Block> {
+pub fn evaluate(circuit: &Circuit, tables: &[[Block; 2]], input_labels: &[Block]) -> Vec<Block> {
     assert_eq!(input_labels.len(), circuit.num_inputs() as usize, "input label count");
     assert_eq!(tables.len(), circuit.num_and_gates(), "table count");
-    let hash = GateHash::new(scheme);
+    let hash = GateHash::new(HashScheme::Rekeyed);
     let mut labels = vec![Block::ZERO; circuit.num_wires() as usize];
     labels[..input_labels.len()].copy_from_slice(input_labels);
     let mut next_table = 0usize;
@@ -179,14 +174,12 @@ mod tests {
     /// End-to-end: garble + evaluate must equal plaintext evaluation.
     fn check_circuit(c: &Circuit, g_bits: &[bool], e_bits: &[bool], seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        for scheme in [HashScheme::Rekeyed, HashScheme::FixedKey] {
-            let g = garble(c, &mut rng, scheme);
-            let inputs = g.encode_inputs(c, g_bits, e_bits);
-            let out_labels = evaluate(c, &g.garbled.tables, &inputs, scheme);
-            let got = decode_outputs(&out_labels, &g.garbled.output_decode);
-            let expect = c.eval(g_bits, e_bits).unwrap();
-            assert_eq!(got, expect, "scheme {scheme:?}");
-        }
+        let g = garble(c, &mut rng);
+        let inputs = g.encode_inputs(c, g_bits, e_bits);
+        let out_labels = evaluate(c, &g.garbled.tables, &inputs);
+        let got = decode_outputs(&out_labels, &g.garbled.output_decode);
+        let expect = c.eval(g_bits, e_bits).unwrap();
+        assert_eq!(got, expect);
     }
 
     #[test]
@@ -240,7 +233,7 @@ mod tests {
     #[should_panic(expected = "table count")]
     fn wrong_table_count_panics() {
         let c = Circuit::new(1, 1, vec![Gate::new(GateOp::And, 0, 1, 2)], vec![2]).unwrap();
-        let _ = evaluate(&c, &[], &[Block::ZERO, Block::ZERO], HashScheme::Rekeyed);
+        let _ = evaluate(&c, &[], &[Block::ZERO, Block::ZERO]);
     }
 
     #[test]
@@ -268,7 +261,7 @@ mod tests {
     fn corrupted_table_changes_output_label() {
         let c = Circuit::new(1, 1, vec![Gate::new(GateOp::And, 0, 1, 2)], vec![2]).unwrap();
         let mut rng = StdRng::seed_from_u64(99);
-        let g = garble(&c, &mut rng, HashScheme::Rekeyed);
+        let g = garble(&c, &mut rng);
         let mut bad_tables = g.garbled.tables.clone();
         bad_tables[0][0] ^= Block::from(1u128);
         // Point-and-permute: the corrupted generator row is consumed for
@@ -276,8 +269,8 @@ mod tests {
         // garbling sampled — so across both values some output changes.
         let changed = [false, true].iter().any(|&a| {
             let inputs = g.encode_inputs(&c, &[a], &[true]);
-            let good = evaluate(&c, &g.garbled.tables, &inputs, HashScheme::Rekeyed);
-            let bad = evaluate(&c, &bad_tables, &inputs, HashScheme::Rekeyed);
+            let good = evaluate(&c, &g.garbled.tables, &inputs);
+            let bad = evaluate(&c, &bad_tables, &inputs);
             good != bad
         });
         assert!(changed);

@@ -245,8 +245,8 @@ pub fn garble_inv(delta: Delta, w0a: Block) -> Block {
 /// its Δ, labels, tables, decode string and [`CryptoCounters`], and
 /// `haac-bench`'s `paper` binary times it as the CPU baseline HAAC's
 /// speedups are quoted over. Make the executors faster instead.
-pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R, scheme: HashScheme) -> Garbling {
-    let hash = GateHash::new(scheme);
+pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> Garbling {
+    let hash = GateHash::new(HashScheme::Rekeyed);
     let delta = Delta::random(rng);
     let mut labels = vec![Block::ZERO; circuit.num_wires() as usize];
     for slot in labels.iter_mut().take(circuit.num_inputs() as usize) {
@@ -300,7 +300,7 @@ mod tests {
     #[test]
     fn garbled_and_has_one_table() {
         let mut rng = StdRng::seed_from_u64(1);
-        let g = garble(&and_circuit(), &mut rng, HashScheme::Rekeyed);
+        let g = garble(&and_circuit(), &mut rng);
         assert_eq!(g.garbled.tables.len(), 1);
         assert_eq!(g.garbled.table_bytes(), 32);
         assert_eq!(g.garbled.output_decode.len(), 1);
@@ -328,7 +328,7 @@ mod tests {
         let p = b.mul_words_trunc(&x, &y);
         let c = b.finish(p).unwrap();
         let mut rng = StdRng::seed_from_u64(12);
-        let g = garble(&c, &mut rng, HashScheme::Rekeyed);
+        let g = garble(&c, &mut rng);
         let ands = c.num_and_gates() as u64;
         assert_eq!(g.crypto.key_expansions, 2 * ands);
         assert_eq!(g.crypto.aes_blocks, 4 * ands);
@@ -363,14 +363,14 @@ mod tests {
         let out = b.xor_words(&x, &y);
         let c = b.finish(out).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
-        let g = garble(&c, &mut rng, HashScheme::Rekeyed);
+        let g = garble(&c, &mut rng);
         assert!(g.garbled.tables.is_empty());
     }
 
     #[test]
     fn label_pairs_differ_by_delta() {
         let mut rng = StdRng::seed_from_u64(3);
-        let g = garble(&and_circuit(), &mut rng, HashScheme::Rekeyed);
+        let g = garble(&and_circuit(), &mut rng);
         let (zero, one) = g.input_label_pair(0);
         assert_eq!(zero ^ one, g.delta.block());
         assert_ne!(zero.lsb(), one.lsb(), "permute bits must differ");
@@ -380,7 +380,7 @@ mod tests {
     fn encode_inputs_selects_by_bit() {
         let mut rng = StdRng::seed_from_u64(4);
         let c = and_circuit();
-        let g = garble(&c, &mut rng, HashScheme::Rekeyed);
+        let g = garble(&c, &mut rng);
         let labels = g.encode_inputs(&c, &[true], &[false]);
         assert_eq!(labels[0], g.wire_zero_labels[0] ^ g.delta.block());
         assert_eq!(labels[1], g.wire_zero_labels[1]);

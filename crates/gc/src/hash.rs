@@ -1,32 +1,29 @@
-//! The gate hash `H` used by half-gate garbling, in both the secure
-//! re-keyed form HAAC adopts and the legacy fixed-key form.
+//! The gate hash `H` used by half-gate garbling: the re-keyed TCCR
+//! hash HAAC adopts, the only scheme the stack garbles under.
 //!
 //! Paper §2.1: *"the Half-Gate uses the gate index as the key to
 //! construct the AES hash. An important step here is key expansion …
 //! HAAC uses re-keying rather than fixed-key, processing full key
 //! expansions at extra computational cost"* (measured there at +27.5%
-//! per half-gate). Here the schedules are derived in registers in the
-//! same pass as the rounds they feed (`aes::encrypt_rekeyed`), and what
-//! re-keying costs depends on that pass's width. PR 14's "+27 % (14.2 M
-//! against 18.0 M calls/s)" is the 128-bit AES-NI kernel, one
-//! `garble_and` a call; PR 23's parent reads the same (+26 %, and +45 %
-//! an AND in full batches). On the 512-bit kernel, four schedules to a
-//! register, the composition — [`GateHash::hash_batch`] and the
-//! half-gate algebra around it — was timed at 19.5 ns an AND re-keyed
-//! against 17.1 fixed-key in a full batch, +14 %, and +52 % one gate a
-//! call (73 against 48 ns: a lone gate waits on its schedule chain),
-//! best of 21 timings. A re-keyed batch at 512 bits no longer takes
-//! that road: the batch entries run one fused kernel a side that
-//! derives the keys, runs the rounds and computes the half-gates in
-//! registers, while a fixed-key batch is still the composition. Timed
-//! in one process (medians of 11, a scratch build that can force the
-//! composition), a full garbler batch costs 16.9–18.6 ns an AND fused
-//! and re-keyed, 34.2–36.2 composed and re-keyed, 32.0–33.0 composed
-//! and fixed-key; one gate a call 84–93, 131–147 and 97–104 ns.
-//! Re-keyed and fused is now the cheapest of the three at every batch
-//! size. `benchmark/`'s `gc.garble.and_per_s` rung times the fused
-//! kernel, the oracle `garble_and` the composition. Tables for both
-//! are in `docs/measurements/`. The software-AES fallback pays +55 %.
+//! per half-gate). The fixed-key alternative is the construction Guo,
+//! Katz, Wang and Yu (IEEE S&P 2020) showed weak across many instances,
+//! and it is not provided. Here the schedules are derived in registers
+//! in the same pass as the rounds they feed (`aes::encrypt_rekeyed`),
+//! and what re-keying costs depends on that pass's width. Measured
+//! against fixed-key while both were in the tree: +27 % on the 128-bit
+//! AES-NI kernel one `garble_and` a call (14.2 M against 18.0 M
+//! calls/s), +45 % an AND in full batches; on the 512-bit kernel, four
+//! schedules to a register, +14 % in a full composed batch (19.5
+//! against 17.1 ns an AND) and +52 % one gate a call (73 against 48
+//! ns: a lone gate waits on its schedule chain). The re-keyed batches
+//! at 512 bits now run one fused kernel a side that derives the keys,
+//! runs the rounds and computes the half-gates in registers: a full
+//! garbler batch costs 16.9–18.6 ns an AND, below fixed-key composed
+//! (32.0–33.0), so on that kernel re-keying costs nothing. The
+//! software-AES fallback paid +55 %. The tables for those timings are
+//! in `docs/measurements/pr23.md` and `pr33.md`. `benchmark/`'s
+//! `gc.garble.and_per_s` rung times the fused kernel, the oracle
+//! `garble_and` the composition.
 //!
 //! Both tweaks of an AND gate hash **two** labels each, so a
 //! [`GateHash`] exposes exactly the shapes the gate ops need:
@@ -48,14 +45,16 @@ use crate::block::Block;
 
 /// Tweak namespace for **base-OT** key derivation. Gate tweaks are
 /// bounded by `2 · num_gates + 1 < 2^62`, so setting bit 62 keeps every
-/// OT-derived pad disjoint from every gate hash under the same scheme.
+/// OT-derived pad disjoint from every gate hash.
 pub const OT_BASE_TWEAK: u64 = 1 << 62;
 
 /// Tweak namespace for **OT-extension** row hashing, disjoint from both
 /// gate tweaks (< 2^62) and base-OT tweaks (bit 62): bit 63.
 pub const OT_EXT_TWEAK: u64 = 1 << 63;
 
-/// Which hash construction to use for AND gates.
+/// The hash construction for AND gates. There is one: the enum stays
+/// only because signatures pinned by `benchmark/` (ROADMAP item 1) take
+/// it, and those ignore it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HashScheme {
     /// Re-keyed TCCR hash (Guo et al. 2020): `H(x, i) = AES_i(x) ⊕ x`,
@@ -63,11 +62,6 @@ pub enum HashScheme {
     /// scheme HAAC implements in hardware.
     #[default]
     Rekeyed,
-    /// Legacy fixed-key hash (Bellare et al. 2013):
-    /// `H(x, i) = AES_K(x ⊕ i) ⊕ x ⊕ i` under a circuit-global key `K`.
-    /// Cheaper (no per-gate key expansion) but with known security loss;
-    /// provided to reproduce the paper's 27.5% overhead comparison.
-    FixedKey,
 }
 
 /// A snapshot of cipher work performed: the quantities HAAC's gate
@@ -94,8 +88,7 @@ impl CryptoCounters {
 /// The gate hash function, configured once per garbling session.
 #[derive(Debug)]
 pub struct GateHash {
-    scheme: HashScheme,
-    fixed: Aes128,
+    backend: AesBackend,
     key_expansions: AtomicU64,
     aes_blocks: AtomicU64,
 }
@@ -103,47 +96,35 @@ pub struct GateHash {
 impl Clone for GateHash {
     fn clone(&self) -> GateHash {
         GateHash {
-            scheme: self.scheme,
-            fixed: self.fixed,
+            backend: self.backend,
             key_expansions: AtomicU64::new(self.key_expansions.load(Ordering::Relaxed)),
             aes_blocks: AtomicU64::new(self.aes_blocks.load(Ordering::Relaxed)),
         }
     }
 }
 
-/// A nothing-up-my-sleeve fixed key (digits of π in hex).
-const FIXED_KEY: [u8; 16] = [
-    0x24, 0x3f, 0x6a, 0x88, 0x85, 0xa3, 0x08, 0xd3, 0x13, 0x19, 0x8a, 0x2e, 0x03, 0x70, 0x73, 0x44,
-];
-
 impl GateHash {
-    /// Creates a hash in the given scheme on the process-wide
-    /// [`active_backend`]. The fixed key is only used by
-    /// [`HashScheme::FixedKey`].
-    pub fn new(scheme: HashScheme) -> GateHash {
-        GateHash::with_backend(scheme, active_backend())
+    /// Creates a hash on the process-wide [`active_backend`]. The
+    /// argument is ignored: `benchmark/` pins this signature (ROADMAP
+    /// item 1).
+    pub fn new(_scheme: HashScheme) -> GateHash {
+        GateHash::with_backend(active_backend())
     }
 
     /// Like [`GateHash::new`] but pinned to an explicit AES backend
     /// (portable fallback if unavailable) — for benches and equivalence
     /// tests.
-    pub fn with_backend(scheme: HashScheme, backend: AesBackend) -> GateHash {
+    pub fn with_backend(backend: AesBackend) -> GateHash {
         GateHash {
-            scheme,
-            fixed: Aes128::with_backend(FIXED_KEY, backend),
+            backend: if backend.is_available() { backend } else { AesBackend::Portable },
             key_expansions: AtomicU64::new(0),
             aes_blocks: AtomicU64::new(0),
         }
     }
 
-    /// The configured scheme.
-    pub fn scheme(&self) -> HashScheme {
-        self.scheme
-    }
-
     /// The AES backend this hash dispatches to.
     pub fn backend(&self) -> AesBackend {
-        self.fixed.backend()
+        self.backend
     }
 
     /// Cipher-work counters accumulated by this instance so far.
@@ -160,26 +141,12 @@ impl GateHash {
         self.aes_blocks.fetch_add(blocks, Ordering::Relaxed);
     }
 
-    #[inline]
-    fn tweak_cipher(&self, tweak: u64) -> Aes128 {
-        Aes128::with_backend(Block::from(u128::from(tweak)).to_bytes(), self.fixed.backend())
-    }
-
     /// Hashes a label under tweak `tweak` (`2·gate_index` for the A-side
     /// hashes, `2·gate_index + 1` for the B-side, per Fig. 2).
     pub fn hash(&self, x: Block, tweak: u64) -> Block {
-        match self.scheme {
-            HashScheme::Rekeyed => {
-                self.meter(1, 1);
-                let aes = self.tweak_cipher(tweak);
-                aes.encrypt_block(x) ^ x
-            }
-            HashScheme::FixedKey => {
-                self.meter(0, 1);
-                let input = x ^ Block::from(u128::from(tweak));
-                self.fixed.encrypt_block(input) ^ input
-            }
-        }
+        self.meter(1, 1);
+        let aes = Aes128::with_backend(Block::from(u128::from(tweak)).to_bytes(), self.backend);
+        aes.encrypt_block(x) ^ x
     }
 
     /// Hashes two labels under **one** tweak with a single key expansion
@@ -208,41 +175,20 @@ impl GateHash {
         let n = tweaks.len();
         let two_planes = blocks.len() != n;
         assert!(!two_planes || blocks.len() == 2 * n, "one or two labels per tweak");
-        match self.scheme {
-            HashScheme::Rekeyed if two_planes => {
-                let (plane0, plane1) = blocks.split_at_mut(n);
-                self.rekeyed(tweaks, [plane0, plane1]);
-            }
-            HashScheme::Rekeyed => self.rekeyed(tweaks, [blocks]),
-            HashScheme::FixedKey => {
-                self.meter(0, blocks.len() as u64);
-                for plane in blocks.chunks_mut(n.max(1)) {
-                    for (x, &t) in plane.iter_mut().zip(tweaks) {
-                        *x ^= Block::from(u128::from(t));
-                    }
-                }
-                // The feed-forward needs the cipher's input, so the
-                // ciphertext takes a buffer of its own.
-                let mut pads = [Block::ZERO; 2 * MAX_REKEYED_KEYS];
-                for inputs in blocks.chunks_mut(pads.len()) {
-                    let pads = &mut pads[..inputs.len()];
-                    pads.copy_from_slice(inputs);
-                    self.fixed.encrypt_blocks(pads);
-                    for (x, &pad) in inputs.iter_mut().zip(pads.iter()) {
-                        *x ^= pad;
-                    }
-                }
-            }
+        if two_planes {
+            let (plane0, plane1) = blocks.split_at_mut(n);
+            self.rekeyed(tweaks, [plane0, plane1]);
+        } else {
+            self.rekeyed(tweaks, [blocks]);
         }
     }
 
     /// Whether this hash garbles and evaluates a batch of AND gates in
     /// one fused kernel a side ([`garble_ands`](Self::garble_ands),
     /// [`eval_ands`](Self::eval_ands)) rather than through
-    /// [`hash_batch`](Self::hash_batch): re-keyed, on AES-NI at 512
-    /// bits.
+    /// [`hash_batch`](Self::hash_batch): on AES-NI at 512 bits.
     pub(crate) fn fuses_half_gates(&self) -> bool {
-        self.scheme == HashScheme::Rekeyed && fuses_half_gates(self.backend())
+        fuses_half_gates(self.backend)
     }
 
     /// The garbler's fused half-gate batch (`crate::aes`'s
@@ -291,7 +237,7 @@ impl GateHash {
                 *key = Block::from(u128::from(t)).to_bytes();
             }
             let lanes = planes.each_mut().map(|plane| &mut plane[at..at + tweaks.len()]);
-            encrypt_rekeyed(self.fixed.backend(), keys, lanes);
+            encrypt_rekeyed(self.backend, keys, lanes);
         }
     }
 }
@@ -309,18 +255,20 @@ mod tests {
     }
 
     #[test]
-    fn fixed_key_hash_depends_on_tweak() {
-        let h = GateHash::new(HashScheme::FixedKey);
-        let x = Block::from(0xCAFEu128);
-        assert_ne!(h.hash(x, 2), h.hash(x, 3));
-    }
-
-    #[test]
-    fn schemes_differ() {
-        let rk = GateHash::new(HashScheme::Rekeyed);
-        let fk = GateHash::new(HashScheme::FixedKey);
-        let x = Block::from(0xABCDu128);
-        assert_ne!(rk.hash(x, 5), fk.hash(x, 5));
+    fn the_hash_is_aes_keyed_by_the_tweak_fed_forward_on_every_backend() {
+        // `H(x, t) = AES_t(x) ⊕ x`, the cipher keyed by `Block::from(t)`
+        // — itself checked against FIPS-197 by
+        // `fips_known_answers_on_every_backend`.
+        for backend in AesBackend::ALL.into_iter().filter(|b| b.is_available()) {
+            let h = GateHash::with_backend(backend);
+            for (x, t) in
+                [(0xABCDu128, 5u64), (0, 0), (u128::MAX, OT_BASE_TWEAK | 9), (7, u64::MAX)]
+            {
+                let x = Block::from(x);
+                let aes = Aes128::with_backend(Block::from(u128::from(t)).to_bytes(), backend);
+                assert_eq!(h.hash(x, t), aes.encrypt_block(x) ^ x, "{} t={t}", backend.name());
+            }
+        }
     }
 
     #[test]
@@ -334,42 +282,30 @@ mod tests {
 
     #[test]
     fn pair_equals_two_hashes_with_one_expansion() {
-        for scheme in [HashScheme::Rekeyed, HashScheme::FixedKey] {
-            let h = GateHash::new(scheme);
-            let x0 = Block::from(0x1111u128);
-            let x1 = Block::from(0x2222u128);
-            let before = h.counters();
-            let (p0, p1) = h.pair(x0, x1, 42);
-            let pair_cost = h.counters().since(before);
-            assert_eq!(p0, h.hash(x0, 42), "{scheme:?}");
-            assert_eq!(p1, h.hash(x1, 42), "{scheme:?}");
-            let expected_expansions = match scheme {
-                HashScheme::Rekeyed => 1,
-                HashScheme::FixedKey => 0,
-            };
-            assert_eq!(
-                pair_cost,
-                CryptoCounters { key_expansions: expected_expansions, aes_blocks: 2 },
-                "{scheme:?}"
-            );
-        }
+        let h = GateHash::new(HashScheme::Rekeyed);
+        let x0 = Block::from(0x1111u128);
+        let x1 = Block::from(0x2222u128);
+        let before = h.counters();
+        let (p0, p1) = h.pair(x0, x1, 42);
+        let pair_cost = h.counters().since(before);
+        assert_eq!(p0, h.hash(x0, 42));
+        assert_eq!(p1, h.hash(x1, 42));
+        assert_eq!(pair_cost, CryptoCounters { key_expansions: 1, aes_blocks: 2 });
     }
 
     #[test]
     fn hash_batch_equals_sequential_hash() {
-        for scheme in [HashScheme::Rekeyed, HashScheme::FixedKey] {
-            let h = GateHash::new(scheme);
-            for n in [0usize, 1, 2, 3, 4, 7, 8, 9, 16, 17, 31, 40] {
-                for planes in [1usize, 2] {
-                    let xs: Vec<Block> =
-                        (0..(planes * n) as u128).map(|i| Block::from(i * 7 + 1)).collect();
-                    let tweaks: Vec<u64> = (0..n as u64).map(|k| 3 * k + 1).collect();
-                    let mut out = xs.clone();
-                    h.hash_batch(&tweaks, &mut out);
-                    for (i, &x) in xs.iter().enumerate() {
-                        let want = h.hash(x, tweaks[i % n]);
-                        assert_eq!(out[i], want, "{scheme:?} n={n} planes={planes} lane={i}");
-                    }
+        let h = GateHash::new(HashScheme::Rekeyed);
+        for n in [0usize, 1, 2, 3, 4, 7, 8, 9, 16, 17, 31, 40] {
+            for planes in [1usize, 2] {
+                let xs: Vec<Block> =
+                    (0..(planes * n) as u128).map(|i| Block::from(i * 7 + 1)).collect();
+                let tweaks: Vec<u64> = (0..n as u64).map(|k| 3 * k + 1).collect();
+                let mut out = xs.clone();
+                h.hash_batch(&tweaks, &mut out);
+                for (i, &x) in xs.iter().enumerate() {
+                    let want = h.hash(x, tweaks[i % n]);
+                    assert_eq!(out[i], want, "n={n} planes={planes} lane={i}");
                 }
             }
         }

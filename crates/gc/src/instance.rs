@@ -84,14 +84,16 @@ impl PlanGarbling {
 /// from the OoRW store here exactly as it does online.
 ///
 /// `pool` is unused: the drain runs on the calling thread, and the
-/// argument only keeps the signature its callers already use.
+/// argument only keeps the signature its callers already use. `_scheme`
+/// is ignored (there is one gate hash). `benchmark/` pins both (ROADMAP
+/// item 1).
 pub fn garble_plan_in<R: Rng + ?Sized>(
     plan: &SlotProgram,
     rng: &mut R,
-    scheme: HashScheme,
+    _scheme: HashScheme,
     _pool: &EnginePool,
 ) -> PlanGarbling {
-    let mut garbler = StreamingGarbler::with_plan(plan, rng, scheme);
+    let mut garbler = StreamingGarbler::with_plan(plan, rng, HashScheme::Rekeyed);
     let delta = garbler.delta();
     let input_zero_labels = garbler.take_input_zero_labels();
     let mut tables = Vec::with_capacity(plan.and_count());

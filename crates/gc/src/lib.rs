@@ -8,14 +8,13 @@
 //!   XOR; a global offset Δ ([`Delta`]) relates every label pair.
 //! - **Half-Gate AND** [Zahur, Rosulek & Evans]: two table rows per AND;
 //!   four hash calls to garble, two to evaluate — batched so the AES
-//!   blocks pipeline ([`garble_and_batch`], [`eval_and_batch`]). With
-//!   the re-keyed hash on a VAES core a batch is one fused kernel a
-//!   side: keys, rounds and the half-gate XOR network in 512-bit
+//!   blocks pipeline ([`garble_and_batch`], [`eval_and_batch`]). On a
+//!   VAES core a batch is one fused kernel a side: keys, rounds and the half-gate XOR network in 512-bit
 //!   registers, as in HAAC's gate engine.
 //! - **Re-keyed gate hash** [Guo et al.]: `H(x, i) = AES_i(x) ⊕ x` with
 //!   exactly one key expansion per tweak (two per AND gate, metered by
 //!   [`CryptoCounters`]) — the secure construction HAAC chooses over
-//!   fixed-key AES (both are provided; see [`HashScheme`]).
+//!   fixed-key AES, and the only one provided ([`GateHash`]).
 //! - **Point-and-permute** decoding via label least-significant bits.
 //!
 //! The AES core dispatches at startup to AES-NI (x86_64), the ARMv8
@@ -47,7 +46,7 @@
 //!
 //! ```
 //! use haac_circuit::Builder;
-//! use haac_gc::{garble, evaluate, decode_outputs, HashScheme};
+//! use haac_gc::{garble, evaluate, decode_outputs};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! // Private AND of two bits.
@@ -58,9 +57,9 @@
 //! let circuit = b.finish(vec![z]).unwrap();
 //!
 //! let mut rng = StdRng::seed_from_u64(42);
-//! let garbling = garble(&circuit, &mut rng, HashScheme::Rekeyed);
+//! let garbling = garble(&circuit, &mut rng);
 //! let inputs = garbling.encode_inputs(&circuit, &[true], &[true]);
-//! let out = evaluate(&circuit, &garbling.garbled.tables, &inputs, HashScheme::Rekeyed);
+//! let out = evaluate(&circuit, &garbling.garbled.tables, &inputs);
 //! assert_eq!(decode_outputs(&out, &garbling.garbled.output_decode), vec![true]);
 //! ```
 
@@ -129,9 +128,9 @@ mod tests {
         for (xv, yv) in [(3u64, 5u64), (255, 255), (0, 17), (170, 85)] {
             let gb = haac_circuit::to_bits(xv, 8);
             let eb = haac_circuit::to_bits(yv, 8);
-            let g = garble(&c, &mut rng, HashScheme::Rekeyed);
+            let g = garble(&c, &mut rng);
             let labels = g.encode_inputs(&c, &gb, &eb);
-            let out = evaluate(&c, &g.garbled.tables, &labels, HashScheme::Rekeyed);
+            let out = evaluate(&c, &g.garbled.tables, &labels);
             let got = decode_outputs(&out, &g.garbled.output_decode);
             assert_eq!(got, c.eval(&gb, &eb).unwrap(), "x={xv} y={yv}");
         }

@@ -228,10 +228,13 @@ impl<'c> StreamingGarbler<'c> {
     /// default (baseline-order) lowering preserves gate order and
     /// tweaks, so the transcript is bit-identical to the oracle's for
     /// the same seed.
+    ///
+    /// `_scheme` is ignored (there is one gate hash): `benchmark/` pins
+    /// this signature (ROADMAP item 1).
     pub fn with_plan<R: Rng + ?Sized>(
         plan: &'c SlotProgram,
         rng: &mut R,
-        scheme: HashScheme,
+        _scheme: HashScheme,
     ) -> StreamingGarbler<'c> {
         let delta = Delta::random(rng);
         let input_zero_labels: Vec<Block> =
@@ -242,7 +245,7 @@ impl<'c> StreamingGarbler<'c> {
         }
         StreamingGarbler {
             state,
-            hash: GateHash::new(scheme),
+            hash: GateHash::new(HashScheme::Rekeyed),
             delta,
             garbler_inputs: plan.garbler_inputs(),
             evaluator_inputs: plan.evaluator_inputs(),
@@ -499,10 +502,13 @@ impl<'c> StreamingEvaluator<'c> {
     /// # Panics
     ///
     /// Panics if the label count does not match the plan.
+    ///
+    /// `_scheme` is ignored (there is one gate hash): `benchmark/` pins
+    /// this signature (ROADMAP item 1).
     pub fn with_plan(
         plan: &'c SlotProgram,
         input_labels: Vec<Block>,
-        scheme: HashScheme,
+        _scheme: HashScheme,
     ) -> StreamingEvaluator<'c> {
         assert_eq!(input_labels.len(), plan.num_inputs() as usize, "input label count");
         let mut state = SlabState::new(plan);
@@ -511,7 +517,7 @@ impl<'c> StreamingEvaluator<'c> {
         }
         let mut evaluator = StreamingEvaluator {
             state,
-            hash: GateHash::new(scheme),
+            hash: GateHash::new(HashScheme::Rekeyed),
             num_gates: plan.instrs().len(),
             next_gate: 0,
             tables_consumed: 0,
@@ -678,7 +684,7 @@ mod tests {
         let plan = baseline_plan(&c);
         let mut rng1 = StdRng::seed_from_u64(77);
         let mut rng2 = StdRng::seed_from_u64(77);
-        let mono = garble(&c, &mut rng1, HashScheme::Rekeyed);
+        let mono = garble(&c, &mut rng1);
         let mut streaming = StreamingGarbler::with_plan(&plan, &mut rng2, HashScheme::Rekeyed);
         assert_eq!(streaming.delta(), mono.delta);
         let mut tables = Vec::new();
@@ -695,7 +701,7 @@ mod tests {
         for c in [adder_circuit(16), mixed_circuit()] {
             let plan = baseline_plan(&c);
             let mut rng = StdRng::seed_from_u64(123);
-            let oracle = garble(&c, &mut rng, HashScheme::Rekeyed);
+            let oracle = garble(&c, &mut rng);
             for chunk in [1usize, 3, 64, 1 << 14] {
                 let mut rng = StdRng::seed_from_u64(123);
                 let mut slab = StreamingGarbler::with_plan(&plan, &mut rng, HashScheme::Rekeyed);
@@ -733,7 +739,7 @@ mod tests {
                 tables.extend(part);
             }
             let decode = garbler.finish().output_decode;
-            let oracle_labels = evaluate(&c, &tables, &inputs, HashScheme::Rekeyed);
+            let oracle_labels = evaluate(&c, &tables, &inputs);
             let sf = slab_eval.finish(&decode);
             assert_eq!(sf.output_labels, oracle_labels, "chunk={chunk}");
             assert_eq!(sf.outputs, decode_outputs(&oracle_labels, &decode), "chunk={chunk}");
@@ -782,15 +788,15 @@ mod tests {
         let g_bits = to_bits(3000, 12);
         let e_bits = to_bits(1095, 12);
         let mut rng = StdRng::seed_from_u64(5);
-        let mono = garble(&c, &mut rng, HashScheme::FixedKey);
+        let mono = garble(&c, &mut rng);
         let labels = mono.encode_inputs(&c, &g_bits, &e_bits);
-        let mono_out = evaluate(&c, &mono.garbled.tables, &labels, HashScheme::FixedKey);
+        let mono_out = evaluate(&c, &mono.garbled.tables, &labels);
 
         let plan = baseline_plan(&c);
         let mut rng = StdRng::seed_from_u64(5);
-        let mut garbler = StreamingGarbler::with_plan(&plan, &mut rng, HashScheme::FixedKey);
+        let mut garbler = StreamingGarbler::with_plan(&plan, &mut rng, HashScheme::Rekeyed);
         let inputs = garbler.encode_inputs(&g_bits, &e_bits);
-        let mut evaluator = StreamingEvaluator::with_plan(&plan, inputs, HashScheme::FixedKey);
+        let mut evaluator = StreamingEvaluator::with_plan(&plan, inputs, HashScheme::Rekeyed);
         while let Some(tables) = garbler.next_tables(8) {
             evaluator.feed(&tables);
         }

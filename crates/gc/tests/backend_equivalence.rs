@@ -7,7 +7,7 @@
 use haac_gc::aes::{active_backend, encrypt_lanes, Aes128, AesBackend};
 use haac_gc::{
     eval_and, eval_and_batch, garble, garble_and, garble_and_batch, Block, CryptoCounters, Delta,
-    GateHash, HashScheme, MAX_AND_BATCH,
+    GateHash, MAX_AND_BATCH,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -153,8 +153,8 @@ fn batched_encryption_matches_singles_on_every_backend() {
     }
 }
 
-/// `GateHash::hash_batch` equals per-lane `hash` on every backend and
-/// both schemes, for every tweak count up to two and a half kernel calls
+/// `GateHash::hash_batch` equals per-lane `hash` on every backend, for
+/// every tweak count up to two and a half kernel calls
 /// and both gate shapes (one label a tweak, two labels a tweak as two
 /// planes) — and meters exactly one key expansion per tweak, whatever
 /// padding the kernel adds to a ragged last register.
@@ -162,38 +162,34 @@ fn batched_encryption_matches_singles_on_every_backend() {
 fn gate_hash_batches_match_sequential_on_every_backend() {
     let mut rng = StdRng::seed_from_u64(0x6A7E);
     for backend in available_backends() {
-        for scheme in [HashScheme::Rekeyed, HashScheme::FixedKey] {
-            let h = GateHash::with_backend(scheme, backend);
-            for per_key in [1u64, 2] {
-                for n in 0..=40u64 {
-                    let xs: Vec<Block> =
-                        (0..per_key * n).map(|_| Block::random(&mut rng)).collect();
-                    // Gate tweaks, then the OT namespaces' high bits.
-                    let tweaks: Vec<u64> = (0..n).map(|k| (k % 3) << 62 | (7 * k + n)).collect();
-                    let mut out = xs.clone();
-                    let before = h.counters();
-                    h.hash_batch(&tweaks, &mut out);
-                    let cost = h.counters().since(before);
-                    let context = format!("{} {scheme:?} per_key={per_key} n={n}", backend.name());
-                    let key_expansions = if scheme == HashScheme::Rekeyed { n } else { 0 };
-                    assert_eq!(
-                        cost,
-                        CryptoCounters { key_expansions, aes_blocks: per_key * n },
-                        "{context}"
-                    );
-                    for (i, &x) in xs.iter().enumerate() {
-                        let tweak = tweaks[i % n as usize];
-                        assert_eq!(out[i], h.hash(x, tweak), "{context} lane={i}");
-                    }
+        let h = GateHash::with_backend(backend);
+        for per_key in [1u64, 2] {
+            for n in 0..=40u64 {
+                let xs: Vec<Block> = (0..per_key * n).map(|_| Block::random(&mut rng)).collect();
+                // Gate tweaks, then the OT namespaces' high bits.
+                let tweaks: Vec<u64> = (0..n).map(|k| (k % 3) << 62 | (7 * k + n)).collect();
+                let mut out = xs.clone();
+                let before = h.counters();
+                h.hash_batch(&tweaks, &mut out);
+                let cost = h.counters().since(before);
+                let context = format!("{} per_key={per_key} n={n}", backend.name());
+                assert_eq!(
+                    cost,
+                    CryptoCounters { key_expansions: n, aes_blocks: per_key * n },
+                    "{context}"
+                );
+                for (i, &x) in xs.iter().enumerate() {
+                    let tweak = tweaks[i % n as usize];
+                    assert_eq!(out[i], h.hash(x, tweak), "{context} lane={i}");
                 }
             }
-            let (x0, x1) = (Block::random(&mut rng), Block::random(&mut rng));
-            assert_eq!(h.pair(x0, x1, 77), (h.hash(x0, 77), h.hash(x1, 77)));
         }
+        let (x0, x1) = (Block::random(&mut rng), Block::random(&mut rng));
+        assert_eq!(h.pair(x0, x1, 77), (h.hash(x0, 77), h.hash(x1, 77)));
     }
 }
 
-/// Every batch size, both schemes, tweak bases at the bottom, the middle
+/// Every batch size, tweak bases at the bottom, the middle
 /// and the top of the gate-tweak range (`2·base + 1 < 2⁶²`): a batched
 /// half-gate is its per-gate form bit for bit, garbling and evaluating,
 /// and costs exactly two expansions an AND — four blocks garbling, two
@@ -203,46 +199,37 @@ fn and_batches_match_per_gate_calls_with_exact_counters() {
     let mut rng = StdRng::seed_from_u64(0xBA7C_0023);
     let delta = Delta::random(&mut rng);
     for backend in available_backends() {
-        for scheme in [HashScheme::Rekeyed, HashScheme::FixedKey] {
-            let h = GateHash::with_backend(scheme, backend);
-            let expansions = |k: u64| if scheme == HashScheme::Rekeyed { 2 * k } else { 0 };
-            for base in [0u64, (1 << 31) - 3, (1 << 61) - 9] {
-                for k in 1..=MAX_AND_BATCH {
-                    let context = format!("{} {scheme:?} base={base} k={k}", backend.name());
-                    let gates: Vec<(u64, Block, Block)> = (0..k as u64)
-                        .map(|i| (base + i, Block::random(&mut rng), Block::random(&mut rng)))
-                        .collect();
+        let h = GateHash::with_backend(backend);
+        for base in [0u64, (1 << 31) - 3, (1 << 61) - 9] {
+            for k in 1..=MAX_AND_BATCH {
+                let context = format!("{} base={base} k={k}", backend.name());
+                let gates: Vec<(u64, Block, Block)> = (0..k as u64)
+                    .map(|i| (base + i, Block::random(&mut rng), Block::random(&mut rng)))
+                    .collect();
 
-                    let mut garbled = vec![(Block::ZERO, [Block::ZERO; 2]); k];
-                    let before = h.counters();
-                    garble_and_batch(&h, delta, &gates, &mut garbled);
-                    assert_eq!(
-                        h.counters().since(before),
-                        CryptoCounters {
-                            key_expansions: expansions(k as u64),
-                            aes_blocks: 4 * k as u64
-                        },
-                        "{context} garbling"
-                    );
-                    for (&(t, a, b), got) in gates.iter().zip(&garbled) {
-                        assert_eq!(*got, garble_and(&h, delta, t, a, b), "{context} gate {t}");
-                    }
+                let mut garbled = vec![(Block::ZERO, [Block::ZERO; 2]); k];
+                let before = h.counters();
+                garble_and_batch(&h, delta, &gates, &mut garbled);
+                assert_eq!(
+                    h.counters().since(before),
+                    CryptoCounters { key_expansions: 2 * k as u64, aes_blocks: 4 * k as u64 },
+                    "{context} garbling"
+                );
+                for (&(t, a, b), got) in gates.iter().zip(&garbled) {
+                    assert_eq!(*got, garble_and(&h, delta, t, a, b), "{context} gate {t}");
+                }
 
-                    let tables: Vec<[Block; 2]> = garbled.iter().map(|&(_, t)| t).collect();
-                    let mut labels = vec![Block::ZERO; k];
-                    let before = h.counters();
-                    eval_and_batch(&h, &gates, &tables, &mut labels);
-                    assert_eq!(
-                        h.counters().since(before),
-                        CryptoCounters {
-                            key_expansions: expansions(k as u64),
-                            aes_blocks: 2 * k as u64
-                        },
-                        "{context} evaluating"
-                    );
-                    for ((&(t, a, b), table), got) in gates.iter().zip(&tables).zip(&labels) {
-                        assert_eq!(*got, eval_and(&h, t, a, b, table), "{context} gate {t}");
-                    }
+                let tables: Vec<[Block; 2]> = garbled.iter().map(|&(_, t)| t).collect();
+                let mut labels = vec![Block::ZERO; k];
+                let before = h.counters();
+                eval_and_batch(&h, &gates, &tables, &mut labels);
+                assert_eq!(
+                    h.counters().since(before),
+                    CryptoCounters { key_expansions: 2 * k as u64, aes_blocks: 2 * k as u64 },
+                    "{context} evaluating"
+                );
+                for ((&(t, a, b), table), got) in gates.iter().zip(&tables).zip(&labels) {
+                    assert_eq!(*got, eval_and(&h, t, a, b, table), "{context} gate {t}");
                 }
             }
         }
@@ -255,9 +242,9 @@ fn and_batches_match_per_gate_calls_with_exact_counters() {
 fn and_batches_are_backend_independent() {
     let mut rng = StdRng::seed_from_u64(0xBA7C4);
     let delta = Delta::random(&mut rng);
-    let reference = GateHash::with_backend(HashScheme::Rekeyed, AesBackend::Portable);
+    let reference = GateHash::with_backend(AesBackend::Portable);
     for backend in available_backends() {
-        let h = GateHash::with_backend(HashScheme::Rekeyed, backend);
+        let h = GateHash::with_backend(backend);
         for k in 1..=MAX_AND_BATCH {
             let gates: Vec<(u64, Block, Block)> = (0..k as u64)
                 .map(|i| (1000 * k as u64 + i, Block::random(&mut rng), Block::random(&mut rng)))
@@ -285,9 +272,9 @@ fn and_batches_are_backend_independent() {
 fn garbled_tables_are_backend_independent() {
     let mut rng = StdRng::seed_from_u64(0x7AB1);
     let delta = Delta::random(&mut rng);
-    let reference = GateHash::with_backend(HashScheme::Rekeyed, AesBackend::Portable);
+    let reference = GateHash::with_backend(AesBackend::Portable);
     for backend in available_backends() {
-        let h = GateHash::with_backend(HashScheme::Rekeyed, backend);
+        let h = GateHash::with_backend(backend);
         for i in 0..200u64 {
             let a = Block::random(&mut rng);
             let b = Block::random(&mut rng);
@@ -315,10 +302,10 @@ fn whole_circuit_garbling_is_backend_independent() {
     let c = b.finish(p).unwrap();
 
     let mut rng = StdRng::seed_from_u64(9);
-    let active = garble(&c, &mut rng, HashScheme::Rekeyed);
+    let active = garble(&c, &mut rng);
     assert!(active_backend().is_available());
 
-    let portable_hash = GateHash::with_backend(HashScheme::Rekeyed, AesBackend::Portable);
+    let portable_hash = GateHash::with_backend(AesBackend::Portable);
     let mut next_table = 0usize;
     for (i, gate) in c.gates().iter().enumerate() {
         if gate.op != GateOp::And {

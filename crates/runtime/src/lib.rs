@@ -14,7 +14,7 @@
 //! | [`channel`] | [`Channel`] trait, [`MemChannel`] (in-process), [`TcpChannel`] (real sockets), traffic accounting, per-operation I/O deadlines |
 //! | [`fault`] | [`FaultChannel`]: deterministic, seeded fault injection (delays, corruption, partial writes, disconnects, read stalls) for chaos testing |
 //! | [`wire`] | Framed protocol messages: header (with the plan digest), input labels, base-OT flow, table chunks, outputs |
-//! | [`session`] | One garbler loop and one evaluator loop behind the [`run_garbler`] / [`run_evaluator`] drivers and their resumable and banked variants, which run on the plan alone (only [`run_evaluator`], which lowers one, takes a circuit), [`SessionConfig`], [`SessionReport`] (bytes, frames, peak live wires, AES work, gates/s) |
+//! | [`session`] | One garbler loop and one evaluator loop behind the [`run_garbler`] / [`run_evaluator`] drivers and their resumable and banked variants, which run on the plan alone over one [`SessionConfig`] (no driver lowers a circuit; [`run_local_session`] and [`run_tcp_session`] keep an unused one), [`SessionReport`] (bytes, frames, peak live wires, AES work, gates/s) |
 //!
 //! The cryptography lives in `haac-gc` ([`StreamingGarbler`] /
 //! [`StreamingEvaluator`] and the Chou–Orlandi-style base OT); this crate
@@ -70,7 +70,7 @@
 //! // let listener = std::net::TcpListener::bind("0.0.0.0:7700").unwrap();
 //! // let (stream, _) = listener.accept().unwrap();
 //! // let mut channel = TcpChannel::from_stream(stream).unwrap();
-//! // let report = run_evaluator(&circuit, &evaluator_bits, &mut rng, &mut channel).unwrap();
+//! // let report = run_evaluator(&evaluator_bits, &mut rng, &config, &mut channel).unwrap();
 //! ```
 
 #![warn(missing_docs)]
@@ -86,9 +86,9 @@ pub use channel::{Channel, ChannelStats, MemChannel, TcpChannel, DEFAULT_MEM_CHA
 pub use error::{RuntimeError, SessionPhase};
 pub use fault::{FaultChannel, FaultDelay, FaultSpec};
 pub use session::{
-    run_evaluator, run_evaluator_resumable, run_evaluator_with, run_garbler, run_garbler_banked,
-    run_garbler_resumable, run_local_session, run_tcp_session, GarblerSource, SessionConfig,
-    SessionDeadlines, SessionReport, SessionRole, SessionTelemetry, DEFAULT_ACK_INTERVAL,
+    run_evaluator, run_evaluator_resumable, run_garbler, run_garbler_banked, run_garbler_resumable,
+    run_local_session, run_tcp_session, GarblerSource, SessionConfig, SessionDeadlines,
+    SessionReport, SessionRole, SessionTelemetry, DEFAULT_ACK_INTERVAL,
 };
 pub use wire::OtMode;
 

@@ -159,9 +159,6 @@ pub enum SessionRole {
 /// Everything a party chooses before a session.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
-    /// The gate-hash construction (both parties must agree; the header
-    /// carries the garbler's choice and the evaluator validates it).
-    pub scheme: HashScheme,
     /// The circuit lowered once for slot-slab execution: both roles
     /// run off its renamed instruction stream. Shared, so a cache can
     /// hand the same plan to every session of a workload. Its
@@ -231,9 +228,10 @@ impl SessionConfig {
 
     /// Builds a config around an already lowered plan (what a warm
     /// server does on every cache hit — no per-session analysis pass).
-    pub fn from_plan(scheme: HashScheme, plan: Arc<StreamingPlan>) -> SessionConfig {
+    /// `_scheme` is ignored (there is one gate hash): `benchmark/` pins
+    /// this signature (ROADMAP item 1).
+    pub fn from_plan(_scheme: HashScheme, plan: Arc<StreamingPlan>) -> SessionConfig {
         SessionConfig {
-            scheme,
             plan,
             chunk_override: None,
             telemetry: None,
@@ -947,7 +945,7 @@ fn run_session_pair<C: Channel + Send>(
         let evaluator = scope.spawn(move || {
             // Independent randomness for the receiver's OT blinding.
             let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-            run_evaluator_with(evaluator_bits, &mut rng, config, &mut evaluator_channel)
+            run_evaluator(evaluator_bits, &mut rng, config, &mut evaluator_channel)
         });
         let garbler_report = garbler.join().expect("garbler thread panicked");
         let evaluator_report = evaluator.join().expect("evaluator thread panicked");
@@ -1305,7 +1303,7 @@ where
     check_width("garbler", garbler_bits.len(), config.plan.garbler_width)?;
     let start = Instant::now();
     write_resumable_header(config, &mut channel)?;
-    let garbler = StreamingGarbler::with_plan(&config.plan.program, rng, config.scheme);
+    let garbler = StreamingGarbler::with_plan(&config.plan.program, rng, HashScheme::Rekeyed);
     let mut replay = ReplayBuffer::new();
     stream_garbler_resumable(
         &config.plan.live_garbler_bits(garbler_bits),
@@ -1399,7 +1397,6 @@ fn write_resumable_header<C: Channel>(
         channel,
         &Message::Header(SessionHeader {
             plan_digest: config.plan.program.digest(),
-            scheme: config.scheme,
             chunk_tables: config.chunk_tables() as u32,
             ack_interval: config.ack_interval,
             ot_mode: config.ot_mode,
@@ -1742,40 +1739,18 @@ impl<F> EvaluatorRecovery<'_, F> {
 /// `config.plan` must be the program the garbler lowered — the header
 /// carries its digest, and a mismatch is refused in the handshake —
 /// though its window may differ: routing never changes the wire.
-/// `config.scheme` is the garbler's choice and arrives via the header.
 ///
 /// # Errors
 ///
 /// Fails on transport errors, protocol violations, a plan digest other
 /// than the garbler's, or input bits of another width than the plan's.
-pub fn run_evaluator_with<C: Channel + ?Sized, R: Rng + ?Sized>(
+pub fn run_evaluator<C: Channel + ?Sized, R: Rng + ?Sized>(
     evaluator_bits: &[bool],
     rng: &mut R,
     config: &SessionConfig,
     channel: &mut C,
 ) -> Result<SessionReport, RuntimeError> {
     evaluator_session(evaluator_bits, rng, config, channel, None, |_, _| None)
-}
-
-/// Runs the evaluator (Bob) side of a streaming session with default
-/// options: the circuit is lowered on the spot with the **baseline**
-/// schedule (callers running many sessions — or negotiating a
-/// reordered schedule — should cache a plan and use
-/// [`run_evaluator_with`]/[`SessionConfig::from_plan`] instead; a
-/// garbler that lowered anything else is refused with a typed digest
-/// mismatch).
-///
-/// # Errors
-///
-/// Fails on transport errors, protocol violations, or input width
-/// mismatch.
-pub fn run_evaluator<C: Channel + ?Sized, R: Rng + ?Sized>(
-    circuit: &Circuit,
-    evaluator_bits: &[bool],
-    rng: &mut R,
-    channel: &mut C,
-) -> Result<SessionReport, RuntimeError> {
-    run_evaluator_with(evaluator_bits, rng, &SessionConfig::for_circuit(circuit), channel)
 }
 
 /// Runs the evaluator side of a **resumable** streaming session.
@@ -1889,7 +1864,7 @@ where
 
     let mut input_labels = garbler_labels;
     input_labels.extend(own_labels);
-    let mut evaluator = StreamingEvaluator::with_plan(program, input_labels, header.scheme);
+    let mut evaluator = StreamingEvaluator::with_plan(program, input_labels, HashScheme::Rekeyed);
 
     arm_phase(&mut channel, SessionPhase::Stream, &config.deadlines)?;
     let stream_start = Instant::now();
@@ -2043,7 +2018,7 @@ mod tests {
         // The peer endpoint stays alive but sends nothing: a stall, not
         // a disconnect. Without the deadline this would block forever.
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let err = run_evaluator_with(&to_bits(1, 8), &mut rng, &config, &mut ours).unwrap_err();
+        let err = run_evaluator(&to_bits(1, 8), &mut rng, &config, &mut ours).unwrap_err();
         assert!(
             matches!(err, RuntimeError::Deadline { phase: SessionPhase::Handshake }),
             "expected a handshake deadline, got {err}"
@@ -2163,12 +2138,11 @@ mod tests {
             let (g, _) = run_local_session(&c, &g_bits, &e_bits, seed, &config).unwrap();
             // The monolithic protocol: the oracle pair on the raw netlist.
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let mono = haac_gc::garble(&c, &mut rng, HashScheme::Rekeyed);
+            let mono = haac_gc::garble(&c, &mut rng);
             let labels = haac_gc::evaluate(
                 &c,
                 &mono.garbled.tables,
                 &mono.encode_inputs(&c, &g_bits, &e_bits),
-                HashScheme::Rekeyed,
             );
             let mono_outputs = haac_gc::decode_outputs(&labels, &mono.garbled.output_decode);
             assert_eq!(g.outputs, mono_outputs);
@@ -2249,7 +2223,12 @@ mod tests {
             });
             let evaluator = scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(2);
-                run_evaluator(&small, &to_bits(1, 8), &mut rng, &mut ec)
+                run_evaluator(
+                    &to_bits(1, 8),
+                    &mut rng,
+                    &SessionConfig::for_circuit(&small),
+                    &mut ec,
+                )
             });
             let eval_err = evaluator.join().unwrap().unwrap_err();
             assert!(eval_err.to_string().contains("plan digest mismatch"), "{eval_err}");
@@ -2302,7 +2281,7 @@ mod tests {
             });
             let evaluator = scope.spawn(|| {
                 let mut rng = StdRng::seed_from_u64(22);
-                run_evaluator(&c, &to_bits(8, 32), &mut rng, &mut ec)
+                run_evaluator(&to_bits(8, 32), &mut rng, &config, &mut ec)
             });
             let g = garbler.join().unwrap().unwrap();
             let e = evaluator.join().unwrap().unwrap();
@@ -2333,7 +2312,8 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(21);
                 let start = Instant::now();
                 write_resumable_header(&config, &mut gc)?;
-                let garbler = StreamingGarbler::with_plan(&plan.program, &mut rng, config.scheme);
+                let garbler =
+                    StreamingGarbler::with_plan(&plan.program, &mut rng, HashScheme::Rekeyed);
                 stream_garbler_resumable(
                     &to_bits(7, 32),
                     garbler,
@@ -2393,8 +2373,11 @@ mod tests {
                 let garbler = scope.spawn(|| {
                     let mut rng = StdRng::seed_from_u64(21);
                     write_resumable_header(config, &mut gc)?;
-                    let garbler =
-                        StreamingGarbler::with_plan(&config.plan.program, &mut rng, config.scheme);
+                    let garbler = StreamingGarbler::with_plan(
+                        &config.plan.program,
+                        &mut rng,
+                        HashScheme::Rekeyed,
+                    );
                     stream_garbler_resumable(
                         &bits,
                         garbler,
@@ -2407,7 +2390,7 @@ mod tests {
                     )
                 });
                 let mut rng = StdRng::seed_from_u64(22);
-                let e = run_evaluator_with(&bits, &mut rng, config, &mut ec);
+                let e = run_evaluator(&bits, &mut rng, config, &mut ec);
                 (garbler.join().unwrap().unwrap(), e.unwrap())
             });
             assert_eq!(g.outputs, c.eval(&bits, &bits).unwrap());
@@ -2483,7 +2466,7 @@ mod tests {
             });
             let evaluator = scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(2);
-                run_evaluator_with(&to_bits(2, 8), &mut rng, &base, &mut ec)
+                run_evaluator(&to_bits(2, 8), &mut rng, &base, &mut ec)
             });
             let eval_err = evaluator.join().unwrap().unwrap_err();
             assert!(eval_err.to_string().contains("OT mode mismatch"), "{eval_err}");
@@ -2571,8 +2554,12 @@ mod tests {
                 if banked {
                     let plan = &config.plan;
                     let pool = haac_gc::EnginePool::new(2);
-                    let instance =
-                        haac_gc::garble_plan_in(&plan.program, &mut rng, config.scheme, &pool);
+                    let instance = haac_gc::garble_plan_in(
+                        &plan.program,
+                        &mut rng,
+                        HashScheme::Rekeyed,
+                        &pool,
+                    );
                     run_garbler_banked(
                         garbler_bits,
                         instance,
@@ -2650,7 +2637,8 @@ mod tests {
                     Driver::Banked => {
                         let pool = haac_gc::EnginePool::new(2);
                         let program = &config.plan.program;
-                        let instance = haac_gc::garble_plan_in(program, rng, config.scheme, &pool);
+                        let instance =
+                            haac_gc::garble_plan_in(program, rng, HashScheme::Rekeyed, &pool);
                         run_garbler_banked(gb, instance, rng, config, &mut g_tee, no)
                     }
                 }
@@ -2659,7 +2647,7 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
                 let rng = &mut rng;
                 match driver {
-                    Driver::Plain => run_evaluator_with(eb, rng, config, &mut e_tee),
+                    Driver::Plain => run_evaluator(eb, rng, config, &mut e_tee),
                     Driver::Resumable | Driver::Banked => {
                         run_evaluator_resumable(eb, rng, config, &mut e_tee, 9, |_, _| None)
                     }
@@ -2802,7 +2790,7 @@ mod tests {
         let plan = &other_config.plan;
         let pool = haac_gc::EnginePool::new(1);
         let mut rng = StdRng::seed_from_u64(3);
-        let instance = haac_gc::garble_plan_in(&plan.program, &mut rng, config.scheme, &pool);
+        let instance = haac_gc::garble_plan_in(&plan.program, &mut rng, HashScheme::Rekeyed, &pool);
         let (g_end, _e_end) = MemChannel::pair();
         let err =
             run_garbler_banked(&to_bits(1, 32), instance, &mut rng, &config, g_end, |_, _| None)
@@ -2810,7 +2798,7 @@ mod tests {
         assert!(err.to_string().contains("banked instance shape"), "{err}");
     }
 
-    /// One plain session — `run_garbler` against `run_evaluator_with`,
+    /// One plain session — `run_garbler` against `run_evaluator`,
     /// whose resume callbacks are the drivers' own and decline — with
     /// the evaluator's connection cut at channel operation `op`.
     /// Returns both outcomes and the messages the evaluator had
@@ -2836,7 +2824,7 @@ mod tests {
             });
             let evaluator = scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-                let outcome = run_evaluator_with(eb, &mut rng, config, &mut e_end);
+                let outcome = run_evaluator(eb, &mut rng, config, &mut e_end);
                 // The connection dies with this thread, as a dropped
                 // client's would; only the recording leaves it.
                 (outcome, e_end.into_inner().received)
@@ -3239,7 +3227,7 @@ mod tests {
                 let no_resume = |_: &RuntimeError, _| None::<(crate::channel::MemChannel, u64)>;
                 run_garbler_resumable(&gb, &mut rng, &config, g_end, no_resume).unwrap();
             });
-            run_evaluator_with(&eb, &mut evaluator_rng(), &config, &mut tee).unwrap();
+            run_evaluator(&eb, &mut evaluator_rng(), &config, &mut tee).unwrap();
         });
 
         // ...re-framed with one table too many in its last `Tables`
@@ -3264,7 +3252,7 @@ mod tests {
         // either entry point.
         let replay = || ScriptChannel { script: script.clone(), pos: 0 };
         let outcomes = [
-            run_evaluator_with(&eb, &mut evaluator_rng(), &config, &mut replay()),
+            run_evaluator(&eb, &mut evaluator_rng(), &config, &mut replay()),
             run_evaluator_resumable(&eb, &mut evaluator_rng(), &config, replay(), 9, |_, _| None),
         ];
         for (outcome, driver) in outcomes.into_iter().zip(["plain", "resumable"]) {
@@ -3405,7 +3393,7 @@ mod tests {
                 )
             });
             let mut rng = StdRng::seed_from_u64(5 ^ 0x9E37_79B9_7F4A_7C15);
-            let e = run_evaluator_with(&to_bits(2_000, 32), &mut rng, &config, &mut e_end);
+            let e = run_evaluator(&to_bits(2_000, 32), &mut rng, &config, &mut e_end);
             (garbler.join().expect("garbler thread panicked"), e)
         });
         let (g, e) = (g.unwrap(), e.unwrap());

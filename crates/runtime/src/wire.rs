@@ -10,7 +10,7 @@
 use haac_core::ReorderKind;
 use haac_gc::{
     blocks_from_wire, blocks_to_wire, tables_from_wire, tables_to_wire, wire_view, Block,
-    HashScheme, TABLE_BYTES,
+    TABLE_BYTES,
 };
 
 use crate::channel::Channel;
@@ -43,8 +43,6 @@ pub struct SessionHeader {
     /// must have lowered the same program, or the stream would decode
     /// to garbage, so a mismatch is refused before any table moves.
     pub plan_digest: [u8; 16],
-    /// The gate-hash construction in use.
-    pub scheme: HashScheme,
     /// Tables per streamed `Tables` frame — the garbler's
     /// `SessionConfig::chunk_tables`, a capacity hint: every frame
     /// carries its own count.
@@ -206,21 +204,6 @@ impl Message {
     }
 }
 
-fn scheme_tag(scheme: HashScheme) -> u8 {
-    match scheme {
-        HashScheme::Rekeyed => 0,
-        HashScheme::FixedKey => 1,
-    }
-}
-
-fn scheme_from_tag(tag: u8) -> Result<HashScheme, RuntimeError> {
-    match tag {
-        0 => Ok(HashScheme::Rekeyed),
-        1 => Ok(HashScheme::FixedKey),
-        other => Err(RuntimeError::protocol(format!("unknown hash scheme tag {other}"))),
-    }
-}
-
 /// Wire tag of a [`ReorderKind`] (the server's request and ack frames).
 pub fn reorder_tag(reorder: ReorderKind) -> u8 {
     match reorder {
@@ -297,7 +280,6 @@ fn encode_payload(message: &Message, payload: &mut Vec<u8>) {
     match message {
         Message::Header(h) => {
             payload.extend_from_slice(&h.plan_digest);
-            payload.push(scheme_tag(h.scheme));
             payload.extend_from_slice(&h.chunk_tables.to_le_bytes());
             payload.extend_from_slice(&h.ack_interval.to_le_bytes());
             payload.push(ot_mode_tag(h.ot_mode));
@@ -530,7 +512,6 @@ fn read_payload<C: Channel + ?Sized>(
     let message = match tag {
         1 => Message::Header(SessionHeader {
             plan_digest: r.u128()?.to_le_bytes(),
-            scheme: scheme_from_tag(r.u8()?)?,
             chunk_tables: r.u32()?,
             ack_interval: r.u32()?,
             ot_mode: ot_mode_from_tag(r.u8()?)?,
@@ -635,7 +616,6 @@ mod tests {
         for ot_mode in [OtMode::Base, OtMode::Extended] {
             round_trip(Message::Header(SessionHeader {
                 plan_digest: *b"0123456789abcdef",
-                scheme: HashScheme::Rekeyed,
                 chunk_tables: 2048,
                 ack_interval: 16,
                 ot_mode,

@@ -21,7 +21,7 @@
 
 use std::io;
 
-use haac_gc::{Block, CryptoCounters, Delta, HashScheme, PlanGarbling};
+use haac_gc::{Block, CryptoCounters, Delta, PlanGarbling};
 use haac_runtime::wire::{
     read_message, read_stream_frame, write_message, Message, OtMode, SessionHeader, StreamFrame,
 };
@@ -103,11 +103,6 @@ fn message_from(kind: u8, data: &[u8]) -> Message {
     match kind % 13 {
         0 => Message::Header(SessionHeader {
             plan_digest: u128_from(data).wrapping_mul(0x9E37_79B9).to_le_bytes(),
-            scheme: if data.first().copied().unwrap_or(0) & 1 == 0 {
-                HashScheme::Rekeyed
-            } else {
-                HashScheme::FixedKey
-            },
             chunk_tables: (u128_from(data) as u32) | 1,
             ack_interval: (u128_from(data) >> 40) as u32,
             ot_mode: if data.first().copied().unwrap_or(0) & 2 == 0 {
@@ -366,19 +361,31 @@ proptest! {
         fields in vec(any::<u8>(), 39..40),
         tags in any::<u8>(),
     ) {
-        // The header before plan digests, 39 bytes: garbler and
-        // evaluator input counts (4 + 4), gate and table counts (8 + 8),
-        // the scheme tag, window, chunk and ack cadence (4 each), then
-        // the reorder and OT mode tags — valid tags here. A peer still
-        // speaking it is refused as a protocol error, never a panic and
-        // never a decoded header.
-        let mut payload = fields.clone();
-        payload[16] = tags & 1;
-        payload[37] = (tags >> 1) % 3;
-        payload[38] = tags >> 7;
-        let err = read_message(&mut ByteChannel::of(raw_frame(1, &payload)))
-            .expect_err("a parent-layout header must not decode");
-        prop_assert!(matches!(err, RuntimeError::Protocol(_)), "unexpected error shape: {err}");
+        // Two earlier header layouts, valid tags in each. A peer still
+        // speaking either is refused as a protocol error, never a panic
+        // and never a decoded header.
+        // - Before plan digests, 39 bytes: garbler and evaluator input
+        //   counts (4 + 4), gate and table counts (8 + 8), the scheme
+        //   tag, window, chunk and ack cadence (4 each), then the
+        //   reorder and OT mode tags.
+        // - Before the scheme byte went, 26 bytes: the plan digest, the
+        //   scheme tag, chunk and ack cadence (4 each), then the OT mode
+        //   tag.
+        let mut before_digests = fields.clone();
+        before_digests[16] = tags & 1;
+        before_digests[37] = (tags >> 1) % 3;
+        before_digests[38] = tags >> 7;
+        let mut with_scheme = fields[..26].to_vec();
+        with_scheme[16] = tags & 1;
+        with_scheme[25] = tags >> 7;
+        for payload in [before_digests, with_scheme] {
+            let err = read_message(&mut ByteChannel::of(raw_frame(1, &payload)))
+                .expect_err("a parent-layout header must not decode");
+            prop_assert!(
+                matches!(err, RuntimeError::Protocol(_)),
+                "unexpected error shape: {err}"
+            );
+        }
     }
 
     #[test]

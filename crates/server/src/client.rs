@@ -24,8 +24,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use haac_runtime::{
-    run_evaluator_resumable, run_evaluator_with, Channel, RuntimeError, SessionConfig,
-    SessionPhase, SessionReport, TcpChannel,
+    run_evaluator, run_evaluator_resumable, Channel, RuntimeError, SessionConfig, SessionPhase,
+    SessionReport, TcpChannel,
 };
 use haac_telemetry::{Counter, Registry};
 use haac_workloads::{build, Workload, WorkloadKind};
@@ -120,7 +120,7 @@ pub fn run_session_with<C: Channel + Send + ?Sized>(
     // agree or the transcripts diverge.
     check_ack_matches(config, chosen, ot_chosen)?;
     let mut rng = StdRng::seed_from_u64(request.seed ^ CLIENT_SEED_SALT);
-    let report = run_evaluator_with(&workload.evaluator_bits, &mut rng, config, channel)?;
+    let report = run_evaluator(&workload.evaluator_bits, &mut rng, config, channel)?;
     if report.outputs != workload.expected {
         return Err(RuntimeError::protocol(format!(
             "{} outputs diverge from the plaintext reference",
@@ -152,7 +152,7 @@ pub fn run_session<C: Channel + Send + ?Sized>(
     let (workload, config) = prepare_with_reorder(kind, request.scale, chosen);
     let config = config.with_ot_mode(ot_chosen);
     let mut rng = StdRng::seed_from_u64(request.seed ^ CLIENT_SEED_SALT);
-    let report = run_evaluator_with(&workload.evaluator_bits, &mut rng, &config, channel)?;
+    let report = run_evaluator(&workload.evaluator_bits, &mut rng, &config, channel)?;
     if report.outputs != workload.expected {
         return Err(RuntimeError::protocol(format!(
             "{} outputs diverge from the plaintext reference",
@@ -303,7 +303,7 @@ where
     check_ack_matches(config, chosen, ot_chosen)?;
     let mut rng = StdRng::seed_from_u64(request.seed ^ CLIENT_SEED_SALT);
     let result = match ticket.filter(|_| policy.resume_attempts > 0) {
-        None => run_evaluator_with(&workload.evaluator_bits, &mut rng, config, &mut channel),
+        None => run_evaluator(&workload.evaluator_bits, &mut rng, config, &mut channel),
         Some(ticket) => {
             let mut budget = policy.resume_attempts;
             run_evaluator_resumable(

@@ -616,7 +616,8 @@ fn bank_garble_one(
     }
     let seq = shared.bank.next_seq();
     let mut rng = StdRng::seed_from_u64(shared.config.bank_seed.wrapping_add(seq));
-    let instance = haac_gc::garble_plan_in(&plan.program, &mut rng, cached.config.scheme, pool);
+    let instance =
+        haac_gc::garble_plan_in(&plan.program, &mut rng, haac_gc::HashScheme::Rekeyed, pool);
     shared.bank.deposit(key, instance)
 }
 

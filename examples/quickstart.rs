@@ -50,9 +50,9 @@ fn main() {
     //    that alone — the paper's "CPU GC" baseline.
     let mut rng = rand::thread_rng();
     let started = Instant::now();
-    let garbling = garble(&circuit, &mut rng, HashScheme::Rekeyed);
+    let garbling = garble(&circuit, &mut rng);
     let inputs = garbling.encode_inputs(&circuit, &to_bits(alice, 32), &to_bits(bob, 32));
-    let labels = evaluate(&circuit, &garbling.garbled.tables, &inputs, HashScheme::Rekeyed);
+    let labels = evaluate(&circuit, &garbling.garbled.tables, &inputs);
     let cpu_time = started.elapsed();
     assert_eq!(decode_outputs(&labels, &garbling.garbled.output_decode), plain);
     println!("CPU GC (garble + evaluate): {cpu_time:?}");
@@ -78,13 +78,8 @@ fn main() {
     // 5. And prove the compiled program still computes the right thing:
     //    the simulator's program runs on the slab executors, every far
     //    read served from the OoRW store.
-    let via_streams = run_gc_through_streams(
-        &plan,
-        &to_bits(alice, 32),
-        &to_bits(bob, 32),
-        &mut rng,
-        HashScheme::Rekeyed,
-    );
+    let via_streams =
+        run_gc_through_streams(&plan, &to_bits(alice, 32), &to_bits(bob, 32), &mut rng);
     assert_eq!(via_streams, plain);
     println!("stream-executed GC matches plaintext — compiler verified.");
 }

@@ -69,7 +69,8 @@ fn run_evaluator_side(addr: &str, value: u64) {
     println!("[evaluator] garbler connected from {peer}");
     let mut channel = TcpChannel::from_stream(stream).expect("evaluator channel");
     let mut rng = StdRng::seed_from_u64(0xB0B);
-    let report = run_evaluator(&circuit, &to_bits(value, 32), &mut rng, &mut channel)
+    let config = SessionConfig::for_circuit(&circuit);
+    let report = run_evaluator(&to_bits(value, 32), &mut rng, &config, &mut channel)
         .expect("evaluator session");
     print_report("evaluator", &report);
 }
@@ -86,7 +87,8 @@ fn run_local() {
         let (stream, _) = listener.accept().expect("accept");
         let mut channel = TcpChannel::from_stream(stream).expect("channel");
         let mut rng = StdRng::seed_from_u64(0xB0B);
-        run_evaluator(&circuit, &to_bits(bob_value, 32), &mut rng, &mut channel)
+        let config = SessionConfig::for_circuit(&circuit);
+        run_evaluator(&to_bits(bob_value, 32), &mut rng, &config, &mut channel)
             .expect("evaluator session")
     });
 

@@ -31,13 +31,7 @@ fn main() {
         // End-to-end check: garble + evaluate through the compiled
         // program and compare with the independent plaintext reference.
         let verified = if matches!(scale, Scale::Small) {
-            let got = run_gc_through_streams(
-                &plan,
-                &w.garbler_bits,
-                &w.evaluator_bits,
-                &mut rng,
-                HashScheme::Rekeyed,
-            );
+            let got = run_gc_through_streams(&plan, &w.garbler_bits, &w.evaluator_bits, &mut rng);
             if got == w.expected {
                 "ok"
             } else {

@@ -41,7 +41,7 @@ fn parsed_bristol_compiles_and_garbles_on_haac() {
         let g = vec![bits & 1 != 0, bits & 2 != 0];
         let e = vec![bits & 4 != 0, bits & 8 != 0];
         let expect = circuit.eval(&g, &e).unwrap();
-        let got = run_gc_through_streams(&plan, &g, &e, &mut rng, HashScheme::Rekeyed);
+        let got = run_gc_through_streams(&plan, &g, &e, &mut rng);
         assert_eq!(got, expect, "input pattern {bits:#06b}");
     }
 }

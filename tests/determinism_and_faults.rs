@@ -32,9 +32,9 @@ fn compilation_is_deterministic() {
 #[test]
 fn same_seed_same_garbling_different_seed_different_labels() {
     let w = build_workload(WorkloadKind::Relu, Scale::Small);
-    let g1 = garble(&w.circuit, &mut StdRng::seed_from_u64(1), HashScheme::Rekeyed);
-    let g2 = garble(&w.circuit, &mut StdRng::seed_from_u64(1), HashScheme::Rekeyed);
-    let g3 = garble(&w.circuit, &mut StdRng::seed_from_u64(2), HashScheme::Rekeyed);
+    let g1 = garble(&w.circuit, &mut StdRng::seed_from_u64(1));
+    let g2 = garble(&w.circuit, &mut StdRng::seed_from_u64(1));
+    let g3 = garble(&w.circuit, &mut StdRng::seed_from_u64(2));
     assert_eq!(g1.garbled, g2.garbled);
     assert_ne!(g1.wire_zero_labels, g3.wire_zero_labels);
 }
@@ -50,13 +50,13 @@ fn wrong_input_label_corrupts_the_result() {
     let c = b.finish(s).unwrap();
 
     let mut rng = StdRng::seed_from_u64(9);
-    let garbling = garble(&c, &mut rng, HashScheme::Rekeyed);
+    let garbling = garble(&c, &mut rng);
     let g_bits = to_bits(100, 8);
     let e_bits = to_bits(23, 8);
     let mut labels = garbling.encode_inputs(&c, &g_bits, &e_bits);
     // Flip evaluator bit 0 by switching to the complementary label.
     labels[8] ^= garbling.delta.block();
-    let out = evaluate(&c, &garbling.garbled.tables, &labels, HashScheme::Rekeyed);
+    let out = evaluate(&c, &garbling.garbled.tables, &labels);
     let decoded = decode_outputs(&out, &garbling.garbled.output_decode);
     assert_eq!(from_bits(&decoded), 100 + 22, "flipped input bit must flip the sum's lsb");
 }

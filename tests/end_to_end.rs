@@ -29,10 +29,9 @@ fn every_workload_garbles_and_evaluates_correctly() {
     let mut rng = StdRng::seed_from_u64(0xE2E);
     for kind in WorkloadKind::ALL {
         let w = build_workload(kind, Scale::Small);
-        let garbling = garble(&w.circuit, &mut rng, HashScheme::Rekeyed);
+        let garbling = garble(&w.circuit, &mut rng);
         let inputs = garbling.encode_inputs(&w.circuit, &w.garbler_bits, &w.evaluator_bits);
-        let out_labels =
-            evaluate(&w.circuit, &garbling.garbled.tables, &inputs, HashScheme::Rekeyed);
+        let out_labels = evaluate(&w.circuit, &garbling.garbled.tables, &inputs);
         let got = decode_outputs(&out_labels, &garbling.garbled.output_decode);
         assert_eq!(got, w.expected, "{}", kind.name());
     }
@@ -47,13 +46,8 @@ fn every_workload_survives_haac_compilation_at_multiple_sww_sizes() {
             let window = WindowModel::new(sww_wires);
             for strategy in [ReorderKind::Baseline, ReorderKind::Segment, ReorderKind::Full] {
                 let (plan, _) = compile(&w.circuit, strategy, window);
-                let got = run_gc_through_streams(
-                    &plan,
-                    &w.garbler_bits,
-                    &w.evaluator_bits,
-                    &mut rng,
-                    HashScheme::Rekeyed,
-                );
+                let got =
+                    run_gc_through_streams(&plan, &w.garbler_bits, &w.evaluator_bits, &mut rng);
                 assert_eq!(got, w.expected, "{} sww={sww_wires} {strategy:?}", kind.name());
             }
         }

@@ -34,7 +34,7 @@ fn multi_engine_transcripts_match_single_engine_on_all_workloads() {
         let w = build(kind, Scale::Small);
         let seed = 0xE26 ^ kind.name().len() as u64;
         let mut rng = StdRng::seed_from_u64(seed);
-        let reference = garble(&w.circuit, &mut rng, HashScheme::Rekeyed);
+        let reference = garble(&w.circuit, &mut rng);
 
         let plan = baseline_plan(&w.circuit);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -52,7 +52,7 @@ fn parallel_garbling_still_evaluates_correctly() {
     let plan = baseline_plan(&w.circuit);
     let g = garble_plan_in(&plan, &mut rng, HashScheme::Rekeyed, &EnginePool::new(4));
     let inputs = g.encode_inputs(&w.garbler_bits, &w.evaluator_bits);
-    let out = haac::gc::evaluate(&w.circuit, &g.tables, &inputs, HashScheme::Rekeyed);
+    let out = haac::gc::evaluate(&w.circuit, &g.tables, &inputs);
     let decoded = haac::gc::decode_outputs(&out, &g.output_decode);
     assert_eq!(decoded, w.expected);
 }
@@ -67,7 +67,7 @@ fn shared_pool_transcripts_match_single_engine_on_all_workloads() {
         let w = build(kind, Scale::Small);
         let seed = 0xE27 ^ kind.name().len() as u64;
         let mut rng = StdRng::seed_from_u64(seed);
-        let reference = garble(&w.circuit, &mut rng, HashScheme::Rekeyed);
+        let reference = garble(&w.circuit, &mut rng);
         let mut rng = StdRng::seed_from_u64(seed);
         let pooled =
             garble_plan_in(&baseline_plan(&w.circuit), &mut rng, HashScheme::Rekeyed, &pool);

@@ -6,7 +6,7 @@
 
 use haac::prelude::*;
 use haac::server::choose_reorder;
-use haac_runtime::{run_evaluator_with, run_garbler_resumable, MemChannel, RuntimeError};
+use haac_runtime::{run_evaluator, run_garbler_resumable, MemChannel, RuntimeError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -56,7 +56,7 @@ fn run_acked(
             run_garbler_resumable(&w.garbler_bits, &mut rng, config, g_end, no_resume)
         });
         let mut rng = StdRng::seed_from_u64(6);
-        let e = run_evaluator_with(&w.evaluator_bits, &mut rng, config, &mut e_end);
+        let e = run_evaluator(&w.evaluator_bits, &mut rng, config, &mut e_end);
         (garbler.join().expect("garbler thread").expect("garbler"), e.expect("evaluator"))
     })
 }

@@ -77,8 +77,7 @@ fn assert_live(w: &Workload, reorder: ReorderKind, dead: (usize, usize)) {
 
     let bits = live.live_garbler_bits(&w.garbler_bits);
     let mut rng = StdRng::seed_from_u64(0x11fe);
-    let outputs =
-        run_gc_through_streams(program, &bits, &w.evaluator_bits, &mut rng, HashScheme::Rekeyed);
+    let outputs = run_gc_through_streams(program, &bits, &w.evaluator_bits, &mut rng);
     assert_eq!(outputs, w.expected, "{tag}");
 }
 

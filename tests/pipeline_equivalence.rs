@@ -91,7 +91,7 @@ fn slab_garblers_stream_identical_tables_on_every_workload() {
         let plan = lower_for_streaming(&w.circuit);
         let mut rng1 = StdRng::seed_from_u64(7 + kind as u64);
         let mut rng2 = StdRng::seed_from_u64(7 + kind as u64);
-        let oracle = garble(&w.circuit, &mut rng1, HashScheme::Rekeyed);
+        let oracle = garble(&w.circuit, &mut rng1);
         let mut slab = StreamingGarbler::with_plan(&plan.program, &mut rng2, HashScheme::Rekeyed);
         assert_eq!(slab.delta(), oracle.delta, "{}", kind.name());
         let mut tables = Vec::with_capacity(slab.total_tables());
@@ -234,7 +234,7 @@ fn chunk_budgets_that_cut_runs_stream_the_same_transcript() {
 
     for kind in [WorkloadKind::Triangle, WorkloadKind::DotProduct, WorkloadKind::GradDesc] {
         let w = build_workload(kind, Scale::Small);
-        let oracle = garble(&w.circuit, &mut StdRng::seed_from_u64(9), HashScheme::Rekeyed);
+        let oracle = garble(&w.circuit, &mut StdRng::seed_from_u64(9));
         for reorder_kind in REORDERS {
             let plan = lower_with_reorder(&w.circuit, reorder_kind);
             let mut reference = None;

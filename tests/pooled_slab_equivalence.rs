@@ -110,7 +110,7 @@ fn run_split(
     garbler_config: &SessionConfig,
     evaluator_config: &SessionConfig,
 ) -> (Result<SessionReport, RuntimeError>, Result<SessionReport, RuntimeError>, u64) {
-    use haac_runtime::run_evaluator_with;
+    use haac_runtime::run_evaluator;
 
     let (mut gc, mut ec) = MemChannel::pair();
     std::thread::scope(|scope| {
@@ -120,7 +120,7 @@ fn run_split(
         });
         let evaluator = scope.spawn(move || {
             let mut rng = StdRng::seed_from_u64(2);
-            let report = run_evaluator_with(&w.evaluator_bits, &mut rng, evaluator_config, &mut ec);
+            let report = run_evaluator(&w.evaluator_bits, &mut rng, evaluator_config, &mut ec);
             (report, ec.stats().bytes_received)
         });
         let (e, received) = evaluator.join().unwrap();
@@ -145,8 +145,8 @@ fn assert_digest_refusal(w: &Workload, garbler: &SessionConfig, evaluator: &Sess
         matches!(&err, RuntimeError::Phased { source, .. } if matches!(**source, RuntimeError::Protocol(_))),
         "{err:?}"
     );
-    // Only the header frame (5 + 26 bytes) was read: no label, no table.
-    assert_eq!(received, 31, "the evaluator consumed nothing past the header");
+    // Only the header frame (5 + 25 bytes) was read: no label, no table.
+    assert_eq!(received, 30, "the evaluator consumed nothing past the header");
     assert!(g.is_err(), "the garbler sees the hangup, not a hung stream");
 }
 

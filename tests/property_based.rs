@@ -122,9 +122,9 @@ proptest! {
         let expect = c.eval(&g_bits, &e_bits).unwrap();
 
         let mut rng = StdRng::seed_from_u64(seed);
-        let garbling = garble(&c, &mut rng, HashScheme::Rekeyed);
+        let garbling = garble(&c, &mut rng);
         let labels = garbling.encode_inputs(&c, &g_bits, &e_bits);
-        let out = evaluate(&c, &garbling.garbled.tables, &labels, HashScheme::Rekeyed);
+        let out = evaluate(&c, &garbling.garbled.tables, &labels);
         prop_assert_eq!(decode_outputs(&out, &garbling.garbled.output_decode), expect);
     }
 
@@ -145,7 +145,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         for kind in [ReorderKind::Baseline, ReorderKind::Segment, ReorderKind::Full] {
             let (plan, _) = compile(&c, kind, window);
-            let got = run_gc_through_streams(&plan, &g_bits, &e_bits, &mut rng, HashScheme::Rekeyed);
+            let got = run_gc_through_streams(&plan, &g_bits, &e_bits, &mut rng);
             prop_assert_eq!(got, expect.clone(), "{:?} sww={}", kind, sww);
         }
     }

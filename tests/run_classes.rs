@@ -51,10 +51,10 @@ fn stream(program: &SlotProgram, g_bits: &[bool], e_bits: &[bool], chunk: usize)
 
 /// The oracle's transcript of `circuit` from the same seed.
 fn oracle(circuit: &Circuit, g_bits: &[bool], e_bits: &[bool]) -> Transcript {
-    let garbling = garble(circuit, &mut StdRng::seed_from_u64(11), HashScheme::Rekeyed);
+    let garbling = garble(circuit, &mut StdRng::seed_from_u64(11));
     let labels = garbling.encode_inputs(circuit, g_bits, e_bits);
     let tables = garbling.garbled.tables.clone();
-    let output_labels = evaluate(circuit, &tables, &labels, HashScheme::Rekeyed);
+    let output_labels = evaluate(circuit, &tables, &labels);
     let ands = tables.len() as u64;
     Transcript {
         tables,

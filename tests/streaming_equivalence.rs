@@ -12,9 +12,9 @@ use rand::SeedableRng;
 /// Monolithic reference: garble everything, evaluate everything.
 fn monolithic_outputs(w: &haac::workloads::Workload, seed: u64) -> Vec<bool> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let garbling = garble(&w.circuit, &mut rng, HashScheme::Rekeyed);
+    let garbling = garble(&w.circuit, &mut rng);
     let inputs = garbling.encode_inputs(&w.circuit, &w.garbler_bits, &w.evaluator_bits);
-    let out = evaluate(&w.circuit, &garbling.garbled.tables, &inputs, HashScheme::Rekeyed);
+    let out = evaluate(&w.circuit, &garbling.garbled.tables, &inputs);
     decode_outputs(&out, &garbling.garbled.output_decode)
 }
 

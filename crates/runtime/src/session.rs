@@ -21,13 +21,25 @@
 //!   retire bookkeeping and the peak residency known statically from
 //!   the plan.
 //!
-//! There is one garbler loop and one evaluator loop. Every public
-//! driver is a wrapper that picks where tables come from (a
-//! [`GarblerSource`]: garbled online or replayed from a bank), the ack
-//! cadence the header announces, and what a transport failure does: a
-//! resumable session keeps the unacknowledged frames' bytes and asks a
-//! callback for a fresh channel; a plain session announces
-//! `ack_interval: 0`, keeps nothing, and its callback declines.
+//! **Each side is straight-line phases:** handshake, OT, stream and
+//! output, in order, each arming its deadline as it starts, with every
+//! flight ending in a flush in plain sight. The OT phase is one
+//! base-OT exchange a role; [`OtMode::Extended`] runs the same exchange
+//! with the roles reversed, then adds the matrix and the labels. So the
+//! flights are fixed per mode. With F table frames and an announced ack
+//! interval `a`, the garbler flushes F + 2 times (F + 3 extended) and
+//! the evaluator 2 + ⌊F/a⌋ times (3 + ⌊F/a⌋ extended; no acks when `a`
+//! is 0). Both sides share one reconnect loop and build their
+//! [`SessionReport`] in one place.
+//!
+//! Every public driver wraps its side's one session function (a
+//! garbler driver writes the header first). It picks where tables come
+//! from (a [`GarblerSource`]: garbled online or replayed from a bank),
+//! the ack cadence the header announces, and what a transport failure
+//! does. A resumable session keeps the
+//! unacknowledged frames' bytes and asks a callback for a fresh
+//! channel; a plain session announces `ack_interval: 0`, keeps nothing,
+//! and its callback declines.
 //!
 //! **A session runs on its plan alone.** No driver takes the netlist:
 //! input widths, the table count, the evaluator's OT pairs and the
@@ -47,8 +59,8 @@ use haac_circuit::Circuit;
 use haac_core::lower::{lower_live, StreamingPlan};
 use haac_core::ReorderKind;
 use haac_gc::{
-    wire_view, BankedGarbler, Block, CryptoCounters, GarblerFinish, HashScheme, PlanGarbling,
-    StreamingEvaluator, StreamingGarbler,
+    wire_view, BankedGarbler, Block, CryptoCounters, GarblerFinish, HashScheme, OtExtReceiver,
+    OtExtSender, PlanGarbling, StreamingEvaluator, StreamingGarbler, OT_EXT_KAPPA,
 };
 use haac_telemetry::{Counter, Histogram, SlidingRate};
 use rand::Rng;
@@ -313,8 +325,10 @@ impl SessionConfig {
 /// queue occupancy sampled at chunk boundaries, OT phase timing, and a
 /// sliding-window table rate feeding an aggregate gates/s gauge.
 /// Recording is skipped entirely when
-/// [`haac_telemetry::enabled`] is off.
-#[derive(Debug, Clone)]
+/// [`haac_telemetry::enabled`] is off. The default is fresh handles
+/// registered nowhere, for tests and one-off sessions that read the
+/// handles directly.
+#[derive(Debug, Clone, Default)]
 pub struct SessionTelemetry {
     /// Per-chunk garbling/evaluation span, in nanoseconds.
     pub chunk_compute_ns: Arc<Histogram>,
@@ -342,29 +356,11 @@ pub struct SessionTelemetry {
 
 impl SessionTelemetry {
     /// Records one party's finished OT phase.
-    fn record_ot(&self, ot_ns: u64, ot: &OtOutcome) {
-        self.ot_ns.record(ot_ns);
+    fn record_ot(&self, ot: &OtOutcome) {
+        self.ot_ns.record(ot.ns);
         self.base_ots.add(ot.base_ots);
         self.ext_ots.add(ot.ext_ots);
         self.ot_rate.add(ot.transfers);
-    }
-}
-
-impl Default for SessionTelemetry {
-    /// Fresh handles not registered anywhere — useful for tests and
-    /// one-off sessions that read the handles directly.
-    fn default() -> SessionTelemetry {
-        SessionTelemetry {
-            chunk_compute_ns: Arc::new(Histogram::new()),
-            chunk_io_ns: Arc::new(Histogram::new()),
-            oor_occupancy: Arc::new(Histogram::new()),
-            ot_ns: Arc::new(Histogram::new()),
-            tables: Arc::new(Counter::new()),
-            table_rate: Arc::new(SlidingRate::new()),
-            base_ots: Arc::new(Counter::new()),
-            ext_ots: Arc::new(Counter::new()),
-            ot_rate: Arc::new(SlidingRate::new()),
-        }
     }
 }
 
@@ -390,7 +386,9 @@ pub struct SessionReport {
     pub peak_live_wires: usize,
     /// Whether `peak_live_wires` fit within the announced window.
     pub within_window: bool,
-    /// Base OTs performed (one per evaluator input bit).
+    /// Evaluator input labels delivered by the OT phase, one per
+    /// evaluator input bit in either [`OtMode`] (the base OTs are
+    /// [`base_ots`](SessionReport::base_ots)).
     pub ot_transfers: u64,
     /// Cipher work this side performed: AES key expansions (2 per AND
     /// when garbling under re-keying) and AES block calls (4 garbling,
@@ -406,11 +404,11 @@ pub struct SessionReport {
     /// (compute and I/O together; handshake and OT excluded) — the
     /// denominator for streaming-phase throughput.
     pub stream_ns: u64,
-    /// How much of this party's smaller streaming stage was hidden
-    /// behind its larger one: `(compute_ns + io_ns - stream_wall) /
-    /// min(compute_ns, io_ns)`, clamped to `[0, 1]`. Compute and I/O
-    /// alternate within a party, so this reads 0; the overlap a session
-    /// has is *between* the parties, through the frame stream.
+    /// Always 0. Compute, I/O and stall are disjoint spans of one loop,
+    /// so within a party no stage hides behind another; the overlap a
+    /// session has is *between* the parties, through the frame stream.
+    /// The field stays only because `benchmark/` reads it (ROADMAP item
+    /// 1(c)).
     pub overlap_ratio: f64,
     /// Nanoseconds of the OT phase (setup, transfer, and the wait for
     /// the peer's OT round trips), whichever mode ran.
@@ -493,17 +491,48 @@ struct StreamStats {
     io_stall_ns: u64,
 }
 
-impl StreamStats {
-    /// Fraction of the smaller stage hidden behind the larger one.
-    fn overlap_ratio(&self) -> f64 {
-        let serialized = self.compute_ns + self.io_ns;
-        let hidden = serialized.saturating_sub(self.wall_ns);
-        let denom = self.compute_ns.min(self.io_ns);
-        if denom == 0 {
-            0.0
-        } else {
-            (hidden as f64 / denom as f64).clamp(0.0, 1.0)
-        }
+/// Either role's report: the executor's finish (peak live wires, OoRW
+/// queue peak, cipher work), the OT and stream phases' accounting, and
+/// the traffic and resumes of every connection the session ran over.
+#[allow(clippy::too_many_arguments)]
+fn session_report<C: Channel, F>(
+    role: SessionRole,
+    outputs: Vec<bool>,
+    (peak_live_wires, oor_queue_peak, crypto): (usize, usize, CryptoCounters),
+    config: &SessionConfig,
+    ot: &OtOutcome,
+    stream: &StreamStats,
+    channel: &C,
+    link: &Reconnects<'_, F>,
+    start: Instant,
+) -> SessionReport {
+    let mut traffic = channel.stats();
+    absorb_stats(&mut traffic, &link.carried);
+    SessionReport {
+        role,
+        outputs,
+        bytes_sent: traffic.bytes_sent,
+        bytes_received: traffic.bytes_received,
+        flushes: traffic.flushes,
+        table_chunks: stream.chunks,
+        tables: stream.tables,
+        peak_live_wires,
+        within_window: peak_live_wires <= config.plan.window.sww_wires() as usize,
+        ot_transfers: ot.transfers,
+        crypto,
+        compute_ns: stream.compute_ns,
+        io_ns: stream.io_ns,
+        stream_ns: stream.wall_ns,
+        overlap_ratio: 0.0,
+        ot_ns: ot.ns,
+        base_ots: ot.base_ots,
+        ext_ots: ot.ext_ots,
+        ot_io_stall_ns: ot.io_stall_ns,
+        io_stall_ns: stream.io_stall_ns,
+        oor_queue_peak,
+        resumes: link.resumes,
+        replayed_frames: link.replayed_frames,
+        elapsed: start.elapsed(),
     }
 }
 
@@ -511,18 +540,28 @@ impl StreamStats {
 /// must not preallocate a huge buffer before any table exists).
 const CHUNK_BUFFER_CAP: usize = 1 << 16;
 
-fn expect_message<C: Channel + ?Sized>(
-    channel: &mut C,
-    expected: &'static str,
-) -> Result<Message, RuntimeError> {
-    let message = read_message(channel)?;
-    if message.name() != expected {
-        return Err(RuntimeError::protocol(format!(
-            "expected {expected}, received {}",
-            message.name()
-        )));
-    }
-    Ok(message)
+/// Reads the next message, which must be a `Message::$variant`: binds
+/// its fields by `$fields` and evaluates to `Ok($out)`. Any other message
+/// is a protocol error naming both. Given a stall counter, it adds the
+/// time the read blocked to it.
+macro_rules! receive {
+    ($channel:expr, $variant:ident $fields:tt => $out:expr) => {
+        match read_message($channel) {
+            Ok(Message::$variant $fields) => Ok($out),
+            Ok(other) => Err(RuntimeError::protocol(format!(
+                "expected {}, received {}",
+                stringify!($variant),
+                other.name()
+            ))),
+            Err(e) => Err(e),
+        }
+    };
+    ($channel:expr, $stall:expr, $variant:ident $fields:tt => $out:expr) => {{
+        let waited = Instant::now();
+        let received = receive!($channel, $variant $fields => $out);
+        *$stall += waited.elapsed().as_nanos() as u64;
+        received
+    }};
 }
 
 /// Refuses a party's input bits when their count is not the plan's.
@@ -610,220 +649,155 @@ struct OtOutcome {
     ext_ots: u64,
     /// Nanoseconds blocked waiting for the peer's OT messages.
     io_stall_ns: u64,
+    /// Nanoseconds of the whole phase.
+    ns: u64,
+}
+
+impl OtOutcome {
+    /// A finished phase of `transfers` labels that began at `start`.
+    fn new(mode: OtMode, transfers: usize, io_stall_ns: u64, start: Instant) -> OtOutcome {
+        let ns = start.elapsed().as_nanos() as u64;
+        let transfers = transfers as u64;
+        let (base_ots, ext_ots) = match mode {
+            OtMode::Base => (transfers, 0),
+            OtMode::Extended => (OT_EXT_KAPPA as u64, transfers),
+        };
+        OtOutcome { transfers, base_ots, ext_ots, io_stall_ns, ns }
+    }
 }
 
 /// Maps a typed OT-layer failure to the session's protocol error (it
 /// reached us from the trust boundary: every [`haac_gc::OtError`] here
-/// is caused by peer-sent bytes).
-#[cfg(feature = "insecure-ot")]
+/// is caused by peer-sent bytes, a batch of the wrong count included).
 fn ot_protocol_error(e: haac_gc::OtError) -> RuntimeError {
     RuntimeError::protocol(format!("OT: {e}"))
 }
 
+/// The base-OT exchange, sender side: `OtSetup` (flushed), then the
+/// receiver's `OtPoints`, then `OtCiphertexts`, left unflushed for the
+/// next flight to carry.
 #[cfg(feature = "insecure-ot")]
-fn ot_send<C: Channel + ?Sized, R: Rng + ?Sized>(
+fn base_ot_send<C: Channel + ?Sized, R: Rng + ?Sized>(
     pairs: &[(Block, Block)],
     rng: &mut R,
     channel: &mut C,
-) -> Result<OtOutcome, RuntimeError> {
-    use haac_gc::ot::base::OtSender;
-
-    let sender = OtSender::new(rng);
-    write_message(
-        channel,
-        &Message::OtSetup { point: sender.public_point(), nonce: sender.nonce().into() },
-    )?;
+    stall: &mut u64,
+) -> Result<(), RuntimeError> {
+    let sender = haac_gc::ot::base::OtSender::new(rng);
+    let setup = Message::OtSetup { point: sender.public_point(), nonce: sender.nonce().into() };
+    write_message(channel, &setup)?;
     channel.flush()?;
-
-    let waited = Instant::now();
-    let Message::OtPoints(points) = expect_message(channel, "OtPoints")? else { unreachable!() };
-    let io_stall_ns = waited.elapsed().as_nanos() as u64;
-    if points.len() != pairs.len() {
-        return Err(RuntimeError::protocol("one OT point per evaluator input required"));
-    }
+    let points = receive!(channel, stall, OtPoints(points) => points)?;
     // `encrypt` rejects out-of-group points itself: a zero point would
     // collapse both branch keys to a public value, handing the peer
     // both labels (and Δ).
     let cts = sender.encrypt(&points, pairs).map_err(ot_protocol_error)?;
-    write_message(channel, &Message::OtCiphertexts(cts))?;
-    Ok(OtOutcome {
-        transfers: pairs.len() as u64,
-        base_ots: pairs.len() as u64,
-        ext_ots: 0,
-        io_stall_ns,
-    })
+    write_message(channel, &Message::OtCiphertexts(cts))
 }
 
+/// The base-OT exchange, receiver side: awaits `OtSetup`, answers with
+/// `OtPoints` (flushed), then awaits `OtCiphertexts` and decrypts the
+/// chosen label of each pair.
 #[cfg(feature = "insecure-ot")]
-fn ot_receive<C: Channel + ?Sized, R: Rng + ?Sized>(
-    evaluator_bits: &[bool],
+fn base_ot_receive<C: Channel + ?Sized, R: Rng + ?Sized>(
+    choices: &[bool],
     rng: &mut R,
     channel: &mut C,
-) -> Result<(Vec<Block>, OtOutcome), RuntimeError> {
-    use haac_gc::ot::base::OtReceiver;
-
-    let waited = Instant::now();
-    let Message::OtSetup { point, nonce } = expect_message(channel, "OtSetup")? else {
-        unreachable!()
-    };
-    let mut io_stall_ns = waited.elapsed().as_nanos() as u64;
+    stall: &mut u64,
+) -> Result<Vec<Block>, RuntimeError> {
+    let (point, nonce) = receive!(channel, stall, OtSetup { point, nonce } => (point, nonce))?;
     // `new` rejects an out-of-group setup point itself: a zero S would
     // make R_i = 0 exactly when c_i = 1, leaking every choice bit.
-    let receiver = OtReceiver::new(rng, point, Block::from(nonce), evaluator_bits)
+    let receiver = haac_gc::ot::base::OtReceiver::new(rng, point, Block::from(nonce), choices)
         .map_err(ot_protocol_error)?;
     write_message(channel, &Message::OtPoints(receiver.blinded_points()))?;
     channel.flush()?;
+    let cts = receive!(channel, stall, OtCiphertexts(cts) => cts)?;
+    receiver.decrypt(&cts).map_err(ot_protocol_error)
+}
 
-    let waited = Instant::now();
-    let Message::OtCiphertexts(pairs) = expect_message(channel, "OtCiphertexts")? else {
-        unreachable!()
-    };
-    io_stall_ns += waited.elapsed().as_nanos() as u64;
-    let labels = receiver.decrypt(&pairs).map_err(ot_protocol_error)?;
-    Ok((
-        labels,
-        OtOutcome {
-            transfers: evaluator_bits.len() as u64,
-            base_ots: evaluator_bits.len() as u64,
-            ext_ots: 0,
-            io_stall_ns,
-        },
+#[cfg(not(feature = "insecure-ot"))]
+fn base_ot_send<C: Channel + ?Sized, R: Rng + ?Sized>(
+    _pairs: &[(Block, Block)],
+    _rng: &mut R,
+    _channel: &mut C,
+    _stall: &mut u64,
+) -> Result<(), RuntimeError> {
+    Err(RuntimeError::protocol(
+        "two-party sessions need a base OT; enable the `insecure-ot` feature",
     ))
 }
 
-/// Garbler side of the IKNP-style extension: ~κ base OTs with the roles
-/// *reversed* (this side receives, choosing with its secret κ-bit
-/// string) bootstrap per-column PRG seeds, then every evaluator input
-/// label ships under one batched hash of a transposed matrix row — no
-/// public-key work scales with the input count.
-#[cfg(feature = "insecure-ot")]
-fn ot_send_extended<C: Channel + ?Sized, R: Rng + ?Sized>(
+#[cfg(not(feature = "insecure-ot"))]
+fn base_ot_receive<C: Channel + ?Sized, R: Rng + ?Sized>(
+    _choices: &[bool],
+    _rng: &mut R,
+    _channel: &mut C,
+    _stall: &mut u64,
+) -> Result<Vec<Block>, RuntimeError> {
+    Err(RuntimeError::protocol(
+        "two-party sessions need a base OT; enable the `insecure-ot` feature",
+    ))
+}
+
+/// The garbler's OT phase: delivers the evaluator's input labels
+/// (`pairs`) in `mode`'s flights. `Base` is one base-OT exchange with
+/// this side sending. `Extended` (IKNP-style) is the same exchange with
+/// the roles reversed: this side receives one PRG seed per extension
+/// column, choosing with its secret κ-bit string. Then the evaluator's
+/// masked matrix comes in and every label leaves under one batched hash
+/// of a transposed row, so no public-key work scales with the input
+/// count. Either way the last message stays unflushed: the stream's
+/// first flush carries it.
+fn ot_send<C: Channel + ?Sized, R: Rng + ?Sized>(
+    mode: OtMode,
     pairs: &[(Block, Block)],
     rng: &mut R,
     channel: &mut C,
 ) -> Result<OtOutcome, RuntimeError> {
-    use haac_gc::ot::base::OtReceiver;
-    use haac_gc::{OtExtSender, OT_EXT_KAPPA};
-
-    let ext = OtExtSender::new(rng);
-
-    // Base-OT bootstrap, reversed: the evaluator opens as base-OT
-    // sender and this side receives one PRG seed per extension column.
-    // The phase opens with a receive, so the header and input labels
-    // still queued on this side must actually go out first.
-    channel.flush()?;
-    let waited = Instant::now();
-    let Message::OtSetup { point, nonce } = expect_message(channel, "OtSetup")? else {
-        unreachable!()
-    };
-    let mut io_stall_ns = waited.elapsed().as_nanos() as u64;
-    let receiver = OtReceiver::new(rng, point, Block::from(nonce), ext.choice_bits())
-        .map_err(ot_protocol_error)?;
-    write_message(channel, &Message::OtPoints(receiver.blinded_points()))?;
-    channel.flush()?;
-
-    let waited = Instant::now();
-    let Message::OtCiphertexts(cts) = expect_message(channel, "OtCiphertexts")? else {
-        unreachable!()
-    };
-    io_stall_ns += waited.elapsed().as_nanos() as u64;
-    if cts.len() != OT_EXT_KAPPA {
-        return Err(RuntimeError::protocol("one base-OT seed pair per extension column required"));
+    let start = Instant::now();
+    let mut stall = 0;
+    match mode {
+        OtMode::Base => base_ot_send(pairs, rng, channel, &mut stall)?,
+        OtMode::Extended => {
+            let ext = OtExtSender::new(rng);
+            // The phase opens with a receive, so the header and input
+            // labels still queued on this side must actually go out first.
+            channel.flush()?;
+            let seeds = base_ot_receive(ext.choice_bits(), rng, channel, &mut stall)?;
+            let u_matrix = receive!(channel, &mut stall, OtExtMatrix(u) => u)?;
+            let masked = ext.process(&seeds, &u_matrix, pairs).map_err(ot_protocol_error)?;
+            write_message(channel, &Message::OtExtLabels(masked))?;
+        }
     }
-    let seeds = receiver.decrypt(&cts).map_err(ot_protocol_error)?;
-
-    let waited = Instant::now();
-    let Message::OtExtMatrix(u_matrix) = expect_message(channel, "OtExtMatrix")? else {
-        unreachable!()
-    };
-    io_stall_ns += waited.elapsed().as_nanos() as u64;
-    let masked = ext.process(&seeds, &u_matrix, pairs).map_err(ot_protocol_error)?;
-    // Unflushed on purpose: the streaming phase's first flush carries
-    // the masked labels, exactly like the base path's ciphertexts.
-    write_message(channel, &Message::OtExtLabels(masked))?;
-    Ok(OtOutcome {
-        transfers: pairs.len() as u64,
-        base_ots: OT_EXT_KAPPA as u64,
-        ext_ots: pairs.len() as u64,
-        io_stall_ns,
-    })
+    Ok(OtOutcome::new(mode, pairs.len(), stall, start))
 }
 
-/// Evaluator side of the extension: this side plays base-OT *sender*
-/// (delivering seed pairs), ships the masked choice matrix, and unmasks
-/// its chosen labels from one hash per input.
-#[cfg(feature = "insecure-ot")]
-fn ot_receive_extended<C: Channel + ?Sized, R: Rng + ?Sized>(
-    evaluator_bits: &[bool],
+/// The evaluator's OT phase, the mirror image of [`ot_send`]: `Base`
+/// receives its labels by one base-OT exchange. `Extended` sends the
+/// seed pairs by that exchange, ships the masked choice matrix with its
+/// ciphertexts in one flight, and unmasks its labels from one hash each.
+fn ot_receive<C: Channel + ?Sized, R: Rng + ?Sized>(
+    mode: OtMode,
+    choices: &[bool],
     rng: &mut R,
     channel: &mut C,
 ) -> Result<(Vec<Block>, OtOutcome), RuntimeError> {
-    use haac_gc::ot::base::OtSender;
-    use haac_gc::{OtExtReceiver, OT_EXT_KAPPA};
-
-    let mut ext = OtExtReceiver::new(rng, evaluator_bits);
-
-    let sender = OtSender::new(rng);
-    write_message(
-        channel,
-        &Message::OtSetup { point: sender.public_point(), nonce: sender.nonce().into() },
-    )?;
-    channel.flush()?;
-
-    let waited = Instant::now();
-    let Message::OtPoints(points) = expect_message(channel, "OtPoints")? else { unreachable!() };
-    let mut io_stall_ns = waited.elapsed().as_nanos() as u64;
-    if points.len() != OT_EXT_KAPPA {
-        return Err(RuntimeError::protocol("one base-OT point per extension column required"));
-    }
-    let cts = sender.encrypt(&points, ext.seed_pairs()).map_err(ot_protocol_error)?;
-    write_message(channel, &Message::OtCiphertexts(cts))?;
-    write_message(channel, &Message::OtExtMatrix(ext.u_matrix()))?;
-    channel.flush()?;
-
-    let waited = Instant::now();
-    let Message::OtExtLabels(masked) = expect_message(channel, "OtExtLabels")? else {
-        unreachable!()
+    let start = Instant::now();
+    let mut stall = 0;
+    let labels = match mode {
+        OtMode::Base => base_ot_receive(choices, rng, channel, &mut stall)?,
+        OtMode::Extended => {
+            let mut ext = OtExtReceiver::new(rng, choices);
+            base_ot_send(ext.seed_pairs(), rng, channel, &mut stall)?;
+            write_message(channel, &Message::OtExtMatrix(ext.u_matrix()))?;
+            channel.flush()?;
+            let masked = receive!(channel, &mut stall, OtExtLabels(masked) => masked)?;
+            ext.decrypt(&masked).map_err(ot_protocol_error)?
+        }
     };
-    io_stall_ns += waited.elapsed().as_nanos() as u64;
-    let labels = ext.decrypt(&masked).map_err(ot_protocol_error)?;
-    Ok((
-        labels,
-        OtOutcome {
-            transfers: evaluator_bits.len() as u64,
-            base_ots: OT_EXT_KAPPA as u64,
-            ext_ots: evaluator_bits.len() as u64,
-            io_stall_ns,
-        },
-    ))
+    Ok((labels, OtOutcome::new(mode, choices.len(), stall, start)))
 }
-
-#[cfg(not(feature = "insecure-ot"))]
-fn ot_send<C: Channel + ?Sized, R: Rng + ?Sized>(
-    _pairs: &[(Block, Block)],
-    _rng: &mut R,
-    _channel: &mut C,
-) -> Result<OtOutcome, RuntimeError> {
-    Err(RuntimeError::protocol(
-        "two-party sessions need a base OT; enable the `insecure-ot` feature",
-    ))
-}
-
-#[cfg(not(feature = "insecure-ot"))]
-fn ot_receive<C: Channel + ?Sized, R: Rng + ?Sized>(
-    _evaluator_bits: &[bool],
-    _rng: &mut R,
-    _channel: &mut C,
-) -> Result<(Vec<Block>, OtOutcome), RuntimeError> {
-    Err(RuntimeError::protocol(
-        "two-party sessions need a base OT; enable the `insecure-ot` feature",
-    ))
-}
-
-// Without a base OT neither mode can deliver a label: the extension
-// fails exactly as the per-input OTs do.
-#[cfg(not(feature = "insecure-ot"))]
-use {ot_receive as ot_receive_extended, ot_send as ot_send_extended};
 
 /// Runs a complete session in-process: garbler and evaluator threads
 /// joined by a [`MemChannel`](crate::MemChannel) pair.
@@ -1084,6 +1058,51 @@ impl ReplayBuffer {
     fn unacked(&self) -> u64 {
         self.next_seq - self.acked
     }
+
+    /// The garbler's resume hello on a fresh channel: confirms the
+    /// evaluator's cursor with a `ResumeAck` and replays every buffered
+    /// frame at or past it, counting each into `replayed`. Frames below
+    /// the cursor are implicitly acknowledged — the evaluator vouching
+    /// for them is as good as an ack. The stream deadline is re-armed on
+    /// the new channel, so the per-chunk progress budget is per
+    /// connection, not cumulative across reconnects.
+    fn replay<C: Channel>(
+        &mut self,
+        channel: &mut C,
+        next_seq: u64,
+        deadlines: &SessionDeadlines,
+        replayed: &mut u64,
+    ) -> Result<(), RuntimeError> {
+        if next_seq > self.next_seq {
+            return Err(RuntimeError::protocol(format!(
+                "resume cursor {next_seq} is past the {} frames produced",
+                self.next_seq
+            ))
+            .in_phase(SessionPhase::Stream));
+        }
+        if next_seq < self.acked {
+            return Err(RuntimeError::protocol(format!(
+                "resume cursor {next_seq} is below the acknowledged cursor {}: those bytes \
+                 were released and cannot be replayed",
+                self.acked
+            ))
+            .in_phase(SessionPhase::Stream));
+        }
+        arm_phase(channel, SessionPhase::Stream, deadlines)?;
+        (|| -> Result<(), RuntimeError> {
+            write_message(channel, &Message::ResumeAck { from_seq: next_seq })?;
+            self.ack(next_seq)?;
+            for (seq, frame) in &self.frames {
+                debug_assert!(*seq >= next_seq);
+                let (head, body) = frame.parts();
+                channel.send(head)?;
+                channel.send(&body)?;
+                *replayed += 1;
+            }
+            Ok(channel.flush()?)
+        })()
+        .map_err(|e| e.in_phase(SessionPhase::Stream))
+    }
 }
 
 /// Folds one connection's traffic counters into a running total, so a
@@ -1094,15 +1113,11 @@ fn absorb_stats(total: &mut ChannelStats, stats: &ChannelStats) {
     total.flushes += stats.flushes;
 }
 
-/// What a garbler session keeps across the channels it runs over: the
-/// replay buffer, the traffic of connections already dropped, the
-/// resume tallies, and the callback that supplies the next channel.
-struct GarblerRecovery<'a, F> {
-    buffer: &'a mut ReplayBuffer,
-    /// Whether shipped frames stay buffered until acknowledged. A
-    /// session that announced no acks keeps nothing for a replay: each
-    /// frame is released as soon as it is on the wire.
-    retain: bool,
+/// What a session keeps across the channels it runs over, on either
+/// side: the traffic of connections already dropped, the resumes
+/// survived, the frames replayed (the garbler's), and the callback that
+/// supplies the next channel.
+struct Reconnects<'a, F> {
     deadlines: &'a SessionDeadlines,
     carried: ChannelStats,
     resumes: u64,
@@ -1110,15 +1125,63 @@ struct GarblerRecovery<'a, F> {
     resume: F,
 }
 
+impl<'a, F> Reconnects<'a, F> {
+    fn new(deadlines: &'a SessionDeadlines, resume: F) -> Self {
+        Self { deadlines, carried: Default::default(), resumes: 0, replayed_frames: 0, resume }
+    }
+
+    /// Recovers from a transport failure in `phase`. The dead channel is
+    /// dropped first (its traffic folded into `carried`; the peer only
+    /// observes the disconnect once the channel is gone). Then `hello`
+    /// asks the callback for a fresh channel and runs this side's resume
+    /// hello on it. A failed hello drops that channel in turn and its
+    /// failure becomes the pending one. `hello` returning `None` makes
+    /// the pending failure terminal, as does any failure that is not
+    /// [resume-safe](RuntimeError::resume_safe).
+    fn recover<C: Channel>(
+        &mut self,
+        mut dead: C,
+        err: RuntimeError,
+        phase: SessionPhase,
+        mut hello: impl FnMut(&mut Self, &RuntimeError) -> Option<(C, Result<(), RuntimeError>)>,
+    ) -> Result<C, RuntimeError> {
+        let mut err = err.in_phase(phase);
+        loop {
+            absorb_stats(&mut self.carried, &dead.stats());
+            drop(dead);
+            if !err.resume_safe() {
+                return Err(err);
+            }
+            let Some((channel, greeted)) = hello(self, &err) else {
+                return Err(err);
+            };
+            match greeted {
+                Ok(()) => {
+                    self.resumes += 1;
+                    return Ok(channel);
+                }
+                Err(hello_err) => (dead, err) = (channel, hello_err),
+            }
+        }
+    }
+}
+
+/// What a garbler session keeps across the channels it runs over: the
+/// replay buffer, and the reconnects whose hello replays out of it.
+struct GarblerRecovery<'a, F> {
+    buffer: &'a mut ReplayBuffer,
+    /// Whether shipped frames stay buffered until acknowledged. A
+    /// session that announced no acks keeps nothing for a replay: each
+    /// frame is released as soon as it is on the wire.
+    retain: bool,
+    reconnects: Reconnects<'a, F>,
+}
+
 impl<F> GarblerRecovery<'_, F> {
-    /// Recovers from a transport failure: the dead channel is dropped
-    /// first (its traffic folded into `carried`; the peer only observes
-    /// the disconnect once the channel is gone), then the `resume`
-    /// callback is asked for a fresh channel plus the evaluator's
-    /// requested cursor, and every buffered frame at or past that
-    /// cursor is replayed byte-for-byte. Failures during the replay
-    /// re-consult the callback; the callback returning `None` makes the
-    /// pending failure terminal, as does any non-resumable failure.
+    /// Recovers from a transport failure ([`Reconnects::recover`]): the
+    /// `resume` callback supplies a fresh channel plus the evaluator's
+    /// requested cursor, and every buffered frame at or past that cursor
+    /// is replayed byte-for-byte ([`ReplayBuffer::replay`]).
     fn recover<C>(
         &mut self,
         dead: C,
@@ -1129,66 +1192,13 @@ impl<F> GarblerRecovery<'_, F> {
         C: Channel,
         F: FnMut(&RuntimeError, u64) -> Option<(C, u64)>,
     {
-        let mut err = err.in_phase(phase);
-        absorb_stats(&mut self.carried, &dead.stats());
-        drop(dead);
-        loop {
-            if !err.resume_safe() {
-                return Err(err);
-            }
-            let Some((mut channel, next_seq)) = (self.resume)(&err, self.buffer.next_seq) else {
-                return Err(err);
-            };
-            match self.replay(&mut channel, next_seq) {
-                Ok(()) => return Ok(channel),
-                Err(replay_err) => {
-                    absorb_stats(&mut self.carried, &channel.stats());
-                    drop(channel);
-                    err = replay_err;
-                }
-            }
-        }
-    }
-
-    /// Confirms the evaluator's cursor with a `ResumeAck` on a fresh
-    /// channel and replays every buffered frame at or past it. Frames
-    /// below the cursor are implicitly acknowledged — the evaluator
-    /// vouching for them is as good as an ack. The stream deadline is
-    /// re-armed on the new channel, so the per-chunk progress budget is
-    /// per connection, not cumulative across reconnects.
-    fn replay<C: Channel>(&mut self, channel: &mut C, next_seq: u64) -> Result<(), RuntimeError> {
         let buffer = &mut *self.buffer;
-        if next_seq > buffer.next_seq {
-            return Err(RuntimeError::protocol(format!(
-                "resume cursor {next_seq} is past the {} frames produced",
-                buffer.next_seq
-            ))
-            .in_phase(SessionPhase::Stream));
-        }
-        if next_seq < buffer.acked {
-            return Err(RuntimeError::protocol(format!(
-                "resume cursor {next_seq} is below the acknowledged cursor {}: those bytes \
-                 were released and cannot be replayed",
-                buffer.acked
-            ))
-            .in_phase(SessionPhase::Stream));
-        }
-        arm_phase(channel, SessionPhase::Stream, self.deadlines)?;
-        (|| -> Result<(), RuntimeError> {
-            write_message(channel, &Message::ResumeAck { from_seq: next_seq })?;
-            buffer.ack(next_seq)?;
-            for (seq, frame) in &buffer.frames {
-                debug_assert!(*seq >= next_seq);
-                let (head, body) = frame.parts();
-                channel.send(head)?;
-                channel.send(&body)?;
-                self.replayed_frames += 1;
-            }
-            Ok(channel.flush()?)
-        })()
-        .map_err(|e| e.in_phase(SessionPhase::Stream))?;
-        self.resumes += 1;
-        Ok(())
+        self.reconnects.recover(dead, err, phase, |link, err| {
+            let (mut channel, next_seq) = (link.resume)(err, buffer.next_seq)?;
+            let replayed =
+                buffer.replay(&mut channel, next_seq, link.deadlines, &mut link.replayed_frames);
+            Some((channel, replayed))
+        })
     }
 
     /// Buffers a frame in the replay buffer, then sends and flushes it
@@ -1304,7 +1314,6 @@ where
     let start = Instant::now();
     write_resumable_header(config, &mut channel)?;
     let garbler = StreamingGarbler::with_plan(&config.plan.program, rng, HashScheme::Rekeyed);
-    let mut replay = ReplayBuffer::new();
     stream_garbler_resumable(
         &config.plan.live_garbler_bits(garbler_bits),
         garbler,
@@ -1313,7 +1322,7 @@ where
         channel,
         resume,
         start,
-        &mut replay,
+        &mut ReplayBuffer::new(),
     )
 }
 
@@ -1372,7 +1381,6 @@ where
     let start = Instant::now();
     write_resumable_header(config, &mut channel)?;
     let garbler = BankedGarbler::new(instance);
-    let mut replay = ReplayBuffer::new();
     stream_garbler_resumable(
         &config.plan.live_garbler_bits(garbler_bits),
         garbler,
@@ -1381,7 +1389,7 @@ where
         channel,
         resume,
         start,
-        &mut replay,
+        &mut ReplayBuffer::new(),
     )
 }
 
@@ -1501,15 +1509,10 @@ where
         .collect();
     let live = config.telemetry.as_deref().filter(|_| haac_telemetry::enabled());
     arm_phase(&mut channel, SessionPhase::Ot, &config.deadlines)?;
-    let t = Instant::now();
-    let ot = match config.ot_mode {
-        OtMode::Base => ot_send(&evaluator_pairs, rng, &mut channel),
-        OtMode::Extended => ot_send_extended(&evaluator_pairs, rng, &mut channel),
-    }
-    .map_err(|e| e.in_phase(SessionPhase::Ot))?;
-    let ot_ns = t.elapsed().as_nanos() as u64;
+    let ot = ot_send(config.ot_mode, &evaluator_pairs, rng, &mut channel)
+        .map_err(|e| e.in_phase(SessionPhase::Ot))?;
     if let Some(tel) = live {
-        tel.record_ot(ot_ns, &ot);
+        tel.record_ot(&ot);
     }
 
     arm_phase(&mut channel, SessionPhase::Stream, &config.deadlines)?;
@@ -1518,11 +1521,7 @@ where
     let mut link = GarblerRecovery {
         buffer,
         retain: config.ack_interval > 0,
-        deadlines: &config.deadlines,
-        carried: ChannelStats::default(),
-        resumes: 0,
-        replayed_frames: 0,
-        resume,
+        reconnects: Reconnects::new(&config.deadlines, resume),
     };
     loop {
         // Bounded replay buffer: block for acks before garbling on.
@@ -1623,59 +1622,36 @@ where
         )));
     }
 
-    let mut channel_stats = channel.stats();
-    absorb_stats(&mut channel_stats, &link.carried);
-    Ok(SessionReport {
-        role: SessionRole::Garbler,
+    let finished = (finish.peak_live_wires, finish.oor_queue_peak, finish.crypto);
+    Ok(session_report(
+        SessionRole::Garbler,
         outputs,
-        bytes_sent: channel_stats.bytes_sent,
-        bytes_received: channel_stats.bytes_received,
-        flushes: channel_stats.flushes,
-        table_chunks: stats.chunks,
-        tables: stats.tables,
-        peak_live_wires: finish.peak_live_wires,
-        within_window: finish.peak_live_wires <= config.plan.window.sww_wires() as usize,
-        ot_transfers: ot.transfers,
-        crypto: finish.crypto,
-        compute_ns: stats.compute_ns,
-        io_ns: stats.io_ns,
-        stream_ns: stats.wall_ns,
-        overlap_ratio: stats.overlap_ratio(),
-        ot_ns,
-        base_ots: ot.base_ots,
-        ext_ots: ot.ext_ots,
-        ot_io_stall_ns: ot.io_stall_ns,
-        io_stall_ns: stats.io_stall_ns,
-        oor_queue_peak: finish.oor_queue_peak,
-        resumes: link.resumes,
-        replayed_frames: link.replayed_frames,
-        elapsed: start.elapsed(),
-    })
+        finished,
+        config,
+        &ot,
+        &stats,
+        &channel,
+        &link.reconnects,
+        start,
+    ))
 }
 
 /// What an evaluator session keeps across the channels it runs over:
-/// the ticket it may resume under (a plain session holds none), the
-/// traffic of connections already dropped, the resume tally, and the
-/// callback that supplies the next raw connection.
+/// the ticket it may resume under (a plain session holds none), and the
+/// reconnects whose hello presents it.
 struct EvaluatorRecovery<'a, F> {
     ticket: Option<u128>,
-    deadlines: &'a SessionDeadlines,
-    carried: ChannelStats,
-    resumes: u64,
-    resume: F,
+    reconnects: Reconnects<'a, F>,
 }
 
 impl<F> EvaluatorRecovery<'_, F> {
-    /// Recovers from a transport failure: the dead channel is dropped
-    /// first (its traffic folded into `carried`; the peer only observes
-    /// the disconnect once the channel is gone), then the `resume`
-    /// callback is asked for a fresh raw connection and the resume
-    /// handshake runs on it — this side sends `Resume{ticket, next_seq}`
-    /// and requires the garbler's `ResumeAck` to confirm exactly that
-    /// cursor; anything else means the replay would not continue
-    /// bit-identically and is fatal. Handshake failures re-consult the
-    /// callback; `None` makes the pending failure terminal. With no
-    /// ticket to resume under, the failure is terminal at once.
+    /// Recovers from a transport failure ([`Reconnects::recover`]): the
+    /// `resume` callback supplies a fresh raw connection, and this
+    /// side's hello sends `Resume{ticket, next_seq}` on it and requires
+    /// the garbler's `ResumeAck` to confirm exactly that cursor; anything
+    /// else means the replay would not continue bit-identically and is
+    /// fatal. With no ticket to resume under, the failure is terminal at
+    /// once.
     fn recover<C>(
         &mut self,
         dead: C,
@@ -1687,25 +1663,16 @@ impl<F> EvaluatorRecovery<'_, F> {
         C: Channel,
         F: FnMut(&RuntimeError, u64) -> Option<C>,
     {
-        let mut err = err.in_phase(phase);
-        absorb_stats(&mut self.carried, &dead.stats());
-        drop(dead);
-        loop {
-            let Some(ticket) = self.ticket.filter(|_| err.resume_safe()) else {
-                return Err(err);
-            };
-            let Some(mut channel) = (self.resume)(&err, next_seq) else {
-                return Err(err);
-            };
+        let ticket = self.ticket;
+        self.reconnects.recover(dead, err, phase, |link, err| {
+            let ticket = ticket?;
+            let mut channel = (link.resume)(err, next_seq)?;
             let hello = (|| -> Result<(), RuntimeError> {
                 // The chunk budget restarts with the connection.
-                arm_phase(&mut channel, SessionPhase::Stream, self.deadlines)?;
+                arm_phase(&mut channel, SessionPhase::Stream, link.deadlines)?;
                 write_message(&mut channel, &Message::Resume { ticket, next_seq })?;
                 channel.flush()?;
-                let Message::ResumeAck { from_seq } = expect_message(&mut channel, "ResumeAck")?
-                else {
-                    unreachable!()
-                };
+                let from_seq = receive!(&mut channel, ResumeAck { from_seq } => from_seq)?;
                 if from_seq != next_seq {
                     return Err(RuntimeError::protocol(format!(
                         "garbler resumed from cursor {from_seq}, this side asked for {next_seq}"
@@ -1714,18 +1681,8 @@ impl<F> EvaluatorRecovery<'_, F> {
                 Ok(())
             })()
             .map_err(|e| e.in_phase(SessionPhase::Stream));
-            match hello {
-                Ok(()) => {
-                    self.resumes += 1;
-                    return Ok(channel);
-                }
-                Err(hello_err) => {
-                    absorb_stats(&mut self.carried, &channel.stats());
-                    drop(channel);
-                    err = hello_err;
-                }
-            }
-        }
+            Some((channel, hello))
+        })
     }
 }
 
@@ -1817,11 +1774,8 @@ where
     let start = Instant::now();
 
     arm_phase(&mut channel, SessionPhase::Handshake, &config.deadlines)?;
-    let Message::Header(header) =
-        expect_message(&mut channel, "Header").map_err(|e| e.in_phase(SessionPhase::Handshake))?
-    else {
-        unreachable!()
-    };
+    let header = receive!(&mut channel, Header(header) => header)
+        .map_err(|e| e.in_phase(SessionPhase::Handshake))?;
     validate_header(&config.plan, &header)?;
     if header.ot_mode != config.ot_mode {
         // The two modes speak different message sequences: running on
@@ -1840,26 +1794,18 @@ where
         ));
     }
 
-    let Message::GarblerInputs(garbler_labels) = expect_message(&mut channel, "GarblerInputs")
-        .map_err(|e| e.in_phase(SessionPhase::Handshake))?
-    else {
-        unreachable!()
-    };
+    let garbler_labels = receive!(&mut channel, GarblerInputs(labels) => labels)
+        .map_err(|e| e.in_phase(SessionPhase::Handshake))?;
     if garbler_labels.len() != program.garbler_inputs() as usize {
         return Err(RuntimeError::protocol("garbler label count mismatch"));
     }
 
     let live = config.telemetry.as_deref().filter(|_| haac_telemetry::enabled());
     arm_phase(&mut channel, SessionPhase::Ot, &config.deadlines)?;
-    let t = Instant::now();
-    let (own_labels, ot) = match header.ot_mode {
-        OtMode::Base => ot_receive(evaluator_bits, rng, &mut channel),
-        OtMode::Extended => ot_receive_extended(evaluator_bits, rng, &mut channel),
-    }
-    .map_err(|e| e.in_phase(SessionPhase::Ot))?;
-    let ot_ns = t.elapsed().as_nanos() as u64;
+    let (own_labels, ot) = ot_receive(header.ot_mode, evaluator_bits, rng, &mut channel)
+        .map_err(|e| e.in_phase(SessionPhase::Ot))?;
     if let Some(tel) = live {
-        tel.record_ot(ot_ns, &ot);
+        tel.record_ot(&ot);
     }
 
     let mut input_labels = garbler_labels;
@@ -1869,13 +1815,8 @@ where
     arm_phase(&mut channel, SessionPhase::Stream, &config.deadlines)?;
     let stream_start = Instant::now();
     let mut stats = StreamStats::default();
-    let mut link = EvaluatorRecovery {
-        ticket,
-        deadlines: &config.deadlines,
-        carried: ChannelStats::default(),
-        resumes: 0,
-        resume,
-    };
+    let mut link =
+        EvaluatorRecovery { ticket, reconnects: Reconnects::new(&config.deadlines, resume) };
     // The one table buffer of the stream: every frame is received
     // straight into it and fed from it.
     let mut chunk: Vec<[Block; 2]> = Vec::new();
@@ -1934,7 +1875,6 @@ where
         .in_phase(SessionPhase::Stream));
     }
 
-    let tables = evaluator.tables_consumed();
     let finish = evaluator.finish(&output_decode);
     // Cursor past the decode frame: on a resume here the garbler
     // replays nothing and just re-awaits the shared outputs.
@@ -1950,34 +1890,18 @@ where
         }
     }
 
-    let mut channel_stats = channel.stats();
-    absorb_stats(&mut channel_stats, &link.carried);
-    Ok(SessionReport {
-        role: SessionRole::Evaluator,
-        outputs: finish.outputs,
-        bytes_sent: channel_stats.bytes_sent,
-        bytes_received: channel_stats.bytes_received,
-        flushes: channel_stats.flushes,
-        table_chunks: stats.chunks,
-        tables,
-        peak_live_wires: finish.peak_live_wires,
-        within_window: finish.peak_live_wires <= config.plan.window.sww_wires() as usize,
-        ot_transfers: u64::from(program.evaluator_inputs()),
-        crypto: finish.crypto,
-        compute_ns: stats.compute_ns,
-        io_ns: stats.io_ns,
-        stream_ns: stats.wall_ns,
-        overlap_ratio: stats.overlap_ratio(),
-        ot_ns,
-        base_ots: ot.base_ots,
-        ext_ots: ot.ext_ots,
-        ot_io_stall_ns: ot.io_stall_ns,
-        io_stall_ns: stats.io_stall_ns,
-        oor_queue_peak: finish.oor_queue_peak,
-        resumes: link.resumes,
-        replayed_frames: 0,
-        elapsed: start.elapsed(),
-    })
+    let finished = (finish.peak_live_wires, finish.oor_queue_peak, finish.crypto);
+    Ok(session_report(
+        SessionRole::Evaluator,
+        finish.outputs,
+        finished,
+        config,
+        &ot,
+        &stats,
+        &channel,
+        &link.reconnects,
+        start,
+    ))
 }
 
 #[cfg(test)]
@@ -2447,6 +2371,47 @@ mod tests {
         // Both sides drained the full table stream.
         assert_eq!(ge.tables, c.num_and_gates() as u64);
         assert_eq!(ge.tables, ee.tables);
+    }
+
+    /// Every flush of each side, pinned per [`OtMode`] against the table
+    /// frames F and the announced ack interval. The garbler flushes
+    /// `OtSetup`, each frame and the decode frame, plus (extended) the
+    /// header and input labels ahead of the reversed base OT. The
+    /// evaluator flushes its OT replies (one base, two extended), an ack
+    /// every `ack` frames and the outputs.
+    #[test]
+    fn flushes_are_the_flights_of_each_ot_mode() {
+        let c = adder(96);
+        let ands = SessionConfig::for_circuit(&c).plan.program.and_count();
+        let (gb, eb) = (to_bits(0x1_2345_6789, 96), to_bits(0x9_8765_4321, 96));
+        let mut seen = Vec::new();
+        for mode in [OtMode::Base, OtMode::Extended] {
+            let ot_flights = match mode {
+                OtMode::Base => 0,
+                OtMode::Extended => 1,
+            };
+            for chunk in [ands, ands.div_ceil(7), 1] {
+                for ack in [0, 4, 16] {
+                    let config = SessionConfig::for_circuit(&c)
+                        .with_chunk_tables(chunk)
+                        .with_ot_mode(mode)
+                        .with_ack_interval(ack);
+                    let (g, e) = if ack == 0 {
+                        run_local_session(&c, &gb, &eb, 4, &config).unwrap()
+                    } else {
+                        run_resumable_pair(4, &config, &gb, &eb, None, &|ch| Box::new(ch)).unwrap()
+                    };
+                    let frames = g.table_chunks;
+                    let acks = frames.checked_div(u64::from(ack)).unwrap_or(0);
+                    let at = format!("{} OT, F = {frames}, ack {ack}", mode.label());
+                    assert_eq!(g.flushes, frames + 2 + ot_flights, "garbler, {at}");
+                    assert_eq!(e.flushes, 2 + ot_flights + acks, "evaluator, {at}");
+                    seen.push(frames);
+                }
+            }
+        }
+        seen.dedup();
+        assert_eq!(seen, [1, 7, 96, 1, 7, 96], "the frame counts the flights are pinned at");
     }
 
     #[test]
@@ -3330,6 +3295,65 @@ mod tests {
         let decline = |_: &RuntimeError, _| None;
         run_garbler_resumable(&to_bits(40_000, 32), &mut rng, config, peer, decline)
             .expect_err("the scripted peer never shares outputs")
+    }
+
+    /// Drops the last item of an OT batch message; `false` for any other
+    /// message.
+    fn shorten_ot_batch(message: &mut Message) -> bool {
+        match message {
+            Message::OtPoints(items) => items.pop().is_some(),
+            Message::OtCiphertexts(items) | Message::OtExtLabels(items) => items.pop().is_some(),
+            Message::OtExtMatrix(items) => items.pop().is_some(),
+            _ => false,
+        }
+    }
+
+    /// A peer one item short in any OT batch ends the session in a typed
+    /// `Ot`-phase protocol error, never a panic, on either side and in
+    /// either mode: the OT state machines count every batch they take.
+    #[test]
+    fn an_ot_batch_one_item_short_is_a_typed_ot_error() {
+        use rand::rngs::StdRng;
+
+        let c = adder(32);
+        let eb = to_bits(2_000, 32);
+        for (mode, garbler_takes, evaluator_takes) in [
+            (OtMode::Base, &["OtPoints"][..], &["OtCiphertexts"][..]),
+            (OtMode::Extended, &["OtCiphertexts", "OtExtMatrix"], &["OtPoints", "OtExtLabels"]),
+        ] {
+            let config = SessionConfig::for_circuit(&c).with_ot_mode(mode);
+            let (to_evaluator, to_garbler, _, _) =
+                recorded_session(Driver::Resumable, &to_bits(40_000, 32), &eb, &config, 5);
+            for (garbler_side, honest, takes) in
+                [(true, to_garbler, garbler_takes), (false, to_evaluator, evaluator_takes)]
+            {
+                let mut shortened = Vec::new();
+                for at in 0..honest.len() {
+                    let mut script = honest.clone();
+                    if !shorten_ot_batch(&mut script[at]) {
+                        continue;
+                    }
+                    shortened.push(script[at].name());
+                    let err = if garbler_side {
+                        garbler_against_script(&config, &script)
+                    } else {
+                        let script = script.iter().flat_map(|m| encode_frame(m).unwrap()).collect();
+                        let mut peer = ScriptChannel { script, pos: 0 };
+                        let mut rng = StdRng::seed_from_u64(5 ^ 0x9E37_79B9_7F4A_7C15);
+                        run_evaluator(&eb, &mut rng, &config, &mut peer)
+                            .expect_err("a short OT batch must be refused")
+                    };
+                    let at = format!("{} OT, {} short", mode.label(), script[at].name());
+                    assert_eq!(err.phase(), Some(SessionPhase::Ot), "{at}: {err}");
+                    assert!(
+                        matches!(&err, RuntimeError::Phased { source, .. }
+                            if matches!(&**source, RuntimeError::Protocol(_))),
+                        "{at}: {err}"
+                    );
+                }
+                assert_eq!(shortened, takes, "{} OT", mode.label());
+            }
+        }
     }
 
     fn assert_stale_ack(err: &RuntimeError, phase: SessionPhase) {

@@ -37,16 +37,42 @@ use crate::request::{read_ack, write_request, SessionRequest};
 /// blinding never reuses the server's garbling stream.
 const CLIENT_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// A server that refuses admission does so *before* reading the
-/// request and then hangs up — so the client's own request write can
-/// fail first. Prefer the typed busy ack already buffered in the
-/// channel over the opaque write error; otherwise attribute the write
-/// error to the handshake phase.
-fn busy_or<C: Channel + ?Sized>(channel: &mut C, write_err: RuntimeError) -> RuntimeError {
-    match read_ack(channel) {
-        Err(busy @ RuntimeError::Busy { .. }) => busy,
-        _ => write_err.in_phase(SessionPhase::Handshake),
+/// Writes the request and reads the server's ack: the schedule, OT mode
+/// and resume ticket it chose. Request/ack failures are attributed to
+/// the handshake phase: no label has crossed the wire yet, so they are
+/// retry-safe (a typed busy refusal passes through `in_phase`
+/// untouched).
+fn request_session<C: Channel + ?Sized>(
+    channel: &mut C,
+    request: &SessionRequest,
+) -> Result<(haac_runtime::ReorderKind, haac_runtime::OtMode, Option<u128>), RuntimeError> {
+    if let Err(write_err) = write_request(channel, request) {
+        // A server that refuses admission does so *before* reading the
+        // request and then hangs up, so the request write can fail
+        // first. Prefer the typed busy ack already buffered in the
+        // channel over the opaque write error.
+        return Err(match read_ack(channel) {
+            Err(busy @ RuntimeError::Busy { .. }) => busy,
+            _ => write_err.in_phase(SessionPhase::Handshake),
+        });
     }
+    read_ack(channel).map_err(|e| e.in_phase(SessionPhase::Handshake))
+}
+
+/// Passes a finished session's report on if its outputs are the
+/// workload's plaintext reference.
+fn check_outputs(
+    report: SessionReport,
+    request: &SessionRequest,
+    workload: &Workload,
+) -> Result<SessionReport, RuntimeError> {
+    if report.outputs != workload.expected {
+        return Err(RuntimeError::protocol(format!(
+            "{} outputs diverge from the plaintext reference",
+            request.workload
+        )));
+    }
+    Ok(report)
 }
 
 /// The ack names the schedule and OT mode the server will garble with;
@@ -109,25 +135,11 @@ pub fn run_session_with<C: Channel + Send + ?Sized>(
     workload: &Workload,
     config: &SessionConfig,
 ) -> Result<SessionReport, RuntimeError> {
-    // Request/ack failures are attributed to the handshake phase: no
-    // label has crossed the wire yet, so they are retry-safe (a typed
-    // busy refusal passes through `in_phase` untouched).
-    write_request(channel, request).map_err(|e| busy_or(channel, e))?;
-    let (chosen, ot_chosen, _ticket) =
-        read_ack(channel).map_err(|e| e.in_phase(SessionPhase::Handshake))?;
-    // The ack names the schedule and OT mode the server will garble
-    // with; a warm client's pre-lowered plan and prepared config must
-    // agree or the transcripts diverge.
+    let (chosen, ot_chosen, _ticket) = request_session(channel, request)?;
     check_ack_matches(config, chosen, ot_chosen)?;
     let mut rng = StdRng::seed_from_u64(request.seed ^ CLIENT_SEED_SALT);
     let report = run_evaluator(&workload.evaluator_bits, &mut rng, config, channel)?;
-    if report.outputs != workload.expected {
-        return Err(RuntimeError::protocol(format!(
-            "{} outputs diverge from the plaintext reference",
-            request.workload
-        )));
-    }
-    Ok(report)
+    check_outputs(report, request, workload)
 }
 
 /// Like [`run_session_with`], but builds the workload (and lowers its
@@ -146,20 +158,12 @@ pub fn run_session<C: Channel + Send + ?Sized>(
     let kind = WorkloadKind::from_name(&request.workload).ok_or_else(|| {
         RuntimeError::protocol(format!("unknown workload {:?}", request.workload))
     })?;
-    write_request(channel, request).map_err(|e| busy_or(channel, e))?;
-    let (chosen, ot_chosen, _ticket) =
-        read_ack(channel).map_err(|e| e.in_phase(SessionPhase::Handshake))?;
+    let (chosen, ot_chosen, _ticket) = request_session(channel, request)?;
     let (workload, config) = prepare_with_reorder(kind, request.scale, chosen);
     let config = config.with_ot_mode(ot_chosen);
     let mut rng = StdRng::seed_from_u64(request.seed ^ CLIENT_SEED_SALT);
     let report = run_evaluator(&workload.evaluator_bits, &mut rng, &config, channel)?;
-    if report.outputs != workload.expected {
-        return Err(RuntimeError::protocol(format!(
-            "{} outputs diverge from the plaintext reference",
-            request.workload
-        )));
-    }
-    Ok(report)
+    check_outputs(report, request, &workload)
 }
 
 /// Connects to a TCP server and runs one session end to end with an
@@ -297,9 +301,7 @@ where
     C: Channel + Send,
     F: FnMut() -> Result<C, RuntimeError>,
 {
-    write_request(&mut channel, request).map_err(|e| busy_or(&mut channel, e))?;
-    let (chosen, ot_chosen, ticket) =
-        read_ack(&mut channel).map_err(|e| e.in_phase(SessionPhase::Handshake))?;
+    let (chosen, ot_chosen, ticket) = request_session(&mut channel, request)?;
     check_ack_matches(config, chosen, ot_chosen)?;
     let mut rng = StdRng::seed_from_u64(request.seed ^ CLIENT_SEED_SALT);
     let result = match ticket.filter(|_| policy.resume_attempts > 0) {
@@ -334,13 +336,7 @@ where
             if let Some(t) = telemetry {
                 t.resumes.add(report.resumes);
             }
-            if report.outputs != workload.expected {
-                return Err(RuntimeError::protocol(format!(
-                    "{} outputs diverge from the plaintext reference",
-                    request.workload
-                )));
-            }
-            Ok(report)
+            check_outputs(report, request, workload)
         }
         Err(err) => {
             if err.resume_safe() {

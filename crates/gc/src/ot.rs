@@ -82,7 +82,9 @@ impl std::error::Error for OtError {}
 /// 3. Sender → Receiver: `(e0_i, e1_i)` where `e_b = m_b ⊕ H(k_b ⊕ nonce, i)`
 ///    with `k0 = R_i^y`, `k1 = (R_i/S)^y` ([`base::OtSender::encrypt`]).
 /// 4. Receiver: `m_{c_i} = e_{c_i} ⊕ H(S^{x_i} ⊕ nonce, i)`
-///    ([`base::OtReceiver::decrypt`]).
+///    ([`base::OtReceiver::decrypt`]). The key needs nothing from step
+///    3, so the receiver can derive it while the sender encrypts
+///    ([`base::OtReceiver::derive_keys`]).
 ///
 /// Key derivation reuses the re-keyed gate hash (`H(x, tweak) =
 /// AES_{K(tweak)}(x) ⊕ x`), with tweaks in the
@@ -350,6 +352,9 @@ pub mod base {
         s_powers: Box<FixedBase>,
         nonce: Block,
         hash: GateHash,
+        /// The chosen branch's key of each transfer derived so far, in
+        /// transfer order ([`derive_keys`](OtReceiver::derive_keys)).
+        keys: Vec<Block>,
     }
 
     impl OtReceiver {
@@ -380,6 +385,7 @@ pub mod base {
                 s_powers: Box::new(FixedBase::new(s)),
                 nonce,
                 hash: GateHash::new(HashScheme::Rekeyed),
+                keys: Vec::new(),
             })
         }
 
@@ -399,7 +405,27 @@ pub mod base {
                 .collect()
         }
 
-        /// Decrypts the chosen branch of each ciphertext pair.
+        /// Derives every transfer's chosen-branch key, `H(S^{x_i} ⊕
+        /// nonce, i)`: the receiver's whole share of the decryption, which
+        /// needs nothing from the sender's reply. A session calls it while
+        /// the sender encrypts, so [`decrypt`](OtReceiver::decrypt) is
+        /// left with one XOR a transfer.
+        pub fn derive_keys(&mut self) {
+            for i in self.keys.len()..self.choices.len() {
+                let key = self.key(i);
+                self.keys.push(key);
+            }
+        }
+
+        /// The chosen branch's key of transfer `i`.
+        fn key(&self, i: usize) -> Block {
+            let k = self.s_powers.pow(self.xs[i]);
+            let branch = self.choices[i] as u64;
+            derive_key(&self.hash, self.nonce, k, 2 * i as u64 + branch)
+        }
+
+        /// Decrypts the chosen branch of each ciphertext pair, deriving
+        /// any key [`derive_keys`](OtReceiver::derive_keys) has not.
         ///
         /// # Errors
         ///
@@ -416,10 +442,8 @@ pub mod base {
                 .iter()
                 .enumerate()
                 .map(|(i, e)| {
-                    let k = self.s_powers.pow(self.xs[i]);
-                    let branch = self.choices[i] as u64;
-                    e[self.choices[i] as usize]
-                        ^ derive_key(&self.hash, self.nonce, k, 2 * i as u64 + branch)
+                    let key = self.keys.get(i).copied().unwrap_or_else(|| self.key(i));
+                    e[self.choices[i] as usize] ^ key
                 })
                 .collect())
         }
@@ -577,6 +601,37 @@ pub mod base {
                 exchange(&mut rng, n, &mut absorb);
             }
             assert_eq!(digest, 0x6ea4_cce8_3cbb_f9c0);
+        }
+
+        #[test]
+        fn keys_derived_ahead_decrypt_what_decrypt_alone_does() {
+            for n in [1, 23, 128] {
+                let mut rng = StdRng::seed_from_u64(n as u64);
+                let pairs: Vec<(Block, Block)> =
+                    (0..n).map(|_| (Block::random(&mut rng), Block::random(&mut rng))).collect();
+                let choices: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
+                let sender = OtSender::new(&mut rng);
+                let receiver = |seed| {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    OtReceiver::new(&mut rng, sender.public_point(), sender.nonce(), &choices)
+                        .expect("valid sender point")
+                };
+                let (lazy, mut ahead) = (receiver(7), receiver(7));
+                let points = ahead.blinded_points();
+                assert_eq!(points, lazy.blinded_points(), "one seed, one receiver");
+                // Keys first, as a session derives them while the
+                // sender encrypts; then only the XORs remain.
+                ahead.derive_keys();
+                assert_eq!(ahead.keys.len(), n);
+                let cts = sender.encrypt(&points, &pairs).expect("valid blinded points");
+                let got = ahead.decrypt(&cts).expect("matching counts");
+                assert_eq!(got, lazy.decrypt(&cts).expect("matching counts"), "n = {n}");
+                for (i, ((&(zero, one), &c), &label)) in
+                    pairs.iter().zip(&choices).zip(&got).enumerate()
+                {
+                    assert_eq!(label, if c { one } else { zero }, "n = {n}, transfer {i}");
+                }
+            }
         }
 
         #[test]

@@ -178,7 +178,8 @@ pub struct EvaluatorFinish {
 /// [`garble`](crate::garble()), so a shared seed yields a bit-identical
 /// garbling). Input encoding and OT label pairs are served from a
 /// dedicated input-label table that is dropped when table production
-/// starts; thereafter memory is the slot slab alone.
+/// starts; thereafter memory is the slot slab alone. The slab itself is
+/// allocated then, not at construction.
 ///
 /// # Examples
 ///
@@ -206,7 +207,11 @@ pub struct EvaluatorFinish {
 /// ```
 #[derive(Debug)]
 pub struct StreamingGarbler<'c> {
-    state: SlabState<'c>,
+    plan: &'c SlotProgram,
+    /// The slot slab, allocated (and zeroed) when table production
+    /// starts, not at construction: a session garbles its first frame
+    /// while it waits on the OT, and the slab's memset belongs there.
+    state: Option<SlabState<'c>>,
     hash: GateHash,
     delta: Delta,
     garbler_inputs: u32,
@@ -239,12 +244,9 @@ impl<'c> StreamingGarbler<'c> {
         let delta = Delta::random(rng);
         let input_zero_labels: Vec<Block> =
             (0..plan.num_inputs()).map(|_| Block::random(rng)).collect();
-        let mut state = SlabState::new(plan);
-        for (w, &label) in input_zero_labels.iter().enumerate() {
-            state.write(w as u32 + 1, label);
-        }
         StreamingGarbler {
-            state,
+            plan,
+            state: None,
             hash: GateHash::new(HashScheme::Rekeyed),
             delta,
             garbler_inputs: plan.garbler_inputs(),
@@ -333,9 +335,24 @@ impl<'c> StreamingGarbler<'c> {
     ///
     /// Panics if streaming has started or the labels were already taken.
     pub(crate) fn take_input_zero_labels(&mut self) -> Vec<Block> {
+        self.slab();
         self.input_zero_labels
             .take()
             .expect("input labels are only available before streaming starts")
+    }
+
+    /// The slot slab, allocated on first use with the input labels
+    /// written in.
+    fn slab(&mut self) -> &mut SlabState<'c> {
+        let (plan, labels) = (self.plan, &self.input_zero_labels);
+        self.state.get_or_insert_with(|| {
+            let labels = labels.as_ref().expect("the slab is allocated before the input labels go");
+            let mut state = SlabState::new(plan);
+            for (w, &label) in labels.iter().enumerate() {
+                state.write(w as u32 + 1, label);
+            }
+            state
+        })
     }
 
     /// Garbles forward until `max_tables` AND tables are produced or the
@@ -366,24 +383,19 @@ impl<'c> StreamingGarbler<'c> {
     /// chunk budget may cut a run; the table stream and every label are
     /// bit-identical to gate-at-a-time garbling either way.
     ///
-    /// The first call drops the input-label table: encoding and OT must
-    /// happen before streaming.
+    /// The first call allocates the slab and drops the input-label
+    /// table: encoding and OT must happen before streaming.
     pub fn next_tables_into(&mut self, max_tables: usize, tables: &mut Vec<[Block; 2]>) -> bool {
         assert!(max_tables > 0, "chunk capacity must be positive");
         if self.next_gate == self.num_gates {
             tables.clear();
             return false;
         }
+        self.slab();
         self.input_zero_labels = None;
         tables.resize(max_tables.min(self.num_tables - self.tables_done), [Block::ZERO; 2]);
-        garble_slab(
-            &self.hash,
-            self.delta,
-            &mut self.state,
-            &mut self.next_gate,
-            max_tables,
-            tables,
-        );
+        let state = self.state.as_mut().expect("the slab was just allocated");
+        garble_slab(&self.hash, self.delta, state, &mut self.next_gate, max_tables, tables);
         self.tables_done += tables.len();
         true
     }
@@ -401,7 +413,7 @@ impl<'c> StreamingGarbler<'c> {
     /// OoRW entries queued right now — the live occupancy the session
     /// driver samples at chunk boundaries.
     pub fn oor_queue_len(&self) -> usize {
-        self.state.oor_len()
+        self.state.as_ref().map_or(0, SlabState::oor_len)
     }
 
     /// Finishes the garbling, yielding the output-decode string.
@@ -409,12 +421,16 @@ impl<'c> StreamingGarbler<'c> {
     /// # Panics
     ///
     /// Panics if gates remain ungarbled.
-    pub fn finish(self) -> GarblerFinish {
+    pub fn finish(mut self) -> GarblerFinish {
         assert!(self.is_done(), "finish() before all gates were garbled");
+        // A program without instructions never started streaming: its
+        // outputs are input labels, read from a slab allocated here.
+        self.slab();
+        let state = self.state.take().expect("the slab was just allocated");
         GarblerFinish {
-            peak_live_wires: self.state.plan().peak_live(),
-            oor_queue_peak: self.state.oor_peak(),
-            output_decode: self.state.into_output_labels().iter().map(|l| l.lsb()).collect(),
+            peak_live_wires: self.plan.peak_live(),
+            oor_queue_peak: state.oor_peak(),
+            output_decode: state.into_output_labels().iter().map(|l| l.lsb()).collect(),
             crypto: self.hash.counters(),
         }
     }

@@ -32,6 +32,29 @@
 //! is 0). Both sides share one reconnect loop and build their
 //! [`SessionReport`] in one place.
 //!
+//! **Each party works while it waits.** The flights are fixed, so each
+//! phase is ordered to run whatever does not need the awaited message
+//! before the party blocks for it:
+//!
+//! - An evaluator pinned to [`OtMode::Extended`] opens the OT before it
+//!   reads the header: it draws the extension receiver and the base-OT
+//!   sender, flushes `OtSetup` and computes its masked matrix. The
+//!   garbler finds `OtSetup` waiting after its header flush instead of
+//!   waiting a round trip for it.
+//! - The base-OT receiver (the evaluator in `Base`, the garbler in
+//!   `Extended`) derives its branch keys right after flushing
+//!   `OtPoints`, while the sender encrypts.
+//! - The garbler produces table frame 1 inside its last OT wait: after
+//!   flushing `OtSetup` (`Base`) or `OtPoints` (`Extended`). Online
+//!   that is the frame's garbling and the slab's allocation; banked, a
+//!   copy out of storage. The frame's flush carries the OT's last
+//!   message, so the frame had to exist before that message could leave
+//!   anyway: this never delays a session. It is one frame, fixed; three,
+//!   or garbling on until the reply is readable, measured no better.
+//!
+//! None of it moves a byte: each direction carries the same messages in
+//! the same flushes as when each party sat idle in its waits.
+//!
 //! Every public driver wraps its side's one session function (a
 //! garbler driver writes the header first). It picks where tables come
 //! from (a [`GarblerSource`]: garbled online or replayed from a bank),
@@ -58,6 +81,7 @@ use std::time::{Duration, Instant};
 use haac_circuit::Circuit;
 use haac_core::lower::{lower_live, StreamingPlan};
 use haac_core::ReorderKind;
+use haac_gc::ot::base::{OtReceiver, OtSender};
 use haac_gc::{
     wire_view, BankedGarbler, Block, CryptoCounters, GarblerFinish, HashScheme, OtExtReceiver,
     OtExtSender, PlanGarbling, StreamingEvaluator, StreamingGarbler, OT_EXT_KAPPA,
@@ -338,7 +362,8 @@ pub struct SessionTelemetry {
     /// OoRW queue occupancy sampled at every chunk boundary (0 unless
     /// the plan's window is smaller than the circuit's natural one).
     pub oor_occupancy: Arc<Histogram>,
-    /// OT phase wall time, in nanoseconds (one sample per session).
+    /// OT phase wall time, in nanoseconds (one sample per session; the
+    /// span of [`SessionReport::ot_ns`]).
     pub ot_ns: Arc<Histogram>,
     /// AND tables shipped (garbler) / consumed (evaluator) so far.
     pub tables: Arc<Counter>,
@@ -394,7 +419,9 @@ pub struct SessionReport {
     /// when garbling under re-keying) and AES block calls (4 garbling,
     /// 2 evaluating) — the quantities HAAC's gate engines pipeline.
     pub crypto: CryptoCounters,
-    /// Nanoseconds the streaming phase spent garbling/evaluating gates.
+    /// Nanoseconds spent garbling/evaluating gates, every table frame
+    /// counted once. The garbler's frame 1 is garbled inside its OT wait,
+    /// so that frame's span lies within `ot_ns`, not `stream_ns`.
     pub compute_ns: u64,
     /// Nanoseconds of the streaming phase's channel work: send/flush
     /// time on the garbler; on the evaluator, time in blocking
@@ -411,7 +438,10 @@ pub struct SessionReport {
     /// 1(c)).
     pub overlap_ratio: f64,
     /// Nanoseconds of the OT phase (setup, transfer, and the wait for
-    /// the peer's OT round trips), whichever mode ran.
+    /// the peer's OT round trips), whichever mode ran. The garbler's span
+    /// contains frame 1 and its slab allocation, made inside its last OT
+    /// wait. An extended evaluator's counts its opening before the
+    /// header, not the header wait that follows it.
     pub ot_ns: u64,
     /// Base (public-key) OTs this side took part in: `ot_transfers` in
     /// [`OtMode::Base`], the ~κ bootstrap OTs in [`OtMode::Extended`] —
@@ -673,20 +703,42 @@ fn ot_protocol_error(e: haac_gc::OtError) -> RuntimeError {
     RuntimeError::protocol(format!("OT: {e}"))
 }
 
-/// The base-OT exchange, sender side: `OtSetup` (flushed), then the
-/// receiver's `OtPoints`, then `OtCiphertexts`, left unflushed for the
-/// next flight to carry.
-#[cfg(feature = "insecure-ot")]
-fn base_ot_send<C: Channel + ?Sized, R: Rng + ?Sized>(
-    pairs: &[(Block, Block)],
+/// Refuses a session before its first byte when this build has no base
+/// OT to deliver the evaluator's labels with (the `insecure-ot` feature
+/// is off): both session functions call it before they read or write.
+fn require_base_ot() -> Result<(), RuntimeError> {
+    if cfg!(feature = "insecure-ot") {
+        Ok(())
+    } else {
+        Err(RuntimeError::protocol(
+            "two-party sessions need a base OT; enable the `insecure-ot` feature",
+        )
+        .in_phase(SessionPhase::Ot))
+    }
+}
+
+/// Opens a base-OT exchange as its sender: draws the sender and writes
+/// and flushes `OtSetup`.
+fn base_ot_open<C: Channel + ?Sized, R: Rng + ?Sized>(
     rng: &mut R,
     channel: &mut C,
-    stall: &mut u64,
-) -> Result<(), RuntimeError> {
-    let sender = haac_gc::ot::base::OtSender::new(rng);
+) -> Result<OtSender, RuntimeError> {
+    let sender = OtSender::new(rng);
     let setup = Message::OtSetup { point: sender.public_point(), nonce: sender.nonce().into() };
     write_message(channel, &setup)?;
     channel.flush()?;
+    Ok(sender)
+}
+
+/// Closes the sender's exchange: awaits the receiver's `OtPoints` and
+/// answers with `OtCiphertexts`, left unflushed for the next flight to
+/// carry.
+fn base_ot_close<C: Channel + ?Sized>(
+    sender: &OtSender,
+    pairs: &[(Block, Block)],
+    channel: &mut C,
+    stall: &mut u64,
+) -> Result<(), RuntimeError> {
     let points = receive!(channel, stall, OtPoints(points) => points)?;
     // `encrypt` rejects out-of-group points itself: a zero point would
     // collapse both branch keys to a public value, handing the peer
@@ -695,55 +747,35 @@ fn base_ot_send<C: Channel + ?Sized, R: Rng + ?Sized>(
     write_message(channel, &Message::OtCiphertexts(cts))
 }
 
-/// The base-OT exchange, receiver side: awaits `OtSetup`, answers with
-/// `OtPoints` (flushed), then awaits `OtCiphertexts` and decrypts the
-/// chosen label of each pair.
-#[cfg(feature = "insecure-ot")]
+/// The base-OT exchange, receiver side: awaits `OtSetup` and answers
+/// with `OtPoints` (flushed). While the sender encrypts it derives its
+/// keys and runs `while_waiting`, then awaits `OtCiphertexts` and
+/// decrypts the chosen label of each pair.
 fn base_ot_receive<C: Channel + ?Sized, R: Rng + ?Sized>(
     choices: &[bool],
     rng: &mut R,
     channel: &mut C,
     stall: &mut u64,
+    while_waiting: impl FnOnce(),
 ) -> Result<Vec<Block>, RuntimeError> {
     let (point, nonce) = receive!(channel, stall, OtSetup { point, nonce } => (point, nonce))?;
     // `new` rejects an out-of-group setup point itself: a zero S would
     // make R_i = 0 exactly when c_i = 1, leaking every choice bit.
-    let receiver = haac_gc::ot::base::OtReceiver::new(rng, point, Block::from(nonce), choices)
-        .map_err(ot_protocol_error)?;
+    let mut receiver =
+        OtReceiver::new(rng, point, Block::from(nonce), choices).map_err(ot_protocol_error)?;
     write_message(channel, &Message::OtPoints(receiver.blinded_points()))?;
     channel.flush()?;
+    receiver.derive_keys();
+    while_waiting();
     let cts = receive!(channel, stall, OtCiphertexts(cts) => cts)?;
     receiver.decrypt(&cts).map_err(ot_protocol_error)
 }
 
-#[cfg(not(feature = "insecure-ot"))]
-fn base_ot_send<C: Channel + ?Sized, R: Rng + ?Sized>(
-    _pairs: &[(Block, Block)],
-    _rng: &mut R,
-    _channel: &mut C,
-    _stall: &mut u64,
-) -> Result<(), RuntimeError> {
-    Err(RuntimeError::protocol(
-        "two-party sessions need a base OT; enable the `insecure-ot` feature",
-    ))
-}
-
-#[cfg(not(feature = "insecure-ot"))]
-fn base_ot_receive<C: Channel + ?Sized, R: Rng + ?Sized>(
-    _choices: &[bool],
-    _rng: &mut R,
-    _channel: &mut C,
-    _stall: &mut u64,
-) -> Result<Vec<Block>, RuntimeError> {
-    Err(RuntimeError::protocol(
-        "two-party sessions need a base OT; enable the `insecure-ot` feature",
-    ))
-}
-
 /// The garbler's OT phase: delivers the evaluator's input labels
-/// (`pairs`) in `mode`'s flights. `Base` is one base-OT exchange with
-/// this side sending. `Extended` (IKNP-style) is the same exchange with
-/// the roles reversed: this side receives one PRG seed per extension
+/// (`pairs`) in `mode`'s flights, and runs `while_waiting` inside its
+/// last wait on the evaluator. `Base` is one base-OT exchange with this
+/// side sending. `Extended` (IKNP-style) is the same exchange with the
+/// roles reversed: this side receives one PRG seed per extension
 /// column, choosing with its secret κ-bit string. Then the evaluator's
 /// masked matrix comes in and every label leaves under one batched hash
 /// of a transposed row, so no public-key work scales with the input
@@ -754,17 +786,23 @@ fn ot_send<C: Channel + ?Sized, R: Rng + ?Sized>(
     pairs: &[(Block, Block)],
     rng: &mut R,
     channel: &mut C,
+    while_waiting: impl FnOnce(),
 ) -> Result<OtOutcome, RuntimeError> {
     let start = Instant::now();
     let mut stall = 0;
     match mode {
-        OtMode::Base => base_ot_send(pairs, rng, channel, &mut stall)?,
+        OtMode::Base => {
+            let sender = base_ot_open(rng, channel)?;
+            while_waiting();
+            base_ot_close(&sender, pairs, channel, &mut stall)?;
+        }
         OtMode::Extended => {
             let ext = OtExtSender::new(rng);
             // The phase opens with a receive, so the header and input
             // labels still queued on this side must actually go out first.
             channel.flush()?;
-            let seeds = base_ot_receive(ext.choice_bits(), rng, channel, &mut stall)?;
+            let seeds =
+                base_ot_receive(ext.choice_bits(), rng, channel, &mut stall, while_waiting)?;
             let u_matrix = receive!(channel, &mut stall, OtExtMatrix(u) => u)?;
             let masked = ext.process(&seeds, &u_matrix, pairs).map_err(ot_protocol_error)?;
             write_message(channel, &Message::OtExtLabels(masked))?;
@@ -773,30 +811,60 @@ fn ot_send<C: Channel + ?Sized, R: Rng + ?Sized>(
     Ok(OtOutcome::new(mode, pairs.len(), stall, start))
 }
 
+/// What the evaluator of an extended OT has done before it reads the
+/// header: the extension receiver with its masked matrix computed, and
+/// the reversed base OT opened (`OtSetup` flushed).
+struct ExtOpening {
+    ext: OtExtReceiver,
+    sender: OtSender,
+    u_matrix: Vec<Block>,
+    /// Nanoseconds the opening took.
+    ns: u64,
+}
+
+/// Opens the evaluator's extended OT: draws the extension receiver,
+/// then the base-OT sender (the seeded transcripts pin that order),
+/// flushes `OtSetup`, and computes the matrix while the garbler's header
+/// is on its way.
+fn ext_ot_open<C: Channel + ?Sized, R: Rng + ?Sized>(
+    choices: &[bool],
+    rng: &mut R,
+    channel: &mut C,
+) -> Result<ExtOpening, RuntimeError> {
+    let start = Instant::now();
+    let mut ext = OtExtReceiver::new(rng, choices);
+    let sender = base_ot_open(rng, channel)?;
+    let u_matrix = ext.u_matrix();
+    Ok(ExtOpening { ext, sender, u_matrix, ns: start.elapsed().as_nanos() as u64 })
+}
+
 /// The evaluator's OT phase, the mirror image of [`ot_send`]: `Base`
-/// receives its labels by one base-OT exchange. `Extended` sends the
-/// seed pairs by that exchange, ships the masked choice matrix with its
-/// ciphertexts in one flight, and unmasks its labels from one hash each.
+/// (no `opening`) receives its labels by one base-OT exchange.
+/// `Extended` closes the seed pairs' exchange its `opening` began, ships
+/// the masked choice matrix with its ciphertexts in one flight, and
+/// unmasks its labels from one hash each. The opening's own time counts
+/// into the phase; the header wait between the two does not.
 fn ot_receive<C: Channel + ?Sized, R: Rng + ?Sized>(
-    mode: OtMode,
+    opening: Option<ExtOpening>,
     choices: &[bool],
     rng: &mut R,
     channel: &mut C,
 ) -> Result<(Vec<Block>, OtOutcome), RuntimeError> {
     let start = Instant::now();
     let mut stall = 0;
-    let labels = match mode {
-        OtMode::Base => base_ot_receive(choices, rng, channel, &mut stall)?,
-        OtMode::Extended => {
-            let mut ext = OtExtReceiver::new(rng, choices);
-            base_ot_send(ext.seed_pairs(), rng, channel, &mut stall)?;
-            write_message(channel, &Message::OtExtMatrix(ext.u_matrix()))?;
+    let (mode, labels, opened_ns) = match opening {
+        None => (OtMode::Base, base_ot_receive(choices, rng, channel, &mut stall, || ())?, 0),
+        Some(ExtOpening { ext, sender, u_matrix, ns }) => {
+            base_ot_close(&sender, ext.seed_pairs(), channel, &mut stall)?;
+            write_message(channel, &Message::OtExtMatrix(u_matrix))?;
             channel.flush()?;
             let masked = receive!(channel, &mut stall, OtExtLabels(masked) => masked)?;
-            ext.decrypt(&masked).map_err(ot_protocol_error)?
+            (OtMode::Extended, ext.decrypt(&masked).map_err(ot_protocol_error)?, ns)
         }
     };
-    Ok((labels, OtOutcome::new(mode, choices.len(), stall, start)))
+    let mut ot = OtOutcome::new(mode, choices.len(), stall, start);
+    ot.ns += opened_ns;
+    Ok((labels, ot))
 }
 
 /// Runs a complete session in-process: garbler and evaluator threads
@@ -1400,6 +1468,7 @@ fn write_resumable_header<C: Channel>(
     config: &SessionConfig,
     channel: &mut C,
 ) -> Result<(), RuntimeError> {
+    require_base_ot()?;
     arm_phase(channel, SessionPhase::Handshake, &config.deadlines)?;
     write_message(
         channel,
@@ -1468,6 +1537,22 @@ impl GarblerSource for BankedGarbler {
     }
 }
 
+/// The next frame of `garbler`'s stream, garbled (or copied) straight
+/// into a buffer `buffer` hands out — the frame the replay buffer will
+/// keep and the channel will send: its tables, whether the source had
+/// any left ([`GarblerSource::next_tables_into`]), and the nanoseconds
+/// it took.
+fn next_frame<G: GarblerSource>(
+    garbler: &mut G,
+    buffer: &mut ReplayBuffer,
+    chunk_tables: usize,
+) -> (Vec<[Block; 2]>, bool, u64) {
+    let mut chunk = buffer.frame_buffer(chunk_tables);
+    let t = Instant::now();
+    let more = garbler.next_tables_into(chunk_tables, &mut chunk);
+    (chunk, more, t.elapsed().as_nanos() as u64)
+}
+
 /// The post-header body of every garbler session — the one garbler
 /// loop — generic over where tables come from (online garbling or bank
 /// replay): input-label delivery, OT, the ack-bounded streaming loop
@@ -1509,8 +1594,14 @@ where
         .collect();
     let live = config.telemetry.as_deref().filter(|_| haac_telemetry::enabled());
     arm_phase(&mut channel, SessionPhase::Ot, &config.deadlines)?;
-    let ot = ot_send(config.ot_mode, &evaluator_pairs, rng, &mut channel)
-        .map_err(|e| e.in_phase(SessionPhase::Ot))?;
+    // Frame 1 is garbled while the evaluator answers the OT: its flush
+    // carries the OT's last message, so it had to exist before that
+    // message could leave anyway.
+    let mut first = None;
+    let ot = ot_send(config.ot_mode, &evaluator_pairs, rng, &mut channel, || {
+        first = Some(next_frame(&mut garbler, buffer, chunk_tables));
+    })
+    .map_err(|e| e.in_phase(SessionPhase::Ot))?;
     if let Some(tel) = live {
         tel.record_ot(&ot);
     }
@@ -1545,12 +1636,8 @@ where
                 Err(e) => channel = link.recover(channel, e, SessionPhase::Stream)?,
             }
         }
-        // The chunk is garbled straight into the frame the replay buffer
-        // will keep and the channel will send.
-        let mut chunk = link.buffer.frame_buffer(chunk_tables);
-        let t = Instant::now();
-        let more = garbler.next_tables_into(chunk_tables, &mut chunk);
-        let compute_ns = t.elapsed().as_nanos() as u64;
+        let (chunk, more, compute_ns) =
+            first.take().unwrap_or_else(|| next_frame(&mut garbler, link.buffer, chunk_tables));
         stats.compute_ns += compute_ns;
         if !more || chunk.is_empty() {
             // Nothing to frame: the buffer goes back to the spare list.
@@ -1771,7 +1858,20 @@ where
 {
     let program = &config.plan.program;
     check_width("evaluator", evaluator_bits.len(), program.evaluator_inputs())?;
+    require_base_ot()?;
     let start = Instant::now();
+
+    // An extended OT opens before the header: the garbler finds
+    // `OtSetup` waiting when it turns to the OT, instead of waiting a
+    // round trip for it.
+    let opening = match config.ot_mode {
+        OtMode::Base => None,
+        OtMode::Extended => {
+            arm_phase(&mut channel, SessionPhase::Ot, &config.deadlines)?;
+            let opened = ext_ot_open(evaluator_bits, rng, &mut channel);
+            Some(opened.map_err(|e| e.in_phase(SessionPhase::Ot))?)
+        }
+    };
 
     arm_phase(&mut channel, SessionPhase::Handshake, &config.deadlines)?;
     let header = receive!(&mut channel, Header(header) => header)
@@ -1802,7 +1902,7 @@ where
 
     let live = config.telemetry.as_deref().filter(|_| haac_telemetry::enabled());
     arm_phase(&mut channel, SessionPhase::Ot, &config.deadlines)?;
-    let (own_labels, ot) = ot_receive(header.ot_mode, evaluator_bits, rng, &mut channel)
+    let (own_labels, ot) = ot_receive(opening, evaluator_bits, rng, &mut channel)
         .map_err(|e| e.in_phase(SessionPhase::Ot))?;
     if let Some(tel) = live {
         tel.record_ot(&ot);
@@ -1904,7 +2004,7 @@ where
     ))
 }
 
-#[cfg(test)]
+#[cfg(all(test, feature = "insecure-ot"))]
 mod tests {
     use super::*;
     use haac_circuit::{from_bits, to_bits, Builder};
@@ -3356,6 +3456,119 @@ mod tests {
         }
     }
 
+    /// Asserts `err` is a protocol error whose message contains `what`,
+    /// attributed to `phase`.
+    fn assert_protocol(err: &RuntimeError, phase: Option<SessionPhase>, what: &str) {
+        assert_eq!(err.phase(), phase, "{err}");
+        let message = match err {
+            RuntimeError::Phased { source, .. } => source.to_string(),
+            other => other.to_string(),
+        };
+        assert!(message.contains(what) && message.starts_with("protocol violation"), "{err}");
+    }
+
+    /// An evaluator pinned to the extended OT has sent `OtSetup` before
+    /// it reads the header: a `Base` header is still refused as the
+    /// parent refused it, before any label is read.
+    #[test]
+    fn an_early_opening_keeps_the_ot_mode_refusal() {
+        use rand::rngs::StdRng;
+
+        let c = adder(32);
+        let (gb, eb) = (to_bits(40_000, 32), to_bits(2_000, 32));
+        let base = SessionConfig::for_circuit(&c);
+        let (to_evaluator, _, _, _) = recorded_session(Driver::Plain, &gb, &eb, &base, 5);
+        let script = to_evaluator.iter().flat_map(|m| encode_frame(m).unwrap()).collect();
+        let ext = base.clone().with_ot_mode(OtMode::Extended);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut peer = ScriptChannel { script, pos: 0 };
+        let err = run_evaluator(&eb, &mut rng, &ext, &mut peer).expect_err("mode mismatch");
+        assert_protocol(&err, None, "OT mode mismatch");
+    }
+
+    /// The same mismatch seen from a `Base` garbler: the evaluator's
+    /// early `OtSetup` stands where `OtPoints` should, and the garbler
+    /// ends in a typed OT-phase protocol error — not a hang, not a panic.
+    #[test]
+    fn a_base_garbler_refuses_an_early_opening_in_the_ot_phase() {
+        let c = adder(32);
+        let (gb, eb) = (to_bits(40_000, 32), to_bits(2_000, 32));
+        let ext = SessionConfig::for_circuit(&c).with_ot_mode(OtMode::Extended);
+        let (_, to_garbler, _, _) = recorded_session(Driver::Resumable, &gb, &eb, &ext, 5);
+        assert!(matches!(to_garbler[0], Message::OtSetup { .. }), "the opening comes first");
+        let base = SessionConfig::for_circuit(&c);
+        let err = garbler_against_script(&base, &to_garbler);
+        assert_protocol(&err, Some(SessionPhase::Ot), "expected OtPoints, received OtSetup");
+    }
+
+    /// A plan the garbler did not lower is refused in the handshake in
+    /// either OT mode, the extended evaluator's opening notwithstanding;
+    /// the garbler ends in an error, never a hang.
+    #[test]
+    fn an_early_opening_still_refuses_a_mismatched_plan_in_the_handshake() {
+        use rand::rngs::StdRng;
+
+        let (big, small) = (adder(16), adder(8));
+        for mode in [OtMode::Base, OtMode::Extended] {
+            let (mut gc, mut ec) = crate::channel::MemChannel::pair();
+            let g_config = SessionConfig::for_circuit(&big).with_ot_mode(mode);
+            let e_config = SessionConfig::for_circuit(&small).with_ot_mode(mode);
+            let (g, e) = std::thread::scope(|scope| {
+                let garbler = scope.spawn(|| {
+                    let mut rng = StdRng::seed_from_u64(1);
+                    run_garbler(&to_bits(1, 16), &mut rng, &g_config, &mut gc)
+                });
+                let mut rng = StdRng::seed_from_u64(2);
+                let e = run_evaluator(&to_bits(1, 8), &mut rng, &e_config, &mut ec);
+                drop(ec);
+                (garbler.join().expect("garbler thread panicked"), e)
+            });
+            let at = mode.label();
+            let err = e.expect_err(at);
+            assert_protocol(&err, Some(SessionPhase::Handshake), "plan digest mismatch");
+            assert!(g.is_err(), "{at}: the garbler sees the evaluator hang up");
+        }
+    }
+
+    /// A channel whose every operation fails: the peer is gone before
+    /// the first byte.
+    struct DeadChannel;
+
+    impl Channel for DeadChannel {
+        fn send(&mut self, _bytes: &[u8]) -> std::io::Result<()> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+        fn recv_exact(&mut self, _buf: &mut [u8]) -> std::io::Result<()> {
+            Err(std::io::ErrorKind::UnexpectedEof.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+        fn stats(&self) -> ChannelStats {
+            ChannelStats::default()
+        }
+    }
+
+    /// The early `OtSetup` is the extended evaluator's first write: its
+    /// failure is an OT-phase transport error a client may retry whole
+    /// (nothing of the table stream exists yet), not a resumable one.
+    #[test]
+    fn an_early_opening_write_failure_is_a_retry_safe_ot_error() {
+        use rand::rngs::StdRng;
+
+        let c = adder(8);
+        let ext = SessionConfig::for_circuit(&c).with_ot_mode(OtMode::Extended);
+        let mut rng = StdRng::seed_from_u64(2);
+        let err = run_evaluator(&to_bits(2, 8), &mut rng, &ext, &mut DeadChannel).unwrap_err();
+        assert_eq!(err.phase(), Some(SessionPhase::Ot), "{err}");
+        assert!(
+            matches!(&err, RuntimeError::Phased { source, .. }
+                if matches!(**source, RuntimeError::Io(_))),
+            "{err}"
+        );
+        assert!(err.retry_safe() && !err.resume_safe(), "{err}");
+    }
+
     fn assert_stale_ack(err: &RuntimeError, phase: SessionPhase) {
         assert_eq!(err.phase(), Some(phase), "{err}");
         assert!(
@@ -3424,5 +3637,49 @@ mod tests {
         assert_eq!(from_bits(&g.outputs), 42_000);
         assert_eq!(g.outputs, e.outputs);
         assert_eq!(g.resumes, 0);
+    }
+}
+
+#[cfg(all(test, not(feature = "insecure-ot")))]
+mod without_a_base_ot {
+    use super::*;
+    use crate::channel::MemChannel;
+    use haac_circuit::{to_bits, Builder};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Without a base OT every driver — garbler and evaluator, plain,
+    /// resumable and banked, the extended evaluator's early opening
+    /// included — refuses the session before it writes a byte.
+    #[test]
+    fn every_driver_refuses_before_its_first_byte() {
+        let mut b = Builder::new();
+        let x = b.input_garbler(8);
+        let y = b.input_evaluator(8);
+        let (sum, _) = b.add_words(&x, &y);
+        let c = b.finish(sum).unwrap();
+        let (gb, eb) = (to_bits(1, 8), to_bits(2, 8));
+        for mode in [OtMode::Base, OtMode::Extended] {
+            let config = SessionConfig::for_circuit(&c).with_ot_mode(mode);
+            let (mut g, mut e) = MemChannel::pair();
+            let mut rng = StdRng::seed_from_u64(1);
+            let instance = haac_gc::garble_plan_in(
+                &config.plan.program,
+                &mut rng,
+                HashScheme::Rekeyed,
+                &haac_gc::EnginePool::new(1),
+            );
+            let refused = |refusal: Result<SessionReport, RuntimeError>| {
+                let err = refusal.expect_err("no base OT, no session");
+                assert_eq!(err.phase(), Some(SessionPhase::Ot), "{err}");
+                assert!(err.to_string().contains("need a base OT"), "{err}");
+            };
+            refused(run_garbler(&gb, &mut rng, &config, &mut g));
+            refused(run_garbler_resumable(&gb, &mut rng, &config, &mut g, |_: &_, _| None));
+            refused(run_garbler_banked(&gb, instance, &mut rng, &config, &mut g, |_: &_, _| None));
+            refused(run_evaluator(&eb, &mut rng, &config, &mut e));
+            refused(run_evaluator_resumable(&eb, &mut rng, &config, &mut e, 9, |_, _| None));
+            assert_eq!((g.stats().bytes_sent, e.stats().bytes_sent), (0, 0), "{}", mode.label());
+        }
     }
 }
